@@ -13,9 +13,6 @@ execution plans against the reference layer walk (single-image GoogLeNet
 and batched smallnet forwards), compares the DAG scheduler's
 interval-colored arena against the retired two-slot allocator (the
 ``dag_forward`` stage, baselined on the previous ``BENCH_perf.json``),
-measures cross-process plan rehydration against compile-from-scratch
-(the ``plan_cache`` stage: fresh interpreters with ``REPRO_PLAN_CACHE``
-pointing at cold vs pre-warmed directories),
 runs the multi-edge fleet scheduler shoot-out and a mid-run edge kill
 (the ``fleet`` stage: virtual-time p50/p99 per policy on a skewed fleet),
 compares continuous-batching against sequential per-request serving under
@@ -49,7 +46,6 @@ import hashlib
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import time
@@ -109,10 +105,8 @@ def _bench_optimized_forward():
     )
     plan = google.network.plan_for()
     plan.forward(image)  # warm the plan arena + conv operand caches
-    google.network.forward(image, optimize=False)  # warm reference caches
-    reference_s = _best_of(
-        lambda: google.network.forward(image, optimize=False)
-    )
+    google.network.forward_reference(image)  # warm reference caches
+    reference_s = _best_of(lambda: google.network.forward_reference(image))
     optimized_s = _best_of(lambda: plan.forward(image))
 
     small = build_model("smallnet")
@@ -211,100 +205,6 @@ def _bench_dag_forward(forward, prior_path):
     print(
         f"   {baseline_note}, arena {stats.arena_bytes / 1e6:.1f}MB in "
         f"{stats.arena_slots} slots ({result['arena_shrink']:.1f}x smaller)",
-        flush=True,
-    )
-    return result
-
-
-#: Worker for the plan_cache stage.  Each run is a *fresh interpreter* —
-#: the point is the cold-start cost a pool worker pays for its first plan,
-#: and that cannot be measured in a process whose caches are already warm.
-PLAN_CACHE_WORKER = """\
-import hashlib
-import json
-import sys
-import time
-
-sys.path.insert(0, sys.argv[1])
-from repro.exec import cache as exec_cache
-from repro.nn.zoo import build_model
-from repro.sim import SeededRng
-
-network = build_model(sys.argv[2]).network
-started = time.perf_counter()
-plan = network.plan_for()
-plan_seconds = time.perf_counter() - started
-x = SeededRng(7, "bench/plancache").uniform_array(
-    tuple(network.input_shape), 0, 255
-)
-stats = exec_cache.plan_cache_stats()
-print(json.dumps({
-    "plan_seconds": plan_seconds,
-    "sha": hashlib.sha256(plan.forward(x).tobytes()).hexdigest(),
-    "hits": stats.hits,
-    "misses": stats.misses,
-}))
-"""
-
-
-def _bench_plan_cache(model="googlenet", repetitions=5):
-    """Cross-process plan rehydration vs compile-from-scratch.
-
-    Cold runs get a fresh ``REPRO_PLAN_CACHE`` directory each (compile,
-    store); warm runs share one directory primed by a separate process
-    (load, rebind).  The params digest — the expensive part of the cache
-    key — is primed at ``build_model`` time in both processes, so the
-    timed ``plan_for()`` window isolates compile+store vs load+rehydrate
-    and warm runs are strictly faster than cold ones (see
-    docs/PERFORMANCE.md; minima over repetitions to shed scheduler noise).
-    """
-    print("-- plan cache (cross-process rehydrate vs compile) ...", flush=True)
-
-    def run(cache_dir):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                PLAN_CACHE_WORKER,
-                os.path.join(REPO_ROOT, "src"),
-                model,
-            ],
-            env=dict(os.environ, REPRO_PLAN_CACHE=cache_dir),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        return json.loads(proc.stdout)
-
-    cold_runs = []
-    for _ in range(repetitions):
-        with tempfile.TemporaryDirectory(prefix="bench-plan-cold-") as cold_dir:
-            cold_runs.append(run(cold_dir))
-    with tempfile.TemporaryDirectory(prefix="bench-plan-warm-") as warm_dir:
-        prime = run(warm_dir)
-        warm_runs = [run(warm_dir) for _ in range(repetitions)]
-        from repro.exec.cache import PlanCache
-
-        entries = PlanCache(warm_dir).stats()["entries"]
-    cold_s = min(r["plan_seconds"] for r in cold_runs)
-    warm_s = min(r["plan_seconds"] for r in warm_runs)
-    shas = {r["sha"] for r in cold_runs + warm_runs + [prime]}
-    result = {
-        "model": model,
-        "repetitions": repetitions,
-        "cold_plan_ms": round(cold_s * 1000, 3),
-        "warm_plan_ms": round(warm_s * 1000, 3),
-        "warm_speedup": round(cold_s / warm_s, 3),
-        "cold_hits_misses": [cold_runs[0]["hits"], cold_runs[0]["misses"]],
-        "warm_hits_misses": [warm_runs[0]["hits"], warm_runs[0]["misses"]],
-        "entries": entries,
-        "forward_sha_identical": len(shas) == 1,
-    }
-    print(
-        f"   cold {result['cold_plan_ms']:.1f}ms -> "
-        f"warm {result['warm_plan_ms']:.1f}ms "
-        f"({result['warm_speedup']:.2f}x), "
-        f"forwards identical: {result['forward_sha_identical']}",
         flush=True,
     )
     return result
@@ -671,11 +571,11 @@ def _bench_backend(zoo_models=("smallnet", "alexnet", "resnet-mini", "googlenet"
     image = SeededRng(7, "bench/backend").uniform_array(
         tuple(google.network.input_shape), 0, 255
     )
-    reference_out = google.network.forward(image, optimize=False)
+    reference_out = google.network.forward_reference(image)
     ref_plan = google.network.plan_for()
     ref_plan.forward(image)
     reference_walk_s = _best_of(
-        lambda: google.network.forward(image, optimize=False)
+        lambda: google.network.forward_reference(image)
     )
     reference_plan_s = _best_of(lambda: ref_plan.forward(image))
     set_backend("tuned")
@@ -881,7 +781,6 @@ def main(argv=None) -> int:
     forward = _bench_optimized_forward()
     # Read the prior JSON for the two-slot baseline *before* overwriting it.
     dag = _bench_dag_forward(forward, args.out)
-    plan_cache = _bench_plan_cache()
     fleet = _bench_fleet()
     serving = _bench_serving()
     backend = _bench_backend()
@@ -954,27 +853,6 @@ def main(argv=None) -> int:
             "skipped": False,
             "measured_bytes": dag["arena_bytes"],
             "two_slot_bytes": dag["two_slot_arena_bytes"],
-        },
-        # With the params digest primed at model-build time (it used to be
-        # recomputed inside the timed window on both sides, drowning the
-        # difference), rehydrating a stored plan must beat compiling one.
-        "plan_cache_warm_faster_than_cold": {
-            "held": plan_cache["warm_plan_ms"] < plan_cache["cold_plan_ms"],
-            "skipped": False,
-            "threshold": "warm < cold (minima over repetitions)",
-            "measured_ms": plan_cache["warm_plan_ms"],
-            "baseline_ms": plan_cache["cold_plan_ms"],
-        },
-        # The warm process must actually *hit* (not silently recompile)
-        # and produce bitwise-identical forwards from the rehydrated plan.
-        "plan_cache_rehydrates_bitwise": {
-            "held": plan_cache["forward_sha_identical"]
-            and plan_cache["cold_hits_misses"] == [0, 1]
-            and plan_cache["warm_hits_misses"] == [1, 0],
-            "skipped": False,
-            "cold_hits_misses": plan_cache["cold_hits_misses"],
-            "warm_hits_misses": plan_cache["warm_hits_misses"],
-            "forward_sha_identical": plan_cache["forward_sha_identical"],
         },
         # Load-aware scheduling must pay off where it matters — the tail —
         # when the edges are genuinely unequal.  Virtual-time latencies,
@@ -1160,7 +1038,6 @@ def main(argv=None) -> int:
                            **warm.engine_stats.as_dict()},
             "optimized_forward": forward,
             "dag_forward": dag,
-            "plan_cache": plan_cache,
             "fleet": fleet,
             "serving": serving,
             "backend": backend,
@@ -1173,7 +1050,6 @@ def main(argv=None) -> int:
             "cold_cache_overhead": round(cold_wall / serial_wall, 3),
             "optimized_vs_reference": forward["googlenet_speedup"],
             "batched_vs_looped": forward["batch_per_image_speedup"],
-            "plan_cache_warm_vs_cold": plan_cache["warm_speedup"],
         },
         "cache": {
             "cold_hits": cold.engine_stats.cache_hits,

@@ -3,18 +3,11 @@
 # export, a parse check on the exported metrics, the execution
 # engine's determinism contract (a --jobs 2 campaign plus a warm-cache
 # rerun must reproduce the serial report byte for byte, and the warm
-# run must not be slower than the cold one), the graph optimizer's
-# contract (fig7 plus a googlenet fig8 partial-inference sweep — whose
-# front/rear splits land inside the inception branch-and-join stages —
-# with and without --no-optimize must produce byte-identical reports,
-# and the optimized run must not be slower), and the plan cache's
-# contract (two --jobs 2 campaigns sharing one --plan-cache-dir must
-# both reproduce the serial report byte for byte, and a fresh process
-# against the populated cache must rehydrate — hits > 0 — rather than
-# recompile), and the fleet scheduler's contract (a small multi-edge
-# scenario with a mid-run kill, run twice with the same seed, must
-# produce byte-identical reports and serve every request), and the
-# serving loop's contract (a same-seed continuous-batching scenario
+# run must not be slower than the cold one), the fleet scheduler's
+# contract (a small multi-edge scenario with a mid-run kill, run twice
+# with the same seed, must produce byte-identical reports and serve
+# every request), and the serving loop's contract (a same-seed
+# continuous-batching scenario
 # with a mid-run kill, run twice, must emit byte-identical reports —
 # batching changes timing, never results), and the kernel backends'
 # contract (a reference-backend fig7 must byte-match the committed
@@ -37,15 +30,15 @@ mkdir -p "$out_dir"
 cd "$repo_root"
 export PYTHONPATH="$repo_root/src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== 1/11 unit + property tests"
+echo "== 1/9 unit + property tests"
 python -m pytest -x -q
 
-echo "== 2/11 quick campaign with telemetry export"
+echo "== 2/9 quick campaign with telemetry export"
 python -m repro campaign --quick \
     --out "$out_dir/report.md" \
     --metrics-out "$out_dir/metrics.prom"
 
-echo "== 3/11 exported metrics parse + sanity"
+echo "== 3/9 exported metrics parse + sanity"
 python - "$out_dir/metrics.prom" <<'PY'
 import sys
 
@@ -64,7 +57,7 @@ print(f"ok: {len(samples)} samples, {sessions:.0f} sessions, "
       f"{executions:.0f} server executions")
 PY
 
-echo "== 4/11 execution engine: parallel + cache determinism"
+echo "== 4/9 execution engine: parallel + cache determinism"
 cache_dir="$out_dir/result-cache"
 rm -rf "$cache_dir"
 cold_start=$(python -c 'import time; print(time.perf_counter())')
@@ -89,88 +82,7 @@ print(f"ok: cold {cold:.1f}s, warm {warm:.1f}s (reports byte-identical)")
 assert warm <= cold, f"cached rerun slower than cold run ({warm:.1f}s > {cold:.1f}s)"
 PY
 
-echo "== 5/11 graph optimizer: equivalence + not-slower"
-opt_start=$(python -c 'import time; print(time.perf_counter())')
-python -m repro fig7 --models googlenet \
-    > "$out_dir/fig7-optimized.txt"
-opt_end=$(python -c 'import time; print(time.perf_counter())')
-python -m repro fig7 --models googlenet --no-optimize \
-    > "$out_dir/fig7-reference.txt"
-ref_end=$(python -c 'import time; print(time.perf_counter())')
-
-cmp "$out_dir/fig7-optimized.txt" "$out_dir/fig7-reference.txt" || {
-    echo "FAIL: fig7 diverges between optimized and --no-optimize runs" >&2
-    exit 1; }
-python - "$opt_start" "$opt_end" "$ref_end" <<'PY'
-import sys
-
-opt_start, opt_end, ref_end = map(float, sys.argv[1:])
-optimized = opt_end - opt_start
-reference = ref_end - opt_end
-print(f"ok: optimized {optimized:.1f}s, reference {reference:.1f}s "
-      "(reports byte-identical)")
-# 5% grace: fig7 wall time includes model building and the virtual-time
-# simulation, which are identical either way — the check guards against
-# the plan path being materially slower, not against timer noise.
-assert optimized <= reference * 1.05, (
-    f"optimized fig7 slower than --no-optimize ({optimized:.1f}s > "
-    f"{reference:.1f}s)"
-)
-PY
-
-# Partial inference across branch-and-join stages: the googlenet fig8
-# sweep's first 8 points include splits at inception_3a/3b, so the front
-# plan ends inside the inception region and the rear plan crosses the
-# remaining concat joins.  The DAG scheduler must stay byte-identical to
-# the reference walk there too.
-python -m repro fig8 --models googlenet --max-points 8 \
-    > "$out_dir/fig8-split-optimized.txt"
-python -m repro fig8 --models googlenet --max-points 8 --no-optimize \
-    > "$out_dir/fig8-split-reference.txt"
-cmp "$out_dir/fig8-split-optimized.txt" "$out_dir/fig8-split-reference.txt" || {
-    echo "FAIL: googlenet fig8 partial-inference sweep diverges between" \
-         "optimized and --no-optimize runs" >&2
-    exit 1; }
-echo "ok: googlenet partial-inference sweep byte-identical across joins"
-
-echo "== 6/11 plan cache: cross-process reuse + determinism"
-plan_dir="$out_dir/plan-cache"
-rm -rf "$plan_dir"
-python -m repro campaign --quick --jobs 2 --plan-cache-dir "$plan_dir" \
-    --out "$out_dir/report-plan-cold.md" > /dev/null
-python -m repro campaign --quick --jobs 2 --plan-cache-dir "$plan_dir" \
-    --out "$out_dir/report-plan-warm.md" > /dev/null
-
-cmp "$out_dir/report.md" "$out_dir/report-plan-cold.md" || {
-    echo "FAIL: cold plan-cache report differs from the serial report" >&2
-    exit 1; }
-cmp "$out_dir/report.md" "$out_dir/report-plan-warm.md" || {
-    echo "FAIL: warm plan-cache report differs from the serial report" >&2
-    exit 1; }
-
-# A fresh process against the populated cache must rehydrate its plan
-# from disk (hits > 0) instead of recompiling — the counters land in the
-# telemetry, so probe them through the exported JSON.
-python -m repro metrics --model agenet --plan-cache-dir "$plan_dir" \
-    --format json > "$out_dir/plan-metrics.json" 2> /dev/null
-python - "$out_dir/plan-metrics.json" <<'PY'
-import json
-import sys
-
-with open(sys.argv[1], "r", encoding="utf-8") as handle:
-    doc = json.load(handle)
-families = doc["metrics"]
-hits = sum(s["value"] for s in families["plan_cache_hits_total"]["series"])
-misses = sum(s["value"] for s in families["plan_cache_misses_total"]["series"])
-assert hits > 0, (
-    f"warm process recompiled instead of rehydrating "
-    f"(hits={hits:.0f}, misses={misses:.0f})"
-)
-print(f"ok: plan-cache reports byte-identical; warm process rehydrated "
-      f"({hits:.0f} hits, {misses:.0f} misses)")
-PY
-
-echo "== 7/11 fleet: seeded determinism + failover conservation"
+echo "== 5/9 fleet: seeded determinism + failover conservation"
 # A small multi-edge scenario with an edge killed (and revived) mid-run,
 # executed twice with the same seed, must emit byte-identical reports —
 # the scheduler, failover, and report rendering are all virtual-time
@@ -184,7 +96,7 @@ cmp "$out_dir/fleet-a.md" "$out_dir/fleet-b.md" || {
     echo "FAIL: fleet reports diverge across same-seed reruns" >&2; exit 1; }
 echo "ok: fleet report byte-identical across same-seed reruns"
 
-echo "== 8/11 serving: continuous-batching determinism under a kill"
+echo "== 6/9 serving: continuous-batching determinism under a kill"
 # The batching serving loop must be invisible in the results: a same-seed
 # serving scenario — two edges, an edge killed and revived mid-run — run
 # twice must emit byte-identical reports (dispatcher wake-ups, batch
@@ -200,7 +112,7 @@ grep -q "serving:" "$out_dir/serve-a.md" || {
     echo "FAIL: serving report carries no batching stats" >&2; exit 1; }
 echo "ok: serving report byte-identical across same-seed reruns"
 
-echo "== 9/11 kernel backends: reference baseline + tuned label equality"
+echo "== 7/9 kernel backends: reference baseline + tuned label equality"
 # The reference backend must reproduce the committed fig7 report byte for
 # byte (it *is* the pre-backend numpy path, call for call), and the tuned
 # backend — equivalent only within a tested tolerance — must not flip a
@@ -238,7 +150,7 @@ for name in ("smallnet", "tinynet", "alexnet", "resnet-mini", "googlenet"):
 PY
 echo "ok: reference baseline byte-identical; tuned preserves every label"
 
-echo "== 10/11 model store: cold vs warm fleet determinism"
+echo "== 8/9 model store: cold vs warm fleet determinism"
 # Same-seed cold-fleet and warm-fleet (pre-warmed store) scenarios, each
 # run twice, must emit byte-identical reports — the segment-level
 # handshake, LRU bookkeeping, and presend accounting all replay on the
@@ -264,7 +176,7 @@ grep -q "model upload: 0 B on the wire" "$out_dir/fleet-cold-a.md" && {
     echo "FAIL: cold fleet reports zero upload bytes" >&2; exit 1; }
 echo "ok: cold and warm fleet reports byte-identical; warm uploads nothing"
 
-echo "== 11/11 multi-exit: accuracy-vs-deadline sweep determinism"
+echo "== 9/9 multi-exit: accuracy-vs-deadline sweep determinism"
 # The joint (split, exit) sweep is analytic over deterministically
 # seeded predictor fits: the same seed must render the same bytes, and
 # the CLI exits non-zero if any accuracy-scaling claim is violated

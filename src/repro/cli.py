@@ -22,19 +22,18 @@ command built (Prometheus text, or JSON when the path ends in ``.json``),
 plus the execution-engine flags ``--jobs N`` (fan independent sections
 across N worker processes), ``--cache-dir DIR`` (content-addressed result
 cache; unchanged scenarios are served from disk) and ``--no-cache``.
-Run commands also accept ``--no-optimize`` to fall back from compiled
-execution plans to the reference layer walk, ``--backend
-{reference,tuned}`` (exported as ``REPRO_BACKEND``) to pick the kernel
-backend, and ``--plan-cache-dir DIR`` (exported as ``REPRO_PLAN_CACHE``
-so pool workers inherit it) to persist compiled plans across processes.
-Results are byte-identical whichever way a command executes under the
-``reference`` backend (``tuned`` is equivalent within a tested
-tolerance); see ``docs/PERFORMANCE.md``.
+Run commands also accept ``--backend {reference,tuned}`` to pick the
+kernel backend for that one invocation (exported as ``REPRO_BACKEND``
+while it runs, so pool workers inherit it).  Results are byte-identical
+whichever way a command executes under the ``reference`` backend
+(``tuned`` is equivalent within a tested tolerance); see
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -70,27 +69,6 @@ def _add_metrics_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_optimize_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-optimize",
-        action="store_true",
-        help="run DNN forwards on the reference layer walk instead of "
-        "compiled execution plans (escape hatch; results are equivalent "
-        "either way, see docs/PERFORMANCE.md)",
-    )
-
-
-def _apply_optimize_flag(args: argparse.Namespace) -> None:
-    """Honour ``--no-optimize`` process-wide (workers inherit the env)."""
-    if getattr(args, "no_optimize", False):
-        import os
-
-        from repro.nn import plan
-
-        os.environ[plan.NO_OPTIMIZE_ENV] = "1"
-        plan.set_optimization(False)
-
-
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     from repro.nn.backend import backend_names
 
@@ -103,39 +81,6 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         "threaded GEMM; equivalent within tested tolerance).  Also "
         "settable via REPRO_BACKEND; workers inherit the choice",
     )
-
-
-def _apply_backend_flag(args: argparse.Namespace) -> None:
-    """Honour ``--backend`` process-wide (workers inherit the env)."""
-    if getattr(args, "backend", None):
-        import os
-
-        from repro.nn import backend as backend_module
-
-        os.environ[backend_module.BACKEND_ENV] = args.backend
-        backend_module.set_backend(args.backend)
-
-
-def _add_plan_cache_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--plan-cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist compiled execution plans here so later processes "
-        "(including pool workers) rehydrate instead of recompiling; "
-        "results are byte-identical either way",
-    )
-
-
-def _apply_plan_cache_flag(args: argparse.Namespace) -> None:
-    """Honour ``--plan-cache-dir`` process-wide (workers inherit the env)."""
-    if getattr(args, "plan_cache_dir", None):
-        import os
-
-        from repro.exec import cache as exec_cache
-
-        os.environ[exec_cache.PLAN_CACHE_ENV] = args.plan_cache_dir
-        exec_cache.set_plan_cache(args.plan_cache_dir)
 
 
 def _add_exec_args(parser: argparse.ArgumentParser) -> None:
@@ -159,7 +104,6 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="ignore --cache-dir (force recomputation)",
     )
-    _add_plan_cache_arg(parser)
 
 
 def _engine_from_args(args: argparse.Namespace):
@@ -452,7 +396,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
     from repro.eval.scenarios import build_paper_model
     from repro.nn import backend as backend_module
-    from repro.nn import plan as plan_module
 
     testbed = Testbed()
     testbed.run_offload(args.model, wait_for_ack=True)
@@ -462,23 +405,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         f"kernel backend: {backend_module.active_backend_name()}",
         file=sys.stderr,
     )
-    if plan_module.optimization_enabled():
-        network = build_paper_model(args.model).network
-        network.plan_for().record_metrics(registry)
-        print(network.plan_for().describe_text(), file=sys.stderr)
-    from repro.exec import cache as exec_cache
-
-    plan_dir = exec_cache.plan_cache_dir()
-    if plan_dir is not None:
-        exec_cache.record_plan_cache_metrics(registry)
-        stats = exec_cache.plan_cache_stats()
-        print(
-            f"plan cache {plan_dir}: {stats.hits} hits, {stats.misses} "
-            f"misses, {stats.compile_seconds * 1e3:.1f} ms compiling",
-            file=sys.stderr,
-        )
-    else:
-        print("plan cache: disabled", file=sys.stderr)
+    plan = build_paper_model(args.model).network.plan_for()
+    plan.record_metrics(registry)
+    print(plan.describe_text(), file=sys.stderr)
     if args.format == "json":
         print(to_json(registry))
     else:
@@ -506,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_bandwidth_arg(p)
         _add_metrics_arg(p)
         _add_exec_args(p)
-        _add_optimize_arg(p)
         _add_backend_arg(p)
         p.set_defaults(func=func)
 
@@ -515,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bandwidth_arg(p)
     _add_metrics_arg(p)
     _add_exec_args(p)
-    _add_optimize_arg(p)
     _add_backend_arg(p)
     p.add_argument("--max-points", type=int, default=None)
     p.set_defaults(func=cmd_fig8)
@@ -543,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_metrics_arg(p)
     _add_exec_args(p)
-    _add_optimize_arg(p)
     _add_backend_arg(p)
     p.set_defaults(func=cmd_fig_accuracy)
 
@@ -553,15 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=STUDY_NAMES)
     _add_metrics_arg(p)
     _add_exec_args(p)
-    _add_optimize_arg(p)
     _add_backend_arg(p)
     p.set_defaults(func=cmd_ablation)
 
     p = sub.add_parser("demo", help="one offloaded GoogLeNet inference")
     _add_metrics_arg(p)
-    _add_optimize_arg(p)
     _add_backend_arg(p)
-    _add_plan_cache_arg(p)
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser(
@@ -585,9 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the session's span trace (Chrome Trace Event JSON)",
     )
-    _add_optimize_arg(p)
     _add_backend_arg(p)
-    _add_plan_cache_arg(p)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser(
@@ -752,33 +673,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_metrics_arg(p)
     _add_exec_args(p)
-    _add_optimize_arg(p)
     _add_backend_arg(p)
     p.set_defaults(func=cmd_campaign)
     return parser
 
 
+@contextlib.contextmanager
+def _backend_scope(name: Optional[str]):
+    """Honour ``--backend`` for the duration of one :func:`main` call.
+
+    Sets the override and exports the env var (pool workers are forked
+    inside the call, so they inherit it), then restores both — a later
+    in-process ``main()`` must not run on this call's backend.
+    """
+    if not name:
+        yield
+        return
+    import os
+
+    from repro.nn import backend as backend_module
+
+    previous_env = os.environ.get(backend_module.BACKEND_ENV)
+    previous_override = backend_module.set_backend(name)
+    os.environ[backend_module.BACKEND_ENV] = name
+    try:
+        yield
+    finally:
+        backend_module.set_backend(previous_override)
+        if previous_env is None:
+            del os.environ[backend_module.BACKEND_ENV]
+        else:
+            os.environ[backend_module.BACKEND_ENV] = previous_env
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_optimize_flag(args)
-    _apply_backend_flag(args)
-    _apply_plan_cache_flag(args)
-    metrics_out = getattr(args, "metrics_out", None)
-    if not metrics_out:
-        return args.func(args)
+    with _backend_scope(getattr(args, "backend", None)):
+        metrics_out = getattr(args, "metrics_out", None)
+        if not metrics_out:
+            return args.func(args)
 
-    from repro.obs import MetricsRegistry, collect_metrics, write_metrics
+        from repro.obs import MetricsRegistry, collect_metrics, write_metrics
 
-    with collect_metrics() as registries:
-        code = args.func(args)
-    try:
-        write_metrics(metrics_out, MetricsRegistry.merged(registries))
-    except OSError as exc:
-        print(f"error: cannot write metrics to {metrics_out}: {exc}",
-              file=sys.stderr)
-        return 1
-    print(f"metrics written to {metrics_out} ({len(registries)} runs merged)")
-    return code
+        with collect_metrics() as registries:
+            code = args.func(args)
+        try:
+            write_metrics(metrics_out, MetricsRegistry.merged(registries))
+        except OSError as exc:
+            print(f"error: cannot write metrics to {metrics_out}: {exc}",
+                  file=sys.stderr)
+            return 1
+        print(f"metrics written to {metrics_out} "
+              f"({len(registries)} runs merged)")
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

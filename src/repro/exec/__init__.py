@@ -12,11 +12,7 @@ makes campaigns fast without making them different:
   the serial one;
 * :class:`~repro.exec.cache.ResultCache` — content-addressed disk cache
   (task identity + repro version + source fingerprint), so unchanged
-  scenarios are skipped entirely on re-runs;
-* :class:`~repro.exec.cache.PlanCache` — the same content-addressed
-  scheme for *compiled execution plans*, so pool workers rehydrate a
-  serialized step graph instead of recompiling it once per process
-  (``--plan-cache-dir`` / ``REPRO_PLAN_CACHE``).
+  scenarios are skipped entirely on re-runs.
 
 See ``docs/PERFORMANCE.md`` for the design, the cache key scheme and the
 benchmark numbers.
@@ -24,17 +20,7 @@ benchmark numbers.
 
 from repro.exec.cache import (
     CACHE_FORMAT,
-    PLAN_CACHE_ENV,
-    PLAN_CACHE_FORMAT,
-    PlanCache,
-    PlanCacheStats,
     ResultCache,
-    active_plan_cache,
-    plan_cache_dir,
-    plan_cache_stats,
-    record_plan_cache_metrics,
-    reset_plan_cache_stats,
-    set_plan_cache,
     source_fingerprint,
     task_cache_key,
 )
@@ -43,24 +29,14 @@ from repro.exec.task import Task, TaskError, TaskOutcome, execute_task
 
 __all__ = [
     "CACHE_FORMAT",
-    "PLAN_CACHE_ENV",
-    "PLAN_CACHE_FORMAT",
     "EngineRunStats",
     "ExecutionEngine",
-    "PlanCache",
-    "PlanCacheStats",
     "ResultCache",
     "Task",
     "TaskError",
     "TaskOutcome",
     "TaskStats",
-    "active_plan_cache",
     "execute_task",
-    "plan_cache_dir",
-    "plan_cache_stats",
-    "record_plan_cache_metrics",
-    "reset_plan_cache_stats",
-    "set_plan_cache",
     "source_fingerprint",
     "task_cache_key",
 ]

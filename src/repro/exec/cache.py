@@ -19,21 +19,10 @@ unreferenced files (``purge()`` removes them wholesale).
 Outcomes are stored pickled (payloads are plain dataclasses and metrics
 registries, both picklable) and written atomically, so a crashed or
 concurrent run can never leave a truncated entry that later loads.
-
-The same machinery backs :class:`PlanCache`, which persists *compiled
-execution plans* (``repro.nn.plan``) across processes: pool workers that
-would each recompile GoogLeNet's step DAG from scratch instead rehydrate
-the serialized step graph and folded operands stored by whichever process
-compiled first.  Plan entries share the invalidation philosophy of task
-outcomes — keyed by params digest + range + source fingerprint + format
-version, never by mtime — and share the hard rule that a corrupt or stale
-entry degrades to a silent recompile: the cache can never fail a run that
-would succeed without it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -47,15 +36,6 @@ from repro.exec.task import Task, TaskOutcome
 
 #: bump when the on-disk entry layout changes
 CACHE_FORMAT = 1
-
-#: bump when the serialized plan descriptor layout changes
-#: (2: descriptors carry a backend name and quantized-step stats/operands;
-#: 3: quantized operands carry per-channel scale/zero-point arrays)
-PLAN_CACHE_FORMAT = 3
-
-#: plan-cache directory inherited by pool workers (like REPRO_NO_OPTIMIZE);
-#: empty/unset means disabled
-PLAN_CACHE_ENV = "REPRO_PLAN_CACHE"
 
 
 @functools.lru_cache(maxsize=1)
@@ -78,7 +58,6 @@ def task_cache_key(task: Task) -> str:
     import repro
 
     from repro.nn.backend import active_backend_name
-    from repro.nn.plan import optimization_enabled
 
     identity = {
         "fn": task.fn,
@@ -86,12 +65,9 @@ def task_cache_key(task: Task) -> str:
         "repro_version": repro.__version__,
         "source": source_fingerprint(),
         "format": CACHE_FORMAT,
-        # Plan-optimized and reference runs produce equivalent payloads but
-        # must not share entries: equivalence is a *tested claim*, and a
-        # shared key would mask any regression behind a cache hit.
-        "optimize": optimization_enabled(),
-        # Same rule for kernel backends: reference and tuned outputs agree
-        # only within a tested tolerance, so they never share entries.
+        # Reference and tuned outputs agree only within a tested
+        # tolerance: equivalence is a *tested claim*, and a shared key
+        # would mask any regression behind a cache hit.
         "backend": active_backend_name(),
     }
     canonical = json.dumps(identity, sort_keys=True, default=_canonical_default)
@@ -181,195 +157,26 @@ class ResultCache:
         return removed
 
     def stats(self) -> Dict[str, Any]:
-        return _scan_entries(self.directory, ".pkl")
+        """Count committed cache entries.
 
-
-def _scan_entries(directory: Path, suffix: str) -> Dict[str, Any]:
-    """Count committed cache entries under ``directory``.
-
-    In-flight ``.tmp-*`` files (mid-``store`` scratch that ``os.replace``
-    will rename or the writer will unlink) are not entries and are
-    excluded.  A concurrent run may unlink or replace any file between the
-    glob and the ``stat`` — vanished files are skipped, never raised.
-    """
-    entries = 0
-    total_bytes = 0
-    for path in directory.rglob(f"*{suffix}"):
-        if path.name.startswith(".tmp-"):
-            continue
-        try:
-            total_bytes += path.stat().st_size
-        except OSError:
-            continue
-        entries += 1
-    return {
-        "directory": str(directory),
-        "entries": entries,
-        "bytes": total_bytes,
-    }
-
-
-# -- plan cache -------------------------------------------------------------------
-
-_PLAN_CACHE_OVERRIDE: Optional[str] = None
-_PLAN_CACHE_OVERRIDDEN = False
-_PLAN_CACHES: Dict[str, "PlanCache"] = {}
-
-
-def set_plan_cache(directory: Optional[str]) -> None:
-    """Force the plan-cache directory process-wide.
-
-    ``None`` restores the :data:`PLAN_CACHE_ENV` default; an empty string
-    disables the cache even if the environment sets a directory.  The CLI
-    sets both the override and the environment variable so forked pool
-    workers inherit the choice (mirroring ``--no-optimize``).
-    """
-    global _PLAN_CACHE_OVERRIDE, _PLAN_CACHE_OVERRIDDEN
-    _PLAN_CACHE_OVERRIDE = directory
-    _PLAN_CACHE_OVERRIDDEN = directory is not None
-
-
-def plan_cache_dir() -> Optional[str]:
-    """The active plan-cache directory, or None when caching is off."""
-    if _PLAN_CACHE_OVERRIDDEN:
-        return _PLAN_CACHE_OVERRIDE or None
-    return os.environ.get(PLAN_CACHE_ENV) or None
-
-
-def active_plan_cache() -> Optional["PlanCache"]:
-    """The :class:`PlanCache` for the configured directory (memoized)."""
-    directory = plan_cache_dir()
-    if directory is None:
-        return None
-    cache = _PLAN_CACHES.get(directory)
-    if cache is None:
-        cache = PlanCache(directory)
-        _PLAN_CACHES[directory] = cache
-    return cache
-
-
-@dataclasses.dataclass
-class PlanCacheStats:
-    """Process-wide plan-cache accounting (hits/misses/compile cost)."""
-
-    hits: int = 0
-    misses: int = 0
-    compile_seconds: float = 0.0
-
-
-_PLAN_CACHE_STATS = PlanCacheStats()
-
-
-def plan_cache_stats() -> PlanCacheStats:
-    """The live process-wide plan-cache counters."""
-    return _PLAN_CACHE_STATS
-
-
-def reset_plan_cache_stats() -> None:
-    global _PLAN_CACHE_STATS
-    _PLAN_CACHE_STATS = PlanCacheStats()
-
-
-def record_plan_cache_metrics(registry) -> None:
-    """Export the plan-cache counters into a metrics registry.
-
-    Called explicitly (``repro metrics``) rather than auto-announced, for
-    the same reason plan metrics are: which process compiles which plan
-    depends on worker topology, so announcing implicitly would make merged
-    telemetry nondeterministic across ``--jobs``.
-    """
-    stats = _PLAN_CACHE_STATS
-    registry.counter(
-        "plan_cache_hits_total",
-        help="compiled execution plans rehydrated from the plan cache",
-    ).inc(stats.hits)
-    registry.counter(
-        "plan_cache_misses_total",
-        help="plan-cache lookups that fell through to a fresh compile",
-    ).inc(stats.misses)
-    registry.counter(
-        "plan_compile_seconds",
-        help="wall seconds spent compiling execution plans in this process",
-    ).inc(stats.compile_seconds)
-
-
-class PlanCache:
-    """Pickled plan descriptors under ``dir/<key[:2]>/<key>.plan``.
-
-    The ``.plan`` suffix keeps entries disjoint from :class:`ResultCache`'s
-    ``*.pkl`` outcomes, so both caches can share one directory without
-    polluting each other's stats or purges.  Descriptors are plain dicts of
-    JSON-able scalars plus numpy arrays (see
-    :func:`repro.nn.plan.plan_to_descriptor`); rehydration re-binds them to
-    the live network's layers and validates structure, so a poisoned entry
-    raises there and the caller falls back to compiling.
-    """
-
-    def __init__(self, directory: str):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path_for(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.plan"
-
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored descriptor for ``key``, or None on a miss.
-
-        Truncated, garbage, or wrong-format entries count as a miss and
-        are removed — never raised.
+        In-flight ``.tmp-*`` files (mid-``store`` scratch that
+        ``os.replace`` will rename or the writer will unlink) are not
+        entries and are excluded.  A concurrent run may unlink or replace
+        any file between the glob and the ``stat`` — vanished files are
+        skipped, never raised.
         """
-        path = self._path_for(key)
-        try:
-            with open(path, "rb") as handle:
-                descriptor = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            self.discard(key)
-            return None
-        if (
-            not isinstance(descriptor, dict)
-            or descriptor.get("format") != PLAN_CACHE_FORMAT
-        ):
-            self.discard(key)
-            return None
-        return descriptor
-
-    def store(self, key: str, descriptor: Dict[str, Any]) -> None:
-        """Atomically persist one plan descriptor."""
-        path = self._path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".plan"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(descriptor, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
+        entries = 0
+        total_bytes = 0
+        for path in self.directory.rglob("*.pkl"):
+            if path.name.startswith(".tmp-"):
+                continue
             try:
-                os.unlink(tmp_name)
+                total_bytes += path.stat().st_size
             except OSError:
-                pass
-            raise
-
-    def discard(self, key: str) -> None:
-        """Remove one entry (used when rehydration rejects it)."""
-        try:
-            self._path_for(key).unlink()
-        except OSError:
-            pass
-
-    def purge(self) -> int:
-        """Delete every plan entry; returns the number of files removed."""
-        removed = 0
-        for path in self.directory.rglob("*.plan"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def stats(self) -> Dict[str, Any]:
-        return _scan_entries(self.directory, ".plan")
+                continue
+            entries += 1
+        return {
+            "directory": str(self.directory),
+            "entries": entries,
+            "bytes": total_bytes,
+        }

@@ -17,13 +17,13 @@ implementations:
   plan steps (``supports_int_gemm``).  Outputs stay within 1e-4 of the
   reference and preserve every top-1 label across the zoo.
 
-Backend selection mirrors the ``--no-optimize`` plumbing: the CLI's
-``--backend`` flag sets both a process-wide override and the
+Backend selection: the CLI's ``--backend`` flag sets, for the duration
+of that one command, both a process-wide override and the
 :data:`BACKEND_ENV` environment variable, so forked pool workers inherit
-the choice.  The active backend name is part of the result-cache and
-plan-cache keys (see :mod:`repro.exec.cache` and
-:func:`repro.nn.plan.plan_cache_key`) — equivalence between backends is a
-*tested claim*, and a shared cache entry would mask a regression.
+the choice.  The active backend name is part of the result-cache key
+(:mod:`repro.exec.cache`) and of ``Network.plan_for``'s memo key —
+equivalence between backends is a *tested claim*, and a shared cache
+entry would mask a regression.
 
 Kernel-call counters are exported as ``backend_kernel_calls_total``
 (labelled by backend and op) via :func:`record_backend_metrics`.
@@ -41,7 +41,7 @@ from repro.nn.tensor import im2col_batch as _im2col_batch
 from repro.nn.tensor import max_pool_strided, pool_patches
 
 #: process-wide backend choice inherited by forked pool workers
-#: (the CLI's ``--backend`` exports it, mirroring ``REPRO_NO_OPTIMIZE``)
+#: (the CLI's ``--backend`` exports it while the command runs)
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: env override for the tuned backend's GEMM thread budget
@@ -74,14 +74,19 @@ def active_backend_name() -> str:
     return name
 
 
-def set_backend(name: Optional[str]) -> None:
-    """Force the backend process-wide; ``None`` restores the env default."""
+def set_backend(name: Optional[str]) -> Optional[str]:
+    """Force the backend process-wide; ``None`` restores the env default.
+
+    Returns the override it replaced, so a scoped caller can put it back.
+    """
     global _BACKEND_OVERRIDE
     if name is not None and name not in _REGISTRY:
         raise BackendError(
             f"unknown backend {name!r}; choose from {sorted(_REGISTRY)}"
         )
+    previous = _BACKEND_OVERRIDE
     _BACKEND_OVERRIDE = name
+    return previous
 
 
 def get_backend(name: str) -> "KernelBackend":

@@ -17,8 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +59,93 @@ class ModelFile:
 
 def _checksum(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()[:16]
+
+
+def _layer_table(network) -> List[Layer]:
+    """Every layer reachable from the spine, in deterministic order.
+
+    Spine layers first-to-last; any layer exposing ``dag_branches()``
+    recurses into its branches in declaration order (nested composites
+    flatten the same way the lowering does), so two networks with the
+    same structure hash their layers and parameters in the same order.
+    """
+    table: List[Layer] = []
+
+    def visit(layer: Layer) -> None:
+        table.append(layer)
+        if hasattr(layer, "dag_branches"):
+            for _tag, branch in layer.dag_branches().branches:
+                for inner in branch:
+                    visit(inner)
+        if hasattr(layer, "exit_branch"):
+            for inner in layer.exit_branch():
+                visit(inner)
+
+    for layer in network.layers:
+        visit(layer)
+    return table
+
+
+#: per-process memo of parameter-array digests, keyed by array identity.
+#: Params are replaced wholesale (never mutated in place — the same
+#: convention the conv operand cache and the plan witnesses rely on), so
+#: an identity match means the digest is still valid.  Guarded by a weak
+#: reference so a recycled id() can never alias a dead array's digest.
+_ARRAY_DIGESTS: Dict[int, Tuple[Any, str]] = {}
+
+
+def _array_digest(array: np.ndarray) -> str:
+    entry = _ARRAY_DIGESTS.get(id(array))
+    if entry is not None and entry[0]() is array:
+        return entry[1]
+    digest = hashlib.sha256()
+    digest.update(str(array.dtype).encode("ascii"))
+    digest.update(str(array.shape).encode("ascii"))
+    digest.update(np.ascontiguousarray(array).tobytes())
+    value = digest.hexdigest()
+    if len(_ARRAY_DIGESTS) > 4096:
+        for key in [k for k, (ref, _) in _ARRAY_DIGESTS.items() if ref() is None]:
+            del _ARRAY_DIGESTS[key]
+    try:
+        _ARRAY_DIGESTS[id(array)] = (weakref.ref(array), value)
+    except TypeError:  # pragma: no cover - ndarray is weakref-able
+        pass
+    return value
+
+
+def network_params_digest(network) -> str:
+    """Digest of a built network's structure and every parameter array.
+
+    Hashing ~27 MB of GoogLeNet weights costs ~27 ms, so both layers of
+    memoization matter: per-array digests are reused across the fresh
+    front/rear ``Network`` objects each ``split()`` creates (they share
+    the layer objects), and the combined digest is memoized per network
+    as long as every parameter array is identity-unchanged.
+    """
+    table = _layer_table(network)
+    arrays: List[np.ndarray] = []
+    for layer in table:
+        for key in sorted(layer.params):
+            arrays.append(layer.params[key])
+    memo = getattr(network, "_plan_digest_memo", None)
+    if (
+        memo is not None
+        and len(memo[0]) == len(arrays)
+        and all(a is b for a, b in zip(memo[0], arrays))
+    ):
+        return memo[1]
+    digest = hashlib.sha256()
+    structure = {
+        "input_shape": list(network.input_shape),
+        "layers": [layer.describe() for layer in table],
+    }
+    digest.update(json.dumps(structure, sort_keys=True).encode("utf-8"))
+    for array in arrays:
+        digest.update(b"\0")
+        digest.update(_array_digest(array).encode("ascii"))
+    value = digest.hexdigest()
+    network._plan_digest_memo = (tuple(arrays), value)
+    return value
 
 
 class Model:
@@ -121,14 +209,12 @@ class Model:
     def fingerprint(self) -> str:
         """Content fingerprint of the network structure and every parameter.
 
-        This is the plan cache's params digest (sha256 over structure plus
-        per-array digests), memoized on the :class:`Network` and invalidated
-        whenever a parameter array is replaced — so calling it once at model
-        load/store time makes every later lookup (plan-cache keys, the
-        fleet's ``MODEL_QUERY`` digest handshake) near-free.
+        :func:`network_params_digest` (sha256 over structure plus per-array
+        digests), computed on first use, memoized on the :class:`Network`
+        and invalidated whenever a parameter array is replaced — so after
+        ``ModelStore.attach`` or the first ``MODEL_QUERY`` took it, every
+        later digest handshake is near-free.
         """
-        from repro.nn.plan import network_params_digest
-
         return network_params_digest(self.network)
 
     @property
@@ -149,8 +235,8 @@ class Model:
         """Forward N inputs at once; returns stacked ``(N, ...)`` outputs.
 
         Runs the compiled plan's batched kernels (one stacked im2col/matmul
-        per step) when optimization is on — how the edge server amortizes
-        concurrent partial-inference sessions over one pass.
+        per step) — how the edge server amortizes concurrent
+        partial-inference sessions over one pass.
         """
         return self.network.forward_batch(xs)
 

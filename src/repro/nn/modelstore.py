@@ -252,10 +252,9 @@ class ModelStore:
         """Attach the runnable model once its upload is complete.
 
         The model is fingerprinted here, at store time: the digest is the
-        expensive part of every plan-cache key and of the fleet's
-        ``MODEL_QUERY`` handshake, and paying it once on attach (instead of
-        on every lookup) is what makes warm plan loads and handshake
-        answers near-free.
+        expensive part of the fleet's ``MODEL_QUERY`` handshake, and paying
+        it once on attach (instead of on every query) is what makes
+        handshake answers near-free.
         """
         entry = self._models.get(model_id)
         if entry is None:

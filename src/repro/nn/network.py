@@ -114,56 +114,38 @@ class Network:
         return self.layers[-1].out_shape
 
     # -- execution -------------------------------------------------------------
-    def forward(
-        self, x: np.ndarray, optimize: Optional[bool] = None
-    ) -> np.ndarray:
-        """Full forward pass for one sample.
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Full forward pass for one sample (through the compiled plan)."""
+        return self.forward_range(x, 0, len(self.layers) - 1)
 
-        ``optimize`` selects the compiled-plan path (fold/fuse/arena; see
-        :mod:`repro.nn.plan`); the default defers to the process-wide
-        switch, which is on unless ``--no-optimize``/``REPRO_NO_OPTIMIZE``
-        disabled it.  Both paths produce equivalent outputs.
-        """
-        return self.forward_range(x, 0, len(self.layers) - 1, optimize=optimize)
-
-    def forward_range(
-        self,
-        x: np.ndarray,
-        start: int,
-        end: int,
-        optimize: Optional[bool] = None,
-    ) -> np.ndarray:
+    def forward_range(self, x: np.ndarray, start: int, end: int) -> np.ndarray:
         """Run layers ``start..end`` inclusive."""
         self._require_built()
         self._check_range(start, end)
-        if optimize is None:
-            from repro.nn import plan as plan_module
+        return self.plan_for(start, end).forward(x)
 
-            optimize = plan_module.optimization_enabled()
-        if optimize:
-            return self.plan_for(start, end).forward(x)
+    def forward_batch(self, xs) -> np.ndarray:
+        """Forward N samples; returns the stacked ``(N, ...)`` outputs.
+
+        Runs one stacked kernel per plan step (a single im2col/matmul per
+        conv for the whole batch).
+        """
+        self._require_built()
+        return self.plan_for(0, len(self.layers) - 1).forward_batch(xs)
+
+    def forward_reference(
+        self, x: np.ndarray, start: int = 0, end: Optional[int] = None
+    ) -> np.ndarray:
+        """Walk layers ``start..end`` one by one: the oracle plans are
+        tested against (:mod:`repro.nn.plan`), not a runtime path."""
+        self._require_built()
+        if end is None:
+            end = len(self.layers) - 1
+        self._check_range(start, end)
         value = np.asarray(x, dtype=np.float32)
         for layer in self.layers[start : end + 1]:
             value = layer.forward(value)
         return value
-
-    def forward_batch(
-        self, xs, optimize: Optional[bool] = None
-    ) -> np.ndarray:
-        """Forward N samples; returns the stacked ``(N, ...)`` outputs.
-
-        The optimized path runs one stacked kernel per plan step (a single
-        im2col/matmul per conv for the whole batch); the reference path
-        loops :meth:`forward` per sample.
-        """
-        self._require_built()
-        if optimize is None:
-            from repro.nn import plan as plan_module
-
-            optimize = plan_module.optimization_enabled()
-        if optimize:
-            return self.plan_for(0, len(self.layers) - 1).forward_batch(xs)
-        return np.stack([self.forward(x, optimize=False) for x in xs])
 
     def plan_for(
         self,
@@ -174,17 +156,14 @@ class Network:
     ):
         """The compiled :class:`~repro.nn.plan.ExecutionPlan` for a range.
 
-        Plans are cached per (start, end, backend, quantize_bits) and
-        recompiled automatically when any captured parameter array has been
-        replaced (the same identity rule the conv operand cache uses) —
-        the backend key means switching ``--backend`` mid-process never
-        serves a plan bound to the other backend.  With a plan cache
-        configured (``--plan-cache-dir`` / ``REPRO_PLAN_CACHE``) an
-        in-memory miss consults the on-disk cache before compiling, so
-        pool workers reuse plans compiled by any earlier process.
+        Plans are memoized per (start, end, backend, quantize_bits,
+        exit_point) and recompiled automatically when any captured
+        parameter array has been replaced (the same identity rule the conv
+        operand cache uses) — the backend key means switching ``--backend``
+        mid-process never serves a plan bound to the other backend.
         """
         from repro.nn.backend import active_backend_name
-        from repro.nn.plan import load_or_compile_plan
+        from repro.nn.plan import compile_plan
 
         self._require_built()
         if end is None:
@@ -192,7 +171,7 @@ class Network:
         key = (start, end, active_backend_name(), quantize_bits, exit_point)
         plan = self._plans.get(key)
         if plan is None or not plan.is_valid():
-            plan = load_or_compile_plan(
+            plan = compile_plan(
                 self, start, end, quantize_bits=quantize_bits,
                 exit_point=exit_point,
             )
@@ -346,29 +325,18 @@ class Network:
         return pruned
 
     def forward_exit(
-        self,
-        x: np.ndarray,
-        exit_index: Optional[int] = None,
-        optimize: Optional[bool] = None,
+        self, x: np.ndarray, exit_index: Optional[int] = None
     ) -> np.ndarray:
         """Forward pass that stops at an exit (``None``: the full network).
 
-        The optimized path compiles the exit-pruned plan
-        (``compile_plan(exit_point=k)``); the reference path walks trunk
-        layers then the head.  Both are bitwise-identical under the
-        reference backend.
+        Runs the exit-pruned plan (``compile_plan(exit_point=k)``); under
+        the reference backend it is bitwise-identical to
+        ``at_exit(k).forward_reference(x)``, the trunk-then-head walk.
         """
         self._require_built()
         if exit_index is None or exit_index == len(self.layers) - 1:
-            return self.forward(x, optimize=optimize)
-        if optimize is None:
-            from repro.nn import plan as plan_module
-
-            optimize = plan_module.optimization_enabled()
-        if optimize:
-            plan = self.plan_for(0, exit_index, exit_point=exit_index)
-            return plan.forward(x)
-        return self.at_exit(exit_index).forward(x, optimize=False)
+            return self.forward(x)
+        return self.plan_for(0, exit_index, exit_point=exit_index).forward(x)
 
     # -- accounting -------------------------------------------------------------
     @property

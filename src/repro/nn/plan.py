@@ -53,11 +53,11 @@ concurrent partial-inference sessions.
 
 Every hot kernel a step executes — im2col, GEMM, pooling, activation,
 LRN, the joins — goes through a :class:`~repro.nn.backend.KernelBackend`
-bound to the plan at compile/restore time (``reference`` reproduces the
-exact pre-backend numpy calls bitwise; ``tuned`` runs float32
-end-to-end).  The backend name is part of the plan's identity: it lands
-in :func:`plan_cache_key` and in ``Network.plan_for``'s memo key, so
-switching backends can never serve a plan compiled under the other one.
+bound to the plan at compile time (``reference`` reproduces the exact
+pre-backend numpy calls bitwise; ``tuned`` runs float32 end-to-end).  The
+backend name is part of the plan's identity: it lands in
+``Network.plan_for``'s memo key, so switching backends can never serve a
+plan compiled under the other one.
 
 ``compile_plan(..., quantize_bits=8)`` additionally rewrites conv/fc
 steps into :class:`QuantizedConvStep`/:class:`QuantizedFCStep`: weights
@@ -67,33 +67,18 @@ dequant-free integer GEMM on backends that support it, a cached
 dequantized float32 matmul otherwise.  ``PlanStats.quantized`` counts
 the rewritten steps (exported as ``quantized_steps_total``).
 
-The default-on switch lives here too: :func:`optimization_enabled`
-honours :func:`set_optimization` overrides first, then the
-``REPRO_NO_OPTIMIZE`` environment variable (the CLI's ``--no-optimize``
-sets both, so forked pool workers inherit it).
-
-Compiled plans can also persist *across* processes: with a plan cache
-configured (``--plan-cache-dir`` / ``REPRO_PLAN_CACHE``, see
-:mod:`repro.exec.cache`), :func:`load_or_compile_plan` serializes each
-freshly compiled plan — step graph, folded operands, arena slot
-assignment — through :func:`plan_to_descriptor` and rehydrates it in
-later processes through :func:`plan_from_descriptor`, skipping
-lowering/scheduling/coloring entirely.  A rehydrated plan re-binds to the
-live network's layer objects and is bitwise-identical to a fresh compile;
-corrupt or unbindable entries degrade to a silent recompile.
+Plans are the only runtime execution path: every ``Network.forward*``
+call runs one, obtained from :func:`compile_plan` (memoized per network by
+``Network.plan_for``).  The layer-by-layer walk is
+``Network.forward_reference`` — the oracle the equivalence tests and the
+plan-vs-walk bench claims compare against, with no runtime caller.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import heapq
-import json
-import os
-import time
-import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,25 +93,6 @@ from repro.nn.layers.io import InputLayer
 from repro.nn.layers.normalization import LRNLayer
 from repro.nn.layers.pool import PoolLayer
 from repro.nn.tensor import im2col, im2col_batch, max_pool_strided
-
-#: set to any non-empty value to disable plan execution process-wide
-#: (the CLI's ``--no-optimize`` exports it so pool workers inherit it)
-NO_OPTIMIZE_ENV = "REPRO_NO_OPTIMIZE"
-
-_OPTIMIZE_OVERRIDE: Optional[bool] = None
-
-
-def optimization_enabled() -> bool:
-    """Whether ``Network.forward`` should execute through compiled plans."""
-    if _OPTIMIZE_OVERRIDE is not None:
-        return _OPTIMIZE_OVERRIDE
-    return not os.environ.get(NO_OPTIMIZE_ENV)
-
-
-def set_optimization(enabled: Optional[bool]) -> None:
-    """Force plans on/off process-wide; ``None`` restores the env default."""
-    global _OPTIMIZE_OVERRIDE
-    _OPTIMIZE_OVERRIDE = enabled
 
 
 class PlanGraphError(RuntimeError):
@@ -506,9 +472,8 @@ class QuantizedMatrix:
     three derived forms backends need: the dequantized float32 matrix
     (the fallback path), the int32 code matrix, and its row sums (the
     rank-1 correction of the dequant-free integer GEMM).  All three are
-    computed at most once per plan.  ``per_channel`` tells backends (and
-    the plan cache) whether ``scale``/``zero_point`` are scalars or
-    ``(rows,)`` arrays.
+    computed at most once per plan.  ``per_channel`` says whether
+    ``scale``/``zero_point`` are scalars or ``(rows,)`` arrays.
     """
 
     def __init__(self, quantized) -> None:
@@ -725,10 +690,10 @@ class ExecutionPlan:
     def _bind_backend(self, backend: Optional[str]) -> None:
         """Resolve and bind one kernel backend onto every step.
 
-        Bound once per plan (compile or restore), not looked up per call:
-        a plan must never mix backends mid-forward, and the plan caches
-        key on the backend name so a later ``set_backend`` compiles a new
-        plan instead of mutating this one.
+        Bound once per plan, not looked up per call: a plan must never
+        mix backends mid-forward, and ``Network.plan_for`` keys on the
+        backend name so a later ``set_backend`` compiles a new plan
+        instead of mutating this one.
         """
         self.backend_name = backend or active_backend_name()
         instance = get_backend(self.backend_name)
@@ -793,9 +758,8 @@ class ExecutionPlan:
     def _allocate_arena(self, capacities: Sequence[int]) -> None:
         """Allocate slot buffers and bind each arena step's output view.
 
-        Validates the assignment first (slots exist and fit), so a plan
-        rehydrated from a cached descriptor can't bind an out-of-range or
-        undersized view.
+        Validates the assignment first (slots exist and fit), so a
+        coloring bug can't bind an out-of-range or undersized view.
         """
         for step in self.steps:
             if not step.arena:
@@ -822,77 +786,6 @@ class ExecutionPlan:
         self.stats.reuse_bytes_per_forward = sum(
             step.out_elements * 4 for step in self.steps if step.arena
         )
-
-    def _verify_slots(self) -> None:
-        """Check a restored slot assignment against the liveness intervals.
-
-        Replays the coloring loop but *verifies* instead of assigning: no
-        step may write a slot any live value occupies.  A descriptor that
-        passed the digest check but carries a corrupted assignment fails
-        here loudly instead of corrupting activations silently.
-        """
-        active: Dict[int, int] = {}  # value id -> slot
-        for position, step in enumerate(self.steps):
-            for value_id, slot in list(active.items()):
-                if self._last_use[value_id] < position:
-                    del active[value_id]
-            if not step.arena:
-                continue
-            if step.slot in active.values():
-                raise PlanGraphError(
-                    f"step {step.name!r} writes arena slot {step.slot} "
-                    "while a live value occupies it"
-                )
-            active[step.output] = step.slot
-
-    @classmethod
-    def restore(
-        cls,
-        name: str,
-        steps: Sequence[PlanStep],
-        input_shape: Sequence[int],
-        output_shape: Sequence[int],
-        stats: PlanStats,
-        witnesses: Sequence[Tuple[Layer, str, np.ndarray]],
-        capacities: Sequence[int],
-        backend: Optional[str] = None,
-    ) -> "ExecutionPlan":
-        """Rebuild a plan from already-scheduled steps (the cache path).
-
-        The steps must arrive in schedule order with value ids already
-        remapped (step ``i`` defines value ``i + 1``); the schedule and
-        the slot assignment are *verified*, not trusted — a descriptor
-        that doesn't satisfy the DAG and arena invariants raises
-        :class:`PlanGraphError` and the caller recompiles.
-        """
-        plan = cls.__new__(cls)
-        plan.name = name
-        plan.steps = list(steps)
-        plan._bind_backend(backend)
-        for position, step in enumerate(plan.steps):
-            if step.output != position + 1:
-                raise PlanGraphError(
-                    f"restored step {step.name!r} defines value "
-                    f"{step.output}, expected {position + 1}"
-                )
-            for value_id in step.inputs:
-                if not 0 <= value_id <= position:
-                    raise PlanGraphError(
-                        f"restored step {step.name!r} reads value "
-                        f"{value_id} before it is defined"
-                    )
-        plan.input_shape = tuple(input_shape)
-        plan.output_shape = tuple(output_shape)
-        plan.stats = stats
-        plan._witnesses = list(witnesses)
-        plan.forwards = 0
-        plan.batch_forwards = 0
-        plan.batch_sizes = []
-        plan.arena_bytes_reused = 0
-        plan._analyze_liveness()
-        plan._verify_slots()
-        plan._allocate_arena(list(capacities))
-        return plan
 
     # -- validity --------------------------------------------------------------
     def is_valid(self) -> bool:
@@ -1602,493 +1495,3 @@ def compile_plan(
         witnesses,
         backend=backend,
     )
-
-
-# -- plan cache: serialization + rehydration --------------------------------------
-
-class PlanCacheError(RuntimeError):
-    """A cached plan descriptor cannot be rebound to the live network."""
-
-
-def _layer_table(network) -> List[Layer]:
-    """Every layer reachable from the spine, in deterministic order.
-
-    Spine layers first-to-last; any layer exposing ``dag_branches()``
-    recurses into its branches in declaration order (nested composites
-    flatten the same way the lowering does).  The table index is the
-    serialized identity of a layer: a descriptor stored for a network with
-    the same structure maps indices back to the live layer objects.
-    """
-    table: List[Layer] = []
-
-    def visit(layer: Layer) -> None:
-        table.append(layer)
-        if hasattr(layer, "dag_branches"):
-            for _tag, branch in layer.dag_branches().branches:
-                for inner in branch:
-                    visit(inner)
-        if hasattr(layer, "exit_branch"):
-            for inner in layer.exit_branch():
-                visit(inner)
-
-    for layer in network.layers:
-        visit(layer)
-    return table
-
-
-#: per-process memo of parameter-array digests, keyed by array identity.
-#: Params are replaced wholesale (never mutated in place — the same
-#: convention the conv operand cache and the plan witnesses rely on), so
-#: an identity match means the digest is still valid.  Guarded by a weak
-#: reference so a recycled id() can never alias a dead array's digest.
-_ARRAY_DIGESTS: Dict[int, Tuple[Any, str]] = {}
-
-
-def _array_digest(array: np.ndarray) -> str:
-    entry = _ARRAY_DIGESTS.get(id(array))
-    if entry is not None and entry[0]() is array:
-        return entry[1]
-    digest = hashlib.sha256()
-    digest.update(str(array.dtype).encode("ascii"))
-    digest.update(str(array.shape).encode("ascii"))
-    digest.update(np.ascontiguousarray(array).tobytes())
-    value = digest.hexdigest()
-    if len(_ARRAY_DIGESTS) > 4096:
-        for key in [k for k, (ref, _) in _ARRAY_DIGESTS.items() if ref() is None]:
-            del _ARRAY_DIGESTS[key]
-    try:
-        _ARRAY_DIGESTS[id(array)] = (weakref.ref(array), value)
-    except TypeError:  # pragma: no cover - ndarray is weakref-able
-        pass
-    return value
-
-
-def network_params_digest(network) -> str:
-    """Digest of a built network's structure and every parameter array.
-
-    Hashing ~27 MB of GoogLeNet weights costs ~27 ms, so both layers of
-    memoization matter: per-array digests are reused across the fresh
-    front/rear ``Network`` objects each ``split()`` creates (they share
-    the layer objects), and the combined digest is memoized per network
-    as long as every parameter array is identity-unchanged.
-    """
-    table = _layer_table(network)
-    arrays: List[np.ndarray] = []
-    for layer in table:
-        for key in sorted(layer.params):
-            arrays.append(layer.params[key])
-    memo = getattr(network, "_plan_digest_memo", None)
-    if (
-        memo is not None
-        and len(memo[0]) == len(arrays)
-        and all(a is b for a, b in zip(memo[0], arrays))
-    ):
-        return memo[1]
-    digest = hashlib.sha256()
-    structure = {
-        "input_shape": list(network.input_shape),
-        "layers": [layer.describe() for layer in table],
-    }
-    digest.update(json.dumps(structure, sort_keys=True).encode("utf-8"))
-    for array in arrays:
-        digest.update(b"\0")
-        digest.update(_array_digest(array).encode("ascii"))
-    value = digest.hexdigest()
-    network._plan_digest_memo = (tuple(arrays), value)
-    return value
-
-
-def plan_cache_key(
-    network,
-    start: int,
-    end: int,
-    *,
-    fold: bool = True,
-    fuse: bool = True,
-    backend: Optional[str] = None,
-    quantize_bits: Optional[int] = None,
-    exit_point: Optional[int] = None,
-) -> str:
-    """The content address of one compiled plan.
-
-    Keyed like task outcomes: params digest (structure + weights) +
-    ``(start, end)`` range + compile options (fold/fuse/backend/
-    quantize bits) + repro version + source fingerprint + plan-cache
-    format version.  Edit any source line or replace any parameter array
-    and every entry misses; there is no mtime or TTL logic.  Backends
-    produce equivalent-but-not-identical plans, so sharing an entry
-    across them would mask exactly the regressions the equivalence suite
-    exists to catch.
-    """
-    import repro
-    from repro.exec.cache import PLAN_CACHE_FORMAT, source_fingerprint
-
-    identity = {
-        "network": network.name,
-        "params": network_params_digest(network),
-        "range": [start, end],
-        "fold": bool(fold),
-        "fuse": bool(fuse),
-        "backend": backend or active_backend_name(),
-        "quantize": quantize_bits,
-        "exit": exit_point,
-        "repro_version": repro.__version__,
-        "source": source_fingerprint(),
-        "format": PLAN_CACHE_FORMAT,
-    }
-    canonical = json.dumps(identity, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _step_to_entry(step: PlanStep, ids: Dict[int, int]) -> Dict[str, Any]:
-    entry: Dict[str, Any] = {
-        "type": type(step).__name__,
-        "name": step.name,
-        "out_shape": [int(dim) for dim in step.out_shape],
-        "inputs": [int(value_id) for value_id in step.inputs],
-        "output": int(step.output),
-        "slot": None if step.slot is None else int(step.slot),
-        "layers": [
-            [int(index), ids[id(layer)], bool(counted)]
-            for index, layer, counted in step.layers
-        ],
-    }
-    if isinstance(step, QuantizedConvStep):
-        entry["layer"] = ids[id(step.layer)]
-        entry["relu"] = bool(step.relu)
-        # Quantized codes are the compile product worth persisting: half
-        # the bytes of the float operands, and re-quantizing on rehydrate
-        # would redo the work the cache exists to skip.
-        entry["operands"] = [
-            [_qmatrix_to_entry(qmatrix), np.ascontiguousarray(bias)]
-            for qmatrix, bias in step.operands
-        ]
-    elif isinstance(step, QuantizedFCStep):
-        entry["layer"] = ids[id(step.layer)]
-        entry["relu"] = bool(step.relu)
-        entry["qmatrix"] = _qmatrix_to_entry(step.qmatrix)
-    elif isinstance(step, ConvStep):
-        entry["layer"] = ids[id(step.layer)]
-        entry["relu"] = bool(step.relu)
-        # Folded operands (BN/Scale baked into the weights) are the
-        # expensive compile product and are stored verbatim; unfolded
-        # operands are a pure reshape of the live weights, recomputed on
-        # rehydrate (keeps entries small and preserves the layer's
-        # freeze-on-cache semantics).
-        folded = any(not counted for _index, _layer, counted in step.layers)
-        entry["operands"] = (
-            [
-                [np.ascontiguousarray(matrix), np.ascontiguousarray(bias)]
-                for matrix, bias in step.operands
-            ]
-            if folded
-            else None
-        )
-    elif isinstance(step, FCStep):
-        entry["layer"] = ids[id(step.layer)]
-        entry["relu"] = bool(step.relu)
-    elif isinstance(step, AffineStep):
-        entry["scale"] = np.ascontiguousarray(step.scale[:, 0, 0])
-        entry["shift"] = (
-            np.ascontiguousarray(step.shift[:, 0, 0])
-            if step.shift is not None
-            else None
-        )
-    elif isinstance(step, (PoolStep, ReLUStep, FallbackStep)):
-        # FallbackStep covers LRNStep too (a subclass).
-        entry["layer"] = ids[id(step.layer)]
-    elif isinstance(step, (ConcatStep, EltwiseAddStep)):
-        pass
-    else:  # pragma: no cover - every step type above is exhaustive
-        raise PlanCacheError(f"unserializable step type {type(step).__name__}")
-    return entry
-
-
-def _qmatrix_to_entry(qmatrix: QuantizedMatrix) -> Dict[str, Any]:
-    # Per-channel scale/zero_point are (rows,) float32 arrays; per-tensor
-    # ones are Python floats.  The flag disambiguates on the way back in.
-    per_channel = bool(qmatrix.per_channel)
-    return {
-        "codes": np.ascontiguousarray(qmatrix.codes),
-        "scale": (
-            np.ascontiguousarray(qmatrix.scale, dtype=np.float32)
-            if per_channel
-            else float(qmatrix.scale)
-        ),
-        "zero_point": (
-            np.ascontiguousarray(qmatrix.zero_point, dtype=np.float32)
-            if per_channel
-            else float(qmatrix.zero_point)
-        ),
-        "bits": int(qmatrix.bits),
-        "shape": [int(dim) for dim in qmatrix.shape],
-        "per_channel": per_channel,
-    }
-
-
-def _qmatrix_from_entry(entry: Dict[str, Any]) -> QuantizedMatrix:
-    from repro.nn.quantize import ChannelQuantizedTensor, QuantizedTensor
-
-    shape = tuple(int(dim) for dim in entry["shape"])
-    codes = np.ascontiguousarray(entry["codes"], dtype=np.uint16)
-    count = 1
-    for dim in shape:
-        count *= dim
-    if codes.size != count:
-        raise PlanCacheError("quantized operand codes do not match its shape")
-    if entry.get("per_channel"):
-        if len(shape) != 2:
-            raise PlanCacheError("per-channel operand must be a 2-D matrix")
-        scale = np.ascontiguousarray(entry["scale"], dtype=np.float32)
-        zero_point = np.ascontiguousarray(
-            entry["zero_point"], dtype=np.float32
-        )
-        if scale.shape != (shape[0],) or zero_point.shape != (shape[0],):
-            raise PlanCacheError(
-                "per-channel operand scales do not match its row count"
-            )
-        return QuantizedMatrix(
-            ChannelQuantizedTensor(
-                codes=codes.reshape(shape),
-                scale=scale,
-                zero_point=zero_point,
-                bits=int(entry["bits"]),
-                shape=shape,
-            )
-        )
-    return QuantizedMatrix(
-        QuantizedTensor(
-            codes=codes,
-            scale=float(entry["scale"]),
-            zero_point=float(entry["zero_point"]),
-            bits=int(entry["bits"]),
-            shape=shape,
-        )
-    )
-
-
-def _step_from_entry(entry: Dict[str, Any], table: Sequence[Layer]) -> PlanStep:
-    type_name = entry["type"]
-    name = entry["name"]
-    out_shape = tuple(int(dim) for dim in entry["out_shape"])
-    try:
-        covered = [
-            (int(index), table[layer_id], bool(counted))
-            for index, layer_id, counted in entry["layers"]
-        ]
-    except IndexError as exc:
-        raise PlanCacheError(f"step {name!r} references unknown layer") from exc
-
-    def bound_layer(expected) -> Layer:
-        try:
-            layer = table[entry["layer"]]
-        except IndexError as exc:
-            raise PlanCacheError(
-                f"step {name!r} references unknown layer"
-            ) from exc
-        if not isinstance(layer, expected):
-            raise PlanCacheError(
-                f"step {name!r} expects a {expected.__name__}, "
-                f"got {type(layer).__name__}"
-            )
-        return layer
-
-    if type_name == "QuantizedConvStep":
-        layer = bound_layer(ConvLayer)
-        per_out = layer.num_filters // layer.groups
-        operands = []
-        for qmatrix_entry, bias in entry["operands"]:
-            qmatrix = _qmatrix_from_entry(qmatrix_entry)
-            if qmatrix.shape[0] != per_out or bias.shape != (per_out, 1):
-                raise PlanCacheError(
-                    f"step {name!r} has malformed quantized operands"
-                )
-            operands.append((qmatrix, bias))
-        step: PlanStep = QuantizedConvStep(
-            name, covered, layer, operands, bool(entry["relu"])
-        )
-    elif type_name == "QuantizedFCStep":
-        layer = bound_layer(FCLayer)
-        qmatrix = _qmatrix_from_entry(entry["qmatrix"])
-        if qmatrix.shape != (layer.out_features, layer.in_features):
-            raise PlanCacheError(
-                f"step {name!r} has a malformed quantized weight matrix"
-            )
-        step = QuantizedFCStep(name, covered, layer, qmatrix, bool(entry["relu"]))
-    elif type_name == "ConvStep":
-        layer = bound_layer(ConvLayer)
-        operands = entry["operands"]
-        if operands is None:
-            operands = layer._group_operands()
-        else:
-            per_out = layer.num_filters // layer.groups
-            for matrix, bias in operands:
-                if matrix.shape[0] != per_out or bias.shape != (per_out, 1):
-                    raise PlanCacheError(
-                        f"step {name!r} has malformed folded operands"
-                    )
-            operands = [(matrix, bias) for matrix, bias in operands]
-        step: PlanStep = ConvStep(
-            name, covered, layer, operands, bool(entry["relu"])
-        )
-    elif type_name == "FCStep":
-        step = FCStep(name, covered, bound_layer(FCLayer), bool(entry["relu"]))
-    elif type_name == "PoolStep":
-        step = PoolStep(name, covered, bound_layer(PoolLayer))
-    elif type_name == "ReLUStep":
-        step = ReLUStep(name, covered, bound_layer(ReLULayer))
-    elif type_name == "AffineStep":
-        shift = entry["shift"]
-        step = AffineStep(
-            name,
-            covered,
-            out_shape,
-            np.asarray(entry["scale"], dtype=np.float32),
-            None if shift is None else np.asarray(shift, dtype=np.float32),
-        )
-    elif type_name == "LRNStep":
-        step = LRNStep(name, covered, bound_layer(LRNLayer))
-    elif type_name == "FallbackStep":
-        step = FallbackStep(name, covered, bound_layer(Layer))
-    elif type_name == "ConcatStep":
-        step = ConcatStep(name, covered, out_shape)
-    elif type_name == "EltwiseAddStep":
-        step = EltwiseAddStep(name, covered, out_shape)
-    else:
-        raise PlanCacheError(f"unknown cached step type {type_name!r}")
-    if tuple(step.out_shape) != out_shape:
-        raise PlanCacheError(
-            f"step {name!r} output shape drifted: cached {out_shape}, "
-            f"live {tuple(step.out_shape)}"
-        )
-    step.inputs = [int(value_id) for value_id in entry["inputs"]]
-    step.output = int(entry["output"])
-    step.slot = None if entry["slot"] is None else int(entry["slot"])
-    return step
-
-
-def plan_to_descriptor(plan: ExecutionPlan, network) -> Dict[str, Any]:
-    """Serialize a compiled plan to a picklable, network-independent dict.
-
-    Live layer objects become layer-table indices; witness arrays become
-    ``(layer, param key)`` references re-bound at load time (a witness on
-    a *replaced* array could never rehydrate validly, so a plan whose
-    witnesses are already stale refuses to serialize).
-    """
-    from repro.exec.cache import PLAN_CACHE_FORMAT
-
-    table = _layer_table(network)
-    ids = {id(layer): index for index, layer in enumerate(table)}
-    witnesses = []
-    for layer, key, array in plan._witnesses:
-        if layer.params.get(key) is not array:
-            raise PlanCacheError(f"plan {plan.name!r} is stale; not storing")
-        witnesses.append([ids[id(layer)], key])
-    return {
-        "format": PLAN_CACHE_FORMAT,
-        "name": plan.name,
-        "backend": plan.backend_name,
-        "input_shape": [int(dim) for dim in plan.input_shape],
-        "output_shape": [int(dim) for dim in plan.output_shape],
-        "stats": dataclasses.asdict(plan.stats),
-        "capacities": [int(slot.size) for slot in plan._slots],
-        "steps": [_step_to_entry(step, ids) for step in plan.steps],
-        "witnesses": witnesses,
-    }
-
-
-def plan_from_descriptor(descriptor: Dict[str, Any], network) -> ExecutionPlan:
-    """Rebuild an :class:`ExecutionPlan` from a stored descriptor.
-
-    Every reference is re-bound against the live network and validated
-    (layer types, output shapes, schedule order, arena slots); anything
-    inconsistent raises, and the caller treats it as a miss.  Because the
-    cache key covers the params digest, a successful rebind executes
-    bitwise-identically to a fresh compile.
-    """
-    from repro.exec.cache import PLAN_CACHE_FORMAT
-
-    if descriptor.get("format") != PLAN_CACHE_FORMAT:
-        raise PlanCacheError("descriptor format mismatch")
-    table = _layer_table(network)
-    steps = [_step_from_entry(entry, table) for entry in descriptor["steps"]]
-    stats = PlanStats(**descriptor["stats"])
-    witnesses: List[Tuple[Layer, str, np.ndarray]] = []
-    for layer_id, key in descriptor["witnesses"]:
-        try:
-            layer = table[layer_id]
-        except IndexError as exc:
-            raise PlanCacheError("witness references unknown layer") from exc
-        array = layer.params.get(key)
-        if array is None:
-            raise PlanCacheError(f"witness param {key!r} missing on {layer.name!r}")
-        witnesses.append((layer, key, array))
-    return ExecutionPlan.restore(
-        descriptor["name"],
-        steps,
-        descriptor["input_shape"],
-        descriptor["output_shape"],
-        stats,
-        witnesses,
-        descriptor["capacities"],
-        backend=descriptor.get("backend"),
-    )
-
-
-def load_or_compile_plan(
-    network,
-    start: int = 0,
-    end: Optional[int] = None,
-    *,
-    fold: bool = True,
-    fuse: bool = True,
-    backend: Optional[str] = None,
-    quantize_bits: Optional[int] = None,
-    exit_point: Optional[int] = None,
-) -> ExecutionPlan:
-    """:func:`compile_plan`, fronted by the cross-process plan cache.
-
-    With no cache configured (``--plan-cache-dir`` / ``REPRO_PLAN_CACHE``
-    unset) this *is* ``compile_plan``.  With one, a stored descriptor is
-    rehydrated instead of re-running lowering/scheduling/coloring; any
-    failure along the cache path — unreadable entry, descriptor that won't
-    rebind, full disk on store — degrades to a silent recompile, so the
-    cache can never fail a run that would succeed without it.
-    """
-    from repro.exec import cache as exec_cache
-
-    plan_cache = exec_cache.active_plan_cache()
-    if plan_cache is None:
-        return compile_plan(
-            network, start, end, fold=fold, fuse=fuse,
-            backend=backend, quantize_bits=quantize_bits,
-            exit_point=exit_point,
-        )
-    if end is None:
-        end = len(network.layers) - 1
-    stats = exec_cache.plan_cache_stats()
-    key = plan_cache_key(
-        network, start, end, fold=fold, fuse=fuse,
-        backend=backend, quantize_bits=quantize_bits, exit_point=exit_point,
-    )
-    descriptor = plan_cache.load(key)
-    if descriptor is not None:
-        try:
-            plan = plan_from_descriptor(descriptor, network)
-        except Exception:
-            plan_cache.discard(key)
-        else:
-            stats.hits += 1
-            return plan
-    started = time.perf_counter()
-    plan = compile_plan(
-        network, start, end, fold=fold, fuse=fuse,
-        backend=backend, quantize_bits=quantize_bits, exit_point=exit_point,
-    )
-    stats.compile_seconds += time.perf_counter() - started
-    stats.misses += 1
-    try:
-        plan_cache.store(key, plan_to_descriptor(plan, network))
-    except Exception:
-        pass  # a read-only or full cache dir must not fail the run
-    return plan

@@ -51,23 +51,14 @@ EXIT_MODELS = ("smallnet_exits", "googlenet_exits")
 
 
 def build_model(name: str, seed: int = 0) -> Model:
-    """Build a zoo model by name.
-
-    The freshly built model is fingerprinted here, once, at load time:
-    the params digest (sha256 over every weight array) is the expensive
-    part of every plan-cache key, and priming the memo now keeps it out
-    of the request path — a warm ``load_or_compile_plan`` must not hash
-    27 MB of GoogLeNet weights again just to look up its own key.
-    """
+    """Build a zoo model by name."""
     try:
         builder = BUILDERS[name]
     except KeyError:
         raise KeyError(
             f"unknown model {name!r}; available: {sorted(BUILDERS)}"
         ) from None
-    model = builder(seed=seed)
-    model.fingerprint()
-    return model
+    return builder(seed=seed)
 
 
 __all__ = [

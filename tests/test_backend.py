@@ -8,10 +8,10 @@ The contract the kernel-backend abstraction must keep:
 * the ``tuned`` backend (float32 end-to-end, threaded GEMM, integer
   quantized GEMM) stays within 1e-4 of the reference and never flips a
   top-1 label;
-* the selection plumbing behaves like ``--no-optimize``: the env var
-  reaches forked pool workers, and both the result-cache and plan-cache
-  keys change with the backend (equivalence is a tested claim — a shared
-  entry would mask a regression);
+* the selection plumbing: the env var reaches forked pool workers, the
+  result-cache key and the per-network plan memo change with the backend
+  (equivalence is a tested claim — a shared entry would mask a
+  regression), and the CLI's ``--backend`` is scoped to its one call;
 * int8-quantized plans replace every conv/fc step, report the count in
   their stats and metrics, and preserve top-1 labels.
 """
@@ -37,7 +37,6 @@ from repro.nn.backend import (
     get_backend,
     set_backend,
 )
-from repro.nn.plan import plan_cache_key, set_optimization
 from repro.nn.quantize import packed_feature_bytes
 from repro.nn.zoo import build_model
 from repro.obs import MetricsRegistry
@@ -54,7 +53,6 @@ TUNED_TOLERANCE = 1e-4
 def restore_backend():
     yield
     set_backend(None)
-    set_optimization(None)
     os.environ.pop(BACKEND_ENV, None)
 
 
@@ -115,8 +113,8 @@ class TestReferenceBitwise:
         set_backend("reference")
         model = build_model(name)
         x = model_input(model)
-        walk = model.network.forward(x, optimize=False)
-        plan = model.network.forward(x, optimize=True)
+        walk = model.network.forward_reference(x)
+        plan = model.network.forward(x)
         assert walk.dtype == np.float32
         assert np.array_equal(walk, plan)
 
@@ -140,11 +138,11 @@ class TestTunedTolerance:
         set_backend("reference")
         model = build_model(name)
         x = model_input(model)
-        reference = model.network.forward(x, optimize=False)
+        reference = model.network.forward_reference(x)
         set_backend("tuned")
-        tuned_model = build_model(name)
-        for optimize in (False, True):
-            tuned = tuned_model.network.forward(x, optimize=optimize)
+        network = build_model(name).network
+        for forward in (network.forward_reference, network.forward):
+            tuned = forward(x)
             assert tuned.dtype == np.float32
             assert np.abs(tuned - reference).max() <= TUNED_TOLERANCE
             assert int(np.argmax(tuned)) == int(np.argmax(reference))
@@ -180,7 +178,7 @@ class TestTunedTolerance:
         tuned = get_backend("tuned")
         before = dict(tuned.calls)
         model = build_model("smallnet")
-        model.network.forward(model_input(model), optimize=True)
+        model.network.forward(model_input(model))
         assert tuned.calls.get("gemm", 0) > before.get("gemm", 0)
 
 
@@ -243,17 +241,6 @@ class TestWorkerAndCachePlumbing:
         set_backend("tuned")
         assert task_cache_key(task) != reference_key
 
-    def test_plan_cache_key_depends_on_backend_and_bits(self):
-        network = build_model("smallnet").network
-        end = len(network.layers) - 1
-        keys = {
-            plan_cache_key(network, 0, end, backend="reference"),
-            plan_cache_key(network, 0, end, backend="tuned"),
-            plan_cache_key(network, 0, end, backend="reference", quantize_bits=8),
-            plan_cache_key(network, 0, end, backend="reference", quantize_bits=4),
-        }
-        assert len(keys) == 4
-
     def test_plan_memo_keyed_by_backend(self):
         network = build_model("smallnet").network
         set_backend("reference")
@@ -264,6 +251,17 @@ class TestWorkerAndCachePlumbing:
         assert reference_plan.backend_name == "reference"
         assert tuned_plan.backend_name == "tuned"
 
+    @pytest.mark.parametrize("ambient", [None, "reference"])
+    def test_cli_backend_flag_is_scoped_to_the_call(self, ambient, capsys):
+        from repro import cli
+
+        if ambient is not None:
+            os.environ[BACKEND_ENV] = ambient
+        assert cli.main(["metrics", "--backend", "tuned"]) == 0
+        assert "kernel backend: tuned" in capsys.readouterr().err
+        assert os.environ.get(BACKEND_ENV) == ambient
+        assert active_backend_name() == "reference"
+
 
 class TestQuantizedPlans:
     @pytest.mark.parametrize("backend", ["reference", "tuned"])
@@ -272,7 +270,7 @@ class TestQuantizedPlans:
         set_backend(backend)
         model = build_model(name)
         x = model_input(model)
-        reference = model.network.forward(x, optimize=False)
+        reference = model.network.forward_reference(x)
         qplan = model.network.plan_for(quantize_bits=8)
         assert qplan.stats.quantized > 0
         quantized = qplan.forward(x)
@@ -321,7 +319,7 @@ class TestBackendMetrics:
     def test_record_backend_metrics(self):
         set_backend("tuned")
         model = build_model("smallnet")
-        model.network.forward(model_input(model), optimize=True)
+        model.network.forward(model_input(model))
         registry = MetricsRegistry()
         backend_module.record_backend_metrics(registry)
         gauge = registry.gauge(

@@ -23,6 +23,23 @@ class TestParser:
         assert args.bandwidth == 30.0
         assert "googlenet" in args.models
 
+    def test_walk_switch_and_plan_cache_flags_are_gone(self, monkeypatch):
+        for argv in (
+            ["fig7", "--models", "googlenet", "--no-optimize"],
+            ["metrics", "--plan-cache-dir", "/tmp/x"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+        import numpy as np
+
+        from repro.nn.zoo import smallnet
+
+        monkeypatch.setenv("REPRO_NO_OPTIMIZE", "1")
+        network = smallnet().network
+        network.forward(np.zeros(network.input_shape, dtype=np.float32))
+        assert network.plan_for().forwards == 1
+
 
 class TestCommands:
     def test_fig1(self, capsys):

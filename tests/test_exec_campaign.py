@@ -114,54 +114,3 @@ class TestTaskList:
             quick=True, include_ablations=False, include_timings=True
         )
         assert "Campaign timings" in timed.report_markdown
-
-
-class TestNoOptimizeEndToEnd:
-    """``REPRO_NO_OPTIMIZE`` must reach forked pool workers: a --jobs 2
-    campaign with the env var set falls back to the reference layer walk
-    everywhere and reproduces the serial --no-optimize report byte for
-    byte (which itself is byte-identical to the optimized report — the
-    plan compiler's core invariant)."""
-
-    @pytest.fixture(scope="class")
-    def no_optimize_runs(self):
-        import os
-
-        from repro.nn import plan as plan_module
-
-        os.environ[plan_module.NO_OPTIMIZE_ENV] = "1"
-        try:
-            serial = run_campaign(quick=True, include_ablations=False, jobs=1)
-            parallel = run_campaign(
-                quick=True, include_ablations=False, jobs=2
-            )
-        finally:
-            os.environ.pop(plan_module.NO_OPTIMIZE_ENV, None)
-        return serial, parallel
-
-    def test_switch_disables_plans_in_this_process(self):
-        import os
-
-        from repro.nn import plan as plan_module
-
-        os.environ[plan_module.NO_OPTIMIZE_ENV] = "1"
-        try:
-            assert not plan_module.optimization_enabled()
-        finally:
-            os.environ.pop(plan_module.NO_OPTIMIZE_ENV, None)
-
-    def test_parallel_report_matches_serial_no_optimize(self, no_optimize_runs):
-        serial, parallel = no_optimize_runs
-        assert parallel.report_markdown == serial.report_markdown
-
-    def test_report_byte_identical_to_optimized(
-        self, serial_result, no_optimize_runs
-    ):
-        serial_no_opt, _ = no_optimize_runs
-        assert serial_no_opt.report_markdown == serial_result.report_markdown
-
-    def test_merged_metrics_identical(self, serial_result, no_optimize_runs):
-        _, parallel = no_optimize_runs
-        assert to_prometheus_text(parallel.metrics) == to_prometheus_text(
-            serial_result.metrics
-        )

@@ -141,7 +141,7 @@ class TestSplitExitEquivalence:
             tuple(exits_network.input_shape), 0, 255
         )
         for point, exit in self._pairs(exits_network):
-            walk = exits_network.at_exit(exit.index).forward(x, optimize=False)
+            walk = exits_network.at_exit(exit.index).forward_reference(x)
             front = exits_network.plan_for(0, point.index)
             rear = exits_network.plan_for(
                 point.index + 1, exit.index, exit_point=exit.index
@@ -158,7 +158,7 @@ class TestSplitExitEquivalence:
         )
         for point, exit in self._pairs(exits_network):
             set_backend("reference")
-            walk = exits_network.at_exit(exit.index).forward(x, optimize=False)
+            walk = exits_network.at_exit(exit.index).forward_reference(x)
             set_backend("tuned")
             front = exits_network.plan_for(0, point.index)
             rear = exits_network.plan_for(
@@ -174,8 +174,8 @@ class TestSplitExitEquivalence:
             tuple(exits_network.input_shape), 0, 255
         )
         for exit in exits_network.exit_points():
-            optimized = exits_network.forward_exit(x, exit.index, optimize=True)
-            walked = exits_network.forward_exit(x, exit.index, optimize=False)
+            optimized = exits_network.forward_exit(x, exit.index)
+            walked = exits_network.at_exit(exit.index).forward_reference(x)
             assert np.array_equal(optimized, walked)
 
     @pytest.mark.parametrize("name", EXIT_MODELS)
@@ -489,40 +489,13 @@ class TestPerChannelQuantization:
         scale = float(np.abs(identity).max()) or 1.0
         assert np.abs(result - identity).max() / scale < 1e-5
 
-    def test_quantized_plan_descriptor_roundtrip_bitwise(self):
-        import pickle
-
-        from repro.nn.plan import (
-            compile_plan,
-            plan_from_descriptor,
-            plan_to_descriptor,
-        )
-
-        model = build_model("smallnet")
-        network = model.network
-        x = model_input(model)
-        plan = compile_plan(network, quantize_bits=8)
-        descriptor = pickle.loads(
-            pickle.dumps(plan_to_descriptor(plan, network))
-        )
-        restored = plan_from_descriptor(descriptor, network)
-        assert np.array_equal(restored.forward(x), plan.forward(x))
-
-    def test_rehydrated_operands_stay_per_channel(self):
-        from repro.nn.plan import (
-            QuantizedFCStep,
-            compile_plan,
-            plan_from_descriptor,
-            plan_to_descriptor,
-        )
+    def test_quantized_fc_operands_are_per_channel(self):
+        from repro.nn.plan import QuantizedFCStep, compile_plan
 
         network = build_model("smallnet").network
         plan = compile_plan(network, quantize_bits=8)
-        restored = plan_from_descriptor(
-            plan_to_descriptor(plan, network), network
-        )
         fc_steps = [
-            step for step in restored.steps
+            step for step in plan.steps
             if isinstance(step, QuantizedFCStep)
         ]
         assert fc_steps

@@ -123,6 +123,22 @@ class TestSegmentDedup:
         assert store.get_model(rear3.model_id) is rear3
 
 
+class TestFingerprintAtAttach:
+    def test_store_attach_primes_fingerprint(self, model):
+        store = ModelStore()
+        upload(store, model)
+        assert store.fingerprint_of(model.model_id) == model.fingerprint()
+        assert store.matches_fingerprint(model.model_id, model.fingerprint())
+        assert not store.matches_fingerprint(model.model_id, "bogus")
+
+    def test_param_rebinding_still_invalidates_fingerprint(self, model):
+        before = model.fingerprint()
+        layer = next(l for l in model.network.layers if l.params)
+        key = next(iter(layer.params))
+        layer.params[key] = layer.params[key] * 2.0
+        assert model.fingerprint() != before
+
+
 class TestLruEviction:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.nn.model import Model, network_from_description
+from repro.nn.model import (
+    Model,
+    network_from_description,
+    network_params_digest,
+)
 from repro.nn.modelstore import ModelStore, ModelStoreError
-from repro.nn.zoo import smallnet, tinynet
+from repro.nn.zoo import build_model, smallnet, tinynet
 from repro.sim import SeededRng
 
 
@@ -44,6 +48,25 @@ class TestModelFiles:
 
         with pytest.raises(ValueError):
             Model("bad", smallnet_network())
+
+
+class TestFingerprint:
+    def test_build_model_leaves_fingerprint_lazy(self):
+        built = build_model("smallnet")
+        assert getattr(built.network, "_plan_digest_memo", None) is None
+        assert built.fingerprint() == built.network._plan_digest_memo[1]
+
+    def test_params_digest_memoized_per_network(self, model):
+        first = network_params_digest(model.network)
+        assert network_params_digest(model.network) == first
+        assert model.network._plan_digest_memo[1] == first
+        assert model.fingerprint() == first
+
+    def test_split_halves_get_distinct_digests(self, model):
+        split = model.network.split(2)
+        assert network_params_digest(split.front) != network_params_digest(
+            split.rear
+        )
 
 
 class TestModelSplit:

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import plan as plan_module
 from repro.nn.cost import network_costs, plan_costs
 from repro.nn.network import Network
-from repro.nn.plan import compile_plan, optimization_enabled, set_optimization
+from repro.nn.plan import compile_plan
 from repro.nn.zoo import build_model, smallnet
 from repro.nn.zoo.resnetlike import resnet_mini_bn
 from repro.sim import SeededRng
@@ -29,13 +28,7 @@ def model_input(model, seed=7):
 
 
 def reference_forward(network, x):
-    return network.forward(x, optimize=False)
-
-
-@pytest.fixture(autouse=True)
-def restore_switch():
-    yield
-    set_optimization(None)
+    return network.forward_reference(x)
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +70,8 @@ class TestEquivalence:
         net = small.network
         x = model_input(small)
         point = net.offload_points()[2]
-        feature = net.forward_range(x, 0, point.index, optimize=False)
-        assert np.array_equal(
-            net.forward_range(x, 0, point.index, optimize=True), feature
-        )
+        feature = net.forward_reference(x, 0, point.index)
+        assert np.array_equal(net.forward_range(x, 0, point.index), feature)
 
 
 # -- split isolation ------------------------------------------------------------
@@ -165,18 +156,11 @@ class TestBatchedForward:
             batched[0], reference_forward(small.network, x), **BATCH_TOLERANCE
         )
 
-    def test_reference_batch_path_is_exact(self, small):
-        xs = [model_input(small, seed) for seed in range(3)]
-        looped = np.stack([reference_forward(small.network, x) for x in xs])
-        assert np.array_equal(
-            small.network.forward_batch(xs, optimize=False), looped
-        )
+
+# -- per-network plan memo and invalidation -------------------------------------
 
 
-# -- plan cache and invalidation ------------------------------------------------
-
-
-class TestPlanCache:
+class TestPlanMemo:
     def test_plan_for_caches_per_range(self, small):
         net = small.network
         assert net.plan_for() is net.plan_for()
@@ -194,30 +178,6 @@ class TestPlanCache:
         fresh = net.plan_for()
         assert fresh is not stale
         assert np.array_equal(fresh.forward(x), reference_forward(net, x))
-
-
-# -- the optimization switch ----------------------------------------------------
-
-
-class TestSwitch:
-    def test_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(plan_module.NO_OPTIMIZE_ENV, "1")
-        assert not optimization_enabled()
-        set_optimization(True)
-        assert optimization_enabled()
-        set_optimization(None)
-        assert not optimization_enabled()
-
-    def test_network_forward_honours_switch(self, small):
-        x = model_input(small)
-        plan = small.network.plan_for()
-        set_optimization(False)
-        before = plan.forwards
-        small.network.forward(x)
-        assert plan.forwards == before
-        set_optimization(True)
-        small.network.forward(x)
-        assert plan.forwards == before + 1
 
 
 # -- cost integration -----------------------------------------------------------
@@ -384,7 +344,7 @@ class TestDagLowering:
             value = layer.forward(value)
             expected_layers.append(value)
         for point in net.offload_points():
-            front = net.forward_range(x, 0, point.index, optimize=True)
+            front = net.forward_range(x, 0, point.index)
             assert np.array_equal(front, expected_layers[point.index])
-            rear = net.forward_range(front, point.index + 1, last, optimize=True)
+            rear = net.forward_range(front, point.index + 1, last)
             assert np.array_equal(rear, expected_layers[last])

@@ -250,7 +250,7 @@ class TestGeneratedGraphs:
     def test_plan_bitwise_identical_without_bn(self, spec):
         network = spec.build()
         x = _input_for(network)
-        reference = network.forward(x, optimize=False)
+        reference = network.forward_reference(x)
         plan = network.plan_for()
         _assert_flat_dag(plan, spec.composites)
         assert np.array_equal(plan.forward(x), reference)
@@ -263,7 +263,7 @@ class TestGeneratedGraphs:
     def test_plan_within_tolerance_with_bn(self, spec):
         network = spec.build()
         x = _input_for(network)
-        reference = network.forward(x, optimize=False)
+        reference = network.forward_reference(x)
         plan = network.plan_for()
         _assert_flat_dag(plan, spec.composites)
         result, trace = plan.forward_traced(x)
@@ -285,9 +285,9 @@ class TestGeneratedGraphs:
         last = len(network.layers) - 1
         split = data.draw(st.integers(0, last - 1), label="split")
         x = _input_for(network)
-        reference = network.forward(x, optimize=False)
-        front = network.forward_range(x, 0, split, optimize=True)
-        rear = network.forward_range(front, split + 1, last, optimize=True)
+        reference = network.forward_reference(x)
+        front = network.forward_range(x, 0, split)
+        rear = network.forward_range(front, split + 1, last)
         assert np.array_equal(rear, reference)
 
 
@@ -300,7 +300,7 @@ class TestNestedGraphsSlow:
     def test_nested_branch_graphs_bitwise(self, spec):
         network = spec.build()
         x = _input_for(network)
-        reference = network.forward(x, optimize=False)
+        reference = network.forward_reference(x)
         plan = network.plan_for()
         _assert_flat_dag(plan, spec.composites)
         result, trace = plan.forward_traced(x)
@@ -312,7 +312,7 @@ class TestNestedGraphsSlow:
     def test_nested_bn_graphs_within_tolerance(self, spec):
         network = spec.build()
         x = _input_for(network)
-        reference = network.forward(x, optimize=False)
+        reference = network.forward_reference(x)
         result = network.plan_for().forward(x)
         if spec.has_bn:
             np.testing.assert_allclose(result, reference, **FOLD_TOLERANCE)
