@@ -11,8 +11,8 @@ Runs the same reproduction campaign four ways —
 — verifies the four reports are byte-identical, then times compiled
 execution plans against the reference layer walk (single-image GoogLeNet
 and batched smallnet forwards), compares the DAG scheduler's
-interval-colored arena against the retired two-slot allocator (the
-``dag_forward`` stage, baselined on the previous ``BENCH_perf.json``),
+interval-colored arena footprint against the retired two-slot
+allocator's (the ``dag_forward`` stage),
 runs the multi-edge fleet scheduler shoot-out and a mid-run edge kill
 (the ``fleet`` stage: virtual-time p50/p99 per policy on a skewed fleet),
 compares continuous-batching against sequential per-request serving under
@@ -22,7 +22,7 @@ races the tuned kernel backend against the reference one and measures the
 int8 feature codec's split-point shift vs bandwidth (the ``backend``
 stage),
 and writes the timings, speedups, cache statistics, an ``environment``
-block (backend, BLAS, thread budget) and claim verdicts to
+block (backend, BLAS) and claim verdicts to
 ``BENCH_perf.json`` at the repo root.
 Claims that cannot be tested on this machine (the parallel speedup on a
 single-CPU container) are recorded as skipped with a reason rather than
@@ -151,43 +151,20 @@ def _bench_optimized_forward():
 TWO_SLOT_GOOGLENET_ARENA_BYTES = 22_453_760
 
 
-def _bench_dag_forward(forward, prior_path):
-    """GoogLeNet forward under the DAG scheduler vs the old two-slot arena.
+def _bench_dag_forward(forward):
+    """GoogLeNet's interval-colored arena vs the old two-slot footprint.
 
-    The interval-colored measurement is the ``optimized_forward`` stage's
-    googlenet number from *this* run; the two-slot baseline is the same
-    field read from the previous ``BENCH_perf.json`` (produced by the PR 3
-    allocator on this machine).  If no prior file exists the timing claim
-    is skipped with the reason recorded; the arena-size comparison is
-    deterministic and always runs.
+    The forward time is the ``optimized_forward`` stage's googlenet number
+    from *this* run; the arena-size comparison is deterministic.
     """
     from repro.nn.zoo import build_model
 
-    print("-- dag forward (interval-colored arena vs two-slot baseline) ...",
+    print("-- dag forward (interval-colored arena vs two-slot footprint) ...",
           flush=True)
-    prior_ms = None
-    try:
-        with open(prior_path, "r", encoding="utf-8") as handle:
-            prior = json.load(handle)
-        prior_ms = prior["stages"]["optimized_forward"][
-            "googlenet_optimized_ms"
-        ]
-    except (OSError, KeyError, ValueError):
-        pass
     stats = build_model("googlenet").network.plan_for().stats
     dag_ms = forward["googlenet_optimized_ms"]
     result = {
         "googlenet_dag_ms": dag_ms,
-        "two_slot_baseline_ms": prior_ms,
-        "baseline_source": (
-            "stages.optimized_forward.googlenet_optimized_ms from the "
-            "previous BENCH_perf.json (PR 3 two-slot arena, same machine)"
-            if prior_ms is not None
-            else None
-        ),
-        "speedup_vs_two_slot": (
-            round(prior_ms / dag_ms, 3) if prior_ms else None
-        ),
         "arena_slots": stats.arena_slots,
         "arena_bytes": stats.arena_bytes,
         "two_slot_arena_bytes": TWO_SLOT_GOOGLENET_ARENA_BYTES,
@@ -197,13 +174,8 @@ def _bench_dag_forward(forward, prior_path):
         "branches": stats.branches,
         "joins": stats.joins,
     }
-    baseline_note = (
-        f"two-slot {prior_ms:.1f}ms -> dag {dag_ms:.1f}ms"
-        if prior_ms is not None
-        else f"dag {dag_ms:.1f}ms (no two-slot baseline on disk)"
-    )
     print(
-        f"   {baseline_note}, arena {stats.arena_bytes / 1e6:.1f}MB in "
+        f"   dag {dag_ms:.1f}ms, arena {stats.arena_bytes / 1e6:.1f}MB in "
         f"{stats.arena_slots} slots ({result['arena_shrink']:.1f}x smaller)",
         flush=True,
     )
@@ -432,21 +404,21 @@ def _bench_serving(sessions=32, requests=2, seed=7):
 def _bench_modelstore(seed=5):
     """Upload-byte economics of the multi-tenant edge model store.
 
-    Virtual-time and fully deterministic.  Three questions:
+    Virtual-time and fully deterministic.  Two questions:
 
     (a) does a pre-warmed fleet (stores primed before t=0) serve the same
         workload with strictly fewer upload bytes than a cold fleet?
     (b) under a memory budget that fits one tenant's rear half but not
         two, does LRU eviction keep every edge's resident bytes under the
         budget while every result stays correct?
-    (c) after a cold edge kill + revival, does the v2 segment-level
-        handshake shrink the failover re-upload versus the PR 6
-        whole-model-or-nothing handshake on the same schedule?
+
+    The failover re-upload after a cold edge kill + revival is recorded
+    alongside (bytes on the wire, bytes the segment handshake skipped).
     """
     from repro.fleet import FleetScenario, default_fleet
 
-    print("-- modelstore (cold vs warm fleet, eviction, v1 vs v2 "
-          "handshake) ...", flush=True)
+    print("-- modelstore (cold vs warm fleet, eviction, failover "
+          "re-upload) ...", flush=True)
 
     def fleet_run(prewarm):
         scenario = FleetScenario(
@@ -487,26 +459,20 @@ def _bench_modelstore(seed=5):
         flush=True,
     )
 
-    def kill_run(segment_dedup):
-        scenario = FleetScenario(
-            sessions=10,
-            requests_per_session=2,
-            seed=seed,
-            edges=default_fleet(2),
-            tenants=["smallnet:2", "smallnet:3"],
-            mode="offload-partial",
-            segment_dedup=segment_dedup,
-            reply_timeout=2.0,
-        )
-        scenario.inject_kill("edge-0", 0.5, revive_at_seconds=1.5, cold=True)
-        return scenario.run()
-
-    v2 = kill_run(True)
-    v1 = kill_run(False)
+    scenario = FleetScenario(
+        sessions=10,
+        requests_per_session=2,
+        seed=seed,
+        edges=default_fleet(2),
+        tenants=["smallnet:2", "smallnet:3"],
+        mode="offload-partial",
+        reply_timeout=2.0,
+    )
+    scenario.inject_kill("edge-0", 0.5, revive_at_seconds=1.5, cold=True)
+    killed = scenario.run()
     print(
-        f"   failover re-upload: v2 segment handshake {v2.upload_bytes} B "
-        f"vs v1 whole-model {v1.upload_bytes} B "
-        f"({1 - v2.upload_bytes / v1.upload_bytes:.1%} less)",
+        f"   failover re-upload: {killed.upload_bytes} B on the wire, "
+        f"{killed.presend['bytes_deduped']} B deduped",
         flush=True,
     )
     return {
@@ -530,10 +496,9 @@ def _bench_modelstore(seed=5):
             "all_correct": eviction.all_correct,
         },
         "failover_reupload": {
-            "v2_upload_bytes": v2.upload_bytes,
-            "v1_upload_bytes": v1.upload_bytes,
-            "bytes_deduped": v2.presend["bytes_deduped"],
-            "all_correct": v2.all_correct and v1.all_correct,
+            "upload_bytes": killed.upload_bytes,
+            "bytes_deduped": killed.presend["bytes_deduped"],
+            "all_correct": killed.all_correct,
         },
     }
 
@@ -546,9 +511,8 @@ def _bench_backend(zoo_models=("smallnet", "alexnet", "resnet-mini", "googlenet"
     (a) is the tuned backend's googlenet plan forward at least as fast as
         the reference backend's — and faster than the reference layer
         walk by the headline margin — while preserving every top-1 label
-        across the zoo?  (On this box the win is the float32 LRN and
-        average-pool kernels; the threaded GEMM needs cores to spare and
-        ``effective_threads`` is recorded in the environment block.)
+        across the zoo?  (The win is the float32 LRN — the backend's one
+        override.)
     (b) when the feature tensor crosses the split 8-bit quantized (so the
         optimizer prices the bit-packed wire size instead of decimal
         text), does the chosen split move *no later* at any bandwidth and
@@ -779,8 +743,7 @@ def main(argv=None) -> int:
             "cache warm", jobs=1, cache_dir=cache_dir, **common
         )
     forward = _bench_optimized_forward()
-    # Read the prior JSON for the two-slot baseline *before* overwriting it.
-    dag = _bench_dag_forward(forward, args.out)
+    dag = _bench_dag_forward(forward)
     fleet = _bench_fleet()
     serving = _bench_serving()
     backend = _bench_backend()
@@ -828,26 +791,8 @@ def main(argv=None) -> int:
             "threshold": 2.0,
             "measured": forward["batch_per_image_speedup"],
         },
-        # Interval coloring must not cost time vs the retired two-slot
-        # allocator (10% grace: the baseline was timed in a different
-        # process on a different day) and must shrink the arena.
-        "dag_not_slower_than_two_slot": (
-            {
-                "held": dag["googlenet_dag_ms"]
-                <= dag["two_slot_baseline_ms"] * 1.10,
-                "skipped": False,
-                "threshold": "<= 1.10x of the PR 3 two-slot forward",
-                "measured_ms": dag["googlenet_dag_ms"],
-                "baseline_ms": dag["two_slot_baseline_ms"],
-            }
-            if dag["two_slot_baseline_ms"] is not None
-            else {
-                "held": None,
-                "skipped": True,
-                "reason": "no prior BENCH_perf.json with a two-slot "
-                "googlenet forward to compare against",
-            }
-        ),
+        # Deterministic (layer shapes only): interval coloring must shrink
+        # the arena the retired two-slot allocator needed.
         "interval_coloring_shrinks_arena": {
             "held": dag["arena_bytes"] < dag["two_slot_arena_bytes"],
             "skipped": False,
@@ -973,22 +918,6 @@ def main(argv=None) -> int:
                 modelstore["eviction"]["memory_budget_bytes"]
             ),
         },
-        # After a cold edge kill + revival, the v2 segment handshake must
-        # re-upload strictly fewer bytes than the PR 6 whole-model
-        # handshake on the identical seeded schedule.
-        "segment_dedup_shrinks_failover_reupload": {
-            "held": modelstore["failover_reupload"]["v2_upload_bytes"]
-            < modelstore["failover_reupload"]["v1_upload_bytes"]
-            and modelstore["failover_reupload"]["bytes_deduped"] > 0
-            and modelstore["failover_reupload"]["all_correct"],
-            "skipped": False,
-            "v2_upload_bytes": (
-                modelstore["failover_reupload"]["v2_upload_bytes"]
-            ),
-            "v1_upload_bytes": (
-                modelstore["failover_reupload"]["v1_upload_bytes"]
-            ),
-        },
         # Tightening the completion deadline must never move the chosen
         # early exit *later* — accuracy degrades monotonically with the
         # SLO, never recovers as it tightens.
@@ -1011,7 +940,7 @@ def main(argv=None) -> int:
         claim["held"] for claim in claims.values() if not claim["skipped"]
     )
 
-    from repro.nn.backend import active_backend_name, blas_info, effective_threads
+    from repro.nn.backend import active_backend_name, blas_info
 
     payload = {
         "campaign": "quick" if quick else "full",
@@ -1019,11 +948,10 @@ def main(argv=None) -> int:
         "platform": platform.platform(),
         "python": platform.python_version(),
         # Hardware/library context so cross-box trajectories are
-        # interpretable (the skipped parallel claim, GEMM speedups, and
-        # the tuned backend's thread budget all depend on it).
+        # interpretable (the skipped parallel claim and GEMM speedups
+        # depend on it).
         "environment": {
             "backend": active_backend_name(),
-            "backend_threads": effective_threads(),
             "blas": blas_info(),
             "cpu_count": cpu_count,
         },

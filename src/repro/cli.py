@@ -77,9 +77,54 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         choices=backend_names(),
         default=None,
         help="kernel backend for DNN forwards: 'reference' (the exact "
-        "numpy path, bitwise-stable) or 'tuned' (float32 end-to-end, "
-        "threaded GEMM; equivalent within tested tolerance).  Also "
+        "numpy path, bitwise-stable) or 'tuned' (float32 LRN; equivalent "
+        "within tested tolerance).  Also "
         "settable via REPRO_BACKEND; workers inherit the choice",
+    )
+
+
+def _add_fleet_load_args(
+    parser: argparse.ArgumentParser, *, edges: int, sessions: int
+) -> None:
+    """The offered-load flags ``fleet`` and ``serve`` share (defaults differ)."""
+    from repro.fleet import POLICY_NAMES
+
+    parser.add_argument(
+        "--policy",
+        default="queue-aware",
+        choices=list(POLICY_NAMES),
+        help="edge-selection policy (default: queue-aware)",
+    )
+    parser.add_argument("--edges", type=int, default=edges, help="fleet size")
+    parser.add_argument(
+        "--skew", type=float, default=2.0,
+        help="speed ratio between fastest and slowest edge (default: 2)",
+    )
+    parser.add_argument(
+        "--sessions", type=int, default=sessions, help="user sessions"
+    )
+    parser.add_argument(
+        "--requests", type=int, default=2, help="inferences per session"
+    )
+    parser.add_argument(
+        "--arrivals", default="poisson", choices=("poisson", "trace"),
+        help="session arrival / think-time process",
+    )
+
+
+def _add_fleet_run_args(
+    parser: argparse.ArgumentParser, *, reply_timeout: float
+) -> None:
+    """The replay/fault flags ``fleet`` and ``serve`` share."""
+    parser.add_argument("--seed", type=int, default=0, help="replay seed")
+    parser.add_argument(
+        "--reply-timeout", type=float, default=reply_timeout,
+        help="seconds before a missing reply marks the edge dead",
+    )
+    parser.add_argument(
+        "--edge-memory-budget", type=int, default=None, metavar="BYTES",
+        help="per-edge model-store budget; LRU-evicts rear halves above it "
+        "(default: unlimited)",
     )
 
 
@@ -264,6 +309,40 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_fleet_scenario(scenario, args: argparse.Namespace, what: str) -> int:
+    """Inject ``--kill`` specs, run, print the report; shared by fleet/serve."""
+    for spec in args.kill or []:
+        try:
+            name, rest = spec.split("@")
+            at_str, colon, revive_str = rest.partition(":")
+            scenario.inject_kill(
+                name,
+                float(at_str),
+                revive_at_seconds=float(revive_str) if colon else None,
+            )
+        except (KeyError, ValueError) as exc:
+            print(f"error: --kill wants EDGE@SECONDS[:REVIVE], got {spec!r} "
+                  f"({exc.args[0]})", file=sys.stderr)
+            return 2
+    report = scenario.run()
+    text = report.render_markdown()
+    print(text)
+    if args.out:
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc}",
+                  file=sys.stderr)
+            return 1
+        print(f"report written to {args.out}")
+    if not report.all_correct:
+        print(f"\nSHAPE VIOLATION: some {what} results were incorrect",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run a multi-edge fleet scenario and print its report."""
     from repro.fleet import FleetScenario, default_fleet
@@ -292,37 +371,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         tenants=tenants,
         prewarm=args.prewarm,
     )
-    for spec in args.kill or []:
-        parts = spec.split("@")
-        if len(parts) != 2:
-            print(f"error: --kill wants EDGE@SECONDS, got {spec!r}",
-                  file=sys.stderr)
-            return 2
-        name, rest = parts
-        revive = None
-        if ":" in rest:
-            at_str, revive_str = rest.split(":", 1)
-            revive = float(revive_str)
-        else:
-            at_str = rest
-        scenario.inject_kill(name, float(at_str), revive_at_seconds=revive)
-    report = scenario.run()
-    text = report.render_markdown()
-    print(text)
-    if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write report to {args.out}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"report written to {args.out}")
-    if not report.all_correct:
-        print("\nSHAPE VIOLATION: some fleet results were incorrect",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _run_fleet_scenario(scenario, args, "fleet")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -355,37 +404,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         reply_timeout=args.reply_timeout,
         serving=config,
     )
-    for spec in args.kill or []:
-        parts = spec.split("@")
-        if len(parts) != 2:
-            print(f"error: --kill wants EDGE@SECONDS, got {spec!r}",
-                  file=sys.stderr)
-            return 2
-        name, rest = parts
-        revive = None
-        if ":" in rest:
-            at_str, revive_str = rest.split(":", 1)
-            revive = float(revive_str)
-        else:
-            at_str = rest
-        scenario.inject_kill(name, float(at_str), revive_at_seconds=revive)
-    report = scenario.run()
-    text = report.render_markdown()
-    print(text)
-    if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write report to {args.out}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"report written to {args.out}")
-    if not report.all_correct:
-        print("\nSHAPE VIOLATION: some serving results were incorrect",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _run_fleet_scenario(scenario, args, "serving")
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -514,47 +533,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fleet", help="multi-edge fleet with load-aware offload scheduling"
     )
-    from repro.fleet import POLICY_NAMES
-
     p.add_argument(
         "--model",
         default="smallnet",
         choices=list(PAPER_MODELS) + ["smallnet", "tinynet"],
         help="model every session offloads (default: smallnet, fast)",
     )
-    p.add_argument(
-        "--policy",
-        default="queue-aware",
-        choices=list(POLICY_NAMES),
-        help="edge-selection policy (default: queue-aware)",
-    )
-    p.add_argument("--edges", type=int, default=3, help="fleet size")
-    p.add_argument(
-        "--skew", type=float, default=2.0,
-        help="speed ratio between fastest and slowest edge (default: 2)",
-    )
-    p.add_argument("--sessions", type=int, default=40, help="user sessions")
-    p.add_argument(
-        "--requests", type=int, default=2, help="inferences per session"
-    )
-    p.add_argument(
-        "--arrivals", default="poisson", choices=("poisson", "trace"),
-        help="session arrival / think-time process",
-    )
+    _add_fleet_load_args(p, edges=3, sessions=40)
     p.add_argument(
         "--rate", type=float, default=8.0,
         help="session arrival rate per second (default: 8)",
     )
-    p.add_argument("--seed", type=int, default=0, help="replay seed")
-    p.add_argument(
-        "--reply-timeout", type=float, default=5.0,
-        help="seconds before a missing reply marks the edge dead",
-    )
-    p.add_argument(
-        "--edge-memory-budget", type=int, default=None, metavar="BYTES",
-        help="per-edge model-store budget; LRU-evicts rear halves above it "
-        "(default: unlimited)",
-    )
+    _add_fleet_run_args(p, reply_timeout=5.0)
     p.add_argument(
         "--tenants", nargs="+", default=None, metavar="MODEL[:SPLIT]",
         help="round-robin sessions over several models, e.g. "
@@ -590,25 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="model every session offloads (default: resnet-mini, whose "
         "rear half dominates server time — where batching pays)",
     )
-    p.add_argument(
-        "--policy",
-        default="queue-aware",
-        choices=list(POLICY_NAMES),
-        help="edge-selection policy (default: queue-aware)",
-    )
-    p.add_argument("--edges", type=int, default=1, help="fleet size")
-    p.add_argument(
-        "--skew", type=float, default=2.0,
-        help="speed ratio between fastest and slowest edge (default: 2)",
-    )
-    p.add_argument("--sessions", type=int, default=32, help="user sessions")
-    p.add_argument(
-        "--requests", type=int, default=2, help="inferences per session"
-    )
-    p.add_argument(
-        "--arrivals", default="poisson", choices=("poisson", "trace"),
-        help="session arrival / think-time process",
-    )
+    _add_fleet_load_args(p, edges=1, sessions=32)
     p.add_argument(
         "--rate", type=float, default=64.0,
         help="session arrival rate per second (default: 64 — batching needs "
@@ -623,16 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition layer: everything after it runs on the server "
         "(default 0, the rear-heavy split)",
     )
-    p.add_argument("--seed", type=int, default=0, help="replay seed")
-    p.add_argument(
-        "--reply-timeout", type=float, default=60.0,
-        help="seconds before a missing reply marks the edge dead",
-    )
-    p.add_argument(
-        "--edge-memory-budget", type=int, default=None, metavar="BYTES",
-        help="per-edge model-store budget; LRU-evicts rear halves above it "
-        "(default: unlimited)",
-    )
+    _add_fleet_run_args(p, reply_timeout=60.0)
     p.add_argument(
         "--max-batch", type=int, default=8,
         help="most rear-half inferences coalesced into one forward",

@@ -87,15 +87,14 @@ class ModelObjectPayload:
 
 @dataclass
 class ModelQueryPayload:
-    """MODEL_QUERY body: model id plus its params fingerprint.
+    """MODEL_QUERY body: model id, params fingerprint and file manifest.
 
     The digest-first handshake of the fleet scheduler: before pre-sending
     to a new edge (or after failing over to one), the client asks whether
     the server already holds a model whose parameter fingerprint matches.
     A hit skips the whole upload — another client already paid for it.
 
-    With ``files`` attached (the v2, segment-level handshake) the query
-    also carries the model's manifest — name, checksum and size per file —
+    ``files`` is the model's manifest — name, checksum and size per file —
     so the server can answer which files it is *missing* at content-address
     granularity.  A miss then costs only the missing segments instead of
     the whole model, and files shared with any other stored model (two
@@ -104,39 +103,37 @@ class ModelQueryPayload:
 
     model_id: str
     fingerprint: str
-    #: manifest for the segment-level answer; None keeps the v1 handshake
-    files: Optional[List[ModelFile]] = None
+    files: List[ModelFile]
 
     @property
     def size_bytes(self) -> int:
-        manifest_bytes = 96 * len(self.files) if self.files else 0
-        return CONTROL_BYTES + len(self.fingerprint.encode("ascii")) + manifest_bytes
+        return (
+            CONTROL_BYTES
+            + len(self.fingerprint.encode("ascii"))
+            + 96 * len(self.files)
+        )
 
 
 @dataclass
 class ModelStatusPayload:
     """MODEL_STATUS body: whether the queried model is present and matching.
 
-    ``missing_files`` is the segment-level answer to a query that carried a
-    manifest: exactly the file names whose bytes the server does not hold
-    (empty when every segment is resident — the model may still need its
-    runnable handle re-attached).  ``None`` means the query was v1 and the
-    answer is whole-model only.
+    ``missing_files`` is the segment-level answer to the query's manifest:
+    exactly the file names whose bytes the server does not hold (empty
+    when every segment is resident — the model may still need its
+    runnable handle re-attached).
     """
 
     model_id: str
     present: bool
     server_name: str = ""
-    missing_files: Optional[List[str]] = None
+    missing_files: List[str] = field(default_factory=list)
 
     @property
     def size_bytes(self) -> int:
-        name_bytes = (
-            sum(len(name.encode("utf-8")) + 2 for name in self.missing_files)
-            if self.missing_files
-            else 0
+        return CONTROL_BYTES + sum(
+            len(name.encode("utf-8")) + 2 for name in self.missing_files
         )
-        return CONTROL_BYTES + name_bytes
 
 
 @dataclass

@@ -283,17 +283,15 @@ class EdgeServer:
         present = self.installed and self.store.matches_fingerprint(
             payload.model_id, payload.fingerprint
         )
-        missing = None
-        if payload.files is not None:
-            # Segment-level (v2) answer: exactly the files whose bytes this
-            # store lacks, content-addressed — a file another model already
-            # uploaded under a different name is *not* missing.
-            if not self.installed:
-                missing = [file.name for file in payload.files]
-            elif present:
-                missing = []
-            else:
-                missing = self.store.missing_from_manifest(payload.files)
+        # Exactly the files whose bytes this store lacks, content-addressed —
+        # a file another model already uploaded under a different name is
+        # *not* missing.
+        if not self.installed:
+            missing = [file.name for file in payload.files]
+        elif present:
+            missing = []
+        else:
+            missing = self.store.missing_from_manifest(payload.files)
         self.sim.metrics.counter(
             "server_model_queries_total",
             help="digest-handshake queries answered",

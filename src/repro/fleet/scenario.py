@@ -424,7 +424,6 @@ class FleetScenario:
         serving: Optional[ServingConfig] = None,
         tenants: Optional[List[str]] = None,
         prewarm: bool = False,
-        segment_dedup: bool = True,
         deadline_s: Optional[float] = None,
     ):
         if sessions <= 0 or requests_per_session <= 0:
@@ -450,9 +449,6 @@ class FleetScenario:
         #: per-edge continuous-batching config (None = sequential serving)
         self.serving_config = serving
         self.prewarm = prewarm
-        #: False replays the PR 6 whole-model handshake (misses re-upload
-        #: everything) — kept for A/B measurement of the segment dedup
-        self.segment_dedup = segment_dedup
         #: per-request completion SLO.  Rides in every snapshot (the serving
         #: loop counts misses against it); for multi-exit tenants in partial
         #: mode it also drives the joint (split, exit) plan — see
@@ -493,17 +489,6 @@ class FleetScenario:
         self.tenants: List[_Tenant] = [
             self._build_tenant(spec, split_index) for spec in specs_list
         ]
-        # Single-tenant aliases, kept for every pre-multi-tenant caller.
-        first = self.tenants[0]
-        self.model = first.model
-        self.app = first.app
-        self.full_costs = first.full_costs
-        self.split_index = first.split_index
-        self.front_model = first.front_model
-        self.rear_model = first.rear_model
-        self.front_costs = first.front_costs
-        self.rear_costs = first.rear_costs
-        self.batch_hint = first.batch_hint
 
         self.records: List[FleetRequestRecord] = []
         #: model bytes that rode along with snapshots (unfinished pre-sends)
@@ -738,7 +723,7 @@ class FleetScenario:
             agent.presend = known[1]
             return
         presend_model = client.tenant.presend_model
-        manifest = presend_model.files() if self.segment_dedup else None
+        manifest = presend_model.files()
         client_end.send(
             protocol.MODEL_QUERY,
             protocol.ModelQueryPayload(
@@ -760,12 +745,10 @@ class FleetScenario:
             # Segment-level miss: the reply names exactly the missing files;
             # everything else is already resident (possibly under another
             # model id — content-addressed dedup) and is skipped up front.
-            skip = None
-            missing = reply.payload.missing_files
-            if missing is not None and manifest is not None:
-                resident = {f.name for f in manifest} - set(missing)
-                if resident:
-                    skip = {presend_model.model_id: resident}
+            resident = {f.name for f in manifest} - set(
+                reply.payload.missing_files
+            )
+            skip = {presend_model.model_id: resident} if resident else None
             manager = PresendManager(
                 self.sim, client_end, [presend_model], skip_files=skip
             )

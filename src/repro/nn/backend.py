@@ -10,12 +10,13 @@ implementations:
   same order.  Plans executed under it are *bitwise identical* to the
   pre-backend code (the equivalence suite locks this against the raw
   layer walk).
-* ``tuned`` — float32 end-to-end (the reference LRN and average-pool
-  paths silently upcast to float64; ``tuned`` replaces them with
-  preallocated-scratch float32 kernels), a row-blocked threaded GEMM for
-  multi-core hosts, and dequant-free integer GEMM support for quantized
-  plan steps (``supports_int_gemm``).  Outputs stay within 1e-4 of the
-  reference and preserve every top-1 label across the zoo.
+* ``tuned`` — the reference kernels with one override: LRN in float32
+  over preallocated scratch (the reference LRN upcasts to float64; on
+  GoogLeNet that is 16.9 ms → 5.3 ms per forward).  Every other kernel —
+  GEMM, pooling, the joins — is inherited: an override has to beat the
+  base kernel in the ledger to exist (docs/PERFORMANCE.md, "Kernel
+  backends").  Outputs stay within 1e-4 of the reference and preserve
+  every top-1 label across the zoo.
 
 Backend selection: the CLI's ``--backend`` flag sets, for the duration
 of that one command, both a process-wide override and the
@@ -43,9 +44,6 @@ from repro.nn.tensor import max_pool_strided, pool_patches
 #: process-wide backend choice inherited by forked pool workers
 #: (the CLI's ``--backend`` exports it while the command runs)
 BACKEND_ENV = "REPRO_BACKEND"
-
-#: env override for the tuned backend's GEMM thread budget
-BACKEND_THREADS_ENV = "REPRO_BACKEND_THREADS"
 
 DEFAULT_BACKEND = "reference"
 
@@ -109,22 +107,6 @@ def active_backend() -> "KernelBackend":
     return get_backend(active_backend_name())
 
 
-def effective_threads() -> int:
-    """The tuned backend's GEMM thread budget on this host.
-
-    ``REPRO_BACKEND_THREADS`` wins; otherwise the CPU count.  A budget of
-    1 disables the threaded GEMM path entirely (a thread pool cannot
-    outrun a single core).
-    """
-    raw = os.environ.get(BACKEND_THREADS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 class KernelBackend:
     """The kernel interface plans and layers execute through.
 
@@ -139,8 +121,6 @@ class KernelBackend:
     """
 
     name = "reference"
-    #: whether :meth:`quantized_gemm` may take the dequant-free integer path
-    supports_int_gemm = False
 
     def __init__(self) -> None:
         self.calls: Dict[str, int] = {}
@@ -196,21 +176,17 @@ class KernelBackend:
         if layer.mode == "max":
             result = patches.max(axis=(1, 2))
         else:
-            result = self._avg_reduce(patches)
+            # The int64 window count silently promotes the divide to
+            # float64 (kept verbatim for bitwise identity).
+            finite = np.isfinite(patches)
+            total = np.where(finite, patches, 0.0).sum(axis=(1, 2))
+            result = total / np.maximum(finite.sum(axis=(1, 2)), 1)
         result = result.reshape(layer.out_shape).astype(np.float32, copy=False)
         if out is not None:
             target = out.reshape(layer.out_shape)
             np.copyto(target, result)
             return target
         return result
-
-    def _avg_reduce(self, patches: np.ndarray) -> np.ndarray:
-        # Reference semantics: the int64 window count silently promotes
-        # the divide to float64 (kept verbatim for bitwise identity).
-        finite = np.isfinite(patches)
-        total = np.where(finite, patches, 0.0).sum(axis=(1, 2))
-        count = finite.sum(axis=(1, 2))
-        return total / np.maximum(count, 1)
 
     def max_pool_batch(self, layer, xs: np.ndarray) -> np.ndarray:
         self._count("pool")
@@ -278,49 +254,22 @@ class KernelBackend:
             out += extra
         return out
 
-    # -- quantized GEMM --------------------------------------------------------
-    def quantized_gemm(self, qmatrix, x: np.ndarray, out=None) -> np.ndarray:
-        """``dequantize(qmatrix) @ x`` without materializing per call.
-
-        The reference path multiplies against the lazily cached float32
-        dequantized matrix (BLAS-fast, deterministic); backends with
-        ``supports_int_gemm`` may instead quantize ``x`` and accumulate
-        integer products, never touching float weights (see
-        :class:`TunedBackend`).
-        """
-        self._count("quantized_gemm")
-        return self.gemm(qmatrix.dequantized(), x, out=out)
-
 
 class TunedBackend(KernelBackend):
-    """float32 end-to-end kernels with blocked/threaded GEMM.
+    """The reference kernels with a float32 LRN.
 
-    The reference LRN and average-pool kernels promote to float64
-    mid-expression; on GoogLeNet the two LRN layers alone are ~28% of the
-    compiled plan's forward.  This backend keeps every kernel in float32
-    (preallocated scratch, in-place ops), splits large GEMMs across a
-    thread pool when the host has cores to spare (numpy releases the GIL
-    inside matmul), and supports dequant-free integer GEMM for quantized
-    plan steps.  Results are within 1e-4 relative error of the reference
-    and preserve top-1 labels — asserted by the equivalence suite.
+    The reference LRN promotes to float64 mid-expression; on GoogLeNet
+    the two LRN layers alone are ~28% of the compiled plan's forward.
+    This backend computes it in float32 (preallocated scratch, in-place
+    ops) and inherits every other kernel unchanged.  Results are within
+    1e-4 relative error of the reference and preserve top-1 labels —
+    asserted by the equivalence suite.
     """
 
     name = "tuned"
-    supports_int_gemm = True
-
-    #: row-block size for the threaded GEMM (large enough that per-task
-    #: overhead is noise next to the block's matmul)
-    GEMM_BLOCK_ROWS = 64
-    #: below this output-element count a GEMM is not worth fanning out
-    GEMM_THREAD_MIN_ELEMENTS = 1 << 16
-    #: largest codes.size * columns product routed to the integer path
-    #: (numpy integer matmul has no BLAS behind it)
-    INT_GEMM_LIMIT = 1 << 22
 
     def __init__(self) -> None:
         super().__init__()
-        self.threads = effective_threads()
-        self._pool = None
         self._scratch: Dict[Tuple[str, Tuple[int, ...]], np.ndarray] = {}
 
     def scratch(self, tag: str, shape: Tuple[int, ...]) -> np.ndarray:
@@ -331,62 +280,6 @@ class TunedBackend(KernelBackend):
             buffer = np.empty(shape, dtype=np.float32)
             self._scratch[key] = buffer
         return buffer
-
-    # -- GEMM ------------------------------------------------------------------
-    def gemm(self, a, b, out=None):
-        if (
-            self.threads > 1
-            and a.ndim == 2
-            and b.ndim == 2
-            and a.shape[0] >= 2 * self.GEMM_BLOCK_ROWS
-            and a.shape[0] * b.shape[1] >= self.GEMM_THREAD_MIN_ELEMENTS
-        ):
-            return self._threaded_gemm(a, b, out)
-        return super().gemm(a, b, out=out)
-
-    def _threaded_gemm(self, a, b, out):
-        """Row-blocked ``a @ b`` across the thread pool.
-
-        Each task multiplies a contiguous row block of ``a`` straight into
-        its slice of ``out`` — the split is over independent output rows,
-        so there is no reduction step and no inter-thread scratch beyond
-        the output itself (BLAS may still reorder accumulation within a
-        row, which is why ``tuned`` is tolerance-locked, not bitwise).
-        """
-        self._count("gemm")
-        self._count("gemm_threaded")
-        if out is None:
-            # Fresh, not scratch: plan values can outlive the call, and a
-            # shared buffer would be clobbered by the next same-shape GEMM.
-            out = np.empty((a.shape[0], b.shape[1]), dtype=np.float32)
-        pool = self._gemm_pool()
-        rows = a.shape[0]
-        block = max(self.GEMM_BLOCK_ROWS, -(-rows // self.threads))
-        futures = [
-            pool.submit(np.matmul, a[lo : lo + block], b, out=out[lo : lo + block])
-            for lo in range(0, rows, block)
-        ]
-        for future in futures:
-            future.result()
-        return out
-
-    def _gemm_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.threads, thread_name_prefix="repro-gemm"
-            )
-        return self._pool
-
-    # -- pooling ---------------------------------------------------------------
-    def _avg_reduce(self, patches: np.ndarray) -> np.ndarray:
-        # float32 divide: the int64 count is cast before the division, so
-        # nothing in the expression promotes to float64.
-        finite = np.isfinite(patches)
-        total = np.where(finite, patches, np.float32(0.0)).sum(axis=(1, 2))
-        count = np.maximum(finite.sum(axis=(1, 2)), 1).astype(np.float32)
-        return total / count
 
     # -- LRN -------------------------------------------------------------------
     def lrn(self, layer, x: np.ndarray) -> np.ndarray:
@@ -427,65 +320,6 @@ class TunedBackend(KernelBackend):
         np.divide(xs, scale, out=scale)
         return scale
 
-    # -- quantized GEMM --------------------------------------------------------
-    def quantized_gemm(self, qmatrix, x, out=None):
-        columns = int(x.shape[-1]) if x.ndim > 1 else 1
-        if (
-            x.ndim <= 2
-            and qmatrix.bits <= 8  # int32 accumulator headroom
-            and qmatrix.codes.size * columns <= self.INT_GEMM_LIMIT
-        ):
-            return self._int_quantized_gemm(qmatrix, x, out)
-        return super().quantized_gemm(qmatrix, x, out=out)
-
-    def _int_quantized_gemm(self, qmatrix, x, out):
-        """Dequant-free integer GEMM.
-
-        With ``W = s·Q + z`` (affine weight codes; ``s``/``z`` a scalar
-        for per-tensor weights or a per-row vector for per-channel
-        weights) and ``x = s_x·Qx + z_x`` (activations quantized on the
-        fly, always per-tensor):
-
-        ``W@x = s·s_x·(Q@Qx) + s·z_x·rowsum(Q) + z·s_x·colsum(Qx)
-        + z·z_x·K``
-
-        — one integer matmul plus rank-1 float corrections; the float
-        weight matrix is never materialized.  Accumulation is int32
-        (codes are ≤8 bits, so products fit for any K the zoo reaches).
-        Per-channel ``s``/``z`` ride the row axis, so every correction
-        term broadcasts as a column vector.
-        """
-        self._count("quantized_gemm")
-        self._count("quantized_gemm_int")
-        from repro.nn.quantize import quantize_linear
-
-        qx = quantize_linear(x, 8)
-        codes_x = qx.codes.astype(np.int32).reshape(x.shape)
-        acc = qmatrix.codes_i32() @ codes_x
-        # (1,) for per-tensor weights, (rows,) for per-channel.
-        s = np.atleast_1d(np.asarray(qmatrix.scale, dtype=np.float32))
-        z = np.atleast_1d(np.asarray(qmatrix.zero_point, dtype=np.float32))
-        s_x, z_x = np.float32(qx.scale), np.float32(qx.zero_point)
-        depth = np.float32(qmatrix.shape[-1])
-        result = acc.astype(np.float32)
-        row_term = (s * z_x) * qmatrix.row_sums()
-        col_sums = codes_x.sum(axis=0, dtype=np.int64).astype(np.float32)
-        const_term = z * (z_x * depth)
-        if x.ndim > 1:
-            result *= (s * s_x)[:, None]
-            result += row_term[:, None]
-            result += z[:, None] * (s_x * col_sums)[None, :]
-            result += const_term[:, None]
-        else:
-            result *= s * s_x
-            result += row_term
-            result += z * (s_x * col_sums)
-            result += const_term
-        if out is not None:
-            np.copyto(out, result)
-            return out
-        return result
-
 
 _REGISTRY = {
     "reference": KernelBackend,
@@ -525,10 +359,6 @@ def record_backend_metrics(registry) -> None:
     topology, so implicit announcement would make merged telemetry
     nondeterministic across ``--jobs``.
     """
-    registry.gauge(
-        "backend_threads",
-        help="GEMM thread budget of the tuned backend on this host",
-    ).set(effective_threads())
     for name, instance in _INSTANCES.items():
         for op, count in sorted(instance.calls.items()):
             registry.counter(

@@ -59,13 +59,13 @@ backend name is part of the plan's identity: it lands in
 ``Network.plan_for``'s memo key, so switching backends can never serve a
 plan compiled under the other one.
 
-``compile_plan(..., quantize_bits=8)`` additionally rewrites conv/fc
-steps into :class:`QuantizedConvStep`/:class:`QuantizedFCStep`: weights
-are affine-quantized per layer (:mod:`repro.nn.quantize`) and multiplied
-through :meth:`~repro.nn.backend.KernelBackend.quantized_gemm` — a
-dequant-free integer GEMM on backends that support it, a cached
-dequantized float32 matmul otherwise.  ``PlanStats.quantized`` counts
-the rewritten steps (exported as ``quantized_steps_total``).
+``compile_plan(..., quantize_bits=8)`` is the same plan over rounded
+weights: every conv/fc step has its weight operand passed through
+per-channel ``quantize → dequantize`` (:mod:`repro.nn.quantize`) and
+runs the float kernels unchanged — so on the reference backend it is
+bitwise equal to ``forward_reference`` over a copy of the network whose
+weights were rounded the same way.  ``PlanStats.quantized`` counts the
+rounded steps (exported as ``quantized_steps_total``).
 
 Plans are the only runtime execution path: every ``Network.forward*``
 call runs one, obtained from :func:`compile_plan` (memoized per network by
@@ -92,6 +92,7 @@ from repro.nn.layers.exits import ExitHead
 from repro.nn.layers.io import InputLayer
 from repro.nn.layers.normalization import LRNLayer
 from repro.nn.layers.pool import PoolLayer
+from repro.nn.quantize import quantize_linear_per_channel
 from repro.nn.tensor import im2col, im2col_batch, max_pool_strided
 
 
@@ -261,10 +262,12 @@ class FCStep(PlanStep):
         name: str,
         layers: Sequence[Tuple[int, Layer, bool]],
         layer: FCLayer,
+        weight: np.ndarray,
         relu: bool,
     ):
         super().__init__(name, layers, layer.out_shape)
         self.layer = layer
+        self.weight = weight
         self.relu = relu
 
     def run(
@@ -273,11 +276,11 @@ class FCStep(PlanStep):
         backend = self.backend
         flat = inputs[0].reshape(-1)
         if out is not None:
-            backend.gemm(self.layer.params["weight"], flat, out=out)
+            backend.gemm(self.weight, flat, out=out)
             out += self.layer.params["bias"]
             result = out
         else:
-            result = backend.gemm(self.layer.params["weight"], flat)
+            result = backend.gemm(self.weight, flat)
             result = result + self.layer.params["bias"]
         if self.relu:
             backend.relu_inplace(result)
@@ -287,7 +290,7 @@ class FCStep(PlanStep):
         backend = self.backend
         xs = inputs[0]
         flat = xs.reshape(xs.shape[0], -1)
-        out = backend.gemm(flat, self.layer.params["weight"].T)
+        out = backend.gemm(flat, self.weight.T)
         out += self.layer.params["bias"]
         if self.relu:
             backend.relu_inplace(out)
@@ -461,195 +464,6 @@ class EltwiseAddStep(PlanStep):
 
     def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         return self.backend.eltwise_sum(inputs)
-
-
-class QuantizedMatrix:
-    """A per-layer affine-quantized weight matrix for quantized plan steps.
-
-    Wraps a :class:`~repro.nn.quantize.QuantizedTensor` (per-tensor) or
-    :class:`~repro.nn.quantize.ChannelQuantizedTensor` (one scale/zero
-    point per output row) of a 2-D matmul operand and lazily caches the
-    three derived forms backends need: the dequantized float32 matrix
-    (the fallback path), the int32 code matrix, and its row sums (the
-    rank-1 correction of the dequant-free integer GEMM).  All three are
-    computed at most once per plan.  ``per_channel`` says whether
-    ``scale``/``zero_point`` are scalars or ``(rows,)`` arrays.
-    """
-
-    def __init__(self, quantized) -> None:
-        self.quantized = quantized
-        self.codes = quantized.codes
-        self.scale = quantized.scale
-        self.zero_point = quantized.zero_point
-        self.bits = quantized.bits
-        self.shape = tuple(quantized.shape)
-        self.per_channel = np.ndim(quantized.scale) > 0
-        self._dequantized: Optional[np.ndarray] = None
-        self._codes_i32: Optional[np.ndarray] = None
-        self._row_sums: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_array(
-        cls, matrix: np.ndarray, bits: int, per_channel: bool = False
-    ) -> "QuantizedMatrix":
-        from repro.nn.quantize import quantize_linear, quantize_linear_per_channel
-
-        if per_channel:
-            return cls(quantize_linear_per_channel(matrix, bits))
-        return cls(quantize_linear(matrix, bits))
-
-    def dequantized(self) -> np.ndarray:
-        if self._dequantized is None:
-            self._dequantized = np.ascontiguousarray(
-                self.quantized.dequantize(), dtype=np.float32
-            )
-        return self._dequantized
-
-    def codes_i32(self) -> np.ndarray:
-        if self._codes_i32 is None:
-            self._codes_i32 = np.ascontiguousarray(
-                self.codes.astype(np.int32).reshape(self.shape)
-            )
-        return self._codes_i32
-
-    def row_sums(self) -> np.ndarray:
-        if self._row_sums is None:
-            self._row_sums = (
-                self.codes_i32().sum(axis=1, dtype=np.int64).astype(np.float32)
-            )
-        return self._row_sums
-
-
-class QuantizedConvStep(PlanStep):
-    """Conv with ``bits``-bit quantized weights through ``quantized_gemm``.
-
-    Operands are ``(QuantizedMatrix, float32 bias column)`` per group —
-    the bias (and the im2col, the activation, the layout) are exactly
-    :class:`ConvStep`'s; only the weight matmul is replaced.  Outputs are
-    within the affine reconstruction error of the float step, which the
-    eval-set agreement checks pin to unchanged top-1 labels at 8 bits.
-    """
-
-    kind = "qconv"
-    arena = True
-
-    def __init__(
-        self,
-        name: str,
-        layers: Sequence[Tuple[int, Layer, bool]],
-        layer: ConvLayer,
-        operands: Sequence[Tuple[QuantizedMatrix, np.ndarray]],
-        relu: bool,
-    ):
-        super().__init__(name, layers, layer.out_shape)
-        self.layer = layer
-        self.operands = list(operands)
-        self.relu = relu
-
-    def run(
-        self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
-    ) -> np.ndarray:
-        (x,) = inputs
-        layer = self.layer
-        backend = self.backend
-        filters, out_h, out_w = self.out_shape
-        positions = out_h * out_w
-        out2d = out.reshape(filters, positions)
-        if layer.groups == 1:
-            qmatrix, bias = self.operands[0]
-            buffer = layer._cols_buffer(x.shape[0], out_h, out_w)
-            cols = backend.im2col(
-                x, layer.kernel, layer.stride, layer.pad, out=buffer
-            )
-            backend.quantized_gemm(qmatrix, cols, out=out2d)
-            out2d += bias
-        else:
-            per_in = x.shape[0] // layer.groups
-            per_out = filters // layer.groups
-            buffer = layer._cols_buffer(per_in, out_h, out_w)
-            for group, (qmatrix, bias) in enumerate(self.operands):
-                x_slice = x[group * per_in : (group + 1) * per_in]
-                cols = backend.im2col(
-                    x_slice, layer.kernel, layer.stride, layer.pad, out=buffer
-                )
-                target = out2d[group * per_out : (group + 1) * per_out]
-                backend.quantized_gemm(qmatrix, cols, out=target)
-                target += bias
-        if self.relu:
-            backend.relu_inplace(out2d)
-        return out
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        (xs,) = inputs
-        layer = self.layer
-        backend = self.backend
-        count = xs.shape[0]
-        filters, out_h, out_w = self.out_shape
-        positions = out_h * out_w
-        if layer.groups == 1:
-            qmatrix, bias = self.operands[0]
-            cols = backend.im2col_batch(xs, layer.kernel, layer.stride, layer.pad)
-            out = backend.quantized_gemm(qmatrix, cols)
-            out += bias
-        else:
-            per_in = xs.shape[1] // layer.groups
-            per_out = filters // layer.groups
-            out = np.empty((count, filters, positions), dtype=np.float32)
-            for group, (qmatrix, bias) in enumerate(self.operands):
-                cols = backend.im2col_batch(
-                    xs[:, group * per_in : (group + 1) * per_in],
-                    layer.kernel, layer.stride, layer.pad,
-                )
-                target = out[:, group * per_out : (group + 1) * per_out]
-                backend.quantized_gemm(qmatrix, cols, out=target)
-                target += bias
-        if self.relu:
-            backend.relu_inplace(out)
-        return out.reshape((count,) + self.out_shape)
-
-
-class QuantizedFCStep(PlanStep):
-    """Dense matmul with a ``bits``-bit quantized weight matrix."""
-
-    kind = "qfc"
-    arena = True
-
-    def __init__(
-        self,
-        name: str,
-        layers: Sequence[Tuple[int, Layer, bool]],
-        layer: FCLayer,
-        qmatrix: QuantizedMatrix,
-        relu: bool,
-    ):
-        super().__init__(name, layers, layer.out_shape)
-        self.layer = layer
-        self.qmatrix = qmatrix
-        self.relu = relu
-
-    def run(
-        self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
-    ) -> np.ndarray:
-        backend = self.backend
-        flat = inputs[0].reshape(-1)
-        result = backend.quantized_gemm(self.qmatrix, flat, out=out)
-        if out is None:
-            result = result + self.layer.params["bias"]
-        else:
-            result += self.layer.params["bias"]
-        if self.relu:
-            backend.relu_inplace(result)
-        return result
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        backend = self.backend
-        xs = inputs[0]
-        flat = xs.reshape(xs.shape[0], -1)
-        out = backend.gemm(flat, self.qmatrix.dequantized().T)
-        out += self.layer.params["bias"]
-        if self.relu:
-            backend.relu_inplace(out)
-        return out
 
 
 class ExecutionPlan:
@@ -1156,8 +970,6 @@ def _lower_sequence(
     indexed: Sequence[Tuple[int, Layer]],
     input_id: int,
     *,
-    fold: bool,
-    fuse: bool,
     stats: PlanStats,
     witnesses: List[Tuple[Layer, str, np.ndarray]],
     prefix: str = "",
@@ -1186,19 +998,15 @@ def _lower_sequence(
         if isinstance(layer, ConvLayer):
             chain: List[Layer] = []
             cursor = position + 1
-            while (
-                fold
-                and cursor < len(indexed)
-                and isinstance(indexed[cursor][1], (BatchNormLayer, ScaleLayer))
+            while cursor < len(indexed) and isinstance(
+                indexed[cursor][1], (BatchNormLayer, ScaleLayer)
             ):
                 chain.append(indexed[cursor][1])
                 covered.append((indexed[cursor][0], indexed[cursor][1], False))
                 cursor += 1
             relu = False
-            if (
-                fuse
-                and cursor < len(indexed)
-                and isinstance(indexed[cursor][1], ReLULayer)
+            if cursor < len(indexed) and isinstance(
+                indexed[cursor][1], ReLULayer
             ):
                 relu = True
                 covered.append((indexed[cursor][0], indexed[cursor][1], True))
@@ -1221,20 +1029,21 @@ def _lower_sequence(
         elif isinstance(layer, FCLayer):
             relu = False
             cursor = position + 1
-            if (
-                fuse
-                and cursor < len(indexed)
-                and isinstance(indexed[cursor][1], ReLULayer)
+            if cursor < len(indexed) and isinstance(
+                indexed[cursor][1], ReLULayer
             ):
                 relu = True
                 covered.append((indexed[cursor][0], indexed[cursor][1], True))
                 cursor += 1
+            weight = layer.params["weight"]
+            witnesses.append((layer, "weight", weight))
             current = graph.add(
-                FCStep(prefix + layer.name, covered, layer, relu), [current]
+                FCStep(prefix + layer.name, covered, layer, weight, relu),
+                [current],
             )
             stats.fused += 1 if relu else 0
             position = cursor
-        elif fold and isinstance(layer, (BatchNormLayer, ScaleLayer)):
+        elif isinstance(layer, (BatchNormLayer, ScaleLayer)):
             chain = [layer]
             cursor = position + 1
             while cursor < len(indexed) and isinstance(
@@ -1272,8 +1081,7 @@ def _lower_sequence(
         elif hasattr(layer, "dag_branches"):
             current = _lower_composite(
                 graph, index, layer, current,
-                fold=fold, fuse=fuse, stats=stats, witnesses=witnesses,
-                prefix=prefix,
+                stats=stats, witnesses=witnesses, prefix=prefix,
             )
             position += 1
         else:
@@ -1294,8 +1102,6 @@ def _lower_composite(
     layer: Layer,
     input_id: int,
     *,
-    fold: bool,
-    fuse: bool,
     stats: PlanStats,
     witnesses: List[Tuple[Layer, str, np.ndarray]],
     prefix: str,
@@ -1316,8 +1122,6 @@ def _lower_composite(
                     graph,
                     [(index, inner) for inner in branch],
                     input_id,
-                    fold=fold,
-                    fuse=fuse,
                     stats=stats,
                     witnesses=witnesses,
                     prefix=f"{prefix}{layer.name}/{tag}/",
@@ -1340,45 +1144,29 @@ def _lower_composite(
 
 def _quantize_steps(
     steps: Sequence[PlanStep], bits: int, stats: PlanStats
-) -> List[PlanStep]:
-    """Rewrite conv/fc steps to their quantized forms, preserving ids.
+) -> None:
+    """Round every conv/fc weight operand through ``bits``-bit quantization.
 
-    Each replacement keeps the original step's name, covered layers,
-    inputs, and output shape, so the schedule, liveness, and arena
-    coloring that follow see an identical graph — only the weight matmul
-    kernel changes.
+    Only the operand arrays change — names, covered layers, inputs and
+    output shapes stay, so the schedule, liveness and arena coloring that
+    follow see the float plan's graph.
     """
-    rewritten: List[PlanStep] = []
+    def rounded(matrix: np.ndarray) -> np.ndarray:
+        # One affine range per output channel (row): a per-tensor range is
+        # hostage to the widest filter and collapses narrow-range rows
+        # onto a handful of codes.
+        return quantize_linear_per_channel(matrix, bits).dequantize()
+
     for step in steps:
-        # Weight matrices quantize per output channel (one affine range
-        # per row): a per-tensor range is hostage to the widest filter
-        # and collapses narrow-range rows onto a handful of codes.
-        # Activations stay per-tensor (quantized on the fly by backends).
-        if type(step) is ConvStep:
-            operands = [
-                (QuantizedMatrix.from_array(matrix, bits, per_channel=True), bias)
-                for matrix, bias in step.operands
+        if isinstance(step, ConvStep):
+            step.operands = [
+                (rounded(matrix), bias) for matrix, bias in step.operands
             ]
-            replacement: PlanStep = QuantizedConvStep(
-                step.name, step.layers, step.layer, operands, step.relu
-            )
-        elif type(step) is FCStep:
-            replacement = QuantizedFCStep(
-                step.name,
-                step.layers,
-                step.layer,
-                QuantizedMatrix.from_array(
-                    step.layer.params["weight"], bits, per_channel=True
-                ),
-                step.relu,
-            )
+        elif isinstance(step, FCStep):
+            step.weight = rounded(step.weight)
         else:
-            rewritten.append(step)
             continue
-        replacement.inputs = list(step.inputs)
         stats.quantized += 1
-        rewritten.append(replacement)
-    return rewritten
 
 
 def compile_plan(
@@ -1386,23 +1174,19 @@ def compile_plan(
     start: int = 0,
     end: Optional[int] = None,
     *,
-    fold: bool = True,
-    fuse: bool = True,
     backend: Optional[str] = None,
     quantize_bits: Optional[int] = None,
     exit_point: Optional[int] = None,
 ) -> ExecutionPlan:
     """Compile spine layers ``start..end`` (inclusive) of a built network.
 
-    The range defaults to the whole spine.  ``fold=False`` keeps
-    BatchNorm/Scale as reference fallbacks (bitwise execution even for BN
-    models); ``fuse=False`` disables ReLU fusion.  No rewrite considers
-    layers outside the range, so front/rear plans of a split are compiled
+    The range defaults to the whole spine.  No rewrite considers layers
+    outside the range, so front/rear plans of a split are compiled
     independently and fusion never crosses the offload point.
 
     ``backend`` pins the kernel backend (default: the process-wide active
-    one); ``quantize_bits`` rewrites conv/fc steps to ``bits``-bit
-    quantized weights after lowering.
+    one); ``quantize_bits`` rounds every conv/fc weight operand through
+    ``bits``-bit per-channel quantization after lowering.
 
     ``exit_point`` takes an early exit: the spine index of an
     :class:`~repro.nn.layers.exits.ExitHead` within the range.  The trunk
@@ -1450,15 +1234,12 @@ def compile_plan(
             (index, network.layers[index]) for index in range(start, exit_point)
         ]
         current = _lower_sequence(
-            graph, trunk, 0, fold=fold, fuse=fuse, stats=stats,
-            witnesses=witnesses,
+            graph, trunk, 0, stats=stats, witnesses=witnesses
         )
         _lower_sequence(
             graph,
             [(exit_point, inner) for inner in exit_layer.head],
             current,
-            fold=fold,
-            fuse=fuse,
             stats=stats,
             witnesses=witnesses,
             prefix=f"{exit_layer.name}/exit/",
@@ -1468,13 +1249,10 @@ def compile_plan(
         indexed = [
             (index, network.layers[index]) for index in range(start, end + 1)
         ]
-        _lower_sequence(
-            graph, indexed, 0, fold=fold, fuse=fuse, stats=stats,
-            witnesses=witnesses,
-        )
+        _lower_sequence(graph, indexed, 0, stats=stats, witnesses=witnesses)
     steps = graph.steps
     if quantize_bits is not None:
-        steps = _quantize_steps(steps, quantize_bits, stats)
+        _quantize_steps(steps, quantize_bits, stats)
     stats.steps = len(steps)
     input_shape = (
         network.input_shape if start == 0

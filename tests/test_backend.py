@@ -5,15 +5,16 @@ The contract the kernel-backend abstraction must keep:
 * the ``reference`` backend *is* the pre-backend numpy path — plans and
   layer walks under it are bitwise identical to each other across the
   zoo, whole-network and at every split;
-* the ``tuned`` backend (float32 end-to-end, threaded GEMM, integer
-  quantized GEMM) stays within 1e-4 of the reference and never flips a
-  top-1 label;
+* the ``tuned`` backend (the reference kernels with a float32 LRN) stays
+  within 1e-4 of the reference and never flips a top-1 label;
 * the selection plumbing: the env var reaches forked pool workers, the
   result-cache key and the per-network plan memo change with the backend
   (equivalence is a tested claim — a shared entry would mask a
   regression), and the CLI's ``--backend`` is scoped to its one call;
-* int8-quantized plans replace every conv/fc step, report the count in
-  their stats and metrics, and preserve top-1 labels.
+* an int8-quantized plan is the float plan over per-channel-rounded
+  conv/fc weights — bitwise equal, under ``reference``, to the walk over
+  a weight-rounded copy of the network — and reports the rounded-step
+  count in its stats and metrics.
 """
 
 import os
@@ -33,11 +34,12 @@ from repro.nn.backend import (
     active_backend_name,
     backend_names,
     blas_info,
-    effective_threads,
     get_backend,
     set_backend,
 )
-from repro.nn.quantize import packed_feature_bytes
+from repro.nn.layers.conv import ConvLayer
+from repro.nn.layers.dense import FCLayer
+from repro.nn.quantize import packed_feature_bytes, quantize_linear_per_channel
 from repro.nn.zoo import build_model
 from repro.obs import MetricsRegistry
 from repro.sim import SeededRng
@@ -54,6 +56,20 @@ def restore_backend():
     yield
     set_backend(None)
     os.environ.pop(BACKEND_ENV, None)
+
+
+def round_weights(layers, bits=8):
+    """Round every conv/fc weight in place, one affine range per filter."""
+    for layer in layers:
+        if isinstance(layer, (ConvLayer, FCLayer)):
+            weight = layer.params["weight"]
+            codes = quantize_linear_per_channel(
+                weight.reshape(weight.shape[0], -1), bits
+            )
+            layer.params["weight"] = codes.dequantize().reshape(weight.shape)
+        elif hasattr(layer, "dag_branches"):
+            for _, branch in layer.dag_branches().branches:
+                round_weights(branch, bits)
 
 
 def model_input(model, seed=7):
@@ -93,12 +109,6 @@ class TestSelection:
 
     def test_instances_memoized(self):
         assert get_backend("tuned") is get_backend("tuned")
-
-    def test_effective_threads_env_override(self, monkeypatch):
-        monkeypatch.setenv(backend_module.BACKEND_THREADS_ENV, "3")
-        assert effective_threads() == 3
-        monkeypatch.setenv(backend_module.BACKEND_THREADS_ENV, "garbage")
-        assert effective_threads() == (os.cpu_count() or 1)
 
     def test_blas_info_names_numpy(self):
         info = blas_info()
@@ -146,32 +156,6 @@ class TestTunedTolerance:
             assert tuned.dtype == np.float32
             assert np.abs(tuned - reference).max() <= TUNED_TOLERANCE
             assert int(np.argmax(tuned)) == int(np.argmax(reference))
-
-    def test_threaded_gemm_matches_blas(self):
-        tuned = TunedBackend.__new__(TunedBackend)
-        KernelBackend.__init__(tuned)
-        tuned.threads = 4
-        tuned._pool = None
-        tuned._scratch = {}
-        rng = SeededRng(3, "backend/gemm")
-        a = rng.normal_array((256, 96))
-        b = rng.normal_array((96, 300))
-        got = tuned._threaded_gemm(a, b, None)
-        assert np.abs(got - a @ b).max() <= TUNED_TOLERANCE
-
-    def test_threaded_gemm_results_outlive_next_call(self):
-        tuned = TunedBackend.__new__(TunedBackend)
-        KernelBackend.__init__(tuned)
-        tuned.threads = 2
-        tuned._pool = None
-        tuned._scratch = {}
-        rng = SeededRng(4, "backend/gemm")
-        a = rng.normal_array((256, 64))
-        b = rng.normal_array((64, 256))
-        first = tuned._threaded_gemm(a, b, None)
-        snapshot = first.copy()
-        tuned._threaded_gemm(rng.normal_array((256, 64)), b, None)
-        assert np.array_equal(first, snapshot)
 
     def test_kernel_calls_counted(self):
         set_backend("tuned")
@@ -276,13 +260,31 @@ class TestQuantizedPlans:
         quantized = qplan.forward(x)
         assert int(np.argmax(quantized)) == int(np.argmax(reference))
 
-    def test_tuned_takes_integer_gemm_path(self):
-        set_backend("tuned")
-        tuned = get_backend("tuned")
-        before = tuned.calls.get("quantized_gemm_int", 0)
-        model = build_model("smallnet")
-        model.network.plan_for(quantize_bits=8).forward(model_input(model))
-        assert tuned.calls.get("quantized_gemm_int", 0) > before
+    @pytest.mark.parametrize("backend", ["reference", "tuned"])
+    @pytest.mark.parametrize("name", ["smallnet", "alexnet", "googlenet"])
+    def test_quantized_plan_is_float_plan_over_rounded_weights(
+        self, backend, name
+    ):
+        """The int8 oracle: the reference walk over a weight-rounded copy."""
+        model = build_model(name)
+        rounded = build_model(name).network
+        round_weights(rounded.layers)
+        xs = np.stack([model_input(model, seed) for seed in range(3)])
+        set_backend("reference")
+        walk = np.stack([rounded.forward_reference(x) for x in xs])
+        float_batch = rounded.forward_batch(xs)
+        set_backend(backend)
+        qplan = model.network.plan_for(quantize_bits=8)
+        single = np.stack([qplan.forward(x) for x in xs])
+        batch = qplan.forward_batch(xs)
+        if backend == "reference":
+            assert np.array_equal(single, walk)
+            # forward_batch reassociates the fc GEMM, so its bitwise twin
+            # is the rounded copy's own float batch, not the stacked walk.
+            assert np.array_equal(batch, float_batch)
+        for got in (single, batch):
+            assert np.abs(got - walk).max() <= TUNED_TOLERANCE
+            assert np.array_equal(got.argmax(axis=1), walk.argmax(axis=1))
 
     def test_quantized_steps_metric(self):
         model = build_model("smallnet")
@@ -322,11 +324,6 @@ class TestBackendMetrics:
         model.network.forward(model_input(model))
         registry = MetricsRegistry()
         backend_module.record_backend_metrics(registry)
-        gauge = registry.gauge(
-            "backend_threads",
-            help="GEMM thread budget of the tuned backend on this host",
-        )
-        assert gauge.value == effective_threads()
         counter = registry.counter(
             "backend_kernel_calls_total",
             help="kernel invocations through the backend interface",
@@ -334,3 +331,21 @@ class TestBackendMetrics:
             op="gemm",
         )
         assert counter.value > 0
+
+    def test_thread_budget_env_is_not_read(self, monkeypatch):
+        """``REPRO_BACKEND_THREADS`` was the threaded GEMM's knob: setting
+        it must change nothing a tuned run exports."""
+        monkeypatch.setenv("REPRO_BACKEND_THREADS", "7")
+        monkeypatch.delitem(backend_module._INSTANCES, "tuned", raising=False)
+        set_backend("tuned")
+        model = build_model("alexnet")
+        model.network.forward(model_input(model))
+        registry = MetricsRegistry()
+        backend_module.record_backend_metrics(registry)
+        ops = {
+            dict(series.labels)["op"]
+            for series in registry.series("backend_kernel_calls_total")
+            if dict(series.labels)["backend"] == "tuned"
+        }
+        assert ops == {"gemm", "im2col", "lrn", "pool", "relu"}
+        assert set(registry.families()) == {"backend_kernel_calls_total"}

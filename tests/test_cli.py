@@ -93,6 +93,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "correct: True" in out
 
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            ("fleet", "edge-0@abc"),  # seconds not a number
+            ("fleet", "nosuch@1"),  # no such edge
+            ("serve", "edge-0@1:x"),  # revive time not a number
+        ],
+    )
+    def test_malformed_kill_is_a_usage_error(self, command, spec, capsys):
+        assert main([command, "--sessions", "2", "--kill", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing simulated, no report
+        (line,) = captured.err.splitlines()
+        assert "--kill" in line and repr(spec) in line
+
 
 class TestMetricsCli:
     def test_metrics_prometheus_output_parses(self, capsys):

@@ -39,7 +39,6 @@ from repro.netsim import NetemProfile
 from repro.nn.backend import set_backend
 from repro.nn.cost import network_costs
 from repro.nn.model import Model, network_from_description
-from repro.nn.plan import QuantizedMatrix
 from repro.nn.quantize import (
     ChannelQuantizedTensor,
     quantize_linear,
@@ -467,38 +466,15 @@ class TestPerChannelQuantization:
         with pytest.raises(ValueError):
             quantize_linear_per_channel(np.zeros((2, 3, 4), np.float32))
 
-    @pytest.mark.parametrize("ndim", [1, 2])
-    def test_integer_gemm_matches_identity(self, ndim):
-        # The dequant-free integer GEMM must equal the dequantized-weight
-        # matmul over the dequantized activations — exactly, up to float
-        # rounding — with per-row scale vectors broadcasting like the
-        # scalars did.
-        from repro.nn.backend import get_backend
-
-        matrix = _skewed_matrix(rows=16, cols=32, seed=1)
-        rng = np.random.default_rng(2)
-        shape = (32,) if ndim == 1 else (32, 5)
-        x = rng.normal(0.0, 1.0, shape).astype(np.float32)
-        qmatrix = QuantizedMatrix.from_array(matrix, 8, per_channel=True)
-        assert qmatrix.per_channel
-        dequantized_x = (
-            quantize_linear(x, 8).dequantize().reshape(x.shape)
-        )
-        identity = qmatrix.dequantized() @ dequantized_x
-        result = get_backend("tuned").quantized_gemm(qmatrix, x)
-        scale = float(np.abs(identity).max()) or 1.0
-        assert np.abs(result - identity).max() / scale < 1e-5
-
     def test_quantized_fc_operands_are_per_channel(self):
-        from repro.nn.plan import QuantizedFCStep, compile_plan
+        from repro.nn.plan import FCStep, compile_plan
 
         network = build_model("smallnet").network
         plan = compile_plan(network, quantize_bits=8)
-        fc_steps = [
-            step for step in plan.steps
-            if isinstance(step, QuantizedFCStep)
-        ]
+        fc_steps = [step for step in plan.steps if isinstance(step, FCStep)]
         assert fc_steps
         for step in fc_steps:
-            assert step.qmatrix.per_channel
-            assert step.qmatrix.scale.shape == (step.qmatrix.shape[0],)
+            # 8-bit codes per row, but each row on its own affine grid: a
+            # per-tensor range would cap the whole matrix at 256 values.
+            assert all(len(np.unique(row)) <= 256 for row in step.weight)
+            assert len(np.unique(step.weight)) > 256

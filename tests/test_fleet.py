@@ -183,12 +183,16 @@ class TestFleetTopology:
 
 
 class TestDigestHandshake:
-    def _query(self, server, topo, client, fingerprint, model_id):
+    def _query(self, server, topo, client, model, fingerprint=None):
         client_end, edge_end = topo.connect(client, "e0")
         server.serve(edge_end)
         client_end.send(
             protocol.MODEL_QUERY,
-            protocol.ModelQueryPayload(model_id=model_id, fingerprint=fingerprint),
+            protocol.ModelQueryPayload(
+                model_id=model.model_id,
+                fingerprint=fingerprint or model.fingerprint(),
+                files=model.files(),
+            ),
         )
         wait = client_end.recv_kind(protocol.MODEL_STATUS, timeout=5.0)
         topo.sim.run_until(lambda: wait.triggered)
@@ -201,35 +205,19 @@ class TestDigestHandshake:
         server = EdgeServer(sim, Device(sim, edge_server_x86()), name="e0")
         model = build_model("tinynet")
 
-        miss = self._query(server, topo, "c0", model.fingerprint(), model.model_id)
+        miss = self._query(server, topo, "c0", model)
         assert miss.present is False
 
         server.store.begin_upload(model.model_id, model.files())
         for file in model.files():
             server.store.receive_file(model.model_id, file)
         server.store.attach_model(model.model_id, model)
-        hit = self._query(server, topo, "c1", model.fingerprint(), model.model_id)
+        hit = self._query(server, topo, "c1", model)
         assert hit.present is True
         assert hit.server_name == "e0"
 
-        stale = self._query(server, topo, "c2", "0" * 64, model.model_id)
+        stale = self._query(server, topo, "c2", model, fingerprint="0" * 64)
         assert stale.present is False  # same id, different params digest
-
-    def _query_v2(self, server, topo, client, model):
-        """Segment-level query: the manifest rides along."""
-        client_end, edge_end = topo.connect(client, "e0")
-        server.serve(edge_end)
-        client_end.send(
-            protocol.MODEL_QUERY,
-            protocol.ModelQueryPayload(
-                model_id=model.model_id,
-                fingerprint=model.fingerprint(),
-                files=model.files(),
-            ),
-        )
-        wait = client_end.recv_kind(protocol.MODEL_STATUS, timeout=5.0)
-        topo.sim.run_until(lambda: wait.triggered)
-        return wait.value.payload
 
     def test_segment_status_names_exactly_the_missing_files(self):
         sim = Simulator()
@@ -241,31 +229,24 @@ class TestDigestHandshake:
         _, rear3 = smallnet.split(3)
 
         # cold store: every file of the manifest is missing
-        cold = self._query_v2(server, topo, "c0", rear2)
+        cold = self._query(server, topo, "c0", rear2)
         assert cold.present is False
         assert cold.missing_files == [f.name for f in rear2.files()]
 
         # install rear@2; its sibling split shares the parameter blobs,
-        # so the v2 answer asks only for the one file actually absent
+        # so the answer asks only for the one file actually absent
         server.store.begin_upload(rear2.model_id, rear2.files())
         for file in rear2.files():
             server.store.receive_file(rear2.model_id, file)
         server.store.attach_model(rear2.model_id, rear2)
-        sibling = self._query_v2(server, topo, "c1", rear3)
+        sibling = self._query(server, topo, "c1", rear3)
         assert sibling.present is False
         assert sibling.missing_files == [f"{rear3.name}.json"]
 
         # the installed model itself: present, nothing missing
-        warm = self._query_v2(server, topo, "c2", rear2)
+        warm = self._query(server, topo, "c2", rear2)
         assert warm.present is True
         assert warm.missing_files == []
-
-        # a v1 query (no manifest) still answers whole-model only
-        v1 = self._query(
-            server, topo, "c3", rear3.fingerprint(), rear3.model_id
-        )
-        assert v1.present is False
-        assert v1.missing_files is None
 
 
 class TestFleetScenario:
