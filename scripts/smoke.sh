@@ -5,9 +5,9 @@
 # rerun must reproduce the serial report byte for byte, and the warm
 # run must not be slower than the cold one), the fleet scheduler's
 # contract (a small multi-edge scenario with a mid-run kill, run twice
-# with the same seed, must produce byte-identical reports and serve
-# every request), and the serving loop's contract (a same-seed
-# continuous-batching scenario
+# with the same seed, must produce byte-identical reports and exported
+# metrics and serve every request), and the serving loop's contract (a
+# same-seed continuous-batching scenario
 # with a mid-run kill, run twice, must emit byte-identical reports —
 # batching changes timing, never results), and the kernel backends'
 # contract (a reference-backend fig7 must byte-match the committed
@@ -88,13 +88,19 @@ echo "== 5/9 fleet: seeded determinism + failover conservation"
 # the scheduler, failover, and report rendering are all virtual-time
 # deterministic.  The CLI exits non-zero if any request is dropped or
 # returns a wrong result, so conservation is checked for free.
+# The exported Prometheus text of the two runs must match as well, which
+# puts the exporter and every per-request memo under the same gate.
 python -m repro fleet --sessions 10 --requests 2 --seed 5 \
-    --kill edge-0@0.7:2.0 --out "$out_dir/fleet-a.md" > /dev/null
+    --kill edge-0@0.7:2.0 --out "$out_dir/fleet-a.md" \
+    --metrics-out "$out_dir/fleet-a.prom" > /dev/null
 python -m repro fleet --sessions 10 --requests 2 --seed 5 \
-    --kill edge-0@0.7:2.0 --out "$out_dir/fleet-b.md" > /dev/null
+    --kill edge-0@0.7:2.0 --out "$out_dir/fleet-b.md" \
+    --metrics-out "$out_dir/fleet-b.prom" > /dev/null
 cmp "$out_dir/fleet-a.md" "$out_dir/fleet-b.md" || {
     echo "FAIL: fleet reports diverge across same-seed reruns" >&2; exit 1; }
-echo "ok: fleet report byte-identical across same-seed reruns"
+cmp "$out_dir/fleet-a.prom" "$out_dir/fleet-b.prom" || {
+    echo "FAIL: fleet metrics diverge across same-seed reruns" >&2; exit 1; }
+echo "ok: fleet report and metrics byte-identical across same-seed reruns"
 
 echo "== 6/9 serving: continuous-batching determinism under a kill"
 # The batching serving loop must be invisible in the results: a same-seed

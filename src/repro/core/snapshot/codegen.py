@@ -47,13 +47,17 @@ class CodegenError(ValueError):
 
 def digest(text: str) -> str:
     """Short stable digest used by state fingerprints."""
-    import hashlib
-
     return hashlib.sha1(text.encode("utf-8")).hexdigest()[:16]
 
 
 #: printf format for tensor values; full float32 round-trip precision
 _TENSOR_FORMAT = "%.10e"
+
+#: values formatted per ``%`` call: the per-value loop runs in C, and the
+#: chunk bounds the value tuple and format string built next to the text,
+#: so a multi-megabyte tensor renders without raising peak memory.
+_TENSOR_CHUNK = 4096
+_CHUNK_FORMAT = " ".join([_TENSOR_FORMAT] * _TENSOR_CHUNK)
 
 #: total bytes of rendered text kept in the memo below.  A GoogLeNet
 #: first-conv feature renders to ~14 MB, so the budget holds a handful of
@@ -85,7 +89,7 @@ def render_tensor_text(array: np.ndarray) -> str:
         _text_cache_hits += 1
         return cached
     _text_cache_misses += 1
-    text = " ".join(_TENSOR_FORMAT % value for value in flat)
+    text = _format_values(flat)
     if len(text) <= TEXT_CACHE_BUDGET_BYTES:
         while _text_cache and _text_cache_bytes + len(text) > TEXT_CACHE_BUDGET_BYTES:
             _, evicted = _text_cache.popitem(last=False)
@@ -93,6 +97,19 @@ def render_tensor_text(array: np.ndarray) -> str:
         _text_cache[key] = text
         _text_cache_bytes += len(text)
     return text
+
+
+def _format_values(flat: np.ndarray) -> str:
+    parts: List[str] = []
+    for start in range(0, flat.size, _TENSOR_CHUNK):
+        values = flat[start:start + _TENSOR_CHUNK].tolist()
+        chunk_format = (
+            _CHUNK_FORMAT
+            if len(values) == _TENSOR_CHUNK
+            else " ".join([_TENSOR_FORMAT] * len(values))
+        )
+        parts.append(chunk_format % tuple(values))
+    return " ".join(parts)
 
 
 def text_cache_info() -> Dict[str, int]:
@@ -115,12 +132,13 @@ def clear_text_cache() -> None:
 
 
 def parse_tensor_text(text: str, shape: Tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`render_tensor_text`."""
-    if text:
-        flat = np.asarray(text.split(), dtype=np.float32)
-    else:
-        flat = np.array([], dtype=np.float32)
-    return flat.reshape(shape)
+    """Inverse of :func:`render_tensor_text`.
+
+    Parsed straight off the text (no per-token ``str`` list); anything
+    that is not whitespace-separated float literals raises ``ValueError``,
+    as does a value count that does not fill ``shape``.
+    """
+    return np.fromstring(text, dtype=np.float32, sep=" ").reshape(shape)
 
 
 class HeapCodegen:
@@ -324,8 +342,6 @@ def canonical_dom_entries(document: Document) -> Dict[str, str]:
     Canvas/image content is represented by a digest of the pixel bytes, so
     drawing a *different* image on the same canvas registers as a change.
     """
-    import hashlib
-
     entries: Dict[str, str] = {}
     for element in document.body.walk():
         if element is document.body:

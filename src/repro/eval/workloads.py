@@ -205,10 +205,7 @@ class MultiClientScenario:
             self.sim.spawn(self._client_process(client), label=client.name)
             for client in self.clients
         ]
-        self.sim.run_until(lambda: all(p.triggered for p in processes))
-        for process in processes:
-            if process.ok is False:
-                raise process.value
+        self.sim.run_until_done(processes)
         return self.report
 
 

@@ -976,10 +976,7 @@ class FleetScenario:
                 at_seconds, self._revive_now, edge_name,
                 label=f"revive:{edge_name}",
             )
-        self.sim.run_until(lambda: all(p.triggered for p in processes))
-        for process in processes:
-            if process.ok is False:
-                raise process.value
+        self.sim.run_until_done(processes)
         return self._build_report()
 
     def _build_report(self) -> FleetReport:

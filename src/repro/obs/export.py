@@ -60,12 +60,17 @@ def to_prometheus_text(
 ) -> str:
     """Render the registry in the Prometheus text exposition format."""
     lines: List[str] = []
+    # the registry iterates in (name, labels) order, so one pass groups
+    # every family's series already sorted
+    series: Dict[str, List] = {}
+    for metric in registry:
+        series.setdefault(metric.name, []).append(metric)
     for name, kind in sorted(registry.families().items()):
         help_text = registry.help_for(name)
         if help_text:
             lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {kind}")
-        for metric in registry.series(name):
+        for metric in series.get(name, ()):
             labels = metric.labels
             if kind == HISTOGRAM:
                 counts = metric.bucket_counts(buckets)

@@ -152,8 +152,9 @@ class Histogram:
         return [bisect.bisect_right(self._sorted, bound) for bound in boundaries]
 
     def merge_from(self, other: "Histogram") -> None:
-        for value in other._sorted:
-            bisect.insort(self._sorted, value)
+        # Two sorted runs: the stable sort merges them in one linear pass,
+        # and equal values (-0.0 / 0.0 export differently) keep ours first.
+        self._sorted = sorted(self._sorted + other._sorted)
         self.sum += other.sum
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -249,7 +250,8 @@ class MetricsRegistry:
 
     def series(self, name: str) -> List[Any]:
         """Every labeled series of one family."""
-        return [m for (n, _), m in sorted(self._metrics.items()) if n == name]
+        family = [(key, m) for key, m in self._metrics.items() if key[0] == name]
+        return [m for _, m in sorted(family)]
 
     def families(self) -> Dict[str, str]:
         """Mapping of family name -> kind."""

@@ -12,7 +12,9 @@ mirroring the paper's Fig. 2 / Fig. 5 example code.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Any, Callable, Dict, List
+import functools
+from types import CodeType
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -49,11 +51,64 @@ def _script_namespace() -> Dict[str, Any]:
     }
 
 
+#: distinct sources kept per memo below.  An app ships one script and a
+#: handful of handler segments, so a few hundred entries cover every app of
+#: a campaign; the bound only keeps a long sweep from hoarding sources.
+_SCRIPT_MEMO_ENTRIES = 512
+
+
+def _parse(source: str) -> ast.Module:
+    try:
+        return ast.parse(source)
+    except SyntaxError as exc:
+        raise ScriptError(f"app script does not parse: {exc}") from exc
+
+
+# The three memos below are keyed by source text: a snapshot carries the
+# app's script, so every capture and restore of one app re-presents the
+# same text.  ``lru_cache`` never caches a raised exception, so a source
+# that fails to parse fails again on every call.
+
+@functools.lru_cache(maxsize=_SCRIPT_MEMO_ENTRIES)
+def _script_code(source: str) -> CodeType:
+    return compile(source, "<app-script>", "exec")
+
+
+@functools.lru_cache(maxsize=_SCRIPT_MEMO_ENTRIES)
+def _function_segments(source: str) -> Tuple[Tuple[str, str], ...]:
+    segments = []
+    for node in _parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            segment = ast.get_source_segment(source, node)
+            if segment is None:  # pragma: no cover - only for synthetic ASTs
+                continue
+            segments.append((node.name, segment))
+    return tuple(segments)
+
+
+@functools.lru_cache(maxsize=_SCRIPT_MEMO_ENTRIES)
+def _sorted_names(function_source: str) -> Tuple[str, ...]:
+    names = set()
+    for node in ast.walk(_parse(function_source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # Handler names are passed as string literals to
+            # add_listener/dispatch; treat them as references too.
+            names.add(node.value)
+    return tuple(sorted(names))
+
+
 def compile_functions(source: str) -> Dict[str, Callable]:
-    """Compile app script source into its top-level handler functions."""
+    """Compile app script source into its top-level handler functions.
+
+    Only the code object is shared between runtimes loading the same
+    source; it runs in a fresh namespace each time, so no two runtimes
+    share function objects or script-level names.
+    """
     namespace = _script_namespace()
     try:
-        exec(compile(source, "<app-script>", "exec"), namespace)
+        exec(_script_code(source), namespace)
     except SyntaxError as exc:
         raise ScriptError(f"app script does not parse: {exc}") from exc
     return {
@@ -70,32 +125,12 @@ def split_functions(source: str) -> Dict[str, str]:
     Used by the snapshot size optimizations that drop functions unreachable
     from any registered event listener.
     """
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        raise ScriptError(f"app script does not parse: {exc}") from exc
-    segments: Dict[str, str] = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            segment = ast.get_source_segment(source, node)
-            if segment is None:  # pragma: no cover - only for synthetic ASTs
-                continue
-            segments[node.name] = segment
-    return segments
+    return dict(_function_segments(source))
 
 
 def referenced_names(function_source: str) -> List[str]:
     """All identifiers a function's body mentions (callees, globals)."""
-    tree = ast.parse(function_source)
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # Handler names are passed as string literals to
-            # add_listener/dispatch; treat them as references too.
-            names.add(node.value)
-    return sorted(names)
+    return list(_sorted_names(function_source))
 
 
 class Console:

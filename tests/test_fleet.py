@@ -325,6 +325,105 @@ class TestFleetScenario:
             scenario.inject_kill("edge-0", 2.0, revive_at_seconds=1.0)
 
 
+class TestRecordOnceReplay:
+    """Work that depends only on the app's script text runs once per text."""
+
+    @staticmethod
+    def _seeded_run():
+        scenario = FleetScenario(
+            sessions=10, requests_per_session=2, seed=5, reply_timeout=1.0
+        )
+        scenario.inject_kill("edge-0", 0.7, revive_at_seconds=2.0)
+        report = scenario.run()
+        assert report.count == 20 and report.all_correct
+        return scenario, report
+
+    def test_cold_and_warm_memo_render_the_same_bytes(self):
+        from repro.core.snapshot.codegen import clear_text_cache
+        from repro.obs import to_prometheus_text
+        from repro.web import scripts
+
+        for memo in (
+            scripts._script_code, scripts._function_segments, scripts._sorted_names
+        ):
+            memo.cache_clear()
+        clear_text_cache()
+
+        def rendered():
+            scenario, report = self._seeded_run()
+            return report.render_markdown(), to_prometheus_text(scenario.sim.metrics)
+
+        cold = rendered()
+        assert scripts._script_code.cache_info().currsize > 0
+        warm = rendered()
+        assert cold == warm
+
+    def test_scripts_are_parsed_per_distinct_source_not_per_request(self, monkeypatch):
+        import ast
+        import builtins
+        from collections import Counter
+
+        parsed, compiled = Counter(), Counter()
+        real_parse, real_compile = ast.parse, builtins.compile
+
+        def counting_parse(source, *args, **kwargs):
+            parsed[source] += 1
+            return real_parse(source, *args, **kwargs)
+
+        def counting_compile(source, filename, *args, **kwargs):
+            if filename in ("<app-script>", "<snapshot>"):
+                compiled[filename, source] += 1
+            return real_compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.setattr(builtins, "compile", counting_compile)
+        _scenario, report = self._seeded_run()
+        monkeypatch.undo()
+
+        # a memo warmed by an earlier test may leave nothing to parse; what
+        # must never happen is one text being analysed twice
+        assert all(count == 1 for count in parsed.values()), parsed.most_common(1)
+        script_compiles = {
+            source: count
+            for (filename, source), count in compiled.items()
+            if filename == "<app-script>"
+        }
+        assert all(count == 1 for count in script_compiles.values())
+        assert len(parsed) + len(script_compiles) < report.count
+        # restoring a snapshot executes that snapshot's own program: per request
+        restores = sum(
+            count for (filename, _), count in compiled.items()
+            if filename == "<snapshot>"
+        )
+        assert restores >= 2 * report.count
+
+    def test_cursor_wait_dispatches_exactly_what_the_full_scan_did(self, monkeypatch):
+        _scenario, report = self._seeded_run()
+        by_cursor = (_scenario.sim.dispatched, report.render_markdown())
+
+        def full_scan(sim, processes):
+            processes = list(processes)
+            sim.run_until(lambda: all(p.triggered for p in processes))
+
+        monkeypatch.setattr(Simulator, "run_until_done", full_scan)
+        _scenario, report = self._seeded_run()
+        assert (_scenario.sim.dispatched, report.render_markdown()) == by_cursor
+
+    def test_a_failing_session_is_still_reraised_by_run(self):
+        scenario = FleetScenario(sessions=3, requests_per_session=1, seed=5)
+        real = scenario._interactions_for
+
+        def failing(session_name):
+            if session_name == "user-0001":
+                raise RuntimeError("session crashed")
+            return real(session_name)
+
+        scenario._interactions_for = failing
+        with pytest.raises(RuntimeError, match="session crashed"):
+            scenario.run()
+        assert len(scenario.records) == 2  # the others ran to completion first
+
+
 @pytest.mark.fleet
 class TestFleetAtScale:
     """Thousands of concurrent sessions (slow; deselect with -m 'not fleet')."""

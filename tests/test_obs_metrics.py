@@ -208,6 +208,43 @@ class TestExporters:
         )]
         assert counts == sorted(counts)
 
+    def test_prometheus_text_is_grouped_by_family_then_sorted_by_labels(self):
+        # registered out of order, with one family name a prefix of another
+        registry = MetricsRegistry()
+        registry.counter("net_bytes", help="bytes", link="b->a").inc(7)
+        registry.gauge("net", link="z").set(1.5)
+        registry.counter("net_bytes", link="a->b").inc(10)
+        registry.histogram("wait", help="waits", device="gpu").observe(0.3)
+        registry.gauge("net", link="a").set(2)
+        registry.counter("net_bytes").inc(1)
+        registry.histogram("wait", device="cpu").observe(2.0)
+        assert to_prometheus_text(registry, buckets=(0.5, 1.0)) == (
+            "# TYPE net gauge\n"
+            'net{link="a"} 2\n'
+            'net{link="z"} 1.5\n'
+            "# HELP net_bytes bytes\n"
+            "# TYPE net_bytes counter\n"
+            "net_bytes 1\n"
+            'net_bytes{link="a->b"} 10\n'
+            'net_bytes{link="b->a"} 7\n'
+            "# HELP wait waits\n"
+            "# TYPE wait histogram\n"
+            'wait_bucket{device="cpu",le="0.5"} 0\n'
+            'wait_bucket{device="cpu",le="1"} 0\n'
+            'wait_bucket{device="cpu",le="+Inf"} 1\n'
+            'wait_sum{device="cpu"} 2\n'
+            'wait_count{device="cpu"} 1\n'
+            'wait_bucket{device="gpu",le="0.5"} 1\n'
+            'wait_bucket{device="gpu",le="1"} 1\n'
+            'wait_bucket{device="gpu",le="+Inf"} 1\n'
+            'wait_sum{device="gpu"} 0.3\n'
+            'wait_count{device="gpu"} 1\n'
+        )
+        assert [m.labels for m in registry.series("net_bytes")] == [
+            (), (("link", "a->b"),), (("link", "b->a"),)
+        ]
+        assert [m.name for m in registry.series("net")] == ["net", "net"]
+
     def test_parser_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_prometheus_text("!!! not a metric line")

@@ -28,7 +28,7 @@ from repro.devices import Device, edge_server_x86, odroid_xu4_client
 from repro.netsim import Channel, NetemProfile
 from repro.nn.cost import network_costs
 from repro.nn.zoo import smallnet
-from repro.obs import MetricsRegistry
+from repro.obs import Histogram, MetricsRegistry
 from repro.sim import SeededRng, Simulator
 from repro.web.app import make_inference_app
 from repro.web.values import TypedArray
@@ -77,6 +77,28 @@ class TestHistogramAlgebra:
         assert hist.quantile(0.0) == min(left + right)
         assert hist.quantile(1.0) == max(left + right)
         assert sorted(hist.observations) == sorted(left + right)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        left=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), max_size=12),
+        right=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), max_size=12),
+    )
+    def test_merge_orders_ties_as_observing_one_by_one_would(self, left, right):
+        # -0.0 == 0.0 but they export differently, so tie order is visible
+        merged, one_by_one = Histogram("h"), Histogram("h")
+        other = Histogram("h")
+        for value in left:
+            merged.observe(value)
+            one_by_one.observe(value)
+        for value in right:
+            other.observe(value)
+        merged.merge_from(other)
+        for value in other.observations:
+            one_by_one.observe(value)
+        assert list(map(repr, merged.observations)) == list(
+            map(repr, one_by_one.observations)
+        )
+        assert merged.sum == pytest.approx(one_by_one.sum)
 
     @settings(derandomize=True, deadline=None)
     @given(values=samples, edges=st.lists(finite_floats, min_size=1, max_size=8))

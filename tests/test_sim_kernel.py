@@ -179,6 +179,62 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.run_until(lambda: False)
 
+    @staticmethod
+    def _sleeper(sim, delay, fail=None):
+        yield sim.timeout(delay)
+        if fail is not None:
+            raise fail
+        return delay
+
+    def test_run_until_done_out_of_order_completion(self):
+        sim = Simulator()
+        delays = [3.0, 1.0, 4.0, 1.0, 2.0]
+        processes = [sim.spawn(self._sleeper(sim, d)) for d in delays]
+        straggler = sim.spawn(self._sleeper(sim, 9.0))
+        assert sim.run_until_done(processes) == 4.0
+        assert [p.value for p in processes] == delays
+        assert not straggler.triggered
+
+    def test_run_until_done_stops_on_the_event_the_full_scan_would(self):
+        def run(wait):
+            sim = Simulator()
+            processes = [
+                sim.spawn(self._sleeper(sim, d)) for d in (0.5, 0.1, 0.5, 0.3)
+            ]
+            sim.schedule(0.5, lambda: None, label="same-instant bystander")
+            wait(sim, processes)
+            return sim.dispatched, sim.now
+
+        by_cursor = run(lambda sim, ps: sim.run_until_done(ps))
+        by_scan = run(
+            lambda sim, ps: sim.run_until(lambda: all(p.triggered for p in ps))
+        )
+        assert by_cursor == by_scan
+
+    def test_run_until_done_empty_list_returns_at_once(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        assert sim.run_until_done([]) == 0.0
+        assert sim.dispatched == 0
+
+    def test_run_until_done_reraises_after_everyone_finished(self):
+        sim = Simulator()
+        boom = ValueError("boom")
+        processes = [
+            sim.spawn(self._sleeper(sim, 2.0)),
+            sim.spawn(self._sleeper(sim, 1.0, fail=boom)),
+            sim.spawn(self._sleeper(sim, 3.0)),
+        ]
+        with pytest.raises(ValueError) as caught:
+            sim.run_until_done(processes)
+        assert caught.value is boom
+        assert sim.now == 3.0 and all(p.triggered for p in processes)
+
+    def test_run_until_done_idle_before_done_raises(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.run_until_done([sim.event("never")])
+
     def test_tracing(self):
         sim = Simulator()
         sim.trace("ignored before enable")

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.snapshot import codegen
 from repro.core.snapshot.codegen import (
     CodegenError,
     HeapCodegen,
@@ -56,6 +59,81 @@ class TestTensorText:
         text = render_tensor_text(values)
         per_value = len(text) / 1000
         assert per_value == pytest.approx(TEXT_BYTES_PER_VALUE, rel=0.15)
+
+
+CHUNK = codegen._TENSOR_CHUNK
+
+SPECIALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 1.1754942e-38,
+     1.17549435e-38, 3.4028235e38, -3.4028235e38, 1.0, -1.0, 0.1],
+    dtype=np.float32,
+)
+
+
+@st.composite
+def float32_arrays(draw):
+    """Arbitrary bit patterns (normals, subnormals, inf, nan) plus specials,
+    at sizes on both sides of the render chunk."""
+    size = draw(st.sampled_from(
+        [0, 1, 2, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 5]
+    ))
+    bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, 2**32, size=size, dtype=np.uint64
+    )
+    values = bits.astype(np.uint32).view(np.float32).copy()
+    if size:
+        spots = draw(st.lists(
+            st.tuples(st.integers(0, size - 1), st.integers(0, len(SPECIALS) - 1)),
+            max_size=12,
+        ))
+        for position, special in spots:
+            values[position] = SPECIALS[special]
+        if draw(st.booleans()):  # the chunk seam itself
+            values[min(size, CHUNK) - 1] = SPECIALS[draw(st.integers(0, 5))]
+    return values
+
+
+def _nan_aside(values):
+    return np.isnan(values).tobytes() + np.where(np.isnan(values), 0, values).tobytes()
+
+
+class TestTensorTextProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(float32_arrays())
+    def test_render_is_the_per_value_format_and_parse_inverts_it(self, values):
+        text = render_tensor_text(values)
+        assert text == " ".join("%.10e" % v for v in values)
+        back = parse_tensor_text(text, values.shape)
+        assert back.dtype == np.float32 and back.flags.writeable
+        assert _nan_aside(back) == _nan_aside(values)
+        per_token = np.asarray(text.split(), dtype=np.float32)
+        assert back.tobytes() == per_token.tobytes()
+
+    def test_every_special_value_alone_and_at_each_seam(self):
+        for size in (1, CHUNK - 1, CHUNK, CHUNK + 1):
+            for special in SPECIALS:
+                values = np.full(size, special, dtype=np.float32)
+                text = render_tensor_text(values)
+                assert text == " ".join(["%.10e" % special] * size)
+                assert _nan_aside(parse_tensor_text(text, (size,))) == _nan_aside(values)
+
+    def test_multidimensional_shape_and_whitespace_runs(self):
+        values = np.arange(6, dtype=np.float32).reshape(2, 3)
+        text = render_tensor_text(values)
+        assert np.array_equal(parse_tensor_text(text, (2, 3)), values)
+        spaced = "  " + text.replace(" ", "\n \t") + " \n"
+        assert np.array_equal(parse_tensor_text(spaced, (2, 3)), values)
+
+    @pytest.mark.parametrize(
+        "text", ["1.0 abc 2.0", "1.0,2.0", "1.0 2.0x", "1.0 2.0 0x10", "one"]
+    )
+    def test_malformed_text_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_tensor_text(text, (-1,))
+
+    def test_wrong_value_count_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            parse_tensor_text("1.0 2.0 3.0", (2,))
 
 
 class TestHeapCodegen:

@@ -133,6 +133,20 @@ class TestFullSnapshot:
         with pytest.raises(RestoreError):
             restore_snapshot(broken, WebRuntime("server"))
 
+    @pytest.mark.parametrize("text", ["1.0 oops 3.0", "1.0,2.0,3.0", "1.0 2.0"])
+    def test_malformed_tensor_text_raises_restore_error(self, text):
+        from repro.core.snapshot.capture import Snapshot
+
+        def snapshot(tensor_text):
+            program = f"G['t'] = TA({tensor_text!r}, (3,))\n"
+            return Snapshot(app_name="x", kind="full", program=program)
+
+        server = WebRuntime("server")
+        restore_snapshot(snapshot("1.0 2.0 3.0"), server)  # the control
+        assert server.globals["t"].data.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(RestoreError):
+            restore_snapshot(snapshot(text), WebRuntime("server"))
+
 
 class TestDeltaSnapshot:
     def _offload_cycle(self, model, pixels):

@@ -107,6 +107,56 @@ class TestScripts:
         assert "front_complete" in names
         assert "ctx" in names
 
+    def test_every_entry_point_raises_script_error_on_bad_source(self):
+        for function in (compile_functions, split_functions, referenced_names):
+            with pytest.raises(ScriptError):
+                function("def broken(:\n")
+
+    def test_failing_source_is_never_remembered_as_a_success(self):
+        good = "def memo_probe(ctx):\n    return memo_probe\n"
+        bad = good + "def broken(:\n"
+        for function in (compile_functions, split_functions, referenced_names):
+            # fail, succeed, fail, succeed: neither outcome masks the other
+            for _ in range(2):
+                with pytest.raises(ScriptError):
+                    function(bad)
+                assert "memo_probe" in function(good)
+
+    def test_returned_containers_are_fresh(self):
+        source = "def a(ctx):\n    return b\n"
+        segments = split_functions(source)
+        segments["a"] = "poisoned"
+        segments["extra"] = "poisoned"
+        assert split_functions(source) == {"a": "def a(ctx):\n    return b"}
+        names = referenced_names(source)
+        names.append("poisoned")
+        names.remove("b")
+        assert referenced_names(source) == ["b"]
+        functions = compile_functions(source)
+        functions.clear()
+        assert set(compile_functions(source)) == {"a"}
+
+    def test_runtimes_loading_one_source_share_nothing_mutable(self):
+        source = (
+            "calls = 0\n"
+            "def bump(ctx):\n"
+            "    global calls\n"
+            "    calls += 1\n"
+            "    return calls\n"
+        )
+        first, second = WebRuntime(), WebRuntime()
+        first.set_script(source)
+        second.set_script(source)
+        assert first.functions["bump"] is not second.functions["bump"]
+        assert (
+            first.functions["bump"].__globals__
+            is not second.functions["bump"].__globals__
+        )
+        assert first.functions["bump"](None) == 1
+        assert first.functions["bump"](None) == 2
+        assert second.functions["bump"](None) == 1
+        assert compile_functions(source)["bump"].__globals__["calls"] == 0
+
 
 class TestWebRuntime:
     def test_load_app_builds_dom_and_listeners(self):

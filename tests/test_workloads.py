@@ -59,6 +59,21 @@ class TestMultiClient:
         # One cached browser per (client, app) pair.
         assert len(scenario.server._sessions) == 2
 
+    def test_a_failing_client_is_still_reraised_by_run(self):
+        scenario = MultiClientScenario("smallnet", num_clients=2)
+        real = scenario._client_process
+
+        def failing(client):
+            if client is scenario.clients[1]:
+                yield scenario.sim.timeout(0.01)
+                raise RuntimeError("client crashed")
+            yield from real(client)
+
+        scenario._client_process = failing
+        with pytest.raises(RuntimeError, match="client crashed"):
+            scenario.run()
+        assert scenario.report.count == 3  # the other client finished first
+
     def test_contention_increases_latency(self):
         reports = contention_study("smallnet", (1, 4))
         assert reports[4].mean_latency > reports[1].mean_latency
