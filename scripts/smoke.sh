@@ -8,8 +8,8 @@
 # with the same seed, must produce byte-identical reports and exported
 # metrics and serve every request), and the serving loop's contract (a
 # same-seed continuous-batching scenario
-# with a mid-run kill, run twice, must emit byte-identical reports —
-# batching changes timing, never results), and the kernel backends'
+# with a mid-run kill, run twice, must emit byte-identical reports and
+# metrics — batching changes timing, never results), and the kernel backends'
 # contract (a reference-backend fig7 must byte-match the committed
 # baseline, and the tuned backend must not flip any top-1 label), and
 # the model store's contract (same-seed cold-fleet and pre-warmed-fleet
@@ -108,15 +108,21 @@ echo "== 6/9 serving: continuous-batching determinism under a kill"
 # twice must emit byte-identical reports (dispatcher wake-ups, batch
 # cuts, drains, and failovers all replay on the virtual clock).  The CLI
 # exits non-zero on any wrong result, so correctness is checked for free.
+# As in stage 5 the exported Prometheus text must match too: the serving
+# path's state fingerprints and the exporter sit under the same byte gate.
 python -m repro serve --edges 2 --sessions 10 --requests 2 --rate 48 \
-    --seed 5 --kill edge-0@0.35:1.2 --out "$out_dir/serve-a.md" > /dev/null
+    --seed 5 --kill edge-0@0.35:1.2 --out "$out_dir/serve-a.md" \
+    --metrics-out "$out_dir/serve-a.prom" > /dev/null
 python -m repro serve --edges 2 --sessions 10 --requests 2 --rate 48 \
-    --seed 5 --kill edge-0@0.35:1.2 --out "$out_dir/serve-b.md" > /dev/null
+    --seed 5 --kill edge-0@0.35:1.2 --out "$out_dir/serve-b.md" \
+    --metrics-out "$out_dir/serve-b.prom" > /dev/null
 cmp "$out_dir/serve-a.md" "$out_dir/serve-b.md" || {
     echo "FAIL: serving reports diverge across same-seed reruns" >&2; exit 1; }
+cmp "$out_dir/serve-a.prom" "$out_dir/serve-b.prom" || {
+    echo "FAIL: serving metrics diverge across same-seed reruns" >&2; exit 1; }
 grep -q "serving:" "$out_dir/serve-a.md" || {
     echo "FAIL: serving report carries no batching stats" >&2; exit 1; }
-echo "ok: serving report byte-identical across same-seed reruns"
+echo "ok: serving report and metrics byte-identical across same-seed reruns"
 
 echo "== 7/9 kernel backends: reference baseline + tuned label equality"
 # The reference backend must reproduce the committed fig7 report byte for

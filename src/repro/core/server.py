@@ -384,6 +384,8 @@ class EdgeServer:
         timings["restore"] = restore_seconds
         try:
             report = restore_snapshot(snapshot, browser)
+            # What step 3 diffs the handler's changes against.
+            baseline = fingerprint_runtime(browser)
         except Exception as exc:
             self._error(endpoint, f"restore failed: {exc}", payload.request_id)
             return
@@ -441,7 +443,7 @@ class EdgeServer:
                     return
 
         # 3. Capture the new state as a delta snapshot and send it back.
-        delta = capture_delta(browser, report.fingerprint)
+        delta = capture_delta(browser, baseline)
         capture_seconds = self.device.snapshot_capture_seconds(delta.size_bytes)
         yield self.device.execute(capture_seconds, label="snapshot-capture")
         timings["capture"] = capture_seconds
@@ -457,7 +459,7 @@ class EdgeServer:
                 self.evicted_sessions += 1
                 self._cache_evict_counter.inc()
             self._cache_size_gauge.set(len(self._sessions))
-            fingerprint = fingerprint_runtime(browser)
+            fingerprint = delta.fingerprint
         reply = protocol.ResultPayload(
             delta=delta,
             request_id=payload.request_id,

@@ -20,14 +20,14 @@ import numpy as np
 from repro.core.snapshot.codegen import (
     CodegenError,
     HeapCodegen,
-    canonical_dom_entries,
-    canonical_value_code,
+    dom_node_key,
     serialize_dom,
     serialize_globals,
 )
 from repro.core.snapshot.optimize import select_globals
-from repro.core.snapshot.restore import StateFingerprint
+from repro.core.snapshot.restore import StateFingerprint, fingerprint_runtime
 from repro.nn.model import Model
+from repro.web.dom import TextNode
 from repro.web.events import Event
 from repro.web.runtime import WebRuntime
 
@@ -67,11 +67,19 @@ class Snapshot:
     attached_models: List[Model] = field(default_factory=list)
     #: free-form accounting used by the session layer (e.g. server costs)
     metadata: Dict[str, Any] = field(default_factory=dict)
+    #: a delta's view of the state it was captured from, hashed while
+    #: diffing; travels beside the snapshot (the RESULT's ``fingerprint``),
+    #: never in its size or its wire encoding
+    fingerprint: Optional[StateFingerprint] = None
 
     @property
     def size_bytes(self) -> int:
         """On-the-wire size of the snapshot itself (models counted apart)."""
-        return len(self.program.encode("utf-8")) + self.attachment_bytes
+        program = self.program
+        text_bytes = (
+            len(program) if program.isascii() else len(program.encode("utf-8"))
+        )
+        return text_bytes + self.attachment_bytes
 
     @property
     def feature_bytes(self) -> int:
@@ -173,25 +181,28 @@ def capture_delta(
     offloads against the state the first offload left at the server.  With
     ``options.live_only`` and a pending event, changed-but-dead state is
     also elided.
-    """
-    from repro.core.snapshot.codegen import digest
 
+    The returned snapshot's ``fingerprint`` is the runtime's state as
+    hashed for the diff (its :func:`fingerprint_runtime`), so whoever keeps
+    this state as a session baseline need not hash it again.
+    """
     if baseline.app_name != runtime.app_name:
         raise SnapshotError(
             f"baseline is for app {baseline.app_name!r}, runtime runs "
             f"{runtime.app_name!r}"
         )
+    try:
+        state = fingerprint_runtime(runtime)
+    except CodegenError as exc:
+        raise SnapshotError(str(exc)) from exc
     lines: List[str] = [f"RT.expect_app({runtime.app_name!r})"]
 
     # -- globals ---------------------------------------------------------------
-    changed = []
-    for name, value in runtime.globals.items():
-        try:
-            hash_now = digest(canonical_value_code(value))
-        except CodegenError as exc:
-            raise SnapshotError(str(exc)) from exc
-        if baseline.global_hash.get(name) != hash_now:
-            changed.append(name)
+    changed = [
+        name
+        for name, hash_now in state.global_hash.items()
+        if baseline.global_hash.get(name) != hash_now
+    ]
     keep = select_globals(
         runtime.script_source,
         changed,
@@ -206,11 +217,7 @@ def capture_delta(
     )
 
     # -- DOM ----------------------------------------------------------------------
-    entries_now = canonical_dom_entries(runtime.document)
     elements_by_key = {}
-    from repro.core.snapshot.codegen import dom_node_key
-    from repro.web.dom import TextNode
-
     for element in runtime.document.body.walk():
         if element is not runtime.document.body:
             elements_by_key[dom_node_key(element)] = element
@@ -243,7 +250,7 @@ def capture_delta(
             for text in texts_of(element):
                 dom_lines.append(f"RT.append_text({name}, {text!r})")
             draw_line(name, element)
-        elif baseline.dom_entries[key] != digest(entries_now[key]):
+        elif baseline.dom_entries[key] != state.dom_entries[key]:
             dom_lines.append(f"RT.set_texts({key!r}, {texts_of(element)!r})")
             dom_lines.append(f"RT.set_attrs({key!r}, {element.attributes!r})")
             draw_line(f"RT.node({key!r})", element)
@@ -253,11 +260,11 @@ def capture_delta(
     lines.extend(f"RT.del_global({name!r})" for name in sorted(removed))
     lines.extend(dom_lines)
     for key in baseline.dom_entries:
-        if key not in entries_now:
+        if key not in state.dom_entries:
             lines.append(f"RT.remove_node({key!r})")
 
     # -- listeners -------------------------------------------------------------------
-    now = set(runtime.events.all_listeners())
+    now = state.listeners
     before = set(baseline.listeners)
     for element_id, event_type, handler in sorted(now - before):
         lines.append(f"RT.add_listener({element_id!r}, {event_type!r}, {handler!r})")
@@ -281,4 +288,5 @@ def capture_delta(
         model_refs=dict(runtime.app_model_refs),
         tensor_text_bytes=codegen.tensor_text_bytes,
         attachment_bytes=codegen.attachment_bytes,
+        fingerprint=state,
     )

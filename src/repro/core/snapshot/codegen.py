@@ -50,6 +50,19 @@ def digest(text: str) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()[:16]
 
 
+def array_digest(array: np.ndarray) -> str:
+    """Digest of an array's float32 bytes (C order; the shape is not in it).
+
+    What a fingerprint knows a tensor, an image or a canvas bitmap by.
+    float32 is what both the text and the attachment encoding carry, so
+    the same state hashes alike on the side that built it and on the side
+    that restored it.
+    """
+    return hashlib.sha1(
+        np.ascontiguousarray(array, dtype=np.float32)
+    ).hexdigest()[:16]
+
+
 #: printf format for tensor values; full float32 round-trip precision
 _TENSOR_FORMAT = "%.10e"
 
@@ -74,11 +87,13 @@ _text_cache_misses = 0
 def render_tensor_text(array: np.ndarray) -> str:
     """Serialize a tensor's values as space-separated decimal literals.
 
-    Memoized by content digest: simulators snapshot the same feature
-    tensor many times per session (capture, re-capture after restore,
-    fingerprinting), and formatting millions of floats dominates those
-    paths.  The memo is an LRU bounded by :data:`TEXT_CACHE_BUDGET_BYTES`
-    of rendered text; oversized singletons are returned without caching.
+    Memoized by content digest: simulators write the same feature tensor
+    into several programs per session (the capture, the re-capture after a
+    restore, a delta that carries it back), and formatting millions of
+    floats dominates those paths.  Fingerprinting does not come through
+    here — it names a tensor by :func:`array_digest`.  The memo is an LRU
+    bounded by :data:`TEXT_CACHE_BUDGET_BYTES` of rendered text; oversized
+    singletons are returned without caching.
     """
     global _text_cache_bytes, _text_cache_hits, _text_cache_misses
     flat = np.asarray(array, dtype=np.float32).ravel()
@@ -183,6 +198,20 @@ class HeapCodegen:
             f"cannot serialize value of type {type(value).__name__} into a snapshot"
         )
 
+    def _array_literal(
+        self, data: np.ndarray, encoded_bytes: Optional[int] = None
+    ) -> str:
+        """How a program line carries an array's content: a tensor as quoted
+        decimal text, an image (``encoded_bytes`` given) as an attachment."""
+        if encoded_bytes is not None:
+            index = len(self.attachments)
+            self.attachments[index] = data
+            self.attachment_bytes += encoded_bytes
+            return f"ATTACH[{index}]"
+        text = render_tensor_text(data)
+        self.tensor_text_bytes += len(text)
+        return repr(text)
+
     def _heap_node(self, node: Any) -> str:
         existing = self._ids.get(id(node))
         if existing is not None:
@@ -190,21 +219,17 @@ class HeapCodegen:
         name = f"_h{len(self._ids)}"
         self._ids[id(node)] = name
         if isinstance(node, ImageData):
-            index = len(self.attachments)
-            self.attachments[index] = node.data
-            self.attachment_bytes += node.encoded_bytes
+            literal = self._array_literal(node.data, node.encoded_bytes)
             self.create_lines.append(
-                f"{name} = IMG(ATTACH[{index}], {node.shape!r}, {node.encoded_bytes})"
+                f"{name} = IMG({literal}, {node.shape!r}, {node.encoded_bytes})"
             )
         elif isinstance(node, TypedArray):
-            text = render_tensor_text(node.data)
-            self.tensor_text_bytes += len(text)
-            self.create_lines.append(f"{name} = TA({text!r}, {node.shape!r})")
-        elif isinstance(node, np.ndarray):
-            text = render_tensor_text(node)
-            self.tensor_text_bytes += len(text)
             self.create_lines.append(
-                f"{name} = NP({text!r}, {tuple(node.shape)!r})"
+                f"{name} = TA({self._array_literal(node.data)}, {node.shape!r})"
+            )
+        elif isinstance(node, np.ndarray):
+            self.create_lines.append(
+                f"{name} = NP({self._array_literal(node)}, {tuple(node.shape)!r})"
             )
         elif isinstance(node, JSClosure):
             # Closure reconstruction [11]: the function rebinds by name to
@@ -265,14 +290,28 @@ def serialize_globals(
     return root_lines, codegen
 
 
+class _FingerprintCodegen(HeapCodegen):
+    """The heap walk of a capture, with every array named by its digest."""
+
+    def _array_literal(
+        self, data: np.ndarray, encoded_bytes: Optional[int] = None
+    ) -> str:
+        return repr(array_digest(data))
+
+
 def canonical_value_code(value: Any) -> str:
     """Deterministic standalone serialization of one value.
 
     Used for fingerprinting (change detection between the restored baseline
-    and the post-execution state).  Identity is canonicalized per-value, so
-    the same structure always yields the same code.
+    and the post-execution state), never shipped.  Identity is
+    canonicalized per-value, so the same structure always yields the same
+    code.  Tensors and images appear as the digest of their float32 bytes
+    next to their shape (as canvas pixels do in
+    :func:`canonical_dom_entries`) — the bytes are a finer key than the
+    ``"%.10e"`` text a capture writes, so a change in what would be shipped
+    is never missed.
     """
-    codegen = HeapCodegen(attachments={})
+    codegen = _FingerprintCodegen()
     expression = codegen.root_expression(value)
     return "\n".join(codegen.lines + [f"__root__ = {expression}"])
 
@@ -355,7 +394,7 @@ def canonical_dom_entries(document: Document) -> Dict[str, str]:
         ]
         attrs = sorted(element.attributes.items())
         if element.image_data is not None:
-            image = hashlib.sha1(element.image_data.data.tobytes()).hexdigest()[:12]
+            image = array_digest(element.image_data.data)
         else:
             image = "none"
         entries[key] = (

@@ -19,6 +19,8 @@ import numpy as np
 from repro.core.snapshot.codegen import (
     canonical_dom_entries,
     canonical_value_code,
+    digest,
+    dom_node_key,
     parse_tensor_text,
 )
 from repro.web.dom import Element, TextNode
@@ -45,7 +47,10 @@ class StateFingerprint:
     Per-entity digests (like an rsync signature): small enough to travel
     on the wire with every RESULT, which is what lets the *client* compute
     a delta against the state left behind on the server — the paper's
-    future-work "reuse the data and code left at the server".
+    future-work "reuse the data and code left at the server".  A global is
+    known by the digest of its :func:`canonical_value_code` (tensors and
+    images inside it by their bytes), a DOM node by the digest of its
+    :func:`canonical_dom_entries` line.
     """
 
     app_name: str
@@ -65,14 +70,11 @@ class RestoreReport:
     """Outcome of a restore."""
 
     pending_event: Optional[Event]
-    fingerprint: StateFingerprint
     applied_lines: int = 0
 
 
 def fingerprint_runtime(runtime: WebRuntime) -> StateFingerprint:
     """Take the hashed fingerprint used as a delta baseline."""
-    from repro.core.snapshot.codegen import digest
-
     return StateFingerprint(
         app_name=runtime.app_name,
         global_hash={
@@ -150,8 +152,6 @@ class RestoreAPI:
         raise RestoreError(f"delta references unknown DOM node {key!r}")
 
     def _path_index(self) -> Dict[str, Element]:
-        from repro.core.snapshot.codegen import dom_node_key
-
         return {
             dom_node_key(element): element
             for element in self.runtime.document.body.walk()
@@ -216,8 +216,9 @@ def restore_snapshot(snapshot, runtime: WebRuntime) -> RestoreReport:
     """Run a snapshot program against a runtime.
 
     Full snapshots rebuild the app from nothing; delta snapshots update an
-    already-running app.  Returns the pending event (to re-dispatch) and
-    the post-restore fingerprint (the baseline for the next delta).
+    already-running app.  Returns the pending event (to re-dispatch); a
+    caller that will diff against the restored state takes its baseline
+    with :func:`fingerprint_runtime`.
     """
     api = RestoreAPI(runtime)
     namespace = _restore_namespace(api, snapshot.attachments)
@@ -229,6 +230,5 @@ def restore_snapshot(snapshot, runtime: WebRuntime) -> RestoreReport:
         raise RestoreError(f"snapshot program failed: {exc}") from exc
     return RestoreReport(
         pending_event=api.pending,
-        fingerprint=fingerprint_runtime(runtime),
         applied_lines=snapshot.program.count("\n"),
     )

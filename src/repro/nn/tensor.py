@@ -75,7 +75,12 @@ def pad_chw(x: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad height and width of a (C, H, W) tensor."""
     if pad == 0:
         return x
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad)), mode="constant")
+    channels, height, width = x.shape
+    padded = np.zeros(
+        (channels, height + 2 * pad, width + 2 * pad), dtype=x.dtype
+    )
+    padded[:, pad : pad + height, pad : pad + width] = x
+    return padded
 
 
 def im2col(
@@ -151,6 +156,27 @@ def im2col_batch(
     return cols.reshape(count, channels * kernel * kernel, out_h * out_w)
 
 
+def _window_slices(
+    offset: int, stride: int, size: int, out: int
+) -> Optional[Tuple[slice, slice]]:
+    """One pooling-window offset along one axis: ``(outputs, sources)``.
+
+    Output cell ``i`` reads source index ``i * stride + offset`` (``offset``
+    is the position in the window minus the padding).  ``outputs`` selects
+    the cells whose source lies inside ``[0, size)``, ``sources`` the
+    strided run they read; ``None`` when no cell does (the offset lies
+    wholly in the padding or beyond Caffe's clipped last window).
+    """
+    lo = -(offset // stride) if offset < 0 else 0  # ceil(-offset / stride)
+    hi = min(out, (size - 1 - offset) // stride + 1)
+    if hi <= lo:
+        return None
+    return (
+        slice(lo, hi),
+        slice(offset + lo * stride, offset + (hi - 1) * stride + 1, stride),
+    )
+
+
 def pool_patches(
     x: np.ndarray, kernel: int, stride: int, pad: int = 0
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
@@ -165,22 +191,18 @@ def pool_patches(
     neg = np.full(
         (channels, kernel, kernel, out_h, out_w), -np.inf, dtype=np.float32
     )
+    # One strided slice copy per window offset; whatever a window reads
+    # outside the image stays ``-inf``.
+    columns = [
+        _window_slices(kx - pad, stride, width, out_w) for kx in range(kernel)
+    ]
     for ky in range(kernel):
-        for kx in range(kernel):
-            # Source coordinates in the *unpadded* image for each output cell.
-            ys = np.arange(out_h) * stride + ky - pad
-            xs = np.arange(out_w) * stride + kx - pad
-            valid_y = (ys >= 0) & (ys < height)
-            valid_x = (xs >= 0) & (xs < width)
-            if not valid_y.any() or not valid_x.any():
-                continue
-            yy = ys[valid_y]
-            xx = xs[valid_x]
-            block = x[:, yy[:, None], xx[None, :]]
-            target = neg[:, ky, kx]
-            sub = target[:, valid_y, :]
-            sub[:, :, valid_x] = block
-            target[:, valid_y, :] = sub
+        rows = _window_slices(ky - pad, stride, height, out_h)
+        if rows is None:
+            continue
+        for kx, cols in enumerate(columns):
+            if cols is not None:
+                neg[:, ky, kx, rows[0], cols[0]] = x[:, rows[1], cols[1]]
     return neg, (out_h, out_w)
 
 
@@ -216,25 +238,17 @@ def max_pool_strided(
             )
         result = out.reshape(channels, out_h, out_w)
     result.fill(-np.inf)
+    columns = [
+        _window_slices(kx - pad, stride, width, out_w) for kx in range(kernel)
+    ]
     for ky in range(kernel):
-        y0 = ky - pad
-        i_lo = -(y0 // stride) if y0 < 0 else 0  # ceil(-y0 / stride)
-        i_hi = min(out_h, (height - 1 - y0) // stride + 1)
-        if i_hi <= i_lo:
+        rows = _window_slices(ky - pad, stride, height, out_h)
+        if rows is None:
             continue
-        for kx in range(kernel):
-            x0 = kx - pad
-            j_lo = -(x0 // stride) if x0 < 0 else 0  # ceil(-x0 / stride)
-            j_hi = min(out_w, (width - 1 - x0) // stride + 1)
-            if j_hi <= j_lo:
-                continue
-            block = x[
-                :,
-                y0 + i_lo * stride : y0 + (i_hi - 1) * stride + 1 : stride,
-                x0 + j_lo * stride : x0 + (j_hi - 1) * stride + 1 : stride,
-            ]
-            target = result[:, i_lo:i_hi, j_lo:j_hi]
-            np.maximum(target, block, out=target)
+        for cols in columns:
+            if cols is not None:
+                target = result[:, rows[0], cols[0]]
+                np.maximum(target, x[:, rows[1], cols[1]], out=target)
     return result
 
 

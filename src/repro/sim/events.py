@@ -21,7 +21,7 @@ NORMAL = 1
 LOW = 2
 
 
-@dataclass(order=True)
+@dataclass
 class ScheduledEvent:
     """A callback scheduled at a point in virtual time."""
 
@@ -47,17 +47,22 @@ class ScheduledEvent:
 
 
 class EventQueue:
-    """A heap of :class:`ScheduledEvent` with deterministic total order."""
+    """A heap of :class:`ScheduledEvent` with deterministic total order.
+
+    Heap entries are ``(time, priority, seq, event)`` tuples, so ``heapq``
+    orders them with C tuple comparison; ``seq`` is unique, which decides
+    every comparison before it could reach the event.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, int, int, ScheduledEvent]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def __bool__(self) -> bool:
-        return any(not ev.cancelled for ev in self._heap)
+        return any(not entry[3].cancelled for entry in self._heap)
 
     def push(
         self,
@@ -67,29 +72,30 @@ class EventQueue:
         priority: int = NORMAL,
         label: str = "",
     ) -> ScheduledEvent:
+        seq = next(self._counter)
         event = ScheduledEvent(
             time=time,
             priority=priority,
-            seq=next(self._counter),
+            seq=seq,
             callback=callback,
             args=args,
             label=label,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def pop(self) -> Optional[ScheduledEvent]:
         """Pop the earliest non-cancelled event, or ``None`` when empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` when empty."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]

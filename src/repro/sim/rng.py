@@ -8,6 +8,7 @@ non-interfering child streams.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Optional, Sequence, TypeVar
 
@@ -22,8 +23,14 @@ class SeededRng:
     def __init__(self, seed: int = 0, name: str = "root"):
         self.seed = int(seed)
         self.name = name
-        self._py = random.Random(self._mix(seed, name))
-        self.np = np.random.default_rng(self._mix(seed, name))
+        self._mixed = self._mix(seed, name)
+        self._py = random.Random(self._mixed)
+
+    @functools.cached_property
+    def np(self) -> np.random.Generator:
+        """The numpy view, built on first use: most streams (one per link,
+        per child subsystem) only ever draw scalars."""
+        return np.random.default_rng(self._mixed)
 
     @staticmethod
     def _mix(seed: int, name: str) -> int:

@@ -40,6 +40,7 @@ from repro.nn.backend import (
 from repro.nn.layers.conv import ConvLayer
 from repro.nn.layers.dense import FCLayer
 from repro.nn.quantize import packed_feature_bytes, quantize_linear_per_channel
+from repro.nn.tensor import pad_chw, pool_output_hw, pool_patches
 from repro.nn.zoo import build_model
 from repro.obs import MetricsRegistry
 from repro.sim import SeededRng
@@ -113,6 +114,121 @@ class TestSelection:
     def test_blas_info_names_numpy(self):
         info = blas_info()
         assert info["numpy"] == np.__version__
+
+
+def fancy_index_pool_patches(x, kernel, stride, pad=0):
+    """``pool_patches`` as it was before the slice gather, kept verbatim as
+    the oracle: one fancy-index copy per window offset."""
+    channels, height, width = x.shape
+    out_h, out_w = pool_output_hw(height, width, kernel, stride, pad)
+    neg = np.full(
+        (channels, kernel, kernel, out_h, out_w), -np.inf, dtype=np.float32
+    )
+    for ky in range(kernel):
+        for kx in range(kernel):
+            # Source coordinates in the *unpadded* image for each output cell.
+            ys = np.arange(out_h) * stride + ky - pad
+            xs = np.arange(out_w) * stride + kx - pad
+            valid_y = (ys >= 0) & (ys < height)
+            valid_x = (xs >= 0) & (xs < width)
+            if not valid_y.any() or not valid_x.any():
+                continue
+            yy = ys[valid_y]
+            xx = xs[valid_x]
+            block = x[:, yy[:, None], xx[None, :]]
+            target = neg[:, ky, kx]
+            sub = target[:, valid_y, :]
+            sub[:, :, valid_x] = block
+            target[:, valid_y, :] = sub
+    return neg, (out_h, out_w)
+
+
+def per_window_pool_patches(x, kernel, stride, pad=0):
+    """The definition, one element at a time: window cell (ky, kx) of output
+    (i, j) is the image value under it, ``-inf`` where it hangs outside."""
+    channels, height, width = x.shape
+    out_h, out_w = pool_output_hw(height, width, kernel, stride, pad)
+    patches = np.empty((channels, kernel, kernel, out_h, out_w), dtype=np.float32)
+    for c in range(channels):
+        for ky in range(kernel):
+            for kx in range(kernel):
+                for i in range(out_h):
+                    for j in range(out_w):
+                        y, col = i * stride + ky - pad, j * stride + kx - pad
+                        inside = 0 <= y < height and 0 <= col < width
+                        patches[c, ky, kx, i, j] = x[c, y, col] if inside else -np.inf
+    return patches, (out_h, out_w)
+
+
+@st.composite
+def pooling_cases(draw):
+    """(x, kernel, stride, pad) over every geometry ``pool_output_hw``
+    accepts — clipped last windows and windows wholly in the padding
+    included (pad may exceed the kernel)."""
+    kernel = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, 4))
+    pad = draw(st.integers(0, 4))
+    height = draw(st.integers(max(1, kernel - 2 * pad), 9))
+    width = draw(st.integers(max(1, kernel - 2 * pad), 9))
+    channels = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    x = SeededRng(seed, "pool").normal_array((channels, height, width))
+    return x, kernel, stride, pad
+
+
+class TestPoolingWindows:
+    """The slice gather returns the array the fancy-index gather returned."""
+
+    @given(pooling_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_pool_patches_equals_definition_and_old_gather(self, case):
+        x, kernel, stride, pad = case
+        patches, out_hw = pool_patches(x, kernel, stride, pad)
+        expected, expected_hw = per_window_pool_patches(x, kernel, stride, pad)
+        assert out_hw == expected_hw
+        assert patches.dtype == np.float32
+        assert np.array_equal(patches, expected)
+        old, old_hw = fancy_index_pool_patches(x, kernel, stride, pad)
+        assert old_hw == out_hw and np.array_equal(patches, old)
+
+    @given(pooling_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_pad_chw_equals_np_pad(self, case):
+        x, _, _, pad = case
+        padded = pad_chw(x, pad)
+        expected = np.pad(x, ((0, 0), (pad, pad), (pad, pad)), mode="constant")
+        assert padded.dtype == expected.dtype
+        assert np.array_equal(padded, expected)
+        if pad == 0:
+            assert padded is x
+
+    @pytest.mark.parametrize("name", ["resnet-mini", "googlenet", "alexnet"])
+    def test_zoo_outputs_unchanged_by_the_gather(self, name, monkeypatch):
+        set_backend("reference")
+        model = build_model(name)
+        x = model_input(model)
+        batch = np.stack([model_input(model, seed) for seed in (7, 8, 9)])
+        oracle_calls = []
+
+        def counted_oracle(*args):
+            oracle_calls.append(args[1:])
+            return fancy_index_pool_patches(*args)
+
+        def outputs():
+            network = model.network
+            return (
+                network.forward(x),
+                network.forward_reference(x),
+                network.forward_batch(batch),
+            )
+
+        new = outputs()
+        monkeypatch.setattr(backend_module, "pool_patches", counted_oracle)
+        old = outputs()
+        assert oracle_calls  # the gather is looked up per call, not per plan
+        for new_out, old_out in zip(new, old):
+            assert new_out.dtype == old_out.dtype
+            assert np.array_equal(new_out, old_out)
 
 
 class TestReferenceBitwise:

@@ -5,6 +5,8 @@ offloads send deltas against the fingerprint the server returned, and the
 client falls back to a full snapshot when the session is gone.
 """
 
+import re
+
 import pytest
 
 from repro.core.client import ClientAgent
@@ -93,6 +95,54 @@ class TestSessionCache:
         server_canvas = server.last_runtime.document.get("canvas").image_data
         client_canvas = client.runtime.document.get("canvas").image_data
         assert server_canvas.equals(client_canvas)
+
+    def test_each_state_is_hashed_once(self, world, monkeypatch):
+        """Three requests: one baseline pass per request on the server, one
+        pass inside each delta capture, none in any restore — and tensor
+        text is rendered for shipped programs only, never to fingerprint."""
+        from repro.core import server as server_module
+        from repro.core.snapshot import capture, codegen, restore
+
+        sim, client, server, model = world
+        calls = {"server": 0, "capture_delta": 0, "restore": 0}
+
+        original = restore.fingerprint_runtime
+
+        def counted(where):
+            def wrapper(runtime):
+                calls[where] += 1
+                return original(runtime)
+
+            return wrapper
+
+        monkeypatch.setattr(server_module, "fingerprint_runtime", counted("server"))
+        monkeypatch.setattr(capture, "fingerprint_runtime", counted("capture_delta"))
+        # the name restore_snapshot itself would reach
+        monkeypatch.setattr(restore, "fingerprint_runtime", counted("restore"))
+
+        codegen.clear_text_cache()
+        outcomes = []
+        for seed in (5, 6, 7):
+            client.runtime.globals["pending_pixels"] = TypedArray(
+                SeededRng(seed, "px").uniform_array((3, 32, 32), 0, 255)
+            )
+            client.runtime.dispatch("click", "load_btn")
+            outcomes.append(offload_once(sim, client, model))
+        assert [o.snapshot.kind for o in outcomes] == ["full", "delta", "delta"]
+        assert calls["server"] == 3
+        assert calls["restore"] == 0
+        # the server's reply to each request + the client's two delta offloads
+        assert calls["capture_delta"] == 3 + 2
+
+        literal = re.compile(r"^_h\d+ = (?:TA|NP)\(", re.MULTILINE)
+        shipped = sum(
+            len(literal.findall(snapshot.program))
+            for outcome in outcomes
+            for snapshot in (outcome.snapshot, outcome.delta)
+        )
+        info = codegen.text_cache_info()
+        assert shipped >= 3  # every request carried its new canvas
+        assert info["hits"] + info["misses"] == shipped
 
     def test_session_loss_falls_back_to_full(self, world):
         sim, client, server, model = world

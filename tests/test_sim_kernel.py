@@ -1,8 +1,13 @@
-"""Unit tests for the discrete-event kernel (clock, queue, loop)."""
+"""Unit tests for the discrete-event kernel (clock, queue, loop, rng)."""
 
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Simulator, SimulationError
+from repro.sim import SeededRng, Simulator, SimulationError
 from repro.sim.clock import Clock, ClockError
 from repro.sim.events import EventQueue
 
@@ -99,6 +104,85 @@ class TestEventQueue:
         assert queue.peek_time() == 2.0
         first.cancel()
         assert queue.peek_time() == 4.0
+
+
+    @given(
+        pushes=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5]),  # duplicate timestamps
+                st.integers(0, 2),  # URGENT / NORMAL / LOW
+                st.booleans(),  # cancelled before any pop
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pop_order_is_sorted_by_time_priority_insertion(self, pushes):
+        queue = EventQueue()
+        live = []
+        for index, (time, priority, cancelled) in enumerate(pushes):
+            # The payload is an unorderable callable: nothing may compare it.
+            event = queue.push(time, lambda: None, (index,), priority=priority)
+            if cancelled:
+                event.cancel()
+            else:
+                live.append((time, priority, index))
+        expected = sorted(live)
+        assert len(queue) == len(expected)
+        assert bool(queue) == bool(expected)
+        popped = []
+        while True:
+            assert queue.peek_time() == (
+                expected[len(popped)][0] if len(popped) < len(expected) else None
+            )
+            event = queue.pop()
+            if event is None:
+                break
+            popped.append((event.time, event.priority, event.args[0]))
+        assert popped == expected
+        assert len(queue) == 0 and not queue
+
+
+class TestSeededRng:
+    """The numpy view is built on first use, with the values it always had."""
+
+    @pytest.mark.parametrize("child", [None, "link/edge-0"])
+    def test_same_values_as_eager_construction(self, child):
+        rng = SeededRng(11, "root") if child is None else SeededRng(11, "root").child(child)
+        name = "root" if child is None else f"root/{child}"
+        assert rng.name == name
+        mixed = SeededRng._mix(11, name)
+        eager_np = np.random.default_rng(mixed)
+        eager_py = random.Random(mixed)
+        assert "np" not in vars(rng)  # not built until drawn from
+
+        # scalar methods, in one interleaved sequence on the stdlib stream
+        assert rng.uniform(1.0, 3.0) == eager_py.uniform(1.0, 3.0)
+        assert rng.expovariate(2.0) == eager_py.expovariate(2.0)
+        assert rng.gauss(0.0, 1.0) == eager_py.gauss(0.0, 1.0)
+        assert rng.randint(0, 9) == eager_py.randint(0, 9)
+        assert rng.random() == eager_py.random()
+        assert rng.chance(0.5) == (eager_py.random() < 0.5)
+        assert rng.choice("abcdef") == eager_py.choice("abcdef")
+        expected = list(range(8))
+        eager_py.shuffle(expected)
+        assert rng.shuffled(range(8)) == expected
+        assert "np" not in vars(rng)  # scalar draws never build it
+
+        # array methods, in sequence on the numpy stream
+        assert np.array_equal(
+            rng.normal_array((2, 3), scale=0.5),
+            eager_np.normal(0.0, 0.5, size=(2, 3)).astype(np.float32),
+        )
+        assert np.array_equal(
+            rng.uniform_array((4,), -1.0, 1.0),
+            eager_np.uniform(-1.0, 1.0, size=(4,)).astype(np.float32),
+        )
+        assert np.array_equal(
+            rng.image(2, 3),
+            eager_np.uniform(0.0, 255.0, size=(2, 3, 3)).astype(np.float32),
+        )
+        assert rng.np is rng.np
 
 
 class TestSimulator:

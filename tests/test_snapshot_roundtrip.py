@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.snapshot import (
     CaptureOptions,
@@ -17,7 +19,14 @@ from repro.sim import SeededRng
 from repro.web import WebRuntime
 from repro.web.app import make_inference_app, make_partial_inference_app
 from repro.web.events import Event
-from repro.web.values import JSArray, JSObject, TypedArray, deep_equal
+from repro.web.values import (
+    ImageData,
+    JSArray,
+    JSClosure,
+    JSObject,
+    TypedArray,
+    deep_equal,
+)
 
 
 @pytest.fixture
@@ -158,8 +167,9 @@ class TestDeltaSnapshot:
         server = WebRuntime("server")
         server.install_model(model)
         report = restore_snapshot(snapshot, server)
+        baseline = fingerprint_runtime(server)
         server.run_event(report.pending_event)
-        delta = capture_delta(server, report.fingerprint)
+        delta = capture_delta(server, baseline)
         return client, server, delta
 
     def test_delta_is_small(self, model, pixels):
@@ -243,6 +253,185 @@ class TestDeltaSnapshot:
         fresh = loaded_client(model, pixels)
         report = restore_snapshot(delta, fresh)
         assert report.pending_event.event_type == "click"
+
+
+def small_tensor(seed, shape=(2, 3)):
+    return SeededRng(seed, "fp").normal_array(shape)
+
+
+def apply_edit(runtime, edit):
+    """One state change of the kind a handler makes; ``n`` picks the value."""
+    kind, n = edit
+    document = runtime.document
+    if kind == "tensor":
+        runtime.globals[f"t{n % 3}"] = TypedArray(small_tensor(n))
+    elif kind == "ndarray":
+        runtime.globals[f"a{n % 2}"] = small_tensor(n, (4,))
+    elif kind == "image":
+        # Same shape and encoded size every time: only the pixels differ.
+        runtime.globals["photo"] = ImageData(
+            small_tensor(n, (3, 4, 4)), encoded_bytes=500
+        )
+    elif kind == "shared":
+        node = JSObject(weights=TypedArray(small_tensor(n)), tag=n)
+        runtime.globals["left"] = JSObject(a=node, b=node)
+        runtime.globals["right"] = JSArray([node, node])
+    elif kind == "cycle":
+        loop = JSObject(n=n)
+        loop["self"] = loop
+        loop["ring"] = JSArray([loop, TypedArray(small_tensor(n))])
+        runtime.globals["loop"] = loop
+    elif kind == "closure":
+        closure = JSClosure("on_inference", {"count": n, "buf": TypedArray(small_tensor(n))})
+        closure.env["me"] = closure
+        runtime.globals["callback"] = closure
+    elif kind == "dom_new":
+        if document.find(f"d{n % 3}") is None:
+            node = document.create_element("div", element_id=f"d{n % 3}", rank=n)
+            document.body.append_child(node)
+            node.append_text(f"node {n}")
+    elif kind == "dom_remove":
+        node = document.find(f"d{n % 3}")
+        if node is not None:
+            node.parent.remove_child(node)
+    elif kind == "dom_text":
+        document.get("result").set_text(f"label {n}")
+    elif kind == "dom_attr":
+        document.get("result").set_attribute("data-n", n)
+    elif kind == "dom_draw":
+        document.get("canvas").draw_image(TypedArray(small_tensor(n, (3, 4, 4))))
+    elif kind == "listen":
+        listener = ("result", "click", "on_inference")
+        if runtime.events.has_listener(*listener):
+            runtime.events.remove_listener(*listener)
+        else:
+            runtime.add_listener(*listener)
+
+
+edits = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                "tensor", "ndarray", "image", "shared", "cycle", "closure",
+                "dom_new", "dom_remove", "dom_text", "dom_attr", "dom_draw",
+                "listen",
+            ]
+        ),
+        st.integers(0, 50),
+    ),
+    max_size=8,
+)
+
+
+class TestStateFingerprint:
+    """A state is hashed once: the delta hands back what it diffed with."""
+
+    @given(before=edits, after=edits)
+    @settings(max_examples=60, deadline=None)
+    def test_delta_returns_the_fingerprint_of_the_state_it_captured(
+        self, before, after
+    ):
+        runtime = loaded_client(smallnet(), TypedArray(small_tensor(1, (3, 32, 32))))
+        for edit in before:
+            apply_edit(runtime, edit)
+        baseline = fingerprint_runtime(runtime)
+        for edit in after:
+            apply_edit(runtime, edit)
+        options = CaptureOptions(live_only=False, include_canvas_pixels=True)
+        delta = capture_delta(runtime, baseline, options=options)
+        assert delta.fingerprint == fingerprint_runtime(runtime)
+        # Nothing is left to send against the state just captured.
+        again = capture_delta(runtime, delta.fingerprint, options=options)
+        assert again.program == f"RT.expect_app({runtime.app_name!r})\n"
+        assert not again.attachments
+        # ... and the delta carries every change: applied to a copy of the
+        # baseline state, it lands on the same fingerprint.
+        copy = loaded_client(smallnet(), TypedArray(small_tensor(1, (3, 32, 32))))
+        for edit in before:
+            apply_edit(copy, edit)
+        restore_snapshot(delta, copy)
+        assert fingerprint_runtime(copy) == delta.fingerprint
+
+    def test_fingerprint_is_outside_size_and_wire_bytes(self, model, pixels):
+        from repro.core.snapshot.wire import decode_snapshot, encode_snapshot
+
+        client = loaded_client(model, pixels)
+        delta = capture_delta(client, fingerprint_runtime(client))
+        assert delta.fingerprint is not None
+        assert delta.size_bytes == len(delta.program)
+        assert decode_snapshot(encode_snapshot(delta)).fingerprint is None
+        assert capture_snapshot(client).fingerprint is None
+
+    @staticmethod
+    def _digest_of(value):
+        runtime = WebRuntime("fp")
+        runtime.globals["g"] = value
+        return fingerprint_runtime(runtime).global_hash["g"]
+
+    @pytest.mark.parametrize("wrap", [TypedArray, np.asarray, ImageData])
+    def test_digest_follows_tensor_bytes_and_shape(self, wrap):
+        values = np.array([0.0, 1.0, -2.5, 3.25], dtype=np.float32)
+        digest = self._digest_of(wrap(values))
+        assert self._digest_of(wrap(values.copy())) == digest  # same bytes
+        one_ulp = values.copy()
+        one_ulp[1] = np.nextafter(np.float32(1.0), np.float32(2.0))
+        assert self._digest_of(wrap(one_ulp)) != digest
+        negative_zero = values.copy()
+        negative_zero[0] = -0.0
+        assert negative_zero[0] == values[0]
+        assert self._digest_of(wrap(negative_zero)) != digest
+        assert self._digest_of(wrap(values.reshape(2, 2))) != digest
+
+    def test_float64_array_hashes_like_its_float32_restore(self):
+        # A capture writes float32 text, so that is what a restored peer holds.
+        values = np.array([0.1, 0.2, 0.3])
+        assert self._digest_of(values) == self._digest_of(values.astype(np.float32))
+
+    def test_in_place_edit_of_an_aliased_tensor_changes_every_holder(self):
+        runtime = WebRuntime("fp")
+        shared = TypedArray(np.zeros(4, dtype=np.float32))
+        runtime.globals["a"] = JSObject(t=shared)
+        runtime.globals["b"] = JSArray([shared])
+        runtime.globals["c"] = TypedArray(np.zeros(4, dtype=np.float32))
+        baseline = fingerprint_runtime(runtime)
+        shared.data[2] = 7.0
+        now = fingerprint_runtime(runtime)
+        changed = {
+            name for name in now.global_hash
+            if now.global_hash[name] != baseline.global_hash[name]
+        }
+        assert changed == {"a", "b"}
+
+    def test_replaced_image_of_same_shape_and_size_is_a_change(self):
+        # Regression: the fingerprint used to hold IMG(ATTACH[0], shape,
+        # encoded_bytes) — no pixels — so a new frame of the same camera
+        # was invisible to the diff and never shipped.
+        runtime = WebRuntime("fp")
+        runtime.globals["frame"] = ImageData(small_tensor(1, (3, 4, 4)), encoded_bytes=900)
+        baseline = fingerprint_runtime(runtime)
+        runtime.globals["frame"] = ImageData(small_tensor(2, (3, 4, 4)), encoded_bytes=900)
+        delta = capture_delta(runtime, baseline)
+        assert delta.attachment_bytes == 900
+        assert len(delta.attachments) == 1
+
+    def test_fingerprints_agree_across_independent_rebuilds(self, model, pixels):
+        """Two clients offloading the same state to two servers: every side
+        hashes its own copy, and any pair of them diffs empty."""
+        event = Event("click", "infer_btn")
+        options = CaptureOptions(live_only=False, include_canvas_pixels=True)
+        sides = []
+        for _ in range(2):
+            client = loaded_client(model, TypedArray(pixels.data.copy()))
+            server = WebRuntime("server")
+            server.install_model(model)
+            restore_snapshot(capture_snapshot(client, event, options), server)
+            sides += [client, server]
+        prints = [fingerprint_runtime(side) for side in sides]
+        assert all(fp == prints[0] for fp in prints[1:])
+        for side in sides:
+            for fp in prints:
+                delta = capture_delta(side, fp)
+                assert delta.program == f"RT.expect_app({side.app_name!r})\n"
 
 
 class TestOptimizedPlanRoundTrip:

@@ -22,6 +22,16 @@ class TestStreamMechanics:
         assert kinds[0] == "full"
         assert all(kind == "delta" for kind in kinds[1:])
 
+    def test_each_delta_carries_its_own_frame(self):
+        # Regression: a replaced ImageData global was invisible to the delta
+        # diff, so follow-up deltas shipped no frame and the server answered
+        # for frame 0 again.  tinynet tells seed 1's frames apart (label 3,
+        # then 0s), which smallnet's constant answer used to mask.
+        report = run_stream("tinynet", frames=4, fps=5.0, mode="offload", seed=1)
+        assert len({record.expected_label for record in report.records}) > 1
+        assert [record.snapshot_kind for record in report.records][1:] == ["delta"] * 3
+        assert report.all_correct
+
     def test_smallnet_keeps_up_at_5fps(self, report):
         assert report.keeps_up
         assert report.mean_latency < 0.2

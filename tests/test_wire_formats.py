@@ -69,6 +69,18 @@ class TestSnapshotWire:
         # just header + lengths + CRC on top of size_bytes.
         assert abs(encoded - snapshot.size_bytes) < 1200
 
+    def test_size_counts_utf8_bytes_not_characters(self):
+        model = smallnet()
+        runtime = WebRuntime("client")
+        runtime.load_app(make_inference_app(model))
+        ascii_size = capture_snapshot(runtime).size_bytes
+        runtime.document.get("result").set_text("étiquette — 猫")
+        runtime.globals["greeting"] = "héllo"
+        snapshot = capture_snapshot(runtime, options=CaptureOptions(live_only=False))
+        assert not snapshot.program.isascii()
+        assert snapshot.size_bytes == len(snapshot.program.encode("utf-8"))
+        assert snapshot.size_bytes > len(snapshot.program) > ascii_size
+
     def test_size_preserved_through_roundtrip(self):
         _model, snapshot = make_snapshot()
         decoded = decode_snapshot(encode_snapshot(snapshot))
