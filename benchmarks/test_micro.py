@@ -7,15 +7,23 @@ forward passes, the partition solver and the DES kernel.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.partition import PartitionOptimizer
 from repro.core.snapshot import capture_snapshot, restore_snapshot
-from repro.core.snapshot.codegen import parse_tensor_text, render_tensor_text
+from repro.core.snapshot.codegen import (
+    clear_text_cache,
+    parse_tensor_text,
+    render_tensor_text,
+)
 from repro.devices import edge_server_x86, odroid_xu4_client
 from repro.devices.predictor import fit_predictor_for
 from repro.netsim import NetemProfile
+from repro.nn.backend import get_backend
 from repro.nn.cost import network_costs
-from repro.nn.zoo import smallnet
+from repro.nn.layers import LRNLayer
+from repro.nn.tensor import max_pool_strided, pool_patches
+from repro.nn.zoo import build_model, smallnet
 from repro.sim import SeededRng, Simulator
 from repro.web import WebRuntime
 from repro.web.app import make_inference_app
@@ -56,7 +64,13 @@ def test_micro_snapshot_restore(benchmark):
 
 def test_micro_tensor_text_render(benchmark):
     values = SeededRng(2, "t").normal_array((50_000,))
-    text = benchmark(lambda: render_tensor_text(values))
+    # The text memo is content-keyed: without clearing it every round after
+    # the first would time a sha1 and a dict look-up, not the formatting.
+    text = benchmark.pedantic(
+        lambda: render_tensor_text(values),
+        setup=clear_text_cache,
+        rounds=20,
+    )
     assert len(text) > 500_000
 
 
@@ -82,6 +96,44 @@ def test_micro_conv_layer_forward(benchmark):
     x = SeededRng(6, "x").normal_array((16, 32, 32))
     out = benchmark(lambda: layer.forward(x))
     assert out.shape == (32, 32, 32)
+
+
+@pytest.mark.parametrize("backend", ["reference", "tuned"])
+@pytest.mark.parametrize("shape", [(64, 56, 56), (192, 56, 56)])
+def test_micro_lrn_googlenet_shapes(benchmark, backend, shape):
+    """GoogLeNet's two LRN layers, the largest non-GEMM steps of its plan."""
+    kernels = get_backend(backend)
+    layer = LRNLayer("norm")
+    x = SeededRng(7, "lrn").uniform_array(shape, 0, 255)
+    out = benchmark(lambda: kernels.lrn(layer, x))
+    assert out.shape == shape and out.dtype == np.float32
+    assert np.allclose(out, get_backend("reference").lrn(layer, x), rtol=1e-4)
+
+
+@pytest.mark.parametrize(
+    "shape, kernel, stride, pad",
+    [((64, 112, 112), 3, 2, 0), ((480, 14, 14), 3, 1, 1)],
+)
+def test_micro_max_pool_googlenet_shapes(benchmark, shape, kernel, stride, pad):
+    """GoogLeNet's first pool and an inception pool branch (stride 1, pad 1)."""
+    x = SeededRng(8, "pool").normal_array(shape)
+    expected = pool_patches(x, kernel, stride, pad)[0].max(axis=(1, 2))
+    out = np.empty(expected.size, dtype=np.float32)
+    pooled = benchmark(lambda: max_pool_strided(x, kernel, stride, pad, out=out))
+    assert np.array_equal(pooled, expected)
+
+
+def test_micro_split_manifest_after_warm_files(benchmark):
+    """A split half's manifest once the whole model's was read: the
+    per-layer memo means no parameter bytes are hashed again."""
+    model = build_model("googlenet")
+    whole = {file.layer_name: file.checksum for file in model.files()}
+    index = model.network.offload_points()[3].index
+    files = benchmark(lambda: model.split(index)[1].files())
+    parameters = [file for file in files if file.kind == "parameters"]
+    assert parameters and all(
+        file.checksum == whole[file.layer_name] for file in parameters
+    )
 
 
 def test_micro_partition_solver(benchmark):

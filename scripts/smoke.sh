@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end smoke check: unit tests, a quick campaign with telemetry
+# End-to-end smoke check: unit tests (and each micro-benchmark body once,
+# untimed), a quick campaign with telemetry
 # export, a parse check on the exported metrics, the execution
 # engine's determinism contract (a --jobs 2 campaign plus a warm-cache
 # rerun must reproduce the serial report byte for byte, and the warm
@@ -30,8 +31,12 @@ mkdir -p "$out_dir"
 cd "$repo_root"
 export PYTHONPATH="$repo_root/src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== 1/9 unit + property tests"
+echo "== 1/9 unit + property tests, micro-benchmark bodies once"
 python -m pytest -x -q
+# benchmarks/ is outside pytest's testpaths, so a micro-benchmark that
+# stopped measuring what it names (or stopped running) goes unnoticed:
+# run every body once with its asserts, untimed.
+python -m pytest benchmarks/test_micro.py --benchmark-disable -q
 
 echo "== 2/9 quick campaign with telemetry export"
 python -m repro campaign --quick \

@@ -48,7 +48,7 @@ class DeviceProfile:
     snapshot_fixed_s: float = 0.01
     #: marginal cost of adding one more sample to a batched forward, as a
     #: fraction of that sample's standalone cost.  The batched kernels
-    #: (im2col_batch + broadcast GEMM) amortize dispatch and weight-matrix
+    #: (batched im2col + broadcast GEMM) amortize dispatch and weight-matrix
     #: reuse across the batch; the measured smallnet batch-8 speedup is
     #: ~2.3x per image, i.e. each extra sample costs ~1/2.3 ≈ 0.45 of a
     #: solo forward.  1.0 disables amortization (a batch costs the sum of

@@ -11,8 +11,8 @@ implementations:
   pre-backend code (the equivalence suite locks this against the raw
   layer walk).
 * ``tuned`` — the reference kernels with one override: LRN in float32
-  over preallocated scratch (the reference LRN upcasts to float64; on
-  GoogLeNet that is 16.9 ms → 5.3 ms per forward).  Every other kernel —
+  (the reference LRN works in float64; on GoogLeNet's two LRN layers that
+  is ≈ 10.5 ms → ≈ 5.3 ms per forward).  Every other kernel —
   GEMM, pooling, the joins — is inherited: an override has to beat the
   base kernel in the ledger to exist (docs/PERFORMANCE.md, "Kernel
   backends").  Outputs stay within 1e-4 of the reference and preserve
@@ -38,8 +38,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.tensor import im2col as _im2col
-from repro.nn.tensor import im2col_batch as _im2col_batch
-from repro.nn.tensor import max_pool_strided, pool_patches
+from repro.nn.tensor import max_pool_strided, pool_patches, scratch
 
 #: process-wide backend choice inherited by forked pool workers
 #: (the CLI's ``--backend`` exports it while the command runs)
@@ -141,12 +140,9 @@ class KernelBackend:
 
     # -- im2col ----------------------------------------------------------------
     def im2col(self, x, kernel, stride, pad, out=None) -> np.ndarray:
+        """Unfold one ``(C, H, W)`` sample or a whole ``(N, C, H, W)`` batch."""
         self._count("im2col")
         return _im2col(x, kernel, stride, pad, out=out)
-
-    def im2col_batch(self, xs, kernel, stride, pad) -> np.ndarray:
-        self._count("im2col")
-        return _im2col_batch(xs, kernel, stride, pad)
 
     # -- activation ------------------------------------------------------------
     def relu(
@@ -165,13 +161,16 @@ class KernelBackend:
 
     # -- pooling ---------------------------------------------------------------
     def pool(self, layer, x: np.ndarray, out=None) -> np.ndarray:
-        """One pooling layer forward (the exact reference control flow)."""
+        """One pooling layer forward (the exact reference control flow).
+
+        Channels pool independently, so ``x`` may carry any number of them
+        — a batch folded into the channel axis included.
+        """
         self._count("pool")
         if layer.mode == "max" and out is not None:
-            result = max_pool_strided(
+            return max_pool_strided(
                 x, layer.kernel, layer.stride, layer.pad, out=out
             )
-            return result.reshape(layer.out_shape)
         patches, _ = pool_patches(x, layer.kernel, layer.stride, layer.pad)
         if layer.mode == "max":
             result = patches.max(axis=(1, 2))
@@ -181,9 +180,9 @@ class KernelBackend:
             finite = np.isfinite(patches)
             total = np.where(finite, patches, 0.0).sum(axis=(1, 2))
             result = total / np.maximum(finite.sum(axis=(1, 2)), 1)
-        result = result.reshape(layer.out_shape).astype(np.float32, copy=False)
+        result = result.astype(np.float32, copy=False)
         if out is not None:
-            target = out.reshape(layer.out_shape)
+            target = out.reshape(result.shape)
             np.copyto(target, result)
             return target
         return result
@@ -197,42 +196,20 @@ class KernelBackend:
 
     # -- LRN -------------------------------------------------------------------
     def lrn(self, layer, x: np.ndarray) -> np.ndarray:
-        """Across-channel LRN, one sample (reference: float64 prefix sums)."""
-        self._count("lrn")
-        channels = x.shape[0]
-        half = layer.local_size // 2
-        squared = x.astype(np.float64) ** 2
-        prefix = np.concatenate(
-            [np.zeros((1,) + x.shape[1:]), np.cumsum(squared, axis=0)], axis=0
-        )
-        lo = np.clip(np.arange(channels) - half, 0, channels)
-        hi = np.clip(np.arange(channels) + half + 1, 0, channels)
-        window_sums = prefix[hi] - prefix[lo]
-        scale = (
-            layer.k + (layer.alpha / layer.local_size) * window_sums
-        ) ** layer.beta
-        return (x / scale).astype(np.float32)
+        """Across-channel LRN, one sample: a batch of one."""
+        return self.lrn_batch(layer, x[None])[0]
 
     def lrn_batch(self, layer, xs: np.ndarray) -> np.ndarray:
-        """LRN across a batch: the per-sample math applied along axis 1."""
+        """LRN along axis 1 of ``(N, C, H, W)`` (reference: float64 prefix
+        sums, every operation in place over scratch)."""
         self._count("lrn")
-        channels = xs.shape[1]
-        half = layer.local_size // 2
-        squared = xs.astype(np.float64) ** 2
-        prefix = np.concatenate(
-            [
-                np.zeros((xs.shape[0], 1) + xs.shape[2:]),
-                np.cumsum(squared, axis=1),
-            ],
-            axis=1,
-        )
-        lo = np.clip(np.arange(channels) - half, 0, channels)
-        hi = np.clip(np.arange(channels) + half + 1, 0, channels)
-        window_sums = prefix[:, hi] - prefix[:, lo]
-        scale = (
-            layer.k + (layer.alpha / layer.local_size) * window_sums
-        ) ** layer.beta
-        return (xs / scale).astype(np.float32)
+        scale = scratch("lrn_sums", xs.shape, np.float64)
+        _lrn_window_sums(xs, layer.local_size // 2, scale)
+        scale *= layer.alpha / layer.local_size
+        scale += layer.k
+        scale **= layer.beta
+        np.divide(xs, scale, out=scale)
+        return scale.astype(np.float32)
 
     # -- joins -----------------------------------------------------------------
     def concat(
@@ -258,67 +235,58 @@ class KernelBackend:
 class TunedBackend(KernelBackend):
     """The reference kernels with a float32 LRN.
 
-    The reference LRN promotes to float64 mid-expression; on GoogLeNet
-    the two LRN layers alone are ~28% of the compiled plan's forward.
-    This backend computes it in float32 (preallocated scratch, in-place
-    ops) and inherits every other kernel unchanged.  Results are within
-    1e-4 relative error of the reference and preserve top-1 labels —
-    asserted by the equivalence suite.
+    The reference LRN works in float64; on GoogLeNet the two LRN layers
+    are ~15% of the compiled plan's forward.  This backend computes the
+    same window sums and in-place ops in float32 (half the bytes) and
+    inherits every other kernel unchanged.  Results are within 1e-4
+    relative error of the reference and preserve top-1 labels — asserted
+    by the equivalence suite.
     """
 
     name = "tuned"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._scratch: Dict[Tuple[str, Tuple[int, ...]], np.ndarray] = {}
-
-    def scratch(self, tag: str, shape: Tuple[int, ...]) -> np.ndarray:
-        """A preallocated float32 scratch buffer, reused per (tag, shape)."""
-        key = (tag, tuple(shape))
-        buffer = self._scratch.get(key)
-        if buffer is None:
-            buffer = np.empty(shape, dtype=np.float32)
-            self._scratch[key] = buffer
-        return buffer
-
-    # -- LRN -------------------------------------------------------------------
-    def lrn(self, layer, x: np.ndarray) -> np.ndarray:
-        self._count("lrn")
-        channels = x.shape[0]
-        half = layer.local_size // 2
-        squared = self.scratch("lrn_sq", x.shape)
-        np.multiply(x, x, out=squared)
-        prefix = self.scratch("lrn_prefix", (channels + 1,) + x.shape[1:])
-        prefix[0] = 0.0
-        np.cumsum(squared, axis=0, out=prefix[1:])
-        lo = np.clip(np.arange(channels) - half, 0, channels)
-        hi = np.clip(np.arange(channels) + half + 1, 0, channels)
-        scale = prefix[hi] - prefix[lo]  # fresh array: fancy indexing copies
-        scale *= np.float32(layer.alpha / layer.local_size)
-        scale += np.float32(layer.k)
-        np.power(scale, np.float32(layer.beta), out=scale)
-        np.divide(x, scale, out=scale)
-        return scale
-
     def lrn_batch(self, layer, xs: np.ndarray) -> np.ndarray:
         self._count("lrn")
-        channels = xs.shape[1]
-        half = layer.local_size // 2
-        squared = self.scratch("lrn_sq_b", xs.shape)
-        np.multiply(xs, xs, out=squared)
-        prefix = self.scratch(
-            "lrn_prefix_b", (xs.shape[0], channels + 1) + xs.shape[2:]
-        )
-        prefix[:, 0] = 0.0
-        np.cumsum(squared, axis=1, out=prefix[:, 1:])
-        lo = np.clip(np.arange(channels) - half, 0, channels)
-        hi = np.clip(np.arange(channels) + half + 1, 0, channels)
-        scale = prefix[:, hi] - prefix[:, lo]
+        scale = np.empty(xs.shape, dtype=np.float32)
+        _lrn_window_sums(xs, layer.local_size // 2, scale)
         scale *= np.float32(layer.alpha / layer.local_size)
         scale += np.float32(layer.k)
         np.power(scale, np.float32(layer.beta), out=scale)
         np.divide(xs, scale, out=scale)
         return scale
+
+
+def _lrn_window_sums(xs: np.ndarray, half: int, sums: np.ndarray) -> None:
+    """Across-channel sliding sums of ``xs ** 2`` (axis 1), in ``sums``'s dtype.
+
+    ``sums[:, c]`` is the sum over channels ``c - half .. c + half`` clipped
+    to the tensor, taken as a difference of running prefix sums (built in
+    place over scratch): one slice subtraction for the channels whose
+    window fits, one row subtraction for each of the ``<= 2 * half`` that
+    are clipped.
+    """
+    channels = xs.shape[1]
+    prefix = scratch(
+        "lrn_prefix", (xs.shape[0], channels + 1) + xs.shape[2:], sums.dtype
+    )
+    prefix[:, 0] = 0.0
+    running = prefix[:, 1:]
+    np.multiply(xs, xs, out=running, dtype=sums.dtype)
+    np.cumsum(running, axis=1, out=running)
+    fitting = channels - 2 * half
+    if fitting > 0:
+        np.subtract(
+            prefix[:, 2 * half + 1 :],
+            prefix[:, :fitting],
+            out=sums[:, half : channels - half],
+        )
+    left = min(half, channels)
+    for c in (*range(left), *range(max(channels - half, left), channels)):
+        np.subtract(
+            prefix[:, min(c + half + 1, channels)],
+            prefix[:, max(c - half, 0)],
+            out=sums[:, c],
+        )
 
 
 _REGISTRY = {

@@ -1,13 +1,12 @@
 """Convolutional layer (im2col + matmul), Caffe semantics.
 
-Forward passes reuse two per-layer caches (built lazily, shared safely
-because the simulator is single-threaded per process):
-
-* the pre-reshaped, contiguous per-group matmul operands (weight matrix
-  plus bias column) — rebuilding them every ``forward`` was pure overhead,
-  and for grouped convolution (AlexNet-style) it meant a slice + reshape +
-  copy per group per call;
-* the im2col scratch buffer for each input shape the layer has seen.
+Forward passes reuse a per-layer cache (built lazily, shared safely
+because the simulator is single-threaded per process): the pre-reshaped,
+contiguous per-group matmul operands (weight matrix plus bias column) —
+rebuilding them every ``forward`` was pure overhead, and for grouped
+convolution (AlexNet-style) it meant a slice + reshape + copy per group per
+call.  The im2col columns go through the process-wide
+:func:`repro.nn.tensor.scratch`, not a buffer per layer.
 
 The operand cache invalidates when ``params["weight"]`` or
 ``params["bias"]`` is *replaced* (how every loader and quantizer in this
@@ -20,13 +19,13 @@ stale results, both cached source arrays are frozen (``writeable=False``)
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.backend import active_backend
 from repro.nn.layers.base import Layer, LayerShapeError, Shape
-from repro.nn.tensor import conv_output_hw
+from repro.nn.tensor import conv_output_hw, scratch
 from repro.sim import SeededRng
 
 
@@ -69,7 +68,6 @@ class ConvLayer(Layer):
         self._weight_ref: Optional["weakref.ref"] = None
         self._bias_ref: Optional["weakref.ref"] = None
         self._operands: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
-        self._col_buffers: Dict[Tuple[int, ...], np.ndarray] = {}
 
     def infer_shape(self, input_shape: Shape) -> Shape:
         if len(input_shape) != 3:
@@ -146,14 +144,11 @@ class ConvLayer(Layer):
             bias.flags.writeable = False
         return self._operands
 
-    def _cols_buffer(self, channels: int, out_h: int, out_w: int) -> np.ndarray:
-        """Scratch im2col buffer, reused across forwards of one shape."""
-        shape = (channels, self.kernel, self.kernel, out_h, out_w)
-        buffer = self._col_buffers.get(shape)
-        if buffer is None:
-            buffer = np.empty(shape, dtype=np.float32)
-            self._col_buffers[shape] = buffer
-        return buffer
+    def cols_scratch(self, *lead: int) -> np.ndarray:
+        """The shared im2col scratch, shaped for a ``(*lead, H, W)`` input."""
+        return scratch(
+            "cols", lead + (self.kernel, self.kernel) + self.out_shape[1:]
+        )
 
     def init_params(self, rng: SeededRng) -> None:
         self.invalidate_param_cache()
@@ -176,17 +171,16 @@ class ConvLayer(Layer):
         self.check_input(x)
         backend = active_backend()
         operands = self._group_operands()
-        _, out_h, out_w = self.out_shape
         if self.groups == 1:
             matrix, bias = operands[0]
-            buffer = self._cols_buffer(x.shape[0], out_h, out_w)
+            buffer = self.cols_scratch(x.shape[0])
             cols = backend.im2col(x, self.kernel, self.stride, self.pad, out=buffer)
             out = backend.gemm(matrix, cols) + bias
             return out.reshape(self.out_shape).astype(np.float32, copy=False)
         # Grouped convolution (AlexNet-style): each filter group only sees
         # its slice of the input channels.
         per_in = self._channels_per_group
-        buffer = self._cols_buffer(per_in, out_h, out_w)
+        buffer = self.cols_scratch(per_in)
         outputs = []
         for group, (matrix, bias) in enumerate(operands):
             x_slice = x[group * per_in : (group + 1) * per_in]

@@ -156,41 +156,63 @@ class Model:
             raise ValueError(f"model {name!r} needs a built network")
         self.name = name
         self.network = network
-        self._files: Optional[List[ModelFile]] = None
+        #: (parameter witnesses, manifest, model id) as last derived
+        self._manifest_memo: Optional[Tuple[list, List[ModelFile], str]] = None
 
     # -- identity / files --------------------------------------------------------
     def description_json(self) -> str:
         return json.dumps(self.network.describe(), sort_keys=True)
 
-    def files(self) -> List[ModelFile]:
-        """The model's file manifest (computed once, then cached)."""
-        if self._files is None:
-            manifest: List[ModelFile] = []
-            description = self.description_json().encode("utf-8")
-            manifest.append(
-                ModelFile(
-                    name=f"{self.name}.json",
-                    kind="description",
-                    size_bytes=len(description),
-                    checksum=_checksum(description),
-                )
+    def _manifest(self) -> Tuple[List[ModelFile], str]:
+        """The file manifest and the model id derived from it.
+
+        Valid while every parameter array it was derived from is still
+        installed (the rule of ``ExecutionPlan.is_valid``), so both follow
+        replaced parameters the way :meth:`fingerprint` does; re-deriving
+        hashes only the layers whose blobs changed (:meth:`_parameter_file`).
+        """
+        memo = self._manifest_memo
+        if memo is not None and all(
+            layer.params.get(key) is array for layer, key, array in memo[0]
+        ):
+            return memo[1], memo[2]
+        witnesses = [
+            (layer, key, array)
+            for layer in _layer_table(self.network)
+            for key, array in layer.params.items()
+        ]
+        description = self.description_json().encode("utf-8")
+        manifest = [
+            ModelFile(
+                name=f"{self.name}.json",
+                kind="description",
+                size_bytes=len(description),
+                checksum=_checksum(description),
             )
-            for layer in self.network.layers:
-                blobs = self._layer_blobs(layer)
-                if not blobs:
-                    continue
-                raw = b"".join(blob.tobytes() for _, blob in sorted(blobs.items()))
+        ]
+        for layer in self.network.layers:
+            parameter_file = self._parameter_file(layer)
+            if parameter_file is not None:
+                _, raw_bytes, checksum = parameter_file
                 manifest.append(
                     ModelFile(
                         name=f"{self.name}.{layer.name}.bin",
                         kind="parameters",
-                        size_bytes=len(raw) + BLOB_HEADER_BYTES,
-                        checksum=_checksum(raw),
+                        size_bytes=raw_bytes + BLOB_HEADER_BYTES,
+                        checksum=checksum,
                         layer_name=layer.name,
                     )
                 )
-            self._files = manifest
-        return list(self._files)
+        digest = hashlib.sha1()
+        for file in manifest:
+            digest.update(file.checksum.encode("ascii"))
+        model_id = f"{self.name}:{digest.hexdigest()[:12]}"
+        self._manifest_memo = (witnesses, manifest, model_id)
+        return manifest, model_id
+
+    def files(self) -> List[ModelFile]:
+        """The model's file manifest (memoised per layer by array identity)."""
+        return list(self._manifest()[0])
 
     @staticmethod
     def _layer_blobs(layer: Layer) -> Dict[str, np.ndarray]:
@@ -199,12 +221,40 @@ class Model:
             return param_arrays()
         return dict(layer.params)
 
+    @staticmethod
+    def _parameter_file(layer: Layer) -> Optional[Tuple[tuple, int, str]]:
+        """``(arrays, raw_bytes, checksum)`` of a layer's parameter file.
+
+        ``None`` for a layer without parameters.  The checksum is the sha1
+        of the blobs' bytes in key order; hashing GoogLeNet's 27 MB takes
+        ~25 ms, so the triple is remembered *on the layer* for as long as
+        every blob is the identical array (parameters are replaced, never
+        mutated in place — the convention ``network_params_digest`` relies
+        on).  Split halves and re-built ``Model``s share the layer objects
+        and hash nothing; a replaced blob re-hashes its own layer only.
+        """
+        blobs = Model._layer_blobs(layer)
+        if not blobs:
+            return None
+        memo = getattr(layer, "_parameter_file_memo", None)
+        if (
+            memo is None
+            or len(memo[0]) != len(blobs)
+            or not all(a is b for a, b in zip(memo[0], blobs.values()))
+        ):
+            digest = hashlib.sha1()
+            for _, blob in sorted(blobs.items()):
+                digest.update(np.ascontiguousarray(blob))
+            memo = layer._parameter_file_memo = (
+                tuple(blobs.values()),
+                sum(blob.nbytes for blob in blobs.values()),
+                digest.hexdigest()[:16],
+            )
+        return memo
+
     @property
     def model_id(self) -> str:
-        digest = hashlib.sha1()
-        for file in self.files():
-            digest.update(file.checksum.encode("ascii"))
-        return f"{self.name}:{digest.hexdigest()[:12]}"
+        return self._manifest()[1]
 
     def fingerprint(self) -> str:
         """Content fingerprint of the network structure and every parameter.

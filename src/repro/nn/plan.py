@@ -93,7 +93,6 @@ from repro.nn.layers.io import InputLayer
 from repro.nn.layers.normalization import LRNLayer
 from repro.nn.layers.pool import PoolLayer
 from repro.nn.quantize import quantize_linear_per_channel
-from repro.nn.tensor import im2col, im2col_batch, max_pool_strided
 
 
 class PlanGraphError(RuntimeError):
@@ -200,7 +199,7 @@ class ConvStep(PlanStep):
         out2d = out.reshape(filters, positions)
         if layer.groups == 1:
             matrix, bias = self.operands[0]
-            buffer = layer._cols_buffer(x.shape[0], out_h, out_w)
+            buffer = layer.cols_scratch(x.shape[0])
             cols = backend.im2col(
                 x, layer.kernel, layer.stride, layer.pad, out=buffer
             )
@@ -209,7 +208,7 @@ class ConvStep(PlanStep):
         else:
             per_in = x.shape[0] // layer.groups
             per_out = filters // layer.groups
-            buffer = layer._cols_buffer(per_in, out_h, out_w)
+            buffer = layer.cols_scratch(per_in)
             for group, (matrix, bias) in enumerate(self.operands):
                 x_slice = x[group * per_in : (group + 1) * per_in]
                 cols = backend.im2col(
@@ -231,17 +230,21 @@ class ConvStep(PlanStep):
         positions = out_h * out_w
         if layer.groups == 1:
             matrix, bias = self.operands[0]
-            cols = backend.im2col_batch(xs, layer.kernel, layer.stride, layer.pad)
+            cols = backend.im2col(
+                xs, layer.kernel, layer.stride, layer.pad,
+                out=layer.cols_scratch(count, xs.shape[1]),
+            )
             out = backend.gemm(matrix, cols)  # (N, F, P) via broadcast
             out += bias
         else:
             per_in = xs.shape[1] // layer.groups
             per_out = filters // layer.groups
             out = np.empty((count, filters, positions), dtype=np.float32)
+            buffer = layer.cols_scratch(count, per_in)
             for group, (matrix, bias) in enumerate(self.operands):
-                cols = backend.im2col_batch(
+                cols = backend.im2col(
                     xs[:, group * per_in : (group + 1) * per_in],
-                    layer.kernel, layer.stride, layer.pad,
+                    layer.kernel, layer.stride, layer.pad, out=buffer,
                 )
                 target = out[:, group * per_out : (group + 1) * per_out]
                 backend.gemm(matrix, cols, out=target)
@@ -322,12 +325,9 @@ class PoolStep(PlanStep):
         layer = self.layer
         if layer.mode == "max":
             return self.backend.max_pool_batch(layer, xs)
-        return np.stack(
-            [
-                self.backend.pool(layer, xs[index], None)
-                for index in range(xs.shape[0])
-            ]
-        )
+        # Channels average independently: fold the batch into them.
+        pooled = self.backend.pool(layer, xs.reshape((-1,) + xs.shape[2:]))
+        return pooled.reshape((xs.shape[0],) + self.out_shape)
 
 
 class ReLUStep(PlanStep):

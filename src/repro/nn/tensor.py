@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,27 @@ Shape3 = Tuple[int, int, int]
 #: value.  With 18 the GoogLeNet features measure 14.5 MB after 1st_conv and
 #: 3.6 MB after 1st_pool, bracketing the paper's 14.7 / 2.9 MB.
 TEXT_BYTES_PER_VALUE = 18
+
+#: the process-wide kernel scratch, one grow-only byte buffer per tag
+_SCRATCH: Dict[str, np.ndarray] = {}
+
+
+def scratch(tag: str, shape: Tuple[int, ...], dtype=np.float32) -> np.ndarray:
+    """An uninitialized ``shape`` array over the process-wide ``tag`` buffer.
+
+    There is one buffer per *tag* (im2col columns, LRN prefix sums, LRN
+    window sums, pooled rows), grown to the largest request ever made and
+    shared by every layer and shape — so consecutive kernels stream through
+    the same cache-hot bytes instead of one cold buffer each.  Contents are
+    valid only inside the kernel call that took them (the next request for
+    the tag hands out the same bytes), and nothing a kernel returns may
+    alias them.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buffer = _SCRATCH.get(tag)
+    if buffer is None or buffer.nbytes < nbytes:
+        buffer = _SCRATCH[tag] = np.empty(nbytes, dtype=np.uint8)
+    return buffer[:nbytes].view(dtype).reshape(shape)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -72,14 +93,14 @@ def pool_output_hw(
 
 
 def pad_chw(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad height and width of a (C, H, W) tensor."""
+    """Zero-pad height and width of a (..., H, W) tensor."""
     if pad == 0:
         return x
-    channels, height, width = x.shape
+    height, width = x.shape[-2:]
     padded = np.zeros(
-        (channels, height + 2 * pad, width + 2 * pad), dtype=x.dtype
+        x.shape[:-2] + (height + 2 * pad, width + 2 * pad), dtype=x.dtype
     )
-    padded[:, pad : pad + height, pad : pad + width] = x
+    padded[..., pad : pad + height, pad : pad + width] = x
     return padded
 
 
@@ -93,67 +114,36 @@ def im2col(
     """Unfold a (C, H, W) tensor into columns for matmul convolution.
 
     Returns an array shaped ``(C * kernel * kernel, out_h * out_w)`` whose
-    column ``j`` holds the receptive field of output position ``j``.
+    column ``j`` holds the receptive field of output position ``j``.  A
+    batch ``(N, C, H, W)`` unfolds to ``(N, C * kernel * kernel, out_h *
+    out_w)`` — per sample the same bits, but each receptive-field copy
+    moves all N samples at once, amortizing the per-slice overhead that
+    dominates small convolutions.
 
-    ``out`` lets a caller reuse a scratch buffer across forwards of the
-    same shape (it must hold ``C * kernel² * out_h * out_w`` elements of
-    ``x``'s dtype); the returned array is then a view into it, valid until
-    the next call that reuses the buffer.
+    ``out`` lets a caller reuse a scratch buffer (it must hold ``[N *] C *
+    kernel² * out_h * out_w`` elements of ``x``'s dtype); the returned
+    array is then a view into it, valid until the next call that reuses
+    the buffer.
     """
-    channels, height, width = x.shape
+    lead = x.shape[:-2]
+    height, width = x.shape[-2:]
     out_h, out_w = conv_output_hw(height, width, kernel, stride, pad)
     padded = pad_chw(x, pad)
+    shape = lead + (kernel, kernel, out_h, out_w)
     if out is None:
-        cols = np.empty(
-            (channels, kernel, kernel, out_h, out_w), dtype=padded.dtype
-        )
+        cols = np.empty(shape, dtype=padded.dtype)
     else:
-        if out.size != channels * kernel * kernel * out_h * out_w:
+        if out.size != math.prod(shape):
             raise ValueError(
-                f"im2col buffer holds {out.size} elements, need "
-                f"{channels * kernel * kernel * out_h * out_w}"
+                f"im2col buffer holds {out.size} elements, need {math.prod(shape)}"
             )
-        cols = out.reshape(channels, kernel, kernel, out_h, out_w)
+        cols = out.reshape(shape)
     for ky in range(kernel):
         y_end = ky + stride * out_h
         for kx in range(kernel):
             x_end = kx + stride * out_w
-            cols[:, ky, kx, :, :] = padded[:, ky:y_end:stride, kx:x_end:stride]
-    return cols.reshape(channels * kernel * kernel, out_h * out_w)
-
-
-def im2col_batch(
-    xs: np.ndarray,
-    kernel: int,
-    stride: int,
-    pad: int,
-) -> np.ndarray:
-    """Unfold a batch of ``(N, C, H, W)`` tensors into stacked columns.
-
-    Returns ``(N, C * kernel * kernel, out_h * out_w)`` — per-sample
-    identical (bit for bit) to :func:`im2col`, but each receptive-field
-    copy moves all N samples at once, amortizing the per-slice overhead
-    that dominates small convolutions.
-    """
-    count, channels, height, width = xs.shape
-    out_h, out_w = conv_output_hw(height, width, kernel, stride, pad)
-    if pad:
-        padded = np.zeros(
-            (count, channels, height + 2 * pad, width + 2 * pad),
-            dtype=xs.dtype,
-        )
-        padded[:, :, pad : pad + height, pad : pad + width] = xs
-    else:
-        padded = xs
-    cols = np.empty(
-        (count, channels, kernel, kernel, out_h, out_w), dtype=xs.dtype
-    )
-    for ky in range(kernel):
-        y_end = ky + stride * out_h
-        for kx in range(kernel):
-            x_end = kx + stride * out_w
-            cols[:, :, ky, kx] = padded[:, :, ky:y_end:stride, kx:x_end:stride]
-    return cols.reshape(count, channels * kernel * kernel, out_h * out_w)
+            cols[..., ky, kx, :, :] = padded[..., ky:y_end:stride, kx:x_end:stride]
+    return cols.reshape(lead[:-1] + (lead[-1] * kernel * kernel, out_h * out_w))
 
 
 def _window_slices(
@@ -213,13 +203,15 @@ def max_pool_strided(
     pad: int = 0,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Max pooling as ``kernel²`` strided in-place maxima (no patch stack).
+    """Max pooling as ``2 * kernel`` strided in-place maxima (no patch stack).
 
+    Separable: the window rows are reduced first (whole contiguous image
+    rows) into a ``(C, out_h, W)`` scratch, then the window columns.
     Bitwise-identical to reducing :func:`pool_patches` with ``max`` — the
     maximum of the same window values is exact whatever the evaluation
-    order — but touches each input element once per covering window instead
-    of materializing the ``(C, k, k, out_h, out_w)`` stack, which dominated
-    GoogLeNet's forward profile.
+    order (only a tie between ``+0.0`` and ``-0.0``, or between NaNs of
+    different payloads, is decided by it) — without materializing the
+    ``(C, k, k, out_h, out_w)`` stack.
 
     ``out`` lets a caller reuse an output buffer across forwards (it must
     hold ``C * out_h * out_w`` float32 elements); the returned array is a
@@ -237,19 +229,35 @@ def max_pool_strided(
                 f"{channels * out_h * out_w}"
             )
         result = out.reshape(channels, out_h, out_w)
-    result.fill(-np.inf)
-    columns = [
-        _window_slices(kx - pad, stride, width, out_w) for kx in range(kernel)
-    ]
-    for ky in range(kernel):
-        rows = _window_slices(ky - pad, stride, height, out_h)
-        if rows is None:
-            continue
-        for cols in columns:
-            if cols is not None:
-                target = result[:, rows[0], cols[0]]
-                np.maximum(target, x[:, rows[1], cols[1]], out=target)
+    rows = scratch("pool_rows", (channels, out_h, width))
+    _max_windows(x, rows, kernel, stride, pad)
+    _max_windows(
+        rows.transpose(0, 2, 1), result.transpose(0, 2, 1), kernel, stride, pad
+    )
     return result
+
+
+def _max_windows(
+    source: np.ndarray, target: np.ndarray, kernel: int, stride: int, pad: int
+) -> None:
+    """``target[:, i]`` = the maximum of ``source[:, i * stride - pad + k]``
+    over the window offsets ``k`` that fall inside ``source``."""
+    windows = [
+        _window_slices(k - pad, stride, source.shape[1], target.shape[1])
+        for k in range(kernel)
+    ]
+    # An offset that reaches every cell starts the reduction as a plain
+    # copy; without one (windows wholly in the padding) start from -inf.
+    whole = slice(0, target.shape[1])
+    first = next((w for w in windows if w is not None and w[0] == whole), None)
+    if first is None:
+        target.fill(-np.inf)
+    else:
+        np.copyto(target, source[:, first[1]])
+    for window in windows:
+        if window is not None and window is not first:
+            cells = target[:, window[0]]
+            np.maximum(cells, source[:, window[1]], out=cells)
 
 
 def element_count(shape: Shape3) -> int:

@@ -37,10 +37,22 @@ from repro.nn.backend import (
     get_backend,
     set_backend,
 )
+from repro.nn import tensor as tensor_module
 from repro.nn.layers.conv import ConvLayer
 from repro.nn.layers.dense import FCLayer
+from repro.nn.layers.io import InputLayer
+from repro.nn.layers.normalization import LRNLayer
+from repro.nn.layers.pool import PoolLayer
+from repro.nn.network import Network
+from repro.nn.plan import ConvStep, PoolStep
 from repro.nn.quantize import packed_feature_bytes, quantize_linear_per_channel
-from repro.nn.tensor import pad_chw, pool_output_hw, pool_patches
+from repro.nn.tensor import (
+    _window_slices,
+    max_pool_strided,
+    pad_chw,
+    pool_output_hw,
+    pool_patches,
+)
 from repro.nn.zoo import build_model
 from repro.obs import MetricsRegistry
 from repro.sim import SeededRng
@@ -229,6 +241,388 @@ class TestPoolingWindows:
         for new_out, old_out in zip(new, old):
             assert new_out.dtype == old_out.dtype
             assert np.array_equal(new_out, old_out)
+
+
+# -- the kernels as they were before the in-place LRN and the separable
+# -- max-pool, kept verbatim as oracles ---------------------------------------
+
+
+def parent_lrn(self, layer, x):
+    """Across-channel LRN, one sample (reference: float64 prefix sums)."""
+    self._count("lrn")
+    channels = x.shape[0]
+    half = layer.local_size // 2
+    squared = x.astype(np.float64) ** 2
+    prefix = np.concatenate(
+        [np.zeros((1,) + x.shape[1:]), np.cumsum(squared, axis=0)], axis=0
+    )
+    lo = np.clip(np.arange(channels) - half, 0, channels)
+    hi = np.clip(np.arange(channels) + half + 1, 0, channels)
+    window_sums = prefix[hi] - prefix[lo]
+    scale = (
+        layer.k + (layer.alpha / layer.local_size) * window_sums
+    ) ** layer.beta
+    return (x / scale).astype(np.float32)
+
+
+def parent_lrn_batch(self, layer, xs):
+    """LRN across a batch: the per-sample math applied along axis 1."""
+    self._count("lrn")
+    channels = xs.shape[1]
+    half = layer.local_size // 2
+    squared = xs.astype(np.float64) ** 2
+    prefix = np.concatenate(
+        [
+            np.zeros((xs.shape[0], 1) + xs.shape[2:]),
+            np.cumsum(squared, axis=1),
+        ],
+        axis=1,
+    )
+    lo = np.clip(np.arange(channels) - half, 0, channels)
+    hi = np.clip(np.arange(channels) + half + 1, 0, channels)
+    window_sums = prefix[:, hi] - prefix[:, lo]
+    scale = (
+        layer.k + (layer.alpha / layer.local_size) * window_sums
+    ) ** layer.beta
+    return (xs / scale).astype(np.float32)
+
+
+def parent_tuned_lrn(self, layer, x):
+    self._count("lrn")
+    channels = x.shape[0]
+    half = layer.local_size // 2
+    squared = np.empty(x.shape, dtype=np.float32)
+    np.multiply(x, x, out=squared)
+    prefix = np.empty((channels + 1,) + x.shape[1:], dtype=np.float32)
+    prefix[0] = 0.0
+    np.cumsum(squared, axis=0, out=prefix[1:])
+    lo = np.clip(np.arange(channels) - half, 0, channels)
+    hi = np.clip(np.arange(channels) + half + 1, 0, channels)
+    scale = prefix[hi] - prefix[lo]  # fresh array: fancy indexing copies
+    scale *= np.float32(layer.alpha / layer.local_size)
+    scale += np.float32(layer.k)
+    np.power(scale, np.float32(layer.beta), out=scale)
+    np.divide(x, scale, out=scale)
+    return scale
+
+
+def parent_tuned_lrn_batch(self, layer, xs):
+    self._count("lrn")
+    channels = xs.shape[1]
+    half = layer.local_size // 2
+    squared = np.empty(xs.shape, dtype=np.float32)
+    np.multiply(xs, xs, out=squared)
+    prefix = np.empty(
+        (xs.shape[0], channels + 1) + xs.shape[2:], dtype=np.float32
+    )
+    prefix[:, 0] = 0.0
+    np.cumsum(squared, axis=1, out=prefix[:, 1:])
+    lo = np.clip(np.arange(channels) - half, 0, channels)
+    hi = np.clip(np.arange(channels) + half + 1, 0, channels)
+    scale = prefix[:, hi] - prefix[:, lo]
+    scale *= np.float32(layer.alpha / layer.local_size)
+    scale += np.float32(layer.k)
+    np.power(scale, np.float32(layer.beta), out=scale)
+    np.divide(xs, scale, out=scale)
+    return scale
+
+
+def parent_max_pool_strided(x, kernel, stride, pad=0, out=None):
+    """Max pooling as ``kernel²`` strided in-place maxima (no patch stack)."""
+    channels, height, width = x.shape
+    out_h, out_w = pool_output_hw(height, width, kernel, stride, pad)
+    if out is None:
+        result = np.empty((channels, out_h, out_w), dtype=np.float32)
+    else:
+        if out.size != channels * out_h * out_w:
+            raise ValueError(
+                f"max_pool buffer holds {out.size} elements, need "
+                f"{channels * out_h * out_w}"
+            )
+        result = out.reshape(channels, out_h, out_w)
+    result.fill(-np.inf)
+    columns = [
+        _window_slices(kx - pad, stride, width, out_w) for kx in range(kernel)
+    ]
+    for ky in range(kernel):
+        rows = _window_slices(ky - pad, stride, height, out_h)
+        if rows is None:
+            continue
+        for cols in columns:
+            if cols is not None:
+                target = result[:, rows[0], cols[0]]
+                np.maximum(target, x[:, rows[1], cols[1]], out=target)
+    return result
+
+
+def same_bits(left, right):
+    """Equal dtype, shape and bit patterns (so NaN == NaN and 0.0 != -0.0)."""
+    return (
+        left.dtype == right.dtype == np.float32
+        and left.shape == right.shape
+        and np.array_equal(
+            np.ascontiguousarray(left).view(np.uint32),
+            np.ascontiguousarray(right).view(np.uint32),
+        )
+    )
+
+
+@st.composite
+def lrn_cases(draw):
+    """(layer, xs, layout): a ``(N, C, H, W)`` batch whose values span
+    1e-30 … 1e30 with ±0.0 mixed in, windows wider than the tensor included,
+    laid out contiguously, as a strided view or as a slice of a flat arena."""
+    layer = LRNLayer("n", local_size=draw(st.sampled_from([1, 3, 5, 7])))
+    shape = (
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 40)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 4)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = (
+        rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-30, 30, shape)
+    ).astype(np.float32)
+    values[rng.random(shape) < 0.1] = 0.0
+    values[rng.random(shape) < 0.1] = -0.0
+    layout = draw(st.sampled_from(["contiguous", "strided", "arena"]))
+    if layout == "strided":
+        wide = np.zeros(shape[:3] + (2 * shape[3],), dtype=np.float32)
+        wide[..., ::2] = values
+        values = wide[..., ::2]
+    elif layout == "arena":
+        arena = np.zeros(values.size + 5, dtype=np.float32)
+        arena[3 : 3 + values.size] = values.ravel()
+        values = arena[3 : 3 + values.size].reshape(shape)
+    return layer, values
+
+
+@st.composite
+def max_pool_cases(draw):
+    """(x, kernel, stride, pad) with NaN, +inf and -inf cells."""
+    kernel = draw(st.integers(1, 7))
+    stride = draw(st.integers(1, 4))
+    pad = draw(st.integers(0, 3))
+    height = draw(st.integers(max(1, kernel - 2 * pad), 11))
+    width = draw(st.integers(max(1, kernel - 2 * pad), 11))
+    channels = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.normal(size=(channels, height, width)).astype(np.float32)
+    for value in (np.nan, np.inf, -np.inf):
+        x[rng.random(x.shape) < 0.08] = value
+    return x, kernel, stride, pad
+
+
+class TestInPlaceLrnAndSeparablePool:
+    """The in-place LRN and the separable max-pool return the bits the
+    kernels they replaced returned."""
+
+    @given(lrn_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_lrn_equals_parent_kernels(self, case):
+        layer, xs = case
+        for backend, single, batch in (
+            (KernelBackend(), parent_lrn, parent_lrn_batch),
+            (TunedBackend(), parent_tuned_lrn, parent_tuned_lrn_batch),
+        ):
+            with np.errstate(all="ignore"):
+                assert same_bits(
+                    backend.lrn_batch(layer, xs), batch(backend, layer, xs)
+                )
+                assert same_bits(
+                    backend.lrn(layer, xs[0]), single(backend, layer, xs[0])
+                )
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(64, 56, 56), (192, 56, 56), (16, 14, 14), (96, 27, 27), (256, 13, 13)],
+    )
+    def test_lrn_equals_parent_kernels_at_zoo_shapes(self, shape):
+        x = SeededRng(3, "lrn").uniform_array(shape, 0, 255)
+        layer = LRNLayer("n")
+        assert same_bits(
+            KernelBackend().lrn(layer, x), parent_lrn(KernelBackend(), layer, x)
+        )
+        assert same_bits(
+            TunedBackend().lrn(layer, x),
+            parent_tuned_lrn(TunedBackend(), layer, x),
+        )
+
+    @given(max_pool_cases(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_max_pool_equals_parent_kernel_and_definition(self, case, given_out):
+        x, kernel, stride, pad = case
+        expected = parent_max_pool_strided(x, kernel, stride, pad)
+        out = np.full(expected.size, 7.0, dtype=np.float32) if given_out else None
+        pooled = max_pool_strided(x, kernel, stride, pad, out=out)
+        assert same_bits(pooled, expected)
+        assert same_bits(
+            pooled, pool_patches(x, kernel, stride, pad)[0].max(axis=(1, 2))
+        )
+        if given_out:
+            assert np.shares_memory(pooled, out)
+
+    @given(max_pool_cases(), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_batched_average_pool_equals_per_item(self, case, count):
+        """Folding the batch into the channel axis reduces every channel as
+        the per-item path does — non-finite cells (skipped by the average's
+        ``isfinite`` count) included."""
+        x, kernel, stride, pad = case
+        rng = np.random.default_rng(count)
+        xs = np.stack([x] + [rng.permuted(x, axis=0) for _ in range(count - 1)])
+        layer = PoolLayer("avg", kernel, stride, pad, mode="avg")
+        layer.build(x.shape, SeededRng(0, "avg"))
+        step = PoolStep("avg", [(0, layer, True)], layer)
+        with np.errstate(all="ignore"):
+            pooled = step.run_batch([xs])
+            assert pooled.shape == (count,) + layer.out_shape
+            for index in range(count):
+                assert same_bits(pooled[index], step.backend.pool(layer, xs[index]))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["smallnet", "tinynet", "alexnet", "agenet", "resnet-mini", "googlenet"],
+    )
+    def test_zoo_outputs_unchanged_by_the_kernels(self, name, monkeypatch):
+        model = build_model(name)
+        network = model.network
+        x = model_input(model)
+        batch = np.stack([model_input(model, seed) for seed in (7, 8, 9)])
+
+        def outputs(backend):
+            set_backend(backend)
+            floats = [
+                network.forward(x),
+                network.forward_reference(x),
+                network.forward_batch(batch),
+            ]
+            if backend == "tuned":
+                return floats
+            int8 = network.plan_for(quantize_bits=8)
+            return floats + [int8.forward(x), int8.forward_batch(batch)]
+
+        new = {backend: outputs(backend) for backend in backend_names()}
+        # Kernels are looked up per call, so the memoised plans pick these up.
+        monkeypatch.setattr(KernelBackend, "lrn", parent_lrn)
+        monkeypatch.setattr(KernelBackend, "lrn_batch", parent_lrn_batch)
+        monkeypatch.setattr(TunedBackend, "lrn", parent_tuned_lrn, raising=False)
+        monkeypatch.setattr(TunedBackend, "lrn_batch", parent_tuned_lrn_batch)
+        monkeypatch.setattr(
+            backend_module, "max_pool_strided", parent_max_pool_strided
+        )
+        for backend in backend_names():
+            for new_out, old_out in zip(new[backend], outputs(backend)):
+                assert same_bits(new_out, old_out)
+
+
+class TestScratch:
+    """One grow-only buffer per tag; nothing returned aliases one."""
+
+    @staticmethod
+    def aliases_scratch(array):
+        return any(
+            np.shares_memory(array, buffer)
+            for buffer in tensor_module._SCRATCH.values()
+        )
+
+    def test_kernel_results_do_not_alias_scratch(self):
+        network = Network(
+            "scratch",
+            [
+                InputLayer((4, 9, 9)),
+                ConvLayer("conv", 6, kernel=3, pad=1),
+                LRNLayer("lrn"),
+                PoolLayer("max", kernel=3, stride=2),
+                ConvLayer("grouped", 4, kernel=3, pad=1, groups=2),
+                PoolLayer("avg", kernel=2, stride=2, mode="avg"),
+            ],
+        )
+        network.build(SeededRng(1, "scratch"))
+        rng = SeededRng(2, "scratch/x")
+        results = []
+        for name in backend_names():
+            set_backend(name)
+            backend = get_backend(name)
+            plan = network.plan_for()
+            assert [step.kind for step in plan.steps] == [
+                "conv", "lrn", "pool", "conv", "pool",
+            ]
+            x = rng.normal_array(network.input_shape)
+            results += [plan.forward(x), plan.forward_batch(np.stack([x, x + 1]))]
+            for step in plan.steps:
+                x = rng.normal_array(step.layer.input_shape)
+                xs = np.stack([x, x + 1])
+                out = np.empty(step.out_shape, dtype=np.float32)
+                results += [
+                    step.run([x], out if step.arena else None),
+                    step.run_batch([xs]),
+                    step.layer.forward(x),
+                ]
+                if step.kind == "lrn":
+                    results.append(backend.lrn_batch(step.layer, xs))
+                if step.kind == "pool":
+                    results.append(backend.pool(step.layer, x))
+                if step.kind == "pool" and step.layer.mode == "max":
+                    results.append(backend.max_pool_batch(step.layer, xs))
+        assert set(tensor_module._SCRATCH) >= {
+            "cols", "lrn_prefix", "lrn_sums", "pool_rows",
+        }
+        assert not any(self.aliases_scratch(result) for result in results)
+
+    def test_interleaved_kernels_give_what_they_give_alone(self):
+        rng = SeededRng(4, "interleave")
+        convs = []
+        for index, (shape, filters, kernel) in enumerate(
+            [((3, 12, 12), 5, 3), ((8, 7, 7), 4, 5)]
+        ):
+            layer = ConvLayer(f"c{index}", filters, kernel=kernel, pad=1)
+            layer.build(shape, rng.child(f"c{index}"))
+            convs.append((layer, rng.normal_array(shape)))
+        lrn = LRNLayer("n")
+        lrn_inputs = [rng.normal_array((7, 5, 5)), rng.normal_array((12, 3, 4))]
+        backend = get_backend("reference")
+        tensor_module._SCRATCH.clear()
+        alone = []
+        for layer, x in convs:
+            alone.append(layer.forward(x))
+            tensor_module._SCRATCH.clear()
+        for x in lrn_inputs:
+            alone.append(backend.lrn(lrn, x))
+            tensor_module._SCRATCH.clear()
+        together = []
+        for _ in range(2):  # second lap runs over the other kernel's leftovers
+            together = [layer.forward(x) for layer, x in reversed(convs)][::-1]
+            together += [backend.lrn(lrn, x) for x in reversed(lrn_inputs)][::-1]
+        for got, expected in zip(together, alone):
+            assert same_bits(got, expected)
+
+    def test_cols_scratch_holds_the_largest_request(self):
+        tensor_module._SCRATCH.clear()
+        largest = {}
+        for name in (
+            "smallnet", "tinynet", "alexnet", "agenet", "resnet-mini", "googlenet",
+        ):
+            model = build_model(name)
+            plan = model.network.plan_for()
+            plan.forward(model_input(model))
+            model.network.forward_reference(model_input(model))
+            largest[name] = max(
+                4
+                * step.layer.input_shape[0] // step.layer.groups
+                * step.layer.kernel ** 2
+                * step.out_shape[1] * step.out_shape[2]
+                for step in plan.steps
+                if isinstance(step, ConvStep)
+            )
+            assert not any(
+                "col" in attribute
+                for step in plan.steps
+                if isinstance(step, ConvStep)
+                for attribute in vars(step.layer)
+            )
+        assert largest["googlenet"] == 7_375_872
+        assert tensor_module._SCRATCH["cols"].nbytes == max(largest.values())
 
 
 class TestReferenceBitwise:

@@ -1,9 +1,13 @@
 """Tests for model files, splitting, save/load and the server model store."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.nn import model as model_module
 from repro.nn.model import (
+    BLOB_HEADER_BYTES,
     Model,
     network_from_description,
     network_params_digest,
@@ -48,6 +52,130 @@ class TestModelFiles:
 
         with pytest.raises(ValueError):
             Model("bad", smallnet_network())
+
+
+def parent_parameter_file(model, layer):
+    """A parameter file as ``Model.files()`` defined it before the per-layer
+    memo: one sha1 over the joined blob bytes, in key order."""
+    blobs = Model._layer_blobs(layer)
+    raw = b"".join(blob.tobytes() for _, blob in sorted(blobs.items()))
+    return (
+        f"{model.name}.{layer.name}.bin",
+        len(raw) + BLOB_HEADER_BYTES,
+        hashlib.sha1(raw).hexdigest()[:16],
+    )
+
+
+@pytest.fixture
+def blob_hashes(monkeypatch):
+    """Every sha1 the model module starts that is fed an array (a parameter
+    file's; the description's and the model id's are fed ``bytes``)."""
+    fed_arrays = []
+
+    class RecordingSha1:
+        def __init__(self, data=b""):
+            self._digest = hashlib.sha1(data)
+
+        def update(self, data):
+            if isinstance(data, np.ndarray) and self not in fed_arrays:
+                fed_arrays.append(self)
+            self._digest.update(data)
+
+        def hexdigest(self):
+            return self._digest.hexdigest()
+
+    class RecordingHashlib:
+        sha1 = RecordingSha1
+        sha256 = staticmethod(hashlib.sha256)
+
+    monkeypatch.setattr(model_module, "hashlib", RecordingHashlib)
+    return fed_arrays
+
+
+class TestManifestMemo:
+    """The manifest is memoised per layer by array identity: equal to the
+    joined-bytes definition, shared by split halves, and never stale."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["smallnet", "tinynet", "alexnet", "agenet", "resnet-mini", "googlenet"],
+    )
+    def test_files_equal_the_joined_bytes_definition(self, name):
+        model = build_model(name)
+        layers = [l for l in model.network.layers if Model._layer_blobs(l)]
+        if name in ("resnet-mini", "googlenet"):
+            # composite layers carry their branches' blobs in one file
+            assert any(hasattr(l, "param_arrays") for l in layers)
+        parameters = [f for f in model.files() if f.kind == "parameters"]
+        assert [
+            (f.name, f.size_bytes, f.checksum) for f in parameters
+        ] == [parent_parameter_file(model, layer) for layer in layers]
+
+    def test_non_contiguous_blob_hashes_like_its_bytes(self, model):
+        layer = model.network.layers[1]
+        weight = layer.params["weight"]
+        layer.params["weight"] = np.asfortranarray(weight)
+        assert not layer.params["weight"].flags.c_contiguous
+        file = next(f for f in model.files() if f.layer_name == layer.name)
+        assert (file.name, file.size_bytes, file.checksum) == parent_parameter_file(
+            model, layer
+        )
+
+    @pytest.mark.parametrize(
+        "name, whole",
+        [
+            ("googlenet", "googlenet:3b086eb9b18d"),
+            ("smallnet", "smallnet:e02e22f20839"),
+            ("resnet-mini", "resnet-mini:ff8f0ebdbeb3"),
+        ],
+    )
+    def test_splits_hash_nothing_and_keep_their_ids(self, name, whole, blob_hashes):
+        model = build_model(name)
+        files = {f.layer_name: f for f in model.files()}
+        assert model.model_id == whole
+        hashed = len(blob_hashes)
+        assert hashed == len(files) - 1  # one sha1 per parameter file
+        points = model.network.offload_points()
+        for point in (points[1], points[len(points) // 2], points[-2]):
+            front, rear = model.split(point.index)
+            for half in (front, rear):
+                for file in half.files():
+                    if file.kind == "parameters":
+                        twin = files[file.layer_name]
+                        assert (file.size_bytes, file.checksum) == (
+                            twin.size_bytes,
+                            twin.checksum,
+                        )
+                # the id is the sha1 over the manifest's checksums
+                digest = hashlib.sha1()
+                for file in half.files():
+                    digest.update(file.checksum.encode("ascii"))
+                assert half.model_id == f"{half.name}:{digest.hexdigest()[:12]}"
+        assert Model(model.name, model.network).model_id == whole
+        assert len(blob_hashes) == hashed
+
+    def test_replaced_blob_moves_manifest_id_and_fingerprint_together(
+        self, model, blob_hashes
+    ):
+        """Stale identity: ``files()`` / ``model_id`` used to keep the first
+        checksums for ever while ``fingerprint()`` followed the arrays."""
+        before = model.files()
+        old_id, old_fingerprint = model.model_id, model.fingerprint()
+        hashed = len(blob_hashes)
+        layer = model.network.layers[1]
+        layer.params["weight"] = layer.params["weight"] + np.float32(1.0)
+        after = model.files()
+        assert len(blob_hashes) == hashed + 1  # that layer, nothing else
+        assert model.model_id != old_id
+        assert model.fingerprint() != old_fingerprint
+        changed = [new for old, new in zip(before, after) if old != new]
+        assert [file.layer_name for file in changed] == [layer.name]
+        assert (
+            changed[0].name,
+            changed[0].size_bytes,
+            changed[0].checksum,
+        ) == parent_parameter_file(model, layer)
+        assert model.files() == after and len(blob_hashes) == hashed + 1
 
 
 class TestFingerprint:
