@@ -62,16 +62,30 @@ def test_micro_snapshot_restore(benchmark):
     assert report.pending_event is not None
 
 
-def test_micro_tensor_text_render(benchmark):
-    values = SeededRng(2, "t").normal_array((50_000,))
+#: the tensor classes the ledger workloads render — images and dense
+#: features, a ReLU-sparse feature, signed weight-like values — and a tensor
+#: wholly outside the renderer's exactness window
+_TENSOR_TEXT_INPUTS = {
+    "image-3072": lambda rng: rng.uniform(0, 255, 3_072),
+    "image-150528": lambda rng: rng.uniform(0, 255, 150_528),
+    "feature-802816": lambda rng: rng.uniform(0, 255, 802_816),
+    "relu-sparse-802816": lambda rng: np.maximum(rng.normal(0, 20, 802_816), 0),
+    "signed-N(0,1)-50000": lambda rng: rng.normal(0, 1, 50_000),
+    "outside-window-50000": lambda rng: rng.uniform(0.5e-5, 2e-5, 50_000),
+}
+
+
+@pytest.mark.parametrize("name", list(_TENSOR_TEXT_INPUTS))
+def test_micro_tensor_text_render(benchmark, name):
+    values = _TENSOR_TEXT_INPUTS[name](np.random.default_rng(2)).astype(np.float32)
     # The text memo is content-keyed: without clearing it every round after
     # the first would time a sha1 and a dict look-up, not the formatting.
     text = benchmark.pedantic(
         lambda: render_tensor_text(values),
         setup=clear_text_cache,
-        rounds=20,
+        rounds=9,
     )
-    assert len(text) > 500_000
+    assert text == " ".join("%.10e" % v for v in values)
 
 
 def test_micro_tensor_text_parse(benchmark):

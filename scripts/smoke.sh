@@ -35,7 +35,9 @@ echo "== 1/9 unit + property tests, micro-benchmark bodies once"
 python -m pytest -x -q
 # benchmarks/ is outside pytest's testpaths, so a micro-benchmark that
 # stopped measuring what it names (or stopped running) goes unnoticed:
-# run every body once with its asserts, untimed.
+# run every body once with its asserts, untimed (the tensor-text bodies
+# compare up to 0.8 M rendered values with the per-value "%.10e", byte
+# for byte).
 python -m pytest benchmarks/test_micro.py --benchmark-disable -q
 
 echo "== 2/9 quick campaign with telemetry export"

@@ -63,14 +63,79 @@ def array_digest(array: np.ndarray) -> str:
     ).hexdigest()[:16]
 
 
-#: printf format for tensor values; full float32 round-trip precision
-_TENSOR_FORMAT = "%.10e"
+# -- tensor text ---------------------------------------------------------------
+# A value is written as ``"%.10e"`` writes it, without a ``snprintf`` per
+# value.  A finite float32 is m·2^q with m < 2^24, and 5^k < 2^28 for
+# k <= 12, so |a|·10^k = (m·5^k)·2^(q+k) has a significand below 2^52: the
+# float64 product ``a * 10.0**k`` is the true value, and ``np.rint`` of it
+# the true round-half-even integer.  For |a| in [1e-2, 1e11) the scale
+# k = 10 - floor(log10 |a|) is in [0, 12] and that integer, in [1e10, 1e11),
+# spells the eleven digits a correctly rounded ``"%.10e"`` prints (rounding
+# cannot carry it to 1e11: no float32 lies within a relative 5e-12 below a
+# power of ten — the closest, 99999997952, is 2e-8 below).  A finite float32
+# prints a two-digit exponent, so every token in that window is 16
+# characters and a ``-`` if the sign bit is set; zero is the same token with
+# all digits 0.  Any other value goes through ``%`` itself, in bulk.
 
-#: values formatted per ``%`` call: the per-value loop runs in C, and the
-#: chunk bounds the value tuple and format string built next to the text,
-#: so a multi-megabyte tensor renders without raising peak memory.
+#: values rendered per vector pass: a pass's temporaries stay cache-sized
+#: whatever the tensor's size, and under glibc's 128 KB mmap threshold
 _TENSOR_CHUNK = 4096
-_CHUNK_FORMAT = " ".join([_TENSOR_FORMAT] * _TENSOR_CHUNK)
+
+#: 1e-2 … 1e11.  The first thirteen are the window's decades; the last is
+#: what a value in the top decade is compared with.  Comparing a float32
+#: with the double nearest 10^j decides as 10^j would: no float32 lies
+#: between the two.
+_POW10 = np.array([float(f"1e{j}") for j in range(-2, 12)])
+#: the window as bit patterns: positive floats order as their bits do, so
+#: membership is an integer comparison and no NaN, infinity or subnormal
+#: ever reaches a floating-point operation.  The float32 after the one
+#: nearest a bound is at or above the bound, whichever way that one rounded.
+_WINDOW_LOW, _WINDOW_HIGH = (
+    int(np.nextafter(np.float32(bound), np.float32(np.inf)).view(np.uint32))
+    for bound in (1e-2, 1e11)
+)
+
+#: per binade (a float32's biased exponent field b), how many of the
+#: window's decades are <= 2^(b-127).  A binade holds at most one power of
+#: ten, so one more comparison, against that one, counts the decades <= |a|
+#: exactly: 0 for zero, floor(log10 |a|) + 3 inside the window.
+_DECADES_BELOW = np.searchsorted(
+    _POW10[:13], np.ldexp(1.0, np.arange(-127, 129)), side="right"
+)
+#: by that count: the 10^k that leaves eleven digits before the point (any
+#: scale leaves zero's row 0), and the exponent's four characters
+_SCALE = np.array([float(10 ** (13 - count)) for count in range(14)])
+_EXPONENT_TEXT = np.frombuffer(
+    b"e+00" + b"".join(b"e%+03d" % (count - 3) for count in range(1, 14)),
+    dtype=np.uint32,
+)
+
+
+def _ascii_digits(width: int) -> np.ndarray:
+    """``10**width`` rows of ``width`` ASCII digits: row n is n, zero-padded."""
+    n = np.arange(10 ** width)
+    digits = [n // 10 ** place % 10 for place in reversed(range(width))]
+    return (np.stack(digits, axis=1) + ord("0")).astype(np.uint8)
+
+
+#: digit groups as machine words: one gather writes four (two) characters
+_DIGITS4 = _ascii_digits(4).view(np.uint32).ravel()
+_DIGITS2 = _ascii_digits(2).view(np.uint16).ravel()
+
+#: one rendered value, ``[-]d.ddddddddddde±dd`` and the separator.  The sign
+#: column holds ``-`` or :data:`_PAD`; pads are deleted from the finished text.
+_TOKEN_ROW = np.dtype({
+    "names": [
+        "sign", "lead", "point", "high4", "low4", "last2", "exponent", "separator",
+    ],
+    "formats": ["u1", "u1", "u1", "u4", "u4", "u2", "u4", "u1"],
+    "offsets": [0, 1, 2, 3, 7, 11, 13, 17],
+    "itemsize": 18,
+})
+_PAD = b"\0"
+#: a value outside the window: right-aligned over the 17 columns before the
+#: separator, because ``inf`` / ``-inf`` / ``nan`` are shorter than the rest
+_OUTSIDE_FORMAT = "%17.10e"
 
 #: total bytes of rendered text kept in the memo below.  A GoogLeNet
 #: first-conv feature renders to ~14 MB, so the budget holds a handful of
@@ -97,7 +162,7 @@ def render_tensor_text(array: np.ndarray) -> str:
     """
     global _text_cache_bytes, _text_cache_hits, _text_cache_misses
     flat = np.asarray(array, dtype=np.float32).ravel()
-    key = hashlib.sha1(flat.tobytes()).digest()
+    key = hashlib.sha1(flat).digest()
     cached = _text_cache.get(key)
     if cached is not None:
         _text_cache.move_to_end(key)
@@ -115,16 +180,43 @@ def render_tensor_text(array: np.ndarray) -> str:
 
 
 def _format_values(flat: np.ndarray) -> str:
+    """``" ".join("%.10e" % v for v in flat)`` of a contiguous float32 vector."""
     parts: List[str] = []
     for start in range(0, flat.size, _TENSOR_CHUNK):
-        values = flat[start:start + _TENSOR_CHUNK].tolist()
-        chunk_format = (
-            _CHUNK_FORMAT
-            if len(values) == _TENSOR_CHUNK
-            else " ".join([_TENSOR_FORMAT] * len(values))
-        )
-        parts.append(chunk_format % tuple(values))
-    return " ".join(parts)
+        chunk = flat[start:start + _TENSOR_CHUNK]
+        bits = chunk.view(np.uint32)
+        magnitude = bits & 0x7FFFFFFF
+        exact = (
+            (magnitude >= _WINDOW_LOW) & (magnitude < _WINDOW_HIGH)
+        ) | (magnitude == 0)
+        # a value outside the window is rendered as a zero, then written over
+        magnitude = np.where(exact, magnitude, 0)
+        value = magnitude.view(np.float32).astype(np.float64)
+        decades = _DECADES_BELOW[(magnitude >> 23).astype(np.intp)]
+        decades += value >= _POW10[decades]
+        digits = np.rint(value * _SCALE[decades]).astype(np.int64)
+        digits, last2 = np.divmod(digits, 100)
+        digits, low4 = np.divmod(digits, 10_000)
+        lead, high4 = np.divmod(digits, 10_000)
+        rows = np.empty(chunk.size, dtype=_TOKEN_ROW)
+        rows["sign"] = (bits >> 31) * ord("-")
+        rows["lead"] = lead + ord("0")
+        rows["point"] = ord(".")
+        rows["high4"] = _DIGITS4[high4]
+        rows["low4"] = _DIGITS4[low4]
+        rows["last2"] = _DIGITS2[last2]
+        rows["exponent"] = _EXPONENT_TEXT[decades]
+        rows["separator"] = ord(" ")
+        if not exact.all():
+            outside = np.flatnonzero(~exact)
+            tokens = (_OUTSIDE_FORMAT * outside.size) % tuple(chunk[outside].tolist())
+            rows.view(np.uint8).reshape(-1, 18)[outside, :17] = np.frombuffer(
+                tokens.encode("ascii").replace(b" ", _PAD), dtype=np.uint8
+            ).reshape(-1, 17)
+        parts.append(rows.tobytes().replace(_PAD, b"").decode("ascii"))
+    if parts:
+        parts[-1] = parts[-1][:-1]  # no separator after the last value
+    return "".join(parts)
 
 
 def text_cache_info() -> Dict[str, int]:
@@ -210,7 +302,7 @@ class HeapCodegen:
             return f"ATTACH[{index}]"
         text = render_tensor_text(data)
         self.tensor_text_bytes += len(text)
-        return repr(text)
+        return f"'{text}'"  # repr(text): the token alphabet needs no escaping
 
     def _heap_node(self, node: Any) -> str:
         existing = self._ids.get(id(node))

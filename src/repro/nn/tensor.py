@@ -22,9 +22,13 @@ Shape3 = Tuple[int, int, int]
 
 #: Bytes per value when feature data is serialized as snapshot text.
 #: A real JS snapshot stores typed-array contents as a decimal literal list;
-#: at full float32 precision ("%.9e" plus separator) that is ~17-18 bytes per
-#: value.  With 18 the GoogLeNet features measure 14.5 MB after 1st_conv and
-#: 3.6 MB after 1st_pool, bracketing the paper's 14.7 / 2.9 MB.
+#: the codec (repro.core.snapshot.codegen) writes "%.10e" and one separator:
+#: exactly 17 bytes for a finite non-negative value, 18 for a negative one.
+#: 18 is the *pricing* constant of the cost models, the partition optimizer
+#: and the baselines (a captured snapshot's own size is the length of the
+#: text it holds); changing it moves virtual-clock results.  With 18 the
+#: GoogLeNet features measure 14.5 MB after 1st_conv and 3.6 MB after
+#: 1st_pool, bracketing the paper's 14.7 / 2.9 MB.
 TEXT_BYTES_PER_VALUE = 18
 
 #: the process-wide kernel scratch, one grow-only byte buffer per tag
@@ -274,16 +278,6 @@ def text_serialized_bytes(shape_or_count) -> int:
     else:
         count = int(shape_or_count)
     return count * TEXT_BYTES_PER_VALUE
-
-
-def measure_text_bytes(array: np.ndarray) -> int:
-    """Exact text size of an array serialized as full-precision literals.
-
-    Used by tests to validate that :data:`TEXT_BYTES_PER_VALUE` is an honest
-    approximation of real serialization.
-    """
-    flat = array.ravel()
-    return sum(len(f"{float(value):.9e}") + 1 for value in flat)
 
 
 def binary_serialized_bytes(shape_or_count) -> int:

@@ -124,6 +124,15 @@ class TestTensorTextMemo:
         info = text_cache_info()
         assert info["hits"] == 1 and info["misses"] == 1
 
+    def test_key_is_the_float32_content_whatever_the_layout(self):
+        grid = SeededRng(20, "t").normal_array((6, 8))
+        view = grid[::2, 1::3]
+        text = render_tensor_text(view)
+        assert render_tensor_text(np.ascontiguousarray(view)) is text
+        assert render_tensor_text(view.astype(np.float64).ravel()) is text
+        info = text_cache_info()
+        assert info["hits"] == 2 and info["misses"] == 1
+
     def test_different_content_misses(self):
         render_tensor_text(np.ones(10, dtype=np.float32))
         render_tensor_text(np.zeros(10, dtype=np.float32))

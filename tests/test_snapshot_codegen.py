@@ -1,5 +1,8 @@
 """Tests for snapshot code generation: identity, cycles, tensors, DOM."""
 
+import warnings
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,18 +73,53 @@ SPECIALS = np.array(
 )
 
 
+def _oracle(values):
+    """The per-value definition of the tensor text."""
+    return " ".join("%.10e" % v for v in np.asarray(values, dtype=np.float32).ravel())
+
+
+def _rendered_as_oracle(values):
+    """``render_tensor_text(values)``, checked to be ``_oracle(values)`` —
+    failing with the first wrong token, not with pytest's diff of two
+    multi-megabyte strings."""
+    text, expected = render_tensor_text(values), _oracle(values)
+    if text != expected:
+        got, want = text.split(" "), expected.split(" ")
+        assert len(got) == len(want), f"{len(got)} tokens for {len(want)} values"
+        at = next(i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1])
+        pytest.fail(f"value {at} rendered {got[at]!r}, '%.10e' gives {want[at]!r}")
+    return text
+
+
+def _in_window(rng, size):
+    """Signed magnitudes spread over the decades the vector pass renders."""
+    magnitudes = 10 ** rng.uniform(-2, 11, size)
+    return (magnitudes * rng.choice([-1.0, 1.0], size)).astype(np.float32)
+
+
 @st.composite
 def float32_arrays(draw):
-    """Arbitrary bit patterns (normals, subnormals, inf, nan) plus specials,
-    at sizes on both sides of the render chunk."""
+    """Four kinds of tensor at sizes on both sides of the render chunk:
+    arbitrary bit patterns (normals, subnormals, inf, nan — mostly outside
+    the exactness window), in-window magnitudes with random signs,
+    ReLU-sparse features, and one outside value in an in-window tensor;
+    the first three with specials planted, the chunk seam included."""
     size = draw(st.sampled_from(
         [0, 1, 2, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 5]
     ))
-    bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
-        0, 2**32, size=size, dtype=np.uint64
-    )
-    values = bits.astype(np.uint32).view(np.float32).copy()
-    if size:
+    kind = draw(st.sampled_from(["bits", "window", "relu", "one-outside"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "bits":
+        bits = rng.integers(0, 2**32, size=size, dtype=np.uint64)
+        values = bits.astype(np.uint32).view(np.float32).copy()
+    else:
+        values = _in_window(rng, size)
+    if kind == "relu":
+        values = np.where(rng.random(size) < 0.6, 0, np.abs(values))
+    if size and kind == "one-outside":
+        # SPECIALS[2:11]: inf, -inf, nan, subnormals, FLT_MIN's neighbours, ±FLT_MAX
+        values[draw(st.integers(0, size - 1))] = SPECIALS[draw(st.integers(2, 10))]
+    elif size:
         spots = draw(st.lists(
             st.tuples(st.integers(0, size - 1), st.integers(0, len(SPECIALS) - 1)),
             max_size=12,
@@ -93,6 +131,43 @@ def float32_arrays(draw):
     return values
 
 
+def _exact_ties():
+    """Values whose twelfth significant digit is a 5 with nothing after it.
+
+    ``i + odd * 2**-(12 - g)`` for an integer part ``i`` of ``g`` digits has
+    exactly ``12 - g`` decimal places, the last a 5 — as has ``odd * 2**-12``
+    in [0.1, 1) — so ``"%.10e"`` must round each half-to-even; all fit a
+    float32 (at most 17 + 7 bits).
+    """
+    ties = []
+    for g, stride in ((1, 1), (2, 1), (3, 7), (4, 43), (5, 223)):
+        integers = np.arange(10 ** (g - 1), 10 ** g, stride, dtype=np.float64)
+        odds = np.arange(1, 2 ** (12 - g), 2) * 2.0 ** -(12 - g)
+        ties.append((integers[:, None] + odds).ravel())
+    below_one = np.arange(1, 2 ** 12, 2) * 2.0 ** -12
+    ties.append(below_one[below_one >= 0.1])
+    ties = np.concatenate(ties)
+    return np.concatenate([ties, -ties])
+
+
+def _edge_values():
+    """Both float32 neighbourhoods of every power of ten 1e-3 … 1e12 (the
+    window's edges are the neighbours of 1e-2 and 1e11), what would carry
+    into the next decade, and the ends of the float32 range."""
+    edges = []
+    for j in range(-3, 13):
+        power = np.float32(float(f"1e{j}"))
+        below = np.nextafter(power, np.float32(0))
+        above = np.nextafter(power, np.float32(np.inf))
+        edges += [
+            np.nextafter(below, np.float32(0)), below, power, above,
+            np.nextafter(above, np.float32(np.inf)),
+        ]
+    edges += [9.99999999996, 99.999996, 9.9999998e10, 0.0, 1e-45, 3.4028235e38]
+    edges = np.array(edges + [np.inf, np.nan], dtype=np.float32)
+    return np.concatenate([edges, -edges])
+
+
 def _nan_aside(values):
     return np.isnan(values).tobytes() + np.where(np.isnan(values), 0, values).tobytes()
 
@@ -101,8 +176,7 @@ class TestTensorTextProperties:
     @settings(max_examples=60, deadline=None)
     @given(float32_arrays())
     def test_render_is_the_per_value_format_and_parse_inverts_it(self, values):
-        text = render_tensor_text(values)
-        assert text == " ".join("%.10e" % v for v in values)
+        text = _rendered_as_oracle(values)
         back = parse_tensor_text(text, values.shape)
         assert back.dtype == np.float32 and back.flags.writeable
         assert _nan_aside(back) == _nan_aside(values)
@@ -116,6 +190,60 @@ class TestTensorTextProperties:
                 text = render_tensor_text(values)
                 assert text == " ".join(["%.10e" % special] * size)
                 assert _nan_aside(parse_tensor_text(text, (size,))) == _nan_aside(values)
+
+    def test_exact_ties_round_half_even(self):
+        ties = _exact_ties()
+        assert ties.size >= 100_000
+        assert np.array_equal(ties.astype(np.float32).astype(np.float64), ties)
+        for tie in ties[::997]:  # the enumeration yields what it says
+            digits = Decimal(float(tie)).as_tuple().digits
+            assert len(digits) == 12 and digits[-1] == 5
+        _rendered_as_oracle(ties)
+
+    def test_edge_values_alone_and_planted_at_each_seam(self):
+        image = np.random.default_rng(5).uniform(0, 255, 2 * CHUNK + 5)
+        image = image.astype(np.float32)
+        tokens = _oracle(image).split(" ")
+        for edge in _edge_values():
+            token = "%.10e" % edge
+            assert render_tensor_text(np.array([edge])) == token
+            for position in (0, CHUNK - 1, CHUNK, image.size - 1):
+                image[position] = edge
+                tokens[position] = token
+            assert render_tensor_text(image).split(" ") == tokens
+
+    @pytest.mark.parametrize("fill", [
+        [9.7e-6, -1.3e-5, 2.5e20, -3e38, 1e-45],  # finite, none in the window
+        [np.inf, -np.inf, np.nan],
+    ])
+    def test_chunk_with_nothing_in_the_window(self, fill):
+        outside = np.resize(np.array(fill, dtype=np.float32), CHUNK)
+        image = np.random.default_rng(6).uniform(0, 255, CHUNK).astype(np.float32)
+        for values in (outside, np.concatenate([image, outside, image[:7]])):
+            _rendered_as_oracle(values)
+
+    def test_no_numpy_warning_for_any_special(self):
+        signalling_nan = np.array([0x7F800001, 0xFF800001], np.uint32).view(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for special in np.concatenate([SPECIALS, signalling_nan]):
+                assert render_tensor_text(np.array([special])) == "%.10e" % special
+            mixed = np.concatenate([SPECIALS, signalling_nan, np.ones(CHUNK, np.float32)])
+            _rendered_as_oracle(mixed)
+
+    def test_any_array_like_renders_as_its_float32_ravel(self):
+        grid = np.random.default_rng(7).normal(0, 50, (6, 8)).astype(np.float32)
+        for values in (
+            grid[::2, 1::3],            # non-contiguous view
+            grid.T,                     # Fortran order: ravel is C order
+            np.float32(-2.5),           # 0-d
+            np.empty((0, 3), np.float32),
+            grid.astype(np.float64) / 3,  # float64: rounded to float32 first
+            grid.astype(">f4"),
+            [0.1, -7.0, 1e-30],
+        ):
+            _rendered_as_oracle(values)
+        assert render_tensor_text(np.empty(0, np.float32)) == ""
 
     def test_multidimensional_shape_and_whitespace_runs(self):
         values = np.arange(6, dtype=np.float32).reshape(2, 3)
@@ -212,6 +340,15 @@ class TestHeapCodegen:
     def test_non_scalar_dict_key_rejected(self):
         with pytest.raises(CodegenError):
             HeapCodegen().root_expression({(1, 2): "tuple key"})
+
+    def test_tensor_literal_is_the_repr_of_its_text(self):
+        mixed = np.random.default_rng(8).normal(0, 30, 2 * CHUNK + 3).astype(np.float32)
+        for values in [mixed, SPECIALS] + [SPECIALS[i:i + 1] for i in range(len(SPECIALS))]:
+            codegen = HeapCodegen()
+            codegen.root_expression(TypedArray(values))
+            text = render_tensor_text(values)
+            assert codegen.create_lines == [f"_h0 = TA({text!r}, {values.shape!r})"]
+            assert codegen.tensor_text_bytes == len(text)
 
     def test_tensor_text_bytes_counted(self):
         ta = TypedArray(np.ones(100, dtype=np.float32))
