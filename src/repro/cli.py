@@ -9,11 +9,15 @@ Usage::
     python -m repro fig-accuracy [--models smallnet_exits] [--bandwidths 5 30]
     python -m repro table1
     python -m repro ablation {bandwidth,partition,decision,snapshot,gpu,
-                              energy,cache,contention}
+                              energy,cache,contention,quantization,scaling,
+                              variability,baselines,placement,streaming}
     python -m repro demo
     python -m repro fleet [--policy queue-aware] [--edges 3] [--sessions 40]
                           [--kill edge-0@1.5:4.0]
+    python -m repro serve [--model resnet-mini] [--rate 64] [--max-batch 8]
+                          [--former size-timeout] [--kill edge-0@0.35:1.2]
     python -m repro metrics [--format prometheus|json] [--trace-out t.json]
+    python -m repro campaign [--quick] [--out REPORT.md] [--jobs 2]
 
 Every command prints the same rows/series the paper reports and exits 0
 only if the paper's shape claims hold.  Run/campaign commands accept
@@ -22,22 +26,39 @@ command built (Prometheus text, or JSON when the path ends in ``.json``),
 plus the execution-engine flags ``--jobs N`` (fan independent sections
 across N worker processes), ``--cache-dir DIR`` (content-addressed result
 cache; unchanged scenarios are served from disk) and ``--no-cache``.
-Run commands also accept ``--backend {reference,tuned}`` to pick the
-kernel backend for that one invocation (exported as ``REPRO_BACKEND``
-while it runs, so pool workers inherit it).  Results are byte-identical
-whichever way a command executes under the ``reference`` backend
-(``tuned`` is equivalent within a tested tolerance); see
+Results are byte-identical whichever way a command executes; see
 ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from typing import List, Optional
 
 from repro.nn.zoo import PAPER_MODELS
+
+
+def _positive_int(text: str) -> int:
+    """An argparse ``type=``: an out-of-range value is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # nan included
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
 
 
 def _add_models_arg(parser: argparse.ArgumentParser) -> None:
@@ -53,7 +74,7 @@ def _add_models_arg(parser: argparse.ArgumentParser) -> None:
 def _add_bandwidth_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--bandwidth",
-        type=float,
+        type=_positive_float,
         default=30.0,
         help="link bandwidth in Mbps (paper: 30)",
     )
@@ -69,20 +90,6 @@ def _add_metrics_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    from repro.nn.backend import backend_names
-
-    parser.add_argument(
-        "--backend",
-        choices=backend_names(),
-        default=None,
-        help="kernel backend for DNN forwards: 'reference' (the exact "
-        "numpy path, bitwise-stable) or 'tuned' (float32 LRN; equivalent "
-        "within tested tolerance).  Also "
-        "settable via REPRO_BACKEND; workers inherit the choice",
-    )
-
-
 def _add_fleet_load_args(
     parser: argparse.ArgumentParser, *, edges: int, sessions: int
 ) -> None:
@@ -95,16 +102,18 @@ def _add_fleet_load_args(
         choices=list(POLICY_NAMES),
         help="edge-selection policy (default: queue-aware)",
     )
-    parser.add_argument("--edges", type=int, default=edges, help="fleet size")
     parser.add_argument(
-        "--skew", type=float, default=2.0,
+        "--edges", type=_positive_int, default=edges, help="fleet size"
+    )
+    parser.add_argument(
+        "--skew", type=_positive_float, default=2.0,
         help="speed ratio between fastest and slowest edge (default: 2)",
     )
     parser.add_argument(
-        "--sessions", type=int, default=sessions, help="user sessions"
+        "--sessions", type=_positive_int, default=sessions, help="user sessions"
     )
     parser.add_argument(
-        "--requests", type=int, default=2, help="inferences per session"
+        "--requests", type=_positive_int, default=2, help="inferences per session"
     )
     parser.add_argument(
         "--arrivals", default="poisson", choices=("poisson", "trace"),
@@ -118,11 +127,11 @@ def _add_fleet_run_args(
     """The replay/fault flags ``fleet`` and ``serve`` share."""
     parser.add_argument("--seed", type=int, default=0, help="replay seed")
     parser.add_argument(
-        "--reply-timeout", type=float, default=reply_timeout,
+        "--reply-timeout", type=_positive_float, default=reply_timeout,
         help="seconds before a missing reply marks the edge dead",
     )
     parser.add_argument(
-        "--edge-memory-budget", type=int, default=None, metavar="BYTES",
+        "--edge-memory-budget", type=_positive_int, default=None, metavar="BYTES",
         help="per-edge model-store budget; LRU-evicts rear halves above it "
         "(default: unlimited)",
     )
@@ -131,7 +140,7 @@ def _add_fleet_run_args(
 def _add_exec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="run independent sections across N worker processes "
@@ -349,7 +358,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     tenants = list(args.tenants) if args.tenants else None
     mode = "offload"
-    split_index = None
     if tenants and any(":" in spec for spec in tenants):
         mode = "offload-partial"
     scenario = FleetScenario(
@@ -365,7 +373,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         arrivals=args.arrivals,
         arrival_rate_per_s=args.rate,
         mode=mode,
-        split_index=split_index,
         seed=args.seed,
         reply_timeout=args.reply_timeout,
         tenants=tenants,
@@ -414,16 +421,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs import to_json, to_prometheus_text
 
     from repro.eval.scenarios import build_paper_model
-    from repro.nn import backend as backend_module
 
     testbed = Testbed()
     testbed.run_offload(args.model, wait_for_ack=True)
     registry = testbed.sim.metrics
-    backend_module.record_backend_metrics(registry)
-    print(
-        f"kernel backend: {backend_module.active_backend_name()}",
-        file=sys.stderr,
-    )
     plan = build_paper_model(args.model).network.plan_for()
     plan.record_metrics(registry)
     print(plan.describe_text(), file=sys.stderr)
@@ -454,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_bandwidth_arg(p)
         _add_metrics_arg(p)
         _add_exec_args(p)
-        _add_backend_arg(p)
         p.set_defaults(func=func)
 
     p = sub.add_parser("fig8", help="partial-inference sweep")
@@ -462,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bandwidth_arg(p)
     _add_metrics_arg(p)
     _add_exec_args(p)
-    _add_backend_arg(p)
     p.add_argument("--max-points", type=int, default=None)
     p.set_defaults(func=cmd_fig8)
 
@@ -482,14 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bandwidths",
         nargs="+",
-        type=float,
+        type=_positive_float,
         default=[5.0, 30.0, 100.0],
         metavar="MBPS",
         help="bandwidths to sweep, in Mbps (default: 5 30 100)",
     )
     _add_metrics_arg(p)
     _add_exec_args(p)
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_fig_accuracy)
 
     p = sub.add_parser("ablation", help="run one ablation study")
@@ -498,12 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=STUDY_NAMES)
     _add_metrics_arg(p)
     _add_exec_args(p)
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_ablation)
 
     p = sub.add_parser("demo", help="one offloaded GoogLeNet inference")
     _add_metrics_arg(p)
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser(
@@ -527,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the session's span trace (Chrome Trace Event JSON)",
     )
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser(
@@ -541,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fleet_load_args(p, edges=3, sessions=40)
     p.add_argument(
-        "--rate", type=float, default=8.0,
+        "--rate", type=_positive_float, default=8.0,
         help="session arrival rate per second (default: 8)",
     )
     _add_fleet_run_args(p, reply_timeout=5.0)
@@ -563,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default=None, help="also write the report here")
     _add_metrics_arg(p)
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_fleet)
 
     p = sub.add_parser(
@@ -582,12 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fleet_load_args(p, edges=1, sessions=32)
     p.add_argument(
-        "--rate", type=float, default=64.0,
+        "--rate", type=_positive_float, default=64.0,
         help="session arrival rate per second (default: 64 — batching needs "
         "a saturated server)",
     )
     p.add_argument(
-        "--think", type=float, default=0.05,
+        "--think", type=_positive_float, default=0.05,
         help="mean think seconds between a session's requests",
     )
     p.add_argument(
@@ -597,15 +591,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fleet_run_args(p, reply_timeout=60.0)
     p.add_argument(
-        "--max-batch", type=int, default=8,
+        "--max-batch", type=_positive_int, default=8,
         help="most rear-half inferences coalesced into one forward",
     )
     p.add_argument(
-        "--batch-timeout", type=float, default=0.02,
+        "--batch-timeout", type=_non_negative_float, default=0.02,
         help="longest a queued request waits for batch-mates (seconds)",
     )
     p.add_argument(
-        "--deadline", type=float, default=None,
+        "--deadline", type=_positive_float, default=None,
         help="per-request completion deadline for the deadline former",
     )
     p.add_argument(
@@ -618,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default=None, help="also write the report here")
     _add_metrics_arg(p)
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -636,59 +629,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_metrics_arg(p)
     _add_exec_args(p)
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_campaign)
     return parser
 
 
-@contextlib.contextmanager
-def _backend_scope(name: Optional[str]):
-    """Honour ``--backend`` for the duration of one :func:`main` call.
-
-    Sets the override and exports the env var (pool workers are forked
-    inside the call, so they inherit it), then restores both — a later
-    in-process ``main()`` must not run on this call's backend.
-    """
-    if not name:
-        yield
-        return
-    import os
-
-    from repro.nn import backend as backend_module
-
-    previous_env = os.environ.get(backend_module.BACKEND_ENV)
-    previous_override = backend_module.set_backend(name)
-    os.environ[backend_module.BACKEND_ENV] = name
-    try:
-        yield
-    finally:
-        backend_module.set_backend(previous_override)
-        if previous_env is None:
-            del os.environ[backend_module.BACKEND_ENV]
-        else:
-            os.environ[backend_module.BACKEND_ENV] = previous_env
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    with _backend_scope(getattr(args, "backend", None)):
-        metrics_out = getattr(args, "metrics_out", None)
-        if not metrics_out:
-            return args.func(args)
+    metrics_out = getattr(args, "metrics_out", None)
+    if not metrics_out:
+        return args.func(args)
 
-        from repro.obs import MetricsRegistry, collect_metrics, write_metrics
+    from repro.obs import MetricsRegistry, collect_metrics, write_metrics
 
-        with collect_metrics() as registries:
-            code = args.func(args)
-        try:
-            write_metrics(metrics_out, MetricsRegistry.merged(registries))
-        except OSError as exc:
-            print(f"error: cannot write metrics to {metrics_out}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"metrics written to {metrics_out} "
-              f"({len(registries)} runs merged)")
-        return code
+    with collect_metrics() as registries:
+        code = args.func(args)
+    try:
+        write_metrics(metrics_out, MetricsRegistry.merged(registries))
+    except OSError as exc:
+        print(f"error: cannot write metrics to {metrics_out}: {exc}",
+              file=sys.stderr)
+        return 1
+    print(f"metrics written to {metrics_out} "
+          f"({len(registries)} runs merged)")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -139,7 +139,6 @@ class PartitionOptimizer:
         server_profile: DeviceProfile,
         feature_bytes_fn=None,
         use_plan_costs: bool = False,
-        quantize_bits: Optional[int] = None,
     ):
         self.client_predictor = client_predictor
         self.server_predictor = server_predictor
@@ -150,19 +149,10 @@ class PartitionOptimizer:
         #: crosses the split being priced.  Off by default: the paper's
         #: reproduced figures are calibrated against reference-graph costs.
         self.use_plan_costs = use_plan_costs
-        #: when set, the feature tensor crosses the split ``bits``-bit
-        #: quantized and transfers are priced at the bit-packed wire size
-        #: (:func:`repro.nn.quantize.packed_feature_bytes`)
-        self.quantize_bits = quantize_bits
-        # Injectable for what-if studies (e.g. binary feature encoding).
+        # Injectable for what-if studies (binary or bit-packed quantized
+        # feature encodings).
         if feature_bytes_fn is not None:
             self._feature_bytes = feature_bytes_fn
-        elif quantize_bits is not None:
-            from repro.nn.quantize import packed_feature_bytes
-
-            self._feature_bytes = lambda shape: packed_feature_bytes(
-                shape, quantize_bits
-            )
         else:
             from repro.nn.tensor import text_serialized_bytes
 

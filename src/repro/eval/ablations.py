@@ -14,8 +14,28 @@ These exercise the design choices DESIGN.md calls out:
 * :func:`gpu_server_study` — the paper's forward-looking remark that WebGL
   gives ~80x: with a GPU server, transfer dominates and partial inference
   at deeper points loses its appeal.
+* :func:`session_cache_study` — the paper's §VI future work: what a
+  server-side session cache saves on repeated offloads.
+* :func:`quantization_study` — quantize the feature at the offload point,
+  dequantize at the server: label agreement versus wire bytes.
+* :func:`model_size_scaling_study` — how model size (up to AlexNet's
+  233 MB) drives the pre-send / offload-now / local trade-off.
+* :func:`variability_study` — re-optimizing the split per request on a
+  random-walk Wi-Fi trace versus the paper's fixed ``1st_pool``.
+* :func:`baseline_comparison_study` — snapshot offloading against a
+  specialized edge service and MAUI-style offloading.
+* :func:`codec_partition_study` — the partition optimizer re-run with
+  transfers priced at the bit-packed quantized size.
+* :func:`edge_vs_cloud_study` — the same app against an edge server, a WAN
+  cloud server and a WAN accelerator.
+* :func:`predictor_feature_study` — flops-only versus compute+memory
+  latency models, Neurosurgeon-style.
 * :func:`energy_study` — client energy for local vs offloaded execution
   (the MAUI-style motivation, computed from the same timelines).
+
+:data:`STUDY_NAMES` lists what ``repro ablation`` runs through
+:func:`study_report`; ``contention`` and ``streaming`` live in
+:mod:`repro.eval.workloads` and :mod:`repro.eval.streaming`.
 """
 
 from __future__ import annotations
@@ -562,15 +582,18 @@ def codec_partition_study(
     the optimal split point and always lowers the predicted total.
     """
     from repro.eval.fig8 import make_optimizer
+    from repro.nn.quantize import packed_feature_bytes
 
     model = build_paper_model(model_name)
     link = Testbed(bandwidth_bps=bandwidth_mbps * 1e6).profile
     text_optimizer = make_optimizer(model_name)
     text_choice = text_optimizer.choose(model.network, link, denature=True)
 
-    # Priced at the genuinely bit-packed wire size (packed_feature_bytes,
-    # via the optimizer's quantize_bits hook).
-    quantized_optimizer = make_optimizer(model_name, quantize_bits=bits)
+    # Priced at the genuinely bit-packed wire size.
+    quantized_optimizer = make_optimizer(
+        model_name,
+        feature_bytes_fn=lambda shape: packed_feature_bytes(shape, bits),
+    )
     quantized_choice = quantized_optimizer.choose(model.network, link, denature=True)
     return CodecPartitionStudy(
         model=model_name,

@@ -58,15 +58,11 @@ def sweep_labels(model_name: str, max_points: Optional[int] = None) -> List[str]
     return labels[:max_points] if max_points else labels
 
 
-def make_optimizer(
-    model_name: str, feature_bytes_fn=None, quantize_bits=None
-) -> PartitionOptimizer:
+def make_optimizer(model_name: str, feature_bytes_fn=None) -> PartitionOptimizer:
     """The partition optimizer, with predictors profiled per device.
 
     ``feature_bytes_fn`` overrides the feature transfer-size model (e.g. a
-    quantized codec instead of decimal text); ``quantize_bits`` instead
-    prices the split at the bit-packed quantized wire size
-    (:func:`repro.nn.quantize.packed_feature_bytes`).
+    quantized codec instead of decimal text).
     """
     model = build_paper_model(model_name)
     costs = network_costs(model.network)
@@ -79,7 +75,6 @@ def make_optimizer(
         testbed.client_profile,
         testbed.server_profile,
         feature_bytes_fn=feature_bytes_fn,
-        quantize_bits=quantize_bits,
     )
 
 

@@ -57,18 +57,12 @@ def task_cache_key(task: Task) -> str:
     """The content address of one task's outcome."""
     import repro
 
-    from repro.nn.backend import active_backend_name
-
     identity = {
         "fn": task.fn,
         "kwargs": task.kwargs_dict(),
         "repro_version": repro.__version__,
         "source": source_fingerprint(),
         "format": CACHE_FORMAT,
-        # Reference and tuned outputs agree only within a tested
-        # tolerance: equivalence is a *tested claim*, and a shared key
-        # would mask any regression behind a cache hit.
-        "backend": active_backend_name(),
     }
     canonical = json.dumps(identity, sort_keys=True, default=_canonical_default)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

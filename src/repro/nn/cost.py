@@ -66,12 +66,6 @@ class SpinePointCost:
     def feature_binary_bytes(self) -> int:
         return binary_serialized_bytes(self.output_elements)
 
-    def feature_quantized_bytes(self, bits: int = 8) -> int:
-        """Wire size if the feature tensor crosses the split quantized."""
-        from repro.nn.quantize import packed_feature_bytes
-
-        return packed_feature_bytes(self.output_elements, bits)
-
 
 def network_costs(net: Network) -> List[LayerCost]:
     """Expanded per-layer costs (inception/residual composites flattened)."""

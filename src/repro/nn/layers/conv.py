@@ -23,9 +23,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.backend import active_backend
 from repro.nn.layers.base import Layer, LayerShapeError, Shape
-from repro.nn.tensor import conv_output_hw, scratch
+from repro.nn.tensor import conv_output_hw, im2col, scratch
 from repro.sim import SeededRng
 
 
@@ -169,13 +168,12 @@ class ConvLayer(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self.check_input(x)
-        backend = active_backend()
         operands = self._group_operands()
         if self.groups == 1:
             matrix, bias = operands[0]
             buffer = self.cols_scratch(x.shape[0])
-            cols = backend.im2col(x, self.kernel, self.stride, self.pad, out=buffer)
-            out = backend.gemm(matrix, cols) + bias
+            cols = im2col(x, self.kernel, self.stride, self.pad, out=buffer)
+            out = np.matmul(matrix, cols) + bias
             return out.reshape(self.out_shape).astype(np.float32, copy=False)
         # Grouped convolution (AlexNet-style): each filter group only sees
         # its slice of the input channels.
@@ -184,10 +182,8 @@ class ConvLayer(Layer):
         outputs = []
         for group, (matrix, bias) in enumerate(operands):
             x_slice = x[group * per_in : (group + 1) * per_in]
-            cols = backend.im2col(
-                x_slice, self.kernel, self.stride, self.pad, out=buffer
-            )
-            outputs.append(backend.gemm(matrix, cols) + bias)
+            cols = im2col(x_slice, self.kernel, self.stride, self.pad, out=buffer)
+            outputs.append(np.matmul(matrix, cols) + bias)
         out = np.concatenate(outputs, axis=0)
         return out.reshape(self.out_shape).astype(np.float32, copy=False)
 

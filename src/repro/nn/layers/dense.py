@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.backend import active_backend
 from repro.nn.layers.base import Layer, LayerShapeError, Shape
 from repro.sim import SeededRng
 
@@ -51,13 +50,12 @@ class FCLayer(Layer):
         """Forward pass; ``out`` (optional, ``(out_features,)`` float32) is a
         reusable output buffer — same values, no allocation."""
         self.check_input(x)
-        backend = active_backend()
         flat = x.reshape(-1)
         if out is not None:
-            backend.gemm(self.params["weight"], flat, out=out)
+            np.matmul(self.params["weight"], flat, out=out)
             out += self.params["bias"]
             return out
-        result = backend.gemm(self.params["weight"], flat) + self.params["bias"]
+        result = np.matmul(self.params["weight"], flat) + self.params["bias"]
         return result.astype(np.float32, copy=False)
 
     def count_flops(self) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.backend import active_backend
+from repro.nn import tensor
 from repro.nn.layers.base import Layer, LayerShapeError, Shape
 
 
@@ -40,7 +40,7 @@ class LRNLayer(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self.check_input(x)
-        return active_backend().lrn(self, x)
+        return tensor.lrn(self, x)
 
     def count_flops(self) -> float:
         # square, windowed sum, scale, divide — roughly 4 ops/element plus

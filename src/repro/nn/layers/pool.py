@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.backend import active_backend
+from repro.nn import tensor
 from repro.nn.layers.base import Layer, LayerShapeError, Shape
-from repro.nn.tensor import pool_output_hw
 
 
 class PoolLayer(Layer):
@@ -44,7 +43,9 @@ class PoolLayer(Layer):
         if len(input_shape) != 3:
             raise LayerShapeError(f"pool needs (C,H,W) input, got {input_shape}")
         channels, height, width = input_shape
-        out_h, out_w = pool_output_hw(height, width, self.kernel, self.stride, self.pad)
+        out_h, out_w = tensor.pool_output_hw(
+            height, width, self.kernel, self.stride, self.pad
+        )
         return (channels, out_h, out_w)
 
     def forward(self, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -55,7 +56,7 @@ class PoolLayer(Layer):
         convention of :func:`repro.nn.tensor.im2col`.
         """
         self.check_input(x)
-        return active_backend().pool(self, x, out)
+        return tensor.pool(self, x, out)
 
     def count_flops(self) -> float:
         # One comparison (or add) per window element per output cell.

@@ -151,30 +151,23 @@ class Network:
         self,
         start: int = 0,
         end: Optional[int] = None,
-        quantize_bits: Optional[int] = None,
         exit_point: Optional[int] = None,
     ):
         """The compiled :class:`~repro.nn.plan.ExecutionPlan` for a range.
 
-        Plans are memoized per (start, end, backend, quantize_bits,
-        exit_point) and recompiled automatically when any captured
-        parameter array has been replaced (the same identity rule the conv
-        operand cache uses) — the backend key means switching ``--backend``
-        mid-process never serves a plan bound to the other backend.
+        Plans are memoized per ``(start, end, exit_point)`` and recompiled
+        automatically when any captured parameter array has been replaced
+        (the same identity rule the conv operand cache uses).
         """
-        from repro.nn.backend import active_backend_name
         from repro.nn.plan import compile_plan
 
         self._require_built()
         if end is None:
             end = len(self.layers) - 1
-        key = (start, end, active_backend_name(), quantize_bits, exit_point)
+        key = (start, end, exit_point)
         plan = self._plans.get(key)
         if plan is None or not plan.is_valid():
-            plan = compile_plan(
-                self, start, end, quantize_bits=quantize_bits,
-                exit_point=exit_point,
-            )
+            plan = compile_plan(self, start, end, exit_point=exit_point)
             self._plans[key] = plan
         return plan
 
@@ -329,9 +322,9 @@ class Network:
     ) -> np.ndarray:
         """Forward pass that stops at an exit (``None``: the full network).
 
-        Runs the exit-pruned plan (``compile_plan(exit_point=k)``); under
-        the reference backend it is bitwise-identical to
-        ``at_exit(k).forward_reference(x)``, the trunk-then-head walk.
+        Runs the exit-pruned plan (``compile_plan(exit_point=k)``), which
+        is bitwise-identical to ``at_exit(k).forward_reference(x)``, the
+        trunk-then-head walk.
         """
         self._require_built()
         if exit_index is None or exit_index == len(self.layers) - 1:

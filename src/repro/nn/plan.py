@@ -51,21 +51,9 @@ range boundary falls between branch-and-join stages.
 im2col/broadcast-matmul per step — the edge server uses it to batch
 concurrent partial-inference sessions.
 
-Every hot kernel a step executes — im2col, GEMM, pooling, activation,
-LRN, the joins — goes through a :class:`~repro.nn.backend.KernelBackend`
-bound to the plan at compile time (``reference`` reproduces the exact
-pre-backend numpy calls bitwise; ``tuned`` runs float32 end-to-end).  The
-backend name is part of the plan's identity: it lands in
-``Network.plan_for``'s memo key, so switching backends can never serve a
-plan compiled under the other one.
-
-``compile_plan(..., quantize_bits=8)`` is the same plan over rounded
-weights: every conv/fc step has its weight operand passed through
-per-channel ``quantize → dequantize`` (:mod:`repro.nn.quantize`) and
-runs the float kernels unchanged — so on the reference backend it is
-bitwise equal to ``forward_reference`` over a copy of the network whose
-weights were rounded the same way.  ``PlanStats.quantized`` counts the
-rounded steps (exported as ``quantized_steps_total``).
+Steps and layers call one kernel set directly: numpy's ``matmul`` /
+``maximum`` / ``concatenate`` and the im2col, pooling, LRN and eltwise
+kernels of :mod:`repro.nn.tensor`.
 
 Plans are the only runtime execution path: every ``Network.forward*``
 call runs one, obtained from :func:`compile_plan` (memoized per network by
@@ -82,7 +70,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.backend import KernelBackend, active_backend_name, get_backend
+from repro.nn import tensor
 from repro.nn.layers.activation import DropoutLayer, ReLULayer
 from repro.nn.layers.base import Layer
 from repro.nn.layers.batchnorm import BatchNormLayer, ScaleLayer
@@ -92,7 +80,6 @@ from repro.nn.layers.exits import ExitHead
 from repro.nn.layers.io import InputLayer
 from repro.nn.layers.normalization import LRNLayer
 from repro.nn.layers.pool import PoolLayer
-from repro.nn.quantize import quantize_linear_per_channel
 
 
 class PlanGraphError(RuntimeError):
@@ -110,7 +97,6 @@ class PlanStats:
     fallbacks: int = 0  # steps that call the reference layer forward
     branches: int = 0  # composite branch sequences inlined into the DAG
     joins: int = 0  # concat/eltwise join steps
-    quantized: int = 0  # conv/fc steps rewritten to quantized kernels
     arena_slots: int = 0  # interval-colored arena buffers
     arena_bytes: int = 0  # bytes of preallocated arena slots
     reuse_bytes_per_forward: int = 0  # arena bytes written per forward
@@ -150,8 +136,6 @@ class PlanStep:
         #: arena slot index (interval coloring), None for non-arena steps
         self.slot: Optional[int] = None
         self._out_view: Optional[np.ndarray] = None
-        #: kernel backend, bound by the owning plan before any run()
-        self.backend: KernelBackend = get_backend("reference")
 
     @property
     def spine_index(self) -> int:
@@ -193,17 +177,16 @@ class ConvStep(PlanStep):
     ) -> np.ndarray:
         (x,) = inputs
         layer = self.layer
-        backend = self.backend
         filters, out_h, out_w = self.out_shape
         positions = out_h * out_w
         out2d = out.reshape(filters, positions)
         if layer.groups == 1:
             matrix, bias = self.operands[0]
             buffer = layer.cols_scratch(x.shape[0])
-            cols = backend.im2col(
+            cols = tensor.im2col(
                 x, layer.kernel, layer.stride, layer.pad, out=buffer
             )
-            backend.gemm(matrix, cols, out=out2d)
+            np.matmul(matrix, cols, out=out2d)
             out2d += bias
         else:
             per_in = x.shape[0] // layer.groups
@@ -211,30 +194,29 @@ class ConvStep(PlanStep):
             buffer = layer.cols_scratch(per_in)
             for group, (matrix, bias) in enumerate(self.operands):
                 x_slice = x[group * per_in : (group + 1) * per_in]
-                cols = backend.im2col(
+                cols = tensor.im2col(
                     x_slice, layer.kernel, layer.stride, layer.pad, out=buffer
                 )
                 target = out2d[group * per_out : (group + 1) * per_out]
-                backend.gemm(matrix, cols, out=target)
+                np.matmul(matrix, cols, out=target)
                 target += bias
         if self.relu:
-            backend.relu_inplace(out2d)
+            np.maximum(out2d, 0.0, out=out2d)
         return out
 
     def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         (xs,) = inputs
         layer = self.layer
-        backend = self.backend
         count = xs.shape[0]
         filters, out_h, out_w = self.out_shape
         positions = out_h * out_w
         if layer.groups == 1:
             matrix, bias = self.operands[0]
-            cols = backend.im2col(
+            cols = tensor.im2col(
                 xs, layer.kernel, layer.stride, layer.pad,
                 out=layer.cols_scratch(count, xs.shape[1]),
             )
-            out = backend.gemm(matrix, cols)  # (N, F, P) via broadcast
+            out = np.matmul(matrix, cols)  # (N, F, P) via broadcast
             out += bias
         else:
             per_in = xs.shape[1] // layer.groups
@@ -242,15 +224,15 @@ class ConvStep(PlanStep):
             out = np.empty((count, filters, positions), dtype=np.float32)
             buffer = layer.cols_scratch(count, per_in)
             for group, (matrix, bias) in enumerate(self.operands):
-                cols = backend.im2col(
+                cols = tensor.im2col(
                     xs[:, group * per_in : (group + 1) * per_in],
                     layer.kernel, layer.stride, layer.pad, out=buffer,
                 )
                 target = out[:, group * per_out : (group + 1) * per_out]
-                backend.gemm(matrix, cols, out=target)
+                np.matmul(matrix, cols, out=target)
                 target += bias
         if self.relu:
-            backend.relu_inplace(out)
+            np.maximum(out, 0.0, out=out)
         return out.reshape((count,) + self.out_shape)
 
 
@@ -265,38 +247,35 @@ class FCStep(PlanStep):
         name: str,
         layers: Sequence[Tuple[int, Layer, bool]],
         layer: FCLayer,
-        weight: np.ndarray,
         relu: bool,
     ):
         super().__init__(name, layers, layer.out_shape)
         self.layer = layer
-        self.weight = weight
+        self.weight = layer.params["weight"]
         self.relu = relu
 
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        backend = self.backend
         flat = inputs[0].reshape(-1)
         if out is not None:
-            backend.gemm(self.weight, flat, out=out)
+            np.matmul(self.weight, flat, out=out)
             out += self.layer.params["bias"]
             result = out
         else:
-            result = backend.gemm(self.weight, flat)
+            result = np.matmul(self.weight, flat)
             result = result + self.layer.params["bias"]
         if self.relu:
-            backend.relu_inplace(result)
+            np.maximum(result, 0.0, out=result)
         return result
 
     def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        backend = self.backend
         xs = inputs[0]
         flat = xs.reshape(xs.shape[0], -1)
-        out = backend.gemm(flat, self.weight.T)
+        out = np.matmul(flat, self.weight.T)
         out += self.layer.params["bias"]
         if self.relu:
-            backend.relu_inplace(out)
+            np.maximum(out, 0.0, out=out)
         return out
 
 
@@ -318,15 +297,15 @@ class PoolStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        return self.backend.pool(self.layer, inputs[0], out)
+        return tensor.pool(self.layer, inputs[0], out)
 
     def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         (xs,) = inputs
         layer = self.layer
         if layer.mode == "max":
-            return self.backend.max_pool_batch(layer, xs)
+            return tensor.max_pool_batch(layer, xs)
         # Channels average independently: fold the batch into them.
-        pooled = self.backend.pool(layer, xs.reshape((-1,) + xs.shape[2:]))
+        pooled = tensor.pool(layer, xs.reshape((-1,) + xs.shape[2:]))
         return pooled.reshape((xs.shape[0],) + self.out_shape)
 
 
@@ -348,12 +327,13 @@ class ReLUStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
+        (x,) = inputs
         if out is not None:
-            return self.backend.relu(inputs[0], out.reshape(inputs[0].shape))
-        return self.backend.relu(inputs[0])
+            return np.maximum(x, 0.0, out=out.reshape(x.shape))
+        return np.maximum(x, 0.0).astype(np.float32, copy=False)
 
     def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return self.backend.relu(inputs[0])
+        return np.maximum(inputs[0], 0.0).astype(np.float32, copy=False)
 
 
 class AffineStep(PlanStep):
@@ -412,20 +392,20 @@ class FallbackStep(PlanStep):
 
 
 class LRNStep(FallbackStep):
-    """LRN through the backend's dedicated kernel.
+    """LRN through its batched kernel.
 
     The batched math is the per-sample prefix-sum formulation applied
     along axis 1, so every sample sees the identical accumulation order —
-    on the reference backend, bitwise equal to N reference forwards.
+    bitwise equal to N reference forwards.
     """
 
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        return self.backend.lrn(self.layer, inputs[0])
+        return tensor.lrn(self.layer, inputs[0])
 
     def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return self.backend.lrn_batch(self.layer, inputs[0])
+        return tensor.lrn_batch(self.layer, inputs[0])
 
 
 class ConcatStep(PlanStep):
@@ -441,10 +421,10 @@ class ConcatStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        return self.backend.concat(inputs, 0, out)
+        return np.concatenate(inputs, axis=0, out=out)
 
     def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return self.backend.concat(inputs, 1)
+        return np.concatenate(inputs, axis=1)
 
 
 class EltwiseAddStep(PlanStep):
@@ -460,10 +440,10 @@ class EltwiseAddStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        return self.backend.eltwise_sum(inputs, out)
+        return tensor.eltwise_sum(inputs, out)
 
     def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return self.backend.eltwise_sum(inputs)
+        return tensor.eltwise_sum(inputs)
 
 
 class ExecutionPlan:
@@ -485,7 +465,6 @@ class ExecutionPlan:
         output_shape: Tuple[int, ...],
         stats: PlanStats,
         witnesses: Sequence[Tuple[Layer, str, np.ndarray]],
-        backend: Optional[str] = None,
     ):
         self.name = name
         self.steps = _topological_schedule(steps)
@@ -497,22 +476,8 @@ class ExecutionPlan:
         self.batch_forwards = 0
         self.batch_sizes: List[int] = []
         self.arena_bytes_reused = 0
-        self._bind_backend(backend)
         self._analyze_liveness()
         self._finalize_arena()
-
-    def _bind_backend(self, backend: Optional[str]) -> None:
-        """Resolve and bind one kernel backend onto every step.
-
-        Bound once per plan, not looked up per call: a plan must never
-        mix backends mid-forward, and ``Network.plan_for`` keys on the
-        backend name so a later ``set_backend`` compiles a new plan
-        instead of mutating this one.
-        """
-        self.backend_name = backend or active_backend_name()
-        instance = get_backend(self.backend_name)
-        for step in self.steps:
-            step.backend = instance
 
     # -- liveness ---------------------------------------------------------------
     def _analyze_liveness(self) -> None:
@@ -731,7 +696,6 @@ class ExecutionPlan:
         stats = self.stats
         return {
             "plan": self.name,
-            "backend": self.backend_name,
             "steps": stats.steps,
             "layers_folded": stats.folded,
             "layers_elided": stats.elided,
@@ -739,7 +703,6 @@ class ExecutionPlan:
             "fallback_steps": stats.fallbacks,
             "branches": stats.branches,
             "joins": stats.joins,
-            "quantized_steps": stats.quantized,
             "arena_slots": stats.arena_slots,
             "arena_bytes": stats.arena_bytes,
             "arena_bytes_reused_per_forward": stats.reuse_bytes_per_forward,
@@ -794,11 +757,6 @@ class ExecutionPlan:
             help="concat/eltwise join steps in the compiled DAG",
             **labels,
         ).inc(stats.joins)
-        registry.counter(
-            "quantized_steps_total",
-            help="conv/fc steps compiled with quantized weights",
-            **labels,
-        ).inc(stats.quantized)
         registry.gauge(
             "plan_arena_slots",
             help="interval-colored arena buffers", **labels,
@@ -1035,11 +993,9 @@ def _lower_sequence(
                 relu = True
                 covered.append((indexed[cursor][0], indexed[cursor][1], True))
                 cursor += 1
-            weight = layer.params["weight"]
-            witnesses.append((layer, "weight", weight))
+            witnesses.append((layer, "weight", layer.params["weight"]))
             current = graph.add(
-                FCStep(prefix + layer.name, covered, layer, weight, relu),
-                [current],
+                FCStep(prefix + layer.name, covered, layer, relu), [current]
             )
             stats.fused += 1 if relu else 0
             position = cursor
@@ -1142,40 +1098,11 @@ def _lower_composite(
     )
 
 
-def _quantize_steps(
-    steps: Sequence[PlanStep], bits: int, stats: PlanStats
-) -> None:
-    """Round every conv/fc weight operand through ``bits``-bit quantization.
-
-    Only the operand arrays change — names, covered layers, inputs and
-    output shapes stay, so the schedule, liveness and arena coloring that
-    follow see the float plan's graph.
-    """
-    def rounded(matrix: np.ndarray) -> np.ndarray:
-        # One affine range per output channel (row): a per-tensor range is
-        # hostage to the widest filter and collapses narrow-range rows
-        # onto a handful of codes.
-        return quantize_linear_per_channel(matrix, bits).dequantize()
-
-    for step in steps:
-        if isinstance(step, ConvStep):
-            step.operands = [
-                (rounded(matrix), bias) for matrix, bias in step.operands
-            ]
-        elif isinstance(step, FCStep):
-            step.weight = rounded(step.weight)
-        else:
-            continue
-        stats.quantized += 1
-
-
 def compile_plan(
     network,
     start: int = 0,
     end: Optional[int] = None,
     *,
-    backend: Optional[str] = None,
-    quantize_bits: Optional[int] = None,
     exit_point: Optional[int] = None,
 ) -> ExecutionPlan:
     """Compile spine layers ``start..end`` (inclusive) of a built network.
@@ -1183,10 +1110,6 @@ def compile_plan(
     The range defaults to the whole spine.  No rewrite considers layers
     outside the range, so front/rear plans of a split are compiled
     independently and fusion never crosses the offload point.
-
-    ``backend`` pins the kernel backend (default: the process-wide active
-    one); ``quantize_bits`` rounds every conv/fc weight operand through
-    ``bits``-bit per-channel quantization after lowering.
 
     ``exit_point`` takes an early exit: the spine index of an
     :class:`~repro.nn.layers.exits.ExitHead` within the range.  The trunk
@@ -1201,8 +1124,6 @@ def compile_plan(
         raise RuntimeError(
             f"network {network.name!r} must be built before compiling a plan"
         )
-    if quantize_bits is not None and not 1 <= quantize_bits <= 16:
-        raise ValueError(f"quantize_bits must be in [1, 16], got {quantize_bits}")
     last = len(network.layers) - 1
     if end is None:
         end = last
@@ -1250,10 +1171,7 @@ def compile_plan(
             (index, network.layers[index]) for index in range(start, end + 1)
         ]
         _lower_sequence(graph, indexed, 0, stats=stats, witnesses=witnesses)
-    steps = graph.steps
-    if quantize_bits is not None:
-        _quantize_steps(steps, quantize_bits, stats)
-    stats.steps = len(steps)
+    stats.steps = len(graph.steps)
     input_shape = (
         network.input_shape if start == 0
         else network.layers[start - 1].out_shape
@@ -1265,11 +1183,5 @@ def compile_plan(
         output_shape = network.layers[end].out_shape
         name = f"{network.name}[{start}:{end}]"
     return ExecutionPlan(
-        name,
-        steps,
-        input_shape,
-        output_shape,
-        stats,
-        witnesses,
-        backend=backend,
+        name, graph.steps, input_shape, output_shape, stats, witnesses
     )

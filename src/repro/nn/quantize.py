@@ -13,13 +13,14 @@ point, dequantize at the server, run the rear network, compare labels.
 per value, MSB first, byte-padded at the end), so
 :attr:`QuantizedTensor.size_bytes` is not just bookkeeping — it equals
 ``len(tensor.pack()) + QUANT_HEADER_BYTES``, the bytes a wire transfer
-would really carry.  The plan compiler's int8 steps
-(:mod:`repro.nn.plan`) and the partition optimizer's quantized-transfer
-pricing (:func:`packed_feature_bytes`) build on the same accounting.
+would really carry.  The int8 split-shift what-if prices transfers with
+the same accounting (:func:`packed_feature_bytes`, handed to the partition
+optimizer as its ``feature_bytes_fn``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
@@ -27,10 +28,6 @@ import numpy as np
 
 #: per-tensor header: shape, scale, zero point, bit width
 QUANT_HEADER_BYTES = 64
-
-#: wire bytes per output channel of a per-channel tensor: one float32
-#: scale plus one float32 zero point
-CHANNEL_PARAM_BYTES = 8
 
 
 def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -142,12 +139,16 @@ def quantize_linear(array: np.ndarray, bits: int = 8) -> QuantizedTensor:
     flat = np.asarray(array, dtype=np.float32).ravel()
     lo = float(flat.min()) if flat.size else 0.0
     hi = float(flat.max()) if flat.size else 0.0
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("cannot quantize a tensor holding nan or inf")
     levels = (1 << bits) - 1
-    if hi <= lo:
+    scale = (hi - lo) / levels
+    if np.float32(scale) == 0.0:
+        # A constant tensor, or a range so narrow that its step underflows
+        # float32 (the arithmetic below would divide by zero).
         scale = 1.0
         codes = np.zeros(flat.shape, dtype=np.uint16)
     else:
-        scale = (hi - lo) / levels
         codes = np.clip(np.round((flat - lo) / scale), 0, levels).astype(np.uint16)
     return QuantizedTensor(
         codes=codes,
@@ -155,102 +156,6 @@ def quantize_linear(array: np.ndarray, bits: int = 8) -> QuantizedTensor:
         zero_point=lo,
         bits=bits,
         shape=tuple(np.asarray(array).shape),
-    )
-
-
-@dataclass(frozen=True)
-class ChannelQuantizedTensor:
-    """A 2-D matrix quantized with one affine (scale, zero point) per row.
-
-    One shared range across all output channels (per-tensor) wastes most
-    of the code space on whichever channel has the widest weights; rows
-    whose values span a narrow band collapse onto a handful of codes.
-    Per-channel quantization — the standard remedy — gives every row its
-    own range.  ``scale`` and ``zero_point`` are ``(rows,)`` float32
-    arrays; everything else (codes, packing, bit widths) matches
-    :class:`QuantizedTensor`, so the two are interchangeable wherever
-    broadcasting is done right.
-    """
-
-    codes: np.ndarray  # (rows, cols) unsigned integer codes
-    scale: np.ndarray  # (rows,) float32
-    zero_point: np.ndarray  # (rows,) float32
-    bits: int
-    shape: Tuple[int, ...]
-
-    @property
-    def size_bytes(self) -> int:
-        """Packed transfer size: codes + header + per-row scale/zero."""
-        total_bits = int(self.codes.size) * self.bits
-        return (
-            (total_bits + 7) // 8
-            + QUANT_HEADER_BYTES
-            + int(self.shape[0]) * CHANNEL_PARAM_BYTES
-        )
-
-    def pack(self) -> np.ndarray:
-        """The bit-packed wire form of the codes (no header)."""
-        return pack_codes(self.codes, self.bits)
-
-    @classmethod
-    def from_packed(
-        cls,
-        packed: np.ndarray,
-        scale: np.ndarray,
-        zero_point: np.ndarray,
-        bits: int,
-        shape: Sequence[int],
-    ) -> "ChannelQuantizedTensor":
-        """Rebuild a tensor from its packed codes and header fields."""
-        rows, cols = (int(shape[0]), int(shape[1]))
-        return cls(
-            codes=unpack_codes(packed, bits, rows * cols).reshape(rows, cols),
-            scale=np.asarray(scale, dtype=np.float32),
-            zero_point=np.asarray(zero_point, dtype=np.float32),
-            bits=bits,
-            shape=(rows, cols),
-        )
-
-    def dequantize(self) -> np.ndarray:
-        """Reconstruct the float matrix (lossy), row ranges independent."""
-        return (
-            self.codes.astype(np.float32) * self.scale[:, None]
-            + self.zero_point[:, None]
-        ).reshape(self.shape)
-
-
-def quantize_linear_per_channel(
-    matrix: np.ndarray, bits: int = 8
-) -> ChannelQuantizedTensor:
-    """Affine-quantize each row of a 2-D matrix independently."""
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bits must be in [1, 16], got {bits}")
-    array = np.asarray(matrix, dtype=np.float32)
-    if array.ndim != 2:
-        raise ValueError(
-            f"per-channel quantization needs a 2-D matrix, got shape "
-            f"{array.shape}"
-        )
-    levels = (1 << bits) - 1
-    if array.shape[1] == 0:
-        lo = np.zeros(array.shape[0], dtype=np.float32)
-        span = np.zeros(array.shape[0], dtype=np.float32)
-    else:
-        lo = array.min(axis=1)
-        span = array.max(axis=1) - lo
-    degenerate = span <= 0
-    scale = np.where(degenerate, 1.0, span / levels).astype(np.float32)
-    zero_point = lo.astype(np.float32)
-    codes = np.clip(
-        np.round((array - zero_point[:, None]) / scale[:, None]), 0, levels
-    ).astype(np.uint16)
-    codes[degenerate] = 0
-    return ChannelQuantizedTensor(
-        codes=codes,
-        scale=scale,
-        zero_point=zero_point,
-        bits=bits,
-        shape=tuple(array.shape),
     )
 
 

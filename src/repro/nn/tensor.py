@@ -1,4 +1,4 @@
-"""Tensor helpers: shapes, im2col, pooling windows, text sizing.
+"""Tensor helpers: shapes, im2col, pooling / LRN / eltwise kernels, text sizing.
 
 Conventions
 -----------
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -262,6 +262,102 @@ def _max_windows(
         if window is not None and window is not first:
             cells = target[:, window[0]]
             np.maximum(cells, source[:, window[1]], out=cells)
+
+
+def pool(layer, x: np.ndarray, out=None) -> np.ndarray:
+    """One pooling layer forward.
+
+    Channels pool independently, so ``x`` may carry any number of them
+    — a batch folded into the channel axis included.
+    """
+    if layer.mode == "max" and out is not None:
+        return max_pool_strided(
+            x, layer.kernel, layer.stride, layer.pad, out=out
+        )
+    patches, _ = pool_patches(x, layer.kernel, layer.stride, layer.pad)
+    if layer.mode == "max":
+        result = patches.max(axis=(1, 2))
+    else:
+        # The int64 window count silently promotes the divide to
+        # float64 (kept verbatim for bitwise identity).
+        finite = np.isfinite(patches)
+        total = np.where(finite, patches, 0.0).sum(axis=(1, 2))
+        result = total / np.maximum(finite.sum(axis=(1, 2)), 1)
+    result = result.astype(np.float32, copy=False)
+    if out is not None:
+        target = out.reshape(result.shape)
+        np.copyto(target, result)
+        return target
+    return result
+
+
+def max_pool_batch(layer, xs: np.ndarray) -> np.ndarray:
+    """Max-pool an ``(N, C, H, W)`` batch: the batch folds into the channels."""
+    count = xs.shape[0]
+    folded = xs.reshape((-1,) + xs.shape[2:])
+    pooled = max_pool_strided(folded, layer.kernel, layer.stride, layer.pad)
+    return pooled.reshape((count,) + layer.out_shape)
+
+
+def lrn(layer, x: np.ndarray) -> np.ndarray:
+    """Across-channel LRN, one sample: a batch of one."""
+    return lrn_batch(layer, x[None])[0]
+
+
+def lrn_batch(layer, xs: np.ndarray) -> np.ndarray:
+    """LRN along axis 1 of ``(N, C, H, W)`` (float64 prefix sums, every
+    operation in place over scratch)."""
+    scale = scratch("lrn_sums", xs.shape, np.float64)
+    _lrn_window_sums(xs, layer.local_size // 2, scale)
+    scale *= layer.alpha / layer.local_size
+    scale += layer.k
+    scale **= layer.beta
+    np.divide(xs, scale, out=scale)
+    return scale.astype(np.float32)
+
+
+def _lrn_window_sums(xs: np.ndarray, half: int, sums: np.ndarray) -> None:
+    """Across-channel sliding sums of ``xs ** 2`` (axis 1), in ``sums``'s dtype.
+
+    ``sums[:, c]`` is the sum over channels ``c - half .. c + half`` clipped
+    to the tensor, taken as a difference of running prefix sums (built in
+    place over scratch): one slice subtraction for the channels whose
+    window fits, one row subtraction for each of the ``<= 2 * half`` that
+    are clipped.
+    """
+    channels = xs.shape[1]
+    prefix = scratch(
+        "lrn_prefix", (xs.shape[0], channels + 1) + xs.shape[2:], sums.dtype
+    )
+    prefix[:, 0] = 0.0
+    running = prefix[:, 1:]
+    np.multiply(xs, xs, out=running, dtype=sums.dtype)
+    np.cumsum(running, axis=1, out=running)
+    fitting = channels - 2 * half
+    if fitting > 0:
+        np.subtract(
+            prefix[:, 2 * half + 1 :],
+            prefix[:, :fitting],
+            out=sums[:, half : channels - half],
+        )
+    left = min(half, channels)
+    for c in (*range(left), *range(max(channels - half, left), channels)):
+        np.subtract(
+            prefix[:, min(c + half + 1, channels)],
+            prefix[:, max(c - half, 0)],
+            out=sums[:, c],
+        )
+
+
+def eltwise_sum(inputs: Sequence[np.ndarray], out=None) -> np.ndarray:
+    """Elementwise sum of ``inputs``, accumulated left to right."""
+    if out is not None:
+        np.add(inputs[0], inputs[1], out=out)
+    else:
+        out = inputs[0] + inputs[1]
+    for extra in inputs[2:]:
+        out += extra
+    return out
 
 
 def element_count(shape: Shape3) -> int:

@@ -1,51 +1,36 @@
-"""Backend-equivalence suite: reference bitwise, tuned within tolerance.
+"""Kernel suite: one kernel set, bitwise-locked against its ancestors.
 
-The contract the kernel-backend abstraction must keep:
+The contract the kernels in :mod:`repro.nn.tensor` must keep:
 
-* the ``reference`` backend *is* the pre-backend numpy path — plans and
-  layer walks under it are bitwise identical to each other across the
-  zoo, whole-network and at every split;
-* the ``tuned`` backend (the reference kernels with a float32 LRN) stays
-  within 1e-4 of the reference and never flips a top-1 label;
-* the selection plumbing: the env var reaches forked pool workers, the
-  result-cache key and the per-network plan memo change with the backend
-  (equivalence is a tested claim — a shared entry would mask a
-  regression), and the CLI's ``--backend`` is scoped to its one call;
-* an int8-quantized plan is the float plan over per-channel-rounded
-  conv/fc weights — bitwise equal, under ``reference``, to the walk over
-  a weight-rounded copy of the network — and reports the rounded-step
-  count in its stats and metrics.
+* the slice-gathered pooling windows, the in-place LRN and the separable
+  max-pool return the bits the kernels they replaced returned — those
+  parents are kept here verbatim as oracles, and a test swaps one in for
+  a whole-network run with a single ``monkeypatch.setattr`` on the
+  module (call sites reach the kernels as ``tensor.<name>``);
+* nothing a kernel returns aliases the process-wide scratch;
+* plans and the layer walk are bitwise identical to each other across
+  the zoo, whole-network and at every split;
+* there is nothing to select: no environment variable is read, and the
+  result-cache key names no kernel set.
 """
 
-import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.exec import ExecutionEngine, Task, task_cache_key
-from repro.nn import backend as backend_module
-from repro.nn.backend import (
-    BACKEND_ENV,
-    BackendError,
-    KernelBackend,
-    TunedBackend,
-    active_backend_name,
-    backend_names,
-    blas_info,
-    get_backend,
-    set_backend,
-)
+import repro
+from repro.exec import Task, task_cache_key
 from repro.nn import tensor as tensor_module
 from repro.nn.layers.conv import ConvLayer
-from repro.nn.layers.dense import FCLayer
 from repro.nn.layers.io import InputLayer
 from repro.nn.layers.normalization import LRNLayer
 from repro.nn.layers.pool import PoolLayer
 from repro.nn.network import Network
 from repro.nn.plan import ConvStep, PoolStep
-from repro.nn.quantize import packed_feature_bytes, quantize_linear_per_channel
 from repro.nn.tensor import (
     _window_slices,
     max_pool_strided,
@@ -54,78 +39,15 @@ from repro.nn.tensor import (
     pool_patches,
 )
 from repro.nn.zoo import build_model
-from repro.obs import MetricsRegistry
 from repro.sim import SeededRng
 
-#: models whose reference-backend plans must match the walk bit for bit
+#: models whose plans must match the walk bit for bit
 ZOO_MODELS = ["smallnet", "tinynet", "alexnet", "resnet-mini", "googlenet"]
-
-#: the tuned backend's pinned tolerance against the reference outputs
-TUNED_TOLERANCE = 1e-4
-
-
-@pytest.fixture(autouse=True)
-def restore_backend():
-    yield
-    set_backend(None)
-    os.environ.pop(BACKEND_ENV, None)
-
-
-def round_weights(layers, bits=8):
-    """Round every conv/fc weight in place, one affine range per filter."""
-    for layer in layers:
-        if isinstance(layer, (ConvLayer, FCLayer)):
-            weight = layer.params["weight"]
-            codes = quantize_linear_per_channel(
-                weight.reshape(weight.shape[0], -1), bits
-            )
-            layer.params["weight"] = codes.dequantize().reshape(weight.shape)
-        elif hasattr(layer, "dag_branches"):
-            for _, branch in layer.dag_branches().branches:
-                round_weights(branch, bits)
-
 
 def model_input(model, seed=7):
     return SeededRng(seed, f"backend/{model.name}").uniform_array(
         tuple(model.network.input_shape), 0, 255
     )
-
-
-class TestSelection:
-    def test_registered_names(self):
-        assert backend_names() == ("reference", "tuned")
-
-    def test_default_is_reference(self):
-        assert active_backend_name() == "reference"
-        assert isinstance(get_backend("reference"), KernelBackend)
-        assert isinstance(get_backend("tuned"), TunedBackend)
-
-    def test_override_wins_over_env(self):
-        os.environ[BACKEND_ENV] = "reference"
-        set_backend("tuned")
-        assert active_backend_name() == "tuned"
-        set_backend(None)
-        assert active_backend_name() == "reference"
-
-    def test_env_selects_backend(self):
-        os.environ[BACKEND_ENV] = "tuned"
-        assert active_backend_name() == "tuned"
-
-    def test_unknown_env_backend_raises(self):
-        os.environ[BACKEND_ENV] = "cuda"
-        with pytest.raises(BackendError):
-            active_backend_name()
-
-    def test_unknown_set_backend_raises(self):
-        with pytest.raises(BackendError):
-            set_backend("cuda")
-
-    def test_instances_memoized(self):
-        assert get_backend("tuned") is get_backend("tuned")
-
-    def test_blas_info_names_numpy(self):
-        info = blas_info()
-        assert info["numpy"] == np.__version__
 
 
 def fancy_index_pool_patches(x, kernel, stride, pad=0):
@@ -216,7 +138,6 @@ class TestPoolingWindows:
 
     @pytest.mark.parametrize("name", ["resnet-mini", "googlenet", "alexnet"])
     def test_zoo_outputs_unchanged_by_the_gather(self, name, monkeypatch):
-        set_backend("reference")
         model = build_model(name)
         x = model_input(model)
         batch = np.stack([model_input(model, seed) for seed in (7, 8, 9)])
@@ -235,7 +156,7 @@ class TestPoolingWindows:
             )
 
         new = outputs()
-        monkeypatch.setattr(backend_module, "pool_patches", counted_oracle)
+        monkeypatch.setattr(tensor_module, "pool_patches", counted_oracle)
         old = outputs()
         assert oracle_calls  # the gather is looked up per call, not per plan
         for new_out, old_out in zip(new, old):
@@ -247,9 +168,8 @@ class TestPoolingWindows:
 # -- max-pool, kept verbatim as oracles ---------------------------------------
 
 
-def parent_lrn(self, layer, x):
-    """Across-channel LRN, one sample (reference: float64 prefix sums)."""
-    self._count("lrn")
+def parent_lrn(layer, x):
+    """Across-channel LRN, one sample (float64 prefix sums)."""
     channels = x.shape[0]
     half = layer.local_size // 2
     squared = x.astype(np.float64) ** 2
@@ -265,9 +185,8 @@ def parent_lrn(self, layer, x):
     return (x / scale).astype(np.float32)
 
 
-def parent_lrn_batch(self, layer, xs):
+def parent_lrn_batch(layer, xs):
     """LRN across a batch: the per-sample math applied along axis 1."""
-    self._count("lrn")
     channels = xs.shape[1]
     half = layer.local_size // 2
     squared = xs.astype(np.float64) ** 2
@@ -285,46 +204,6 @@ def parent_lrn_batch(self, layer, xs):
         layer.k + (layer.alpha / layer.local_size) * window_sums
     ) ** layer.beta
     return (xs / scale).astype(np.float32)
-
-
-def parent_tuned_lrn(self, layer, x):
-    self._count("lrn")
-    channels = x.shape[0]
-    half = layer.local_size // 2
-    squared = np.empty(x.shape, dtype=np.float32)
-    np.multiply(x, x, out=squared)
-    prefix = np.empty((channels + 1,) + x.shape[1:], dtype=np.float32)
-    prefix[0] = 0.0
-    np.cumsum(squared, axis=0, out=prefix[1:])
-    lo = np.clip(np.arange(channels) - half, 0, channels)
-    hi = np.clip(np.arange(channels) + half + 1, 0, channels)
-    scale = prefix[hi] - prefix[lo]  # fresh array: fancy indexing copies
-    scale *= np.float32(layer.alpha / layer.local_size)
-    scale += np.float32(layer.k)
-    np.power(scale, np.float32(layer.beta), out=scale)
-    np.divide(x, scale, out=scale)
-    return scale
-
-
-def parent_tuned_lrn_batch(self, layer, xs):
-    self._count("lrn")
-    channels = xs.shape[1]
-    half = layer.local_size // 2
-    squared = np.empty(xs.shape, dtype=np.float32)
-    np.multiply(xs, xs, out=squared)
-    prefix = np.empty(
-        (xs.shape[0], channels + 1) + xs.shape[2:], dtype=np.float32
-    )
-    prefix[:, 0] = 0.0
-    np.cumsum(squared, axis=1, out=prefix[:, 1:])
-    lo = np.clip(np.arange(channels) - half, 0, channels)
-    hi = np.clip(np.arange(channels) + half + 1, 0, channels)
-    scale = prefix[:, hi] - prefix[:, lo]
-    scale *= np.float32(layer.alpha / layer.local_size)
-    scale += np.float32(layer.k)
-    np.power(scale, np.float32(layer.beta), out=scale)
-    np.divide(xs, scale, out=scale)
-    return scale
 
 
 def parent_max_pool_strided(x, kernel, stride, pad=0, out=None):
@@ -421,17 +300,13 @@ class TestInPlaceLrnAndSeparablePool:
     @settings(max_examples=300, deadline=None)
     def test_lrn_equals_parent_kernels(self, case):
         layer, xs = case
-        for backend, single, batch in (
-            (KernelBackend(), parent_lrn, parent_lrn_batch),
-            (TunedBackend(), parent_tuned_lrn, parent_tuned_lrn_batch),
-        ):
-            with np.errstate(all="ignore"):
-                assert same_bits(
-                    backend.lrn_batch(layer, xs), batch(backend, layer, xs)
-                )
-                assert same_bits(
-                    backend.lrn(layer, xs[0]), single(backend, layer, xs[0])
-                )
+        with np.errstate(all="ignore"):
+            assert same_bits(
+                tensor_module.lrn_batch(layer, xs), parent_lrn_batch(layer, xs)
+            )
+            assert same_bits(
+                tensor_module.lrn(layer, xs[0]), parent_lrn(layer, xs[0])
+            )
 
     @pytest.mark.parametrize(
         "shape",
@@ -440,13 +315,7 @@ class TestInPlaceLrnAndSeparablePool:
     def test_lrn_equals_parent_kernels_at_zoo_shapes(self, shape):
         x = SeededRng(3, "lrn").uniform_array(shape, 0, 255)
         layer = LRNLayer("n")
-        assert same_bits(
-            KernelBackend().lrn(layer, x), parent_lrn(KernelBackend(), layer, x)
-        )
-        assert same_bits(
-            TunedBackend().lrn(layer, x),
-            parent_tuned_lrn(TunedBackend(), layer, x),
-        )
+        assert same_bits(tensor_module.lrn(layer, x), parent_lrn(layer, x))
 
     @given(max_pool_cases(), st.booleans())
     @settings(max_examples=400, deadline=None)
@@ -478,7 +347,9 @@ class TestInPlaceLrnAndSeparablePool:
             pooled = step.run_batch([xs])
             assert pooled.shape == (count,) + layer.out_shape
             for index in range(count):
-                assert same_bits(pooled[index], step.backend.pool(layer, xs[index]))
+                assert same_bits(
+                    pooled[index], tensor_module.pool(layer, xs[index])
+                )
 
     @pytest.mark.parametrize(
         "name",
@@ -490,30 +361,39 @@ class TestInPlaceLrnAndSeparablePool:
         x = model_input(model)
         batch = np.stack([model_input(model, seed) for seed in (7, 8, 9)])
 
-        def outputs(backend):
-            set_backend(backend)
-            floats = [
+        oracle_calls = set()
+
+        def counted(oracle):
+            def kernel(*args, **kwargs):
+                oracle_calls.add(oracle.__name__)
+                return oracle(*args, **kwargs)
+
+            return kernel
+
+        def outputs():
+            return [
                 network.forward(x),
                 network.forward_reference(x),
                 network.forward_batch(batch),
             ]
-            if backend == "tuned":
-                return floats
-            int8 = network.plan_for(quantize_bits=8)
-            return floats + [int8.forward(x), int8.forward_batch(batch)]
 
-        new = {backend: outputs(backend) for backend in backend_names()}
+        new = outputs()
         # Kernels are looked up per call, so the memoised plans pick these up.
-        monkeypatch.setattr(KernelBackend, "lrn", parent_lrn)
-        monkeypatch.setattr(KernelBackend, "lrn_batch", parent_lrn_batch)
-        monkeypatch.setattr(TunedBackend, "lrn", parent_tuned_lrn, raising=False)
-        monkeypatch.setattr(TunedBackend, "lrn_batch", parent_tuned_lrn_batch)
+        monkeypatch.setattr(tensor_module, "lrn", counted(parent_lrn))
+        monkeypatch.setattr(tensor_module, "lrn_batch", counted(parent_lrn_batch))
         monkeypatch.setattr(
-            backend_module, "max_pool_strided", parent_max_pool_strided
+            tensor_module, "max_pool_strided", counted(parent_max_pool_strided)
         )
-        for backend in backend_names():
-            for new_out, old_out in zip(new[backend], outputs(backend)):
-                assert same_bits(new_out, old_out)
+        old = outputs()
+        steps = network.plan_for().steps
+        expected_calls = set()
+        if any(step.kind == "lrn" for step in steps):
+            expected_calls |= {"parent_lrn", "parent_lrn_batch"}
+        if any(step.kind == "pool" and step.layer.mode == "max" for step in steps):
+            expected_calls.add("parent_max_pool_strided")
+        assert oracle_calls == expected_calls  # the oracles really ran
+        for new_out, old_out in zip(new, old):
+            assert same_bits(new_out, old_out)
 
 
 class TestScratch:
@@ -540,31 +420,27 @@ class TestScratch:
         )
         network.build(SeededRng(1, "scratch"))
         rng = SeededRng(2, "scratch/x")
-        results = []
-        for name in backend_names():
-            set_backend(name)
-            backend = get_backend(name)
-            plan = network.plan_for()
-            assert [step.kind for step in plan.steps] == [
-                "conv", "lrn", "pool", "conv", "pool",
+        plan = network.plan_for()
+        assert [step.kind for step in plan.steps] == [
+            "conv", "lrn", "pool", "conv", "pool",
+        ]
+        x = rng.normal_array(network.input_shape)
+        results = [plan.forward(x), plan.forward_batch(np.stack([x, x + 1]))]
+        for step in plan.steps:
+            x = rng.normal_array(step.layer.input_shape)
+            xs = np.stack([x, x + 1])
+            out = np.empty(step.out_shape, dtype=np.float32)
+            results += [
+                step.run([x], out if step.arena else None),
+                step.run_batch([xs]),
+                step.layer.forward(x),
             ]
-            x = rng.normal_array(network.input_shape)
-            results += [plan.forward(x), plan.forward_batch(np.stack([x, x + 1]))]
-            for step in plan.steps:
-                x = rng.normal_array(step.layer.input_shape)
-                xs = np.stack([x, x + 1])
-                out = np.empty(step.out_shape, dtype=np.float32)
-                results += [
-                    step.run([x], out if step.arena else None),
-                    step.run_batch([xs]),
-                    step.layer.forward(x),
-                ]
-                if step.kind == "lrn":
-                    results.append(backend.lrn_batch(step.layer, xs))
-                if step.kind == "pool":
-                    results.append(backend.pool(step.layer, x))
-                if step.kind == "pool" and step.layer.mode == "max":
-                    results.append(backend.max_pool_batch(step.layer, xs))
+            if step.kind == "lrn":
+                results.append(tensor_module.lrn_batch(step.layer, xs))
+            if step.kind == "pool":
+                results.append(tensor_module.pool(step.layer, x))
+            if step.kind == "pool" and step.layer.mode == "max":
+                results.append(tensor_module.max_pool_batch(step.layer, xs))
         assert set(tensor_module._SCRATCH) >= {
             "cols", "lrn_prefix", "lrn_sums", "pool_rows",
         }
@@ -581,19 +457,20 @@ class TestScratch:
             convs.append((layer, rng.normal_array(shape)))
         lrn = LRNLayer("n")
         lrn_inputs = [rng.normal_array((7, 5, 5)), rng.normal_array((12, 3, 4))]
-        backend = get_backend("reference")
         tensor_module._SCRATCH.clear()
         alone = []
         for layer, x in convs:
             alone.append(layer.forward(x))
             tensor_module._SCRATCH.clear()
         for x in lrn_inputs:
-            alone.append(backend.lrn(lrn, x))
+            alone.append(tensor_module.lrn(lrn, x))
             tensor_module._SCRATCH.clear()
         together = []
         for _ in range(2):  # second lap runs over the other kernel's leftovers
             together = [layer.forward(x) for layer, x in reversed(convs)][::-1]
-            together += [backend.lrn(lrn, x) for x in reversed(lrn_inputs)][::-1]
+            together += [
+                tensor_module.lrn(lrn, x) for x in reversed(lrn_inputs)
+            ][::-1]
         for got, expected in zip(together, alone):
             assert same_bits(got, expected)
 
@@ -626,11 +503,10 @@ class TestScratch:
 
 
 class TestReferenceBitwise:
-    """``reference`` plans equal the raw layer walk, bit for bit."""
+    """Plans equal the raw layer walk, bit for bit."""
 
     @pytest.mark.parametrize("name", ZOO_MODELS)
     def test_whole_network(self, name):
-        set_backend("reference")
         model = build_model(name)
         x = model_input(model)
         walk = model.network.forward_reference(x)
@@ -640,7 +516,6 @@ class TestReferenceBitwise:
 
     @pytest.mark.parametrize("name", ["alexnet", "googlenet"])
     def test_split_ranges(self, name):
-        set_backend("reference")
         model = build_model(name)
         x = model_input(model)
         points = model.network.offload_points()
@@ -648,32 +523,6 @@ class TestReferenceBitwise:
             front, rear = model.split(point.index)
             split_out = rear.inference(front.inference(x))
             assert np.array_equal(split_out, model.inference(x))
-
-
-class TestTunedTolerance:
-    """``tuned`` stays within the pinned tolerance and keeps every label."""
-
-    @pytest.mark.parametrize("name", ZOO_MODELS)
-    def test_forward_within_tolerance(self, name):
-        set_backend("reference")
-        model = build_model(name)
-        x = model_input(model)
-        reference = model.network.forward_reference(x)
-        set_backend("tuned")
-        network = build_model(name).network
-        for forward in (network.forward_reference, network.forward):
-            tuned = forward(x)
-            assert tuned.dtype == np.float32
-            assert np.abs(tuned - reference).max() <= TUNED_TOLERANCE
-            assert int(np.argmax(tuned)) == int(np.argmax(reference))
-
-    def test_kernel_calls_counted(self):
-        set_backend("tuned")
-        tuned = get_backend("tuned")
-        before = dict(tuned.calls)
-        model = build_model("smallnet")
-        model.network.forward(model_input(model))
-        assert tuned.calls.get("gemm", 0) > before.get("gemm", 0)
 
 
 @settings(
@@ -687,175 +536,40 @@ class TestTunedTolerance:
     seed=st.integers(0, 2**16),
     split_fraction=st.floats(0.0, 1.0),
 )
-def test_backend_equivalence_fuzz(name, seed, split_fraction):
-    """Random zoo model + input + split: reference bitwise, tuned close.
-
-    The property the whole PR rests on, sampled instead of enumerated:
-    for any model, any input, and any offload split, the reference
-    backend's split inference equals the unsplit walk bitwise, and the
-    tuned backend agrees within tolerance with an identical top-1 label.
-    """
-    set_backend("reference")
-    try:
-        model = build_model(name)
-        x = model_input(model, seed=seed)
-        reference = model.inference(x)
-        points = model.network.offload_points()
-        point = points[int(split_fraction * (len(points) - 1))]
-        front, rear = model.split(point.index)
-        assert np.array_equal(rear.inference(front.inference(x)), reference)
-
-        set_backend("tuned")
-        tuned_model = build_model(name)
-        tuned_front, tuned_rear = tuned_model.split(point.index)
-        tuned = tuned_rear.inference(tuned_front.inference(x))
-        assert np.abs(tuned - reference).max() <= TUNED_TOLERANCE
-        assert int(np.argmax(tuned)) == int(np.argmax(reference))
-    finally:
-        set_backend(None)
+def test_split_equivalence_fuzz(name, seed, split_fraction):
+    """Random zoo model + input + split: for any model, any input and any
+    offload split, the split inference equals the unsplit one bitwise."""
+    model = build_model(name)
+    x = model_input(model, seed=seed)
+    points = model.network.offload_points()
+    point = points[int(split_fraction * (len(points) - 1))]
+    front, rear = model.split(point.index)
+    assert np.array_equal(rear.inference(front.inference(x)), model.inference(x))
 
 
-class TestWorkerAndCachePlumbing:
-    """REPRO_BACKEND must reach pool workers and every cache key."""
+class TestNothingToSelect:
+    """One kernel set: no variable picks another, no key names one."""
 
-    def test_env_reaches_pool_workers(self):
-        os.environ[BACKEND_ENV] = "tuned"
-        outcomes = ExecutionEngine(jobs=2).run(
-            [
-                Task.make("a", "repro.nn.backend.active_backend_name", {}),
-                Task.make("b", "repro.nn.backend.active_backend_name", {}),
-            ]
-        )
-        assert [o.payload for o in outcomes] == ["tuned", "tuned"]
-
-    def test_task_cache_key_depends_on_backend(self):
-        task = Task.make("k", "repro.nn.backend.active_backend_name", {})
-        set_backend("reference")
-        reference_key = task_cache_key(task)
-        set_backend("tuned")
-        assert task_cache_key(task) != reference_key
-
-    def test_plan_memo_keyed_by_backend(self):
-        network = build_model("smallnet").network
-        set_backend("reference")
-        reference_plan = network.plan_for()
-        set_backend("tuned")
-        tuned_plan = network.plan_for()
-        assert reference_plan is not tuned_plan
-        assert reference_plan.backend_name == "reference"
-        assert tuned_plan.backend_name == "tuned"
-
-    @pytest.mark.parametrize("ambient", [None, "reference"])
-    def test_cli_backend_flag_is_scoped_to_the_call(self, ambient, capsys):
-        from repro import cli
-
-        if ambient is not None:
-            os.environ[BACKEND_ENV] = ambient
-        assert cli.main(["metrics", "--backend", "tuned"]) == 0
-        assert "kernel backend: tuned" in capsys.readouterr().err
-        assert os.environ.get(BACKEND_ENV) == ambient
-        assert active_backend_name() == "reference"
-
-
-class TestQuantizedPlans:
-    @pytest.mark.parametrize("backend", ["reference", "tuned"])
-    @pytest.mark.parametrize("name", ["smallnet", "googlenet"])
-    def test_quantized_plan_preserves_top1(self, backend, name):
-        set_backend(backend)
-        model = build_model(name)
+    @pytest.mark.parametrize("value", ["tuned", "nosuch"])
+    def test_backend_env_is_not_read(self, value, monkeypatch):
+        """``REPRO_BACKEND`` selected the kernel registry's backend and
+        ``REPRO_BACKEND_THREADS`` sized its threaded GEMM: setting either
+        must change neither a forward nor a result-cache key."""
+        model = build_model("googlenet")
         x = model_input(model)
-        reference = model.network.forward_reference(x)
-        qplan = model.network.plan_for(quantize_bits=8)
-        assert qplan.stats.quantized > 0
-        quantized = qplan.forward(x)
-        assert int(np.argmax(quantized)) == int(np.argmax(reference))
-
-    @pytest.mark.parametrize("backend", ["reference", "tuned"])
-    @pytest.mark.parametrize("name", ["smallnet", "alexnet", "googlenet"])
-    def test_quantized_plan_is_float_plan_over_rounded_weights(
-        self, backend, name
-    ):
-        """The int8 oracle: the reference walk over a weight-rounded copy."""
-        model = build_model(name)
-        rounded = build_model(name).network
-        round_weights(rounded.layers)
-        xs = np.stack([model_input(model, seed) for seed in range(3)])
-        set_backend("reference")
-        walk = np.stack([rounded.forward_reference(x) for x in xs])
-        float_batch = rounded.forward_batch(xs)
-        set_backend(backend)
-        qplan = model.network.plan_for(quantize_bits=8)
-        single = np.stack([qplan.forward(x) for x in xs])
-        batch = qplan.forward_batch(xs)
-        if backend == "reference":
-            assert np.array_equal(single, walk)
-            # forward_batch reassociates the fc GEMM, so its bitwise twin
-            # is the rounded copy's own float batch, not the stacked walk.
-            assert np.array_equal(batch, float_batch)
-        for got in (single, batch):
-            assert np.abs(got - walk).max() <= TUNED_TOLERANCE
-            assert np.array_equal(got.argmax(axis=1), walk.argmax(axis=1))
-
-    def test_quantized_steps_metric(self):
-        model = build_model("smallnet")
-        qplan = model.network.plan_for(quantize_bits=8)
-        registry = MetricsRegistry()
-        qplan.record_metrics(registry)
-        counter = registry.counter(
-            "quantized_steps_total",
-            help="conv/fc steps compiled with quantized weights",
-            plan=qplan.name,
-        )
-        assert counter.value == qplan.stats.quantized > 0
-
-    def test_quantized_plan_summary(self):
-        model = build_model("smallnet")
-        summary = model.network.plan_for(quantize_bits=8).summary()
-        assert summary["quantized_steps"] > 0
-        assert summary["backend"] == "reference"
-
-    def test_invalid_bits_rejected(self):
-        network = build_model("smallnet").network
-        with pytest.raises(ValueError):
-            network.plan_for(quantize_bits=0)
-
-    def test_partition_optimizer_prices_packed_bytes(self):
-        from repro.eval.fig8 import make_optimizer
-
-        optimizer = make_optimizer("googlenet", quantize_bits=8)
-        assert optimizer.quantize_bits == 8
-        assert optimizer._feature_bytes((4, 5)) == packed_feature_bytes(20, 8)
-
-
-class TestBackendMetrics:
-    def test_record_backend_metrics(self):
-        set_backend("tuned")
-        model = build_model("smallnet")
-        model.network.forward(model_input(model))
-        registry = MetricsRegistry()
-        backend_module.record_backend_metrics(registry)
-        counter = registry.counter(
-            "backend_kernel_calls_total",
-            help="kernel invocations through the backend interface",
-            backend="tuned",
-            op="gemm",
-        )
-        assert counter.value > 0
-
-    def test_thread_budget_env_is_not_read(self, monkeypatch):
-        """``REPRO_BACKEND_THREADS`` was the threaded GEMM's knob: setting
-        it must change nothing a tuned run exports."""
+        task = Task.make("k", "repro.eval.ablations.study_report", {"which": "gpu"})
+        unset_output = model.network.forward(x)
+        unset_key = task_cache_key(task)
+        monkeypatch.setenv("REPRO_BACKEND", value)
         monkeypatch.setenv("REPRO_BACKEND_THREADS", "7")
-        monkeypatch.delitem(backend_module._INSTANCES, "tuned", raising=False)
-        set_backend("tuned")
-        model = build_model("alexnet")
-        model.network.forward(model_input(model))
-        registry = MetricsRegistry()
-        backend_module.record_backend_metrics(registry)
-        ops = {
-            dict(series.labels)["op"]
-            for series in registry.series("backend_kernel_calls_total")
-            if dict(series.labels)["backend"] == "tuned"
-        }
-        assert ops == {"gemm", "im2col", "lrn", "pool", "relu"}
-        assert set(registry.families()) == {"backend_kernel_calls_total"}
+        assert np.array_equal(build_model("googlenet").network.forward(x), unset_output)
+        assert task_cache_key(task) == unset_key
+
+    def test_program_reads_no_environment_variable(self):
+        package = Path(repro.__file__).resolve().parent
+        readers = [
+            str(path.relative_to(package))
+            for path in sorted(package.rglob("*.py"))
+            if re.search(r"os\.environ|getenv", path.read_text(encoding="utf-8"))
+        ]
+        assert readers == []

@@ -40,6 +40,58 @@ class TestParser:
         network.forward(np.zeros(network.input_shape, dtype=np.float32))
         assert network.plan_for().forwards == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "fig6", "fig7", "table1", "fig8", "fig-accuracy", "ablation gpu",
+            "demo", "metrics", "fleet", "serve", "campaign",
+        ],
+    )
+    def test_backend_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command.split() + ["--backend", "reference"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("fleet", "--edges", "0"),
+            ("fleet", "--sessions", "0"),
+            ("fleet", "--requests", "0"),
+            ("fleet", "--rate", "0"),
+            ("fleet", "--rate", "nan"),
+            ("fleet", "--skew", "-1"),
+            ("fleet", "--reply-timeout", "0"),
+            ("fleet", "--edge-memory-budget", "0"),
+            ("fig6", "--jobs", "0"),
+            ("fig6", "--bandwidth", "0"),
+            ("fig-accuracy", "--bandwidths", "0"),
+            ("serve", "--max-batch", "0"),
+            ("serve", "--batch-timeout", "-0.5"),
+            ("serve", "--think", "0"),
+            ("serve", "--deadline", "0"),
+            ("campaign", "--jobs", "-2"),
+        ],
+    )
+    def test_out_of_range_number_is_a_usage_error(
+        self, command, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing simulated
+        assert "Traceback" not in captured.err
+        (line,) = [text for text in captured.err.splitlines() if "error:" in text]
+        assert f"argument {flag}: must be" in line and value in line
+
+    def test_zero_batch_timeout_is_a_value(self):
+        """``batch_timeout_s >= 0`` is the library's rule: 0 cuts a batch
+        from whatever is already queued."""
+        args = build_parser().parse_args(["serve", "--batch-timeout", "0"])
+        assert args.batch_timeout == 0.0
+
 
 class TestCommands:
     def test_fig1(self, capsys):

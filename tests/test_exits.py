@@ -3,9 +3,8 @@
 Four contracts land together in this file:
 
 * **(split, exit) equivalence** — every (split, exit) pair of a
-  multi-exit model executes identically through the compiled plans and
-  the reference layer walk: bitwise under the ``reference`` backend,
-  within the pinned tolerance (and top-1 equality) under ``tuned``.
+  multi-exit model executes bitwise identically through the compiled
+  plans and the reference layer walk.
 * **deadline optimization** — ``choose_under_deadline`` returns the
   highest-accuracy feasible (split, exit) pair; accuracy is monotone
   non-decreasing in the deadline (the feasible set only grows), every
@@ -18,9 +17,6 @@ Four contracts land together in this file:
   passed while it queued is counted (and flagged) once, at dequeue,
   instead of at completion; misses that happen *during* execution are
   still counted at completion, and no item is ever counted twice.
-* **per-channel quantization** — conv/fc weight matrices quantize with
-  one affine range per output row; a skewed-row matrix that a shared
-  per-tensor range butchers reconstructs within per-row precision.
 """
 
 import numpy as np
@@ -36,22 +32,13 @@ from repro.devices import edge_server_x86, odroid_xu4_client
 from repro.devices.device import Device
 from repro.devices.predictor import fit_predictor_for
 from repro.netsim import NetemProfile
-from repro.nn.backend import set_backend
 from repro.nn.cost import network_costs
 from repro.nn.model import Model, network_from_description
-from repro.nn.quantize import (
-    ChannelQuantizedTensor,
-    quantize_linear,
-    quantize_linear_per_channel,
-)
 from repro.nn.zoo import EXIT_MODELS, build_model
 from repro.serve import ServingConfig, ServingLoop
 from repro.sim import SeededRng, Simulator
 
 import json
-
-#: the tuned backend's pinned tolerance (same as the backend suite)
-TUNED_ATOL = 1e-4
 
 
 def model_input(model, seed=7):
@@ -86,12 +73,6 @@ def optimizer(exits_network):
 @pytest.fixture
 def link():
     return NetemProfile.wifi_30mbps()
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    set_backend(None)
 
 
 class TestExitZoo:
@@ -134,8 +115,7 @@ class TestSplitExitEquivalence:
                 if 0 < point.index < exit.index:
                     yield point, exit
 
-    def test_reference_backend_bitwise_at_every_pair(self, exits_network):
-        set_backend("reference")
+    def test_bitwise_at_every_pair(self, exits_network):
         x = SeededRng(3, "exits/pairs").uniform_array(
             tuple(exits_network.input_shape), 0, 255
         )
@@ -151,24 +131,7 @@ class TestSplitExitEquivalence:
                 "the reference walk"
             )
 
-    def test_tuned_backend_within_tolerance_at_every_pair(self, exits_network):
-        x = SeededRng(3, "exits/pairs").uniform_array(
-            tuple(exits_network.input_shape), 0, 255
-        )
-        for point, exit in self._pairs(exits_network):
-            set_backend("reference")
-            walk = exits_network.at_exit(exit.index).forward_reference(x)
-            set_backend("tuned")
-            front = exits_network.plan_for(0, point.index)
-            rear = exits_network.plan_for(
-                point.index + 1, exit.index, exit_point=exit.index
-            )
-            planned = rear.forward(front.forward(x))
-            assert np.allclose(planned, walk, atol=TUNED_ATOL)
-            assert int(np.argmax(planned)) == int(np.argmax(walk))
-
     def test_forward_exit_optimized_matches_walk(self, exits_network):
-        set_backend("reference")
         x = SeededRng(5, "exits/forward").uniform_array(
             tuple(exits_network.input_shape), 0, 255
         )
@@ -406,75 +369,3 @@ class TestDeadOnArrival:
         assert len(completed) == 1
         assert loop.stats["dead_on_arrival"] == 0
         assert loop.stats["deadline_misses"] == 0
-
-
-def _skewed_matrix(rows=8, cols=64, seed=0):
-    """Row ranges spanning four orders of magnitude."""
-    rng = np.random.default_rng(seed)
-    spans = np.geomspace(1e-3, 10.0, rows)[:, None]
-    return (rng.normal(0.0, 1.0, (rows, cols)) * spans).astype(np.float32)
-
-
-class TestPerChannelQuantization:
-    def test_skewed_rows_reconstruct_within_row_precision(self):
-        # Per-tensor: one shared range, hostage to the widest row; the
-        # narrow rows collapse onto a handful of codes.  Per-channel must
-        # reconstruct every row within its own 8-bit step size — a bound
-        # the shared range misses by orders of magnitude on narrow rows.
-        matrix = _skewed_matrix()
-        per_tensor = quantize_linear(matrix, 8)
-        per_channel = quantize_linear_per_channel(matrix, 8)
-        tensor_err = np.abs(
-            per_tensor.dequantize().reshape(matrix.shape) - matrix
-        )
-        channel_err = np.abs(per_channel.dequantize() - matrix)
-        row_step = (
-            matrix.max(axis=1) - matrix.min(axis=1)
-        ) / 255.0
-        assert np.all(channel_err.max(axis=1) <= row_step + 1e-7)
-        narrow = 0  # the 1e-3-span row
-        assert tensor_err[narrow].max() > 100 * channel_err[narrow].max()
-
-    def test_pack_roundtrip(self):
-        for bits in (3, 8, 12):
-            quantized = quantize_linear_per_channel(_skewed_matrix(), bits)
-            restored = ChannelQuantizedTensor.from_packed(
-                quantized.pack(),
-                quantized.scale,
-                quantized.zero_point,
-                bits,
-                quantized.shape,
-            )
-            assert np.array_equal(restored.codes, quantized.codes)
-            assert np.array_equal(
-                restored.dequantize(), quantized.dequantize()
-            )
-
-    def test_size_bytes_charges_per_row_params(self):
-        quantized = quantize_linear_per_channel(_skewed_matrix(rows=8), 8)
-        flat = quantize_linear(_skewed_matrix(rows=8), 8)
-        assert quantized.size_bytes == flat.size_bytes + 8 * 8
-
-    def test_degenerate_row_reconstructs_exactly(self):
-        matrix = np.vstack(
-            [np.full(16, 2.5, np.float32), np.arange(16, dtype=np.float32)]
-        )
-        quantized = quantize_linear_per_channel(matrix, 4)
-        assert np.allclose(quantized.dequantize()[0], 2.5)
-
-    def test_non_2d_rejected(self):
-        with pytest.raises(ValueError):
-            quantize_linear_per_channel(np.zeros((2, 3, 4), np.float32))
-
-    def test_quantized_fc_operands_are_per_channel(self):
-        from repro.nn.plan import FCStep, compile_plan
-
-        network = build_model("smallnet").network
-        plan = compile_plan(network, quantize_bits=8)
-        fc_steps = [step for step in plan.steps if isinstance(step, FCStep)]
-        assert fc_steps
-        for step in fc_steps:
-            # 8-bit codes per row, but each row on its own affine grid: a
-            # per-tensor range would cap the whole matrix at 256 values.
-            assert all(len(np.unique(row)) <= 256 for row in step.weight)
-            assert len(np.unique(step.weight)) > 256

@@ -166,6 +166,33 @@ class TestPlanMemo:
         assert net.plan_for() is net.plan_for()
         assert net.plan_for(0, 3) is not net.plan_for()
 
+    def test_memo_key_is_range_and_exit(self):
+        model = build_model("smallnet_exits")
+        net = model.network
+        x = model_input(model)
+        exit_index = net.exit_points()[0].index
+        net.forward(x)
+        net.forward_exit(x, exit_index)
+        net.forward_range(net.forward_range(x, 0, 2), 3, len(net.layers) - 1)
+        last = len(net.layers) - 1
+        assert set(net._plans) == {
+            (0, last, None),
+            (0, exit_index, exit_index),
+            (0, 2, None),
+            (3, last, None),
+        }
+        for start, end, exit_point in list(net._plans):
+            plan = net._plans[(start, end, exit_point)]
+            assert net.plan_for(start, end, exit_point) is plan
+            assert net.plan_for(start, end, exit_point=exit_point) is plan
+        stale = net.plan_for()
+        conv = next(layer for layer in net.layers if layer.kind == "conv")
+        conv.params["weight"] = conv.params["weight"] * np.float32(2.0)
+        conv.invalidate_param_cache()
+        fresh = net.plan_for()
+        assert fresh is not stale and net._plans[(0, last, None)] is fresh
+        assert np.array_equal(fresh.forward(x), reference_forward(net, x))
+
     def test_param_replacement_recompiles(self):
         model = smallnet(seed=11)
         net = model.network

@@ -1,5 +1,7 @@
 """Tests for feature quantization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,34 @@ class TestQuantizeLinear:
             1.0 + 1e-3
         ) + 1e-6
 
+    @pytest.mark.parametrize("bits", [2, 8, 16])
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, 1e-45], [-1e-45, 1e-45], [0.0, 1.4e-45, 2.8e-45]],
+        ids=["zero-to-tiny", "around-zero", "three-subnormals"],
+    )
+    def test_subnormal_wide_range_round_trips(self, values, bits):
+        """A range whose float32 step underflows to 0 is a constant tensor
+        as far as the codes go — not a division by zero."""
+        array = np.array(values, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quantized = quantize_linear(array, bits)
+            restored = quantized.dequantize()
+        assert int(quantized.codes.max()) < (1 << bits)
+        error = np.abs(restored - array).max()
+        assert error <= quantized.scale
+        assert error <= array.max() - array.min()
+        if quantized.scale == 1.0:
+            assert not quantized.codes.any()
+            assert quantized.zero_point == float(array.min())
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, poison):
+        array = np.array([0.5, poison, 2.0], dtype=np.float32)
+        with pytest.raises(ValueError, match="nan or inf"):
+            quantize_linear(array, 8)
+
 
 class TestPackCodes:
     """size_bytes honesty: the packed wire form really is that small."""
@@ -127,6 +157,21 @@ class TestPackCodes:
         assert np.array_equal(
             unpack_codes(pack_codes(codes, bits), bits, count), codes
         )
+
+    def test_partition_optimizer_prices_packed_bytes(self):
+        """``feature_bytes_fn`` is the one pricing hook: handed the packed
+        size, the optimizer moves googlenet's slow-link split shallower."""
+        from repro.eval.ablations import codec_partition_study
+        from repro.eval.fig8 import make_optimizer
+
+        optimizer = make_optimizer(
+            "googlenet",
+            feature_bytes_fn=lambda shape: packed_feature_bytes(shape, 8),
+        )
+        assert optimizer._feature_bytes((4, 5)) == packed_feature_bytes(20, 8)
+        study = codec_partition_study("googlenet", bandwidth_mbps=0.5)
+        assert (study.text_point, study.quantized_point) == ("5th_pool", "1st_pool")
+        assert study.quantization_helps
 
 
 class TestImpactMeasurement:
