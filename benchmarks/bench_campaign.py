@@ -1,14 +1,9 @@
 #!/usr/bin/env python
-"""Campaign wall-clock benchmark: serial vs parallel vs result-cached.
+"""Campaign wall-clock benchmark and the perf claims that ride on it.
 
-Runs the same reproduction campaign four ways —
-
-1. serial, no cache           (the baseline everything is measured against)
-2. ``--jobs N`` process pool  (N defaults to the machine's core count)
-3. serial into a cold cache   (baseline + cache-write overhead)
-4. serial against a warm cache (every section served from disk)
-
-— verifies the four reports are byte-identical, then times compiled
+Runs the reproduction campaign twice in this process — an unrecorded
+warm-up, then the timed run with its per-section wall clock — verifies the
+two reports are byte-identical, then times compiled
 execution plans against the reference layer walk (single-image GoogLeNet
 and batched smallnet forwards), compares the DAG scheduler's
 interval-colored arena footprint against the retired two-slot
@@ -20,33 +15,26 @@ rising offered load (the ``serving`` stage: requests/sec and the p99 knee,
 plus bitwise result equality and kill-replay determinism),
 measures the int8 feature codec's split-point shift vs bandwidth (the
 ``int8_split`` stage),
-and writes the timings, speedups, cache statistics, an ``environment``
+and writes the timings, speedups, an ``environment``
 block (BLAS, CPU count) and claim verdicts to
 ``BENCH_perf.json`` at the repo root.
-Claims that cannot be tested on this machine (the parallel speedup on a
-single-CPU container) are recorded as skipped with a reason rather than
-failed.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_campaign.py [--full] [--jobs N]
+    PYTHONPATH=src python benchmarks/bench_campaign.py [--full]
 
 ``--quick`` mode (the default) is the CI-sized campaign (one model,
-truncated sweeps); ``--full`` runs all three paper models.  Note the
-parallel speedup is bounded by the machine: on a single-core container
-the process pool only adds overhead, which the JSON records honestly
-(``cpu_count`` is part of the output).
+truncated sweeps); ``--full`` runs all three paper models.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import dataclasses
 import json
 import os
 import platform
 import sys
-import tempfile
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -63,16 +51,11 @@ def _timed_campaign(label: str, **kwargs):
     wall = time.perf_counter() - started
     stats = result.engine_stats
     print(
-        f"   {wall:6.2f}s wall  (jobs={stats.jobs}, "
-        f"{stats.cache_hits}/{len(stats.tasks)} cached, "
+        f"   {wall:6.2f}s wall  ({len(stats.tasks)} sections, "
         f"compute {stats.compute_seconds:.2f}s)",
         flush=True,
     )
     return wall, result
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _best_of(fn, repetitions=5):
@@ -686,12 +669,6 @@ def main(argv=None) -> int:
         help="run the full campaign (all paper models) instead of --quick",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the parallel stage (default: cpu count)",
-    )
-    parser.add_argument(
         "--out",
         default=os.path.join(REPO_ROOT, "BENCH_perf.json"),
         help="where to write the JSON results (default: repo-root BENCH_perf.json)",
@@ -699,24 +676,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     quick = not args.full
-    jobs = args.jobs or (os.cpu_count() or 1)
-    common = {"quick": quick}
 
-    # One unrecorded run first so every measured stage sees the same
-    # process state (model zoo + conv caches warm) — otherwise whichever
-    # stage runs first eats the one-time build cost.
-    _timed_campaign("warmup (unrecorded)", jobs=1, **common)
-    serial_wall, serial = _timed_campaign("serial (jobs=1)", jobs=1, **common)
-    parallel_wall, parallel = _timed_campaign(
-        f"parallel (jobs={jobs})", jobs=jobs, **common
-    )
-    with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache_dir:
-        cold_wall, cold = _timed_campaign(
-            "cache cold", jobs=1, cache_dir=cache_dir, **common
-        )
-        warm_wall, warm = _timed_campaign(
-            "cache warm", jobs=1, cache_dir=cache_dir, **common
-        )
+    # One unrecorded run first so the measured stage sees a warm process
+    # (model zoo + conv caches) and does not eat the one-time build cost.
+    _, warmup = _timed_campaign("warmup (unrecorded)", quick=quick)
+    serial_wall, serial = _timed_campaign("serial", quick=quick)
     forward = _bench_optimized_forward()
     dag = _bench_dag_forward(forward)
     fleet = _bench_fleet()
@@ -725,35 +689,12 @@ def main(argv=None) -> int:
     modelstore = _bench_modelstore()
     exits = _bench_exits()
 
-    reports = {
-        "serial": serial.report_markdown,
-        "parallel": parallel.report_markdown,
-        "cache_cold": cold.report_markdown,
-        "cache_warm": warm.report_markdown,
-    }
-    baseline = _digest(reports["serial"])
-    identical = {name: _digest(text) == baseline for name, text in reports.items()}
+    # The warm-up is the baseline: a second run in a warm process must
+    # reproduce the first report byte for byte.
+    identical = {"serial": serial.report_markdown == warmup.report_markdown}
 
     cpu_count = os.cpu_count() or 1
-    # The parallel-speedup claim only makes sense with cores to spread
-    # over: on a single-CPU machine the process pool adds pure overhead,
-    # so the claim is skipped (with the reason recorded) rather than
-    # failed or silently asserted.
-    if cpu_count > 1:
-        parallel_claim = {
-            "held": parallel_wall < serial_wall,
-            "skipped": False,
-            "detail": f"jobs={jobs} on {cpu_count} CPUs",
-        }
-    else:
-        parallel_claim = {
-            "held": None,
-            "skipped": True,
-            "reason": "cpu_count == 1: a process pool cannot outrun the "
-            "serial run on a single CPU",
-        }
     claims = {
-        "parallel_faster_than_serial": parallel_claim,
         "optimized_forward_speedup": {
             "held": forward["googlenet_speedup"] >= 1.3,
             "skipped": False,
@@ -904,21 +845,16 @@ def main(argv=None) -> int:
         "platform": platform.platform(),
         "python": platform.python_version(),
         # Hardware/library context so cross-box trajectories are
-        # interpretable (the skipped parallel claim and GEMM speedups
-        # depend on it).
+        # interpretable (the GEMM speedups depend on it).
         "environment": {
             "blas": _blas_info(),
             "cpu_count": cpu_count,
         },
         "stages": {
-            "serial": {"wall_seconds": round(serial_wall, 3),
-                       **serial.engine_stats.as_dict()},
-            "parallel": {"wall_seconds": round(parallel_wall, 3),
-                         **parallel.engine_stats.as_dict()},
-            "cache_cold": {"wall_seconds": round(cold_wall, 3),
-                           **cold.engine_stats.as_dict()},
-            "cache_warm": {"wall_seconds": round(warm_wall, 3),
-                           **warm.engine_stats.as_dict()},
+            "serial": {
+                **dataclasses.asdict(serial.engine_stats),
+                "compute_seconds": serial.engine_stats.compute_seconds,
+            },
             "optimized_forward": forward,
             "dag_forward": dag,
             "fleet": fleet,
@@ -928,22 +864,12 @@ def main(argv=None) -> int:
             "exits": exits,
         },
         "speedup": {
-            "parallel_vs_serial": round(serial_wall / parallel_wall, 3),
-            "warm_cache_vs_serial": round(serial_wall / warm_wall, 3),
-            "cold_cache_overhead": round(cold_wall / serial_wall, 3),
             "optimized_vs_reference": forward["googlenet_speedup"],
             "batched_vs_looped": forward["batch_per_image_speedup"],
         },
-        "cache": {
-            "cold_hits": cold.engine_stats.cache_hits,
-            "warm_hits": warm.engine_stats.cache_hits,
-            "warm_total": len(warm.engine_stats.tasks),
-        },
         "reports_identical": identical,
         "claims": claims,
-        "all_claims_hold": claims_hold and all(
-            r.all_claims_hold for r in (serial, parallel, cold, warm)
-        ),
+        "all_claims_hold": claims_hold and serial.all_claims_hold,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -952,11 +878,8 @@ def main(argv=None) -> int:
 
     failures = [name for name, same in identical.items() if not same]
     if failures:
-        print(f"ERROR: reports diverged from serial baseline: {failures}",
+        print(f"ERROR: reports diverged from the warm-up run: {failures}",
               file=sys.stderr)
-        return 1
-    if warm.engine_stats.cache_hits != len(warm.engine_stats.tasks):
-        print("ERROR: warm cache run recomputed sections", file=sys.stderr)
         return 1
     failed_claims = [
         name for name, claim in claims.items()
@@ -969,11 +892,10 @@ def main(argv=None) -> int:
     skipped = [name for name, claim in claims.items() if claim["skipped"]]
     skip_note = f" (skipped: {', '.join(skipped)})" if skipped else ""
     print(
-        f"parallel {payload['speedup']['parallel_vs_serial']:.2f}x, "
-        f"warm cache {payload['speedup']['warm_cache_vs_serial']:.2f}x, "
+        f"campaign {serial_wall:.2f}s, "
         f"optimized forward {forward['googlenet_speedup']:.2f}x, "
         f"batch-8 {forward['batch_per_image_speedup']:.2f}x per-image; "
-        f"all reports byte-identical{skip_note}"
+        f"report byte-identical to the warm-up's{skip_note}"
     )
     return 0
 

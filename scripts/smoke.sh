@@ -1,10 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke check: unit tests (and each micro-benchmark body once,
 # untimed), a quick campaign with telemetry
-# export, a parse check on the exported metrics, the execution
-# engine's determinism contract (a --jobs 2 campaign plus a warm-cache
-# rerun must reproduce the serial report byte for byte, and the warm
-# run must not be slower than the cold one), the fleet scheduler's
+# export, a parse check on the exported metrics, the fleet scheduler's
 # contract (a small multi-edge scenario with a mid-run kill, run twice
 # with the same seed, must produce byte-identical reports and exported
 # metrics and serve every request), and the serving loop's contract (a
@@ -30,7 +27,7 @@ mkdir -p "$out_dir"
 cd "$repo_root"
 export PYTHONPATH="$repo_root/src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== 1/9 unit + property tests, micro-benchmark bodies once"
+echo "== 1/8 unit + property tests, micro-benchmark bodies once"
 python -m pytest -x -q
 # benchmarks/ is outside pytest's testpaths, so a micro-benchmark that
 # stopped measuring what it names (or stopped running) goes unnoticed:
@@ -39,12 +36,12 @@ python -m pytest -x -q
 # for byte).
 python -m pytest benchmarks/test_micro.py --benchmark-disable -q
 
-echo "== 2/9 quick campaign with telemetry export"
+echo "== 2/8 quick campaign with telemetry export"
 python -m repro campaign --quick \
     --out "$out_dir/report.md" \
     --metrics-out "$out_dir/metrics.prom"
 
-echo "== 3/9 exported metrics parse + sanity"
+echo "== 3/8 exported metrics parse + sanity"
 python - "$out_dir/metrics.prom" <<'PY'
 import sys
 
@@ -63,32 +60,7 @@ print(f"ok: {len(samples)} samples, {sessions:.0f} sessions, "
       f"{executions:.0f} server executions")
 PY
 
-echo "== 4/9 execution engine: parallel + cache determinism"
-cache_dir="$out_dir/result-cache"
-rm -rf "$cache_dir"
-cold_start=$(python -c 'import time; print(time.perf_counter())')
-python -m repro campaign --quick --jobs 2 --cache-dir "$cache_dir" \
-    --out "$out_dir/report-jobs2-cold.md" > /dev/null
-cold_end=$(python -c 'import time; print(time.perf_counter())')
-python -m repro campaign --quick --jobs 2 --cache-dir "$cache_dir" \
-    --out "$out_dir/report-jobs2-warm.md" > /dev/null
-warm_end=$(python -c 'import time; print(time.perf_counter())')
-
-cmp "$out_dir/report.md" "$out_dir/report-jobs2-cold.md" || {
-    echo "FAIL: --jobs 2 report differs from the serial report" >&2; exit 1; }
-cmp "$out_dir/report.md" "$out_dir/report-jobs2-warm.md" || {
-    echo "FAIL: warm-cache report differs from the serial report" >&2; exit 1; }
-python - "$cold_start" "$cold_end" "$warm_end" <<'PY'
-import sys
-
-cold_start, cold_end, warm_end = map(float, sys.argv[1:])
-cold = cold_end - cold_start
-warm = warm_end - cold_end
-print(f"ok: cold {cold:.1f}s, warm {warm:.1f}s (reports byte-identical)")
-assert warm <= cold, f"cached rerun slower than cold run ({warm:.1f}s > {cold:.1f}s)"
-PY
-
-echo "== 5/9 fleet: seeded determinism + failover conservation"
+echo "== 4/8 fleet: seeded determinism + failover conservation"
 # A small multi-edge scenario with an edge killed (and revived) mid-run,
 # executed twice with the same seed, must emit byte-identical reports —
 # the scheduler, failover, and report rendering are all virtual-time
@@ -108,13 +80,13 @@ cmp "$out_dir/fleet-a.prom" "$out_dir/fleet-b.prom" || {
     echo "FAIL: fleet metrics diverge across same-seed reruns" >&2; exit 1; }
 echo "ok: fleet report and metrics byte-identical across same-seed reruns"
 
-echo "== 6/9 serving: continuous-batching determinism under a kill"
+echo "== 5/8 serving: continuous-batching determinism under a kill"
 # The batching serving loop must be invisible in the results: a same-seed
 # serving scenario — two edges, an edge killed and revived mid-run — run
 # twice must emit byte-identical reports (dispatcher wake-ups, batch
 # cuts, drains, and failovers all replay on the virtual clock).  The CLI
 # exits non-zero on any wrong result, so correctness is checked for free.
-# As in stage 5 the exported Prometheus text must match too: the serving
+# As in stage 4 the exported Prometheus text must match too: the serving
 # path's state fingerprints and the exporter sit under the same byte gate.
 python -m repro serve --edges 2 --sessions 10 --requests 2 --rate 48 \
     --seed 5 --kill edge-0@0.35:1.2 --out "$out_dir/serve-a.md" \
@@ -130,7 +102,7 @@ grep -q "serving:" "$out_dir/serve-a.md" || {
     echo "FAIL: serving report carries no batching stats" >&2; exit 1; }
 echo "ok: serving report and metrics byte-identical across same-seed reruns"
 
-echo "== 7/9 committed fig7 baseline"
+echo "== 6/8 committed fig7 baseline"
 # A googlenet fig7 must reproduce the committed report byte for byte: the
 # kernels, the plan compiler and the virtual clock all sit under it.
 python -m repro fig7 --models googlenet > "$out_dir/fig7-googlenet.txt"
@@ -140,7 +112,7 @@ cmp "benchmarks/results/fig7_googlenet_reference.txt" \
     exit 1; }
 echo "ok: fig7 byte-identical to the committed baseline"
 
-echo "== 8/9 model store: cold vs warm fleet determinism"
+echo "== 7/8 model store: cold vs warm fleet determinism"
 # Same-seed cold-fleet and warm-fleet (pre-warmed store) scenarios, each
 # run twice, must emit byte-identical reports — the segment-level
 # handshake, LRU bookkeeping, and presend accounting all replay on the
@@ -166,7 +138,7 @@ grep -q "model upload: 0 B on the wire" "$out_dir/fleet-cold-a.md" && {
     echo "FAIL: cold fleet reports zero upload bytes" >&2; exit 1; }
 echo "ok: cold and warm fleet reports byte-identical; warm uploads nothing"
 
-echo "== 9/9 multi-exit: accuracy-vs-deadline sweep determinism"
+echo "== 8/8 multi-exit: accuracy-vs-deadline sweep determinism"
 # The joint (split, exit) sweep is analytic over deterministically
 # seeded predictor fits: the same seed must render the same bytes, and
 # the CLI exits non-zero if any accuracy-scaling claim is violated

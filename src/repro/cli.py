@@ -17,17 +17,13 @@ Usage::
     python -m repro serve [--model resnet-mini] [--rate 64] [--max-batch 8]
                           [--former size-timeout] [--kill edge-0@0.35:1.2]
     python -m repro metrics [--format prometheus|json] [--trace-out t.json]
-    python -m repro campaign [--quick] [--out REPORT.md] [--jobs 2]
+    python -m repro campaign [--quick] [--out REPORT.md] [--timings]
 
 Every command prints the same rows/series the paper reports and exits 0
 only if the paper's shape claims hold.  Run/campaign commands accept
 ``--metrics-out PATH`` to dump the merged telemetry of every simulator the
-command built (Prometheus text, or JSON when the path ends in ``.json``),
-plus the execution-engine flags ``--jobs N`` (fan independent sections
-across N worker processes), ``--cache-dir DIR`` (content-addressed result
-cache; unchanged scenarios are served from disk) and ``--no-cache``.
-Results are byte-identical whichever way a command executes; see
-``docs/PERFORMANCE.md``.
+command built (Prometheus text, or JSON when the path ends in ``.json``).
+Results are byte-identical from run to run; see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -137,39 +133,6 @@ def _add_fleet_run_args(
     )
 
 
-def _add_exec_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="run independent sections across N worker processes "
-        "(default: 1, serial; results are identical either way)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="content-addressed result cache: unchanged scenarios are "
-        "served from here instead of re-simulated",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache-dir (force recomputation)",
-    )
-
-
-def _engine_from_args(args: argparse.Namespace):
-    """Build the execution engine the CLI flags describe."""
-    from repro.exec import ExecutionEngine, ResultCache
-
-    cache = None
-    if args.cache_dir and not args.no_cache:
-        cache = ResultCache(args.cache_dir)
-    return ExecutionEngine(jobs=args.jobs, cache=cache)
-
-
 def _fail_on_violations(violations: List[str]) -> int:
     if violations:
         print("\nSHAPE VIOLATIONS:", file=sys.stderr)
@@ -191,11 +154,7 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 def cmd_fig6(args: argparse.Namespace) -> int:
     from repro.eval.fig6 import chart_fig6, check_fig6_shape, format_fig6, run_fig6
 
-    rows = run_fig6(
-        models=args.models,
-        bandwidth_bps=args.bandwidth * 1e6,
-        engine=_engine_from_args(args),
-    )
+    rows = run_fig6(models=args.models, bandwidth_bps=args.bandwidth * 1e6)
     print(format_fig6(rows))
     print()
     print(chart_fig6(rows))
@@ -205,11 +164,7 @@ def cmd_fig6(args: argparse.Namespace) -> int:
 def cmd_fig7(args: argparse.Namespace) -> int:
     from repro.eval.fig7 import check_fig7_shape, format_fig7, run_fig7
 
-    bars = run_fig7(
-        models=args.models,
-        bandwidth_bps=args.bandwidth * 1e6,
-        engine=_engine_from_args(args),
-    )
+    bars = run_fig7(models=args.models, bandwidth_bps=args.bandwidth * 1e6)
     print(format_fig7(bars))
     return _fail_on_violations(check_fig7_shape(bars))
 
@@ -221,7 +176,6 @@ def cmd_fig8(args: argparse.Namespace) -> int:
         models=args.models,
         bandwidth_bps=args.bandwidth * 1e6,
         max_points=args.max_points,
-        engine=_engine_from_args(args),
     )
     print(format_fig8(points))
     return _fail_on_violations(check_fig8_shape(points))
@@ -234,11 +188,7 @@ def cmd_fig_accuracy(args: argparse.Namespace) -> int:
         run_fig_accuracy,
     )
 
-    points = run_fig_accuracy(
-        models=args.models,
-        bandwidths_mbps=args.bandwidths,
-        engine=_engine_from_args(args),
-    )
+    points = run_fig_accuracy(models=args.models, bandwidths_mbps=args.bandwidths)
     print(format_fig_accuracy(points))
     return _fail_on_violations(check_fig_accuracy_shape(points))
 
@@ -246,58 +196,36 @@ def cmd_fig_accuracy(args: argparse.Namespace) -> int:
 def cmd_table1(args: argparse.Namespace) -> int:
     from repro.eval.table1 import check_table1_shape, format_table1, run_table1
 
-    rows = run_table1(
-        models=args.models,
-        bandwidth_bps=args.bandwidth * 1e6,
-        engine=_engine_from_args(args),
-    )
+    rows = run_table1(models=args.models, bandwidth_bps=args.bandwidth * 1e6)
     print(format_table1(rows))
     return _fail_on_violations(check_table1_shape(rows))
 
 
 def cmd_ablation(args: argparse.Namespace) -> int:
-    from repro.exec import Task
+    from repro.eval.ablations import study_report
 
-    engine = _engine_from_args(args)
-    [outcome] = engine.run(
-        [
-            Task.make(
-                f"ablation/{args.which}",
-                "repro.eval.ablations.study_report",
-                {"which": args.which},
-            )
-        ]
-    )
-    print(outcome.payload)
+    print(study_report(args.which))
     return 0
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.eval.campaign import run_campaign, write_report
 
-    result = run_campaign(
-        quick=args.quick,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        include_timings=args.timings,
-    )
+    result = run_campaign(quick=args.quick, include_timings=args.timings)
     stats = result.engine_stats
     if args.out:
         write_report(args.out, result)
         print(
             f"report written to {args.out} ({result.wall_seconds:.1f}s, "
-            f"jobs={stats.jobs}, {stats.cache_hits}/{len(stats.tasks)} "
-            "sections cached)"
+            f"0/{len(stats.tasks)} sections cached)"  # read by ledger/workloads.py
         )
     else:
         print(result.report_markdown)
     for task_stats in stats.tasks:
-        cached = " (cached)" if task_stats.cached else ""
-        print(f"  {task_stats.key:28s} {task_stats.wall_seconds:7.2f}s{cached}")
+        print(f"  {task_stats.key:28s} {task_stats.wall_seconds:7.2f}s")
     print(
         f"  {'total wall':28s} {result.wall_seconds:7.2f}s "
-        f"(compute {stats.compute_seconds:.2f}s, jobs={stats.jobs})"
+        f"(compute {stats.compute_seconds:.2f}s)"
     )
     if not result.all_claims_hold:
         flat = [item for items in result.violations.values() for item in items]
@@ -392,25 +320,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
         deadline_s=args.deadline,
         former=args.former,
     )
-    scenario = FleetScenario(
-        model_name=args.model,
-        edges=default_fleet(
-            args.edges,
-            skew=args.skew,
-            memory_budget_bytes=args.edge_memory_budget,
-        ),
-        policy=args.policy,
-        sessions=args.sessions,
-        requests_per_session=args.requests,
-        arrivals=args.arrivals,
-        arrival_rate_per_s=args.rate,
-        mean_think_seconds=args.think,
-        mode="offload-partial",
-        split_index=args.split_index,
-        seed=args.seed,
-        reply_timeout=args.reply_timeout,
-        serving=config,
-    )
+    try:
+        scenario = FleetScenario(
+            model_name=args.model,
+            edges=default_fleet(
+                args.edges,
+                skew=args.skew,
+                memory_budget_bytes=args.edge_memory_budget,
+            ),
+            policy=args.policy,
+            sessions=args.sessions,
+            requests_per_session=args.requests,
+            arrivals=args.arrivals,
+            arrival_rate_per_s=args.rate,
+            mean_think_seconds=args.think,
+            mode="offload-partial",
+            split_index=args.split_index,
+            seed=args.seed,
+            reply_timeout=args.reply_timeout,
+            serving=config,
+        )
+    except IndexError as exc:  # Network.split: the only index the builder takes
+        print(f"error: --split-index: {exc}", file=sys.stderr)
+        return 2
     return _run_fleet_scenario(scenario, args, "serving")
 
 
@@ -454,15 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
         _add_models_arg(p)
         _add_bandwidth_arg(p)
         _add_metrics_arg(p)
-        _add_exec_args(p)
         p.set_defaults(func=func)
 
     p = sub.add_parser("fig8", help="partial-inference sweep")
     _add_models_arg(p)
     _add_bandwidth_arg(p)
     _add_metrics_arg(p)
-    _add_exec_args(p)
-    p.add_argument("--max-points", type=int, default=None)
+    p.add_argument("--max-points", type=_positive_int, default=None)
     p.set_defaults(func=cmd_fig8)
 
     p = sub.add_parser(
@@ -487,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bandwidths to sweep, in Mbps (default: 5 30 100)",
     )
     _add_metrics_arg(p)
-    _add_exec_args(p)
     p.set_defaults(func=cmd_fig_accuracy)
 
     p = sub.add_parser("ablation", help="run one ablation study")
@@ -495,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p.add_argument("which", choices=STUDY_NAMES)
     _add_metrics_arg(p)
-    _add_exec_args(p)
     p.set_defaults(func=cmd_ablation)
 
     p = sub.add_parser("demo", help="one offloaded GoogLeNet inference")
@@ -628,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report non-deterministic across runs)",
     )
     _add_metrics_arg(p)
-    _add_exec_args(p)
     p.set_defaults(func=cmd_campaign)
     return parser
 

@@ -760,12 +760,8 @@ STUDY_NAMES = (
 
 
 def study_report(which: str) -> str:
-    """Run one ablation study and render its report text.
-
-    This is the body of ``repro ablation <which>`` factored into an
-    importable function so the execution engine can run (and cache) it
-    like any other task.
-    """
+    """Run one ablation study and render its report text — the body of
+    ``repro ablation <which>``."""
     from repro.eval.reporting import format_table
 
     lines: List[str] = []

@@ -7,15 +7,13 @@ evaluation entry point.  A ``quick=True`` mode restricts the sweep to one
 paper model for CI-speed smoke runs.
 
 The campaign is a task list, not a script: every figure row, table row
-and ablation study is an independent :class:`~repro.exec.Task`, executed
-by an :class:`~repro.exec.ExecutionEngine` — serially (``jobs=1``),
-across worker processes (``jobs=N``), and/or against a content-addressed
-result cache (``cache_dir=...``).  The report is assembled from outcomes
-in fixed task order and contains no wall-clock numbers, so it is
-**byte-identical** across all execution strategies; wall-clock timings
-live in :attr:`CampaignResult.wall_seconds`, per-section in
-:attr:`CampaignResult.engine_stats`, and can be embedded explicitly with
-``include_timings=True``.
+and ablation study is one :class:`~repro.exec.Task`, and an
+:class:`~repro.exec.ExecutionEngine` runs them in report order, in this
+process, timing each.  The report is assembled from the outcomes and
+contains no wall-clock numbers, so it is **byte-identical** from run to
+run; wall-clock timings live in :attr:`CampaignResult.wall_seconds`,
+per-section in :attr:`CampaignResult.engine_stats`, and can be embedded
+explicitly with ``include_timings=True``.
 """
 
 from __future__ import annotations
@@ -24,9 +22,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.exec import EngineRunStats, ExecutionEngine, ResultCache, Task
+from repro.exec import EngineRunStats, ExecutionEngine, Task
 from repro.nn.zoo import PAPER_MODELS
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, collect_metrics
 
 #: ablation bandwidth grid shown in the report
 ABLATION_BANDWIDTHS_MBPS = (1, 4, 30, 120)
@@ -42,9 +40,7 @@ class CampaignResult:
     wall_seconds: float = 0.0
     #: telemetry merged across every simulator the campaign built
     metrics: Optional[MetricsRegistry] = None
-    #: per-task wall-clock cost (cache hits report their original cost)
-    section_wall_seconds: Dict[str, float] = field(default_factory=dict)
-    #: what the execution engine did (jobs, cache hits, per-task timings)
+    #: what the execution engine measured (per-section wall clock)
     engine_stats: Optional[EngineRunStats] = None
 
     @property
@@ -56,19 +52,13 @@ class CampaignResult:
         from repro.eval.reporting import format_table
 
         rows = [
-            [stats.key, stats.wall_seconds, "yes" if stats.cached else "no"]
+            [stats.key, stats.wall_seconds]
             for stats in (self.engine_stats.tasks if self.engine_stats else [])
         ]
-        jobs = self.engine_stats.jobs if self.engine_stats else 1
-        hits = self.engine_stats.cache_hits if self.engine_stats else 0
         lines = [
             "### Campaign timings (wall clock)\n",
-            _code_block(
-                format_table(["section", "seconds", "cached"], rows)
-            ),
-            f"\nTotal: {self.wall_seconds:.2f}s wall with jobs={jobs}, "
-            f"{hits} cached section(s).  Cached sections report their "
-            "original compute cost.",
+            _code_block(format_table(["section", "seconds"], rows)),
+            f"\nTotal: {self.wall_seconds:.2f}s wall.",
         ]
         return "\n".join(lines)
 
@@ -84,34 +74,37 @@ def build_campaign_tasks(
     bandwidth_bps: Optional[float] = None,
 ) -> List[Task]:
     """The campaign as an explicit task list, in report order."""
-    from repro.eval import calibration
+    from repro.eval import ablations, calibration
+    from repro.eval.fig1 import run_fig1
+    from repro.eval.fig6 import run_fig6_model
+    from repro.eval.fig7 import run_fig7_model
+    from repro.eval.fig8 import run_fig8_model
+    from repro.eval.table1 import run_table1_model
 
     if bandwidth_bps is None:
         bandwidth_bps = calibration.PAPER_BANDWIDTH_BPS
-    tasks: List[Task] = [
-        Task.make("fig1", "repro.eval.fig1.run_fig1", {"model_name": "googlenet"})
-    ]
+    tasks: List[Task] = [Task("fig1", run_fig1, {"model_name": "googlenet"})]
     for model in models:
         tasks.append(
-            Task.make(
+            Task(
                 f"fig6/{model}",
-                "repro.eval.fig6.run_fig6_model",
+                run_fig6_model,
                 {"model_name": model, "bandwidth_bps": bandwidth_bps},
             )
         )
     for model in models:
         tasks.append(
-            Task.make(
+            Task(
                 f"fig7/{model}",
-                "repro.eval.fig7.run_fig7_model",
+                run_fig7_model,
                 {"model_name": model, "bandwidth_bps": bandwidth_bps},
             )
         )
     for model in models:
         tasks.append(
-            Task.make(
+            Task(
                 f"fig8/{model}",
-                "repro.eval.fig8.run_fig8_model",
+                run_fig8_model,
                 {
                     "model_name": model,
                     "bandwidth_bps": bandwidth_bps,
@@ -121,18 +114,18 @@ def build_campaign_tasks(
         )
     for model in models:
         tasks.append(
-            Task.make(
+            Task(
                 f"table1/{model}",
-                "repro.eval.table1.run_table1_model",
+                run_table1_model,
                 {"model_name": model, "bandwidth_bps": bandwidth_bps},
             )
         )
     if include_ablations:
         ablation_model = models[0]
         tasks.append(
-            Task.make(
+            Task(
                 "ablations/bandwidth",
-                "repro.eval.ablations.bandwidth_sweep",
+                ablations.bandwidth_sweep,
                 {
                     "model_name": ablation_model,
                     "bandwidths_mbps": ABLATION_BANDWIDTHS_MBPS,
@@ -140,16 +133,16 @@ def build_campaign_tasks(
             )
         )
         tasks.append(
-            Task.make(
+            Task(
                 "ablations/baselines",
-                "repro.eval.ablations.baseline_comparison_study",
+                ablations.baseline_comparison_study,
                 {"model_name": ablation_model},
             )
         )
         tasks.append(
-            Task.make(
+            Task(
                 "ablations/session_cache",
-                "repro.eval.ablations.session_cache_study",
+                ablations.session_cache_study,
                 {"model_name": ablation_model},
             )
         )
@@ -160,19 +153,12 @@ def run_campaign(
     models: Optional[Sequence[str]] = None,
     include_ablations: bool = True,
     quick: bool = False,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    engine: Optional[ExecutionEngine] = None,
     include_timings: bool = False,
 ) -> CampaignResult:
     """Run everything; returns the report and any shape violations.
 
-    ``jobs`` fans the independent sections across worker processes;
-    ``cache_dir`` enables the content-addressed result cache (disable an
-    inherited directory with ``use_cache=False``).  Both leave the report
-    byte-identical.  ``include_timings=True`` appends the (inherently
-    non-deterministic) wall-clock timing block to the report.
+    ``include_timings=True`` appends the (inherently non-deterministic)
+    wall-clock timing block to the report.
     """
     from repro.eval.fig1 import format_fig1
     from repro.eval.fig6 import chart_fig6, check_fig6_shape, format_fig6
@@ -184,14 +170,11 @@ def run_campaign(
     started = time.perf_counter()
     if models is None:
         models = ("agenet",) if quick else PAPER_MODELS
-    if engine is None:
-        cache = (
-            ResultCache(cache_dir) if cache_dir is not None and use_cache else None
-        )
-        engine = ExecutionEngine(jobs=jobs, cache=cache)
 
+    engine = ExecutionEngine()
     tasks = build_campaign_tasks(models, include_ablations, quick)
-    outcomes = {o.key: o for o in engine.run(tasks)}
+    with collect_metrics() as registries:
+        outcomes = {o.key: o for o in engine.run(tasks)}
     payload = lambda key: outcomes[key].payload  # noqa: E731
 
     violations: Dict[str, List[str]] = {}
@@ -277,9 +260,6 @@ def run_campaign(
             )
         )
 
-    registries = [
-        registry for task in tasks for registry in outcomes[task.key].registries
-    ]
     metrics = MetricsRegistry.merged(registries)
     sections.append("\n## Telemetry\n")
     sections.append(
@@ -318,9 +298,6 @@ def run_campaign(
         violations=violations,
         wall_seconds=wall,
         metrics=metrics,
-        section_wall_seconds={
-            task.key: outcomes[task.key].wall_seconds for task in tasks
-        },
         engine_stats=engine.last_run,
     )
     if include_timings:

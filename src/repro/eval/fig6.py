@@ -65,25 +65,9 @@ def run_fig6_model(
 def run_fig6(
     models: Sequence[str] = PAPER_MODELS,
     bandwidth_bps: float = calibration.PAPER_BANDWIDTH_BPS,
-    engine=None,
 ) -> List[Fig6Row]:
-    """All apps; with an :class:`~repro.exec.ExecutionEngine`, rows run as
-    independent tasks (parallel and/or cached) with identical results."""
-    if engine is None:
-        return [run_fig6_model(name, bandwidth_bps) for name in models]
-    from repro.exec import Task
-
-    outcomes = engine.run(
-        [
-            Task.make(
-                f"fig6/{name}",
-                "repro.eval.fig6.run_fig6_model",
-                {"model_name": name, "bandwidth_bps": bandwidth_bps},
-            )
-            for name in models
-        ]
-    )
-    return [outcome.payload for outcome in outcomes]
+    """All apps, one row each, in the order given."""
+    return [run_fig6_model(name, bandwidth_bps) for name in models]
 
 
 def format_fig6(rows: List[Fig6Row]) -> str:

@@ -85,26 +85,11 @@ def run_fig7_model(
 def run_fig7(
     models: Sequence[str] = PAPER_MODELS,
     bandwidth_bps: float = calibration.PAPER_BANDWIDTH_BPS,
-    engine=None,
 ) -> List[Fig7Bar]:
-    if engine is None:
-        bars: List[Fig7Bar] = []
-        for model in models:
-            bars.extend(run_fig7_model(model, bandwidth_bps))
-        return bars
-    from repro.exec import Task
-
-    outcomes = engine.run(
-        [
-            Task.make(
-                f"fig7/{model}",
-                "repro.eval.fig7.run_fig7_model",
-                {"model_name": model, "bandwidth_bps": bandwidth_bps},
-            )
-            for model in models
-        ]
-    )
-    return [bar for outcome in outcomes for bar in outcome.payload]
+    bars: List[Fig7Bar] = []
+    for model in models:
+        bars.extend(run_fig7_model(model, bandwidth_bps))
+    return bars
 
 
 def format_fig7(bars: List[Fig7Bar]) -> str:

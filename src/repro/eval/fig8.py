@@ -55,7 +55,11 @@ def sweep_labels(model_name: str, max_points: Optional[int] = None) -> List[str]
         for point in model.network.offload_points()
         if point.layer_kind in SWEEP_KINDS
     ]
-    return labels[:max_points] if max_points else labels
+    if max_points is None:
+        return labels
+    if max_points < 1:
+        raise ValueError(f"max_points must be >= 1, got {max_points}")
+    return labels[:max_points]
 
 
 def make_optimizer(model_name: str, feature_bytes_fn=None) -> PartitionOptimizer:
@@ -112,30 +116,11 @@ def run_fig8(
     models: Sequence[str] = PAPER_MODELS,
     bandwidth_bps: float = calibration.PAPER_BANDWIDTH_BPS,
     max_points: Optional[int] = None,
-    engine=None,
 ) -> dict:
-    if engine is None:
-        return {
-            model: run_fig8_model(model, bandwidth_bps, max_points)
-            for model in models
-        }
-    from repro.exec import Task
-
-    outcomes = engine.run(
-        [
-            Task.make(
-                f"fig8/{model}",
-                "repro.eval.fig8.run_fig8_model",
-                {
-                    "model_name": model,
-                    "bandwidth_bps": bandwidth_bps,
-                    "max_points": max_points,
-                },
-            )
-            for model in models
-        ]
-    )
-    return {model: outcome.payload for model, outcome in zip(models, outcomes)}
+    return {
+        model: run_fig8_model(model, bandwidth_bps, max_points)
+        for model in models
+    }
 
 
 def format_fig8(points_by_model: dict) -> str:

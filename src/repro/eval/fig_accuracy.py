@@ -132,29 +132,11 @@ def run_fig_accuracy_model(
 def run_fig_accuracy(
     models: Sequence[str] = EXIT_MODELS,
     bandwidths_mbps: Sequence[float] = DEFAULT_BANDWIDTHS_MBPS,
-    engine=None,
 ) -> Dict[str, List[AccuracyPoint]]:
-    if engine is None:
-        return {
-            model: run_fig_accuracy_model(model, bandwidths_mbps)
-            for model in models
-        }
-    from repro.exec import Task
-
-    outcomes = engine.run(
-        [
-            Task.make(
-                f"fig_accuracy/{model}",
-                "repro.eval.fig_accuracy.run_fig_accuracy_model",
-                {
-                    "model_name": model,
-                    "bandwidths_mbps": list(bandwidths_mbps),
-                },
-            )
-            for model in models
-        ]
-    )
-    return {model: outcome.payload for model, outcome in zip(models, outcomes)}
+    return {
+        model: run_fig_accuracy_model(model, bandwidths_mbps)
+        for model in models
+    }
 
 
 def format_fig_accuracy(points_by_model: Dict[str, List[AccuracyPoint]]) -> str:

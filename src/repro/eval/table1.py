@@ -73,23 +73,8 @@ def run_table1_model(
 def run_table1(
     models: Sequence[str] = PAPER_MODELS,
     bandwidth_bps: float = calibration.PAPER_BANDWIDTH_BPS,
-    engine=None,
 ) -> List[Table1Row]:
-    if engine is None:
-        return [run_table1_model(name, bandwidth_bps) for name in models]
-    from repro.exec import Task
-
-    outcomes = engine.run(
-        [
-            Task.make(
-                f"table1/{name}",
-                "repro.eval.table1.run_table1_model",
-                {"model_name": name, "bandwidth_bps": bandwidth_bps},
-            )
-            for name in models
-        ]
-    )
-    return [outcome.payload for outcome in outcomes]
+    return [run_table1_model(name, bandwidth_bps) for name in models]
 
 
 def format_table1(rows: List[Table1Row]) -> str:

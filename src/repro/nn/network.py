@@ -199,8 +199,8 @@ class Network:
         self._require_built()
         if not 0 <= index < len(self.layers) - 1:
             raise IndexError(
-                f"split index {index} out of range for {len(self.layers)} "
-                f"layers (the rear part needs at least one layer)"
+                f"split index {index} out of range 0..{len(self.layers) - 2} "
+                f"({len(self.layers)} layers, the rear part needs at least one)"
             )
         front = Network(f"{self.name}/front", self.layers[: index + 1])
         front.input_shape = self.input_shape

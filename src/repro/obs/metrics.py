@@ -184,19 +184,6 @@ class MetricsRegistry:
         self._help: Dict[str, str] = {}
         self._metrics: Dict[Tuple[str, LabelKey], Any] = {}
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # Clocks are process-local callables (often a bound simulator
-        # method); a registry that crosses a process boundary carries its
-        # recorded data, not the clock.
-        state = self.__dict__.copy()
-        state["clock"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        if self.__dict__.get("clock") is None:
-            self.clock = lambda: 0.0
-
     # -- registration -------------------------------------------------------
     def _get_or_create(self, kind: str, name: str, help: str, labels: Dict) -> Any:
         registered = self._families.get(name)
@@ -328,39 +315,31 @@ class MetricsRegistry:
 # active (each Simulator builds one in __init__).  Collectors nest: an
 # inner campaign and an outer CLI `--metrics-out` both see the same runs.
 
-_collector_stack: List[Tuple[List[MetricsRegistry], bool]] = []
+_collector_stack: List[List[MetricsRegistry]] = []
 
 
 def announce_registry(registry: MetricsRegistry) -> None:
-    """Offer a newly created registry to active collectors.
-
-    Announcement walks from the innermost collector outward and stops
-    after the first *shielding* collector — see :func:`collect_metrics`.
-    """
-    for bucket, shield in reversed(_collector_stack):
+    """Offer a newly created registry to every active collector."""
+    for bucket in _collector_stack:
         bucket.append(registry)
-        if shield:
-            break
 
 
 @contextmanager
-def collect_metrics(shield: bool = False) -> Iterator[List[MetricsRegistry]]:
+def collect_metrics() -> Iterator[List[MetricsRegistry]]:
     """Collect the registries of all simulators created in this block.
 
     >>> with collect_metrics() as registries:
     ...     pass  # build simulators, run sessions ...
     >>> merged = MetricsRegistry.merged(registries)
 
-    With ``shield=True`` the collector also *hides* the registries from
-    any enclosing collectors.  The execution engine uses this to capture
-    each task's telemetry exactly once and re-announce it afterwards, so
-    a task produces the same announcements whether it ran inline, in a
-    worker process, or straight from the result cache.
+    Registries arrive in creation order, which the fixed experiment seeds
+    make deterministic — so the merge, and every export of it, is too.
     """
     bucket: List[MetricsRegistry] = []
-    entry = (bucket, shield)
-    _collector_stack.append(entry)
+    _collector_stack.append(bucket)
     try:
         yield bucket
     finally:
-        _collector_stack.remove(entry)
+        # pop, not remove(bucket): an enclosing collector that has seen the
+        # same registries is an equal list, and remove() compares by value
+        _collector_stack.pop()

@@ -53,6 +53,19 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--jobs 2", "--cache-dir X", "--no-cache"])
+    @pytest.mark.parametrize(
+        "command",
+        ["fig6", "fig7", "table1", "fig8", "fig-accuracy", "ablation gpu", "campaign"],
+    )
+    def test_exec_flags_are_gone(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command.split() + flag.split())
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing simulated
+        assert f"unrecognized arguments: {flag}" in captured.err
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [
@@ -64,14 +77,14 @@ class TestParser:
             ("fleet", "--skew", "-1"),
             ("fleet", "--reply-timeout", "0"),
             ("fleet", "--edge-memory-budget", "0"),
-            ("fig6", "--jobs", "0"),
+            ("fig8", "--max-points", "0"),
             ("fig6", "--bandwidth", "0"),
             ("fig-accuracy", "--bandwidths", "0"),
             ("serve", "--max-batch", "0"),
             ("serve", "--batch-timeout", "-0.5"),
             ("serve", "--think", "0"),
             ("serve", "--deadline", "0"),
-            ("campaign", "--jobs", "-2"),
+            ("fig8", "--max-points", "-1"),
         ],
     )
     def test_out_of_range_number_is_a_usage_error(
@@ -159,6 +172,15 @@ class TestCommands:
         assert captured.out == ""  # nothing simulated, no report
         (line,) = captured.err.splitlines()
         assert "--kill" in line and repr(spec) in line
+
+    @pytest.mark.parametrize("index", ["99", "-1"])
+    def test_split_index_out_of_range_is_a_usage_error(self, index, capsys):
+        assert main(["serve", "--sessions", "2", "--split-index", index]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing simulated, no report
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: --split-index")
+        assert f"index {index} out of range 0..16" in line  # resnet-mini: 18 layers
 
 
 class TestMetricsCli:

@@ -102,6 +102,12 @@ class TestFig8:
         labels = sweep_labels("agenet")
         assert labels[0] == "input"
         assert labels.index("1st_conv") < labels.index("1st_pool")
+        assert sweep_labels("agenet", max_points=3) == labels[:3]
+
+    @pytest.mark.parametrize("max_points", [0, -1])
+    def test_sweep_labels_rejects_a_non_positive_cap(self, max_points):
+        with pytest.raises(ValueError, match="max_points must be >= 1"):
+            sweep_labels("agenet", max_points)
 
     def test_conv_surge_pool_dip(self, agenet_points):
         by_label = {point.label: point for point in agenet_points}

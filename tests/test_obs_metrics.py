@@ -137,6 +137,18 @@ class TestMerge:
         merged = MetricsRegistry.merged(registries)
         assert merged.value("sim_events_dispatched_total") >= 1
 
+    def test_nested_collectors_each_see_their_own_block(self):
+        with collect_metrics() as outer:
+            with collect_metrics() as inner:
+                first = Simulator()
+            # equal lists here: leaving `inner` must not unhook `outer`
+            second = Simulator()
+        after = Simulator()
+        # registries compare by identity
+        assert inner == [first.metrics]
+        assert outer == [first.metrics, second.metrics]
+        assert after.metrics not in outer
+
 
 class TestSpans:
     def test_span_context_manager_records_clock_interval(self):
