@@ -102,6 +102,18 @@ def test_micro_smallnet_forward(benchmark):
     assert probs.shape == (10,)
 
 
+@pytest.mark.parametrize("name", ["resnet-mini", "googlenet"])
+def test_micro_forward_batch_of_eight(benchmark, name):
+    """The batched forward: ``serve-partial``'s model, and the model whose
+    fresh step outputs used to cost ≈ 35 k page faults per batch of 8."""
+    network = build_model(name).network
+    xs = SeededRng(4, "batch").uniform_array((8,) + network.input_shape, 0, 255)
+    batched = benchmark(lambda: network.forward_batch(xs))
+    looped = np.stack([network.forward(x) for x in xs])
+    np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-6)
+    assert np.array_equal(network.forward_batch(xs[:1])[0], looped[0])
+
+
 def test_micro_conv_layer_forward(benchmark):
     from repro.nn.layers import ConvLayer
 

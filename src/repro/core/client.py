@@ -184,7 +184,6 @@ class ClientAgent:
         self,
         event: Event,
         server_costs: Optional[List[Any]] = None,
-        attach_models_if_unacked: bool = True,
         use_session_cache: bool = True,
         reply_timeout: Optional[float] = None,
         retries: int = 0,
@@ -249,7 +248,7 @@ class ClientAgent:
 
         # 2. Decide what must ride along: any model files the server lacks.
         deliveries: List[protocol.ModelDelivery] = []
-        if attach_models_if_unacked and self.presend is not None:
+        if self.presend is not None:
             deliveries = self.presend.pending_deliveries()
             if deliveries:
                 # Stop the background upload; the snapshot supersedes it.
@@ -292,7 +291,6 @@ class ClientAgent:
                 outcome = yield from self.offload(
                     event,
                     server_costs=server_costs,
-                    attach_models_if_unacked=attach_models_if_unacked,
                     use_session_cache=False,
                     reply_timeout=reply_timeout,
                     retries=retries,

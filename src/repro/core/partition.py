@@ -138,17 +138,11 @@ class PartitionOptimizer:
         client_profile: DeviceProfile,
         server_profile: DeviceProfile,
         feature_bytes_fn=None,
-        use_plan_costs: bool = False,
     ):
         self.client_predictor = client_predictor
         self.server_predictor = server_predictor
         self.client_profile = client_profile
         self.server_profile = server_profile
-        #: price candidate splits on the *optimized* (folded/fused) graph —
-        #: front and rear plans are compiled per candidate so no fusion
-        #: crosses the split being priced.  Off by default: the paper's
-        #: reproduced figures are calibrated against reference-graph costs.
-        self.use_plan_costs = use_plan_costs
         # Injectable for what-if studies (binary or bit-packed quantized
         # feature encodings).
         if feature_bytes_fn is not None:
@@ -187,37 +181,10 @@ class PartitionOptimizer:
         point: OffloadPoint,
         link: NetemProfile,
     ) -> PartitionEstimate:
-        if self.use_plan_costs:
-            from repro.nn.cost import plan_costs
-
-            front = plan_costs(network, 0, point.index)
-            rear = plan_costs(network, point.index + 1, len(network.layers) - 1)
-        else:
-            costs = network_costs(network)
-            front = [cost for cost in costs if cost.spine_index <= point.index]
-            rear = [cost for cost in costs if cost.spine_index > point.index]
-        client_seconds = self.client_predictor.predict_forward(front)
-        server_seconds = self.server_predictor.predict_forward(rear)
-        feature_shape = network.layers[point.index].out_shape
-        feature_bytes = int(self._feature_bytes(tuple(feature_shape)))
-        outbound = feature_bytes + SNAPSHOT_CODE_ALLOWANCE
-        transfer = link.transfer_seconds(outbound) + link.transfer_seconds(
-            RETURN_DELTA_ALLOWANCE
-        )
-        overhead = (
-            self.client_profile.snapshot_fixed_s * 2
-            + self.server_profile.snapshot_fixed_s * 2
-            + outbound / self.client_profile.snapshot_serialize_bps
-            + outbound / self.server_profile.snapshot_restore_bps
-        )
-        return PartitionEstimate(
-            point=point,
-            client_seconds=client_seconds,
-            transfer_seconds=transfer,
-            server_seconds=server_seconds,
-            overhead_seconds=overhead,
-            feature_bytes=feature_bytes,
-        )
+        """Predicted time for one split: :meth:`estimate_exit` at the final
+        exit, where the rear part is every layer past the split."""
+        final = network.exit_points()[-1]
+        return self.estimate_exit(network, point, link, final).estimate
 
     def estimate_exit(
         self,
@@ -228,31 +195,19 @@ class PartitionOptimizer:
     ) -> ExitEstimate:
         """Predicted time for one (split, exit) pair.
 
-        Like :meth:`estimate`, except the rear part stops at the exit:
-        trunk layers past the attach point never run, and a non-final
-        exit's classifier head is priced on the server side.
+        The rear part stops at the exit: trunk layers past the attach point
+        never run, and a non-final exit's classifier head is priced on the
+        server side.
         """
-        last = len(network.layers) - 1
-        if self.use_plan_costs:
-            from repro.nn.cost import plan_costs
-
-            front = plan_costs(network, 0, point.index)
-            if exit.is_final:
-                rear = plan_costs(network, point.index + 1, last)
-            else:
-                rear = plan_costs(
-                    network, point.index + 1, exit.index, exit_point=exit.index
-                )
-        else:
-            costs = network_costs(network)
-            front = [cost for cost in costs if cost.spine_index <= point.index]
-            rear = [
-                cost
-                for cost in costs
-                if point.index < cost.spine_index <= exit.index
-            ]
-            if not exit.is_final:
-                rear = rear + exit_head_costs(network, exit.index)
+        costs = network_costs(network)
+        front = [cost for cost in costs if cost.spine_index <= point.index]
+        rear = [
+            cost
+            for cost in costs
+            if point.index < cost.spine_index <= exit.index
+        ]
+        if not exit.is_final:
+            rear = rear + exit_head_costs(network, exit.index)
         client_seconds = self.client_predictor.predict_forward(front)
         server_seconds = self.server_predictor.predict_forward(rear)
         feature_shape = network.layers[point.index].out_shape

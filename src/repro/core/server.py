@@ -543,11 +543,11 @@ class EdgeServer:
         go through :meth:`batch_partial_inference` — one stacked layer walk
         — and each item's handler reads its row back through a
         :class:`_BatchRowProxy`.  Batches of one take the untouched
-        per-item path, which keeps single-item serving bitwise-identical to
-        sequential serving (even an n=1 batched forward is only
-        almost-equal).  Handler exceptions are stored per item for the
-        protocol loop to classify; one bad request never poisons its
-        batchmates.
+        per-item path: a batched forward of one would return the same bits
+        (:meth:`~repro.nn.plan.ExecutionPlan.forward_batch`), but it would
+        count as a batch in the ``server_batch_*`` telemetry.  Handler
+        exceptions are stored per item for the protocol loop to classify;
+        one bad request never poisons its batchmates.
         """
         rows = None
         if len(batch) > 1:

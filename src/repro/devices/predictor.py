@@ -134,8 +134,10 @@ class MultivariatePredictor:
     Same interface; fit by per-kind least squares with ridge damping.
     """
 
-    def __init__(self, ridge: float = 1e-8):
-        self.ridge = ridge
+    #: ridge damping added to the normal equations' diagonal
+    RIDGE = 1e-8
+
+    def __init__(self):
         self._models: Dict[str, _KindModelMV] = {}
         self._fallback: Optional[_KindModelMV] = None
 
@@ -160,7 +162,7 @@ class MultivariatePredictor:
             ]
         )
         target = np.array([s.seconds for s in samples])
-        gram = design.T @ design + self.ridge * np.eye(3)
+        gram = design.T @ design + self.RIDGE * np.eye(3)
         coef = np.linalg.solve(gram, design.T @ target)
         return _KindModelMV(float(coef[0]), float(coef[1]), float(coef[2]))
 

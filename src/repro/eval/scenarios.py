@@ -152,7 +152,6 @@ class Testbed:
         model_name: str,
         repetitions: int = 3,
         use_session_cache: bool = True,
-        new_image_each_time: bool = False,
     ):
         """N back-to-back inferences after the ACK; returns outcome list.
 
@@ -173,15 +172,8 @@ class Testbed:
         self.client.runtime.dispatch("click", "load_btn")
         self.client.mark_offload_point("click", "infer_btn")
         self.sim.run()  # pre-sending completes
-        rng = SeededRng(17, f"repeat/{model_name}")
         outcomes = []
-        for index in range(repetitions):
-            if new_image_each_time and index > 0:
-                shape = model.network.input_shape
-                self.client.runtime.globals["pending_pixels"] = TypedArray(
-                    rng.uniform_array(shape, 0, 255)
-                )
-                self.client.runtime.dispatch("click", "load_btn")
+        for _ in range(repetitions):
             self.client.runtime.dispatch("click", "infer_btn")
             event = self.client.take_intercepted()
             process = self.sim.spawn(

@@ -62,6 +62,10 @@ from repro.sim import SeededRng, Simulator
 from repro.web.app import make_inference_app, make_partial_inference_app
 from repro.web.values import TypedArray
 
+#: a session that finds no edge waits ``step * attempts``, capped
+BACKOFF_STEP_SECONDS = 0.05
+BACKOFF_CAP_SECONDS = 0.25
+
 
 @dataclass(frozen=True)
 class EdgeSpec:
@@ -420,7 +424,6 @@ class FleetScenario:
         max_outstanding_per_edge: int = 8,
         reply_timeout: float = 5.0,
         retries: int = 0,
-        backoff_seconds: float = 0.05,
         serving: Optional[ServingConfig] = None,
         tenants: Optional[List[str]] = None,
         prewarm: bool = False,
@@ -445,7 +448,6 @@ class FleetScenario:
         self.seed = seed
         self.reply_timeout = reply_timeout
         self.retries = retries
-        self.backoff_seconds = backoff_seconds
         #: per-edge continuous-batching config (None = sequential serving)
         self.serving_config = serving
         self.prewarm = prewarm
@@ -780,7 +782,7 @@ class FleetScenario:
                 waits += 1
                 excluded.clear()  # a revived or drained edge may qualify now
                 yield self.sim.timeout(
-                    min(0.25, self.backoff_seconds * waits)
+                    min(BACKOFF_CAP_SECONDS, BACKOFF_STEP_SECONDS * waits)
                 )
                 continue
             self.scheduler.begin(edge_name)
@@ -941,7 +943,9 @@ class FleetScenario:
                     f"{client.name}: no edge to attach to and none will revive"
                 )
             waits += 1
-            yield self.sim.timeout(min(0.25, self.backoff_seconds * waits))
+            yield self.sim.timeout(
+                min(BACKOFF_CAP_SECONDS, BACKOFF_STEP_SECONDS * waits)
+            )
         try:
             yield from self._attach(client, edge_name)
         except (ReceiveTimeout, LinkDown, EdgeDown):

@@ -133,52 +133,6 @@ def spine_costs(net: Network) -> List[SpinePointCost]:
     return points
 
 
-def plan_costs(
-    net: Network, start: int = 0, end: int = None, *, exit_point: int = None
-) -> List[LayerCost]:
-    """Per-*step* costs of the compiled plan for a spine range.
-
-    One entry per executed plan step: folded BatchNorm/Scale layers and
-    elided Dropout layers disappear (their arithmetic is constant-folded
-    into the step's weights), and a fused Conv+ReLU is one entry — so a
-    predictor's per-layer dispatch overhead is charged per step actually
-    dispatched.  Parameters still count in full (folding changes weight
-    *values*, not how many bytes ship).  Composite layers appear as their
-    inlined branch steps plus a join step, all at the composite's spine
-    index, matching offload-point granularity; the join itself carries
-    only the copy/add cost (one op per output element) and no parameters,
-    since the branch steps already price the inner layers.
-
-    ``exit_point`` prices the early-exit plan instead: trunk steps up to
-    the exit plus the head classifier's steps, nothing past the attach
-    point (see :func:`repro.nn.plan.compile_plan`).
-    """
-    plan = net.plan_for(start, end, exit_point=exit_point)
-    costs: List[LayerCost] = []
-    for step in plan.steps:
-        if step.kind in ("concat", "eltwise"):
-            flops = float(step.out_elements)
-            params = 0
-        else:
-            flops = sum(
-                layer.count_flops()
-                for _, layer, counted in step.layers
-                if counted
-            )
-            params = sum(layer.param_count for _, layer, _ in step.layers)
-        costs.append(
-            LayerCost(
-                name=step.name,
-                kind=step.kind,
-                flops=flops,
-                params=params,
-                output_shape=tuple(step.out_shape),
-                spine_index=step.spine_index,
-            )
-        )
-    return costs
-
-
 def costs_for_range(net: Network, start: int, end: int) -> List[LayerCost]:
     """Expanded costs for spine layers ``start..end`` inclusive."""
     return [

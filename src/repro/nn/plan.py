@@ -28,10 +28,13 @@ families:
   computes each value's live interval; arena slots are assigned by greedy
   interval coloring (linear scan), so a slot is reused the moment its
   previous value dies and the slot count adapts to the graph's width
-  (2 for a pure spine, more across live branches) instead of the old
-  two-slot ping-pong with per-branch sub-arenas.  A step never writes a
+  (2 for a pure spine, more across live branches).  A step never writes a
   slot holding any live value — in particular never its own input —
   which :meth:`ExecutionPlan.forward_traced` verifies at runtime.
+  Liveness and coloring are per sample: a batch of N binds each step's
+  output to the first ``N * out_elements`` floats of its slot (the
+  buffers grow, only, to the largest batch the plan has run), so the
+  same assignment is alias-free at every N.
 
 Equivalence contract: for networks without BatchNorm/Scale the plan's
 arithmetic is *bitwise identical* to the reference layer walk (matmul,
@@ -47,9 +50,12 @@ rewrite ever looks past ``end``, so a ``SplitNetwork``'s front and rear
 plans are independent and fusion never crosses the split — even when the
 range boundary falls between branch-and-join stages.
 
-``plan.forward_batch(xs)`` runs N inputs through one stacked
-im2col/broadcast-matmul per step — the edge server uses it to batch
-concurrent partial-inference sessions.
+There is one way to run a step: on an ``(N, ...)`` tensor, into an arena
+view.  ``plan.forward(x)`` is a batch of one; ``plan.forward_batch(xs)``
+runs N inputs through the same stacked im2col/broadcast-matmul per step —
+the edge server uses it to batch concurrent partial-inference sessions.
+A batch of one is therefore the same bits as ``forward``; N > 1 matches N
+forwards within float32 GEMM reassociation (≈ 1e-5 across the zoo).
 
 Steps and layers call one kernel set directly: numpy's ``matmul`` /
 ``maximum`` / ``concatenate`` and the im2col, pooling, LRN and eltwise
@@ -106,12 +112,13 @@ class PlanStep:
     """One compiled DAG node: reads its input values, produces one value.
 
     ``inputs`` lists the value ids this step reads (value 0 is the plan's
-    input; step ``i`` in schedule order defines value ``i + 1``).
-    ``arena`` steps receive a preallocated output view (never aliasing any
-    live value); non-arena steps allocate like the reference path.
-    ``layers`` lists ``(spine_index, layer, counted)`` triples covering the
-    source layers — ``counted`` is False for layers whose arithmetic was
-    folded away, which is what :func:`plan_costs` prices.
+    input; step ``i`` in schedule order defines value ``i + 1``).  Every
+    value is an ``(N,) + shape`` batch — a single image is N = 1.
+    ``arena`` steps write into the preallocated ``(N,) + out_shape`` view
+    they are handed (never aliasing any live value); non-arena steps are
+    handed ``None`` and allocate like the reference path.
+    ``layers`` lists the ``(spine_index, layer)`` pairs of the source
+    layers the step covers.
     """
 
     kind = "step"
@@ -120,7 +127,7 @@ class PlanStep:
     def __init__(
         self,
         name: str,
-        layers: Sequence[Tuple[int, Layer, bool]],
+        layers: Sequence[Tuple[int, Layer]],
         out_shape: Tuple[int, ...],
     ):
         self.name = name
@@ -135,18 +142,10 @@ class PlanStep:
         self.output = -1
         #: arena slot index (interval coloring), None for non-arena steps
         self.slot: Optional[int] = None
-        self._out_view: Optional[np.ndarray] = None
-
-    @property
-    def spine_index(self) -> int:
-        return self.layers[0][0]
 
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        raise NotImplementedError
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -162,7 +161,7 @@ class ConvStep(PlanStep):
     def __init__(
         self,
         name: str,
-        layers: Sequence[Tuple[int, Layer, bool]],
+        layers: Sequence[Tuple[int, Layer]],
         layer: ConvLayer,
         operands: Sequence[Tuple[np.ndarray, np.ndarray]],
         relu: bool,
@@ -175,65 +174,25 @@ class ConvStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        (x,) = inputs
-        layer = self.layer
-        filters, out_h, out_w = self.out_shape
-        positions = out_h * out_w
-        out2d = out.reshape(filters, positions)
-        if layer.groups == 1:
-            matrix, bias = self.operands[0]
-            buffer = layer.cols_scratch(x.shape[0])
-            cols = tensor.im2col(
-                x, layer.kernel, layer.stride, layer.pad, out=buffer
-            )
-            np.matmul(matrix, cols, out=out2d)
-            out2d += bias
-        else:
-            per_in = x.shape[0] // layer.groups
-            per_out = filters // layer.groups
-            buffer = layer.cols_scratch(per_in)
-            for group, (matrix, bias) in enumerate(self.operands):
-                x_slice = x[group * per_in : (group + 1) * per_in]
-                cols = tensor.im2col(
-                    x_slice, layer.kernel, layer.stride, layer.pad, out=buffer
-                )
-                target = out2d[group * per_out : (group + 1) * per_out]
-                np.matmul(matrix, cols, out=target)
-                target += bias
-        if self.relu:
-            np.maximum(out2d, 0.0, out=out2d)
-        return out
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         (xs,) = inputs
         layer = self.layer
         count = xs.shape[0]
-        filters, out_h, out_w = self.out_shape
-        positions = out_h * out_w
-        if layer.groups == 1:
-            matrix, bias = self.operands[0]
+        filters = self.out_shape[0]
+        out3d = out.reshape(count, filters, -1)
+        per_in = xs.shape[1] // layer.groups
+        per_out = filters // layer.groups
+        buffer = layer.cols_scratch(count, per_in)
+        for group, (matrix, bias) in enumerate(self.operands):
             cols = tensor.im2col(
-                xs, layer.kernel, layer.stride, layer.pad,
-                out=layer.cols_scratch(count, xs.shape[1]),
+                xs[:, group * per_in : (group + 1) * per_in],
+                layer.kernel, layer.stride, layer.pad, out=buffer,
             )
-            out = np.matmul(matrix, cols)  # (N, F, P) via broadcast
-            out += bias
-        else:
-            per_in = xs.shape[1] // layer.groups
-            per_out = filters // layer.groups
-            out = np.empty((count, filters, positions), dtype=np.float32)
-            buffer = layer.cols_scratch(count, per_in)
-            for group, (matrix, bias) in enumerate(self.operands):
-                cols = tensor.im2col(
-                    xs[:, group * per_in : (group + 1) * per_in],
-                    layer.kernel, layer.stride, layer.pad, out=buffer,
-                )
-                target = out[:, group * per_out : (group + 1) * per_out]
-                np.matmul(matrix, cols, out=target)
-                target += bias
+            target = out3d[:, group * per_out : (group + 1) * per_out]
+            np.matmul(matrix, cols, out=target)  # (N, F/g, P) via broadcast
+            target += bias
         if self.relu:
-            np.maximum(out, 0.0, out=out)
-        return out.reshape((count,) + self.out_shape)
+            np.maximum(out3d, 0.0, out=out3d)
+        return out
 
 
 class FCStep(PlanStep):
@@ -245,7 +204,7 @@ class FCStep(PlanStep):
     def __init__(
         self,
         name: str,
-        layers: Sequence[Tuple[int, Layer, bool]],
+        layers: Sequence[Tuple[int, Layer]],
         layer: FCLayer,
         relu: bool,
     ):
@@ -257,22 +216,8 @@ class FCStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        flat = inputs[0].reshape(-1)
-        if out is not None:
-            np.matmul(self.weight, flat, out=out)
-            out += self.layer.params["bias"]
-            result = out
-        else:
-            result = np.matmul(self.weight, flat)
-            result = result + self.layer.params["bias"]
-        if self.relu:
-            np.maximum(result, 0.0, out=result)
-        return result
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         xs = inputs[0]
-        flat = xs.reshape(xs.shape[0], -1)
-        out = np.matmul(flat, self.weight.T)
+        np.matmul(xs.reshape(xs.shape[0], -1), self.weight.T, out=out)
         out += self.layer.params["bias"]
         if self.relu:
             np.maximum(out, 0.0, out=out)
@@ -288,7 +233,7 @@ class PoolStep(PlanStep):
     def __init__(
         self,
         name: str,
-        layers: Sequence[Tuple[int, Layer, bool]],
+        layers: Sequence[Tuple[int, Layer]],
         layer: PoolLayer,
     ):
         super().__init__(name, layers, layer.out_shape)
@@ -297,16 +242,10 @@ class PoolStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        return tensor.pool(self.layer, inputs[0], out)
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         (xs,) = inputs
-        layer = self.layer
-        if layer.mode == "max":
-            return tensor.max_pool_batch(layer, xs)
-        # Channels average independently: fold the batch into them.
-        pooled = tensor.pool(layer, xs.reshape((-1,) + xs.shape[2:]))
-        return pooled.reshape((xs.shape[0],) + self.out_shape)
+        # Channels pool independently: fold the batch into them.
+        tensor.pool(self.layer, xs.reshape((-1,) + xs.shape[2:]), out)
+        return out
 
 
 class ReLUStep(PlanStep):
@@ -318,7 +257,7 @@ class ReLUStep(PlanStep):
     def __init__(
         self,
         name: str,
-        layers: Sequence[Tuple[int, Layer, bool]],
+        layers: Sequence[Tuple[int, Layer]],
         layer: ReLULayer,
     ):
         super().__init__(name, layers, layer.out_shape)
@@ -327,13 +266,7 @@ class ReLUStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        (x,) = inputs
-        if out is not None:
-            return np.maximum(x, 0.0, out=out.reshape(x.shape))
-        return np.maximum(x, 0.0).astype(np.float32, copy=False)
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return np.maximum(inputs[0], 0.0).astype(np.float32, copy=False)
+        return np.maximum(inputs[0], 0.0, out=out)
 
 
 class AffineStep(PlanStep):
@@ -345,7 +278,7 @@ class AffineStep(PlanStep):
     def __init__(
         self,
         name: str,
-        layers: Sequence[Tuple[int, Layer, bool]],
+        layers: Sequence[Tuple[int, Layer]],
         out_shape: Tuple[int, ...],
         scale: np.ndarray,
         shift: Optional[np.ndarray],
@@ -362,19 +295,13 @@ class AffineStep(PlanStep):
             out += self.shift
         return out
 
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        out = inputs[0] * self.scale[None]
-        if self.shift is not None:
-            out += self.shift[None]
-        return out
-
 
 class FallbackStep(PlanStep):
-    """Reference execution for kinds without a rewritten kernel (LRN,
-    softmax, average pooling's summation order, …) — calls the layer's own
-    ``forward``, so the step is bitwise-trivially equivalent."""
+    """Reference execution for kinds without a rewritten kernel (softmax,
+    …) — calls the layer's own ``forward`` once per sample, so the step is
+    bitwise-trivially equivalent."""
 
-    def __init__(self, name: str, layers: Sequence[Tuple[int, Layer, bool]],
+    def __init__(self, name: str, layers: Sequence[Tuple[int, Layer]],
                  layer: Layer):
         super().__init__(name, layers, layer.out_shape)
         self.layer = layer
@@ -383,12 +310,7 @@ class FallbackStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        return self.layer.forward(inputs[0])
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        (xs,) = inputs
-        return np.stack([self.layer.forward(xs[index])
-                         for index in range(xs.shape[0])])
+        return np.stack([self.layer.forward(x) for x in inputs[0]])
 
 
 class LRNStep(FallbackStep):
@@ -402,9 +324,6 @@ class LRNStep(FallbackStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        return tensor.lrn(self.layer, inputs[0])
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         return tensor.lrn_batch(self.layer, inputs[0])
 
 
@@ -421,10 +340,7 @@ class ConcatStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        return np.concatenate(inputs, axis=0, out=out)
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate(inputs, axis=1)
+        return np.concatenate(inputs, axis=1, out=out)
 
 
 class EltwiseAddStep(PlanStep):
@@ -441,9 +357,6 @@ class EltwiseAddStep(PlanStep):
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
         return tensor.eltwise_sum(inputs, out)
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return tensor.eltwise_sum(inputs)
 
 
 class ExecutionPlan:
@@ -477,7 +390,16 @@ class ExecutionPlan:
         self.batch_sizes: List[int] = []
         self.arena_bytes_reused = 0
         self._analyze_liveness()
-        self._finalize_arena()
+        #: per-sample slot capacities (elements); the buffers themselves
+        #: hold ``_reserved`` samples — one at compile time
+        self._capacities = self._color_arena()
+        self._reserved = 0
+        self._reserve(1)
+        stats.arena_slots = len(self._capacities)
+        stats.arena_bytes = 4 * sum(self._capacities)
+        stats.reuse_bytes_per_forward = sum(
+            step.out_elements * 4 for step in self.steps if step.arena
+        )
 
     # -- liveness ---------------------------------------------------------------
     def _analyze_liveness(self) -> None:
@@ -493,9 +415,6 @@ class ExecutionPlan:
         self._last_use = last_use
 
     # -- arena ----------------------------------------------------------------
-    def _finalize_arena(self) -> None:
-        self._allocate_arena(self._color_arena())
-
     def _color_arena(self) -> List[int]:
         """Greedy interval coloring (linear scan) over the schedule.
 
@@ -516,7 +435,6 @@ class ExecutionPlan:
                     free.append(slot)
                     del active[value_id]
             if not step.arena:
-                step.slot = None
                 continue
             need = step.out_elements
             if free:
@@ -534,37 +452,18 @@ class ExecutionPlan:
             active[step.output] = slot
         return capacities
 
-    def _allocate_arena(self, capacities: Sequence[int]) -> None:
-        """Allocate slot buffers and bind each arena step's output view.
+    def _reserve(self, count: int) -> None:
+        """Grow the slot buffers to hold ``count`` samples (never shrink).
 
-        Validates the assignment first (slots exist and fit), so a
-        coloring bug can't bind an out-of-range or undersized view.
+        Coloring is per sample and does not depend on N: a batch scales
+        every slot alike, so values that never shared a slot still don't.
         """
-        for step in self.steps:
-            if not step.arena:
-                continue
-            slot = step.slot
-            if (
-                slot is None
-                or not 0 <= slot < len(capacities)
-                or capacities[slot] < step.out_elements
-            ):
-                raise PlanGraphError(
-                    f"step {step.name!r} has invalid arena slot {slot!r}"
-                )
-        self._slots = [
-            np.empty(capacity, dtype=np.float32) for capacity in capacities
-        ]
-        for step in self.steps:
-            if step.arena:
-                step._out_view = self._slots[step.slot][
-                    : step.out_elements
-                ].reshape(step.out_shape)
-        self.stats.arena_slots = len(self._slots)
-        self.stats.arena_bytes = 4 * sum(capacities)
-        self.stats.reuse_bytes_per_forward = sum(
-            step.out_elements * 4 for step in self.steps if step.arena
-        )
+        if count > self._reserved:
+            self._slots = [
+                np.empty(count * capacity, dtype=np.float32)
+                for capacity in self._capacities
+            ]
+            self._reserved = count
 
     # -- validity --------------------------------------------------------------
     def is_valid(self) -> bool:
@@ -580,95 +479,8 @@ class ExecutionPlan:
         )
 
     # -- execution -------------------------------------------------------------
-    def _check_input(self, value: np.ndarray) -> None:
-        if tuple(value.shape) != self.input_shape:
-            raise ValueError(
-                f"plan {self.name!r} expects input shape {self.input_shape}, "
-                f"got {tuple(value.shape)}"
-            )
-
-    def _execute(self, value: np.ndarray) -> np.ndarray:
-        """Run the schedule; the result may live in this plan's arena."""
-        values: List[Optional[np.ndarray]] = [None] * (len(self.steps) + 1)
-        values[0] = value
-        for step in self.steps:
-            inputs = [values[value_id] for value_id in step.inputs]
-            values[step.output] = step.run(
-                inputs, step._out_view if step.arena else None
-            )
-        return values[self.steps[-1].output] if self.steps else value
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """One sample through the compiled steps; caller owns the result."""
-        value = np.asarray(x, dtype=np.float32)
-        self._check_input(value)
-        result = self._execute(value)
-        self.forwards += 1
-        self.arena_bytes_reused += self.stats.reuse_bytes_per_forward
-        if self._value_in_arena(result):
-            result = result.copy()
-        return result
-
-    def forward_traced(
-        self, x: np.ndarray
-    ) -> Tuple[np.ndarray, List[Dict[str, object]]]:
-        """Like :meth:`forward` but records, per step, whether the step's
-        output buffer aliases any of its inputs (``output_aliases_input``)
-        or any *other* value still live (``output_clobbers_live``) — the
-        arena-safety invariants the tests assert (both must always be
-        False)."""
-        value = np.asarray(x, dtype=np.float32)
-        self._check_input(value)
-        values: List[Optional[np.ndarray]] = [None] * (len(self.steps) + 1)
-        values[0] = value
-        trace: List[Dict[str, object]] = []
-        for position, step in enumerate(self.steps):
-            inputs = [values[value_id] for value_id in step.inputs]
-            aliases = False
-            clobbers = False
-            if step.arena:
-                out = step._out_view
-                aliases = any(
-                    np.shares_memory(argument, out) for argument in inputs
-                )
-                live = [
-                    values[value_id]
-                    for value_id in range(len(values))
-                    if values[value_id] is not None
-                    and self._last_use[value_id] >= position
-                    and value_id not in step.inputs
-                ]
-                clobbers = any(
-                    np.shares_memory(other, out) for other in live
-                )
-                values[step.output] = step.run(inputs, out)
-            else:
-                values[step.output] = step.run(inputs, None)
-            trace.append(
-                {
-                    "step": step.name,
-                    "kind": step.kind,
-                    "arena": step.arena,
-                    "slot": step.slot,
-                    "output_aliases_input": aliases,
-                    "output_clobbers_live": clobbers,
-                }
-            )
-        result = values[self.steps[-1].output] if self.steps else value
-        if self._value_in_arena(result):
-            result = result.copy()
-        return result, trace
-
-    def _value_in_arena(self, value: np.ndarray) -> bool:
-        return any(np.shares_memory(value, slot) for slot in self._slots)
-
-    def forward_batch(self, xs) -> np.ndarray:
-        """Run N inputs through one stacked kernel per step.
-
-        ``xs`` is a sequence of per-sample arrays (or an ``(N, ...)``
-        array); returns the stacked ``(N, ...)`` outputs.  Matches N calls
-        of :meth:`forward` within float32 GEMM reassociation (1e-6).
-        """
+    def _batch_of(self, xs) -> np.ndarray:
+        """``xs`` as an ``(N,) + input_shape`` array; one sample is N = 1."""
         value = np.asarray(xs, dtype=np.float32)
         if value.ndim == len(self.input_shape):
             value = value[None]
@@ -677,39 +489,110 @@ class ExecutionPlan:
                 f"plan {self.name!r} expects batch shape (N,) + "
                 f"{self.input_shape}, got {tuple(value.shape)}"
             )
-        result = self._execute_batch(value)
+        return value
+
+    def _execute(
+        self,
+        value: np.ndarray,
+        trace: Optional[List[Dict[str, object]]] = None,
+    ) -> np.ndarray:
+        """Run the schedule on an ``(N, ...)`` batch — the one loop behind
+        every entry point.  Callers own the result like on the reference
+        path: a final value that lives in the arena is copied out."""
+        count = value.shape[0]
+        self._reserve(count)
+        values: List[Optional[np.ndarray]] = [value] + [None] * len(self.steps)
+        for position, step in enumerate(self.steps):
+            inputs = [values[value_id] for value_id in step.inputs]
+            out = None
+            if step.arena:
+                out = self._slots[step.slot][
+                    : count * step.out_elements
+                ].reshape((count,) + step.out_shape)
+            if trace is not None:
+                trace.append(self._trace_entry(position, inputs, out, values))
+            values[step.output] = step.run(inputs, out)
+        result = values[-1]  # step ``i`` defines value ``i + 1``
+        if any(np.shares_memory(result, slot) for slot in self._slots):
+            result = result.copy()
+        return result
+
+    def _trace_entry(
+        self,
+        position: int,
+        inputs: Sequence[np.ndarray],
+        out: Optional[np.ndarray],
+        values: Sequence[Optional[np.ndarray]],
+    ) -> Dict[str, object]:
+        """Whether ``out``, about to be written by the step at ``position``,
+        overlaps one of its inputs or any other value still live."""
+        step = self.steps[position]
+        aliases = out is not None and any(
+            np.shares_memory(argument, out) for argument in inputs
+        )
+        clobbers = out is not None and any(
+            np.shares_memory(other, out)
+            for value_id, other in enumerate(values)
+            if other is not None
+            and self._last_use[value_id] >= position
+            and value_id not in step.inputs
+        )
+        return {
+            "step": step.name,
+            "kind": step.kind,
+            "arena": step.arena,
+            "slot": step.slot,
+            "output_aliases_input": aliases,
+            "output_clobbers_live": clobbers,
+        }
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """One sample through the compiled steps — a batch of one; caller
+        owns the result."""
+        value = np.asarray(x, dtype=np.float32)
+        if tuple(value.shape) != self.input_shape:
+            raise ValueError(
+                f"plan {self.name!r} expects input shape {self.input_shape}, "
+                f"got {tuple(value.shape)}"
+            )
+        result = self._execute(value[None])[0]
+        self.forwards += 1
+        self.arena_bytes_reused += self.stats.reuse_bytes_per_forward
+        return result
+
+    def forward_traced(
+        self, x: np.ndarray
+    ) -> Tuple[np.ndarray, List[Dict[str, object]]]:
+        """Like :meth:`forward` (or, given an ``(N, ...)`` batch,
+        :meth:`forward_batch`) but records, per step, whether the step's
+        output buffer aliases any of its inputs (``output_aliases_input``)
+        or any *other* value still live (``output_clobbers_live``) — the
+        arena-safety invariants the tests assert (both must always be
+        False, at every batch size)."""
+        trace: List[Dict[str, object]] = []
+        result = self._execute(self._batch_of(x), trace)
+        if np.ndim(x) == len(self.input_shape):
+            result = result[0]
+        return result, trace
+
+    def forward_batch(self, xs) -> np.ndarray:
+        """Run N inputs through one stacked kernel per step.
+
+        ``xs`` is a sequence of per-sample arrays (or an ``(N, ...)``
+        array); returns the stacked ``(N, ...)`` outputs, which the caller
+        owns.  A batch of one is the same bits as :meth:`forward` — the
+        same kernels on the same shapes.  N > 1 equals N forwards within
+        float32 GEMM reassociation: BLAS blocks by operand shape, so rows
+        may differ in the last bits (bit-equal on ``resnet-mini`` and
+        ``tinynet``, up to ≈ 1e-5 absolute on ``alexnet`` at N = 8).
+        """
+        value = self._batch_of(xs)
+        result = self._execute(value)
         self.batch_forwards += 1
         self.batch_sizes.append(int(value.shape[0]))
         return result
 
-    def _execute_batch(self, value: np.ndarray) -> np.ndarray:
-        values: List[Optional[np.ndarray]] = [None] * (len(self.steps) + 1)
-        values[0] = value
-        for step in self.steps:
-            values[step.output] = step.run_batch(
-                [values[value_id] for value_id in step.inputs]
-            )
-        return values[self.steps[-1].output] if self.steps else value
-
     # -- reporting -------------------------------------------------------------
-    def summary(self) -> Dict[str, object]:
-        stats = self.stats
-        return {
-            "plan": self.name,
-            "steps": stats.steps,
-            "layers_folded": stats.folded,
-            "layers_elided": stats.elided,
-            "steps_fused": stats.fused,
-            "fallback_steps": stats.fallbacks,
-            "branches": stats.branches,
-            "joins": stats.joins,
-            "arena_slots": stats.arena_slots,
-            "arena_bytes": stats.arena_bytes,
-            "arena_bytes_reused_per_forward": stats.reuse_bytes_per_forward,
-            "forwards": self.forwards,
-            "batch_forwards": self.batch_forwards,
-        }
-
     def describe_text(self) -> str:
         """Human-readable one-plan summary (the CLI's ``repro metrics``)."""
         stats = self.stats
@@ -943,7 +826,7 @@ def _lower_sequence(
     position = 0
     while position < len(indexed):
         index, layer = indexed[position]
-        covered: List[Tuple[int, Layer, bool]] = [(index, layer, True)]
+        covered: List[Tuple[int, Layer]] = [(index, layer)]
         if isinstance(layer, (InputLayer, DropoutLayer, ExitHead)):
             # Identity at inference time: elided outright (the plan's input
             # shape check replaces InputLayer's validation).  An ExitHead is
@@ -960,14 +843,14 @@ def _lower_sequence(
                 indexed[cursor][1], (BatchNormLayer, ScaleLayer)
             ):
                 chain.append(indexed[cursor][1])
-                covered.append((indexed[cursor][0], indexed[cursor][1], False))
+                covered.append(indexed[cursor])
                 cursor += 1
             relu = False
             if cursor < len(indexed) and isinstance(
                 indexed[cursor][1], ReLULayer
             ):
                 relu = True
-                covered.append((indexed[cursor][0], indexed[cursor][1], True))
+                covered.append(indexed[cursor])
                 cursor += 1
             if chain:
                 operands = _folded_conv_operands(layer, chain)
@@ -991,7 +874,7 @@ def _lower_sequence(
                 indexed[cursor][1], ReLULayer
             ):
                 relu = True
-                covered.append((indexed[cursor][0], indexed[cursor][1], True))
+                covered.append(indexed[cursor])
                 cursor += 1
             witnesses.append((layer, "weight", layer.params["weight"]))
             current = graph.add(
@@ -1006,7 +889,7 @@ def _lower_sequence(
                 indexed[cursor][1], (BatchNormLayer, ScaleLayer)
             ):
                 chain.append(indexed[cursor][1])
-                covered.append((indexed[cursor][0], indexed[cursor][1], False))
+                covered.append(indexed[cursor])
                 cursor += 1
             channels = layer.input_shape[0]
             scale, shift, has_shift = _affine_chain(chain, channels)
@@ -1091,7 +974,7 @@ def _lower_composite(
     return graph.add(
         join_type(
             f"{prefix}{layer.name}/{composite.join}",
-            [(index, layer, False)],
+            [(index, layer)],
             layer.out_shape,
         ),
         branch_outputs,

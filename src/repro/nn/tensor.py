@@ -291,14 +291,6 @@ def pool(layer, x: np.ndarray, out=None) -> np.ndarray:
     return result
 
 
-def max_pool_batch(layer, xs: np.ndarray) -> np.ndarray:
-    """Max-pool an ``(N, C, H, W)`` batch: the batch folds into the channels."""
-    count = xs.shape[0]
-    folded = xs.reshape((-1,) + xs.shape[2:])
-    pooled = max_pool_strided(folded, layer.kernel, layer.stride, layer.pad)
-    return pooled.reshape((count,) + layer.out_shape)
-
-
 def lrn(layer, x: np.ndarray) -> np.ndarray:
     """Across-channel LRN, one sample: a batch of one."""
     return lrn_batch(layer, x[None])[0]
@@ -349,12 +341,9 @@ def _lrn_window_sums(xs: np.ndarray, half: int, sums: np.ndarray) -> None:
         )
 
 
-def eltwise_sum(inputs: Sequence[np.ndarray], out=None) -> np.ndarray:
-    """Elementwise sum of ``inputs``, accumulated left to right."""
-    if out is not None:
-        np.add(inputs[0], inputs[1], out=out)
-    else:
-        out = inputs[0] + inputs[1]
+def eltwise_sum(inputs: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Elementwise sum of ``inputs`` into ``out``, accumulated left to right."""
+    np.add(inputs[0], inputs[1], out=out)
     for extra in inputs[2:]:
         out += extra
     return out

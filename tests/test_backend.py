@@ -341,10 +341,11 @@ class TestInPlaceLrnAndSeparablePool:
         xs = np.stack([x] + [rng.permuted(x, axis=0) for _ in range(count - 1)])
         layer = PoolLayer("avg", kernel, stride, pad, mode="avg")
         layer.build(x.shape, SeededRng(0, "avg"))
-        step = PoolStep("avg", [(0, layer, True)], layer)
+        step = PoolStep("avg", [(0, layer)], layer)
+        out = np.empty((count,) + layer.out_shape, dtype=np.float32)
         with np.errstate(all="ignore"):
-            pooled = step.run_batch([xs])
-            assert pooled.shape == (count,) + layer.out_shape
+            pooled = step.run([xs], out)
+            assert pooled is out
             for index in range(count):
                 assert same_bits(
                     pooled[index], tensor_module.pool(layer, xs[index])
@@ -428,18 +429,15 @@ class TestScratch:
         for step in plan.steps:
             x = rng.normal_array(step.layer.input_shape)
             xs = np.stack([x, x + 1])
-            out = np.empty(step.out_shape, dtype=np.float32)
+            out = np.empty((2,) + step.out_shape, dtype=np.float32)
             results += [
-                step.run([x], out if step.arena else None),
-                step.run_batch([xs]),
+                step.run([xs], out if step.arena else None),
                 step.layer.forward(x),
             ]
             if step.kind == "lrn":
                 results.append(tensor_module.lrn_batch(step.layer, xs))
             if step.kind == "pool":
                 results.append(tensor_module.pool(step.layer, x))
-            if step.kind == "pool" and step.layer.mode == "max":
-                results.append(tensor_module.max_pool_batch(step.layer, xs))
         assert set(tensor_module._SCRATCH) >= {
             "cols", "lrn_prefix", "lrn_sums", "pool_rows",
         }

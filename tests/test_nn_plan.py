@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.nn.cost import network_costs, plan_costs
 from repro.nn.network import Network
 from repro.nn.plan import compile_plan
 from repro.nn.zoo import build_model, smallnet
@@ -86,10 +85,10 @@ class TestSplitIsolation:
             front = compile_plan(net, 0, point.index)
             rear = compile_plan(net, point.index + 1, last)
             front_covered = [
-                index for step in front.steps for index, _, _ in step.layers
+                index for step in front.steps for index, _ in step.layers
             ]
             rear_covered = [
-                index for step in rear.steps for index, _, _ in step.layers
+                index for step in rear.steps for index, _ in step.layers
             ]
             # An empty front (only elided layers before the point) is fine.
             assert all(index <= point.index for index in front_covered)
@@ -205,41 +204,6 @@ class TestPlanMemo:
         fresh = net.plan_for()
         assert fresh is not stale
         assert np.array_equal(fresh.forward(x), reference_forward(net, x))
-
-
-# -- cost integration -----------------------------------------------------------
-
-
-class TestPlanCosts:
-    def test_plan_costs_fewer_entries_same_flops_order(self, small):
-        net = small.network
-        reference = network_costs(net)
-        optimized = plan_costs(net)
-        assert len(optimized) < len(reference)
-        assert sum(c.flops for c in optimized) <= sum(
-            c.flops for c in reference
-        )
-        indices = [c.spine_index for c in optimized]
-        assert indices == sorted(indices)
-
-    def test_partition_optimizer_accepts_plan_costs(self, small):
-        from repro.core.partition import PartitionOptimizer
-        from repro.devices import edge_server_x86, odroid_xu4_client
-        from repro.devices.predictor import fit_predictor_for
-        from repro.netsim.link import NetemProfile
-
-        client, server = odroid_xu4_client(), edge_server_x86()
-        costs = network_costs(small.network)
-        optimizer = PartitionOptimizer(
-            fit_predictor_for(client, costs, noise=0.0),
-            fit_predictor_for(server, costs, noise=0.0),
-            client,
-            server,
-            use_plan_costs=True,
-        )
-        choice = optimizer.choose(small.network, NetemProfile.wifi_30mbps())
-        labels = {p.label for p in small.network.offload_points()}
-        assert choice.point.label in labels
 
 
 # -- the batching server API ----------------------------------------------------

@@ -14,7 +14,9 @@ compiled :class:`~repro.nn.plan.ExecutionPlan`.  The contract under test:
   aliases one of its inputs or clobbers a value still live — the
   interval-coloring safety invariant;
 * compiled graphs contain zero opaque composite steps: every inception /
-  residual lowers to inlined branch steps plus one concat/eltwise join.
+  residual lowers to inlined branch steps plus one concat/eltwise join;
+* ``forward_batch`` returns, at every batch size, the bits of the
+  ``run_batch`` step methods it replaced (kept in ``test_plan_batch.py``).
 
 All strategies are derandomized so CI failures reproduce exactly; the
 heavier nested-graph cases carry the ``fuzz`` marker.
@@ -34,6 +36,7 @@ from repro.nn.layers.normalization import LRNLayer
 from repro.nn.layers.pool import PoolLayer
 from repro.nn.network import Network
 from repro.sim import SeededRng
+from tests.test_plan_batch import BATCH_SIZES, parent_forward_batch
 
 #: folding re-associates BN affine chains in float64; see test_nn_plan.py
 FOLD_TOLERANCE = dict(rtol=1e-5, atol=1e-6)
@@ -289,6 +292,21 @@ class TestGeneratedGraphs:
         front = network.forward_range(x, 0, split)
         rear = network.forward_range(front, split + 1, last)
         assert np.array_equal(rear, reference)
+
+    @settings(max_examples=60, **FUZZ_SETTINGS)
+    @given(spec=graph_specs(allow_bn=True))
+    def test_forward_batch_equals_parent_run_batch(self, spec):
+        plan = spec.build().plan_for()
+        xs = SeededRng(5, "fuzz/batch").uniform_array(
+            (max(BATCH_SIZES),) + plan.input_shape, -1.0, 1.0
+        )
+        for count in BATCH_SIZES:
+            batched = plan.forward_batch(xs[:count])
+            assert np.array_equal(batched, parent_forward_batch(plan, xs[:count]))
+        traced, trace = plan.forward_traced(xs)
+        assert np.array_equal(traced, batched)
+        _assert_no_aliasing(trace)
+        assert np.array_equal(plan.forward_batch(xs[:1])[0], plan.forward(xs[0]))
 
 
 @pytest.mark.fuzz
