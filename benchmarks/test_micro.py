@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core.partition import PartitionOptimizer
-from repro.core.snapshot import capture_snapshot, restore_snapshot
+from repro.core.snapshot import (
+    CaptureOptions,
+    capture_snapshot,
+    fingerprint_runtime,
+    restore_snapshot,
+)
 from repro.core.snapshot.codegen import (
     clear_text_cache,
     parse_tensor_text,
@@ -31,12 +36,12 @@ from repro.web.events import Event
 from repro.web.values import TypedArray
 
 
-def _loaded_runtime():
+def _loaded_runtime(shape=(3, 32, 32)):
     model = smallnet()
     runtime = WebRuntime("bench")
     runtime.load_app(make_inference_app(model))
     runtime.globals["pending_pixels"] = TypedArray(
-        SeededRng(1, "px").uniform_array((3, 32, 32), 0, 255)
+        SeededRng(1, "px").uniform_array(shape, 0, 255)
     )
     runtime.dispatch("click", "load_btn")
     return model, runtime
@@ -49,17 +54,29 @@ def test_micro_snapshot_capture(benchmark):
     assert snapshot.size_bytes > 0
 
 
-def test_micro_snapshot_restore(benchmark):
-    model, runtime = _loaded_runtime()
-    snapshot = capture_snapshot(runtime, Event("click", "infer_btn"))
+#: the two snapshot sizes the ledger workloads restore: smallnet's input
+#: image (≈ 55 KB of tensor text) and a GoogLeNet first-conv feature (13.6 MB)
+@pytest.mark.parametrize(
+    "shape", [(3, 32, 32), (64, 112, 112)], ids=["image-55KB", "feature-13.6MB"]
+)
+def test_micro_snapshot_restore(benchmark, shape):
+    model, runtime = _loaded_runtime(shape)
+    snapshot = capture_snapshot(
+        runtime,
+        Event("click", "infer_btn"),
+        CaptureOptions(live_only=False, include_canvas_pixels=True),
+    )
+    assert snapshot.tensor_text_bytes > 17 * int(np.prod(shape)) - 17
 
     def restore():
         server = WebRuntime("server")
         server.install_model(model)
-        return restore_snapshot(snapshot, server)
+        report = restore_snapshot(snapshot, server)
+        return server, report
 
-    report = benchmark(restore)
+    server, report = benchmark(restore)
     assert report.pending_event is not None
+    assert fingerprint_runtime(server) == fingerprint_runtime(runtime)
 
 
 #: the tensor classes the ledger workloads render — images and dense

@@ -36,11 +36,11 @@ def snapshot_exposes_input(snapshot: Snapshot, input_pixels: np.ndarray) -> bool
     for attachment in snapshot.attachments.values():
         if attachment.shape == flat.shape and np.array_equal(attachment, flat):
             return True
-    if flat.size and flat.size * 10 < len(snapshot.program):
+    if flat.size:
         # Cheap containment probe: the exact serialized text of the first
         # values would appear verbatim if the tensor was text-serialized.
         probe = render_tensor_text(flat.ravel()[: min(16, flat.size)])
-        if probe in snapshot.program:
+        if any(probe in text for text in snapshot.texts):
             return True
     return False
 

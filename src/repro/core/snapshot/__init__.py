@@ -5,7 +5,9 @@ app called the snapshot" (paper abstract).  Here a snapshot is literally an
 executable *program* (source text) that, run against a fresh runtime's
 restore API, rebuilds the heap (with aliasing and cycles), the DOM, the
 listener table and the app script, then re-dispatches the pending event —
-plus binary attachments for image data (a browser's data-URL equivalent).
+plus, beside the program, the tables its lines index: tensor texts
+(``TEXT[i]``) and binary attachments for image data (``ATTACH[i]``, a
+browser's data-URL equivalent).
 
 * :mod:`repro.core.snapshot.codegen` — state graph → program text.
 * :mod:`repro.core.snapshot.capture` — runtime → :class:`Snapshot`;

@@ -53,15 +53,16 @@ class CaptureOptions:
 
 @dataclass
 class Snapshot:
-    """An executable snapshot: program text + attachments + metadata."""
+    """An executable snapshot: program (code only) + the tensor texts and
+    attachments its lines name as ``TEXT[i]`` / ``ATTACH[i]`` + metadata."""
 
     app_name: str
     kind: str  # "full" | "delta"
     program: str
     attachments: Dict[int, np.ndarray] = field(default_factory=dict)
+    texts: Tuple[str, ...] = ()
     pending_event: Optional[Tuple[str, str, Any]] = None
     model_refs: Dict[str, str] = field(default_factory=dict)
-    tensor_text_bytes: int = 0
     attachment_bytes: int = 0
     #: models shipped together with the snapshot (offloading before ACK)
     attached_models: List[Model] = field(default_factory=list)
@@ -74,12 +75,27 @@ class Snapshot:
 
     @property
     def size_bytes(self) -> int:
-        """On-the-wire size of the snapshot itself (models counted apart)."""
+        """On-the-wire size of the snapshot itself (models counted apart).
+
+        The length of the paper's form of the program — each ``TEXT[i]``
+        written out as the quoted literal it stands for (``repr`` of the
+        text: the token alphabet needs no escaping) — plus the attachments
+        at their encoded size.  Computed, never built.
+        """
         program = self.program
-        text_bytes = (
+        code_bytes = (
             len(program) if program.isascii() else len(program.encode("utf-8"))
         )
-        return text_bytes + self.attachment_bytes
+        inline_bytes = sum(
+            len(text) + 2 - len(f"TEXT[{index}]")
+            for index, text in enumerate(self.texts)
+        )
+        return code_bytes + inline_bytes + self.attachment_bytes
+
+    @property
+    def tensor_text_bytes(self) -> int:
+        """Characters of tensor text the snapshot carries (quotes apart)."""
+        return sum(map(len, self.texts))
 
     @property
     def feature_bytes(self) -> int:
@@ -161,9 +177,9 @@ def capture_snapshot(
         kind="full",
         program="\n".join(lines) + "\n",
         attachments=codegen.attachments,
+        texts=tuple(codegen.texts),
         pending_event=event_tuple,
         model_refs=dict(runtime.app_model_refs),
-        tensor_text_bytes=codegen.tensor_text_bytes,
         attachment_bytes=codegen.attachment_bytes,
     )
 
@@ -284,9 +300,9 @@ def capture_delta(
         kind="delta",
         program="\n".join(lines) + "\n",
         attachments=codegen.attachments,
+        texts=tuple(codegen.texts),
         pending_event=event_tuple,
         model_refs=dict(runtime.app_model_refs),
-        tensor_text_bytes=codegen.tensor_text_bytes,
         attachment_bytes=codegen.attachment_bytes,
         fingerprint=state,
     )

@@ -6,7 +6,7 @@ The generated program looks like::
     RT.set_script('''...app source...''')
     RT.set_model_refs({'classifier': 'googlenet:abc123'})
     _h0 = JSObject()
-    _h1 = TA('1.250000000e+00 ...', (64, 56, 56))
+    _h1 = TA(TEXT[0], (64, 56, 56))
     _h0.properties['feature'] = _h1
     G['state'] = _h0
     _e0 = RT.create('button', 'infer_btn', {})
@@ -19,7 +19,12 @@ Identity is preserved by hoisting every heap node into a ``_hN`` variable
 before filling contents, which makes shared references and cycles restore
 exactly.  Float32 tensors serialize as full-precision decimal text (what a
 JS snapshot does to a ``Float32Array``); decoded images serialize as binary
-attachments referenced by index (the data-URL analog).
+attachments (the data-URL analog).  Both ride *beside* the program, in a
+table the line names an entry of — ``TEXT[i]``, ``ATTACH[i]`` — so the
+program is code only, and many snapshots share one program text.  What the
+link is charged for is the paper's form, the program with every ``TEXT[i]``
+written out as the quoted literal it stands for (``Snapshot.size_bytes``):
+that form is accounted, never built.
 """
 
 from __future__ import annotations
@@ -258,7 +263,8 @@ class HeapCodegen:
         self.attachments: Dict[int, np.ndarray] = (
             attachments if attachments is not None else {}
         )
-        self.tensor_text_bytes = 0
+        #: tensor texts, in the order the program names them as ``TEXT[i]``
+        self.texts: List[str] = []
         self.attachment_bytes = 0
 
     # -- public -----------------------------------------------------------------
@@ -269,6 +275,11 @@ class HeapCodegen:
     @property
     def lines(self) -> List[str]:
         return self.create_lines + self.fill_lines
+
+    @property
+    def tensor_text_bytes(self) -> int:
+        """Characters of tensor text rendered so far."""
+        return sum(map(len, self.texts))
 
     # -- rendering ---------------------------------------------------------------
     def _render(self, value: Any) -> str:
@@ -293,16 +304,16 @@ class HeapCodegen:
     def _array_literal(
         self, data: np.ndarray, encoded_bytes: Optional[int] = None
     ) -> str:
-        """How a program line carries an array's content: a tensor as quoted
-        decimal text, an image (``encoded_bytes`` given) as an attachment."""
+        """How a program line names an array's content: a tensor's decimal
+        text as ``TEXT[i]``, an image (``encoded_bytes`` given) as
+        ``ATTACH[i]``.  The text is the memo's own ``str``, not a copy."""
         if encoded_bytes is not None:
             index = len(self.attachments)
             self.attachments[index] = data
             self.attachment_bytes += encoded_bytes
             return f"ATTACH[{index}]"
-        text = render_tensor_text(data)
-        self.tensor_text_bytes += len(text)
-        return f"'{text}'"  # repr(text): the token alphabet needs no escaping
+        self.texts.append(render_tensor_text(data))
+        return f"TEXT[{len(self.texts) - 1}]"
 
     def _heap_node(self, node: Any) -> str:
         existing = self._ids.get(id(node))

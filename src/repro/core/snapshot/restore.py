@@ -11,7 +11,9 @@ the server; or, on the client, apply the delta and continue).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -186,7 +188,9 @@ class RestoreAPI:
         self.pending = Event(event_type=event_type, target_id=target_id, payload=payload)
 
 
-def _restore_namespace(api: RestoreAPI, attachments: Dict[int, np.ndarray]) -> dict:
+def _restore_namespace(
+    api: RestoreAPI, texts: Tuple[str, ...], attachments: Dict[int, np.ndarray]
+) -> dict:
     def make_typed_array(text: str, shape: tuple) -> TypedArray:
         return TypedArray(parse_tensor_text(text, shape))
 
@@ -207,9 +211,21 @@ def _restore_namespace(api: RestoreAPI, attachments: Dict[int, np.ndarray]) -> d
         "TA": make_typed_array,
         "NP": make_ndarray,
         "IMG": make_image,
+        "TEXT": texts,
         "ATTACH": attachments,
         "UNDEFINED": UNDEFINED,
     }
+
+
+#: A program is code only — tensor text and images ride beside it — so the
+#: requests of one app present the same few program texts over and over.
+#: Keyed by that text, the memo holds an immutable code object and no data;
+#: the bound only keeps a long sweep from hoarding programs.  ``lru_cache``
+#: never caches a raised exception: a program that does not compile fails
+#: again on every restore.
+@functools.lru_cache(maxsize=512)
+def _program_code(program: str) -> CodeType:
+    return compile(program, "<snapshot>", "exec")
 
 
 def restore_snapshot(snapshot, runtime: WebRuntime) -> RestoreReport:
@@ -219,11 +235,15 @@ def restore_snapshot(snapshot, runtime: WebRuntime) -> RestoreReport:
     already-running app.  Returns the pending event (to re-dispatch); a
     caller that will diff against the restored state takes its baseline
     with :func:`fingerprint_runtime`.
+
+    Every restore executes the program in a namespace of its own and
+    decodes every tensor text the snapshot carries; only the compiled code
+    is shared between restores of the same program text.
     """
     api = RestoreAPI(runtime)
-    namespace = _restore_namespace(api, snapshot.attachments)
+    namespace = _restore_namespace(api, snapshot.texts, snapshot.attachments)
     try:
-        exec(compile(snapshot.program, "<snapshot>", "exec"), namespace)
+        exec(_program_code(snapshot.program), namespace)
     except RestoreError:
         raise
     except Exception as exc:

@@ -10,17 +10,23 @@ overhead, and a test enforces that.
 Layout (all integers little-endian):
 
 ====  =======================================================
-8 B   magic ``RPSNAP01``
+8 B   magic ``RPSNAP02``
 4 B   header length ``H``
 H B   JSON header: app_name, kind, model_refs, pending_event,
-      tensor_text_bytes, attachment metadata (index, shape,
-      encoded_bytes), metadata flags
+      texts (how many), attachment_bytes, attachment metadata
+      (index, shape, encoded_bytes)
 4 B   program length ``P``
-P B   UTF-8 snapshot program
+P B   UTF-8 snapshot program (code only)
+—     per tensor text, in ``TEXT[i]`` order: 4 B length +
+      the ASCII text
 —     per attachment: 4 B raw length + float32 payload bytes
 4 B   CRC-32 of everything above
 ====  =======================================================
 
+The tensor texts travel as sections of their own, as they sit beside the
+program in a :class:`Snapshot`; ``size_bytes`` accounts them as the quoted
+literals of the paper's inline program, two quote characters each, so a
+section's length prefix and the ``TEXT[i]`` that names it are framing.
 Attachments are stored as raw float32 (the decoded image); their *wire*
 size accounting still uses ``encoded_bytes`` (the data-URL analog), so an
 encoder that actually compressed them would only shrink this container.
@@ -37,7 +43,7 @@ import numpy as np
 
 from repro.core.snapshot.capture import Snapshot
 
-MAGIC = b"RPSNAP01"
+MAGIC = b"RPSNAP02"
 
 
 class WireFormatError(ValueError):
@@ -60,23 +66,23 @@ def encode_snapshot(snapshot: Snapshot) -> bytes:
         "kind": snapshot.kind,
         "model_refs": snapshot.model_refs,
         "pending_event": snapshot.pending_event,
-        "tensor_text_bytes": snapshot.tensor_text_bytes,
+        "texts": len(snapshot.texts),
         "attachment_bytes": snapshot.attachment_bytes,
         "attachments": attachments_meta,
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    program_bytes = snapshot.program.encode("utf-8")
-    parts = [
-        MAGIC,
-        struct.pack("<I", len(header_bytes)),
-        header_bytes,
-        struct.pack("<I", len(program_bytes)),
-        program_bytes,
+    sections = [
+        json.dumps(header, sort_keys=True).encode("utf-8"),
+        snapshot.program.encode("utf-8"),
     ]
-    for index, array in sorted(snapshot.attachments.items()):
-        raw = np.asarray(array, dtype=np.float32).tobytes()
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
+    sections += [text.encode("ascii") for text in snapshot.texts]
+    sections += [
+        np.asarray(array, dtype=np.float32).tobytes()
+        for _index, array in sorted(snapshot.attachments.items())
+    ]
+    parts = [MAGIC]
+    for section in sections:
+        parts.append(struct.pack("<I", len(section)))
+        parts.append(section)
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -109,41 +115,54 @@ def decode_snapshot(data: bytes) -> Snapshot:
         offset += count
         return chunk
 
-    (header_len,) = struct.unpack("<I", take(4))
-    header = json.loads(take(header_len).decode("utf-8"))
-    (program_len,) = struct.unpack("<I", take(4))
-    program = take(program_len).decode("utf-8")
-    attachments: Dict[int, np.ndarray] = {}
-    for meta in header["attachments"]:
-        (raw_len,) = struct.unpack("<I", take(4))
-        raw = take(raw_len)
-        attachments[int(meta["index"])] = np.frombuffer(
-            raw, dtype=np.float32
-        ).reshape(meta["shape"])
-    if offset != len(body):
-        raise WireFormatError(f"{len(body) - offset} trailing bytes")
-    pending = header["pending_event"]
-    return Snapshot(
-        app_name=header["app_name"],
-        kind=header["kind"],
-        program=program,
-        attachments=attachments,
-        pending_event=tuple(pending) if pending is not None else None,
-        model_refs=dict(header["model_refs"]),
-        tensor_text_bytes=int(header["tensor_text_bytes"]),
-        attachment_bytes=int(header["attachment_bytes"]),
-    )
+    def take_section() -> bytes:
+        (length,) = struct.unpack("<I", take(4))
+        return take(length)
+
+    # The CRC vouches for the bytes, not for what they say: a container
+    # somebody else wrote can still carry a header without a field, a text
+    # that is not ASCII, a payload that does not fill its shape.
+    try:
+        header = json.loads(take_section().decode("utf-8"))
+        program = take_section().decode("utf-8")
+        texts = tuple(
+            take_section().decode("ascii") for _ in range(int(header["texts"]))
+        )
+        attachments: Dict[int, np.ndarray] = {}
+        for meta in header["attachments"]:
+            attachments[int(meta["index"])] = np.frombuffer(
+                take_section(), dtype=np.float32
+            ).reshape(meta["shape"])
+        if offset != len(body):
+            raise WireFormatError(f"{len(body) - offset} trailing bytes")
+        pending = header["pending_event"]
+        return Snapshot(
+            app_name=header["app_name"],
+            kind=header["kind"],
+            program=program,
+            attachments=attachments,
+            texts=texts,
+            pending_event=tuple(pending) if pending is not None else None,
+            model_refs=dict(header["model_refs"]),
+            attachment_bytes=int(header["attachment_bytes"]),
+        )
+    except WireFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WireFormatError(f"malformed snapshot: {exc!r}") from exc
 
 
 def framing_overhead(snapshot: Snapshot) -> int:
     """Container bytes beyond the accounted payload.
 
-    The accounted size (``snapshot.size_bytes``) covers the program text
-    plus the attachments at their *encoded* size; the container adds the
-    header/lengths/CRC and stores attachments as raw float32.
+    The accounted size (``snapshot.size_bytes``) covers the program with
+    its tensor texts inline plus the attachments at their *encoded* size;
+    the container adds the header/lengths/CRC, names each text from the
+    program as ``TEXT[i]`` and stores attachments as raw float32.
     """
     encoded = len(encode_snapshot(snapshot))
     raw_attachment = sum(
         a.size * 4 for a in snapshot.attachments.values()
     )
-    return encoded - len(snapshot.program.encode("utf-8")) - raw_attachment
+    accounted_text = snapshot.size_bytes - snapshot.attachment_bytes
+    return encoded - accounted_text - raw_attachment

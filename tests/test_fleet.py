@@ -375,8 +375,19 @@ class TestRecordOnceReplay:
                 compiled[filename, source] += 1
             return real_compile(source, filename, *args, **kwargs)
 
+        import repro.core.snapshot.restore as restore_module
+
+        restores = []
+        real_namespace = restore_module._restore_namespace
+
+        def counting_namespace(*args, **kwargs):
+            restores.append(1)  # one fresh namespace = one exec of a program
+            return real_namespace(*args, **kwargs)
+
+        restore_module._program_code.cache_clear()
         monkeypatch.setattr(ast, "parse", counting_parse)
         monkeypatch.setattr(builtins, "compile", counting_compile)
+        monkeypatch.setattr(restore_module, "_restore_namespace", counting_namespace)
         _scenario, report = self._seeded_run()
         monkeypatch.undo()
 
@@ -390,12 +401,18 @@ class TestRecordOnceReplay:
         }
         assert all(count == 1 for count in script_compiles.values())
         assert len(parsed) + len(script_compiles) < report.count
-        # restoring a snapshot executes that snapshot's own program: per request
-        restores = sum(
-            count for (filename, _), count in compiled.items()
+        # a snapshot's program is code only (its tensors ride beside it), so
+        # it too is compiled once per distinct text — fewer than requests —
+        # while restoring still executes a program per snapshot: per request
+        program_compiles = {
+            source: count
+            for (filename, source), count in compiled.items()
             if filename == "<snapshot>"
-        )
-        assert restores >= 2 * report.count
+        }
+        assert program_compiles
+        assert all(count == 1 for count in program_compiles.values())
+        assert len(program_compiles) < report.count
+        assert len(restores) >= 2 * report.count
 
     def test_cursor_wait_dispatches_exactly_what_the_full_scan_did(self, monkeypatch):
         _scenario, report = self._seeded_run()

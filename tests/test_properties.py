@@ -64,6 +64,7 @@ def roundtrip(value):
         "TA": lambda text, shape: TypedArray(parse_tensor_text(text, shape)),
         "NP": lambda text, shape: parse_tensor_text(text, shape),
         "UNDEFINED": UNDEFINED,
+        "TEXT": tuple(codegen.texts),
         "ATTACH": codegen.attachments,
     }
     exec("\n".join(codegen.lines + [f"__r__ = {expr}"]), namespace)

@@ -24,7 +24,7 @@ from repro.web.dom import Document
 from repro.web.values import UNDEFINED, ImageData, JSArray, JSObject, TypedArray
 
 
-def exec_heap(lines, root_exprs, attachments=None):
+def exec_heap(lines, root_exprs, attachments=None, texts=()):
     """Execute generated heap code and return the named roots."""
     from repro.web.values import ImageData as IMG_cls
 
@@ -37,6 +37,7 @@ def exec_heap(lines, root_exprs, attachments=None):
         "IMG": lambda data, shape, enc: IMG_cls(
             np.array(data, copy=True).reshape(shape), encoded_bytes=enc
         ),
+        "TEXT": tuple(texts),
         "ATTACH": attachments or {},
         "UNDEFINED": UNDEFINED,
         "G": {},
@@ -268,7 +269,9 @@ class TestHeapCodegen:
     def _roundtrip(self, value):
         codegen = HeapCodegen()
         expr = codegen.root_expression(value)
-        return exec_heap(codegen.lines, {"root": expr}, codegen.attachments)["root"]
+        return exec_heap(
+            codegen.lines, {"root": expr}, codegen.attachments, codegen.texts
+        )["root"]
 
     def test_scalars(self):
         codegen = HeapCodegen()
@@ -347,7 +350,11 @@ class TestHeapCodegen:
             codegen = HeapCodegen()
             codegen.root_expression(TypedArray(values))
             text = render_tensor_text(values)
-            assert codegen.create_lines == [f"_h0 = TA({text!r}, {values.shape!r})"]
+            # the line names the table entry; the entry is the memo's own
+            # str, and its repr is the literal the accounted form writes
+            assert codegen.create_lines == [f"_h0 = TA(TEXT[0], {values.shape!r})"]
+            assert len(codegen.texts) == 1 and codegen.texts[0] is text
+            assert repr(text) == f"'{text}'"
             assert codegen.tensor_text_bytes == len(text)
 
     def test_tensor_text_bytes_counted(self):

@@ -13,6 +13,7 @@ from repro.core.snapshot import (
     fingerprint_runtime,
     restore_snapshot,
 )
+from repro.core.snapshot.codegen import render_tensor_text
 from repro.core.snapshot.restore import RestoreError
 from repro.nn.zoo import smallnet
 from repro.sim import SeededRng
@@ -147,8 +148,10 @@ class TestFullSnapshot:
         from repro.core.snapshot.capture import Snapshot
 
         def snapshot(tensor_text):
-            program = f"G['t'] = TA({tensor_text!r}, (3,))\n"
-            return Snapshot(app_name="x", kind="full", program=program)
+            program = "G['t'] = TA(TEXT[0], (3,))\n"
+            return Snapshot(
+                app_name="x", kind="full", program=program, texts=(tensor_text,)
+            )
 
         server = WebRuntime("server")
         restore_snapshot(snapshot("1.0 2.0 3.0"), server)  # the control
@@ -464,6 +467,9 @@ class TestOptimizedPlanRoundTrip:
         baseline = fingerprint_runtime(fresh)
         delta = capture_delta(source, baseline)
         decoded = decode_snapshot(encode_snapshot(delta))
+        # the feature crossed the wire as a table entry, not inside the code
+        assert decoded.texts == delta.texts and "TEXT[0]" in decoded.program
+        assert delta.texts[0] is render_tensor_text(source.globals["feature"].data)
         restore_snapshot(decoded, fresh)
         assert fingerprint_runtime(fresh) == fingerprint_runtime(source)
         assert fresh.globals["result_label"] == source.globals["result_label"]

@@ -1,13 +1,19 @@
 """Tests for the binary wire formats: snapshots and weight blobs."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.core.snapshot import CaptureOptions, capture_snapshot, restore_snapshot
 from repro.core.snapshot.wire import (
+    MAGIC,
     WireFormatError,
     decode_snapshot,
     encode_snapshot,
+    framing_overhead,
 )
 from repro.nn.caffemodel import (
     WeightsFormatError,
@@ -46,6 +52,7 @@ class TestSnapshotWire:
         _model, snapshot = make_snapshot()
         decoded = decode_snapshot(encode_snapshot(snapshot))
         assert decoded.program == snapshot.program
+        assert decoded.texts == snapshot.texts
         assert decoded.app_name == snapshot.app_name
         assert decoded.pending_event == snapshot.pending_event
         assert decoded.model_refs == snapshot.model_refs
@@ -64,10 +71,21 @@ class TestSnapshotWire:
     def test_size_accounting_matches_reality(self):
         """The analytic size model must track the real encoding."""
         _model, snapshot = make_snapshot(with_image=False)  # text pixels
-        encoded = len(encode_snapshot(snapshot))
-        # Text-serialized tensors live in the program, so the container is
-        # just header + lengths + CRC on top of size_bytes.
-        assert abs(encoded - snapshot.size_bytes) < 1200
+        assert snapshot.texts and not snapshot.attachments
+        data = encode_snapshot(snapshot)
+        encoded = len(data)
+        # size_bytes accounts each tensor text as a quoted literal inside
+        # the program; the container carries it as a section of its own, so
+        # per text it spends a 4 B length prefix and the ``TEXT[i]`` that
+        # names it where the accounted form spends two quotes — on top of
+        # magic + header + the header's and program's length prefixes + CRC.
+        per_text = sum(
+            4 + len(f"TEXT[{index}]") - 2 for index in range(len(snapshot.texts))
+        )
+        header_len = int.from_bytes(data[8:12], "little")
+        assert encoded - snapshot.size_bytes == 8 + 4 + header_len + 4 + per_text + 4
+        assert encoded - snapshot.size_bytes == framing_overhead(snapshot)
+        assert 0 < encoded - snapshot.size_bytes < 1200
 
     def test_size_counts_utf8_bytes_not_characters(self):
         model = smallnet()
@@ -100,17 +118,102 @@ class TestSnapshotWire:
         with pytest.raises(WireFormatError):
             decode_snapshot(data[: len(data) // 2])
 
+    @staticmethod
+    def _resealed(body: bytes) -> bytes:
+        """A container over ``body`` whose CRC is right."""
+        return body + struct.pack("<I", zlib.crc32(body))
+
     def test_bad_magic_detected(self):
         _model, snapshot = make_snapshot()
-        data = bytearray(encode_snapshot(snapshot))
-        data[0:8] = b"NOTSNAP!"
-        import struct
-        import zlib
+        body = encode_snapshot(snapshot)[:-4]
+        assert body.startswith(MAGIC) and MAGIC == b"RPSNAP02"
+        # the previous container version has no reader either
+        for magic in (b"NOTSNAP!", b"RPSNAP01"):
+            with pytest.raises(WireFormatError, match="magic"):
+                decode_snapshot(self._resealed(magic + body[len(MAGIC):]))
 
-        body = bytes(data[:-4])
-        data[-4:] = struct.pack("<I", zlib.crc32(body))
-        with pytest.raises(WireFormatError):
-            decode_snapshot(bytes(data))
+    def test_any_flipped_bit_is_a_wire_format_error(self):
+        _model, snapshot = make_snapshot(with_image=False)
+        data = encode_snapshot(snapshot)
+        rng = np.random.default_rng(0)
+        positions = {0, 7, 8, 12, len(data) - 5, len(data) - 1}
+        positions.update(rng.integers(0, len(data), 40).tolist())
+        for position in sorted(positions):
+            flipped = bytearray(data)
+            flipped[position] ^= 1 << int(rng.integers(0, 8))
+            with pytest.raises(WireFormatError):
+                decode_snapshot(bytes(flipped))
+
+    def _sections(self, snapshot):
+        """The container's body split into magic + length-prefixed sections."""
+        body = encode_snapshot(snapshot)[:-4]
+        sections, offset = [], len(MAGIC)
+        while offset < len(body):
+            length = int.from_bytes(body[offset:offset + 4], "little")
+            sections.append(body[offset + 4:offset + 4 + length])
+            offset += 4 + length
+        return sections
+
+    def _container(self, sections):
+        body = MAGIC + b"".join(
+            len(section).to_bytes(4, "little") + section for section in sections
+        )
+        return self._resealed(body)
+
+    def test_well_sealed_nonsense_is_a_wire_format_error(self):
+        """A right CRC over a container that cannot mean a snapshot."""
+        _model, snapshot = make_snapshot(with_image=False)
+        header, program, *texts = self._sections(snapshot)
+        assert len(texts) == len(snapshot.texts) >= 1
+        # the control: taking the container apart and sealing it again
+        assert decode_snapshot(self._container([header, program, *texts])).texts == (
+            snapshot.texts
+        )
+
+        def with_header(**changes):
+            fields = {**json.loads(header), **changes}
+            return json.dumps(fields, sort_keys=True).encode("utf-8")
+
+        no_count = json.loads(header)
+        del no_count["texts"]
+
+        rejected = {
+            "non-ASCII text": [header, program, "1.0 é".encode("utf-8"), *texts[1:]],
+            "text that is not UTF-8 either": [header, program, b"\xff\xfe", *texts[1:]],
+            "fewer texts than the header counts": [header, program, *texts[:-1]],
+            "more texts than the header counts": [header, program, *texts, b"1.0"],
+            "header counts one text too many": [
+                with_header(texts=len(texts) + 1), program, *texts
+            ],
+            "header counts one text too few": [
+                with_header(texts=len(texts) - 1), program, *texts
+            ],
+            "header without a text count": [
+                json.dumps(no_count).encode("utf-8"), program, *texts
+            ],
+            "text count that is null": [with_header(texts=None), program, *texts],
+            "text count that is not a number": [
+                with_header(texts="many"), program, *texts
+            ],
+            "header that is not JSON": [b"{", program, *texts],
+            "header that is not an object": [b"[]", program, *texts],
+            "program that is not UTF-8": [header, b"\xff", *texts],
+            "trailing section": [header, program, *texts, b""],
+        }
+        for what, sections in rejected.items():
+            with pytest.raises(WireFormatError):
+                decode_snapshot(self._container(sections))
+                pytest.fail(f"accepted a container with a {what}")
+        with pytest.raises(WireFormatError, match="trailing"):
+            decode_snapshot(self._resealed(encode_snapshot(snapshot)[:-4] + b"\0"))
+
+    def test_attachment_that_does_not_fill_its_shape_is_rejected(self):
+        _model, snapshot = make_snapshot(with_image=True)
+        *front, attachment = self._sections(snapshot)
+        assert len(attachment) == 4 * next(iter(snapshot.attachments.values())).size
+        for payload in (attachment[:-4], attachment[:-1]):
+            with pytest.raises(WireFormatError):
+                decode_snapshot(self._container([*front, payload]))
 
 
 class TestWeightsBlob:
