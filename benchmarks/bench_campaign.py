@@ -13,8 +13,6 @@ runs the multi-edge fleet scheduler shoot-out and a mid-run edge kill
 compares continuous-batching against sequential per-request serving under
 rising offered load (the ``serving`` stage: requests/sec and the p99 knee,
 plus bitwise result equality and kill-replay determinism),
-measures the int8 feature codec's split-point shift vs bandwidth (the
-``int8_split`` stage),
 and writes the timings, speedups, an ``environment``
 block (BLAS, CPU count) and claim verdicts to
 ``BENCH_perf.json`` at the repo root.
@@ -510,84 +508,6 @@ def _blas_info():
     return info
 
 
-def _bench_int8_split():
-    """The int8 split-point shift.
-
-    When the feature tensor crosses the split 8-bit quantized (so the
-    optimizer prices the bit-packed wire size instead of decimal text),
-    does the chosen split move *no later* at any bandwidth and strictly
-    earlier at low bandwidth, with top-1 agreement preserved at the
-    shifted split?
-    """
-    from repro.eval.fig8 import make_optimizer
-    from repro.eval.scenarios import Testbed, build_paper_model
-    from repro.nn.quantize import measure_quantization_impact, packed_feature_bytes
-    from repro.sim import SeededRng
-
-    print("-- int8 split shift ...", flush=True)
-    model = build_paper_model("googlenet")
-    text_optimizer = make_optimizer("googlenet")
-    quantized_optimizer = make_optimizer(
-        "googlenet",
-        feature_bytes_fn=lambda shape: packed_feature_bytes(shape, 8),
-    )
-    splits = {}
-    never_later = True
-    shifts_at_low_bandwidth = False
-    for mbps in (0.5, 2.0, 8.0):
-        link = Testbed(bandwidth_bps=mbps * 1e6).profile
-        text = text_optimizer.choose(model.network, link, denature=True)
-        quantized = quantized_optimizer.choose(
-            model.network, link, denature=True
-        )
-        never_later = never_later and (
-            quantized.point.index <= text.point.index
-        )
-        if mbps <= 1.0 and quantized.point.index < text.point.index:
-            shifts_at_low_bandwidth = True
-        splits[str(mbps)] = {
-            "bandwidth_mbps": mbps,
-            "text_split_index": text.point.index,
-            "text_split_label": text.point.label,
-            "text_predicted_s": round(text.best.total_seconds, 6),
-            "int8_split_index": quantized.point.index,
-            "int8_split_label": quantized.point.label,
-            "int8_predicted_s": round(quantized.best.total_seconds, 6),
-        }
-        print(
-            f"   {mbps:4.1f} Mbps: text split @{text.point.index} "
-            f"({text.point.label}) -> int8 split @{quantized.point.index} "
-            f"({quantized.point.label})",
-            flush=True,
-        )
-    low = splits["0.5"]
-    impact = measure_quantization_impact(
-        model,
-        low["int8_split_label"],
-        8,
-        [
-            SeededRng(seed, "bench/int8_split").uniform_array(
-                tuple(model.network.input_shape), 0, 255
-            )
-            for seed in range(4)
-        ],
-    )
-    result = {
-        "int8_splits": splits,
-        "int8_never_later": never_later,
-        "int8_shifts_at_low_bandwidth": shifts_at_low_bandwidth,
-        "int8_agreement_at_low_split": impact.agreement,
-        "int8_size_reduction_at_low_split": round(impact.size_reduction, 4),
-    }
-    print(
-        f"   int8 agreement at "
-        f"{low['int8_split_label']}: {impact.agreement:.2f} "
-        f"({result['int8_size_reduction_at_low_split']:.1%} smaller wire)",
-        flush=True,
-    )
-    return result
-
-
 def _bench_exits(model_name="smallnet_exits", bandwidth_mbps=100.0):
     """Deadline-aware (split, exit) selection: accuracy scales with SLO.
 
@@ -685,7 +605,6 @@ def main(argv=None) -> int:
     dag = _bench_dag_forward(forward)
     fleet = _bench_fleet()
     serving = _bench_serving()
-    int8_split = _bench_int8_split()
     modelstore = _bench_modelstore()
     exits = _bench_exits()
 
@@ -776,21 +695,6 @@ def main(argv=None) -> int:
                 serving["kill_replay_deterministic"]
             ),
         },
-        # Pricing the split at the bit-packed int8 wire size must never
-        # move the chosen split later, must move it strictly earlier when
-        # bandwidth is scarce (transfer-dominated), and the shifted split
-        # must keep top-1 agreement on the eval inputs.
-        "int8_split_shifts_under_low_bandwidth": {
-            "held": int8_split["int8_never_later"]
-            and int8_split["int8_shifts_at_low_bandwidth"]
-            and int8_split["int8_agreement_at_low_split"] == 1.0,
-            "skipped": False,
-            "never_later": int8_split["int8_never_later"],
-            "shifts_at_low_bandwidth": (
-                int8_split["int8_shifts_at_low_bandwidth"]
-            ),
-            "agreement_at_low_split": int8_split["int8_agreement_at_low_split"],
-        },
         # A pre-warmed fleet runs the same seeded workload without paying
         # for any model upload; the cold fleet pays for every edge.
         "warm_fleet_presend_bytes_below_cold": {
@@ -859,7 +763,6 @@ def main(argv=None) -> int:
             "dag_forward": dag,
             "fleet": fleet,
             "serving": serving,
-            "int8_split": int8_split,
             "modelstore": modelstore,
             "exits": exits,
         },

@@ -329,42 +329,6 @@ def test_ablation_edge_vs_cloud(benchmark, archive):
     )
 
 
-def test_ablation_quantized_codec_partitioning(benchmark, archive):
-    """An 8-bit feature codec changes what the partition optimizer picks."""
-    from repro.eval.ablations import codec_partition_study
-
-    studies = benchmark.pedantic(
-        lambda: [
-            codec_partition_study(bandwidth_mbps=mbps) for mbps in (1.0, 4.0, 30.0)
-        ],
-        rounds=1,
-        iterations=1,
-    )
-    archive(
-        "ablation_codec_partitioning",
-        format_table(
-            ["Mbps", "text codec point", "text s", "8-bit point", "8-bit s"],
-            [
-                [
-                    s.bandwidth_mbps,
-                    s.text_point,
-                    s.text_predicted_seconds,
-                    s.quantized_point,
-                    s.quantized_predicted_seconds,
-                ]
-                for s in studies
-            ],
-            title="Ablation — feature codec vs partition choice (GoogLeNet)",
-        ),
-    )
-    assert all(s.quantization_helps for s in studies)
-    # On the slow link, cheap transfer lets the split move back toward the
-    # client-friendly shallow point.
-    slow = studies[0]
-    assert slow.text_point != slow.quantized_point
-    assert slow.quantized_predicted_seconds < 0.5 * slow.text_predicted_seconds
-
-
 def test_ablation_baseline_comparison(benchmark, archive):
     """Snapshot offloading vs the §V comparator approaches."""
     from repro.eval.ablations import baseline_comparison_study

@@ -36,6 +36,7 @@ from repro.devices.profiles import DeviceProfile
 from repro.netsim.link import NetemProfile
 from repro.nn.cost import LayerCost, exit_head_costs, network_costs
 from repro.nn.network import ExitPoint, Network, OffloadPoint
+from repro.nn.tensor import text_serialized_bytes
 
 #: planner's allowance for snapshot code + return delta, in bytes
 SNAPSHOT_CODE_ALLOWANCE = 16 * 1024
@@ -137,20 +138,11 @@ class PartitionOptimizer:
         server_predictor: LatencyPredictor,
         client_profile: DeviceProfile,
         server_profile: DeviceProfile,
-        feature_bytes_fn=None,
     ):
         self.client_predictor = client_predictor
         self.server_predictor = server_predictor
         self.client_profile = client_profile
         self.server_profile = server_profile
-        # Injectable for what-if studies (binary or bit-packed quantized
-        # feature encodings).
-        if feature_bytes_fn is not None:
-            self._feature_bytes = feature_bytes_fn
-        else:
-            from repro.nn.tensor import text_serialized_bytes
-
-            self._feature_bytes = lambda shape: text_serialized_bytes(shape)
 
     # -- candidate filtering ---------------------------------------------------
     @staticmethod
@@ -210,8 +202,11 @@ class PartitionOptimizer:
             rear = rear + exit_head_costs(network, exit.index)
         client_seconds = self.client_predictor.predict_forward(front)
         server_seconds = self.server_predictor.predict_forward(rear)
-        feature_shape = network.layers[point.index].out_shape
-        feature_bytes = int(self._feature_bytes(tuple(feature_shape)))
+        # priced as the decimal text capture renders, at 18 B per value: never
+        # less than the length of the tensor text the snapshot carries
+        feature_bytes = text_serialized_bytes(
+            tuple(network.layers[point.index].out_shape)
+        )
         outbound = feature_bytes + SNAPSHOT_CODE_ALLOWANCE
         transfer = link.transfer_seconds(outbound) + link.transfer_seconds(
             RETURN_DELTA_ALLOWANCE

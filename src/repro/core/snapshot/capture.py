@@ -70,7 +70,7 @@ class Snapshot:
     metadata: Dict[str, Any] = field(default_factory=dict)
     #: a delta's view of the state it was captured from, hashed while
     #: diffing; travels beside the snapshot (the RESULT's ``fingerprint``),
-    #: never in its size or its wire encoding
+    #: never in its size
     fingerprint: Optional[StateFingerprint] = None
 
     @property

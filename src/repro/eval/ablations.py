@@ -24,8 +24,6 @@ These exercise the design choices DESIGN.md calls out:
   random-walk Wi-Fi trace versus the paper's fixed ``1st_pool``.
 * :func:`baseline_comparison_study` — snapshot offloading against a
   specialized edge service and MAUI-style offloading.
-* :func:`codec_partition_study` — the partition optimizer re-run with
-  transfers priced at the bit-packed quantized size.
 * :func:`edge_vs_cloud_study` — the same app against an edge server, a WAN
   cloud server and a WAN accelerator.
 * :func:`predictor_feature_study` — flops-only versus compute+memory
@@ -553,59 +551,7 @@ def baseline_comparison_study(model_name: str = "googlenet") -> List[BaselineRow
     ]
 
 
-# -- 11. quantized feature codec in the partition optimizer ---------------------------
-
-@dataclass
-class CodecPartitionStudy:
-    """Optimizer behaviour when the feature codec changes."""
-
-    model: str
-    bandwidth_mbps: float
-    text_point: str
-    text_predicted_seconds: float
-    quantized_point: str
-    quantized_predicted_seconds: float
-
-    @property
-    def quantization_helps(self) -> bool:
-        return self.quantized_predicted_seconds <= self.text_predicted_seconds + 1e-9
-
-
-def codec_partition_study(
-    model_name: str = "googlenet",
-    bandwidth_mbps: float = 4.0,
-    bits: int = 8,
-) -> CodecPartitionStudy:
-    """Re-run the partition optimizer with an 8-bit feature codec.
-
-    Quantization shrinks every candidate's transfer cost, which can move
-    the optimal split point and always lowers the predicted total.
-    """
-    from repro.eval.fig8 import make_optimizer
-    from repro.nn.quantize import packed_feature_bytes
-
-    model = build_paper_model(model_name)
-    link = Testbed(bandwidth_bps=bandwidth_mbps * 1e6).profile
-    text_optimizer = make_optimizer(model_name)
-    text_choice = text_optimizer.choose(model.network, link, denature=True)
-
-    # Priced at the genuinely bit-packed wire size.
-    quantized_optimizer = make_optimizer(
-        model_name,
-        feature_bytes_fn=lambda shape: packed_feature_bytes(shape, bits),
-    )
-    quantized_choice = quantized_optimizer.choose(model.network, link, denature=True)
-    return CodecPartitionStudy(
-        model=model_name,
-        bandwidth_mbps=bandwidth_mbps,
-        text_point=text_choice.point.label,
-        text_predicted_seconds=text_choice.best.total_seconds,
-        quantized_point=quantized_choice.point.label,
-        quantized_predicted_seconds=quantized_choice.best.total_seconds,
-    )
-
-
-# -- 12. edge vs datacenter cloud ------------------------------------------------------
+# -- 11. edge vs datacenter cloud -------------------------------------------------------
 
 @dataclass
 class LocationRow:
@@ -657,7 +603,7 @@ def edge_vs_cloud_study(model_name: str = "googlenet") -> List[LocationRow]:
     return rows
 
 
-# -- 13. predictor feature sets --------------------------------------------------------
+# -- 12. predictor feature sets ---------------------------------------------------------
 
 @dataclass
 class PredictorStudyRow:
@@ -714,7 +660,7 @@ def predictor_feature_study() -> List[PredictorStudyRow]:
     return rows
 
 
-# -- 14. energy ----------------------------------------------------------------------
+# -- 13. energy -----------------------------------------------------------------------
 
 @dataclass
 class EnergyStudy:

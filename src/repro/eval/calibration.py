@@ -38,13 +38,6 @@ def paper_link() -> NetemProfile:
 CLIENT_GOOGLENET_SECONDS_TARGET = 20.0
 SERVER_GOOGLENET_SECONDS_TARGET = 2.5
 
-#: Feature tensors are priced at 18 bytes/value as decimal text
-#: (repro.nn.tensor.TEXT_BYTES_PER_VALUE; the codec's "%.10e" tokens are
-#: 17 bytes with their separator, 18 when negative).  Cross-checked against
-#: the paper's measured GoogLeNet features: 14.7 MB after 1st_conv (ours:
-#: 14.5 MB) and 2.9 MB after 1st_pool (ours: 3.6 MB).
-FEATURE_TEXT_BYTES_PER_VALUE = 18
-
 #: Input images for the benchmark apps, matching each model's input layer.
 #: The pixels travel as canvas data (text-serialized), the dominant part of
 #: a full-offload snapshot — the paper's ~0.6 s migration at 30 Mbps.

@@ -62,12 +62,8 @@ def sweep_labels(model_name: str, max_points: Optional[int] = None) -> List[str]
     return labels[:max_points]
 
 
-def make_optimizer(model_name: str, feature_bytes_fn=None) -> PartitionOptimizer:
-    """The partition optimizer, with predictors profiled per device.
-
-    ``feature_bytes_fn`` overrides the feature transfer-size model (e.g. a
-    quantized codec instead of decimal text).
-    """
+def make_optimizer(model_name: str) -> PartitionOptimizer:
+    """The partition optimizer, with predictors profiled per device."""
     model = build_paper_model(model_name)
     costs = network_costs(model.network)
     testbed = Testbed()  # only for its profiles
@@ -78,7 +74,6 @@ def make_optimizer(model_name: str, feature_bytes_fn=None) -> PartitionOptimizer
         server_predictor,
         testbed.client_profile,
         testbed.server_profile,
-        feature_bytes_fn=feature_bytes_fn,
     )
 
 

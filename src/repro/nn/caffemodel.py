@@ -21,13 +21,13 @@ H B   JSON header: model name + ordered blob
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.nn.layers import InceptionModule
 from repro.nn.network import Network
 
 MAGIC = b"RPWGHT01"
@@ -37,25 +37,38 @@ class WeightsFormatError(ValueError):
     """Raised on malformed or mismatched weight blobs."""
 
 
-def _iter_blobs(network: Network) -> List[Tuple[str, np.ndarray]]:
-    """All parameter blobs in deterministic order, layer-qualified names."""
-    blobs: List[Tuple[str, np.ndarray]] = []
+def _blob_slots(network: Network) -> List[Tuple[str, dict, str]]:
+    """Every parameter blob as ``(qualified name, owning params, key)``, in
+    the blob file's order.  A composite or exit head names its inner
+    layers' own arrays in ``param_arrays()``; each is found in its owner's
+    ``params`` by identity, so the encoder reads and :func:`apply_weights`
+    assigns the very same slots."""
+    slots: List[Tuple[str, dict, str]] = []
     for layer in network.layers:
         param_arrays = getattr(layer, "param_arrays", None)
-        if param_arrays is not None:  # composite layers
-            for name, blob in sorted(param_arrays().items()):
-                blobs.append((f"{layer.name}::{name}", blob))
-        else:
-            for name, blob in sorted(layer.params.items()):
-                blobs.append((f"{layer.name}::{name}", blob))
-    return blobs
+        if param_arrays is None:
+            slots.extend(
+                (f"{layer.name}::{key}", layer.params, key)
+                for key in sorted(layer.params)
+            )
+            continue
+        owners = {
+            id(blob): (inner.params, key)
+            for inner in layer.inner_layers()
+            for key, blob in inner.params.items()
+        }
+        slots.extend(
+            (f"{layer.name}::{name}", *owners[id(blob)])
+            for name, blob in sorted(param_arrays().items())
+        )
+    return slots
 
 
 def encode_weights(network: Network, model_name: str = "") -> bytes:
     """Serialize a built network's parameters."""
     if not network.built:
         raise WeightsFormatError("network must be built before serialization")
-    blobs = _iter_blobs(network)
+    blobs = [(name, params[key]) for name, params, key in _blob_slots(network)]
     header = {
         "model": model_name or network.name,
         "blobs": [
@@ -72,7 +85,13 @@ def encode_weights(network: Network, model_name: str = "") -> bytes:
 
 
 def decode_weights(data: bytes) -> Dict[str, np.ndarray]:
-    """Parse a weight blob into {qualified name: array}."""
+    """Parse a weight blob into {qualified name: array}.
+
+    Anything the bytes cannot mean is a :class:`WeightsFormatError`: a
+    flipped bit (CRC), another magic, and — the CRC vouches for the bytes,
+    not for what they say — a well-sealed container whose header is not a
+    blob table or whose payloads do not fill it exactly.
+    """
     if len(data) < len(MAGIC) + 8:
         raise WeightsFormatError("weight bytes too short")
     body, (crc,) = data[:-4], struct.unpack("<I", data[-4:])
@@ -83,57 +102,67 @@ def decode_weights(data: bytes) -> Dict[str, np.ndarray]:
     offset = len(MAGIC)
     (header_len,) = struct.unpack("<I", body[offset : offset + 4])
     offset += 4
-    header = json.loads(body[offset : offset + header_len].decode("utf-8"))
+    if offset + header_len > len(body):
+        raise WeightsFormatError("truncated header")
+    try:
+        header = json.loads(body[offset : offset + header_len].decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise WeightsFormatError(f"malformed header: {exc}") from exc
     offset += header_len
+    records = header.get("blobs") if isinstance(header, dict) else None
+    if not isinstance(records, list):
+        raise WeightsFormatError("header carries no blob list")
     blobs: Dict[str, np.ndarray] = {}
-    for record in header["blobs"]:
-        shape = tuple(int(d) for d in record["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        raw = body[offset : offset + count * 4]
-        if len(raw) != count * 4:
-            raise WeightsFormatError(f"truncated blob {record['name']!r}")
-        offset += count * 4
-        blobs[record["name"]] = np.frombuffer(raw, dtype=np.float32).reshape(shape)
+    for record in records:
+        name, shape = _blob_record(record)
+        if name in blobs:
+            raise WeightsFormatError(f"duplicate blob {name!r}")
+        size = 4 * math.prod(shape)
+        raw = body[offset : offset + size]
+        if len(raw) != size:
+            raise WeightsFormatError(f"truncated blob {name!r}")
+        offset += size
+        blobs[name] = np.frombuffer(raw, dtype=np.float32).reshape(shape)
     if offset != len(body):
         raise WeightsFormatError(f"{len(body) - offset} trailing bytes")
     return blobs
 
 
+def _blob_record(record) -> Tuple[str, Tuple[int, ...]]:
+    """A header record's ``(name, shape)``."""
+    name, shape = (
+        (record.get("name"), record.get("shape"))
+        if isinstance(record, dict)
+        else (None, None)
+    )
+    if not (
+        isinstance(name, str)
+        and isinstance(shape, list)
+        and all(type(dim) is int and dim >= 0 for dim in shape)
+    ):
+        raise WeightsFormatError(
+            f"blob record is not a name and non-negative integer dims: {record!r}"
+        )
+    return name, tuple(shape)
+
+
 def apply_weights(network: Network, blobs: Dict[str, np.ndarray]) -> None:
     """Load decoded blobs into a built network (shapes must match)."""
-    expected = dict(_iter_blobs(network))
-    if set(expected) != set(blobs):
-        missing = sorted(set(expected) - set(blobs))
-        extra = sorted(set(blobs) - set(expected))
+    slots = _blob_slots(network)
+    expected = {name for name, _params, _key in slots}
+    if expected != set(blobs):
+        missing = sorted(expected - set(blobs))
+        extra = sorted(set(blobs) - expected)
         raise WeightsFormatError(
             f"blob set mismatch: missing {missing[:3]}, unexpected {extra[:3]}"
         )
-    for layer in network.layers:
-        if isinstance(layer, InceptionModule):
-            for index, branch in enumerate(layer.branches):
-                for inner in branch:
-                    for key in list(inner.params):
-                        qualified = f"{layer.name}::b{index}/{inner.name}/{key}"
-                        _assign(inner.params, key, blobs[qualified], qualified)
-        elif hasattr(layer, "body"):  # ResidualBlock
-            for prefix, layers in (("body", layer.body), ("shortcut", layer.shortcut)):
-                for inner in layers:
-                    for key in list(inner.params):
-                        qualified = f"{layer.name}::{prefix}/{inner.name}/{key}"
-                        _assign(inner.params, key, blobs[qualified], qualified)
-        else:
-            for key in list(layer.params):
-                qualified = f"{layer.name}::{key}"
-                _assign(layer.params, key, blobs[qualified], qualified)
-
-
-def _assign(params: dict, key: str, blob: np.ndarray, qualified: str) -> None:
-    if params[key].shape != blob.shape:
-        raise WeightsFormatError(
-            f"shape mismatch for {qualified!r}: "
-            f"{params[key].shape} vs {blob.shape}"
-        )
-    params[key] = np.array(blob, dtype=np.float32, copy=True)
+    for name, params, key in slots:
+        blob = blobs[name]
+        if params[key].shape != blob.shape:
+            raise WeightsFormatError(
+                f"shape mismatch for {name!r}: {params[key].shape} vs {blob.shape}"
+            )
+        params[key] = np.array(blob, dtype=np.float32, copy=True)
 
 
 def save_model_files(model, directory: str) -> Tuple[str, str]:

@@ -14,11 +14,7 @@ from typing import List, Tuple
 
 from repro.nn.layers.composite import InceptionModule
 from repro.nn.network import Network
-from repro.nn.tensor import (
-    binary_serialized_bytes,
-    element_count,
-    text_serialized_bytes,
-)
+from repro.nn.tensor import element_count, text_serialized_bytes
 
 
 @dataclass(frozen=True)
@@ -61,10 +57,6 @@ class SpinePointCost:
     def feature_text_bytes(self) -> int:
         """Snapshot-text size of the feature tensor at this point."""
         return text_serialized_bytes(self.output_elements)
-
-    @property
-    def feature_binary_bytes(self) -> int:
-        return binary_serialized_bytes(self.output_elements)
 
 
 def network_costs(net: Network) -> List[LayerCost]:

@@ -5,79 +5,27 @@ which dominates partial-inference snapshots.  An obvious extension —
 standard in the collaborative-intelligence literature that followed
 Neurosurgeon — is to quantize the feature tensor before transmission.
 This module implements linear (affine) quantization to arbitrary bit
-widths plus the transfer-size accounting, so the ablation harness can
-measure the *real* accuracy impact: quantize the feature at the offload
-point, dequantize at the server, run the rear network, compare labels.
+widths, so the ablation harness can measure the *real* accuracy impact:
+quantize the feature at the offload point, dequantize at the server, run
+the rear network, compare labels.
 
-``pack_codes``/``unpack_codes`` actually bit-pack the codes (``bits``
-per value, MSB first, byte-padded at the end), so
-:attr:`QuantizedTensor.size_bytes` is not just bookkeeping — it equals
-``len(tensor.pack()) + QUANT_HEADER_BYTES``, the bytes a wire transfer
-would really carry.  The int8 split-shift what-if prices transfers with
-the same accounting (:func:`packed_feature_bytes`, handed to the partition
-optimizer as its ``feature_bytes_fn``).
+It is a study, not a codec: no executed offload quantizes anything, and
+the partition optimizer prices the decimal text capture renders.
+:attr:`QuantizedTensor.size_bytes` is what a bit-packed transfer would
+carry (``bits`` per value, byte-padded, plus a header) — the size column
+of ``repro ablation quantization``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 #: per-tensor header: shape, scale, zero point, bit width
 QUANT_HEADER_BYTES = 64
-
-
-def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Bit-pack unsigned codes at ``bits`` per value into a uint8 array.
-
-    Values are written MSB first, back to back, with the final byte
-    zero-padded — so the packed length is ``ceil(count * bits / 8)``,
-    exactly what :attr:`QuantizedTensor.size_bytes` charges (plus the
-    header).  Works for any width in [1, 16], including odd ones.
-    """
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bits must be in [1, 16], got {bits}")
-    flat = np.ascontiguousarray(codes, dtype=np.uint16).ravel()
-    if flat.size and int(flat.max()) >> bits:
-        raise ValueError(f"codes exceed {bits}-bit range")
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint16)
-    bit_matrix = ((flat[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bit_matrix.ravel())
-
-
-def unpack_codes(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_codes`: recover ``count`` codes."""
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bits must be in [1, 16], got {bits}")
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    raw = np.unpackbits(
-        np.ascontiguousarray(packed, dtype=np.uint8), count=count * bits
-    )
-    matrix = raw.reshape(count, bits).astype(np.uint32)
-    weights = (1 << np.arange(bits - 1, -1, -1, dtype=np.uint32))
-    return (matrix * weights).sum(axis=1, dtype=np.uint32).astype(np.uint16)
-
-
-def packed_feature_bytes(
-    shape_or_count: Union[int, Sequence[int]], bits: int = 8
-) -> int:
-    """Wire bytes of a bit-packed quantized tensor (codes + header).
-
-    The quantized counterpart of
-    :func:`repro.nn.tensor.text_serialized_bytes` — what the partition
-    optimizer prices when a split ships a quantized feature tensor.
-    """
-    if isinstance(shape_or_count, (int, np.integer)):
-        count = int(shape_or_count)
-    else:
-        count = 1
-        for dim in shape_or_count:
-            count *= int(dim)
-    return (count * bits + 7) // 8 + QUANT_HEADER_BYTES
 
 
 @dataclass(frozen=True)
@@ -92,37 +40,10 @@ class QuantizedTensor:
 
     @property
     def size_bytes(self) -> int:
-        """Packed transfer size: ``bits`` per value plus a header.
-
-        Honest accounting: equals ``len(self.pack()) + QUANT_HEADER_BYTES``.
-        """
+        """Packed transfer size: ``bits`` per value, byte-padded, plus a
+        header."""
         total_bits = int(self.codes.size) * self.bits
         return (total_bits + 7) // 8 + QUANT_HEADER_BYTES
-
-    def pack(self) -> np.ndarray:
-        """The bit-packed wire form of the codes (no header)."""
-        return pack_codes(self.codes, self.bits)
-
-    @classmethod
-    def from_packed(
-        cls,
-        packed: np.ndarray,
-        scale: float,
-        zero_point: float,
-        bits: int,
-        shape: Sequence[int],
-    ) -> "QuantizedTensor":
-        """Rebuild a tensor from its packed codes and header fields."""
-        count = 1
-        for dim in shape:
-            count *= int(dim)
-        return cls(
-            codes=unpack_codes(packed, bits, count),
-            scale=scale,
-            zero_point=zero_point,
-            bits=bits,
-            shape=tuple(int(dim) for dim in shape),
-        )
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the float tensor (lossy)."""

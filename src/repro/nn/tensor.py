@@ -24,11 +24,13 @@ Shape3 = Tuple[int, int, int]
 #: A real JS snapshot stores typed-array contents as a decimal literal list;
 #: the codec (repro.core.snapshot.codegen) writes "%.10e" and one separator:
 #: exactly 17 bytes for a finite non-negative value, 18 for a negative one.
-#: 18 is the *pricing* constant of the cost models, the partition optimizer
-#: and the baselines (a captured snapshot's own size is the length of the
-#: text it holds); changing it moves virtual-clock results.  With 18 the
-#: GoogLeNet features measure 14.5 MB after 1st_conv and 3.6 MB after
-#: 1st_pool, bracketing the paper's 14.7 / 2.9 MB.
+#: 18 is the one *pricing* constant — of the cost models, the partition
+#: optimizer and the baselines — and, per tensor of ``n`` finite values,
+#: an upper bound on the text capture renders (``17n - 1 <= len <= 18n``);
+#: a captured snapshot's own size is the length of the text it holds.
+#: Changing it moves virtual-clock results.  With 18 the GoogLeNet features
+#: measure 14.5 MB after 1st_conv and 3.6 MB after 1st_pool, bracketing
+#: the paper's 14.7 / 2.9 MB.
 TEXT_BYTES_PER_VALUE = 18
 
 #: the process-wide kernel scratch, one grow-only byte buffer per tag
@@ -364,11 +366,3 @@ def text_serialized_bytes(shape_or_count) -> int:
         count = int(shape_or_count)
     return count * TEXT_BYTES_PER_VALUE
 
-
-def binary_serialized_bytes(shape_or_count) -> int:
-    """float32 binary size of a feature tensor (4 bytes/value)."""
-    if isinstance(shape_or_count, tuple):
-        count = element_count(shape_or_count)
-    else:
-        count = int(shape_or_count)
-    return count * 4

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core.partition import PartitionOptimizer, predictions_by_label
+from repro.core.snapshot.codegen import render_tensor_text
 from repro.devices import edge_server_x86, odroid_xu4_client
 from repro.devices.predictor import fit_predictor_for
 from repro.netsim import NetemProfile
 from repro.nn.cost import network_costs
-from repro.nn.zoo import smallnet
+from repro.nn.zoo import build_model, smallnet
+from repro.sim import SeededRng
 
 
 @pytest.fixture(scope="module")
@@ -15,8 +17,7 @@ def network():
     return smallnet().network
 
 
-@pytest.fixture(scope="module")
-def optimizer(network):
+def make_optimizer_for(network, **kwargs):
     costs = network_costs(network)
     client_profile = odroid_xu4_client()
     server_profile = edge_server_x86()
@@ -25,7 +26,13 @@ def optimizer(network):
         fit_predictor_for(server_profile, costs, noise=0.0),
         client_profile,
         server_profile,
+        **kwargs,
     )
+
+
+@pytest.fixture(scope="module")
+def optimizer(network):
+    return make_optimizer_for(network)
 
 
 @pytest.fixture
@@ -114,3 +121,46 @@ class TestChoice:
         choice = optimizer.choose(network, link, denature=True)
         for estimate in choice.estimates:
             assert choice.best.total_seconds <= estimate.total_seconds + 1e-9
+
+
+class TestPriceIsWhatShips:
+    """The optimizer prices a split's feature as the decimal text capture
+    renders for it — 18 B per value, an upper bound on that text's length
+    (17 B per finite non-negative value, 18 B per negative one, one
+    separator fewer than values)."""
+
+    @pytest.mark.parametrize(
+        "model_name, labels",
+        [
+            ("smallnet", None),
+            ("agenet", None),
+            ("googlenet", ("1st_conv", "1st_pool", "5th_pool")),
+        ],
+    )
+    def test_price_bounds_the_rendered_feature_text(self, model_name, labels):
+        model = build_model(model_name)
+        network = model.network
+        optimizer = make_optimizer_for(network)
+        link = NetemProfile.wifi_30mbps()
+        image = SeededRng(1, "price").uniform_array(
+            tuple(network.input_shape), 0, 255
+        )
+        points = network.offload_points()
+        if labels is not None:
+            points = [network.point_by_label(label) for label in labels]
+        assert len(points) >= 3
+        for point in points:
+            front, _rear = model.split(point.index)
+            feature = front.inference(image)
+            text = render_tensor_text(feature)
+            n = feature.size
+            priced = optimizer.estimate(network, point, link).feature_bytes
+            assert 17 * n - 1 <= len(text) <= 18 * n == priced, point.label
+
+    def test_feature_size_is_not_settable(self, network):
+        from repro.eval.fig8 import make_optimizer
+
+        with pytest.raises(TypeError):
+            make_optimizer_for(network, feature_bytes_fn=len)
+        with pytest.raises(TypeError):
+            make_optimizer("agenet", feature_bytes_fn=len)

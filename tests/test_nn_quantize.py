@@ -9,13 +9,9 @@ from hypothesis import strategies as st
 
 from repro.nn.quantize import (
     QUANT_HEADER_BYTES,
-    QuantizedTensor,
     measure_quantization_impact,
-    pack_codes,
-    packed_feature_bytes,
     quantization_error,
     quantize_linear,
-    unpack_codes,
 )
 from repro.nn.zoo import smallnet
 from repro.sim import SeededRng
@@ -101,77 +97,6 @@ class TestQuantizeLinear:
         array = np.array([0.5, poison, 2.0], dtype=np.float32)
         with pytest.raises(ValueError, match="nan or inf"):
             quantize_linear(array, 8)
-
-
-class TestPackCodes:
-    """size_bytes honesty: the packed wire form really is that small."""
-
-    @pytest.mark.parametrize("bits", list(range(1, 17)))
-    def test_roundtrip_every_width(self, bits):
-        rng = np.random.default_rng(bits)
-        codes = rng.integers(0, 1 << bits, size=101, dtype=np.uint16)
-        packed = pack_codes(codes, bits)
-        assert packed.dtype == np.uint8
-        assert packed.size == (codes.size * bits + 7) // 8
-        assert np.array_equal(unpack_codes(packed, bits, codes.size), codes)
-
-    def test_size_bytes_matches_packed_length(self):
-        for bits in (1, 3, 5, 7, 8, 11, 13, 16):
-            tensor = quantize_linear(
-                SeededRng(bits, "q").normal_array((7, 9)), bits
-            )
-            assert tensor.size_bytes == len(tensor.pack()) + QUANT_HEADER_BYTES
-
-    def test_from_packed_restores_tensor(self):
-        array = SeededRng(5, "q").normal_array((3, 4, 5), 2.0)
-        tensor = quantize_linear(array, 5)
-        restored = QuantizedTensor.from_packed(
-            tensor.pack(), tensor.scale, tensor.zero_point, 5, tensor.shape
-        )
-        assert np.array_equal(restored.codes, tensor.codes)
-        assert np.array_equal(restored.dequantize(), tensor.dequantize())
-
-    def test_codes_exceeding_width_rejected(self):
-        with pytest.raises(ValueError):
-            pack_codes(np.array([8], dtype=np.uint16), 3)
-
-    def test_empty_codes(self):
-        packed = pack_codes(np.array([], dtype=np.uint16), 7)
-        assert packed.size == 0
-        assert unpack_codes(packed, 7, 0).size == 0
-
-    def test_packed_feature_bytes_accounting(self):
-        assert packed_feature_bytes(1000, 8) == 1000 + QUANT_HEADER_BYTES
-        assert packed_feature_bytes((10, 10, 10), 3) == 375 + QUANT_HEADER_BYTES
-        assert packed_feature_bytes(3, 3) == 2 + QUANT_HEADER_BYTES
-
-    @given(
-        count=st.integers(0, 64),
-        bits=st.integers(1, 16),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_property_roundtrip(self, count, bits, seed):
-        rng = np.random.default_rng(seed)
-        codes = rng.integers(0, 1 << bits, size=count, dtype=np.uint16)
-        assert np.array_equal(
-            unpack_codes(pack_codes(codes, bits), bits, count), codes
-        )
-
-    def test_partition_optimizer_prices_packed_bytes(self):
-        """``feature_bytes_fn`` is the one pricing hook: handed the packed
-        size, the optimizer moves googlenet's slow-link split shallower."""
-        from repro.eval.ablations import codec_partition_study
-        from repro.eval.fig8 import make_optimizer
-
-        optimizer = make_optimizer(
-            "googlenet",
-            feature_bytes_fn=lambda shape: packed_feature_bytes(shape, 8),
-        )
-        assert optimizer._feature_bytes((4, 5)) == packed_feature_bytes(20, 8)
-        study = codec_partition_study("googlenet", bandwidth_mbps=0.5)
-        assert (study.text_point, study.quantized_point) == ("5th_pool", "1st_pool")
-        assert study.quantization_helps
 
 
 class TestImpactMeasurement:

@@ -3,17 +3,12 @@
 import pytest
 
 from repro.core import protocol
-from repro.core.snapshot import CaptureOptions, capture_snapshot
-from repro.core.snapshot.wire import framing_overhead
 from repro.devices.profiles import PRESETS, DeviceProfile, register_preset
 from repro.netsim.message import payload_size
 from repro.netsim.topology import Host
 from repro.nn.zoo import smallnet
-from repro.sim import SeededRng
 from repro.web import WebRuntime
 from repro.web.app import make_inference_app
-from repro.web.events import Event
-from repro.web.values import TypedArray
 
 
 class TestPayloadSizing:
@@ -48,24 +43,6 @@ class TestPayloadSizing:
         without_fp = protocol.ResultPayload(StubDelta())
         assert with_fp.size_bytes - without_fp.size_bytes == fingerprint.size_bytes
         assert fingerprint.size_bytes > 100
-
-
-class TestWireOverhead:
-    def test_framing_overhead_is_small_and_positive(self):
-        model = smallnet()
-        runtime = WebRuntime()
-        runtime.load_app(make_inference_app(model))
-        runtime.globals["pending_pixels"] = TypedArray(
-            SeededRng(0, "px").uniform_array((3, 32, 32), 0, 255)
-        )
-        runtime.dispatch("click", "load_btn")
-        snapshot = capture_snapshot(
-            runtime,
-            Event("click", "infer_btn"),
-            CaptureOptions(include_canvas_pixels=True),
-        )
-        overhead = framing_overhead(snapshot)
-        assert 0 < overhead < 2048
 
 
 class TestProfilesAndHosts:

@@ -92,8 +92,3 @@ class TestCalibration:
         from repro.nn.zoo import PAPER_MODELS
 
         assert set(calibration.INPUT_SEEDS) == set(PAPER_MODELS)
-
-    def test_text_bytes_constant_consistent(self):
-        from repro.nn.tensor import TEXT_BYTES_PER_VALUE
-
-        assert calibration.FEATURE_TEXT_BYTES_PER_VALUE == TEXT_BYTES_PER_VALUE

@@ -28,6 +28,7 @@ from repro.web.values import (
     TypedArray,
     deep_equal,
 )
+from tests.test_wire_formats import detached
 
 
 @pytest.fixture
@@ -356,13 +357,10 @@ class TestStateFingerprint:
         assert fingerprint_runtime(copy) == delta.fingerprint
 
     def test_fingerprint_is_outside_size_and_wire_bytes(self, model, pixels):
-        from repro.core.snapshot.wire import decode_snapshot, encode_snapshot
-
         client = loaded_client(model, pixels)
         delta = capture_delta(client, fingerprint_runtime(client))
         assert delta.fingerprint is not None
         assert delta.size_bytes == len(delta.program)
-        assert decode_snapshot(encode_snapshot(delta)).fingerprint is None
         assert capture_snapshot(client).fingerprint is None
 
     @staticmethod
@@ -443,7 +441,8 @@ class TestOptimizedPlanRoundTrip:
     The partial-inference app stores the front part's output feature in a
     heap global; that tensor was produced by a compiled execution plan
     (fused conv+relu into arena buffers).  A delta over it must survive
-    the wire and restore to the state it was captured from.
+    the link — restored from a detached copy — and land on the state it
+    was captured from.
     """
 
     def _partial_runtime(self, pixels, infer=True):
@@ -459,17 +458,15 @@ class TestOptimizedPlanRoundTrip:
         return runtime
 
     def test_delta_wire_roundtrip_over_plan_features(self, pixels):
-        from repro.core.snapshot.wire import decode_snapshot, encode_snapshot
-
         source = self._partial_runtime(pixels)
         assert isinstance(source.globals["feature"], TypedArray)
         fresh = self._partial_runtime(pixels, infer=False)
         baseline = fingerprint_runtime(fresh)
         delta = capture_delta(source, baseline)
-        decoded = decode_snapshot(encode_snapshot(delta))
-        # the feature crossed the wire as a table entry, not inside the code
-        assert decoded.texts == delta.texts and "TEXT[0]" in decoded.program
+        received = detached(delta)
+        # the feature crosses the link as a table entry, not inside the code
+        assert received.texts == delta.texts and "TEXT[0]" in received.program
         assert delta.texts[0] is render_tensor_text(source.globals["feature"].data)
-        restore_snapshot(decoded, fresh)
+        restore_snapshot(received, fresh)
         assert fingerprint_runtime(fresh) == fingerprint_runtime(source)
         assert fresh.globals["result_label"] == source.globals["result_label"]

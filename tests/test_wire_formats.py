@@ -1,4 +1,9 @@
-"""Tests for the binary wire formats: snapshots and weight blobs."""
+"""Tests for what leaves the process: snapshots and weight blobs.
+
+A snapshot crosses the link by reference and is sized analytically, so
+its self-containment is checked by restoring a detached copy; the weight
+blob is the one binary format, read back from user files.
+"""
 
 import json
 import struct
@@ -7,15 +12,14 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.snapshot import CaptureOptions, capture_snapshot, restore_snapshot
-from repro.core.snapshot.wire import (
-    MAGIC,
-    WireFormatError,
-    decode_snapshot,
-    encode_snapshot,
-    framing_overhead,
+from repro.core.snapshot import (
+    CaptureOptions,
+    Snapshot,
+    capture_snapshot,
+    restore_snapshot,
 )
 from repro.nn.caffemodel import (
+    MAGIC,
     WeightsFormatError,
     apply_weights,
     decode_weights,
@@ -23,7 +27,7 @@ from repro.nn.caffemodel import (
     load_model_files,
     save_model_files,
 )
-from repro.nn.zoo import smallnet
+from repro.nn.zoo import build_model, smallnet
 from repro.sim import SeededRng
 from repro.web import WebRuntime
 from repro.web.app import make_inference_app
@@ -47,45 +51,54 @@ def make_snapshot(with_image=True):
     )
 
 
+def detached(snapshot: Snapshot) -> Snapshot:
+    """A copy of ``snapshot`` sharing nothing with the runtime that captured
+    it — what the peer at the other end of the link holds: fresh program and
+    text strings, copied attachment arrays.  Attached models, metadata and
+    the fingerprint travel apart from the snapshot, so the copy has none."""
+    return Snapshot(
+        app_name=snapshot.app_name,
+        kind=snapshot.kind,
+        program=snapshot.program.encode("utf-8").decode("utf-8"),
+        attachments={
+            index: np.array(array, copy=True)
+            for index, array in snapshot.attachments.items()
+        },
+        texts=tuple(text.encode("ascii").decode("ascii") for text in snapshot.texts),
+        pending_event=snapshot.pending_event,
+        model_refs=dict(snapshot.model_refs),
+        attachment_bytes=snapshot.attachment_bytes,
+    )
+
+
 class TestSnapshotWire:
     def test_roundtrip_bit_exact(self):
-        _model, snapshot = make_snapshot()
-        decoded = decode_snapshot(encode_snapshot(snapshot))
-        assert decoded.program == snapshot.program
-        assert decoded.texts == snapshot.texts
-        assert decoded.app_name == snapshot.app_name
-        assert decoded.pending_event == snapshot.pending_event
-        assert decoded.model_refs == snapshot.model_refs
-        for index, array in snapshot.attachments.items():
-            assert np.array_equal(decoded.attachments[index], array)
+        """The detached copy is the snapshot, field for field, and shares
+        no string or array with it."""
+        _model, snapshot = make_snapshot(with_image=False)
+        _model, with_image = make_snapshot()
+        for original in (snapshot, with_image):
+            copy = detached(original)
+            assert copy.program == original.program
+            assert copy.program is not original.program
+            assert copy.texts == original.texts
+            assert all(a is not b for a, b in zip(copy.texts, original.texts))
+            assert copy.app_name == original.app_name
+            assert copy.pending_event == original.pending_event
+            assert copy.model_refs == original.model_refs
+            assert copy.attachments.keys() == original.attachments.keys()
+            for index, array in original.attachments.items():
+                assert np.array_equal(copy.attachments[index], array)
+                assert not np.shares_memory(copy.attachments[index], array)
+        assert snapshot.texts and with_image.attachments
 
     def test_decoded_snapshot_still_restores(self):
         model, snapshot = make_snapshot()
-        decoded = decode_snapshot(encode_snapshot(snapshot))
         server = WebRuntime("server")
         server.install_model(model)
-        report = restore_snapshot(decoded, server)
+        report = restore_snapshot(detached(snapshot), server)
         server.run_event(report.pending_event)
         assert "label" in server.document.get("result").text_content
-
-    def test_size_accounting_matches_reality(self):
-        """The analytic size model must track the real encoding."""
-        _model, snapshot = make_snapshot(with_image=False)  # text pixels
-        assert snapshot.texts and not snapshot.attachments
-        data = encode_snapshot(snapshot)
-        encoded = len(data)
-        # size_bytes accounts each tensor text as a quoted literal inside
-        # the program; the container carries it as a section of its own, so
-        # per text it spends a 4 B length prefix and the ``TEXT[i]`` that
-        # names it where the accounted form spends two quotes — on top of
-        # magic + header + the header's and program's length prefixes + CRC.
-        per_text = sum(
-            4 + len(f"TEXT[{index}]") - 2 for index in range(len(snapshot.texts))
-        )
-        header_len = int.from_bytes(data[8:12], "little")
-        assert encoded - snapshot.size_bytes == 8 + 4 + header_len + 4 + per_text + 4
-        assert encoded - snapshot.size_bytes == framing_overhead(snapshot)
-        assert 0 < encoded - snapshot.size_bytes < 1200
 
     def test_size_counts_utf8_bytes_not_characters(self):
         model = smallnet()
@@ -101,119 +114,9 @@ class TestSnapshotWire:
 
     def test_size_preserved_through_roundtrip(self):
         _model, snapshot = make_snapshot()
-        decoded = decode_snapshot(encode_snapshot(snapshot))
-        assert decoded.size_bytes == snapshot.size_bytes
-        assert decoded.feature_bytes == snapshot.feature_bytes
-
-    def test_corruption_detected(self):
-        _model, snapshot = make_snapshot()
-        data = bytearray(encode_snapshot(snapshot))
-        data[len(data) // 2] ^= 0xFF
-        with pytest.raises(WireFormatError):
-            decode_snapshot(bytes(data))
-
-    def test_truncation_detected(self):
-        _model, snapshot = make_snapshot()
-        data = encode_snapshot(snapshot)
-        with pytest.raises(WireFormatError):
-            decode_snapshot(data[: len(data) // 2])
-
-    @staticmethod
-    def _resealed(body: bytes) -> bytes:
-        """A container over ``body`` whose CRC is right."""
-        return body + struct.pack("<I", zlib.crc32(body))
-
-    def test_bad_magic_detected(self):
-        _model, snapshot = make_snapshot()
-        body = encode_snapshot(snapshot)[:-4]
-        assert body.startswith(MAGIC) and MAGIC == b"RPSNAP02"
-        # the previous container version has no reader either
-        for magic in (b"NOTSNAP!", b"RPSNAP01"):
-            with pytest.raises(WireFormatError, match="magic"):
-                decode_snapshot(self._resealed(magic + body[len(MAGIC):]))
-
-    def test_any_flipped_bit_is_a_wire_format_error(self):
-        _model, snapshot = make_snapshot(with_image=False)
-        data = encode_snapshot(snapshot)
-        rng = np.random.default_rng(0)
-        positions = {0, 7, 8, 12, len(data) - 5, len(data) - 1}
-        positions.update(rng.integers(0, len(data), 40).tolist())
-        for position in sorted(positions):
-            flipped = bytearray(data)
-            flipped[position] ^= 1 << int(rng.integers(0, 8))
-            with pytest.raises(WireFormatError):
-                decode_snapshot(bytes(flipped))
-
-    def _sections(self, snapshot):
-        """The container's body split into magic + length-prefixed sections."""
-        body = encode_snapshot(snapshot)[:-4]
-        sections, offset = [], len(MAGIC)
-        while offset < len(body):
-            length = int.from_bytes(body[offset:offset + 4], "little")
-            sections.append(body[offset + 4:offset + 4 + length])
-            offset += 4 + length
-        return sections
-
-    def _container(self, sections):
-        body = MAGIC + b"".join(
-            len(section).to_bytes(4, "little") + section for section in sections
-        )
-        return self._resealed(body)
-
-    def test_well_sealed_nonsense_is_a_wire_format_error(self):
-        """A right CRC over a container that cannot mean a snapshot."""
-        _model, snapshot = make_snapshot(with_image=False)
-        header, program, *texts = self._sections(snapshot)
-        assert len(texts) == len(snapshot.texts) >= 1
-        # the control: taking the container apart and sealing it again
-        assert decode_snapshot(self._container([header, program, *texts])).texts == (
-            snapshot.texts
-        )
-
-        def with_header(**changes):
-            fields = {**json.loads(header), **changes}
-            return json.dumps(fields, sort_keys=True).encode("utf-8")
-
-        no_count = json.loads(header)
-        del no_count["texts"]
-
-        rejected = {
-            "non-ASCII text": [header, program, "1.0 é".encode("utf-8"), *texts[1:]],
-            "text that is not UTF-8 either": [header, program, b"\xff\xfe", *texts[1:]],
-            "fewer texts than the header counts": [header, program, *texts[:-1]],
-            "more texts than the header counts": [header, program, *texts, b"1.0"],
-            "header counts one text too many": [
-                with_header(texts=len(texts) + 1), program, *texts
-            ],
-            "header counts one text too few": [
-                with_header(texts=len(texts) - 1), program, *texts
-            ],
-            "header without a text count": [
-                json.dumps(no_count).encode("utf-8"), program, *texts
-            ],
-            "text count that is null": [with_header(texts=None), program, *texts],
-            "text count that is not a number": [
-                with_header(texts="many"), program, *texts
-            ],
-            "header that is not JSON": [b"{", program, *texts],
-            "header that is not an object": [b"[]", program, *texts],
-            "program that is not UTF-8": [header, b"\xff", *texts],
-            "trailing section": [header, program, *texts, b""],
-        }
-        for what, sections in rejected.items():
-            with pytest.raises(WireFormatError):
-                decode_snapshot(self._container(sections))
-                pytest.fail(f"accepted a container with a {what}")
-        with pytest.raises(WireFormatError, match="trailing"):
-            decode_snapshot(self._resealed(encode_snapshot(snapshot)[:-4] + b"\0"))
-
-    def test_attachment_that_does_not_fill_its_shape_is_rejected(self):
-        _model, snapshot = make_snapshot(with_image=True)
-        *front, attachment = self._sections(snapshot)
-        assert len(attachment) == 4 * next(iter(snapshot.attachments.values())).size
-        for payload in (attachment[:-4], attachment[:-1]):
-            with pytest.raises(WireFormatError):
-                decode_snapshot(self._container([*front, payload]))
+        copy = detached(snapshot)
+        assert copy.size_bytes == snapshot.size_bytes
+        assert copy.feature_bytes == snapshot.feature_bytes
 
 
 class TestWeightsBlob:
@@ -268,9 +171,91 @@ class TestWeightsBlob:
         # header + params * 4 bytes + crc: header is small.
         assert abs(len(encoded) - model.network.param_count * 4) < 4096
 
+    @pytest.mark.parametrize("name", ["smallnet_exits", "googlenet_exits"])
+    def test_exit_heads_roundtrip(self, name):
+        """Every blob the set check accepts is assigned, exit heads too."""
+        source = build_model(name, seed=5)
+        target = build_model(name, seed=99)
+        apply_weights(target.network, decode_weights(encode_weights(source.network)))
+        x = SeededRng(3, "x").uniform_array(tuple(source.network.input_shape), 0, 255)
+        exits = source.network.exit_points()
+        assert len(exits) == 3
+        for exit_point in exits:
+            assert np.array_equal(
+                target.network.forward_exit(x, exit_point.index),
+                source.network.forward_exit(x, exit_point.index),
+            )
+
+    @staticmethod
+    def _container(header: bytes, payload: bytes = b"", header_len=None) -> bytes:
+        """A weight blob over ``header`` + ``payload`` whose CRC is right."""
+        length = len(header) if header_len is None else header_len
+        body = MAGIC + struct.pack("<I", length) + header + payload
+        return body + struct.pack("<I", zlib.crc32(body))
+
+    def test_well_sealed_nonsense_is_a_weights_format_error(self):
+        """A right CRC over a container that cannot mean a weight blob."""
+        payload = np.arange(6, dtype=np.float32).tobytes()
+
+        def header(*records, **fields):
+            fields.setdefault("blobs", list(records))
+            return json.dumps({"model": "m", **fields}).encode("utf-8")
+
+        good = {"name": "fc::weight", "shape": [2, 3]}
+        # the control: the same container with a sane header decodes
+        assert decode_weights(self._container(header(good), payload))[
+            "fc::weight"
+        ].tolist() == [[0, 1, 2], [3, 4, 5]]
+        rejected = {
+            "header that is not JSON": (b"{", payload),
+            "header that is not UTF-8": (b"\xff\xfe", payload),
+            "header that is not an object": (b"[]", payload),
+            "header without blobs": (b'{"model": "m"}', payload),
+            "blob list that is not a list": (header(blobs=5), payload),
+            "blob list that is a string": (header(blobs="fc"), payload),
+            "record that is not an object": (header(5), payload),
+            "record without a shape": (header({"name": "fc::weight"}), payload),
+            "record without a name": (header({"shape": [2, 3]}), payload),
+            "name that is not a string": (header({"name": 7, "shape": [6]}), payload),
+            "shape that is not a list": (header({**good, "shape": 6}), payload),
+            "non-integer dim": (header({**good, "shape": [2, 1.5]}), payload),
+            "dim that is a string": (header({**good, "shape": ["2", 3]}), payload),
+            "dim that is a boolean": (header({**good, "shape": [True, 6]}), payload),
+            "dim that is null": (header({**good, "shape": [None, 3]}), payload),
+            "negative dim": (header({**good, "shape": [-2, -3]}), payload),
+            "payload short of its shape": (header(good), payload[:-1]),
+            "trailing bytes": (header(good), payload + b"\0"),
+            "duplicate blob": (header(good, good), payload + payload),
+        }
+        for what, (head, body) in rejected.items():
+            with pytest.raises(WeightsFormatError):
+                decode_weights(self._container(head, body))
+                pytest.fail(f"accepted a weight blob with a {what}")
+        for header_len in (len(header(good)) + len(payload) + 1, 2**32 - 1):
+            with pytest.raises(WeightsFormatError, match="truncated header"):
+                decode_weights(self._container(header(good), payload, header_len))
+        with pytest.raises(WeightsFormatError, match="magic"):
+            body = b"NOTWGHT!" + self._container(header(good), payload)[8:-4]
+            decode_weights(body + struct.pack("<I", zlib.crc32(body)))
+
+    def test_any_flipped_bit_is_a_weights_format_error(self):
+        data = encode_weights(smallnet().network)
+        rng = np.random.default_rng(0)
+        positions = {0, 7, 8, 12, len(data) - 5, len(data) - 1}
+        positions.update(rng.integers(0, len(data), 40).tolist())
+        for position in sorted(positions):
+            flipped = bytearray(data)
+            flipped[position] ^= 1 << int(rng.integers(0, 8))
+            with pytest.raises(WeightsFormatError):
+                decode_weights(bytes(flipped))
+        for cut in (0, 11, len(data) // 2, len(data) - 1):
+            with pytest.raises(WeightsFormatError):
+                decode_weights(data[:cut])
+
 
 class TestWireProperties:
-    """Property tests: arbitrary captured states survive the wire."""
+    """Property tests: arbitrary captured states survive the link — their
+    detached copy restores them."""
 
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -306,10 +291,9 @@ class TestWireProperties:
         snapshot = capture_snapshot(
             runtime, Event("click", "infer_btn"), CaptureOptions(live_only=False)
         )
-        decoded = decode_snapshot(encode_snapshot(snapshot))
         restored = WebRuntime("server")
         restored.install_model(model)
-        restore_snapshot(decoded, restored)
+        restore_snapshot(detached(snapshot), restored)
         for name, value in globals_dict.items():
             got = restored.globals[name]
             if isinstance(value, float):
