@@ -31,10 +31,13 @@ families:
   (2 for a pure spine, more across live branches).  A step never writes a
   slot holding any live value — in particular never its own input —
   which :meth:`ExecutionPlan.forward_traced` verifies at runtime.
-  Liveness and coloring are per sample: a batch of N binds each step's
-  output to the first ``N * out_elements`` floats of its slot (the
-  buffers grow, only, to the largest batch the plan has run), so the
-  same assignment is alias-free at every N.
+  Liveness and coloring are per sample: slots lie end to end (each
+  starts at the prefix sum of the capacities before it) and a batch of N
+  scales every start and size by N, so the same assignment is alias-free
+  at every N.  A plan owns no buffer: each run borrows the process-wide
+  ``arena`` scratch (:func:`repro.nn.tensor.scratch`, grown only), so
+  every plan a process holds — the front and rear halves at each offload
+  point — shares the working memory of one forward.
 
 Equivalence contract: for networks without BatchNorm/Scale the plan's
 arithmetic is *bitwise identical* to the reference layer walk (matmul,
@@ -70,7 +73,9 @@ plan-vs-walk bench claims compare against, with no runtime caller.
 
 from __future__ import annotations
 
+import collections
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -103,8 +108,8 @@ class PlanStats:
     fallbacks: int = 0  # steps that call the reference layer forward
     branches: int = 0  # composite branch sequences inlined into the DAG
     joins: int = 0  # concat/eltwise join steps
-    arena_slots: int = 0  # interval-colored arena buffers
-    arena_bytes: int = 0  # bytes of preallocated arena slots
+    arena_slots: int = 0  # interval-colored arena slots
+    arena_bytes: int = 0  # arena bytes one sample needs (all slots)
     reuse_bytes_per_forward: int = 0  # arena bytes written per forward
 
 
@@ -365,9 +370,11 @@ class ExecutionPlan:
     Arena discipline: liveness analysis assigns each arena step a slot no
     *live* value occupies — in particular a step never writes the slot any
     of its inputs live in (asserted by the aliasing test via
-    :meth:`forward_traced`).  The final value is copied out of the arena
-    before being returned, so callers own their result like on the
-    reference path.
+    :meth:`forward_traced`).  The plan keeps only per-sample slot offsets;
+    the arena is the process-wide ``arena`` scratch buffer, held for one
+    :meth:`_execute` (no step runs a plan, so runs never nest).  The final
+    value is copied out of the arena before being returned, so callers own
+    their result like on the reference path.
     """
 
     def __init__(
@@ -387,16 +394,16 @@ class ExecutionPlan:
         self._witnesses = list(witnesses)
         self.forwards = 0
         self.batch_forwards = 0
-        self.batch_sizes: List[int] = []
+        #: batch size -> ``forward_batch`` calls of that size
+        self.batch_sizes = collections.Counter()
         self.arena_bytes_reused = 0
         self._analyze_liveness()
-        #: per-sample slot capacities (elements); the buffers themselves
-        #: hold ``_reserved`` samples — one at compile time
-        self._capacities = self._color_arena()
-        self._reserved = 0
-        self._reserve(1)
-        stats.arena_slots = len(self._capacities)
-        stats.arena_bytes = 4 * sum(self._capacities)
+        capacities = self._color_arena()
+        #: per-sample start of each slot in the arena (elements); the last
+        #: entry is the per-sample arena size
+        self._offsets = list(itertools.accumulate(capacities, initial=0))
+        stats.arena_slots = len(capacities)
+        stats.arena_bytes = 4 * self._offsets[-1]
         stats.reuse_bytes_per_forward = sum(
             step.out_elements * 4 for step in self.steps if step.arena
         )
@@ -452,19 +459,6 @@ class ExecutionPlan:
             active[step.output] = slot
         return capacities
 
-    def _reserve(self, count: int) -> None:
-        """Grow the slot buffers to hold ``count`` samples (never shrink).
-
-        Coloring is per sample and does not depend on N: a batch scales
-        every slot alike, so values that never shared a slot still don't.
-        """
-        if count > self._reserved:
-            self._slots = [
-                np.empty(count * capacity, dtype=np.float32)
-                for capacity in self._capacities
-            ]
-            self._reserved = count
-
     # -- validity --------------------------------------------------------------
     def is_valid(self) -> bool:
         """True while every captured parameter array is still installed.
@@ -500,20 +494,21 @@ class ExecutionPlan:
         every entry point.  Callers own the result like on the reference
         path: a final value that lives in the arena is copied out."""
         count = value.shape[0]
-        self._reserve(count)
+        arena = tensor.scratch("arena", (count * self._offsets[-1],))
         values: List[Optional[np.ndarray]] = [value] + [None] * len(self.steps)
         for position, step in enumerate(self.steps):
             inputs = [values[value_id] for value_id in step.inputs]
             out = None
             if step.arena:
-                out = self._slots[step.slot][
-                    : count * step.out_elements
-                ].reshape((count,) + step.out_shape)
+                start = count * self._offsets[step.slot]
+                out = arena[start : start + count * step.out_elements].reshape(
+                    (count,) + step.out_shape
+                )
             if trace is not None:
                 trace.append(self._trace_entry(position, inputs, out, values))
             values[step.output] = step.run(inputs, out)
         result = values[-1]  # step ``i`` defines value ``i + 1``
-        if any(np.shares_memory(result, slot) for slot in self._slots):
+        if np.shares_memory(result, arena):
             result = result.copy()
         return result
 
@@ -589,7 +584,7 @@ class ExecutionPlan:
         value = self._batch_of(xs)
         result = self._execute(value)
         self.batch_forwards += 1
-        self.batch_sizes.append(int(value.shape[0]))
+        self.batch_sizes[int(value.shape[0])] += 1
         return result
 
     # -- reporting -------------------------------------------------------------
@@ -662,7 +657,7 @@ class ExecutionPlan:
             "plan_batch_size",
             help="batch sizes seen by forward_batch", **labels,
         )
-        for size in self.batch_sizes:
+        for size in self.batch_sizes.elements():
             batch_histogram.observe(size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -41,12 +41,12 @@ def scratch(tag: str, shape: Tuple[int, ...], dtype=np.float32) -> np.ndarray:
     """An uninitialized ``shape`` array over the process-wide ``tag`` buffer.
 
     There is one buffer per *tag* (im2col columns, LRN prefix sums, LRN
-    window sums, pooled rows), grown to the largest request ever made and
-    shared by every layer and shape — so consecutive kernels stream through
-    the same cache-hot bytes instead of one cold buffer each.  Contents are
-    valid only inside the kernel call that took them (the next request for
-    the tag hands out the same bytes), and nothing a kernel returns may
-    alias them.
+    window sums, pooled rows, the plans' ``arena``), grown to the largest
+    request ever made and shared by every layer and shape — so consecutive
+    kernels stream through the same cache-hot bytes instead of one cold
+    buffer each.  Contents are valid only inside the kernel call (for
+    ``arena``, the plan run) that took them — the next request for the tag
+    hands out the same bytes — and nothing a kernel returns may alias them.
     """
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     buffer = _SCRATCH.get(tag)

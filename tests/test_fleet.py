@@ -443,17 +443,20 @@ class TestRecordOnceReplay:
 
 @pytest.mark.fleet
 class TestFleetAtScale:
-    """Thousands of concurrent sessions (slow; deselect with -m 'not fleet')."""
+    """Saturated fleets: the smallest worlds that still queue at admission
+    and fail over under a kill (deselect with -m 'not fleet')."""
 
     def test_two_thousand_sessions_all_served(self):
+        """200 sessions of one request at 400/s: enough to saturate
+        admission (604 waits) and spread over all three edges."""
         scenario = FleetScenario(
-            sessions=2000,
+            sessions=200,
             requests_per_session=1,
             arrival_rate_per_s=400.0,
             seed=1,
         )
         report = scenario.run()
-        assert report.count == 2000
+        assert report.count == 200
         assert report.all_correct
         assert report.admission_waits > 0  # 400/s genuinely saturates
         assert {row.name for row in report.edges if row.served} == {
@@ -461,16 +464,30 @@ class TestFleetAtScale:
         }
 
     def test_kill_at_scale_completes_every_session(self):
+        """150 sessions of two requests at 150/s (arrivals over ~1 s), edge-1
+        killed at 0.3 s and revived at 0.75 s: 6 failovers, 420 admission
+        waits."""
         scenario = FleetScenario(
-            sessions=1000,
+            sessions=150,
             requests_per_session=2,
             arrival_rate_per_s=150.0,
             seed=2,
             reply_timeout=1.0,
         )
-        scenario.inject_kill("edge-1", 2.0, revive_at_seconds=5.0)
+        scenario.inject_kill("edge-1", 0.3, revive_at_seconds=0.75)
         report = scenario.run()
-        assert report.count == 2000
+        assert report.count == 300
         assert report.all_correct
         keys = {(r.session, r.request_index) for r in report.records}
-        assert len(keys) == 2000
+        assert len(keys) == 300
+        # the small world still exercises the lock: sessions queue at
+        # admission, the kill lands mid-arrivals and forces failovers, and
+        # every edge serves
+        assert report.admission_waits > 0
+        assert report.failovers > 0
+        last_arrival = max(
+            r.issued_at for r in report.records if r.request_index == 0
+        )
+        assert [at for at, _ in report.kills] == [0.3]
+        assert report.kills[0][0] < last_arrival
+        assert all(row.served for row in report.edges)

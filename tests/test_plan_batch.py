@@ -11,15 +11,25 @@ What must hold:
   oracle (the zoo-wide ``forward == forward_reference`` locks in
   ``test_nn_plan.py`` / ``test_backend.py`` carry N = 1 against the walk);
 * a batch of one is the same bits as ``forward``;
-* the arena grows to the largest batch seen and is then reused by every
-  smaller batch and by ``forward``, and the no-alias / no-clobber
+* the arena — one process-wide scratch buffer, not a plan's — grows to
+  the largest batch seen and is then reused by every smaller batch, by
+  ``forward`` and by every other plan, and the no-alias / no-clobber
   invariant holds at N > 1;
-* callers own what they are returned: nothing shares memory with a slot
-  or with the kernel scratch.
+* a plan holds no buffer: the front and rear halves of three splits, all
+  alive, cost their results and one arena, not six;
+* any sequence of calls — plan, entry point, batch size — returns the
+  bits the same call returns first in a fresh process, and never
+  disturbs a result returned earlier;
+* callers own what they are returned: nothing shares memory with the
+  arena or with the kernel scratch.
 """
+
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.nn import tensor
 from repro.nn.plan import (
@@ -196,12 +206,10 @@ def network(request):
     return build_model(request.param).network
 
 
-def slot_ids(plan):
-    return [id(slot) for slot in plan._slots]
-
-
-def aliases_plan_memory(plan, array):
-    return any(np.shares_memory(array, slot) for slot in plan._slots) or any(
+def aliases_plan_memory(array):
+    """Whether ``array`` shares bytes with the arena or any kernel scratch —
+    the only memory a plan run writes besides what it returns."""
+    return any(
         np.shares_memory(array, buffer) for buffer in tensor._SCRATCH.values()
     )
 
@@ -236,20 +244,25 @@ class TestArenaAcrossBatchSizes:
 
     def test_arena_grows_once_then_serves_every_smaller_batch(self, plan):
         xs = batch_for(plan, 8)
+        tensor._SCRATCH.pop("arena", None)  # as in a fresh process
         single = plan.forward(xs[0])
-        compiled = slot_ids(plan)
+        assert tensor._SCRATCH["arena"].nbytes == plan.stats.arena_bytes
         first = plan.forward_batch(xs)
-        grown = slot_ids(plan)
-        assert grown != compiled
-        assert [slot.size for slot in plan._slots] == [
-            8 * capacity for capacity in plan._capacities
-        ]
+        grown = tensor._SCRATCH["arena"]
+        assert grown.nbytes == 8 * plan.stats.arena_bytes
         assert same_bits(plan.forward_batch(xs), first)
         assert same_bits(plan.forward_batch(xs[:3]), parent_forward_batch(plan, xs[:3]))
         assert same_bits(plan.forward(xs[0]), single)
-        assert slot_ids(plan) == grown
+        # every smaller plan — the halves of a split, another model — runs
+        # in the same buffer
+        network = build_model("googlenet").network
+        split = network.point_by_label("3rd_pool").index
+        for other in (network.plan_for(0, split), network.plan_for(split + 1),
+                      build_model("smallnet").network.plan_for()):
+            other.forward_batch(batch_for(other, 3))
+        assert tensor._SCRATCH["arena"] is grown
         # per-sample accounting does not move with the batch
-        assert plan.stats.arena_bytes == 4 * sum(plan._capacities)
+        assert plan.stats.arena_bytes == 6_723_584
 
     def test_traced_invariant_holds_at_batch_eight(self, plan):
         xs = batch_for(plan, 8)
@@ -284,9 +297,200 @@ class TestCallerOwnsResult:
             for run, argument in ((plan.forward, xs[0]), (plan.forward_batch, xs)):
                 first = run(argument)
                 kept = first.copy()
-                assert not aliases_plan_memory(plan, first)
+                assert not aliases_plan_memory(first)
                 first.fill(np.float32(-7.0))
                 again = run(argument)
                 assert again is not first
                 assert same_bits(again, kept)
-                assert not aliases_plan_memory(plan, again)
+                assert not aliases_plan_memory(again)
+
+
+# -- plans own no memory ----------------------------------------------------------
+
+
+def held_arrays(plan):
+    """The ndarrays a plan holds, directly or as list items (witnesses are
+    ``(layer, key, array)`` tuples naming parameters the layers own)."""
+    held = []
+    for value in vars(plan).values():
+        items = value if isinstance(value, list) else [value]
+        held += [item for item in items if isinstance(item, np.ndarray)]
+    return held
+
+
+class TestPlansOwnNoMemory:
+    def test_split_halves_hold_no_arena(self):
+        model = build_model("googlenet")
+        network = model.network
+        (x,) = batch_for(network.plan_for(), 1)
+        network.forward(x)  # warm the kernel scratch and the conv operands
+        halves, results = [], []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for label in ("1st_pool", "3rd_pool", "5th_pool"):
+                front, rear = model.split(network.point_by_label(label).index)
+                feature = front.inference(x)
+                results += [feature, rear.inference(feature)]
+                halves += [front, rear]  # kept alive, as a live app keeps them
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        plans = [half.network.plan_for() for half in halves]
+        largest = max(plan.stats.arena_bytes for plan in plans)
+        assert grown < largest + sum(result.nbytes for result in results)
+        for plan in plans:
+            assert held_arrays(plan) == [], plan.name
+
+    def test_batch_tally_is_bounded_and_exports_the_same_histogram(self):
+        from repro.obs import MetricsRegistry, to_prometheus_text
+
+        network = build_model("tinynet").network
+        plan = network.plan_for(2, 2)  # the lone ReLU: the cheapest plan
+        sizes = [1 + call % 3 for call in range(10_000)]
+        inputs = {count: batch_for(plan, count) for count in (1, 2, 3)}
+        for count in (1, 2, 3):  # warm the arena, then start the tally afresh
+            plan.forward_batch(inputs[count])
+        plan.batch_sizes.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for count in sizes:
+                plan.forward_batch(inputs[count])
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1024
+
+        def histogram_lines(registry):
+            return [
+                line for line in to_prometheus_text(registry).splitlines()
+                if line.startswith("plan_batch_size")
+            ]
+
+        exported = MetricsRegistry()
+        plan.record_metrics(exported)
+        observed = MetricsRegistry()  # what one observation per call exports
+        histogram = observed.histogram("plan_batch_size", plan=plan.name)
+        for count in sizes:
+            histogram.observe(count)
+        assert histogram_lines(exported) == histogram_lines(observed)
+        assert exported.get("plan_batch_size", plan=plan.name).count == 10_000
+
+
+# -- the shared arena under adversarial call sequences ----------------------------
+
+
+#: (model, plan kind) — the whole network, a front / rear pair around a
+#: middle split, and googlenet_exits' first early exit
+PROPERTY_PLANS = tuple(
+    (name, kind)
+    for name in ("smallnet", "resnet-mini", "googlenet_exits")
+    for kind in ("whole", "front", "rear")
+) + (("googlenet_exits", "exit"),)
+
+
+@functools.lru_cache(maxsize=None)
+def property_network(name):
+    return build_model(name).network
+
+
+@functools.lru_cache(maxsize=None)
+def property_plan(spec):
+    """``(plan, reference)``: ``reference(x)`` walks the plan's layers one
+    by one."""
+    name, kind = spec
+    network = property_network(name)
+    points = network.offload_points()
+    split = points[len(points) // 2].index
+    if kind == "whole":
+        return network.plan_for(), network.forward_reference
+    if kind == "front":
+        return network.plan_for(0, split), functools.partial(
+            network.forward_reference, end=split
+        )
+    if kind == "rear":
+        return network.plan_for(split + 1), functools.partial(
+            network.forward_reference, start=split + 1
+        )
+    exit = network.exit_points()[0].index
+    return (network.plan_for(0, exit, exit_point=exit),
+            network.at_exit(exit).forward_reference)
+
+
+@functools.lru_cache(maxsize=None)
+def property_input(spec, count):
+    return batch_for(property_plan(spec)[0], count, seed=17)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_output(spec):
+    return property_plan(spec)[1](property_input(spec, 1)[0])
+
+
+def make_call(spec, entry, count):
+    """Run one call; returns ``(result, trace or None)``."""
+    plan = property_plan(spec)[0]
+    xs = property_input(spec, count)
+    if entry == "forward":
+        return plan.forward(xs[0]), None
+    if entry == "forward_batch":
+        return plan.forward_batch(xs), None
+    return plan.forward_traced(xs)
+
+
+#: call -> its result when made first in a fresh process (no scratch buffer)
+FIRST_CALLS = {}
+
+
+def first_call(call):
+    if call not in FIRST_CALLS:
+        saved = dict(tensor._SCRATCH)
+        tensor._SCRATCH.clear()
+        try:
+            FIRST_CALLS[call] = make_call(*call)[0].copy()
+        finally:
+            tensor._SCRATCH.clear()
+            tensor._SCRATCH.update(saved)
+    return FIRST_CALLS[call]
+
+
+def calls_on(spec):
+    # googlenet_exits stops at N = 3 (a 20 MB arena, still the largest by
+    # far): at N = 8 its plans cost 0.4-0.55 s a call
+    sizes = BATCH_SIZES[:3] if spec[0] == "googlenet_exits" else BATCH_SIZES
+    return st.one_of(
+        st.tuples(st.just(spec), st.just("forward"), st.just(1)),
+        st.tuples(
+            st.just(spec),
+            st.sampled_from(["forward_batch", "forward_traced"]),
+            st.sampled_from(sizes),
+        ),
+    )
+
+
+CALLS = st.lists(
+    st.sampled_from(PROPERTY_PLANS).flatmap(calls_on), min_size=1, max_size=8
+)
+
+
+class TestSharedArenaProperty:
+    @settings(max_examples=30, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(calls=CALLS)
+    def test_any_call_sequence_returns_first_call_bits(self, calls):
+        expected = [first_call(call) for call in calls]
+        kept = []
+        for call, oracle in zip(calls, expected):
+            spec, entry, count = call
+            result, trace = make_call(*call)
+            assert same_bits(result, oracle), call
+            if count == 1:
+                sample = result if entry == "forward" else result[0]
+                assert same_bits(sample, reference_output(spec)), call
+            for entry_record in trace or ():
+                assert not entry_record["output_aliases_input"], entry_record
+                assert not entry_record["output_clobbers_live"], entry_record
+            kept.append((result, oracle))
+            for earlier, earlier_oracle in kept:
+                assert same_bits(earlier, earlier_oracle), call
