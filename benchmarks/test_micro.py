@@ -112,6 +112,16 @@ def test_micro_tensor_text_parse(benchmark):
     assert np.array_equal(parsed, values)
 
 
+def test_micro_parameter_draw(benchmark):
+    """AgeNet's ``fc6`` weights (512 × 18,816): the largest parameter draw a
+    paper model makes, streamed into float32 a chunk at a time."""
+    shape = (512, 18_816)
+    weights = benchmark(lambda: SeededRng(5, "fc6").normal_array(shape, 0.01))
+    assert weights.shape == shape and weights.dtype == np.float32
+    head = SeededRng(5, "fc6").np.normal(0.0, 0.01, size=1000).astype(np.float32)
+    assert np.array_equal(weights.reshape(-1)[:1000], head)
+
+
 def test_micro_smallnet_forward(benchmark):
     model = smallnet()
     image = SeededRng(4, "img").uniform_array((3, 32, 32), 0, 255)

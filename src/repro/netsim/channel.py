@@ -17,7 +17,7 @@ endpoint and use:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.sim import SimEvent, Simulator
 from repro.netsim.link import Link, NetemProfile
@@ -40,7 +40,6 @@ class ChannelEnd:
         self._recv_waiters: Deque[SimEvent] = deque()
         self._kind_waiters: Dict[str, Deque[SimEvent]] = {}
         self._handler: Optional[Callable[[Message], None]] = None
-        self.received: List[Message] = []
         self._sent_counter = sim.metrics.counter(
             "net_messages_sent_total", help="messages handed to the link",
             endpoint=name,
@@ -92,7 +91,6 @@ class ChannelEnd:
 
     # -- receiving -------------------------------------------------------------
     def _deliver(self, message: Message) -> None:
-        self.received.append(message)
         self._received_counter.inc()
         if self._handler is not None:
             self._handler(message)

@@ -13,12 +13,15 @@ The paper shapes its Ethernet to 30 Mbps with ``netem`` to emulate Wi-Fi;
 :class:`NetemProfile` captures that configuration (rate, delay, jitter,
 loss) and can be changed at runtime to model varying network status — the
 signal the partition optimizer consumes.
+
+A link counts what it carries and keeps no per-message log: a delivered
+message lives only as long as its receiver holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.sim import SeededRng, SimEvent, Simulator
 from repro.netsim.message import Message
@@ -86,7 +89,6 @@ class Link:
         self.delivered_count = 0
         self.dropped_count = 0
         self.bytes_sent = 0
-        self._delivery_log: List[Tuple[float, Message]] = []
         metrics = sim.metrics
         self._bytes_counter = metrics.counter(
             "net_bytes_sent_total", help="payload bytes put on the wire",
@@ -169,7 +171,6 @@ class Link:
             message.delivered_at = self.sim.now
             self.delivered_count += 1
             self._delivered_counter.inc()
-            self._delivery_log.append((self.sim.now, message))
             on_deliver(message)
             done.succeed(message)
 
@@ -182,10 +183,6 @@ class Link:
         tx_time = (size_bytes * 8.0) / self.profile.bandwidth_bps
         self._busy_until = start + tx_time
         return self._busy_until
-
-    @property
-    def delivery_log(self) -> List[Tuple[float, Message]]:
-        return list(self._delivery_log)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "DOWN"

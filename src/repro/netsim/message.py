@@ -77,10 +77,6 @@ class Message:
     def size_mb(self) -> float:
         return self.size_bytes / 1e6
 
-    def reply_kind(self) -> str:
-        """Conventional reply kind, e.g. ``MODEL_FILES`` -> ``MODEL_FILES_ACK``."""
-        return f"{self.kind}_ACK"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Message(#{self.msg_id} {self.kind} {self.sender}->{self.recipient} "

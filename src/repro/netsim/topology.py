@@ -174,12 +174,6 @@ class Topology:
             self._links[key] = channel
         return channel.end_a, channel.end_b
 
-    def disconnect(self, client_name: str, edge_name: str) -> None:
-        """Tear down one client's channel to an edge (in-flight loss)."""
-        channel = self._links.pop((client_name, edge_name), None)
-        if channel is not None:
-            channel.go_down()
-
     def connection(self, client_name: str, edge_name: str) -> Optional[Channel]:
         return self._links.get((client_name, edge_name))
 

@@ -95,13 +95,15 @@ _ARRAY_DIGESTS: Dict[int, Tuple[Any, str]] = {}
 
 
 def _array_digest(array: np.ndarray) -> str:
+    """sha256 of dtype, shape and the C-order bytes, hashed in place (a
+    contiguous array is read through its buffer, never copied)."""
     entry = _ARRAY_DIGESTS.get(id(array))
     if entry is not None and entry[0]() is array:
         return entry[1]
     digest = hashlib.sha256()
     digest.update(str(array.dtype).encode("ascii"))
     digest.update(str(array.shape).encode("ascii"))
-    digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(np.ascontiguousarray(array))
     value = digest.hexdigest()
     if len(_ARRAY_DIGESTS) > 4096:
         for key in [k for k, (ref, _) in _ARRAY_DIGESTS.items() if ref() is None]:

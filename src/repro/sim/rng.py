@@ -3,18 +3,23 @@
 All stochastic behaviour in the simulator (jitter, loss, synthetic inputs)
 flows through :class:`SeededRng` so that every experiment is reproducible
 from a single integer seed, and independent subsystems can derive
-non-interfering child streams.
+non-interfering child streams.  Array draws are float64, a chunk at a
+time, cast into the float32 result: a ``Generator`` stream does not depend
+on chunking, so values and stream position equal one whole-array draw plus
+``astype(float32)``, without its float64 temporary (77 MB for AgeNet fc6).
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from typing import Optional, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
+
+_CHUNK = 65_536  # float64 values per chunk of an array draw (512 KB)
 
 
 class SeededRng:
@@ -24,7 +29,12 @@ class SeededRng:
         self.seed = int(seed)
         self.name = name
         self._mixed = self._mix(seed, name)
-        self._py = random.Random(self._mixed)
+
+    @functools.cached_property
+    def _py(self) -> random.Random:
+        """The stdlib view, built on first use: a link's stream draws only
+        on lossy or jittery profiles."""
+        return random.Random(self._mixed)
 
     @functools.cached_property
     def np(self) -> np.random.Generator:
@@ -78,23 +88,25 @@ class SeededRng:
         return result
 
     def normal_array(self, shape, scale: float = 1.0) -> np.ndarray:
-        return self.np.normal(0.0, scale, size=shape).astype(np.float32)
+        return self._fill(shape, lambda n: self.np.normal(0.0, scale, size=n))
 
     def uniform_array(
         self, shape, low: float = 0.0, high: float = 1.0
     ) -> np.ndarray:
-        return self.np.uniform(low, high, size=shape).astype(np.float32)
+        return self._fill(shape, lambda n: self.np.uniform(low, high, size=n))
 
     def image(self, height: int, width: int, channels: int = 3) -> np.ndarray:
         """A synthetic input image in [0, 255], shaped (H, W, C)."""
-        return self.np.uniform(0.0, 255.0, size=(height, width, channels)).astype(
-            np.float32
-        )
+        return self.uniform_array((height, width, channels), 0.0, 255.0)
+
+    @staticmethod
+    def _fill(shape, draw) -> np.ndarray:
+        """float32 ``shape`` filled in C order by ``draw(n)`` (n float64s)."""
+        out = np.empty(shape, dtype=np.float32)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _CHUNK):
+            flat[start:start + _CHUNK] = draw(min(_CHUNK, flat.size - start))
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SeededRng(seed={self.seed}, name={self.name!r})"
-
-
-def make_rng(seed: Optional[int] = None, name: str = "root") -> SeededRng:
-    """Factory used across the code base; defaults to the canonical seed 0."""
-    return SeededRng(0 if seed is None else seed, name)

@@ -1,5 +1,8 @@
 """Unit tests for bidirectional channels, endpoints and topology."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.netsim import Channel, NetemProfile, ReceiveTimeout, Topology
@@ -159,6 +162,60 @@ class TestChannel:
         event = client.send("DATA", size_bytes=100)
         sim.run()
         assert event.ok is False
+
+
+class _Payload:
+    """A payload a weak reference can watch."""
+
+    size_bytes = 100
+
+
+class TestNoMessageHistory:
+    """A delivered message lives only as long as its receiver holds it."""
+
+    N = 12
+
+    def _send_watched(self, chan):
+        client, _ = chan.ends()
+        refs = []
+        for index in range(self.N):
+            payload = _Payload()
+            refs.append(weakref.ref(payload))
+            client.send("PING", payload=payload, seq=index)
+        return refs
+
+    def _assert_counted_and_released(self, sim, chan, refs):
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * self.N
+        assert chan.link_ab.delivered_count == self.N
+        value = sim.metrics.value
+        assert value("net_messages_sent_total", endpoint="client") == self.N
+        assert value("net_messages_received_total", endpoint="server") == self.N
+        assert value("net_messages_delivered_total", link=chan.link_ab.name) == self.N
+
+    def test_pulled_messages_are_released(self, sim, chan):
+        _, server = chan.ends()
+        seen = []
+
+        def server_proc():
+            for _ in range(self.N):
+                message = yield server.recv()
+                seen.append(message.headers["seq"])
+
+        sim.spawn(server_proc())
+        refs = self._send_watched(chan)
+        sim.run()
+        assert seen == list(range(self.N))
+        self._assert_counted_and_released(sim, chan, refs)
+
+    def test_pushed_messages_are_released(self, sim, chan):
+        _, server = chan.ends()
+        seen = []
+        server.set_handler(lambda message: seen.append(message.headers["seq"]))
+        refs = self._send_watched(chan)
+        sim.run()
+        assert seen == list(range(self.N))
+        self._assert_counted_and_released(sim, chan, refs)
 
 
 class TestTopology:

@@ -10,6 +10,34 @@ from hypothesis import strategies as st
 from repro.sim import SeededRng, Simulator, SimulationError
 from repro.sim.clock import Clock, ClockError
 from repro.sim.events import EventQueue
+from repro.sim.rng import _CHUNK
+
+
+def oracle_normal_array(self, shape, scale: float = 1.0) -> np.ndarray:
+    """``SeededRng.normal_array`` before array draws were streamed."""
+    return self.np.normal(0.0, scale, size=shape).astype(np.float32)
+
+
+def oracle_uniform_array(
+    self, shape, low: float = 0.0, high: float = 1.0
+) -> np.ndarray:
+    """``SeededRng.uniform_array`` before array draws were streamed."""
+    return self.np.uniform(low, high, size=shape).astype(np.float32)
+
+
+def oracle_image(self, height: int, width: int, channels: int = 3) -> np.ndarray:
+    """``SeededRng.image`` before array draws were streamed."""
+    return self.np.uniform(0.0, 255.0, size=(height, width, channels)).astype(
+        np.float32
+    )
+
+
+def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return (
+        a.dtype == b.dtype == np.float32
+        and a.shape == b.shape
+        and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+    )
 
 
 class TestClock:
@@ -144,7 +172,8 @@ class TestEventQueue:
 
 
 class TestSeededRng:
-    """The numpy view is built on first use, with the values it always had."""
+    """Both views are built on first use, with the values they always had;
+    streamed array draws equal the parent's one-shot draw-then-cast."""
 
     @pytest.mark.parametrize("child", [None, "link/edge-0"])
     def test_same_values_as_eager_construction(self, child):
@@ -155,9 +184,11 @@ class TestSeededRng:
         eager_np = np.random.default_rng(mixed)
         eager_py = random.Random(mixed)
         assert "np" not in vars(rng)  # not built until drawn from
+        assert "_py" not in vars(rng)
 
         # scalar methods, in one interleaved sequence on the stdlib stream
         assert rng.uniform(1.0, 3.0) == eager_py.uniform(1.0, 3.0)
+        assert "_py" in vars(rng)
         assert rng.expovariate(2.0) == eager_py.expovariate(2.0)
         assert rng.gauss(0.0, 1.0) == eager_py.gauss(0.0, 1.0)
         assert rng.randint(0, 9) == eager_py.randint(0, 9)
@@ -183,6 +214,48 @@ class TestSeededRng:
             eager_np.uniform(0.0, 255.0, size=(2, 3, 3)).astype(np.float32),
         )
         assert rng.np is rng.np
+        assert rng._py is rng._py
+
+    def test_array_draws_never_build_the_stdlib_view(self):
+        rng = SeededRng(3, "arrays-only")
+        rng.normal_array((5,))
+        rng.uniform_array((2, 2))
+        rng.image(2, 2)
+        assert "_py" not in vars(rng)
+
+    SIZES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
+    SHAPES = SIZES + [(2, 3, 4), (3, _CHUNK // 2 + 5), (0,), (4, 0, 2), (), 7]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_streamed_draws_equal_the_one_shot_oracle(self, seed, shape):
+        rng = SeededRng(seed, "stream")
+        oracle = SeededRng(seed, "stream")
+        for scale in (1.0, 0.01, 0.3):
+            assert bit_equal(
+                rng.normal_array(shape, scale),
+                oracle_normal_array(oracle, shape, scale),
+            )
+            assert rng.random() == oracle.random()  # interleaved scalar draw
+            # the stream sits where the one-shot draw left it
+            assert bit_equal(
+                rng.normal_array((3,), scale),
+                oracle_normal_array(oracle, (3,), scale),
+            )
+        assert bit_equal(
+            rng.uniform_array(shape, -2.0, 5.0),
+            oracle_uniform_array(oracle, shape, -2.0, 5.0),
+        )
+        assert rng.gauss(0.0, 1.0) == oracle.gauss(0.0, 1.0)
+        assert bit_equal(rng.uniform_array((3,)), oracle_uniform_array(oracle, (3,)))
+        assert bit_equal(rng.image(5, 7), oracle_image(oracle, 5, 7))
+        assert bit_equal(rng.normal_array((3,)), oracle_normal_array(oracle, (3,)))
+
+    def test_large_image_equals_the_one_shot_oracle(self):
+        # 227 x 227 x 3 = 154,587 values: three chunks
+        rng, oracle = SeededRng(9, "img"), SeededRng(9, "img")
+        assert bit_equal(rng.image(227, 227), oracle_image(oracle, 227, 227))
+        assert bit_equal(rng.normal_array((4,)), oracle_normal_array(oracle, (4,)))
 
 
 class TestSimulator:
