@@ -87,7 +87,9 @@ def _bench_optimized_forward():
     plan.forward(image)  # warm the plan arena + conv operand caches
     google.network.forward_reference(image)  # warm reference caches
     reference_s = _best_of(lambda: google.network.forward_reference(image))
-    optimized_s = _best_of(lambda: plan.forward(image))
+    # a repeated input is a memo lookup: empty the memo so each timed
+    # call runs the kernels
+    optimized_s = _best_of(lambda: (plan.memo.clear(), plan.forward(image)))
 
     small = build_model("smallnet")
     batch = [
@@ -100,7 +102,8 @@ def _bench_optimized_forward():
     small_plan.forward(batch[0])
     small_plan.forward_batch(batch)
     looped_s = _best_of(
-        lambda: [small_plan.forward(sample) for sample in batch],
+        lambda: [(small_plan.memo.clear(), small_plan.forward(sample))
+                 for sample in batch],
         repetitions=20,
     )
     batched_s = _best_of(

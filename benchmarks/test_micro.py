@@ -123,10 +123,33 @@ def test_micro_parameter_draw(benchmark):
 
 
 def test_micro_smallnet_forward(benchmark):
+    """An executed forward: the memo is emptied first, so each round pays
+    the kernels plus hashing the input and storing the result."""
     model = smallnet()
     image = SeededRng(4, "img").uniform_array((3, 32, 32), 0, 255)
-    probs = benchmark(lambda: model.inference(image))
-    assert probs.shape == (10,)
+    plan = model.network.plan_for()
+
+    def executed():
+        plan.memo.clear()
+        return model.inference(image)
+
+    hits = plan.memo_hits
+    probs = benchmark(executed)
+    assert probs.shape == (10,) and plan.memo_hits == hits
+
+
+@pytest.mark.parametrize("name", ["smallnet", "googlenet"])
+def test_micro_forward_memo_hit(benchmark, name):
+    """A repeated input: the SHA-1 of its float32 bytes and one copy of the
+    memoized result, against ≈ 0.3 ms (smallnet) and ≈ 45 ms (googlenet)
+    for the forward it replaces."""
+    network = build_model(name).network
+    image = SeededRng(4, "img").uniform_array(network.input_shape, 0, 255)
+    plan = network.plan_for()
+    first = network.forward(image)
+    hits = plan.memo_hits
+    again = benchmark(lambda: network.forward(image))
+    assert plan.memo_hits > hits and np.array_equal(again, first)
 
 
 @pytest.mark.parametrize("name", ["resnet-mini", "googlenet"])

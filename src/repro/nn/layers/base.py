@@ -67,6 +67,19 @@ class Layer:
         """Floating-point operations for one forward pass (default: free)."""
         return 0.0
 
+    def invalidate_param_cache(self) -> None:
+        """Make every parameter array writeable again.
+
+        Compiled plans freeze the arrays they capture; call this before an
+        in-place write, and the next ``Network.forward*`` recompiles them.
+        Assigning a fresh array to ``params[key]`` needs no call.
+        """
+        for array in self.params.values():
+            try:
+                array.flags.writeable = True
+            except ValueError:
+                pass  # view of a read-only buffer: replacement only
+
     # -- common accounting -----------------------------------------------------
     @property
     def param_count(self) -> int:

@@ -13,7 +13,8 @@ The operand cache invalidates when ``params["weight"]`` or
 repo updates parameters).  To make sure in-place writes can never serve
 stale results, both cached source arrays are frozen (``writeable=False``)
 — mutate-in-place code must either assign a fresh array or call
-:meth:`invalidate_param_cache` first.
+:meth:`invalidate_param_cache` first.  Compiled plans freeze every
+captured parameter the same way, and recompile once it is unfrozen.
 """
 
 from __future__ import annotations
@@ -85,15 +86,8 @@ class ConvLayer(Layer):
         return self.input_shape[0] // self.groups
 
     def invalidate_param_cache(self) -> None:
-        """Drop the cached matmul operands and unfreeze the source arrays."""
-        if self._operands is not None:
-            for ref in (self._weight_ref, self._bias_ref):
-                source = ref() if ref is not None else None
-                if source is not None:
-                    try:
-                        source.flags.writeable = True
-                    except ValueError:
-                        pass  # view of a read-only base; replacement only
+        """Drop the cached matmul operands and unfreeze the parameters."""
+        super().invalidate_param_cache()
         self._weight_ref = None
         self._bias_ref = None
         self._operands = None

@@ -60,6 +60,16 @@ the edge server uses it to batch concurrent partial-inference sessions.
 A batch of one is therefore the same bits as ``forward``; N > 1 matches N
 forwards within float32 GEMM reassociation (≈ 1e-5 across the zoo).
 
+An inference is computed once: ``forward`` answers an input whose float32
+bits the plan has already run from a per-plan LRU memo (SHA-1 key, at most
+:data:`_MEMO_ENTRIES` results of at most :data:`_MEMO_MAX_VALUES` values —
+class vectors and exit outputs; a plan with a larger output never hashes).
+``forward_batch`` and ``forward_traced`` always execute.  It is sound
+because compilation freezes every parameter array a plan captures and
+:meth:`ExecutionPlan.is_valid` fails once one is replaced or unfrozen, so
+``Network.plan_for`` recompiles, with an empty memo, before a changed
+parameter is read.
+
 Steps and layers call one kernel set directly: numpy's ``matmul`` /
 ``maximum`` / ``concatenate`` and the im2col, pooling, LRN and eltwise
 kernels of :mod:`repro.nn.tensor`.
@@ -74,6 +84,7 @@ plan-vs-walk bench claims compare against, with no runtime caller.
 from __future__ import annotations
 
 import collections
+import hashlib
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -91,6 +102,14 @@ from repro.nn.layers.exits import ExitHead
 from repro.nn.layers.io import InputLayer
 from repro.nn.layers.normalization import LRNLayer
 from repro.nn.layers.pool import PoolLayer
+
+
+#: largest result (in float32 values) ``forward`` memoizes: GoogLeNet's
+#: 1000-class vector is the largest classifier output in the zoo
+_MEMO_MAX_VALUES = 1024
+#: memoized results per plan, least recently used evicted first; with
+#: ``_MEMO_MAX_VALUES`` this bounds a plan's memo at 1 MiB of results
+_MEMO_ENTRIES = 256
 
 
 class PlanGraphError(RuntimeError):
@@ -216,6 +235,7 @@ class FCStep(PlanStep):
         super().__init__(name, layers, layer.out_shape)
         self.layer = layer
         self.weight = layer.params["weight"]
+        self.bias = layer.params["bias"]
         self.relu = relu
 
     def run(
@@ -223,7 +243,7 @@ class FCStep(PlanStep):
     ) -> np.ndarray:
         xs = inputs[0]
         np.matmul(xs.reshape(xs.shape[0], -1), self.weight.T, out=out)
-        out += self.layer.params["bias"]
+        out += self.bias
         if self.relu:
             np.maximum(out, 0.0, out=out)
         return out
@@ -375,6 +395,10 @@ class ExecutionPlan:
     :meth:`_execute` (no step runs a plan, so runs never nest).  The final
     value is copied out of the arena before being returned, so callers own
     their result like on the reference path.
+
+    ``memo`` (``None`` for outputs over :data:`_MEMO_MAX_VALUES` values)
+    maps an input's SHA-1 to its result; ``forwards`` counts :meth:`forward`
+    calls, ``memo_hits`` the answered ones, ``arena_bytes_reused`` the rest.
     """
 
     def __init__(
@@ -392,6 +416,12 @@ class ExecutionPlan:
         self.output_shape = tuple(output_shape)
         self.stats = stats
         self._witnesses = list(witnesses)
+        self.memo: Optional[collections.OrderedDict] = (
+            collections.OrderedDict()
+            if np.prod(self.output_shape) <= _MEMO_MAX_VALUES
+            else None
+        )
+        self.memo_hits = 0
         self.forwards = 0
         self.batch_forwards = 0
         #: batch size -> ``forward_batch`` calls of that size
@@ -461,14 +491,16 @@ class ExecutionPlan:
 
     # -- validity --------------------------------------------------------------
     def is_valid(self) -> bool:
-        """True while every captured parameter array is still installed.
+        """True while every captured parameter array is still installed
+        and frozen.
 
         Loaders replace ``layer.params[...]`` wholesale; an identity
         mismatch means the folded/captured operands are stale and the plan
-        must be recompiled (mirrors the conv operand cache's rule).
+        must be recompiled (mirrors the conv operand cache's rule).  An
+        unfrozen array may change in place, unseen by folded copies and memo.
         """
         return all(
-            layer.params.get(key) is array
+            layer.params.get(key) is array and not array.flags.writeable
             for layer, key, array in self._witnesses
         )
 
@@ -543,14 +575,27 @@ class ExecutionPlan:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """One sample through the compiled steps — a batch of one; caller
-        owns the result."""
+        owns the result, from :attr:`memo` when the input was run before."""
         value = np.asarray(x, dtype=np.float32)
         if tuple(value.shape) != self.input_shape:
             raise ValueError(
                 f"plan {self.name!r} expects input shape {self.input_shape}, "
                 f"got {tuple(value.shape)}"
             )
+        key = None
+        if self.memo is not None:
+            key = hashlib.sha1(np.ascontiguousarray(value)).digest()
+            stored = self.memo.get(key)
+            if stored is not None:
+                self.memo.move_to_end(key)
+                self.memo_hits += 1
+                self.forwards += 1
+                return stored.copy()
         result = self._execute(value[None])[0]
+        if key is not None:
+            self.memo[key] = result.copy()
+            if len(self.memo) > _MEMO_ENTRIES:
+                self.memo.popitem(last=False)
         self.forwards += 1
         self.arena_bytes_reused += self.stats.reuse_bytes_per_forward
         return result
@@ -645,8 +690,13 @@ class ExecutionPlan:
         ).set(stats.arena_bytes)
         registry.counter(
             "plan_forwards_total",
-            help="single-sample forwards executed through the plan", **labels,
+            help="single-sample forward calls, memo hits included", **labels,
         ).inc(self.forwards)
+        registry.counter(
+            "plan_memo_hits_total",
+            help="single-sample forward calls answered from the plan's memo",
+            **labels,
+        ).inc(self.memo_hits)
         registry.counter(
             "plan_arena_bytes_reused_total",
             help="bytes written into reused arena buffers instead of fresh "
@@ -872,6 +922,7 @@ def _lower_sequence(
                 covered.append(indexed[cursor])
                 cursor += 1
             witnesses.append((layer, "weight", layer.params["weight"]))
+            witnesses.append((layer, "bias", layer.params["bias"]))
             current = graph.add(
                 FCStep(prefix + layer.name, covered, layer, relu), [current]
             )
@@ -1060,6 +1111,8 @@ def compile_plan(
     else:
         output_shape = network.layers[end].out_shape
         name = f"{network.name}[{start}:{end}]"
+    for _, _, array in witnesses:  # an in-place write now fails loudly
+        array.flags.writeable = False
     return ExecutionPlan(
         name, graph.steps, input_shape, output_shape, stats, witnesses
     )

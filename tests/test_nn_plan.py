@@ -19,6 +19,9 @@ FOLD_TOLERANCE = dict(rtol=1e-5, atol=1e-6)
 #: outputs of deep models see up to ~1e-5 absolute drift
 BATCH_TOLERANCE = dict(rtol=1e-4, atol=1e-5)
 
+#: the same folding drift before the softmax, on logits of magnitude ~1e3
+LOGIT_TOLERANCE = dict(rtol=1e-4, atol=1e-4)
+
 
 def model_input(model, seed=7):
     return SeededRng(seed, f"plan/{model.name}").uniform_array(
@@ -129,9 +132,13 @@ class TestArenaSafety:
     def test_result_never_aliases_arena(self, small):
         plan = small.network.plan_for()
         x = model_input(small)
+        plan.memo.clear()  # every call below executes in the arena
+        hits = plan.memo_hits
         first = plan.forward(x).copy()
         plan.forward(np.zeros_like(x))
+        plan.memo.clear()
         assert np.array_equal(plan.forward(x), first)
+        assert plan.memo_hits == hits
 
 
 # -- batched forward ------------------------------------------------------------
@@ -206,6 +213,66 @@ class TestPlanMemo:
         assert np.array_equal(fresh.forward(x), reference_forward(net, x))
 
 
+# -- captured parameters ----------------------------------------------------------
+
+
+def branch_layer(network, name):
+    """The layer called ``name`` inside one of ``network``'s composites."""
+    for layer in network.layers:
+        if hasattr(layer, "dag_branches"):
+            for _, branch in layer.dag_branches().branches:
+                for inner in branch:
+                    if inner.name == name:
+                        return inner
+    raise KeyError(name)
+
+
+class TestCapturedParameters:
+    """A plan computes with what it captured — BatchNorm/Scale folded into
+    copies — so an in-place write it cannot see must never be accepted
+    silently, and the supported way to write one must recompile."""
+
+    @pytest.mark.parametrize(
+        "name,key",
+        [("res2a_bn1", "mean"), ("res2a_bn1", "variance"),
+         ("res3b_scale2", "gamma"), ("res4a_conv1", "weight")],
+    )
+    def test_inplace_write_to_a_folded_layer_fails_loudly(self, name, key):
+        model = resnet_mini_bn(seed=1)
+        net = model.network
+        x = model_input(model)
+        logits = len(net.layers) - 2  # softmax saturates on 0..255 pixels
+        net.forward_range(x, 0, logits)
+        with pytest.raises(ValueError):
+            branch_layer(net, name).params[key][...] += np.float32(0.5)
+        np.testing.assert_allclose(
+            net.forward_range(x, 0, logits),
+            net.forward_reference(x, 0, logits),
+            **LOGIT_TOLERANCE,
+        )
+
+    @pytest.mark.parametrize(
+        "name,key", [("res2a_bn1", "mean"), ("res4a_conv1", "weight")]
+    )
+    def test_unfreeze_then_write_recompiles(self, name, key):
+        model = resnet_mini_bn(seed=1)
+        net = model.network
+        x = model_input(model)
+        logits = len(net.layers) - 2
+        before = net.forward_range(x, 0, logits)
+        stale = net.plan_for(0, logits)
+        layer = branch_layer(net, name)
+        layer.invalidate_param_cache()
+        assert not stale.is_valid()
+        layer.params[key][...] += np.float32(0.5)
+        after = net.forward_range(x, 0, logits)
+        assert net.plan_for(0, logits) is not stale
+        assert not np.allclose(after, before, **LOGIT_TOLERANCE)
+        np.testing.assert_allclose(
+            after, net.forward_reference(x, 0, logits), **LOGIT_TOLERANCE
+        )
+
+
 # -- the batching server API ----------------------------------------------------
 
 
@@ -246,6 +313,7 @@ class TestMetrics:
             "plan_steps_fused_total",
             "plan_arena_bytes",
             "plan_forwards_total",
+            "plan_memo_hits_total",
             "plan_arena_bytes_reused_total",
             "plan_batch_size",
         ):

@@ -21,9 +21,13 @@ What must hold:
   bits the same call returns first in a fresh process, and never
   disturbs a result returned earlier;
 * callers own what they are returned: nothing shares memory with the
-  arena or with the kernel scratch.
+  arena or with the kernel scratch;
+* ``forward`` answers an input it has run before from its memo with the
+  bits an execution computes, keyed by the input's float32 bits, and a
+  test that means to exercise the kernels clears ``plan.memo`` first.
 """
 
+import collections
 import functools
 import tracemalloc
 
@@ -31,6 +35,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.nn import plan as plan_module
 from repro.nn import tensor
 from repro.nn.plan import (
     AffineStep,
@@ -245,6 +250,7 @@ class TestArenaAcrossBatchSizes:
     def test_arena_grows_once_then_serves_every_smaller_batch(self, plan):
         xs = batch_for(plan, 8)
         tensor._SCRATCH.pop("arena", None)  # as in a fresh process
+        plan.memo.clear()  # each forward below executes
         single = plan.forward(xs[0])
         assert tensor._SCRATCH["arena"].nbytes == plan.stats.arena_bytes
         first = plan.forward_batch(xs)
@@ -252,6 +258,7 @@ class TestArenaAcrossBatchSizes:
         assert grown.nbytes == 8 * plan.stats.arena_bytes
         assert same_bits(plan.forward_batch(xs), first)
         assert same_bits(plan.forward_batch(xs[:3]), parent_forward_batch(plan, xs[:3]))
+        plan.memo.clear()
         assert same_bits(plan.forward(xs[0]), single)
         # every smaller plan — the halves of a split, another model — runs
         # in the same buffer
@@ -277,6 +284,7 @@ class TestArenaAcrossBatchSizes:
     def test_traced_sample_is_forward(self, plan):
         (x,) = batch_for(plan, 1)
         result, _ = plan.forward_traced(x)
+        plan.memo.clear()
         assert same_bits(result, plan.forward(x))
 
 
@@ -299,7 +307,12 @@ class TestCallerOwnsResult:
                 kept = first.copy()
                 assert not aliases_plan_memory(first)
                 first.fill(np.float32(-7.0))
+                hits = plan.memo_hits
                 again = run(argument)
+                # a repeated forward is a memo hit (when the plan keeps
+                # one): the copy it returns is owned all the same
+                answered = run == plan.forward and plan.memo is not None
+                assert plan.memo_hits == hits + answered
                 assert again is not first
                 assert same_bits(again, kept)
                 assert not aliases_plan_memory(again)
@@ -433,6 +446,8 @@ def make_call(spec, entry, count):
     plan = property_plan(spec)[0]
     xs = property_input(spec, count)
     if entry == "forward":
+        if plan.memo is not None:
+            plan.memo.clear()  # the property is about the arena: execute
         return plan.forward(xs[0]), None
     if entry == "forward_batch":
         return plan.forward_batch(xs), None
@@ -494,3 +509,146 @@ class TestSharedArenaProperty:
             kept.append((result, oracle))
             for earlier, earlier_oracle in kept:
                 assert same_bits(earlier, earlier_oracle), call
+
+
+# -- the forward memo -------------------------------------------------------------
+
+
+def misses(plan):
+    """``forward`` calls the plan executed rather than answered from memo."""
+    return plan.forwards - plan.memo_hits
+
+
+def bit_variants(x):
+    """Inputs one bit pattern away from ``x`` and from each other: a flipped
+    mantissa bit, +0.0 / -0.0 and two NaN payloads in the first value."""
+    variants = []
+    for pattern in (None, 0x00000000, 0x80000000, 0x7FC00000, 0x7FC00001):
+        variant = x.copy()
+        bits = variant.reshape(-1).view(np.uint32)
+        if pattern is None:
+            bits[0] ^= 1
+        else:
+            bits[0] = pattern
+        variants.append(variant)
+    return variants
+
+
+class TestForwardMemo:
+    def test_a_hit_is_the_bits_an_execution_computes(self, network):
+        for plan in plans_of(network):
+            memoized = int(np.prod(plan.output_shape)) <= plan_module._MEMO_MAX_VALUES
+            assert (plan.memo is not None) == memoized, plan.name
+            if not memoized:
+                continue
+            (x,) = batch_for(plan, 1, seed=23)
+            plan.memo.clear()
+            executed = misses(plan)
+            first = plan.forward(x)
+            hits = plan.memo_hits
+            hit = plan.forward(x)
+            assert plan.memo_hits == hits + 1 and misses(plan) == executed + 1
+            plan.memo.clear()
+            fresh = plan.forward(x)
+            assert misses(plan) == executed + 2
+            assert same_bits(hit, fresh) and same_bits(hit, first), plan.name
+
+    def test_mutating_a_result_never_poisons_a_hit(self):
+        plan = build_model("tinynet").network.plan_for()
+        (x,) = batch_for(plan, 1)
+        first = plan.forward(x)
+        kept = first.copy()
+        for _ in range(3):
+            first.fill(np.float32(-7.0))
+            first = plan.forward(x)
+            assert same_bits(first, kept)
+        assert plan.memo_hits == 3
+
+    def test_key_is_the_float32_bits_whatever_the_layout(self):
+        plan = build_model("smallnet").network.plan_for()
+        (x,) = batch_for(plan, 1)
+        plan.forward(x)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for variant in bit_variants(x):
+                plan.forward(variant)
+        assert plan.memo_hits == 0 and len(plan.memo) == 6
+        strided = np.zeros(x.shape[:-1] + (2 * x.shape[-1],), dtype=np.float32)
+        strided[..., ::2] = x
+        for same in (np.asfortranarray(x), strided[..., ::2],
+                     x.astype(np.float64)):
+            assert same_bits(plan.forward(same), plan.forward(x))
+        assert plan.memo_hits == 6 and len(plan.memo) == 6
+
+    def test_plans_never_share_entries(self):
+        network = build_model("smallnet").network
+        fc = next(index for index, layer in enumerate(network.layers)
+                  if layer.kind == "fc")
+        whole, front = network.plan_for(), network.plan_for(0, fc)
+        (x,) = batch_for(whole, 1)
+        for plan in (whole, front, whole, front):
+            plan.forward(x)
+        assert (whole.memo_hits, front.memo_hits) == (1, 1)
+        assert misses(whole) == misses(front) == 1
+        # unfreeze-then-write recompiles: the new plan starts with an empty
+        # memo and computes with the new bias
+        head = network.layers[fc]
+        head.invalidate_param_cache()
+        head.params["bias"][0] += np.float32(1.0)
+        fresh = network.plan_for()
+        assert fresh is not whole and len(fresh.memo) == 0
+        assert same_bits(network.forward(x), network.forward_reference(x))
+        assert fresh.memo_hits == 0
+
+    def test_a_write_to_a_captured_array_fails_loudly(self):
+        network = build_model("smallnet").network
+        (x,) = batch_for(network.plan_for(), 1)
+        network.forward(x)
+        head = next(layer for layer in network.layers if layer.kind == "fc")
+        with pytest.raises(ValueError):
+            head.params["bias"][0] += np.float32(1.0)
+        assert same_bits(network.forward(x), network.forward_reference(x))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(sequence=st.lists(st.integers(0, 5), min_size=1, max_size=30))
+    def test_memo_is_a_bounded_lru(self, sequence):
+        plan = build_model("tinynet").network.plan_for()
+        inputs = batch_for(plan, 6)
+        entries = 3
+        model = collections.OrderedDict()  # the LRU the memo must be
+        hits = 0
+        original = plan_module._MEMO_ENTRIES
+        plan_module._MEMO_ENTRIES = entries
+        try:
+            for index in sequence:
+                result = plan.forward(inputs[index])
+                if index in model:
+                    model.move_to_end(index)
+                    hits += 1
+                else:
+                    model[index] = result.copy()
+                    if len(model) > entries:
+                        model.popitem(last=False)
+                assert same_bits(result, model[index])
+                assert len(plan.memo) == len(model) <= entries
+                assert plan.memo_hits == hits
+        finally:
+            plan_module._MEMO_ENTRIES = original
+
+    def test_a_large_result_is_never_memoized(self):
+        network = build_model("smallnet").network
+        front = network.plan_for(0, network.offload_points()[1].index)
+        assert np.prod(front.output_shape) > plan_module._MEMO_MAX_VALUES
+        (x,) = batch_for(front, 1)
+        assert same_bits(front.forward(x), front.forward(x))
+        assert front.memo is None and front.memo_hits == 0
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_batched_and_traced_forwards_bypass_the_memo(self, count):
+        plan = build_model("smallnet").network.plan_for()
+        xs = batch_for(plan, count)
+        plan.forward(xs[0])
+        before = (list(plan.memo), plan.memo_hits, plan.forwards)
+        plan.forward_batch(xs)
+        plan.forward_traced(xs)
+        plan.forward_traced(xs[0])
+        assert (list(plan.memo), plan.memo_hits, plan.forwards) == before
