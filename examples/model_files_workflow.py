@@ -38,7 +38,7 @@ def main(output_dir: str) -> None:
     # 2. Reload and verify bit-identical inference.
     loaded = load_model_files(prototxt_path, weights_path)
     image = SeededRng(7, "wf").uniform_array((3, 32, 32), 0, 255)
-    assert np.allclose(loaded.inference(image), model.inference(image), atol=1e-6)
+    assert np.array_equal(loaded.inference(image), model.inference(image))
     print("reloaded model reproduces the original's inference exactly")
 
     # 3. Offload an inference with the model pre-sent as files.

@@ -22,13 +22,20 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.nn.model import Model
 from repro.nn.network import Network
+from repro.nn.prototxt import (
+    PrototxtError,
+    network_from_prototxt,
+    network_to_prototxt,
+)
 
 MAGIC = b"RPWGHT01"
 
@@ -39,27 +46,21 @@ class WeightsFormatError(ValueError):
 
 def _blob_slots(network: Network) -> List[Tuple[str, dict, str]]:
     """Every parameter blob as ``(qualified name, owning params, key)``, in
-    the blob file's order.  A composite or exit head names its inner
-    layers' own arrays in ``param_arrays()``; each is found in its owner's
-    ``params`` by identity, so the encoder reads and :func:`apply_weights`
-    assigns the very same slots."""
+    the blob file's order.  Which arrays a layer ships, under which keys, is
+    :meth:`Model._layer_blobs` — the manifest's rule; each array is found in
+    its owner's ``params`` (the layer's own or an inner layer's) by identity,
+    so the encoder reads and :func:`apply_weights` assigns the very same
+    slots."""
     slots: List[Tuple[str, dict, str]] = []
     for layer in network.layers:
-        param_arrays = getattr(layer, "param_arrays", None)
-        if param_arrays is None:
-            slots.extend(
-                (f"{layer.name}::{key}", layer.params, key)
-                for key in sorted(layer.params)
-            )
-            continue
         owners = {
-            id(blob): (inner.params, key)
-            for inner in layer.inner_layers()
-            for key, blob in inner.params.items()
+            id(blob): (owner.params, key)
+            for owner in [layer, *getattr(layer, "inner_layers", list)()]
+            for key, blob in owner.params.items()
         }
         slots.extend(
             (f"{layer.name}::{name}", *owners[id(blob)])
-            for name, blob in sorted(param_arrays().items())
+            for name, blob in sorted(Model._layer_blobs(layer).items())
         )
     return slots
 
@@ -165,12 +166,8 @@ def apply_weights(network: Network, blobs: Dict[str, np.ndarray]) -> None:
         params[key] = np.array(blob, dtype=np.float32, copy=True)
 
 
-def save_model_files(model, directory: str) -> Tuple[str, str]:
+def save_model_files(model: Model, directory: str) -> Tuple[str, str]:
     """Write (deploy.prototxt, weights.bin) for a model; returns paths."""
-    import os
-
-    from repro.nn.prototxt import network_to_prototxt
-
     os.makedirs(directory, exist_ok=True)
     prototxt_path = os.path.join(directory, f"{model.name}.prototxt")
     weights_path = os.path.join(directory, f"{model.name}.weights.bin")
@@ -181,13 +178,18 @@ def save_model_files(model, directory: str) -> Tuple[str, str]:
     return prototxt_path, weights_path
 
 
-def load_model_files(prototxt_path: str, weights_path: str):
-    """Rebuild a model from (prototxt, weights) files — bit-exact params."""
-    from repro.nn.model import Model
-    from repro.nn.prototxt import network_from_prototxt
+def load_model_files(prototxt_path: str, weights_path: str) -> Model:
+    """Rebuild a model from (prototxt, weights) files — bit-exact params.
 
-    with open(prototxt_path, "r", encoding="utf-8") as handle:
-        network = network_from_prototxt(handle.read())
+    Bytes that cannot mean a model raise :class:`PrototxtError` (the
+    architecture) or :class:`WeightsFormatError` (the parameters)."""
+    with open(prototxt_path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PrototxtError(f"{prototxt_path} is not UTF-8 text: {exc}") from exc
+    network = network_from_prototxt(text)
     with open(weights_path, "rb") as handle:
         blobs = decode_weights(handle.read())
     apply_weights(network, blobs)

@@ -78,7 +78,12 @@ class ConvLayer(Layer):
                 f"conv {self.name!r}: groups={self.groups} must divide input "
                 f"channels={channels}"
             )
-        out_h, out_w = conv_output_hw(height, width, self.kernel, self.stride, self.pad)
+        try:
+            out_h, out_w = conv_output_hw(
+                height, width, self.kernel, self.stride, self.pad
+            )
+        except ValueError as exc:
+            raise LayerShapeError(f"conv {self.name!r}: {exc}") from exc
         return (self.num_filters, out_h, out_w)
 
     @property

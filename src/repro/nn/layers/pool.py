@@ -43,9 +43,12 @@ class PoolLayer(Layer):
         if len(input_shape) != 3:
             raise LayerShapeError(f"pool needs (C,H,W) input, got {input_shape}")
         channels, height, width = input_shape
-        out_h, out_w = tensor.pool_output_hw(
-            height, width, self.kernel, self.stride, self.pad
-        )
+        try:
+            out_h, out_w = tensor.pool_output_hw(
+                height, width, self.kernel, self.stride, self.pad
+            )
+        except ValueError as exc:
+            raise LayerShapeError(f"pool {self.name!r}: {exc}") from exc
         return (channels, out_h, out_w)
 
     def forward(self, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:

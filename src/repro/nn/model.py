@@ -16,27 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.layers import (
-    ConvLayer,
-    DropoutLayer,
-    FCLayer,
-    InceptionModule,
-    InputLayer,
-    LRNLayer,
-    PoolLayer,
-    ReLULayer,
-    SoftmaxLayer,
-)
 from repro.nn.layers.base import Layer
 from repro.nn.network import Network
-from repro.sim import SeededRng
 
 #: serialization overhead per parameter blob file (shape header, magic, …)
 BLOB_HEADER_BYTES = 128
@@ -218,8 +205,10 @@ class Model:
 
     @staticmethod
     def _layer_blobs(layer: Layer) -> Dict[str, np.ndarray]:
+        """The arrays a spine layer ships, by key: the one rule the manifest,
+        the weight blob and ``apply_weights`` all read."""
         param_arrays = getattr(layer, "param_arrays", None)
-        if param_arrays is not None:  # composite layers (inception/residual)
+        if param_arrays is not None:  # composites and exit heads
             return param_arrays()
         return dict(layer.params)
 
@@ -301,155 +290,5 @@ class Model:
             Model(f"{self.name}-rear@{index}", halves.rear),
         )
 
-    # -- real on-disk serialization ---------------------------------------------
-    def save(self, directory: str) -> List[str]:
-        """Write description JSON + one ``.npz`` of parameters; returns paths."""
-        os.makedirs(directory, exist_ok=True)
-        paths = []
-        desc_path = os.path.join(directory, f"{self.name}.json")
-        with open(desc_path, "w", encoding="utf-8") as handle:
-            handle.write(self.description_json())
-        paths.append(desc_path)
-        blobs: Dict[str, np.ndarray] = {}
-        for layer in self.network.layers:
-            for key, blob in self._layer_blobs(layer).items():
-                blobs[f"{layer.name}::{key}"] = blob
-        params_path = os.path.join(directory, f"{self.name}.params.npz")
-        np.savez(params_path, **blobs)
-        paths.append(params_path)
-        return paths
-
-    @classmethod
-    def load(cls, directory: str, name: str) -> "Model":
-        """Rebuild a model from :meth:`save` output (exact parameters)."""
-        desc_path = os.path.join(directory, f"{name}.json")
-        with open(desc_path, "r", encoding="utf-8") as handle:
-            description = json.load(handle)
-        network = network_from_description(description)
-        with np.load(os.path.join(directory, f"{name}.params.npz")) as archive:
-            for layer in network.layers:
-                cls._restore_layer(layer, archive)
-        return cls(name, network)
-
-    @staticmethod
-    def _restore_layer(layer: Layer, archive) -> None:
-        from repro.nn.layers.composite import ResidualBlock
-        from repro.nn.layers.exits import ExitHead
-
-        if isinstance(layer, ExitHead):
-            for inner in layer.head:
-                for key in list(inner.params):
-                    inner.params[key] = archive[
-                        f"{layer.name}::head/{inner.name}/{key}"
-                    ]
-            return
-        if isinstance(layer, InceptionModule):
-            for index, branch in enumerate(layer.branches):
-                for inner in branch:
-                    for key in list(inner.params):
-                        inner.params[key] = archive[
-                            f"{layer.name}::b{index}/{inner.name}/{key}"
-                        ]
-            return
-        if isinstance(layer, ResidualBlock):
-            for prefix, layers in (("body", layer.body), ("shortcut", layer.shortcut)):
-                for inner in layers:
-                    for key in list(inner.params):
-                        inner.params[key] = archive[
-                            f"{layer.name}::{prefix}/{inner.name}/{key}"
-                        ]
-            return
-        for key in list(layer.params):
-            layer.params[key] = archive[f"{layer.name}::{key}"]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Model({self.name!r}, {self.size_mib:.1f} MiB)"
-
-
-# -- description -> network reconstruction ------------------------------------
-
-def _layer_from_description(entry: dict) -> Layer:
-    kind = entry["kind"]
-    name = entry["name"]
-    config = entry.get("config", {})
-    if kind == "input":
-        return InputLayer(tuple(config["shape"]), name=name)
-    if kind == "conv":
-        return ConvLayer(
-            name,
-            num_filters=config["num_filters"],
-            kernel=config["kernel"],
-            stride=config["stride"],
-            pad=config["pad"],
-            groups=config.get("groups", 1),
-        )
-    if kind == "pool":
-        return PoolLayer(
-            name,
-            kernel=config["kernel"],
-            stride=config["stride"],
-            pad=config["pad"],
-            mode=config["mode"],
-        )
-    if kind == "fc":
-        return FCLayer(name, out_features=config["out_features"])
-    if kind == "relu":
-        return ReLULayer(name)
-    if kind == "dropout":
-        return DropoutLayer(name, rate=config["rate"])
-    if kind == "softmax":
-        return SoftmaxLayer(name)
-    if kind == "lrn":
-        return LRNLayer(
-            name,
-            local_size=config["local_size"],
-            alpha=config["alpha"],
-            beta=config["beta"],
-            k=config["k"],
-        )
-    if kind == "inception":
-        branches = [
-            [_layer_from_description(inner) for inner in branch]
-            for branch in config["branches"]
-        ]
-        return InceptionModule(name, branches)
-    if kind == "batchnorm":
-        from repro.nn.layers import BatchNormLayer
-
-        return BatchNormLayer(name, eps=config["eps"])
-    if kind == "scale":
-        from repro.nn.layers import ScaleLayer
-
-        return ScaleLayer(name, bias=config["bias"])
-    if kind == "residual":
-        from repro.nn.layers.composite import ResidualBlock
-
-        return ResidualBlock(
-            name,
-            body=[_layer_from_description(inner) for inner in config["body"]],
-            shortcut=[
-                _layer_from_description(inner) for inner in config["shortcut"]
-            ],
-        )
-    if kind == "exit":
-        from repro.nn.layers.exits import ExitHead
-
-        return ExitHead(
-            name,
-            head=[_layer_from_description(inner) for inner in config["head"]],
-            accuracy=config["accuracy"],
-        )
-    raise ValueError(f"unknown layer kind {kind!r} in description")
-
-
-def network_from_description(description: dict) -> Network:
-    """Reconstruct and build a network from a description dict."""
-    layers = [_layer_from_description(entry) for entry in description["layers"]]
-    network = Network(description["name"], layers)
-    network.build(
-        SeededRng(0, f"load/{description['name']}"),
-        input_shape=tuple(description["input_shape"]),
-    )
-    if "final_accuracy" in description:
-        network.final_accuracy = description["final_accuracy"]
-    return network

@@ -15,7 +15,14 @@ parameter blob.  This module implements the architecture half for real:
   Concat joins), so definitions round-trip.
 
 Supported layer types: Input, Convolution (with ``group``), Pooling
-(MAX/AVE), InnerProduct, ReLU, LRN, Dropout, Softmax, Concat.
+(MAX/AVE), InnerProduct, ReLU, LRN, Dropout, Softmax, BatchNorm, Scale,
+Concat and Eltwise.  An early exit is written the way Caffe's own GoogLeNet
+writes its auxiliary classifiers ``loss1`` / ``loss2``: a side chain off the
+trunk blob that joins nothing, whose first layer carries an ``exit_param``
+(the exit's name and modeled accuracy); a multi-exit network's own accuracy
+is the top-level ``final_accuracy`` field.  Anything the text cannot mean —
+untyped values, dangling wiring, impossible shapes — is a
+:class:`PrototxtError`.
 """
 
 from __future__ import annotations
@@ -25,17 +32,21 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.nn.layers import (
+    BatchNormLayer,
     ConvLayer,
     DropoutLayer,
+    ExitHead,
     FCLayer,
     InceptionModule,
     InputLayer,
     LRNLayer,
     PoolLayer,
     ReLULayer,
+    ResidualBlock,
+    ScaleLayer,
     SoftmaxLayer,
 )
-from repro.nn.layers.base import Layer
+from repro.nn.layers.base import Layer, LayerShapeError
 from repro.nn.network import Network
 from repro.sim import SeededRng
 
@@ -164,6 +175,29 @@ def _one(message: Dict[str, List[Any]], key: str, default: Any = None) -> Any:
     return values[0]
 
 
+def _message(message: Dict[str, List[Any]], key: str) -> Dict[str, List[Any]]:
+    """A sub-message field (empty when absent)."""
+    value = _one(message, key, {})
+    if not isinstance(value, dict):
+        raise PrototxtError(f"{key} must be a message, got {value!r}")
+    return value
+
+
+def _int(message: Dict[str, List[Any]], key: str, default: Any) -> int:
+    """An integer field: like protobuf, only an integer literal will do."""
+    value = _one(message, key, default)
+    if type(value) is not int:
+        raise PrototxtError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _float(message: Dict[str, List[Any]], key: str, default: Any = None) -> float:
+    value = _one(message, key, default)
+    if type(value) not in (int, float):
+        raise PrototxtError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # prototxt -> Network
 # ---------------------------------------------------------------------------
@@ -186,16 +220,19 @@ class _LayerDef:
 def _layer_defs(root: Dict[str, List[Any]]) -> List[_LayerDef]:
     defs = []
     for index, message in enumerate(root.get("layer", [])):
-        defs.append(
-            _LayerDef(
-                name=_one(message, "name", f"layer{index}"),
-                type=_one(message, "type", ""),
-                bottoms=list(message.get("bottom", [])),
-                tops=list(message.get("top", [])),
-                message=message,
-                index=index,
-            )
+        if not isinstance(message, dict):
+            raise PrototxtError(f"layer {index} is not a message: {message!r}")
+        definition = _LayerDef(
+            name=_one(message, "name", f"layer{index}"),
+            type=_one(message, "type", ""),
+            bottoms=list(message.get("bottom", [])),
+            tops=list(message.get("top", [])),
+            message=message,
+            index=index,
         )
+        if not definition.tops:
+            raise PrototxtError(f"layer {definition.name!r} has no top")
+        defs.append(definition)
     return defs
 
 
@@ -203,44 +240,39 @@ def _input_declaration(root: Dict[str, List[Any]], defs: List[_LayerDef]):
     """Returns (input blob name, (C, H, W))."""
     # Style 1: top-level input / input_dim (classic deploy files).
     if "input" in root:
-        blob = root["input"][0]
-        dims = [int(d) for d in root.get("input_dim", [])]
-        if len(dims) == 4:
-            return blob, tuple(dims[1:])
-        shapes = root.get("input_shape", [])
-        if shapes:
-            dim = [int(d) for d in shapes[0].get("dim", [])]
-            if len(dim) == 4:
-                return blob, tuple(dim[1:])
-        raise PrototxtError("input declared without 4 input dims")
+        dims = root.get("input_dim") or _message(root, "input_shape").get("dim", [])
+        return root["input"][0], _input_dims(dims)
     # Style 2: an explicit Input layer.
     for definition in defs:
         if definition.type == "Input":
             definition.consumed = True
-            param = _one(definition.message, "input_param", {})
-            shape = _one(param, "shape", {})
-            dim = [int(d) for d in shape.get("dim", [])]
-            if len(dim) != 4:
-                raise PrototxtError("Input layer needs shape { dim: ... } x4")
-            return definition.tops[0], tuple(dim[1:])
+            shape = _message(_message(definition.message, "input_param"), "shape")
+            return definition.tops[0], _input_dims(shape.get("dim", []))
     raise PrototxtError("no input declaration found")
+
+
+def _input_dims(dims: List[Any]) -> Tuple[int, ...]:
+    """(C, H, W) of a declared ``N x C x H x W`` input."""
+    if len(dims) != 4 or any(type(dim) is not int for dim in dims):
+        raise PrototxtError(f"input needs 4 integer dims, got {dims!r}")
+    return tuple(dims[1:])
 
 
 def _convert_simple(definition: _LayerDef) -> Layer:
     message = definition.message
     kind = definition.type
     if kind == "Convolution":
-        param = _one(message, "convolution_param", {})
+        param = _message(message, "convolution_param")
         return ConvLayer(
             definition.name,
-            num_filters=int(_one(param, "num_output", 0)),
-            kernel=int(_one(param, "kernel_size", 1)),
-            stride=int(_one(param, "stride", 1)),
-            pad=int(_one(param, "pad", 0)),
-            groups=int(_one(param, "group", 1)),
+            num_filters=_int(param, "num_output", 0),
+            kernel=_int(param, "kernel_size", 1),
+            stride=_int(param, "stride", 1),
+            pad=_int(param, "pad", 0),
+            groups=_int(param, "group", 1),
         )
     if kind == "Pooling":
-        param = _one(message, "pooling_param", {})
+        param = _message(message, "pooling_param")
         mode = "avg" if _one(param, "pool", "MAX") == "AVE" else "max"
         if _one(param, "global_pooling", False):
             # Resolved at build time by kernel = input spatial size; Caffe
@@ -248,38 +280,35 @@ def _convert_simple(definition: _LayerDef) -> Layer:
             return _GlobalPoolPlaceholder(definition.name, mode)
         return PoolLayer(
             definition.name,
-            kernel=int(_one(param, "kernel_size", 1)),
-            stride=int(_one(param, "stride", 1)),
-            pad=int(_one(param, "pad", 0)),
+            kernel=_int(param, "kernel_size", 1),
+            stride=_int(param, "stride", 1),
+            pad=_int(param, "pad", 0),
             mode=mode,
         )
     if kind == "InnerProduct":
-        param = _one(message, "inner_product_param", {})
-        return FCLayer(definition.name, out_features=int(_one(param, "num_output", 0)))
+        param = _message(message, "inner_product_param")
+        return FCLayer(definition.name, out_features=_int(param, "num_output", 0))
     if kind == "ReLU":
         return ReLULayer(definition.name)
     if kind == "Dropout":
-        param = _one(message, "dropout_param", {})
-        return DropoutLayer(definition.name, rate=float(_one(param, "dropout_ratio", 0.5)))
+        param = _message(message, "dropout_param")
+        return DropoutLayer(definition.name, rate=_float(param, "dropout_ratio", 0.5))
     if kind == "LRN":
-        param = _one(message, "lrn_param", {})
+        param = _message(message, "lrn_param")
         return LRNLayer(
             definition.name,
-            local_size=int(_one(param, "local_size", 5)),
-            alpha=float(_one(param, "alpha", 1e-4)),
-            beta=float(_one(param, "beta", 0.75)),
+            local_size=_int(param, "local_size", 5),
+            alpha=_float(param, "alpha", 1e-4),
+            beta=_float(param, "beta", 0.75),
+            k=_float(param, "k", 1.0),
         )
     if kind == "Softmax":
         return SoftmaxLayer(definition.name)
     if kind == "BatchNorm":
-        from repro.nn.layers import BatchNormLayer
-
-        param = _one(message, "batch_norm_param", {})
-        return BatchNormLayer(definition.name, eps=float(_one(param, "eps", 1e-5)))
+        param = _message(message, "batch_norm_param")
+        return BatchNormLayer(definition.name, eps=_float(param, "eps", 1e-5))
     if kind == "Scale":
-        from repro.nn.layers import ScaleLayer
-
-        param = _one(message, "scale_param", {})
+        param = _message(message, "scale_param")
         return ScaleLayer(definition.name, bias=bool(_one(param, "bias_term", True)))
     raise PrototxtError(f"unsupported layer type {kind!r} ({definition.name!r})")
 
@@ -321,10 +350,15 @@ class _GraphConverter:
             if not consumers:
                 return spine
             first = consumers[0]
-            if first.in_place:
+            if first.in_place and "exit_param" not in first.message:
                 # Caffe in-place idiom: execute in file order on the blob.
                 first.consumed = True
                 spine.append(_convert_simple(first))
+                continue
+            exits = [d for d in consumers if "exit_param" in d.message]
+            if exits:
+                # An exit's side chain leaves the trunk blob as it was.
+                spine.append(self._exit(exits[0]))
                 continue
             if len(consumers) == 1:
                 definition = consumers[0]
@@ -340,6 +374,26 @@ class _GraphConverter:
             # Fork: build each branch until the shared join layer.
             module, blob = self._fork(blob, consumers)
             spine.append(module)
+
+    def _exit(self, first: _LayerDef) -> ExitHead:
+        """The exit head whose side chain starts at ``first`` (the layer
+        carrying the ``exit_param``) and runs until a blob nothing reads."""
+        param = _message(first.message, "exit_param")
+        name = _one(param, "name")
+        if not isinstance(name, str):
+            raise PrototxtError(f"exit_param of {first.name!r} names no exit")
+        if first.in_place:
+            raise PrototxtError(f"exit {name!r} would rewrite the trunk blob")
+        head: List[Layer] = []
+        definition: Optional[_LayerDef] = first
+        while definition is not None:
+            definition.consumed = True
+            head.append(_convert_simple(definition))
+            # In file order, so an in-place layer runs before its blob's
+            # next reader; a second reader would be left unreachable.
+            consumers = self._consumers(definition.tops[0])
+            definition = consumers[0] if consumers else None
+        return ExitHead(name, head, accuracy=_float(param, "accuracy"))
 
     def _fork(self, blob: str, heads: List[_LayerDef]) -> Tuple[Layer, str]:
         """Walk a fork's branches to their join (Concat or Eltwise)."""
@@ -410,8 +464,6 @@ class _GraphConverter:
             body, shortcut = shortcut, body
         if not body:
             raise PrototxtError(f"Eltwise {join.name!r} joins two identity branches")
-        from repro.nn.layers import ResidualBlock
-
         return ResidualBlock(module_name, body=body, shortcut=shortcut), join.tops[0]
 
 
@@ -421,13 +473,18 @@ def network_from_prototxt(text: str, seed: int = 0) -> Network:
     defs = _layer_defs(root)
     input_blob, input_shape = _input_declaration(root, defs)
     name = _one(root, "name", "prototxt-net")
-    layers: List[Layer] = [InputLayer(tuple(input_shape), name=input_blob)]
-    layers.extend(_GraphConverter(defs).spine_from(input_blob))
-    unused = [d.name for d in defs if not d.consumed]
-    if unused:
-        raise PrototxtError(f"unreachable layers in prototxt: {unused}")
-    network = Network(str(name), layers)
-    network.build(SeededRng(seed, f"prototxt/{name}"))
+    try:
+        layers: List[Layer] = [InputLayer(input_shape, name=input_blob)]
+        layers.extend(_GraphConverter(defs).spine_from(input_blob))
+        unused = [d.name for d in defs if not d.consumed]
+        if unused:
+            raise PrototxtError(f"unreachable layers in prototxt: {unused}")
+        network = Network(str(name), layers)
+        if "final_accuracy" in root:
+            network.final_accuracy = _float(root, "final_accuracy")
+        network.build(SeededRng(seed, f"prototxt/{name}"))
+    except LayerShapeError as exc:
+        raise PrototxtError(f"impossible network: {exc}") from exc
     return network
 
 
@@ -435,57 +492,46 @@ def network_from_prototxt(text: str, seed: int = 0) -> Network:
 # Network -> prototxt
 # ---------------------------------------------------------------------------
 
+def _param_block(name: str, fields: List[tuple]) -> str:
+    """A ``name { key: value ... }`` block; a field given a third element
+    (its default) is written only when off it, the way Caffe files are."""
+    lines = [
+        f"    {key}: {value}" for key, value, *default in fields if [value] != default
+    ]
+    return "\n".join([f"  {name} {{", *lines, "  }"])
+
+
 def _emit_param_block(layer: Layer) -> str:
     if isinstance(layer, ConvLayer):
-        lines = [
-            "  convolution_param {",
-            f"    num_output: {layer.num_filters}",
-            f"    kernel_size: {layer.kernel}",
-        ]
-        if layer.stride != 1:
-            lines.append(f"    stride: {layer.stride}")
-        if layer.pad:
-            lines.append(f"    pad: {layer.pad}")
-        if layer.groups != 1:
-            lines.append(f"    group: {layer.groups}")
-        lines.append("  }")
-        return "\n".join(lines)
+        return _param_block("convolution_param", [
+            ("num_output", layer.num_filters),
+            ("kernel_size", layer.kernel),
+            ("stride", layer.stride, 1),
+            ("pad", layer.pad, 0),
+            ("group", layer.groups, 1),
+        ])
     if isinstance(layer, PoolLayer):
-        pool = "AVE" if layer.mode == "avg" else "MAX"
-        lines = [
-            "  pooling_param {",
-            f"    pool: {pool}",
-            f"    kernel_size: {layer.kernel}",
-        ]
-        if layer.stride != 1:
-            lines.append(f"    stride: {layer.stride}")
-        if layer.pad:
-            lines.append(f"    pad: {layer.pad}")
-        lines.append("  }")
-        return "\n".join(lines)
+        return _param_block("pooling_param", [
+            ("pool", "AVE" if layer.mode == "avg" else "MAX"),
+            ("kernel_size", layer.kernel),
+            ("stride", layer.stride, 1),
+            ("pad", layer.pad, 0),
+        ])
     if isinstance(layer, FCLayer):
-        return (
-            "  inner_product_param {\n"
-            f"    num_output: {layer.out_features}\n"
-            "  }"
-        )
+        return _param_block("inner_product_param", [("num_output", layer.out_features)])
     if isinstance(layer, DropoutLayer):
-        return f"  dropout_param {{\n    dropout_ratio: {layer.rate}\n  }}"
+        return _param_block("dropout_param", [("dropout_ratio", layer.rate)])
     if isinstance(layer, LRNLayer):
-        return (
-            "  lrn_param {\n"
-            f"    local_size: {layer.local_size}\n"
-            f"    alpha: {layer.alpha}\n"
-            f"    beta: {layer.beta}\n"
-            "  }"
-        )
-    from repro.nn.layers import BatchNormLayer, ScaleLayer
-
+        return _param_block("lrn_param", [
+            ("local_size", layer.local_size),
+            ("alpha", layer.alpha),
+            ("beta", layer.beta),
+            ("k", layer.k, 1.0),
+        ])
     if isinstance(layer, BatchNormLayer):
-        return f"  batch_norm_param {{\n    eps: {layer.eps}\n  }}"
+        return _param_block("batch_norm_param", [("eps", layer.eps)])
     if isinstance(layer, ScaleLayer):
-        bias = "true" if layer.bias else "false"
-        return f"  scale_param {{\n    bias_term: {bias}\n  }}"
+        return _param_block("scale_param", [("bias_term", str(layer.bias).lower())])
     return ""
 
 
@@ -505,16 +551,13 @@ _TYPE_NAMES = {
 _IN_PLACE_KINDS = {"relu", "dropout", "batchnorm", "scale"}
 
 
-def _emit_layer(layer: Layer, bottoms: List[str], top: str) -> str:
-    type_name = _TYPE_NAMES.get(layer.kind)
-    if type_name is None:
-        raise PrototxtError(f"cannot emit layer kind {layer.kind!r}")
-    lines = ["layer {", f'  name: "{layer.name}"', f'  type: "{type_name}"']
+def _layer_block(
+    name: str, type_name: str, bottoms: List[str], top: str, *params: str
+) -> str:
+    lines = ["layer {", f'  name: "{name}"', f'  type: "{type_name}"']
     lines.extend(f'  bottom: "{bottom}"' for bottom in bottoms)
     lines.append(f'  top: "{top}"')
-    params = _emit_param_block(layer)
-    if params:
-        lines.append(params)
+    lines.extend(block for block in params if block)
     lines.append("}")
     return "\n".join(lines)
 
@@ -527,53 +570,50 @@ def network_to_prototxt(network: Network) -> str:
     if not isinstance(first, InputLayer):
         raise PrototxtError("network must start with an InputLayer")
     channels, height, width = first.declared_shape
-    blocks = [
-        f'name: "{network.name}"',
+    blocks = [f'name: "{network.name}"']
+    if network.final_accuracy is not None:
+        blocks.append(f"final_accuracy: {network.final_accuracy}")
+    blocks += [
         f'input: "{first.name}"',
         f"input_dim: 1\ninput_dim: {channels}\ninput_dim: {height}\n"
         f"input_dim: {width}",
     ]
     blob = first.name
 
-    def emit_chain(layers: List[Layer], blob: str) -> str:
+    def emit_chain(layers: List[Layer], blob: str, exit_param: str = "") -> str:
+        # An exit chain's first layer never runs in place: the trunk blob
+        # it reads must reach the next trunk layer unchanged.
         for layer in layers:
-            if layer.kind in _IN_PLACE_KINDS:
-                blocks.append(_emit_layer(layer, [blob], blob))
-            else:
-                blocks.append(_emit_layer(layer, [blob], layer.name))
-                blob = layer.name
+            type_name = _TYPE_NAMES.get(layer.kind)
+            if type_name is None:
+                raise PrototxtError(f"cannot emit layer kind {layer.kind!r}")
+            in_place = layer.kind in _IN_PLACE_KINDS and not exit_param
+            top = blob if in_place else layer.name
+            blocks.append(_layer_block(
+                layer.name, type_name, [blob], top, _emit_param_block(layer), exit_param
+            ))
+            blob, exit_param = top, ""
         return blob
-
-    from repro.nn.layers import ResidualBlock
 
     for layer in network.layers[1:]:
         if isinstance(layer, InceptionModule):
             branch_tops = [emit_chain(branch, blob) for branch in layer.branches]
             top = f"{layer.name}/output"
-            lines = ["layer {", f'  name: "{layer.name}"', '  type: "Concat"']
-            lines.extend(f'  bottom: "{bottom}"' for bottom in branch_tops)
-            lines.append(f'  top: "{top}"')
-            lines.append("}")
-            blocks.append("\n".join(lines))
+            blocks.append(_layer_block(layer.name, "Concat", branch_tops, top))
             blob = top
         elif isinstance(layer, ResidualBlock):
             body_top = emit_chain(layer.body, blob)
             shortcut_top = emit_chain(layer.shortcut, blob) if layer.shortcut else blob
             top = f"{layer.name}/sum"
-            lines = [
-                "layer {",
-                f'  name: "{layer.name}"',
-                '  type: "Eltwise"',
-                f'  bottom: "{body_top}"',
-                f'  bottom: "{shortcut_top}"',
-                f'  top: "{top}"',
-                "  eltwise_param {",
-                "    operation: SUM",
-                "  }",
-                "}",
-            ]
-            blocks.append("\n".join(lines))
+            blocks.append(_layer_block(
+                layer.name, "Eltwise", [body_top, shortcut_top], top,
+                _param_block("eltwise_param", [("operation", "SUM")]),
+            ))
             blob = top
+        elif isinstance(layer, ExitHead):
+            emit_chain(layer.head, blob, _param_block("exit_param", [
+                ("name", f'"{layer.name}"'), ("accuracy", layer.accuracy),
+            ]))
         else:
             blob = emit_chain([layer], blob)
     return "\n".join(blocks) + "\n"

@@ -93,20 +93,12 @@ class TestBnResnet:
         assert {"batchnorm", "scale", "eltwise"} <= inner_kinds
 
     def test_description_roundtrip(self, model):
-        import json
-
-        from repro.nn.model import network_from_description
-
-        rebuilt = network_from_description(json.loads(model.description_json()))
-        x = SeededRng(9, "x").uniform_array((3, 32, 32), 0, 255)
-        # Fresh random params differ, but architecture must agree.
-        assert rebuilt.output_shape == model.network.output_shape
-        assert rebuilt.param_count == model.network.param_count
+        rebuilt = network_from_prototxt(network_to_prototxt(model.network))
+        assert rebuilt.describe() == model.network.describe()
 
     def test_save_load_exact(self, tmp_path, model):
-        from repro.nn.model import Model
+        from repro.nn.caffemodel import load_model_files, save_model_files
 
-        model.save(str(tmp_path))
-        loaded = Model.load(str(tmp_path), "resnet-mini-bn")
+        loaded = load_model_files(*save_model_files(model, str(tmp_path)))
         x = SeededRng(10, "x").uniform_array((3, 32, 32), 0, 255)
-        assert np.allclose(loaded.inference(x), model.inference(x), atol=1e-6)
+        assert np.array_equal(loaded.inference(x), model.inference(x))

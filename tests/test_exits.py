@@ -32,13 +32,12 @@ from repro.devices import edge_server_x86, odroid_xu4_client
 from repro.devices.device import Device
 from repro.devices.predictor import fit_predictor_for
 from repro.netsim import NetemProfile
+from repro.nn.caffemodel import load_model_files, save_model_files
 from repro.nn.cost import network_costs
-from repro.nn.model import Model, network_from_description
+from repro.nn.prototxt import network_from_prototxt, network_to_prototxt
 from repro.nn.zoo import EXIT_MODELS, build_model
 from repro.serve import ServingConfig, ServingLoop
 from repro.sim import SeededRng, Simulator
-
-import json
 
 
 def model_input(model, seed=7):
@@ -143,25 +142,20 @@ class TestSplitExitEquivalence:
     @pytest.mark.parametrize("name", EXIT_MODELS)
     def test_description_roundtrip_preserves_exits(self, name):
         model = build_model(name)
-        description = json.loads(model.description_json())
-        restored = network_from_description(description)
-        assert [e.name for e in restored.exit_points()] == [
-            e.name for e in model.network.exit_points()
-        ]
-        assert [e.accuracy for e in restored.exit_points()] == [
-            e.accuracy for e in model.network.exit_points()
-        ]
+        restored = network_from_prototxt(network_to_prototxt(model.network))
+        assert restored.exit_points() == model.network.exit_points()
+        assert restored.final_accuracy == model.network.final_accuracy
+        assert restored.describe() == model.network.describe()
 
     def test_save_load_roundtrip_preserves_exit_inference(
         self, tmp_path, exits_model
     ):
-        exits_model.save(str(tmp_path))
-        loaded = Model.load(str(tmp_path), exits_model.name)
+        loaded = load_model_files(*save_model_files(exits_model, str(tmp_path)))
         x = model_input(exits_model)
         for exit in exits_model.network.exit_points():
             original = exits_model.network.forward_exit(x, exit.index)
             restored = loaded.network.forward_exit(x, exit.index)
-            assert np.allclose(restored, original, atol=1e-6)
+            assert np.array_equal(restored, original)
 
     def test_exit_point_outside_range_rejected(self, exits_network):
         exit = exits_network.exit_points()[0]

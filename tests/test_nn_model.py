@@ -1,4 +1,4 @@
-"""Tests for model files, splitting, save/load and the server model store."""
+"""Tests for model files, splitting, the file pair and the server model store."""
 
 import hashlib
 
@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from repro.nn import model as model_module
-from repro.nn.model import (
-    BLOB_HEADER_BYTES,
-    Model,
-    network_from_description,
-    network_params_digest,
-)
+from repro.nn.caffemodel import load_model_files, save_model_files
+from repro.nn.model import BLOB_HEADER_BYTES, Model, network_params_digest
 from repro.nn.modelstore import ModelStore, ModelStoreError
-from repro.nn.zoo import build_model, smallnet, tinynet
+from repro.nn.prototxt import network_from_prototxt, network_to_prototxt
+from repro.nn.zoo import BUILDERS, build_model, smallnet, tinynet
+from repro.nn.zoo.resnetlike import resnet_mini_bn
 from repro.sim import SeededRng
 
 
@@ -218,96 +216,91 @@ class TestModelSplit:
         assert rear.total_bytes < model.total_bytes
 
 
+def reload(model, directory):
+    """``model`` written as its Caffe file pair and read back."""
+    return load_model_files(*save_model_files(model, str(directory)))
+
+
+def inception_net(seed):
+    from repro.nn.layers import (
+        ConvLayer,
+        FCLayer,
+        InceptionModule,
+        InputLayer,
+        PoolLayer,
+        ReLULayer,
+        SoftmaxLayer,
+    )
+    from repro.nn.network import Network
+
+    return Network(
+        "inc-net",
+        [
+            InputLayer((3, 8, 8)),
+            InceptionModule(
+                "inc",
+                branches=[
+                    [ConvLayer("a", 2, kernel=1), ReLULayer("ra")],
+                    [PoolLayer("p", kernel=3, stride=1, pad=1)],
+                ],
+            ),
+            FCLayer("fc", 4),
+            SoftmaxLayer("prob"),
+        ],
+    ).build(SeededRng(seed, "incnet"))
+
+
+#: every zoo model but alexnet (233 MB to write; ``TestAlexNet`` covers its
+#: grouped conv), plus the batch-normalized resnet
+PAIR_MODELS = {
+    **{name: builder for name, builder in BUILDERS.items() if name != "alexnet"},
+    "resnet_mini_bn": resnet_mini_bn,
+}
+
+
 class TestSaveLoad:
+    """The Caffe file pair (prototxt + weights blob) is the on-disk format."""
+
     def test_roundtrip_preserves_inference(self, tmp_path, model):
-        model.save(str(tmp_path))
-        loaded = Model.load(str(tmp_path), "smallnet")
+        loaded = reload(model, tmp_path)
         x = SeededRng(7, "img").uniform_array((3, 32, 32), 0, 255)
-        assert np.allclose(loaded.inference(x), model.inference(x), atol=1e-6)
+        assert np.array_equal(loaded.inference(x), model.inference(x))
 
     def test_roundtrip_preserves_manifest(self, tmp_path, model):
-        model.save(str(tmp_path))
-        loaded = Model.load(str(tmp_path), "smallnet")
+        loaded = reload(model, tmp_path)
+        assert loaded.files() == model.files()
         assert loaded.model_id == model.model_id
 
     def test_description_rebuilds_architecture(self, model):
-        import json
-
-        description = json.loads(model.description_json())
-        rebuilt = network_from_description(description)
-        assert [l.kind for l in rebuilt.layers] == [
-            l.kind for l in model.network.layers
-        ]
-        assert rebuilt.output_shape == model.network.output_shape
+        rebuilt = network_from_prototxt(network_to_prototxt(model.network))
+        assert rebuilt.describe() == model.network.describe()
 
     def test_inception_description_roundtrip(self):
-        import json
-
-        from repro.nn.layers import (
-            ConvLayer,
-            InceptionModule,
-            InputLayer,
-            PoolLayer,
-            ReLULayer,
-            SoftmaxLayer,
-            FCLayer,
-        )
-        from repro.nn.network import Network
-
-        net = Network(
-            "mini-inception",
-            [
-                InputLayer((3, 8, 8)),
-                InceptionModule(
-                    "inc",
-                    branches=[
-                        [ConvLayer("a", 2, kernel=1), ReLULayer("ra")],
-                        [PoolLayer("p", kernel=3, stride=1, pad=1)],
-                    ],
-                ),
-                FCLayer("fc", 4),
-                SoftmaxLayer("prob"),
-            ],
-        ).build(SeededRng(0, "mini"))
-        model = Model("mini-inception", net)
-        description = json.loads(model.description_json())
-        rebuilt = network_from_description(description)
-        assert rebuilt.layers[1].out_shape == net.layers[1].out_shape
+        net = inception_net(0)
+        rebuilt = network_from_prototxt(network_to_prototxt(net))
+        assert rebuilt.describe() == net.describe()
 
     def test_inception_save_load_preserves_params(self, tmp_path):
-        import numpy as np
-
-        from repro.nn.layers import (
-            ConvLayer,
-            FCLayer,
-            InceptionModule,
-            InputLayer,
-            PoolLayer,
-            ReLULayer,
-            SoftmaxLayer,
-        )
-        from repro.nn.network import Network
-
-        net = Network(
-            "inc-net",
-            [
-                InputLayer((3, 8, 8)),
-                InceptionModule(
-                    "inc",
-                    branches=[
-                        [ConvLayer("a", 2, kernel=1), ReLULayer("ra")],
-                        [PoolLayer("p", kernel=3, stride=1, pad=1)],
-                    ],
-                ),
-                FCLayer("fc", 4),
-                SoftmaxLayer("prob"),
-            ],
-        ).build(SeededRng(3, "incnet"))
-        model = Model("inc-net", net)
-        model.save(str(tmp_path))
-        loaded = Model.load(str(tmp_path), "inc-net")
+        model = Model("inc-net", inception_net(3))
+        loaded = reload(model, tmp_path)
         x = SeededRng(8, "x").normal_array((3, 8, 8))
-        assert np.allclose(loaded.inference(x), model.inference(x), atol=1e-6)
+        assert np.array_equal(loaded.inference(x), model.inference(x))
+
+    @pytest.mark.parametrize("name", sorted(PAIR_MODELS))
+    def test_zoo_model_roundtrips_exactly(self, tmp_path, name):
+        """Architecture, identity, parameters and every exit's bits."""
+        model = PAIR_MODELS[name](seed=4)
+        loaded = reload(model, tmp_path)
+        assert loaded.description_json() == model.description_json()
+        assert loaded.model_id == model.model_id
+        assert loaded.fingerprint() == model.fingerprint()
+        x = SeededRng(9, "x").uniform_array(model.network.input_shape, 0, 255)
+        assert np.array_equal(loaded.inference(x), model.inference(x))
+        for exit_point in model.network.exit_points()[:-1]:
+            assert np.array_equal(
+                loaded.network.forward_exit(x, exit_point.index),
+                model.network.forward_exit(x, exit_point.index),
+            )
 
 
 class TestModelStore:

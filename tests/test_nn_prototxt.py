@@ -1,18 +1,46 @@
 """Tests for Caffe prototxt parsing/emission and grouped convolutions."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.nn.caffemodel import load_model_files, save_model_files
 from repro.nn.cost import total_flops
-from repro.nn.layers import ConvLayer
+from repro.nn.layers import (
+    BatchNormLayer,
+    ConvLayer,
+    DropoutLayer,
+    ExitHead,
+    FCLayer,
+    InceptionModule,
+    InputLayer,
+    LRNLayer,
+    PoolLayer,
+    ReLULayer,
+    ResidualBlock,
+    ScaleLayer,
+    SoftmaxLayer,
+)
 from repro.nn.layers.base import LayerShapeError
+from repro.nn.model import Model
+from repro.nn.network import Network
 from repro.nn.prototxt import (
     PrototxtError,
     network_from_prototxt,
     network_to_prototxt,
     parse_text,
 )
-from repro.nn.zoo import agenet, alexnet, googlenet
+from repro.nn.zoo import (
+    agenet,
+    alexnet,
+    googlenet,
+    googlenet_exits,
+    smallnet,
+    smallnet_exits,
+)
 from repro.sim import SeededRng
 
 
@@ -162,8 +190,52 @@ class TestParseNetwork:
             network_from_prototxt(text)
 
 
+def every_field_network() -> Network:
+    """One layer of every kind, each ``config()`` field off its default."""
+    network = Network(
+        "every-field",
+        [
+            InputLayer((4, 9, 9), name="data"),
+            ConvLayer("conv", 6, kernel=3, stride=2, pad=1, groups=2),
+            BatchNormLayer("bn", eps=1e-3),
+            ScaleLayer("scale", bias=False),
+            ReLULayer("relu"),
+            LRNLayer("norm", local_size=3, alpha=2e-4, beta=0.5, k=2.0),
+            ExitHead(
+                "early",
+                head=[
+                    PoolLayer("early_pool", kernel=3, stride=2, pad=1, mode="avg"),
+                    FCLayer("early_fc", 3),
+                    SoftmaxLayer("early_prob"),
+                ],
+                accuracy=0.5,
+            ),
+            InceptionModule(
+                "mix",
+                [
+                    [ConvLayer("mix_a", 2, kernel=1)],
+                    [PoolLayer("mix_pool", kernel=3, stride=1, pad=1, mode="avg")],
+                ],
+            ),
+            ResidualBlock(
+                "res",
+                body=[ConvLayer("res_conv", 8, kernel=3, pad=1)],
+                shortcut=[ConvLayer("res_proj", 8, kernel=1)],
+            ),
+            PoolLayer("pool", kernel=3, stride=2, pad=1, mode="avg"),
+            FCLayer("fc", 5),
+            DropoutLayer("drop", rate=0.25),
+            SoftmaxLayer("prob"),
+        ],
+    )
+    network.final_accuracy = 0.9
+    return network.build(SeededRng(0, "every-field"))
+
+
 class TestRoundTrips:
-    @pytest.mark.parametrize("builder", [agenet, alexnet, googlenet])
+    @pytest.mark.parametrize(
+        "builder", [agenet, alexnet, googlenet, smallnet_exits, googlenet_exits]
+    )
     def test_zoo_roundtrip_preserves_architecture(self, builder):
         model = builder()
         text = network_to_prototxt(model.network)
@@ -189,11 +261,115 @@ class TestRoundTrips:
         text2 = network_to_prototxt(network_from_prototxt(text1))
         assert text1 == text2
 
+    def test_every_config_field_survives_the_pair(self, tmp_path):
+        """LRN ``k`` used to be dropped: the net reloaded with ``k == 1``."""
+        model = Model("every-field", every_field_network())
+        loaded = load_model_files(*save_model_files(model, str(tmp_path)))
+        assert loaded.description_json() == model.description_json()
+        assert loaded.model_id == model.model_id
+        x = SeededRng(1, "x").normal_array((4, 9, 9))
+        for exit_point in model.network.exit_points():
+            assert np.array_equal(
+                loaded.network.forward_exit(x, exit_point.index),
+                model.network.forward_exit(x, exit_point.index),
+            )
+
+    def test_default_lrn_k_is_not_written(self):
+        assert "k:" not in network_to_prototxt(smallnet().network)
+        assert "    k: 2.0\n" in network_to_prototxt(every_field_network())
+
+    def test_exit_is_a_side_chain_that_joins_nothing(self):
+        text = network_to_prototxt(smallnet_exits().network)
+        assert "final_accuracy: 0.78\n" in text
+        head = text[text.index('name: "exit1_fc"') :]
+        head = head[: head.index('name: "norm1"')]
+        assert 'bottom: "pool1"' in head
+        assert 'exit_param {\n    name: "exit1"\n    accuracy: 0.62\n  }' in head
+        # the trunk goes on from the blob the exit read
+        assert 'name: "norm1"\n  type: "LRN"\n  bottom: "pool1"' in text
+
+    def test_exit_head_that_forks_rejected(self):
+        text = network_to_prototxt(smallnet_exits().network).replace(
+            'bottom: "norm1"', 'bottom: "exit1_fc"', 1
+        )
+        with pytest.raises(PrototxtError, match="unreachable"):
+            network_from_prototxt(text)
+
+    def test_exit_that_rewrites_the_trunk_rejected(self):
+        text = HANDWRITTEN.replace(
+            'top: "conv1"   # in-place, like real Caffe files',
+            'top: "conv1"\n  exit_param { name: "x" accuracy: 0.5 }',
+        )
+        with pytest.raises(PrototxtError, match="trunk"):
+            network_from_prototxt(text)
+
     def test_emit_requires_built_network(self):
         from repro.nn.zoo.smallnet import smallnet_network
 
         with pytest.raises(PrototxtError):
             network_to_prototxt(smallnet_network())
+
+
+#: what a mutation may write.  No digits: an inserted digit can widen a
+#: layer a thousandfold, and a huge network that builds is not a decoding
+#: error, only a memory bill.
+MUTATION_ALPHABET = ' \n\t{}:"#-._abceknprtuxyzAEMSVX'
+
+
+@functools.lru_cache(maxsize=1)
+def smallnet_prototxt() -> str:
+    return network_to_prototxt(smallnet().network)
+
+
+@st.composite
+def mutated_prototxts(draw):
+    """smallnet's prototxt with one 1-4 character insertion, deletion or
+    replacement."""
+    text = smallnet_prototxt()
+    position = draw(st.integers(0, len(text)))
+    chars = draw(st.text(MUTATION_ALPHABET, min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+    end = position if kind == "insert" else position + len(chars)
+    return text[:position] + ("" if kind == "delete" else chars) + text[end:]
+
+
+class TestMalformedText:
+    """Whatever a prototxt holds, it loads or raises :class:`PrototxtError`."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(mutated_prototxts())
+    def test_mutated_prototxt_loads_or_raises_prototxt_error(self, text):
+        try:
+            network_from_prototxt(text)
+        except PrototxtError:
+            pass
+
+    @pytest.mark.parametrize(
+        "fragment, replacement",
+        [
+            ('  top: "fc4"\n', ""),  # a layer without a top
+            ("num_output: 10", "num_output: ten"),  # a word for an integer
+            ("num_output: 10", "num_output: 1.5"),  # a float for an integer
+            ("alpha: 0.0001", "alpha: tiny"),  # a word for a float
+            ("num_output: 10", "num_output: 0"),  # a shape no layer takes
+            ("kernel_size: 5", "kernel_size: 55"),  # a kernel wider than its input
+            ("input_dim: 32\n", "input_dim: x\n"),  # a word for a dim
+            ("dropout_param {", "dropout_param: 3 junk {"),  # a scalar for a message
+            ('input: "input"\n', 'input: "input"\nlayer: 5\n'),  # a scalar layer
+        ],
+    )
+    def test_each_former_leak_is_a_prototxt_error(self, fragment, replacement):
+        text = smallnet_prototxt()
+        assert fragment in text
+        with pytest.raises(PrototxtError):
+            network_from_prototxt(text.replace(fragment, replacement, 1))
+
+    def test_non_utf8_file_is_a_prototxt_error(self, tmp_path):
+        prototxt_path, weights_path = save_model_files(smallnet(), str(tmp_path))
+        with open(prototxt_path, "ab") as handle:
+            handle.write(b"# \xff\xfe\n")
+        with pytest.raises(PrototxtError):
+            load_model_files(prototxt_path, weights_path)
 
 
 class TestGroupedConvolution:

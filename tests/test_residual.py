@@ -113,22 +113,14 @@ class TestResnetMini:
         assert any("res3a/" in cost.name for cost in costs)
 
     def test_description_roundtrip(self, model, image):
-        import json
-
-        from repro.nn.model import network_from_description
-
-        description = json.loads(model.description_json())
-        rebuilt = network_from_description(description)
-        assert [l.kind for l in rebuilt.layers] == [
-            l.kind for l in model.network.layers
-        ]
+        rebuilt = network_from_prototxt(network_to_prototxt(model.network))
+        assert rebuilt.describe() == model.network.describe()
 
     def test_save_load_exact(self, tmp_path, model, image):
-        from repro.nn.model import Model
+        from repro.nn.caffemodel import load_model_files, save_model_files
 
-        model.save(str(tmp_path))
-        loaded = Model.load(str(tmp_path), "resnet-mini")
-        assert np.allclose(loaded.inference(image), model.inference(image), atol=1e-6)
+        loaded = load_model_files(*save_model_files(model, str(tmp_path)))
+        assert np.array_equal(loaded.inference(image), model.inference(image))
 
 
 class TestEltwisePrototxt:

@@ -163,7 +163,7 @@ class TestWeightsBlob:
         prototxt_path, weights_path = save_model_files(model, str(tmp_path))
         loaded = load_model_files(prototxt_path, weights_path)
         x = SeededRng(2, "x").uniform_array((3, 32, 32), 0, 255)
-        assert np.allclose(loaded.inference(x), model.inference(x), atol=1e-6)
+        assert np.array_equal(loaded.inference(x), model.inference(x))
 
     def test_blob_size_matches_param_count(self):
         model = smallnet()
