@@ -14,12 +14,10 @@ from repro.nn.layers.pool import PoolLayer
 from repro.nn.layers.dense import FCLayer
 from repro.nn.layers.activation import DropoutLayer, ReLULayer, SoftmaxLayer
 from repro.nn.layers.normalization import LRNLayer
-from repro.nn.layers.batchnorm import BatchNormLayer, ScaleLayer
 from repro.nn.layers.composite import InceptionModule, ResidualBlock
 from repro.nn.layers.exits import ExitHead
 
 __all__ = [
-    "BatchNormLayer",
     "ConvLayer",
     "DropoutLayer",
     "ExitHead",
@@ -32,6 +30,5 @@ __all__ = [
     "PoolLayer",
     "ReLULayer",
     "ResidualBlock",
-    "ScaleLayer",
     "SoftmaxLayer",
 ]

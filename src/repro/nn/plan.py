@@ -5,14 +5,11 @@ spine range of one) into an :class:`ExecutionPlan` — a topologically
 scheduled DAG of steps plus an interval-colored arena — via four rewrite
 families:
 
-* **Constant folding** — ``BatchNorm``/``Scale`` affine transforms are
-  folded into the preceding conv's weights (computed in float64, cast to
-  float32; within 1e-6 of the reference pass), standalone BN/Scale chains
-  collapse to one per-channel affine step, and inference-time ``Dropout``
-  (an identity here) is elided outright.
+* **Identity elision** — inference-time ``Dropout`` and trunk-path exit
+  heads (identities here) are elided outright.
 * **Operator fusion** — Conv+bias+ReLU and Dense+ReLU become single steps
   that apply the activation in place on the matmul output.  Fusion and
-  folding apply *inside* composite branches too: a branch is lowered with
+  elision apply *inside* composite branches too: a branch is lowered with
   the same sequence rewriter as the spine.
 * **DAG lowering** — any composite layer exposing ``dag_branches()``
   (:class:`~repro.nn.layers.composite.InceptionModule`,
@@ -39,15 +36,13 @@ families:
   every plan a process holds — the front and rear halves at each offload
   point — shares the working memory of one forward.
 
-Equivalence contract: for networks without BatchNorm/Scale the plan's
-arithmetic is *bitwise identical* to the reference layer walk (matmul,
-in-place bias add and in-place ``maximum`` produce the same bits as their
-out-of-place forms, max pooling is an exact reduction, and the schedule
-replays the reference data order branch by branch); with folding the
-divergence is bounded by float32 rounding of the folded weights
-(``tests/test_nn_plan.py`` asserts 1e-6 across the zoo at every offload
-point, and ``tests/test_plan_fuzz.py`` fuzzes randomly generated
-branch-and-join graphs against the reference walk).  Plans respect
+Equivalence contract: a plan's arithmetic is *bitwise identical* to the
+reference layer walk (matmul, in-place bias add and in-place ``maximum``
+produce the same bits as their out-of-place forms, max pooling is an exact
+reduction, and the schedule replays the reference data order branch by
+branch); ``tests/test_nn_plan.py`` asserts it across the zoo at every
+offload point, and ``tests/test_plan_fuzz.py`` fuzzes randomly generated
+branch-and-join graphs against the reference walk.  Plans respect
 offload points: compilation takes a ``(start, end)`` spine range and no
 rewrite ever looks past ``end``, so a ``SplitNetwork``'s front and rear
 plans are independent and fusion never crosses the split — even when the
@@ -95,7 +90,6 @@ import numpy as np
 from repro.nn import tensor
 from repro.nn.layers.activation import DropoutLayer, ReLULayer
 from repro.nn.layers.base import Layer
-from repro.nn.layers.batchnorm import BatchNormLayer, ScaleLayer
 from repro.nn.layers.conv import ConvLayer
 from repro.nn.layers.dense import FCLayer
 from repro.nn.layers.exits import ExitHead
@@ -121,7 +115,6 @@ class PlanStats:
     """Compile-time accounting for one plan."""
 
     steps: int = 0
-    folded: int = 0  # BatchNorm/Scale layers constant-folded away
     elided: int = 0  # inference-time Dropout layers removed
     fused: int = 0  # ReLU activations fused into conv/fc steps
     fallbacks: int = 0  # steps that call the reference layer forward
@@ -177,7 +170,7 @@ class PlanStep:
 
 
 class ConvStep(PlanStep):
-    """im2col + matmul with pre-folded operands and optional fused ReLU."""
+    """im2col + matmul with captured operands and optional fused ReLU."""
 
     kind = "conv"
     arena = True
@@ -292,33 +285,6 @@ class ReLUStep(PlanStep):
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
         return np.maximum(inputs[0], 0.0, out=out)
-
-
-class AffineStep(PlanStep):
-    """A standalone BatchNorm/Scale chain folded to ``y = x*s + t``."""
-
-    kind = "affine"
-    arena = True
-
-    def __init__(
-        self,
-        name: str,
-        layers: Sequence[Tuple[int, Layer]],
-        out_shape: Tuple[int, ...],
-        scale: np.ndarray,
-        shift: Optional[np.ndarray],
-    ):
-        super().__init__(name, layers, out_shape)
-        self.scale = scale[:, None, None]
-        self.shift = shift[:, None, None] if shift is not None else None
-
-    def run(
-        self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
-    ) -> np.ndarray:
-        np.multiply(inputs[0], self.scale, out=out)
-        if self.shift is not None:
-            out += self.shift
-        return out
 
 
 class FallbackStep(PlanStep):
@@ -495,9 +461,9 @@ class ExecutionPlan:
         and frozen.
 
         Loaders replace ``layer.params[...]`` wholesale; an identity
-        mismatch means the folded/captured operands are stale and the plan
-        must be recompiled (mirrors the conv operand cache's rule).  An
-        unfrozen array may change in place, unseen by folded copies and memo.
+        mismatch means the captured operands are stale and the plan must be
+        recompiled (mirrors the conv operand cache's rule).  An unfrozen
+        array may change in place, unseen by captured copies and memo.
         """
         return all(
             layer.params.get(key) is array and not array.flags.writeable
@@ -638,8 +604,7 @@ class ExecutionPlan:
         stats = self.stats
         return (
             f"plan {self.name}: {stats.steps} steps "
-            f"({stats.fused} fused, {stats.folded} folded, "
-            f"{stats.elided} elided, {stats.fallbacks} fallback, "
+            f"({stats.fused} fused, {stats.elided} elided, {stats.fallbacks} fallback, "
             f"{stats.branches} branches, {stats.joins} joins), "
             f"arena {stats.arena_bytes / 1024:.0f} KiB in "
             f"{stats.arena_slots} slots "
@@ -655,11 +620,6 @@ class ExecutionPlan:
         """
         labels = {"plan": self.name}
         stats = self.stats
-        registry.counter(
-            "plan_layers_folded_total",
-            help="BatchNorm/Scale layers constant-folded into other steps",
-            **labels,
-        ).inc(stats.folded)
         registry.counter(
             "plan_layers_elided_total",
             help="inference-time identity layers removed from the plan",
@@ -790,67 +750,6 @@ class _GraphBuilder:
         return len(self.steps)  # value id of this step's output
 
 
-def _affine_chain(
-    chain: Sequence[Layer], channels: int
-) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Collapse BatchNorm/Scale layers to per-channel ``(scale, shift)``.
-
-    Accumulated in float64 so the single folded affine stays within
-    float32 rounding of applying each layer separately.
-    """
-    scale = np.ones(channels, dtype=np.float64)
-    shift = np.zeros(channels, dtype=np.float64)
-    has_shift = False
-    for layer in chain:
-        if isinstance(layer, BatchNormLayer):
-            inv_std = 1.0 / np.sqrt(
-                layer.params["variance"].astype(np.float64) + layer.eps
-            )
-            mean = layer.params["mean"].astype(np.float64)
-            scale = scale * inv_std
-            shift = (shift - mean) * inv_std
-            has_shift = True
-        elif isinstance(layer, ScaleLayer):
-            gamma = layer.params["gamma"].astype(np.float64)
-            scale = scale * gamma
-            shift = shift * gamma
-            if "beta" in layer.params:
-                shift = shift + layer.params["beta"].astype(np.float64)
-                has_shift = True
-        else:  # pragma: no cover - guarded by the caller
-            raise TypeError(f"cannot fold layer kind {layer.kind!r}")
-    return scale, shift, has_shift
-
-
-def _witnesses_for(layer: Layer) -> List[Tuple[Layer, str, np.ndarray]]:
-    return [(layer, key, array) for key, array in layer.params.items()]
-
-
-def _folded_conv_operands(
-    layer: ConvLayer, chain: Sequence[Layer]
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per-group matmul operands with the affine chain folded in."""
-    scale, shift, _ = _affine_chain(chain, layer.num_filters)
-    weight = layer.params["weight"].astype(np.float64)
-    bias = layer.params["bias"].astype(np.float64)
-    folded_weight = (weight * scale[:, None, None, None]).astype(np.float32)
-    folded_bias = (bias * scale + shift).astype(np.float32)
-    per_out = layer.num_filters // layer.groups
-    return [
-        (
-            np.ascontiguousarray(
-                folded_weight[group * per_out : (group + 1) * per_out].reshape(
-                    per_out, -1
-                )
-            ),
-            np.ascontiguousarray(
-                folded_bias[group * per_out : (group + 1) * per_out][:, None]
-            ),
-        )
-        for group in range(layer.groups)
-    ]
-
-
 def _lower_sequence(
     graph: _GraphBuilder,
     indexed: Sequence[Tuple[int, Layer]],
@@ -882,34 +781,21 @@ def _lower_sequence(
             position += 1
             continue
         if isinstance(layer, ConvLayer):
-            chain: List[Layer] = []
-            cursor = position + 1
-            while cursor < len(indexed) and isinstance(
-                indexed[cursor][1], (BatchNormLayer, ScaleLayer)
-            ):
-                chain.append(indexed[cursor][1])
-                covered.append(indexed[cursor])
-                cursor += 1
             relu = False
+            cursor = position + 1
             if cursor < len(indexed) and isinstance(
                 indexed[cursor][1], ReLULayer
             ):
                 relu = True
                 covered.append(indexed[cursor])
                 cursor += 1
-            if chain:
-                operands = _folded_conv_operands(layer, chain)
-                for folded_layer in chain:
-                    witnesses.extend(_witnesses_for(folded_layer))
-            else:
-                operands = layer._group_operands()
+            operands = layer._group_operands()
             witnesses.append((layer, "weight", layer.params["weight"]))
             witnesses.append((layer, "bias", layer.params["bias"]))
             name = prefix + layer.name
             current = graph.add(
                 ConvStep(name, covered, layer, operands, relu), [current]
             )
-            stats.folded += len(chain)
             stats.fused += 1 if relu else 0
             position = cursor
         elif isinstance(layer, FCLayer):
@@ -927,31 +813,6 @@ def _lower_sequence(
                 FCStep(prefix + layer.name, covered, layer, relu), [current]
             )
             stats.fused += 1 if relu else 0
-            position = cursor
-        elif isinstance(layer, (BatchNormLayer, ScaleLayer)):
-            chain = [layer]
-            cursor = position + 1
-            while cursor < len(indexed) and isinstance(
-                indexed[cursor][1], (BatchNormLayer, ScaleLayer)
-            ):
-                chain.append(indexed[cursor][1])
-                covered.append(indexed[cursor])
-                cursor += 1
-            channels = layer.input_shape[0]
-            scale, shift, has_shift = _affine_chain(chain, channels)
-            for chained in chain:
-                witnesses.extend(_witnesses_for(chained))
-            current = graph.add(
-                AffineStep(
-                    prefix + layer.name,
-                    covered,
-                    layer.out_shape,
-                    scale.astype(np.float32),
-                    shift.astype(np.float32) if has_shift else None,
-                ),
-                [current],
-            )
-            stats.folded += len(chain) - 1
             position = cursor
         elif isinstance(layer, PoolLayer):
             current = graph.add(

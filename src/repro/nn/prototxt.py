@@ -15,8 +15,7 @@ parameter blob.  This module implements the architecture half for real:
   Concat joins), so definitions round-trip.
 
 Supported layer types: Input, Convolution (with ``group``), Pooling
-(MAX/AVE), InnerProduct, ReLU, LRN, Dropout, Softmax, BatchNorm, Scale,
-Concat and Eltwise.  An early exit is written the way Caffe's own GoogLeNet
+(MAX/AVE), InnerProduct, ReLU, LRN, Dropout, Softmax, Concat and Eltwise.  An early exit is written the way Caffe's own GoogLeNet
 writes its auxiliary classifiers ``loss1`` / ``loss2``: a side chain off the
 trunk blob that joins nothing, whose first layer carries an ``exit_param``
 (the exit's name and modeled accuracy); a multi-exit network's own accuracy
@@ -32,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.nn.layers import (
-    BatchNormLayer,
     ConvLayer,
     DropoutLayer,
     ExitHead,
@@ -43,7 +41,6 @@ from repro.nn.layers import (
     PoolLayer,
     ReLULayer,
     ResidualBlock,
-    ScaleLayer,
     SoftmaxLayer,
 )
 from repro.nn.layers.base import Layer, LayerShapeError
@@ -304,12 +301,6 @@ def _convert_simple(definition: _LayerDef) -> Layer:
         )
     if kind == "Softmax":
         return SoftmaxLayer(definition.name)
-    if kind == "BatchNorm":
-        param = _message(message, "batch_norm_param")
-        return BatchNormLayer(definition.name, eps=_float(param, "eps", 1e-5))
-    if kind == "Scale":
-        param = _message(message, "scale_param")
-        return ScaleLayer(definition.name, bias=bool(_one(param, "bias_term", True)))
     raise PrototxtError(f"unsupported layer type {kind!r} ({definition.name!r})")
 
 
@@ -528,10 +519,6 @@ def _emit_param_block(layer: Layer) -> str:
             ("beta", layer.beta),
             ("k", layer.k, 1.0),
         ])
-    if isinstance(layer, BatchNormLayer):
-        return _param_block("batch_norm_param", [("eps", layer.eps)])
-    if isinstance(layer, ScaleLayer):
-        return _param_block("scale_param", [("bias_term", str(layer.bias).lower())])
     return ""
 
 
@@ -543,12 +530,10 @@ _TYPE_NAMES = {
     "dropout": "Dropout",
     "lrn": "LRN",
     "softmax": "Softmax",
-    "batchnorm": "BatchNorm",
-    "scale": "Scale",
 }
 
 #: layer kinds emitted with Caffe's in-place idiom (top == bottom)
-_IN_PLACE_KINDS = {"relu", "dropout", "batchnorm", "scale"}
+_IN_PLACE_KINDS = {"relu", "dropout"}
 
 
 def _layer_block(

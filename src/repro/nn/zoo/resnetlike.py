@@ -12,14 +12,12 @@ from __future__ import annotations
 from typing import List
 
 from repro.nn.layers import (
-    BatchNormLayer,
     ConvLayer,
     FCLayer,
     InputLayer,
     PoolLayer,
     ReLULayer,
     ResidualBlock,
-    ScaleLayer,
     SoftmaxLayer,
 )
 from repro.nn.layers.base import Layer
@@ -28,20 +26,11 @@ from repro.nn.network import Network
 from repro.sim import SeededRng
 
 
-def _block(
-    name: str, channels: int, stride: int = 1, batch_norm: bool = False
-) -> ResidualBlock:
-    def bn(tag: str) -> List[Layer]:
-        if not batch_norm:
-            return []
-        return [BatchNormLayer(f"{name}_bn{tag}"), ScaleLayer(f"{name}_scale{tag}")]
-
+def _block(name: str, channels: int, stride: int = 1) -> ResidualBlock:
     body: List[Layer] = [
         ConvLayer(f"{name}_conv1", channels, kernel=3, stride=stride, pad=1),
-        *bn("1"),
         ReLULayer(f"{name}_relu1"),
         ConvLayer(f"{name}_conv2", channels, kernel=3, pad=1),
-        *bn("2"),
     ]
     shortcut: List[Layer] = []
     if stride != 1:
@@ -50,32 +39,29 @@ def _block(
     return ResidualBlock(name, body=body, shortcut=shortcut)
 
 
-def resnet_mini_network(
-    num_classes: int = 10, batch_norm: bool = False
-) -> Network:
+def resnet_mini_network(num_classes: int = 10) -> Network:
     """The (unbuilt) residual spine."""
     layers: List[Layer] = [
         InputLayer((3, 32, 32)),
         ConvLayer("conv1", 16, kernel=3, pad=1),
         ReLULayer("relu1"),
-        _block("res2a", 16, batch_norm=batch_norm),
+        _block("res2a", 16),
         ReLULayer("res2a_relu"),
-        _block("res2b", 16, batch_norm=batch_norm),
+        _block("res2b", 16),
         ReLULayer("res2b_relu"),
-        _block("res3a", 32, stride=2, batch_norm=batch_norm),
+        _block("res3a", 32, stride=2),
         ReLULayer("res3a_relu"),
-        _block("res3b", 32, batch_norm=batch_norm),
+        _block("res3b", 32),
         ReLULayer("res3b_relu"),
-        _block("res4a", 64, stride=2, batch_norm=batch_norm),
+        _block("res4a", 64, stride=2),
         ReLULayer("res4a_relu"),
-        _block("res4b", 64, batch_norm=batch_norm),
+        _block("res4b", 64),
         ReLULayer("res4b_relu"),
         PoolLayer("global_pool", kernel=8, stride=1, mode="avg"),
         FCLayer("fc", num_classes),
         SoftmaxLayer("prob"),
     ]
-    name = "resnet-mini-bn" if batch_norm else "resnet-mini"
-    return Network(name, layers)
+    return Network("resnet-mini", layers)
 
 
 def resnet_mini(seed: int = 0, num_classes: int = 10) -> Model:
@@ -84,9 +70,3 @@ def resnet_mini(seed: int = 0, num_classes: int = 10) -> Model:
     network.build(SeededRng(seed, "zoo/resnet-mini"))
     return Model("resnet-mini", network)
 
-
-def resnet_mini_bn(seed: int = 0, num_classes: int = 10) -> Model:
-    """The batch-normalized variant (Caffe BatchNorm + Scale pairs)."""
-    network = resnet_mini_network(num_classes, batch_norm=True)
-    network.build(SeededRng(seed, "zoo/resnet-mini-bn"))
-    return Model("resnet-mini-bn", network)

@@ -11,7 +11,6 @@ from repro.nn.model import BLOB_HEADER_BYTES, Model, network_params_digest
 from repro.nn.modelstore import ModelStore, ModelStoreError
 from repro.nn.prototxt import network_from_prototxt, network_to_prototxt
 from repro.nn.zoo import BUILDERS, build_model, smallnet, tinynet
-from repro.nn.zoo.resnetlike import resnet_mini_bn
 from repro.sim import SeededRng
 
 
@@ -251,10 +250,9 @@ def inception_net(seed):
 
 
 #: every zoo model but alexnet (233 MB to write; ``TestAlexNet`` covers its
-#: grouped conv), plus the batch-normalized resnet
+#: grouped conv)
 PAIR_MODELS = {
-    **{name: builder for name, builder in BUILDERS.items() if name != "alexnet"},
-    "resnet_mini_bn": resnet_mini_bn,
+    name: builder for name, builder in BUILDERS.items() if name != "alexnet"
 }
 
 

@@ -68,7 +68,7 @@ class TestForward:
     def test_forward_with_activations_matches(self, net, image):
         activations = net.forward_with_activations(image)
         assert len(activations) == len(net.layers)
-        assert np.allclose(activations[-1], net.forward(image))
+        assert np.array_equal(activations[-1], net.forward(image))
 
     def test_invalid_range_rejected(self, net, image):
         with pytest.raises(IndexError):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.nn.caffemodel import load_model_files, save_model_files
 from repro.nn.cost import total_flops
 from repro.nn.layers import (
-    BatchNormLayer,
     ConvLayer,
     DropoutLayer,
     ExitHead,
@@ -21,7 +20,6 @@ from repro.nn.layers import (
     PoolLayer,
     ReLULayer,
     ResidualBlock,
-    ScaleLayer,
     SoftmaxLayer,
 )
 from repro.nn.layers.base import LayerShapeError
@@ -171,13 +169,14 @@ class TestParseNetwork:
         with pytest.raises(PrototxtError):
             network_from_prototxt('layer { name: "x" type: "ReLU" }')
 
-    def test_unknown_type_rejected(self):
-        text = '''
+    @pytest.mark.parametrize("kind", ["Warp", "BatchNorm", "Scale"])
+    def test_unknown_type_rejected(self, kind):
+        text = f'''
         input: "data"
         input_dim: 1 input_dim: 3 input_dim: 8 input_dim: 8
-        layer { name: "w" type: "Warp" bottom: "data" top: "w" }
+        layer {{ name: "w" type: "{kind}" bottom: "data" top: "w" }}
         '''
-        with pytest.raises(PrototxtError):
+        with pytest.raises(PrototxtError, match="unsupported layer type"):
             network_from_prototxt(text)
 
     def test_unreachable_layer_rejected(self):
@@ -197,8 +196,6 @@ def every_field_network() -> Network:
         [
             InputLayer((4, 9, 9), name="data"),
             ConvLayer("conv", 6, kernel=3, stride=2, pad=1, groups=2),
-            BatchNormLayer("bn", eps=1e-3),
-            ScaleLayer("scale", bias=False),
             ReLULayer("relu"),
             LRNLayer("norm", local_size=3, alpha=2e-4, beta=0.5, k=2.0),
             ExitHead(

@@ -38,7 +38,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.nn import plan as plan_module
 from repro.nn import tensor
 from repro.nn.plan import (
-    AffineStep,
     ConcatStep,
     ConvStep,
     EltwiseAddStep,
@@ -55,7 +54,7 @@ from tests.test_backend import same_bits
 BATCH_SIZES = (1, 2, 3, 8)
 
 
-# -- the nine ``run_batch`` bodies as they were, kept verbatim as the oracle ----
+# -- the eight ``run_batch`` bodies as they were, kept verbatim as the oracle ---
 
 
 def parent_max_pool_batch(layer, xs):
@@ -131,13 +130,6 @@ def relu_run_batch(self, inputs):
     return np.maximum(inputs[0], 0.0).astype(np.float32, copy=False)
 
 
-def affine_run_batch(self, inputs):
-    out = inputs[0] * self.scale[None]
-    if self.shift is not None:
-        out += self.shift[None]
-    return out
-
-
 def fallback_run_batch(self, inputs):
     (xs,) = inputs
     return np.stack([self.layer.forward(xs[index])
@@ -161,7 +153,6 @@ PARENT_RUN_BATCH = {
     FCStep: fc_run_batch,
     PoolStep: pool_run_batch,
     ReLUStep: relu_run_batch,
-    AffineStep: affine_run_batch,
     FallbackStep: fallback_run_batch,
     LRNStep: lrn_run_batch,
     ConcatStep: concat_run_batch,

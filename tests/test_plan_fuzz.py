@@ -2,14 +2,13 @@
 
 Hypothesis generates random branch-and-join layer graphs — nested
 inception/residual composites, shared branch inputs, mixed
-conv/pool/fc/ReLU/LRN units, with and without BatchNorm chains — and every
-generated network is run both ways: the reference layer walk versus the
-compiled :class:`~repro.nn.plan.ExecutionPlan`.  The contract under test:
+conv/pool/fc/ReLU/LRN units — and every generated network is run both
+ways: the reference layer walk versus the compiled
+:class:`~repro.nn.plan.ExecutionPlan`.  The contract under test:
 
-* graphs without BatchNorm/Scale are **bitwise identical** to the
-  reference walk (``np.array_equal``), whole-network and at every spine
-  split, including splits whose ranges cross a branch-and-join stage;
-* graphs with BN chains stay within the folding tolerance (1e-6);
+* every graph is **bitwise identical** to the reference walk
+  (``np.array_equal``), whole-network and at every spine split, including
+  splits whose ranges cross a branch-and-join stage;
 * ``forward_traced`` never reports an arena step whose output buffer
   aliases one of its inputs or clobbers a value still live — the
   interval-coloring safety invariant;
@@ -27,7 +26,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.nn.layers.activation import ReLULayer
-from repro.nn.layers.batchnorm import BatchNormLayer, ScaleLayer
 from repro.nn.layers.composite import InceptionModule, ResidualBlock
 from repro.nn.layers.conv import ConvLayer
 from repro.nn.layers.dense import FCLayer
@@ -37,9 +35,6 @@ from repro.nn.layers.pool import PoolLayer
 from repro.nn.network import Network
 from repro.sim import SeededRng
 from tests.test_plan_batch import BATCH_SIZES, parent_forward_batch
-
-#: folding re-associates BN affine chains in float64; see test_nn_plan.py
-FOLD_TOLERANCE = dict(rtol=1e-5, atol=1e-6)
 
 FUZZ_SETTINGS = dict(
     derandomize=True,
@@ -51,10 +46,9 @@ FUZZ_SETTINGS = dict(
 class _GraphSpec:
     """A generated network plus what the generator put into it."""
 
-    def __init__(self, layers, composites, has_bn):
+    def __init__(self, layers, composites):
         self.layers = layers
         self.composites = composites  # total composite count, nested included
-        self.has_bn = has_bn
 
     def build(self):
         network = Network("fuzz", self.layers)
@@ -72,32 +66,23 @@ class _Namer:
 
 
 @st.composite
-def _conv_unit(draw, channels, namer, allow_bn):
-    """Spatial-preserving conv, optionally + BN/Scale chain, optionally + ReLU."""
+def _conv_unit(draw, channels, namer):
+    """Spatial-preserving conv, optionally + ReLU."""
     filters = draw(st.integers(1, 4))
     kernel = draw(st.sampled_from([1, 3]))
     layers = [
         ConvLayer(namer("conv"), filters, kernel, stride=1, pad=kernel // 2)
     ]
-    has_bn = False
-    if allow_bn and draw(st.booleans()):
-        has_bn = True
-        layers.append(BatchNormLayer(namer("bn")))
-        if draw(st.booleans()):
-            layers.append(
-                ScaleLayer(namer("scale"), bias=draw(st.booleans()))
-            )
     if draw(st.booleans()):
         layers.append(ReLULayer(namer("relu")))
-    return layers, filters, has_bn
+    return layers, filters
 
 
 @st.composite
-def _branch_sequence(draw, channels, namer, allow_bn, depth):
+def _branch_sequence(draw, channels, namer, depth):
     """A composite branch: 1-3 spatial-preserving units; returns
-    (layers, out_channels, has_bn, composites)."""
+    (layers, out_channels, composites)."""
     layers = []
-    has_bn = False
     composites = 0
     for _ in range(draw(st.integers(1, 3))):
         choice = draw(
@@ -106,60 +91,44 @@ def _branch_sequence(draw, channels, namer, allow_bn, depth):
             )
         )
         if choice == "conv":
-            unit, channels, unit_bn = draw(
-                _conv_unit(channels=channels, namer=namer, allow_bn=allow_bn)
-            )
+            unit, channels = draw(_conv_unit(channels=channels, namer=namer))
             layers.extend(unit)
-            has_bn = has_bn or unit_bn
         elif choice == "relu":
             layers.append(ReLULayer(namer("relu")))
         elif choice == "lrn":
             layers.append(LRNLayer(namer("lrn"), local_size=3))
         else:
-            composite, channels, unit_bn, inner = draw(
-                _composite_unit(
-                    channels=channels,
-                    namer=namer,
-                    allow_bn=allow_bn,
-                    depth=depth - 1,
-                )
+            composite, channels, inner = draw(
+                _composite_unit(channels=channels, namer=namer, depth=depth - 1)
             )
             layers.append(composite)
-            has_bn = has_bn or unit_bn
             composites += 1 + inner
-    return layers, channels, has_bn, composites
+    return layers, channels, composites
 
 
 @st.composite
-def _composite_unit(draw, channels, namer, allow_bn, depth):
+def _composite_unit(draw, channels, namer, depth):
     """An inception or residual composite; spatial-preserving by
     construction so it can nest anywhere; returns
-    (layer, out_channels, has_bn, nested_composite_count)."""
+    (layer, out_channels, nested_composite_count)."""
     if draw(st.booleans()):
         # Inception: 2-3 branches sharing the input, channel concat.
         branches = []
         total = 0
-        has_bn = False
         nested = 0
         for _ in range(draw(st.integers(2, 3))):
-            layers, out_channels, branch_bn, inner = draw(
-                _branch_sequence(
-                    channels=channels, namer=namer, allow_bn=allow_bn,
-                    depth=depth,
-                )
+            layers, out_channels, inner = draw(
+                _branch_sequence(channels=channels, namer=namer, depth=depth)
             )
             if not layers:  # inception branches must be non-empty
                 layers = [ReLULayer(namer("relu"))]
             branches.append(layers)
             total += out_channels
-            has_bn = has_bn or branch_bn
             nested += inner
-        return InceptionModule(namer("incept"), branches), total, has_bn, nested
+        return InceptionModule(namer("incept"), branches), total, nested
     # Residual: body + identity-or-projection shortcut, eltwise add.
-    body, out_channels, has_bn, nested = draw(
-        _branch_sequence(
-            channels=channels, namer=namer, allow_bn=allow_bn, depth=depth
-        )
+    body, out_channels, nested = draw(
+        _branch_sequence(channels=channels, namer=namer, depth=depth)
     )
     if out_channels == channels and draw(st.booleans()):
         shortcut = None  # identity edge: the join reads the shared input
@@ -170,18 +139,17 @@ def _composite_unit(draw, channels, namer, allow_bn, depth):
     if not body:
         body = [ReLULayer(namer("relu"))]
     block = ResidualBlock(namer("res"), body, shortcut)
-    return block, out_channels, has_bn, nested
+    return block, out_channels, nested
 
 
 @st.composite
-def graph_specs(draw, allow_bn, depth=1, min_composites=1):
+def graph_specs(draw, depth=1, min_composites=1):
     """A whole random network: input, mixed spine units (including pools
     and composites), optional FC tail."""
     namer = _Namer()
     channels = draw(st.integers(1, 3))
     side = draw(st.sampled_from([4, 6, 8]))
     layers = [InputLayer((channels, side, side))]
-    has_bn = False
     composites = 0
     for _ in range(draw(st.integers(1, 4))):
         options = ["conv", "relu", "lrn", "composite"]
@@ -189,11 +157,8 @@ def graph_specs(draw, allow_bn, depth=1, min_composites=1):
             options.append("pool")
         choice = draw(st.sampled_from(options))
         if choice == "conv":
-            unit, channels, unit_bn = draw(
-                _conv_unit(channels=channels, namer=namer, allow_bn=allow_bn)
-            )
+            unit, channels = draw(_conv_unit(channels=channels, namer=namer))
             layers.extend(unit)
-            has_bn = has_bn or unit_bn
         elif choice == "relu":
             layers.append(ReLULayer(namer("relu")))
         elif choice == "lrn":
@@ -203,29 +168,22 @@ def graph_specs(draw, allow_bn, depth=1, min_composites=1):
             layers.append(PoolLayer(namer("pool"), 2, 2, mode=mode))
             side //= 2
         else:
-            composite, channels, unit_bn, nested = draw(
-                _composite_unit(
-                    channels=channels, namer=namer, allow_bn=allow_bn,
-                    depth=depth,
-                )
+            composite, channels, nested = draw(
+                _composite_unit(channels=channels, namer=namer, depth=depth)
             )
             layers.append(composite)
-            has_bn = has_bn or unit_bn
             composites += 1 + nested
     while composites < min_composites:
-        composite, channels, unit_bn, nested = draw(
-            _composite_unit(
-                channels=channels, namer=namer, allow_bn=allow_bn, depth=depth
-            )
+        composite, channels, nested = draw(
+            _composite_unit(channels=channels, namer=namer, depth=depth)
         )
         layers.append(composite)
-        has_bn = has_bn or unit_bn
         composites += 1 + nested
     if draw(st.booleans()):
         layers.append(FCLayer(namer("fc"), draw(st.integers(2, 6))))
         if draw(st.booleans()):
             layers.append(ReLULayer(namer("relu")))
-    return _GraphSpec(layers, composites, has_bn)
+    return _GraphSpec(layers, composites)
 
 
 def _input_for(network, seed=3):
@@ -249,8 +207,8 @@ def _assert_no_aliasing(trace):
 
 class TestGeneratedGraphs:
     @settings(max_examples=100, **FUZZ_SETTINGS)
-    @given(spec=graph_specs(allow_bn=False))
-    def test_plan_bitwise_identical_without_bn(self, spec):
+    @given(spec=graph_specs())
+    def test_plan_bitwise_identical(self, spec):
         network = spec.build()
         x = _input_for(network)
         reference = network.forward_reference(x)
@@ -261,24 +219,9 @@ class TestGeneratedGraphs:
         assert np.array_equal(traced, reference)
         _assert_no_aliasing(trace)
 
-    @settings(max_examples=60, **FUZZ_SETTINGS)
-    @given(spec=graph_specs(allow_bn=True))
-    def test_plan_within_tolerance_with_bn(self, spec):
-        network = spec.build()
-        x = _input_for(network)
-        reference = network.forward_reference(x)
-        plan = network.plan_for()
-        _assert_flat_dag(plan, spec.composites)
-        result, trace = plan.forward_traced(x)
-        _assert_no_aliasing(trace)
-        if spec.has_bn:
-            np.testing.assert_allclose(result, reference, **FOLD_TOLERANCE)
-        else:
-            assert np.array_equal(result, reference)
-
     @settings(max_examples=40, **FUZZ_SETTINGS)
     @given(
-        spec=graph_specs(allow_bn=False),
+        spec=graph_specs(),
         data=st.data(),
     )
     def test_split_ranges_bitwise_across_joins(self, spec, data):
@@ -294,7 +237,7 @@ class TestGeneratedGraphs:
         assert np.array_equal(rear, reference)
 
     @settings(max_examples=60, **FUZZ_SETTINGS)
-    @given(spec=graph_specs(allow_bn=True))
+    @given(spec=graph_specs())
     def test_forward_batch_equals_parent_run_batch(self, spec):
         plan = spec.build().plan_for()
         xs = SeededRng(5, "fuzz/batch").uniform_array(
@@ -314,7 +257,7 @@ class TestNestedGraphsSlow:
     """Heavier cases: guaranteed nesting and more composites per graph."""
 
     @settings(max_examples=60, **FUZZ_SETTINGS)
-    @given(spec=graph_specs(allow_bn=False, depth=2, min_composites=2))
+    @given(spec=graph_specs(depth=2, min_composites=2))
     def test_nested_branch_graphs_bitwise(self, spec):
         network = spec.build()
         x = _input_for(network)
@@ -324,15 +267,3 @@ class TestNestedGraphsSlow:
         result, trace = plan.forward_traced(x)
         assert np.array_equal(result, reference)
         _assert_no_aliasing(trace)
-
-    @settings(max_examples=30, **FUZZ_SETTINGS)
-    @given(spec=graph_specs(allow_bn=True, depth=2, min_composites=2))
-    def test_nested_bn_graphs_within_tolerance(self, spec):
-        network = spec.build()
-        x = _input_for(network)
-        reference = network.forward_reference(x)
-        result = network.plan_for().forward(x)
-        if spec.has_bn:
-            np.testing.assert_allclose(result, reference, **FOLD_TOLERANCE)
-        else:
-            assert np.array_equal(result, reference)
