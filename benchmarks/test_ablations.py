@@ -7,16 +7,18 @@ relies on (or a forward-looking remark it makes):
 * partition adaptivity — the optimizer reacts to network status;
 * decision policy — §IV.A's "execute locally while uploading" advice;
 * snapshot optimizations — live-state elimination and data-URL images;
-* GPU edge server — the "~80x with WebGL" outlook;
-* energy — offloading saves client energy, the classic motivation.
-"""
+* GPU edge server — the "~80x with WebGL" outlook.
 
-import pytest
+Every test archives its table under ``benchmarks/results``.  The claims
+of the bandwidth, partition, decision, snapshot, gpu, cache, baselines and
+placement studies are asserted in ``tests/test_ablation_claims.py``, so
+the default test run checks them; the contention, predictor and streaming
+claims are asserted here.
+"""
 
 from repro.eval.ablations import (
     bandwidth_sweep,
     decision_study,
-    energy_study,
     gpu_server_study,
     partition_adaptivity,
     session_cache_study,
@@ -42,12 +44,6 @@ def test_ablation_bandwidth_sweep(benchmark, archive):
             title="Ablation — offloading vs bandwidth (GoogLeNet)",
         ),
     )
-    # Offloading loses on a ~1 Mbps link and wins from a few Mbps up.
-    assert not points[0].offload_wins
-    assert all(p.offload_wins for p in points if p.bandwidth_mbps >= 8)
-    # Monotone: more bandwidth never hurts.
-    times = [p.offload_seconds for p in points]
-    assert all(a >= b - 1e-9 for a, b in zip(times, times[1:]))
 
 
 def test_ablation_partition_adaptivity(benchmark, archive):
@@ -64,15 +60,6 @@ def test_ablation_partition_adaptivity(benchmark, archive):
             title="Ablation — optimizer's offload point vs bandwidth (GoogLeNet)",
         ),
     )
-    # At 30 Mbps the optimizer picks the paper's 1st_pool; on a much slower
-    # link it moves the split at least as deep (never shallower).
-    assert choices[30] == "1st_pool"
-    from repro.eval.scenarios import build_paper_model
-
-    network = build_paper_model("googlenet").network
-    depth = {label: network.point_by_label(label).index for label in set(choices.values())}
-    assert depth[choices[1]] >= depth[choices[30]]
-    assert depth[choices[120]] <= depth[choices[4]]
 
 
 def test_ablation_decision_policy(benchmark, archive):
@@ -94,12 +81,6 @@ def test_ablation_decision_policy(benchmark, archive):
             title="Ablation — before-ACK decision policy vs ground truth",
         ),
     )
-    for outcome in outcomes:
-        assert outcome.policy_agrees, outcome.model
-    by_model = {o.model: o for o in outcomes}
-    # The paper's §IV.A pattern: offload GoogLeNet, run AgeNet locally.
-    assert by_model["googlenet"].decision.action == "offload"
-    assert by_model["agenet"].decision.action == "local"
 
 
 def test_ablation_snapshot_optimizations(benchmark, archive):
@@ -118,9 +99,6 @@ def test_ablation_snapshot_optimizations(benchmark, archive):
             title="Ablation — snapshot size under capture policies (GoogLeNet)",
         ),
     )
-    assert sizes.live_only_bytes < sizes.conservative_bytes
-    assert sizes.live_state_saving > 0.3
-    assert sizes.data_url_bytes < 0.2 * sizes.live_only_bytes
 
 
 def test_ablation_gpu_server(benchmark, archive):
@@ -137,11 +115,6 @@ def test_ablation_gpu_server(benchmark, archive):
             title="Ablation — WebGL-class (80x) edge server (GoogLeNet)",
         ),
     )
-    assert study.gpu_offload_seconds < 0.5 * study.cpu_offload_seconds
-    # With an 80x server the DNN itself is nearly free...
-    assert study.gpu_server_exec_seconds < 0.2
-    # ...so migration (transfer) now dominates the remaining time.
-    assert study.gpu_offload_seconds > 5 * study.gpu_server_exec_seconds
 
 
 def test_ablation_session_cache(benchmark, archive):
@@ -163,42 +136,6 @@ def test_ablation_session_cache(benchmark, archive):
             title="Ablation — session cache: repeat offloading (GoogLeNet)",
         ),
     )
-    # The repeat delta removes nearly the whole snapshot payload...
-    assert study.bytes_saving > 0.95
-    # ...and the repeat offload gets faster end to end.
-    assert study.repeat_with_cache_seconds < study.repeat_without_cache_seconds
-
-
-def test_ablation_feature_quantization(benchmark, archive):
-    """Quantize the transmitted feature; measure REAL accuracy impact."""
-    from repro.eval.ablations import quantization_study
-
-    impacts = benchmark.pedantic(
-        lambda: quantization_study("agenet", num_inputs=10), rounds=1, iterations=1
-    )
-    archive(
-        "ablation_feature_quantization",
-        format_table(
-            ["bits", "label agreement", "feature bytes", "vs text"],
-            [
-                [
-                    impact.bits,
-                    impact.agreement,
-                    impact.quantized_bytes,
-                    f"-{impact.size_reduction:.0%}",
-                ]
-                for impact in impacts
-            ],
-            title="Ablation — feature quantization at 1st_pool (AgeNet)",
-        ),
-    )
-    by_bits = {impact.bits: impact for impact in impacts}
-    # 8-bit quantization is accuracy-free and removes >90% of the bytes.
-    assert by_bits[8].agreement == 1.0
-    assert by_bits[8].size_reduction > 0.9
-    # Fewer bits never increases size; agreement degrades monotonically-ish.
-    sizes = [impact.quantized_bytes for impact in impacts]
-    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_ablation_multi_client_contention(benchmark, archive):
@@ -315,18 +252,6 @@ def test_ablation_edge_vs_cloud(benchmark, archive):
             title="Ablation — server placement (GoogLeNet, offload after ACK)",
         ),
     )
-    by_location = {row.location: row for row in rows}
-    # Same hardware: the nearby edge server wins (the paper's premise)...
-    assert by_location["edge"].total_seconds < by_location["cloud"].total_seconds
-    # ...and migration cost is strictly lower at the edge.
-    assert (
-        by_location["edge"].migration_seconds
-        < by_location["cloud"].migration_seconds
-    )
-    # Only an accelerator makes the far datacenter competitive.
-    assert (
-        by_location["cloud-gpu"].total_seconds < by_location["edge"].total_seconds
-    )
 
 
 def test_ablation_baseline_comparison(benchmark, archive):
@@ -353,100 +278,3 @@ def test_ablation_baseline_comparison(benchmark, archive):
             title="Ablation — offloading approaches compared (GoogLeNet)",
         ),
     )
-    by_approach = {row.approach: row for row in rows}
-    snapshot = by_approach["snapshot offloading"]
-    specialized = by_approach["specialized service"]
-    # Generality costs <25% at steady state vs a purpose-built service.
-    assert snapshot.steady_state_seconds < 1.25 * specialized.steady_state_seconds
-    assert snapshot.any_app and snapshot.stateless_handover
-
-
-def test_ablation_network_variability(benchmark, archive):
-    """Adaptive vs fixed partitioning over a fading Wi-Fi trace."""
-    from repro.eval.ablations import variability_study
-
-    study = benchmark.pedantic(
-        lambda: variability_study(seed=3), rounds=1, iterations=1
-    )
-    archive(
-        "ablation_network_variability",
-        format_table(
-            ["request", "Mbps", "adaptive point"],
-            [
-                [index, mbps, point]
-                for index, (mbps, point) in enumerate(
-                    zip(study.bandwidths_mbps, study.adaptive_points)
-                )
-            ],
-            title=(
-                "Ablation — adaptive partitioning under a fading link "
-                f"(fixed {study.fixed_total_seconds:.1f}s vs adaptive "
-                f"{study.adaptive_total_seconds:.1f}s)"
-            ),
-        ),
-    )
-    assert study.adaptive_wins
-    # During the deep fades the optimizer must move the split deeper.
-    faded_points = {
-        point
-        for mbps, point in zip(study.bandwidths_mbps, study.adaptive_points)
-        if mbps < 2.0
-    }
-    assert faded_points and faded_points != {"1st_pool"}
-    # It never violates the denaturing constraint.
-    assert "input" not in study.adaptive_points
-
-
-def test_ablation_model_size_scaling(benchmark, archive):
-    """Pre-sending economics from 27 MB (GoogLeNet) to 233 MB (AlexNet)."""
-    from repro.eval.ablations import model_size_scaling_study
-
-    points = benchmark.pedantic(model_size_scaling_study, rounds=1, iterations=1)
-    archive(
-        "ablation_model_size_scaling",
-        format_table(
-            ["model", "model MB", "presend s", "client s", "before-ACK s", "policy"],
-            [
-                [
-                    p.model,
-                    p.model_mb,
-                    p.presend_seconds,
-                    p.client_seconds,
-                    p.before_ack_seconds,
-                    p.policy_action,
-                ]
-                for p in points
-            ],
-            title="Ablation — model size vs pre-sending economics",
-        ),
-    )
-    by_model = {p.model: p for p in points}
-    # Bigger model, longer pre-send.
-    assert (
-        by_model["googlenet"].presend_seconds
-        < by_model["agenet"].presend_seconds
-        < by_model["alexnet"].presend_seconds
-    )
-    # AlexNet's 233 MB makes before-ACK offloading hopeless and the policy
-    # must say "local"; GoogLeNet's 27 MB still pays off.
-    assert by_model["alexnet"].policy_action == "local"
-    assert not by_model["alexnet"].before_ack_pays_off
-    assert by_model["googlenet"].policy_action == "offload"
-    assert by_model["googlenet"].before_ack_pays_off
-
-
-def test_ablation_energy(benchmark, archive):
-    study = benchmark.pedantic(energy_study, rounds=1, iterations=1)
-    archive(
-        "ablation_energy",
-        format_table(
-            ["configuration", "client energy (J)"],
-            [
-                ["local execution", study.local_joules],
-                ["offload after ACK", study.offload_joules],
-            ],
-            title="Ablation — client energy (GoogLeNet)",
-        ),
-    )
-    assert study.offload_saves_energy
-    assert study.offload_joules < 0.2 * study.local_joules

@@ -36,9 +36,8 @@ ENTRY_POINTS = [
     ["fleet", "--tenants", "smallnet:2", "smallnet:3", "--prewarm"],
     ["serve", "--seed", "1", "--kill", "edge-0@1.0:3.0"],
     *[["ablation", study] for study in (
-        "bandwidth", "partition", "decision", "snapshot", "gpu", "energy",
-        "cache", "contention", "quantization", "scaling", "variability",
-        "baselines", "placement", "streaming",
+        "bandwidth", "partition", "decision", "snapshot", "gpu", "cache",
+        "contention", "baselines", "placement", "streaming",
     )],
     *[[f"examples/{name}.py"] for name in (
         "image_recognition_app", "mobile_handover", "multi_client_edge",

@@ -9,12 +9,12 @@ Subpackages:
 * :mod:`repro.sim` — discrete-event simulation kernel (virtual clock,
   processes, events).
 * :mod:`repro.netsim` — links/channels/topologies with netem-style shaping
-  and time-varying conditions.
+  and handover.
 * :mod:`repro.devices` — calibrated device models and Neurosurgeon-style
   latency predictors.
 * :mod:`repro.nn` — a numpy DNN inference framework (the CaffeJS analog)
-  with a faithful model zoo, prototxt/weight-blob file formats, splitting
-  and quantization.
+  with a faithful model zoo, prototxt/weight-blob file formats and
+  splitting.
 * :mod:`repro.web` — a miniature browser: heap, DOM, events, app scripts.
 * :mod:`repro.core` — the paper's contribution: snapshot capture/restore,
   the offloading protocol (pre-sending, partial inference, session cache,

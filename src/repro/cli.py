@@ -9,8 +9,7 @@ Usage::
     python -m repro fig-accuracy [--models smallnet_exits] [--bandwidths 5 30]
     python -m repro table1
     python -m repro ablation {bandwidth,partition,decision,snapshot,gpu,
-                              energy,cache,contention,quantization,scaling,
-                              variability,baselines,placement,streaming}
+                              cache,contention,baselines,placement,streaming}
     python -m repro demo
     python -m repro fleet [--policy queue-aware] [--edges 3] [--sessions 40]
                           [--kill edge-0@1.5:4.0]

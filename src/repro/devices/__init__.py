@@ -17,12 +17,10 @@ from repro.devices.profiles import (
 )
 from repro.devices.device import Device, FifoResource
 from repro.devices.predictor import LatencyPredictor, ProfiledSample
-from repro.devices.energy import EnergyModel
 
 __all__ = [
     "Device",
     "DeviceProfile",
-    "EnergyModel",
     "FifoResource",
     "LatencyPredictor",
     "ProfiledSample",

@@ -16,20 +16,12 @@ These exercise the design choices DESIGN.md calls out:
   at deeper points loses its appeal.
 * :func:`session_cache_study` — the paper's §VI future work: what a
   server-side session cache saves on repeated offloads.
-* :func:`quantization_study` — quantize the feature at the offload point,
-  dequantize at the server: label agreement versus wire bytes.
-* :func:`model_size_scaling_study` — how model size (up to AlexNet's
-  233 MB) drives the pre-send / offload-now / local trade-off.
-* :func:`variability_study` — re-optimizing the split per request on a
-  random-walk Wi-Fi trace versus the paper's fixed ``1st_pool``.
 * :func:`baseline_comparison_study` — snapshot offloading against a
   specialized edge service and MAUI-style offloading.
 * :func:`edge_vs_cloud_study` — the same app against an edge server, a WAN
   cloud server and a WAN accelerator.
 * :func:`predictor_feature_study` — flops-only versus compute+memory
   latency models, Neurosurgeon-style.
-* :func:`energy_study` — client energy for local vs offloaded execution
-  (the MAUI-style motivation, computed from the same timelines).
 
 :data:`STUDY_NAMES` lists what ``repro ablation`` runs through
 :func:`study_report`; ``contention`` and ``streaming`` live in
@@ -39,13 +31,11 @@ These exercise the design choices DESIGN.md calls out:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.decisions import Decision, OffloadPolicy
 from repro.core.snapshot import CaptureOptions
-from repro.devices.energy import EnergyModel
 from repro.devices.predictor import fit_predictor_for
-from repro.eval import calibration
 from repro.eval.scenarios import Testbed, build_paper_model, paper_input_for
 from repro.nn.cost import network_costs
 from repro.nn.tensor import text_serialized_bytes
@@ -283,182 +273,7 @@ def session_cache_study(model_name: str = "googlenet") -> SessionCacheStudy:
     )
 
 
-# -- 7. feature quantization ---------------------------------------------------------
-
-def quantization_study(
-    model_name: str = "agenet",
-    point_label: str = "1st_pool",
-    bit_widths: Sequence[int] = (16, 8, 4, 2),
-    num_inputs: int = 10,
-    seed: int = 0,
-):
-    """Accuracy/size trade-off of quantizing the transmitted feature.
-
-    Real measurement: the rear network actually runs on dequantized
-    features and its labels are compared against the unsplit model's.
-    """
-    from repro.nn.quantize import measure_quantization_impact
-    from repro.sim import SeededRng
-
-    model = build_paper_model(model_name)
-    rng = SeededRng(seed, f"quant/{model_name}")
-    shape = model.network.input_shape
-    inputs = [rng.uniform_array(shape, 0, 255) for _ in range(num_inputs)]
-    return [
-        measure_quantization_impact(model, point_label, bits, inputs)
-        for bits in bit_widths
-    ]
-
-
-# -- 8. model-size scaling -------------------------------------------------------------
-
-@dataclass
-class ModelScalePoint:
-    """One model's pre-sending economics."""
-
-    model: str
-    model_mb: float
-    presend_seconds: float  # time until the server ACKs the upload
-    client_seconds: float
-    before_ack_seconds: float
-    policy_action: str
-
-    @property
-    def before_ack_pays_off(self) -> bool:
-        return self.before_ack_seconds < self.client_seconds
-
-
-def model_size_scaling_study(
-    models: Sequence[str] = ("googlenet", "agenet", "alexnet"),
-) -> List[ModelScalePoint]:
-    """How model size drives the pre-send / offload-now / local trade-off.
-
-    AlexNet (233 MB) extends the paper's 27-44 MB range by almost an order
-    of magnitude: uploading it takes ~a minute, so offloading before the
-    ACK must lose badly to local execution and the decision policy must say
-    so.
-    """
-    from repro.core.decisions import OffloadPolicy
-    from repro.devices.predictor import fit_predictor_for
-
-    points = []
-    for model_name in models:
-        model = build_paper_model(model_name)
-        costs = network_costs(model.network)
-        testbed = Testbed()
-        policy = OffloadPolicy(
-            fit_predictor_for(testbed.client_profile, costs, noise=0.02),
-            fit_predictor_for(testbed.server_profile, costs, noise=0.02),
-            testbed.client_profile,
-            testbed.server_profile,
-        )
-        decision = policy.decide(
-            costs,
-            testbed.profile,
-            pending_model_bytes=model.total_bytes,
-            input_bytes=text_serialized_bytes(model.network.input_shape),
-        )
-        # Measured pre-send duration: time until the ACK arrives.
-        presend_bed = Testbed()
-        from repro.core.presend import PresendManager
-
-        manager = PresendManager(
-            presend_bed.sim, presend_bed.topology.channel.end_a, [model]
-        )
-        manager.start()
-        ack = manager.ack_event(model.model_id)
-        presend_bed.sim.run_until(lambda: ack.triggered)
-        presend_seconds = ack.value
-
-        client_seconds = Testbed().run_client_only(model_name).total_seconds
-        before_ack = Testbed().run_offload(model_name, wait_for_ack=False)
-        points.append(
-            ModelScalePoint(
-                model=model_name,
-                model_mb=model.total_bytes / 1e6,
-                presend_seconds=presend_seconds,
-                client_seconds=client_seconds,
-                before_ack_seconds=before_ack.total_seconds,
-                policy_action=decision.action,
-            )
-        )
-    return points
-
-
-# -- 9. network variability -------------------------------------------------------------
-
-@dataclass
-class VariabilityStudy:
-    """Adaptive vs fixed partitioning under a varying network."""
-
-    model: str
-    bandwidths_mbps: List[float]
-    fixed_total_seconds: float
-    adaptive_total_seconds: float
-    adaptive_points: List[str]
-
-    @property
-    def adaptive_wins(self) -> bool:
-        return self.adaptive_total_seconds <= self.fixed_total_seconds + 1e-9
-
-
-def variability_study(
-    model_name: str = "googlenet",
-    seed: int = 0,
-    num_requests: int = 6,
-    fixed_point: str = calibration.FIG6_PARTIAL_POINT,
-    fade_mbps: float = 0.8,
-) -> VariabilityStudy:
-    """Re-optimize the split per request as the link quality wanders.
-
-    Each inference sees the bandwidth a random-walk Wi-Fi trace produces
-    at that moment.  The *fixed* strategy always offloads at 1st_pool (the
-    paper's static choice); the *adaptive* strategy asks the partition
-    optimizer with the current network status first.
-    """
-    from repro.eval.fig8 import make_optimizer
-    from repro.netsim.variability import random_walk_schedule
-    from repro.sim import SeededRng
-
-    schedule = random_walk_schedule(
-        SeededRng(seed, f"trace/{model_name}"),
-        duration_s=num_requests * 10.0,
-        min_mbps=fade_mbps,
-        fade_mbps=fade_mbps,
-        fade_probability=0.25,
-    )
-    model = build_paper_model(model_name)
-    optimizer = make_optimizer(model_name)
-    bandwidths = []
-    fixed_total = 0.0
-    adaptive_total = 0.0
-    adaptive_points = []
-    for index in range(num_requests):
-        profile = schedule.profile_at(index * 10.0 + 1.0)
-        mbps = profile.bandwidth_bps / 1e6
-        bandwidths.append(mbps)
-        fixed_total += (
-            Testbed(bandwidth_bps=profile.bandwidth_bps)
-            .run_offload_partial(model_name, fixed_point)
-            .total_seconds
-        )
-        choice = optimizer.choose(model.network, profile, denature=True)
-        adaptive_points.append(choice.point.label)
-        adaptive_total += (
-            Testbed(bandwidth_bps=profile.bandwidth_bps)
-            .run_offload_partial(model_name, choice.point.label)
-            .total_seconds
-        )
-    return VariabilityStudy(
-        model=model_name,
-        bandwidths_mbps=bandwidths,
-        fixed_total_seconds=fixed_total,
-        adaptive_total_seconds=adaptive_total,
-        adaptive_points=adaptive_points,
-    )
-
-
-# -- 10. baseline comparison -------------------------------------------------------------
+# -- 7. baseline comparison -------------------------------------------------------------
 
 @dataclass
 class BaselineRow:
@@ -551,7 +366,7 @@ def baseline_comparison_study(model_name: str = "googlenet") -> List[BaselineRow
     ]
 
 
-# -- 11. edge vs datacenter cloud -------------------------------------------------------
+# -- 8. edge vs datacenter cloud -------------------------------------------------------
 
 @dataclass
 class LocationRow:
@@ -603,7 +418,7 @@ def edge_vs_cloud_study(model_name: str = "googlenet") -> List[LocationRow]:
     return rows
 
 
-# -- 12. predictor feature sets ---------------------------------------------------------
+# -- 9. predictor feature sets ---------------------------------------------------------
 
 @dataclass
 class PredictorStudyRow:
@@ -660,48 +475,12 @@ def predictor_feature_study() -> List[PredictorStudyRow]:
     return rows
 
 
-# -- 13. energy -----------------------------------------------------------------------
-
-@dataclass
-class EnergyStudy:
-    model: str
-    local_joules: float
-    offload_joules: float
-
-    @property
-    def offload_saves_energy(self) -> bool:
-        return self.offload_joules < self.local_joules
-
-
-def energy_study(
-    model_name: str = "googlenet", energy: Optional[EnergyModel] = None
-) -> EnergyStudy:
-    """Client energy: local execution vs after-ACK offloading."""
-    energy = energy or EnergyModel()
-    local = Testbed().run_client_only(model_name)
-    offload = Testbed().run_offload(model_name, wait_for_ack=True)
-    phases = offload.phases
-    client_compute = (
-        phases.client_exec
-        + phases.snapshot_capture_client
-        + phases.snapshot_restore_client
-    )
-    radio = phases.transfer_to_server + phases.transfer_to_client
-    wait = offload.total_seconds - client_compute - radio
-    return EnergyStudy(
-        model=model_name,
-        local_joules=energy.local_execution_joules(local.total_seconds),
-        offload_joules=energy.offloaded_joules(client_compute, radio, max(0.0, wait)),
-    )
-
-
 # -- CLI rendering ---------------------------------------------------------------
 
 #: study names `repro ablation` accepts, in menu order
 STUDY_NAMES = (
-    "bandwidth", "partition", "decision", "snapshot",
-    "gpu", "energy", "cache", "contention", "quantization",
-    "scaling", "variability", "baselines", "placement", "streaming",
+    "bandwidth", "partition", "decision", "snapshot", "gpu",
+    "cache", "contention", "baselines", "placement", "streaming",
 )
 
 
@@ -742,10 +521,6 @@ def study_report(which: str) -> str:
         lines.append(f"CPU server : {study.cpu_offload_seconds:.2f} s")
         lines.append(f"GPU server : {study.gpu_offload_seconds:.2f} s "
                      f"(exec {study.gpu_server_exec_seconds:.3f} s)")
-    elif which == "energy":
-        study = energy_study()
-        lines.append(f"local   : {study.local_joules:.1f} J")
-        lines.append(f"offload : {study.offload_joules:.1f} J")
     elif which == "cache":
         study = session_cache_study()
         lines.append(f"first offload        : {study.first_offload_seconds:.2f} s")
@@ -759,23 +534,6 @@ def study_report(which: str) -> str:
 
         for count, report in contention_study("smallnet", (1, 2, 4, 8)).items():
             lines.append(f"{count} clients: mean {report.mean_latency * 1000:6.1f} ms")
-    elif which == "quantization":
-        for impact in quantization_study("agenet"):
-            lines.append(
-                f"{impact.bits:2d} bits: agreement {impact.agreement:.0%}, "
-                f"-{impact.size_reduction:.0%} bytes"
-            )
-    elif which == "scaling":
-        for point in model_size_scaling_study():
-            lines.append(
-                f"{point.model:10s} {point.model_mb:6.1f} MB: presend "
-                f"{point.presend_seconds:5.1f}s, policy={point.policy_action}"
-            )
-    elif which == "variability":
-        study = variability_study(seed=3)
-        lines.append(f"fixed 1st_pool: {study.fixed_total_seconds:.1f}s")
-        lines.append(f"adaptive      : {study.adaptive_total_seconds:.1f}s "
-                     f"(points: {study.adaptive_points})")
     elif which == "baselines":
         for row in baseline_comparison_study():
             lines.append(

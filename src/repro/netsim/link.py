@@ -64,11 +64,6 @@ class NetemProfile:
     def lan_1gbps(cls) -> "NetemProfile":
         return cls(bandwidth_bps=1e9, latency_s=0.0002)
 
-    @classmethod
-    def cellular_lte(cls) -> "NetemProfile":
-        """A plausible LTE uplink for ablations: 10 Mbps, 25 ms delay."""
-        return cls(bandwidth_bps=10e6, latency_s=0.025, jitter_s=0.005)
-
 
 class Link:
     """A unidirectional FIFO link on the virtual clock."""

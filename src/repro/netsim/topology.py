@@ -118,34 +118,6 @@ class Topology:
             raise ValueError(f"client already attached to {new_edge_name!r}")
         return self.attach(new_edge_name)
 
-    def detach(self) -> None:
-        if self._channel is not None:
-            self._channel.go_down()
-        self._channel = None
-        self._attached_to = None
-
-    # -- network status probe --------------------------------------------------
-    def current_profile(self) -> NetemProfile:
-        """The shaping profile of the current attachment.
-
-        This is the "runtime network status" input to the partition-point
-        optimizer (paper §III.B.2).
-        """
-        if self._attached_to is None:
-            raise RuntimeError("client is not attached to any edge server")
-        return self.profiles[self._attached_to]
-
-    def set_profile(self, edge_name: str, profile: NetemProfile) -> None:
-        """Reshape the path to an edge host (affects current channel too)."""
-        if edge_name not in self.edges:
-            raise KeyError(f"no edge host named {edge_name!r}")
-        self.profiles[edge_name] = profile
-        if self._attached_to == edge_name and self._channel is not None:
-            self._channel.set_profile(profile)
-        for (_client, edge), channel in self._links.items():
-            if edge == edge_name:
-                channel.set_profile(profile)
-
     # -- fleet attachment (many clients, many concurrent channels) -----------
     def connect(
         self, client_name: str, edge_name: str

@@ -4,14 +4,14 @@ Forward passes reuse a per-layer cache (built lazily, shared safely
 because the simulator is single-threaded per process): the pre-reshaped,
 contiguous per-group matmul operands (weight matrix plus bias column) —
 rebuilding them every ``forward`` was pure overhead, and for grouped
-convolution (AlexNet-style) it meant a slice + reshape + copy per group per
-call.  The im2col columns go through the process-wide
+convolution it meant a slice + reshape + copy per group per call.  The
+im2col columns go through the process-wide
 :func:`repro.nn.tensor.scratch`, not a buffer per layer.
 
 The operand cache invalidates when ``params["weight"]`` or
-``params["bias"]`` is *replaced* (how every loader and quantizer in this
-repo updates parameters).  To make sure in-place writes can never serve
-stale results, both cached source arrays are frozen (``writeable=False``)
+``params["bias"]`` is *replaced* (how every loader in this repo updates
+parameters).  To make sure in-place writes can never serve stale
+results, both cached source arrays are frozen (``writeable=False``)
 — mutate-in-place code must either assign a fresh array or call
 :meth:`invalidate_param_cache` first.  Compiled plans freeze every
 captured parameter the same way, and recompile once it is unfrozen.
@@ -174,7 +174,7 @@ class ConvLayer(Layer):
             cols = im2col(x, self.kernel, self.stride, self.pad, out=buffer)
             out = np.matmul(matrix, cols) + bias
             return out.reshape(self.out_shape).astype(np.float32, copy=False)
-        # Grouped convolution (AlexNet-style): each filter group only sees
+        # Grouped convolution: each filter group only sees
         # its slice of the input channels.
         per_in = self._channels_per_group
         buffer = self.cols_scratch(per_in)

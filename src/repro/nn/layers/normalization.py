@@ -1,4 +1,4 @@
-"""Local response normalization (across channels), Caffe/AlexNet style."""
+"""Local response normalization (across channels), Caffe style."""
 
 from __future__ import annotations
 

@@ -589,8 +589,8 @@ class ExecutionPlan:
         owns.  A batch of one is the same bits as :meth:`forward` — the
         same kernels on the same shapes.  N > 1 equals N forwards within
         float32 GEMM reassociation: BLAS blocks by operand shape, so rows
-        may differ in the last bits (bit-equal on ``resnet-mini`` and
-        ``tinynet``, up to ≈ 1e-5 absolute on ``alexnet`` at N = 8).
+        may differ in the last bits (bit-equal on ``resnet-mini``, up to
+        ≈ 2e-6 absolute on ``gendernet`` at N = 8).
         """
         value = self._batch_of(xs)
         result = self._execute(value)

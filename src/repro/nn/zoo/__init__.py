@@ -26,7 +26,6 @@ from typing import Callable, Dict
 from repro.nn.model import Model
 from repro.nn.zoo.googlenet import googlenet
 from repro.nn.zoo.agenet import agenet, gendernet
-from repro.nn.zoo.alexnet import alexnet
 from repro.nn.zoo.exits import googlenet_exits, smallnet_exits
 from repro.nn.zoo.resnetlike import resnet_mini
 from repro.nn.zoo.smallnet import smallnet, tinynet
@@ -36,7 +35,6 @@ BUILDERS: Dict[str, Callable[..., Model]] = {
     "googlenet_exits": googlenet_exits,
     "agenet": agenet,
     "gendernet": gendernet,
-    "alexnet": alexnet,
     "resnet-mini": resnet_mini,
     "smallnet": smallnet,
     "smallnet_exits": smallnet_exits,
@@ -66,7 +64,6 @@ __all__ = [
     "EXIT_MODELS",
     "PAPER_MODELS",
     "agenet",
-    "alexnet",
     "build_model",
     "gendernet",
     "googlenet",

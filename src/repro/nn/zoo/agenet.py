@@ -1,8 +1,8 @@
 """AgeNet and GenderNet — Levi & Hassner (CVPR-W 2015).
 
 The paper's other two benchmark apps use the age/gender CNN of Levi &
-Hassner: a compact AlexNet-style network (3 conv blocks, 2 hidden fc layers
-of 512) over 227x227 input.  AgeNet classifies 8 age brackets, GenderNet 2
+Hassner: a compact network of 3 conv blocks (with LRN) and 2 hidden fc
+layers of 512 over 227x227 input.  AgeNet classifies 8 age brackets, GenderNet 2
 genders; they share the backbone, so both model files weigh ~44 MiB — the
 number that makes offloading *before* the pre-send ACK slower than local
 execution in the paper's Fig. 6.

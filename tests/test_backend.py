@@ -41,7 +41,7 @@ from repro.nn.zoo import build_model
 from repro.sim import SeededRng
 
 #: models whose plans must match the walk bit for bit
-ZOO_MODELS = ["smallnet", "tinynet", "alexnet", "resnet-mini", "googlenet"]
+ZOO_MODELS = ["smallnet", "tinynet", "resnet-mini", "googlenet"]
 
 def model_input(model, seed=7):
     return SeededRng(seed, f"backend/{model.name}").uniform_array(
@@ -135,7 +135,7 @@ class TestPoolingWindows:
         if pad == 0:
             assert padded is x
 
-    @pytest.mark.parametrize("name", ["resnet-mini", "googlenet", "alexnet"])
+    @pytest.mark.parametrize("name", ["resnet-mini", "googlenet"])
     def test_zoo_outputs_unchanged_by_the_gather(self, name, monkeypatch):
         model = build_model(name)
         x = model_input(model)
@@ -354,7 +354,7 @@ class TestInPlaceLrnAndSeparablePool:
 
     @pytest.mark.parametrize(
         "name",
-        ["smallnet", "tinynet", "alexnet", "agenet", "resnet-mini", "googlenet"],
+        ["smallnet", "tinynet", "agenet", "resnet-mini", "googlenet"],
     )
     def test_zoo_outputs_unchanged_by_the_kernels(self, name, monkeypatch):
         model = build_model(name)
@@ -477,7 +477,7 @@ class TestScratch:
         tensor_module._SCRATCH.clear()
         largest = {}
         for name in (
-            "smallnet", "tinynet", "alexnet", "agenet", "resnet-mini", "googlenet",
+            "smallnet", "tinynet", "agenet", "resnet-mini", "googlenet",
         ):
             model = build_model(name)
             plan = model.network.plan_for()
@@ -513,7 +513,7 @@ class TestReferenceBitwise:
         assert walk.dtype == np.float32
         assert np.array_equal(walk, plan)
 
-    @pytest.mark.parametrize("name", ["alexnet", "googlenet"])
+    @pytest.mark.parametrize("name", ["googlenet"])
     def test_split_ranges(self, name):
         model = build_model(name)
         x = model_input(model)

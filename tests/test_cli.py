@@ -144,10 +144,6 @@ class TestCommands:
         assert main(["ablation", "contention"]) == 0
         assert "clients" in capsys.readouterr().out
 
-    def test_ablation_quantization(self, capsys):
-        assert main(["ablation", "quantization"]) == 0
-        assert "agreement" in capsys.readouterr().out
-
     def test_ablation_placement(self, capsys):
         assert main(["ablation", "placement"]) == 0
         out = capsys.readouterr().out

@@ -1,11 +1,10 @@
-"""Unit tests for device profiles, the compute model and energy accounting."""
+"""Unit tests for device profiles and the compute model."""
 
 import pytest
 
 from repro.devices import (
     Device,
     DeviceProfile,
-    EnergyModel,
     FifoResource,
     edge_server_x86,
     gpu_edge_server,
@@ -118,26 +117,3 @@ class TestFifoResource:
         resource = FifoResource(sim)
         with pytest.raises(RuntimeError):
             resource.release()
-
-
-class TestEnergyModel:
-    def test_energy_composition(self):
-        model = EnergyModel(compute_w=4.0, radio_w=1.0, idle_w=0.5)
-        assert model.energy_joules(compute_s=2.0, radio_s=3.0, idle_s=4.0) == (
-            pytest.approx(4.0 * 2 + 1.0 * 3 + 0.5 * 4)
-        )
-
-    def test_offloading_can_save_energy(self):
-        model = EnergyModel()
-        local = model.local_execution_joules(compute_s=20.0)
-        offloaded = model.offloaded_joules(
-            client_compute_s=0.1, transfer_s=1.0, wait_s=2.5
-        )
-        assert offloaded < local
-
-    def test_negative_inputs_rejected(self):
-        model = EnergyModel()
-        with pytest.raises(ValueError):
-            model.energy_joules(compute_s=-1.0)
-        with pytest.raises(ValueError):
-            EnergyModel(compute_w=-1.0)

@@ -224,7 +224,7 @@ class TestTopology:
         topo.add_edge_host("edge-1", NetemProfile(bandwidth_bps=30e6))
         client_end, edge_end = topo.attach("edge-1")
         assert topo.attached_to == "edge-1"
-        assert topo.current_profile().bandwidth_bps == 30e6
+        assert topo.channel.link_ab.profile.bandwidth_bps == 30e6
         assert client_end.peer is edge_end
 
     def test_attach_unknown_edge_raises(self, sim):
@@ -257,22 +257,6 @@ class TestTopology:
         topo.attach("edge-1")
         with pytest.raises(ValueError):
             topo.handover("edge-1")
-
-    def test_detach(self, sim):
-        topo = Topology(sim)
-        topo.add_edge_host("edge-1")
-        topo.attach("edge-1")
-        topo.detach()
-        assert topo.attached_to is None
-        with pytest.raises(RuntimeError):
-            topo.current_profile()
-
-    def test_set_profile_reshapes_live_channel(self, sim):
-        topo = Topology(sim)
-        topo.add_edge_host("edge-1", NetemProfile(bandwidth_bps=30e6))
-        topo.attach("edge-1")
-        topo.set_profile("edge-1", NetemProfile(bandwidth_bps=10e6))
-        assert topo.channel.link_ab.profile.bandwidth_bps == 10e6
 
     def test_handover_log_records_times(self, sim):
         topo = Topology(sim)

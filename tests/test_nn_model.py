@@ -95,7 +95,7 @@ class TestManifestMemo:
 
     @pytest.mark.parametrize(
         "name",
-        ["smallnet", "tinynet", "alexnet", "agenet", "resnet-mini", "googlenet"],
+        ["smallnet", "tinynet", "agenet", "resnet-mini", "googlenet"],
     )
     def test_files_equal_the_joined_bytes_definition(self, name):
         model = build_model(name)
@@ -249,13 +249,6 @@ def inception_net(seed):
     ).build(SeededRng(seed, "incnet"))
 
 
-#: every zoo model but alexnet (233 MB to write; ``TestAlexNet`` covers its
-#: grouped conv)
-PAIR_MODELS = {
-    name: builder for name, builder in BUILDERS.items() if name != "alexnet"
-}
-
-
 class TestSaveLoad:
     """The Caffe file pair (prototxt + weights blob) is the on-disk format."""
 
@@ -284,10 +277,10 @@ class TestSaveLoad:
         x = SeededRng(8, "x").normal_array((3, 8, 8))
         assert np.array_equal(loaded.inference(x), model.inference(x))
 
-    @pytest.mark.parametrize("name", sorted(PAIR_MODELS))
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_zoo_model_roundtrips_exactly(self, tmp_path, name):
         """Architecture, identity, parameters and every exit's bits."""
-        model = PAIR_MODELS[name](seed=4)
+        model = BUILDERS[name](seed=4)
         loaded = reload(model, tmp_path)
         assert loaded.description_json() == model.description_json()
         assert loaded.model_id == model.model_id

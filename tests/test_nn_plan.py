@@ -10,7 +10,7 @@ from repro.nn.zoo.resnetlike import resnet_mini
 from repro.sim import SeededRng
 
 #: models whose plans must match the reference walk bit for bit
-BITWISE_MODELS = ["smallnet", "tinynet", "alexnet", "resnet-mini", "googlenet"]
+BITWISE_MODELS = ["smallnet", "tinynet", "resnet-mini", "googlenet"]
 
 #: stacked GEMMs re-associate differently than per-sample GEMMs; softmax
 #: outputs of deep models see up to ~1e-5 absolute drift
@@ -104,7 +104,7 @@ class TestSplitIsolation:
 
 
 class TestArenaSafety:
-    @pytest.mark.parametrize("name", ["smallnet", "alexnet", "resnet-mini"])
+    @pytest.mark.parametrize("name", ["smallnet", "resnet-mini"])
     def test_no_step_output_aliases_its_input(self, name):
         model = build_model(name)
         x = model_input(model)
@@ -131,7 +131,7 @@ class TestArenaSafety:
 
 
 class TestBatchedForward:
-    @pytest.mark.parametrize("name", ["smallnet", "alexnet", "resnet-mini"])
+    @pytest.mark.parametrize("name", ["smallnet", "resnet-mini"])
     def test_batch_matches_looped(self, name):
         model = build_model(name)
         xs = [model_input(model, seed) for seed in range(4)]

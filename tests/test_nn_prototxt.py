@@ -33,7 +33,6 @@ from repro.nn.prototxt import (
 )
 from repro.nn.zoo import (
     agenet,
-    alexnet,
     googlenet,
     googlenet_exits,
     smallnet,
@@ -231,7 +230,7 @@ def every_field_network() -> Network:
 
 class TestRoundTrips:
     @pytest.mark.parametrize(
-        "builder", [agenet, alexnet, googlenet, smallnet_exits, googlenet_exits]
+        "builder", [agenet, googlenet, smallnet_exits, googlenet_exits]
     )
     def test_zoo_roundtrip_preserves_architecture(self, builder):
         model = builder()
@@ -402,38 +401,3 @@ class TestGroupedConvolution:
         layer = ConvLayer("c", 8, kernel=3, groups=2)
         with pytest.raises(LayerShapeError):
             layer.build((3, 6, 6), SeededRng(0, "g"))  # 2 does not divide 3
-
-
-class TestAlexNet:
-    @pytest.fixture(scope="class")
-    def model(self):
-        return alexnet()
-
-    def test_canonical_shapes(self, model):
-        from repro.nn.cost import spine_costs
-
-        by_name = {p.name: p for p in spine_costs(model.network)}
-        assert by_name["conv1"].output_shape == (96, 55, 55)
-        assert by_name["pool1"].output_shape == (96, 27, 27)
-        assert by_name["conv2"].output_shape == (256, 27, 27)
-        assert by_name["pool5"].output_shape == (256, 6, 6)
-
-    def test_233mb_model(self, model):
-        # bvlc_alexnet.caffemodel is ~233 MB (61M params).
-        assert model.network.param_count == pytest.approx(61e6, rel=0.01)
-        assert 230 < model.size_mib < 235
-
-    def test_flops(self, model):
-        assert total_flops(model.network) == pytest.approx(1.45e9, rel=0.1)
-
-    def test_forward_distribution(self, model):
-        x = SeededRng(4, "a").uniform_array((3, 227, 227), 0, 255)
-        probs = model.inference(x)
-        assert probs.shape == (1000,)
-        assert probs.sum() == pytest.approx(1.0, rel=1e-4)
-
-    def test_grouped_conv_split_inference_consistent(self, model):
-        x = SeededRng(5, "a").uniform_array((3, 227, 227), 0, 255)
-        point = model.network.point_by_label("2nd_conv")  # the grouped conv
-        halves = model.network.split(point.index)
-        assert np.allclose(halves.forward(x), model.inference(x), atol=1e-4)

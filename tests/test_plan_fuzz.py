@@ -2,9 +2,9 @@
 
 Hypothesis generates random branch-and-join layer graphs — nested
 inception/residual composites, shared branch inputs, mixed
-conv/pool/fc/ReLU/LRN units — and every generated network is run both
-ways: the reference layer walk versus the compiled
-:class:`~repro.nn.plan.ExecutionPlan`.  The contract under test:
+conv/pool/fc/ReLU/LRN units, grouped convs among them — and every
+generated network is run both ways: the reference layer walk versus the
+compiled :class:`~repro.nn.plan.ExecutionPlan`.  The contract under test:
 
 * every graph is **bitwise identical** to the reference walk
   (``np.array_equal``), whole-network and at every spine split, including
@@ -67,11 +67,20 @@ class _Namer:
 
 @st.composite
 def _conv_unit(draw, channels, namer):
-    """Spatial-preserving conv, optionally + ReLU."""
+    """Spatial-preserving conv, grouped when the widths allow, optionally
+    + ReLU."""
     filters = draw(st.integers(1, 4))
     kernel = draw(st.sampled_from([1, 3]))
+    groups = draw(
+        st.sampled_from(
+            [g for g in (1, 2, 3) if channels % g == 0 and filters % g == 0]
+        )
+    )
     layers = [
-        ConvLayer(namer("conv"), filters, kernel, stride=1, pad=kernel // 2)
+        ConvLayer(
+            namer("conv"), filters, kernel, stride=1, pad=kernel // 2,
+            groups=groups,
+        )
     ]
     if draw(st.booleans()):
         layers.append(ReLULayer(namer("relu")))

@@ -27,7 +27,6 @@ from repro.core.server import EdgeServer
 from repro.core.snapshot import CaptureOptions
 from repro.devices import Device, edge_server_x86, odroid_xu4_client
 from repro.netsim import NetemProfile, Topology
-from repro.netsim.variability import BandwidthSchedule
 from repro.nn.cost import network_costs
 from repro.nn.zoo import smallnet
 from repro.sim import SeededRng, Simulator
@@ -101,7 +100,7 @@ def story():
     offload()
 
     # the link fades to 1 Mbps; click #3
-    topology.set_profile("edge-A", profile(1.0))
+    topology.channel.set_profile(profile(1.0))
     offload()
     transcript["events"].append(("fade-survived", sim.now))
 
