@@ -6,6 +6,8 @@ constantly: snapshot capture/restore, tensor text serialization, conv
 forward passes, the partition solver and the DES kernel.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,14 +18,11 @@ from repro.core.snapshot import (
     fingerprint_runtime,
     restore_snapshot,
 )
-from repro.core.snapshot.codegen import (
-    clear_text_cache,
-    parse_tensor_text,
-    render_tensor_text,
-)
+from repro.core.snapshot.codegen import parse_tensor_text, render_tensor_text
 from repro.devices import edge_server_x86, odroid_xu4_client
 from repro.devices.predictor import fit_predictor_for
 from repro.netsim import NetemProfile
+from repro.nn import plan as plan_module
 from repro.nn import tensor
 from repro.nn.cost import network_costs
 from repro.nn.layers import LRNLayer
@@ -34,6 +33,7 @@ from repro.web import WebRuntime
 from repro.web.app import make_inference_app
 from repro.web.events import Event
 from repro.web.values import TypedArray
+from tests.memos import clear_memos
 
 
 def _loaded_runtime(shape=(3, 32, 32)):
@@ -99,7 +99,7 @@ def test_micro_tensor_text_render(benchmark, name):
     # the first would time a sha1 and a dict look-up, not the formatting.
     text = benchmark.pedantic(
         lambda: render_tensor_text(values),
-        setup=clear_text_cache,
+        setup=clear_memos,
         rounds=9,
     )
     assert text == " ".join("%.10e" % v for v in values)
@@ -130,7 +130,7 @@ def test_micro_smallnet_forward(benchmark):
     plan = model.network.plan_for()
 
     def executed():
-        plan.memo.clear()
+        clear_memos()
         return model.inference(image)
 
     hits = plan.memo_hits
@@ -150,6 +150,33 @@ def test_micro_forward_memo_hit(benchmark, name):
     hits = plan.memo_hits
     again = benchmark(lambda: network.forward(image))
     assert plan.memo_hits > hits and np.array_equal(again, first)
+
+
+@pytest.mark.parametrize("name", ["smallnet", "googlenet"])
+def test_micro_split_rear_memo_hit(benchmark, name):
+    """A rear half on the feature of an image the whole network classified:
+    the SHA-1 of the feature, a missed look-up, the front's link and one
+    copy of the whole network's result, against the rear forward it
+    replaces (GoogLeNet at ``1st_pool``: two thirds of the network)."""
+    model = build_model(name)
+    network = model.network
+    image = SeededRng(4, "img").uniform_array(network.input_shape, 0, 255)
+    first = model.inference(image)
+    front, rear = model.split(network.point_by_label("1st_pool").index)
+    plan = rear.network.plan_for()
+
+    def answered():
+        # the hit stores the result under the rear's own key: drop it, so
+        # every round takes the link again
+        plan_module._RESULTS.pop((plan.chain, feature_key), None)
+        return rear.inference(feature)
+
+    feature = front.inference(image)
+    feature_key = hashlib.sha1(feature).digest()
+    hits = plan.memo_hits
+    again = benchmark(answered)
+    assert plan.memo_hits > hits and plan.forwards == plan.memo_hits
+    assert np.array_equal(again, first)
 
 
 @pytest.mark.parametrize("name", ["resnet-mini", "googlenet"])

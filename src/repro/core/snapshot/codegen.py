@@ -234,15 +234,6 @@ def text_cache_info() -> Dict[str, int]:
     }
 
 
-def clear_text_cache() -> None:
-    """Drop the tensor-text memo (test isolation)."""
-    global _text_cache_bytes, _text_cache_hits, _text_cache_misses
-    _text_cache.clear()
-    _text_cache_bytes = 0
-    _text_cache_hits = 0
-    _text_cache_misses = 0
-
-
 def parse_tensor_text(text: str, shape: Tuple[int, ...]) -> np.ndarray:
     """Inverse of :func:`render_tensor_text`.
 

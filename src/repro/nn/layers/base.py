@@ -68,17 +68,17 @@ class Layer:
         return 0.0
 
     def invalidate_param_cache(self) -> None:
-        """Make every parameter array writeable again.
+        """Install a writeable copy of every parameter array.
 
-        Compiled plans freeze the arrays they capture; call this before an
-        in-place write, and the next ``Network.forward*`` recompiles them.
-        Assigning a fresh array to ``params[key]`` needs no call.
+        Compiled plans, the conv operand cache and the model digests
+        remember parameters by array identity and freeze the arrays they
+        remember; call this before an in-place write.  The copies are new
+        identities, so the next ``Network.forward*`` recompiles and every
+        digest hashes the written bits.  Assigning a fresh array to
+        ``params[key]`` needs no call.
         """
-        for array in self.params.values():
-            try:
-                array.flags.writeable = True
-            except ValueError:
-                pass  # view of a read-only buffer: replacement only
+        for key, array in self.params.items():
+            self.params[key] = array.copy()
 
     # -- common accounting -----------------------------------------------------
     @property

@@ -13,8 +13,9 @@ The operand cache invalidates when ``params["weight"]`` or
 parameters).  To make sure in-place writes can never serve stale
 results, both cached source arrays are frozen (``writeable=False``)
 — mutate-in-place code must either assign a fresh array or call
-:meth:`invalidate_param_cache` first.  Compiled plans freeze every
-captured parameter the same way, and recompile once it is unfrozen.
+:meth:`invalidate_param_cache` first, which installs writeable copies
+(new identities, so the cache rebuilds).  Compiled plans freeze every
+captured parameter the same way, and recompile once it is replaced.
 """
 
 from __future__ import annotations
@@ -90,13 +91,6 @@ class ConvLayer(Layer):
     def _channels_per_group(self) -> int:
         return self.input_shape[0] // self.groups
 
-    def invalidate_param_cache(self) -> None:
-        """Drop the cached matmul operands and unfreeze the parameters."""
-        super().invalidate_param_cache()
-        self._weight_ref = None
-        self._bias_ref = None
-        self._operands = None
-
     def _group_operands(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Per-group ``(weight matrix, bias column)`` matmul operands.
 
@@ -113,13 +107,10 @@ class ConvLayer(Layer):
         bias = self.params["bias"]
         stale = (
             self._operands is None
-            or self._weight_ref is None
             or self._weight_ref() is not weight
-            or self._bias_ref is None
             or self._bias_ref() is not bias
         )
         if stale:
-            self.invalidate_param_cache()
             per_out = self.num_filters // self.groups
             self._operands = [
                 (
@@ -149,7 +140,6 @@ class ConvLayer(Layer):
         )
 
     def init_params(self, rng: SeededRng) -> None:
-        self.invalidate_param_cache()
         fan_in = self._channels_per_group * self.kernel * self.kernel
         scale = float(np.sqrt(2.0 / fan_in))  # He init: sensible magnitudes
         self.params = {

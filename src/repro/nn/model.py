@@ -74,9 +74,10 @@ def _layer_table(network) -> List[Layer]:
 
 
 #: per-process memo of parameter-array digests, keyed by array identity.
-#: Params are replaced wholesale (never mutated in place — the same
-#: convention the conv operand cache and the plan witnesses rely on), so
-#: an identity match means the digest is still valid.  Guarded by a weak
+#: A remembered array is frozen (the rule of the conv operand cache and the
+#: plan witnesses): an in-place write fails unless
+#: ``Layer.invalidate_param_cache`` first installed a copy, a new identity,
+#: so an identity match means the digest is still valid.  Guarded by a weak
 #: reference so a recycled id() can never alias a dead array's digest.
 _ARRAY_DIGESTS: Dict[int, Tuple[Any, str]] = {}
 
@@ -92,6 +93,7 @@ def _array_digest(array: np.ndarray) -> str:
     digest.update(str(array.shape).encode("ascii"))
     digest.update(np.ascontiguousarray(array))
     value = digest.hexdigest()
+    array.flags.writeable = False
     if len(_ARRAY_DIGESTS) > 4096:
         for key in [k for k, (ref, _) in _ARRAY_DIGESTS.items() if ref() is None]:
             del _ARRAY_DIGESTS[key]
@@ -188,7 +190,7 @@ class Model:
                         name=f"{self.name}.{layer.name}.bin",
                         kind="parameters",
                         size_bytes=raw_bytes + BLOB_HEADER_BYTES,
-                        checksum=checksum,
+                        checksum=checksum[:16],
                         layer_name=layer.name,
                     )
                 )
@@ -214,15 +216,17 @@ class Model:
 
     @staticmethod
     def _parameter_file(layer: Layer) -> Optional[Tuple[tuple, int, str]]:
-        """``(arrays, raw_bytes, checksum)`` of a layer's parameter file.
+        """``(arrays, raw_bytes, sha1 hex)`` of a layer's parameter file.
 
-        ``None`` for a layer without parameters.  The checksum is the sha1
-        of the blobs' bytes in key order; hashing GoogLeNet's 27 MB takes
-        ~25 ms, so the triple is remembered *on the layer* for as long as
-        every blob is the identical array (parameters are replaced, never
-        mutated in place — the convention ``network_params_digest`` relies
-        on).  Split halves and re-built ``Model``s share the layer objects
-        and hash nothing; a replaced blob re-hashes its own layer only.
+        ``None`` for a layer without parameters.  The sha1 is of the blobs'
+        bytes in key order (the file's checksum is its first 16 digits, the
+        compiled plans' result memo reads all 40); hashing GoogLeNet's
+        27 MB takes ~25 ms, so the triple is remembered *on the layer* for
+        as long as every blob is the identical array, and the blobs are
+        frozen meanwhile (an in-place write needs
+        ``invalidate_param_cache``, which installs copies).  Split halves
+        and re-built ``Model``s share the layer objects and hash nothing; a
+        replaced blob re-hashes its own layer only.
         """
         blobs = Model._layer_blobs(layer)
         if not blobs:
@@ -236,10 +240,11 @@ class Model:
             digest = hashlib.sha1()
             for _, blob in sorted(blobs.items()):
                 digest.update(np.ascontiguousarray(blob))
+                blob.flags.writeable = False
             memo = layer._parameter_file_memo = (
                 tuple(blobs.values()),
                 sum(blob.nbytes for blob in blobs.values()),
-                digest.hexdigest()[:16],
+                digest.hexdigest(),
             )
         return memo
 

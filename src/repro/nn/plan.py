@@ -55,15 +55,28 @@ the edge server uses it to batch concurrent partial-inference sessions.
 A batch of one is therefore the same bits as ``forward``; N > 1 matches N
 forwards within float32 GEMM reassociation (≈ 1e-5 across the zoo).
 
-An inference is computed once: ``forward`` answers an input whose float32
-bits the plan has already run from a per-plan LRU memo (SHA-1 key, at most
-:data:`_MEMO_ENTRIES` results of at most :data:`_MEMO_MAX_VALUES` values —
-class vectors and exit outputs; a plan with a larger output never hashes).
-``forward_batch`` and ``forward_traced`` always execute.  It is sound
-because compilation freezes every parameter array a plan captures and
-:meth:`ExecutionPlan.is_valid` fails once one is replaced or unfrozen, so
-``Network.plan_for`` recompiles, with an empty memo, before a changed
-parameter is read.
+An inference is computed once, however it is split.  Every plan carries
+a *chain*: one content fingerprint per spine layer it covers (the layer's
+``describe()`` and the sha1 of its parameters; ``InputLayer`` contributes
+nothing, a taken exit one marked print), so the chain of ``start..end``
+is the chain of ``start..k`` followed by that of ``k+1..end``.  ``forward``
+looks its result up in one process-wide LRU keyed by ``(chain, sha1 of
+the input's float32 bits)`` — at most :data:`_MEMO_ENTRIES` results of at
+most :data:`_MEMO_MAX_VALUES` values, class vectors and exit outputs — so
+separately built models with the same parameters share entries and the
+memo pins no network.  One split rule extends it: every executed
+``forward`` without an exit links the sha1 of its output to its own key
+(at most :data:`_LINK_ENTRIES` links), and a lookup that misses follows
+the link of its input, answering a rear half from the key the front and
+rear chains make together — the whole network's result, when the image
+was classified before.  ``forward_batch`` and ``forward_traced`` always
+execute.  It is sound because a plan's output is a pure function of its
+input bits and its frozen parameters and split halves compose bitwise
+(``tests/test_nn_plan.py``, ``tests/test_plan_fuzz.py``): compilation
+freezes every parameter array a plan captures, the digests a chain reads
+freeze what they hash, and a write needs
+``Layer.invalidate_param_cache``, which installs copies, so the next
+chain hashes the written bits.
 
 Steps and layers call one kernel set directly: numpy's ``matmul`` /
 ``maximum`` / ``concatenate`` and the im2col, pooling, LRN and eltwise
@@ -82,6 +95,7 @@ import collections
 import hashlib
 import heapq
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,14 +110,73 @@ from repro.nn.layers.exits import ExitHead
 from repro.nn.layers.io import InputLayer
 from repro.nn.layers.normalization import LRNLayer
 from repro.nn.layers.pool import PoolLayer
+from repro.nn.model import Model
 
 
 #: largest result (in float32 values) ``forward`` memoizes: GoogLeNet's
 #: 1000-class vector is the largest classifier output in the zoo
 _MEMO_MAX_VALUES = 1024
-#: memoized results per plan, least recently used evicted first; with
-#: ``_MEMO_MAX_VALUES`` this bounds a plan's memo at 1 MiB of results
-_MEMO_ENTRIES = 256
+#: memoized results held by the process, least recently used evicted
+#: first: at most 2 MiB of results.  The fleet's oracle-then-edge reuse
+#: needs up to 436 (docs/PERFORMANCE.md, "One memo for the process")
+_MEMO_ENTRIES = 512
+#: output-to-key links held by the process, oldest evicted first: every
+#: rear half the ledger runs follows the link its front made last
+_LINK_ENTRIES = 1
+
+#: ``(chain, sha1 of the input bits)`` -> result (frozen, handed out as
+#: copies)
+_RESULTS: "collections.OrderedDict[Tuple[tuple, bytes], np.ndarray]" = (
+    collections.OrderedDict()
+)
+#: sha1 of an executed forward's output -> that forward's result key
+_LINKS: "collections.OrderedDict[bytes, Tuple[tuple, bytes]]" = (
+    collections.OrderedDict()
+)
+
+
+def _remember(table: collections.OrderedDict, key, value, entries: int) -> None:
+    """Store ``key`` as the most recent entry, evicting the least recent
+    one past ``entries``."""
+    table[key] = value
+    table.move_to_end(key)
+    if len(table) > entries:
+        table.popitem(last=False)
+
+
+def _recall(key: Tuple[tuple, bytes]) -> Optional[np.ndarray]:
+    """The result stored under ``key``, now the most recent, or None."""
+    stored = _RESULTS.get(key)
+    if stored is not None:
+        _RESULTS.move_to_end(key)
+    return stored
+
+
+def _bits(value: np.ndarray) -> bytes:
+    """SHA-1 of a float32 array's bits in C order."""
+    return hashlib.sha1(np.ascontiguousarray(value)).digest()
+
+
+def _layer_print(layer: Layer) -> bytes:
+    """Content fingerprint of one spine layer: its description and the
+    sha1 of its parameters.  Remembered on the layer while its parameter
+    file (memoised by array identity) and its input shape stand."""
+    parameter_file = Model._parameter_file(layer)
+    memo = getattr(layer, "_print_memo", None)
+    if (
+        memo is None
+        or memo[0] is not parameter_file
+        or memo[1] != layer.input_shape
+    ):
+        digest = hashlib.sha1(
+            json.dumps(layer.describe(), sort_keys=True).encode("utf-8")
+        )
+        if parameter_file is not None:
+            digest.update(parameter_file[2].encode("ascii"))
+        memo = layer._print_memo = (
+            parameter_file, layer.input_shape, digest.digest()
+        )
+    return memo[2]
 
 
 class PlanGraphError(RuntimeError):
@@ -362,9 +435,10 @@ class ExecutionPlan:
     value is copied out of the arena before being returned, so callers own
     their result like on the reference path.
 
-    ``memo`` (``None`` for outputs over :data:`_MEMO_MAX_VALUES` values)
-    maps an input's SHA-1 to its result; ``forwards`` counts :meth:`forward`
-    calls, ``memo_hits`` the answered ones, ``arena_bytes_reused`` the rest.
+    ``chain`` is the plan's content fingerprint (one print per covered
+    spine layer), the first half of its result keys; ``forwards`` counts
+    :meth:`forward` calls, ``memo_hits`` the answered ones,
+    ``arena_bytes_reused`` the rest.
     """
 
     def __init__(
@@ -375,6 +449,8 @@ class ExecutionPlan:
         output_shape: Tuple[int, ...],
         stats: PlanStats,
         witnesses: Sequence[Tuple[Layer, str, np.ndarray]],
+        chain: Tuple[bytes, ...],
+        links: bool,
     ):
         self.name = name
         self.steps = _topological_schedule(steps)
@@ -382,11 +458,12 @@ class ExecutionPlan:
         self.output_shape = tuple(output_shape)
         self.stats = stats
         self._witnesses = list(witnesses)
-        self.memo: Optional[collections.OrderedDict] = (
-            collections.OrderedDict()
-            if np.prod(self.output_shape) <= _MEMO_MAX_VALUES
-            else None
-        )
+        self.chain = tuple(chain)
+        #: whether results are memoized (small outputs only)
+        self._admits = np.prod(self.output_shape) <= _MEMO_MAX_VALUES
+        #: whether executed forwards link their output (no exit, and a
+        #: chain: an identity plan computes nothing worth linking)
+        self._links = links and bool(self.chain)
         self.memo_hits = 0
         self.forwards = 0
         self.batch_forwards = 0
@@ -460,10 +537,11 @@ class ExecutionPlan:
         """True while every captured parameter array is still installed
         and frozen.
 
-        Loaders replace ``layer.params[...]`` wholesale; an identity
-        mismatch means the captured operands are stale and the plan must be
-        recompiled (mirrors the conv operand cache's rule).  An unfrozen
-        array may change in place, unseen by captured copies and memo.
+        Loaders replace ``layer.params[...]`` wholesale and
+        ``Layer.invalidate_param_cache`` installs copies; an identity
+        mismatch means the captured operands and the chain are stale and
+        the plan must be recompiled (mirrors the conv operand cache's
+        rule).  An unfrozen array may change in place, unseen by both.
         """
         return all(
             layer.params.get(key) is array and not array.flags.writeable
@@ -541,28 +619,36 @@ class ExecutionPlan:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """One sample through the compiled steps — a batch of one; caller
-        owns the result, from :attr:`memo` when the input was run before."""
+        owns the result, from the process-wide memo when these input bits
+        met this chain before, directly or through a front half's link."""
         value = np.asarray(x, dtype=np.float32)
         if tuple(value.shape) != self.input_shape:
             raise ValueError(
                 f"plan {self.name!r} expects input shape {self.input_shape}, "
                 f"got {tuple(value.shape)}"
             )
-        key = None
-        if self.memo is not None:
-            key = hashlib.sha1(np.ascontiguousarray(value)).digest()
-            stored = self.memo.get(key)
+        self.forwards += 1
+        if not (self._admits or self._links):
+            self.arena_bytes_reused += self.stats.reuse_bytes_per_forward
+            return self._execute(value[None])[0]
+        key = (self.chain, _bits(value))
+        if self._admits:
+            stored = _recall(key)
+            if stored is None and key[1] in _LINKS:
+                front_chain, front_input = _LINKS[key[1]]
+                stored = _recall((front_chain + self.chain, front_input))
+                if stored is not None:
+                    _remember(_RESULTS, key, stored, _MEMO_ENTRIES)
             if stored is not None:
-                self.memo.move_to_end(key)
                 self.memo_hits += 1
-                self.forwards += 1
                 return stored.copy()
         result = self._execute(value[None])[0]
-        if key is not None:
-            self.memo[key] = result.copy()
-            if len(self.memo) > _MEMO_ENTRIES:
-                self.memo.popitem(last=False)
-        self.forwards += 1
+        if self._admits:
+            stored = result.copy()
+            stored.flags.writeable = False
+            _remember(_RESULTS, key, stored, _MEMO_ENTRIES)
+        if self._links:
+            _remember(_LINKS, _bits(result), key, _LINK_ENTRIES)
         self.arena_bytes_reused += self.stats.reuse_bytes_per_forward
         return result
 
@@ -654,7 +740,7 @@ class ExecutionPlan:
         ).inc(self.forwards)
         registry.counter(
             "plan_memo_hits_total",
-            help="single-sample forward calls answered from the plan's memo",
+            help="single-sample forward calls answered from the result memo",
             **labels,
         ).inc(self.memo_hits)
         registry.counter(
@@ -939,6 +1025,13 @@ def compile_plan(
         end = exit_point  # the trunk past the exit is pruned
     stats = PlanStats()
     witnesses: List[Tuple[Layer, str, np.ndarray]] = []
+    chain = [
+        _layer_print(layer)
+        for layer in network.layers[start : end + 1]
+        if not isinstance(layer, InputLayer) and layer is not exit_layer
+    ]
+    if exit_layer is not None:
+        chain.append(b"exit:" + _layer_print(exit_layer))
     graph = _GraphBuilder()
     if exit_layer is not None:
         trunk = [
@@ -975,5 +1068,6 @@ def compile_plan(
     for _, _, array in witnesses:  # an in-place write now fails loudly
         array.flags.writeable = False
     return ExecutionPlan(
-        name, graph.steps, input_shape, output_shape, stats, witnesses
+        name, graph.steps, input_shape, output_shape, stats, witnesses,
+        chain, links=exit_layer is None,
     )

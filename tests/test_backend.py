@@ -39,6 +39,7 @@ from repro.nn.tensor import (
 )
 from repro.nn.zoo import build_model
 from repro.sim import SeededRng
+from tests.memos import clear_memos
 
 #: models whose plans must match the walk bit for bit
 ZOO_MODELS = ["smallnet", "tinynet", "resnet-mini", "googlenet"]
@@ -148,7 +149,7 @@ class TestPoolingWindows:
 
         def outputs():
             network = model.network
-            network.plan_for().memo.clear()  # run the kernels, not the memo
+            clear_memos()  # run the kernels, not the memo
             return (
                 network.forward(x),
                 network.forward_reference(x),
@@ -372,7 +373,7 @@ class TestInPlaceLrnAndSeparablePool:
             return kernel
 
         def outputs():
-            network.plan_for().memo.clear()  # run the kernels, not the memo
+            clear_memos()  # run the kernels, not the memo
             return [
                 network.forward(x),
                 network.forward_reference(x),

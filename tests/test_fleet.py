@@ -25,6 +25,7 @@ from repro.fleet.policies import POLICY_NAMES
 from repro.netsim import EdgeDown, Topology
 from repro.nn.zoo import build_model
 from repro.sim import SeededRng, Simulator
+from tests.memos import clear_memos
 
 
 def scheduler(policy="round-robin", names=("a", "b", "c"), **kwargs):
@@ -339,7 +340,6 @@ class TestRecordOnceReplay:
         return scenario, report
 
     def test_cold_and_warm_memo_render_the_same_bytes(self):
-        from repro.core.snapshot.codegen import clear_text_cache
         from repro.obs import to_prometheus_text
         from repro.web import scripts
 
@@ -347,7 +347,7 @@ class TestRecordOnceReplay:
             scripts._script_code, scripts._function_segments, scripts._sorted_names
         ):
             memo.cache_clear()
-        clear_text_cache()
+        clear_memos()
 
         def rendered():
             scenario, report = self._seeded_run()

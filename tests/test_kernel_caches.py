@@ -6,13 +6,13 @@ import pytest
 
 from repro.core.snapshot import codegen
 from repro.core.snapshot.codegen import (
-    clear_text_cache,
     render_tensor_text,
     text_cache_info,
 )
 from repro.nn.layers import ConvLayer
 from repro.nn.tensor import conv_output_hw, im2col
 from repro.sim import SeededRng
+from tests.memos import clear_memos
 
 
 def naive_conv(layer, x):
@@ -114,7 +114,7 @@ class TestIm2colBuffer:
 
 class TestTensorTextMemo:
     def setup_method(self):
-        clear_text_cache()
+        clear_memos()
 
     def test_repeat_render_hits(self):
         values = SeededRng(18, "t").normal_array((1000,))

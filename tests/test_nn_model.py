@@ -174,6 +174,39 @@ class TestManifestMemo:
         ) == parent_parameter_file(model, layer)
         assert model.files() == after and len(blob_hashes) == hashed + 1
 
+    def test_unfreeze_then_write_moves_every_digest(self, model):
+        """The supported in-place write — ``invalidate_param_cache``, then
+        write — used to leave ``fingerprint()``, every checksum and
+        ``model_id`` at the old bits: the digests are keyed by array
+        identity, and the write kept it."""
+        old = (model.fingerprint(), model.files(), model.model_id)
+        before = model.inference(model_input(model))
+        layer = model.network.layers[1]
+        layer.invalidate_param_cache()
+        layer.params["weight"][...] += np.float32(1.0)
+        assert not np.array_equal(model.inference(model_input(model)), before)
+        new = (model.fingerprint(), model.files(), model.model_id)
+        assert [a != b for a, b in zip(old, new)] == [True, True, True]
+        twin = smallnet()  # a fresh model written to the same bits
+        weight = twin.network.layers[1].params["weight"]
+        twin.network.layers[1].params["weight"] = weight + np.float32(1.0)
+        assert (twin.fingerprint(), twin.files(), twin.model_id) == new
+
+    def test_a_digest_freezes_what_it_remembers(self, model):
+        layer = model.network.layers[1]
+        layer.invalidate_param_cache()
+        model.fingerprint()
+        model.files()
+        for key in layer.params:
+            with pytest.raises(ValueError):
+                layer.params[key][...] += np.float32(1.0)
+
+
+def model_input(model):
+    return SeededRng(3, "memo-input").uniform_array(
+        model.network.input_shape, 0, 255
+    )
+
 
 class TestFingerprint:
     def test_build_model_leaves_fingerprint_lazy(self):

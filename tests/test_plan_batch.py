@@ -22,9 +22,11 @@ What must hold:
   disturbs a result returned earlier;
 * callers own what they are returned: nothing shares memory with the
   arena or with the kernel scratch;
-* ``forward`` answers an input it has run before from its memo with the
-  bits an execution computes, keyed by the input's float32 bits, and a
-  test that means to exercise the kernels clears ``plan.memo`` first.
+* ``forward`` answers an input whose bits met the plan's content before
+  from the process-wide memo, with the bits an execution computes, and a
+  test that means to exercise the kernels calls
+  ``tests.memos.clear_memos`` first (``test_nn_memo.py`` holds the split
+  rule and the content contract).
 """
 
 import collections
@@ -49,6 +51,7 @@ from repro.nn.plan import (
 )
 from repro.nn.zoo import BUILDERS, build_model
 from repro.sim import SeededRng
+from tests.memos import clear_memos, entries
 from tests.test_backend import same_bits
 
 BATCH_SIZES = (1, 2, 3, 8)
@@ -241,7 +244,7 @@ class TestArenaAcrossBatchSizes:
     def test_arena_grows_once_then_serves_every_smaller_batch(self, plan):
         xs = batch_for(plan, 8)
         tensor._SCRATCH.pop("arena", None)  # as in a fresh process
-        plan.memo.clear()  # each forward below executes
+        clear_memos()  # each forward below executes
         single = plan.forward(xs[0])
         assert tensor._SCRATCH["arena"].nbytes == plan.stats.arena_bytes
         first = plan.forward_batch(xs)
@@ -249,7 +252,7 @@ class TestArenaAcrossBatchSizes:
         assert grown.nbytes == 8 * plan.stats.arena_bytes
         assert same_bits(plan.forward_batch(xs), first)
         assert same_bits(plan.forward_batch(xs[:3]), parent_forward_batch(plan, xs[:3]))
-        plan.memo.clear()
+        clear_memos()
         assert same_bits(plan.forward(xs[0]), single)
         # every smaller plan — the halves of a split, another model — runs
         # in the same buffer
@@ -275,7 +278,7 @@ class TestArenaAcrossBatchSizes:
     def test_traced_sample_is_forward(self, plan):
         (x,) = batch_for(plan, 1)
         result, _ = plan.forward_traced(x)
-        plan.memo.clear()
+        clear_memos()
         assert same_bits(result, plan.forward(x))
 
 
@@ -300,9 +303,10 @@ class TestCallerOwnsResult:
                 first.fill(np.float32(-7.0))
                 hits = plan.memo_hits
                 again = run(argument)
-                # a repeated forward is a memo hit (when the plan keeps
-                # one): the copy it returns is owned all the same
-                answered = run == plan.forward and plan.memo is not None
+                # a repeated forward is a memo hit (when the plan's
+                # results are memoized): the copy it returns is owned all
+                # the same
+                answered = run == plan.forward and memoized(plan)
                 assert plan.memo_hits == hits + answered
                 assert again is not first
                 assert same_bits(again, kept)
@@ -437,8 +441,7 @@ def make_call(spec, entry, count):
     plan = property_plan(spec)[0]
     xs = property_input(spec, count)
     if entry == "forward":
-        if plan.memo is not None:
-            plan.memo.clear()  # the property is about the arena: execute
+        clear_memos()  # the property is about the arena: execute
         return plan.forward(xs[0]), None
     if entry == "forward_batch":
         return plan.forward_batch(xs), None
@@ -510,6 +513,11 @@ def misses(plan):
     return plan.forwards - plan.memo_hits
 
 
+def memoized(plan):
+    """Whether the memo admits the plan's results (small outputs only)."""
+    return int(np.prod(plan.output_shape)) <= plan_module._MEMO_MAX_VALUES
+
+
 def bit_variants(x):
     """Inputs one bit pattern away from ``x`` and from each other: a flipped
     mantissa bit, +0.0 / -0.0 and two NaN payloads in the first value."""
@@ -528,18 +536,18 @@ def bit_variants(x):
 class TestForwardMemo:
     def test_a_hit_is_the_bits_an_execution_computes(self, network):
         for plan in plans_of(network):
-            memoized = int(np.prod(plan.output_shape)) <= plan_module._MEMO_MAX_VALUES
-            assert (plan.memo is not None) == memoized, plan.name
-            if not memoized:
-                continue
             (x,) = batch_for(plan, 1, seed=23)
-            plan.memo.clear()
+            clear_memos()
             executed = misses(plan)
             first = plan.forward(x)
             hits = plan.memo_hits
             hit = plan.forward(x)
+            if not memoized(plan):  # a large output is never answered
+                assert plan.memo_hits == hits and misses(plan) == executed + 2
+                assert entries(plan) == 0, plan.name
+                continue
             assert plan.memo_hits == hits + 1 and misses(plan) == executed + 1
-            plan.memo.clear()
+            clear_memos()
             fresh = plan.forward(x)
             assert misses(plan) == executed + 2
             assert same_bits(hit, fresh) and same_bits(hit, first), plan.name
@@ -547,6 +555,7 @@ class TestForwardMemo:
     def test_mutating_a_result_never_poisons_a_hit(self):
         plan = build_model("tinynet").network.plan_for()
         (x,) = batch_for(plan, 1)
+        clear_memos()
         first = plan.forward(x)
         kept = first.copy()
         for _ in range(3):
@@ -558,35 +567,42 @@ class TestForwardMemo:
     def test_key_is_the_float32_bits_whatever_the_layout(self):
         plan = build_model("smallnet").network.plan_for()
         (x,) = batch_for(plan, 1)
+        clear_memos()
         plan.forward(x)
         with np.errstate(invalid="ignore", over="ignore"):
             for variant in bit_variants(x):
                 plan.forward(variant)
-        assert plan.memo_hits == 0 and len(plan.memo) == 6
+        assert plan.memo_hits == 0 and entries(plan) == 6
         strided = np.zeros(x.shape[:-1] + (2 * x.shape[-1],), dtype=np.float32)
         strided[..., ::2] = x
         for same in (np.asfortranarray(x), strided[..., ::2],
                      x.astype(np.float64)):
             assert same_bits(plan.forward(same), plan.forward(x))
-        assert plan.memo_hits == 6 and len(plan.memo) == 6
+        assert plan.memo_hits == 6 and entries(plan) == 6
 
     def test_plans_never_share_entries(self):
+        """Plans of different content never share an entry: a range that
+        stops at the logits is not the whole network, and a written bias
+        is new content."""
         network = build_model("smallnet").network
         fc = next(index for index, layer in enumerate(network.layers)
                   if layer.kind == "fc")
         whole, front = network.plan_for(), network.plan_for(0, fc)
         (x,) = batch_for(whole, 1)
+        clear_memos()
         for plan in (whole, front, whole, front):
             plan.forward(x)
         assert (whole.memo_hits, front.memo_hits) == (1, 1)
         assert misses(whole) == misses(front) == 1
-        # unfreeze-then-write recompiles: the new plan starts with an empty
-        # memo and computes with the new bias
+        assert entries(whole) == entries(front) == 1
+        # unfreeze-then-write recompiles: the new plan's chain is new, so
+        # it finds no entry and computes with the new bias
         head = network.layers[fc]
         head.invalidate_param_cache()
         head.params["bias"][0] += np.float32(1.0)
         fresh = network.plan_for()
-        assert fresh is not whole and len(fresh.memo) == 0
+        assert fresh is not whole and fresh.chain != whole.chain
+        assert entries(fresh) == 0
         assert same_bits(network.forward(x), network.forward_reference(x))
         assert fresh.memo_hits == 0
 
@@ -604,11 +620,12 @@ class TestForwardMemo:
     def test_memo_is_a_bounded_lru(self, sequence):
         plan = build_model("tinynet").network.plan_for()
         inputs = batch_for(plan, 6)
-        entries = 3
+        bound = 3
         model = collections.OrderedDict()  # the LRU the memo must be
         hits = 0
         original = plan_module._MEMO_ENTRIES
-        plan_module._MEMO_ENTRIES = entries
+        plan_module._MEMO_ENTRIES = bound
+        clear_memos()
         try:
             for index in sequence:
                 result = plan.forward(inputs[index])
@@ -617,10 +634,10 @@ class TestForwardMemo:
                     hits += 1
                 else:
                     model[index] = result.copy()
-                    if len(model) > entries:
+                    if len(model) > bound:
                         model.popitem(last=False)
                 assert same_bits(result, model[index])
-                assert len(plan.memo) == len(model) <= entries
+                assert len(plan_module._RESULTS) == len(model) <= bound
                 assert plan.memo_hits == hits
         finally:
             plan_module._MEMO_ENTRIES = original
@@ -630,16 +647,22 @@ class TestForwardMemo:
         front = network.plan_for(0, network.offload_points()[1].index)
         assert np.prod(front.output_shape) > plan_module._MEMO_MAX_VALUES
         (x,) = batch_for(front, 1)
+        clear_memos()
         assert same_bits(front.forward(x), front.forward(x))
-        assert front.memo is None and front.memo_hits == 0
+        assert entries(front) == 0 and front.memo_hits == 0
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_batched_and_traced_forwards_bypass_the_memo(self, count):
         plan = build_model("smallnet").network.plan_for()
         xs = batch_for(plan, count)
         plan.forward(xs[0])
-        before = (list(plan.memo), plan.memo_hits, plan.forwards)
+
+        def state():
+            return (list(plan_module._RESULTS), list(plan_module._LINKS),
+                    plan.memo_hits, plan.forwards)
+
+        before = state()
         plan.forward_batch(xs)
         plan.forward_traced(xs)
         plan.forward_traced(xs[0])
-        assert (list(plan.memo), plan.memo_hits, plan.forwards) == before
+        assert state() == before

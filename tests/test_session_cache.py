@@ -19,6 +19,7 @@ from repro.nn.zoo import smallnet
 from repro.sim import SeededRng, Simulator
 from repro.web.app import make_inference_app
 from repro.web.values import TypedArray
+from tests.memos import clear_memos
 
 
 @pytest.fixture
@@ -120,7 +121,7 @@ class TestSessionCache:
         # the name restore_snapshot itself would reach
         monkeypatch.setattr(restore, "fingerprint_runtime", counted("restore"))
 
-        codegen.clear_text_cache()
+        clear_memos()
         outcomes = []
         for seed in (5, 6, 7):
             client.runtime.globals["pending_pixels"] = TypedArray(
