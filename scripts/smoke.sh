@@ -12,8 +12,9 @@
 # the model store's contract (same-seed cold-fleet and pre-warmed-fleet
 # scenarios, run twice each, must emit byte-identical reports, and the
 # warm fleet must pay zero upload bytes), and the multi-exit sweep's
-# contract (same-seed fig-accuracy runs must be byte-identical, with
-# every accuracy-scaling claim checked by the CLI's exit status).
+# contract (same-seed fig-accuracy runs must be byte-identical to each
+# other and to the committed smallnet_exits baseline, with every
+# accuracy-scaling claim checked by the CLI's exit status).
 #
 #   scripts/smoke.sh [output-dir]
 #
@@ -150,6 +151,12 @@ python -m repro fig-accuracy --models smallnet_exits \
     > "$out_dir/fig-accuracy-b.txt"
 cmp "$out_dir/fig-accuracy-a.txt" "$out_dir/fig-accuracy-b.txt" || {
     echo "FAIL: fig-accuracy diverges across same-seed reruns" >&2; exit 1; }
-echo "ok: accuracy-vs-deadline sweep byte-identical across reruns"
+# The sweep's bytes are locked too: the (split, exit) pricing and the
+# deadline marks derived from it must reproduce the committed baseline.
+cmp "benchmarks/results/fig_accuracy_smallnet_exits_reference.txt" \
+    "$out_dir/fig-accuracy-a.txt" || {
+    echo "FAIL: fig-accuracy differs from the committed baseline" >&2
+    exit 1; }
+echo "ok: accuracy-vs-deadline sweep byte-identical across reruns and to the committed baseline"
 
 echo "smoke ok — artifacts in $out_dir"

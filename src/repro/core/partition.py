@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.devices.predictor import LatencyPredictor
 from repro.devices.profiles import DeviceProfile
 from repro.netsim.link import NetemProfile
-from repro.nn.cost import LayerCost, exit_head_costs, network_costs
+from repro.nn.cost import LayerCost, network_costs
 from repro.nn.network import ExitPoint, Network, OffloadPoint
 from repro.nn.tensor import text_serialized_bytes
 
@@ -187,19 +187,14 @@ class PartitionOptimizer:
     ) -> ExitEstimate:
         """Predicted time for one (split, exit) pair.
 
-        The rear part stops at the exit: trunk layers past the attach point
+        Priced as the network that runs, ``network.at_exit(exit.index)``
+        split at the offload point: trunk layers past the attach point
         never run, and a non-final exit's classifier head is priced on the
         server side.
         """
-        costs = network_costs(network)
+        costs = network_costs(network.at_exit(exit.index))
         front = [cost for cost in costs if cost.spine_index <= point.index]
-        rear = [
-            cost
-            for cost in costs
-            if point.index < cost.spine_index <= exit.index
-        ]
-        if not exit.is_final:
-            rear = rear + exit_head_costs(network, exit.index)
+        rear = [cost for cost in costs if cost.spine_index > point.index]
         client_seconds = self.client_predictor.predict_forward(front)
         server_seconds = self.server_predictor.predict_forward(rear)
         # priced as the decimal text capture renders, at 18 B per value: never

@@ -132,35 +132,6 @@ def costs_for_range(net: Network, start: int, end: int) -> List[LayerCost]:
     ]
 
 
-def exit_head_costs(net: Network, exit_index: int) -> List[LayerCost]:
-    """Expanded costs of the classifier head at spine index ``exit_index``.
-
-    The trunk entry for an exit layer is flops-free (the head only runs
-    when the exit is taken), so deadline pricing adds these on top of the
-    trunk costs for the exit actually chosen.  Every entry carries the
-    exit's spine index: the head executes wherever the trunk stops.
-    """
-    from repro.nn.layers.exits import ExitHead
-
-    layer = net.layers[exit_index]
-    if not isinstance(layer, ExitHead):
-        raise ValueError(
-            f"layer {exit_index} of {net.name!r} is {layer.kind!r}, "
-            "not an exit head"
-        )
-    return [
-        LayerCost(
-            name=f"{layer.name}/{inner.name}",
-            kind=inner.kind,
-            flops=inner.count_flops(),
-            params=inner.param_count,
-            output_shape=tuple(inner.out_shape),
-            spine_index=exit_index,
-        )
-        for inner in layer.head
-    ]
-
-
 def total_flops(net: Network) -> float:
     """Total forward FLOPs of a built network."""
     return sum(cost.flops for cost in network_costs(net))

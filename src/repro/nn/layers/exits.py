@@ -11,10 +11,10 @@ An :class:`ExitHead` sits *on* the network spine at its attach point.  On
 the trunk path it is the identity (deploy-time GoogLeNet drops its aux
 heads, so the full-network output is untouched); the head layers only run
 when the exit is actually taken — ``Network.at_exit`` materializes the
-pruned network, and ``compile_plan(exit_point=k)`` lowers trunk + head and
-discards everything past the attach point.  Each head carries a *modeled*
-top-1 accuracy, the quantity the joint (split, exit) optimizer maximizes
-under a latency deadline.
+pruned network (the trunk up to the attach point, then the head), which
+is priced, compiled, split and served like any other network; there is no
+exit plan.  Each head carries a *modeled* top-1 accuracy, the quantity the
+joint (split, exit) optimizer maximizes under a latency deadline.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ class ExitHead(Layer):
     ``head`` is the sequential classifier (pool/conv/fc/softmax …) run when
     the exit is taken; ``accuracy`` is the exit's modeled top-1 accuracy in
     (0, 1].  On the trunk path the layer is the identity and costs nothing
-    (``count_flops() == 0``); :meth:`head_flops` prices the head for the
-    exit-taken path.
+    (``count_flops() == 0``); the exit-taken path is ``Network.at_exit``.
     """
 
     kind = "exit"
@@ -60,32 +59,15 @@ class ExitHead(Layer):
         self.out_shape = self.input_shape
         return self.out_shape
 
-    @property
-    def exit_shape(self) -> Shape:
-        """Output shape when the exit is taken (the head's final shape)."""
-        self._require_built()
-        return self.head[-1].out_shape
-
     # -- execution ------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Trunk path: pass through unchanged (aux heads dropped at deploy)."""
         self.check_input(x)
         return x
 
-    def head_forward(self, x: np.ndarray) -> np.ndarray:
-        """Exit-taken path: run the classifier head."""
-        self.check_input(x)
-        value = np.asarray(x, dtype=np.float32)
-        for layer in self.head:
-            value = layer.forward(value)
-        return value
-
     # -- accounting -----------------------------------------------------------
     def count_flops(self) -> float:
-        return 0.0  # trunk path is free; head priced via head_flops()
-
-    def head_flops(self) -> float:
-        return float(sum(layer.count_flops() for layer in self.head))
+        return 0.0  # trunk path is free; a taken exit is priced as at_exit
 
     @property
     def param_count(self) -> int:
@@ -100,15 +82,6 @@ class ExitHead(Layer):
         return arrays
 
     def inner_layers(self) -> List[Layer]:
-        return list(self.head)
-
-    def exit_branch(self) -> List[Layer]:
-        """The head layers, for the plan compiler's layer table and lowering.
-
-        Distinct from ``dag_branches()`` on purpose: composites *join* their
-        branches back into the trunk, an exit *prunes* the trunk — the plan
-        compiler must not lower the head unless the exit is taken.
-        """
         return list(self.head)
 
     def config(self) -> Dict:

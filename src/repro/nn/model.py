@@ -53,8 +53,9 @@ def _layer_table(network) -> List[Layer]:
 
     Spine layers first-to-last; any layer exposing ``dag_branches()``
     recurses into its branches in declaration order (nested composites
-    flatten the same way the lowering does), so two networks with the
-    same structure hash their layers and parameters in the same order.
+    flatten the same way the lowering does), and an exit head into its
+    head layers, so two networks with the same structure hash their
+    layers and parameters in the same order.
     """
     table: List[Layer] = []
 
@@ -64,9 +65,8 @@ def _layer_table(network) -> List[Layer]:
             for _tag, branch in layer.dag_branches().branches:
                 for inner in branch:
                     visit(inner)
-        if hasattr(layer, "exit_branch"):
-            for inner in layer.exit_branch():
-                visit(inner)
+        for inner in getattr(layer, "head", ()):
+            visit(inner)
 
     for layer in network.layers:
         visit(layer)

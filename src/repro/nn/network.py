@@ -5,9 +5,10 @@ a *spine* of layers (some of which are composite inception modules).  The
 network supports
 
 * full forward execution (``forward``),
-* execution of an index range (``forward_range``) — the mechanism behind
-  ``inference_front()`` / ``inference_rear()`` in the paper's Fig. 5,
-* splitting into two networks at an offload point (``split``), and
+* splitting into two networks at an offload point (``split``) — the
+  mechanism behind ``inference_front()`` / ``inference_rear()`` in the
+  paper's Fig. 5, each half a network of its own,
+* pruning at an early exit (``at_exit``), and
 * enumeration of named offload points matching Fig. 8's X axis
   (``input``, ``1st_conv``, ``1st_pool``, ``2nd_conv``, …).
 """
@@ -76,8 +77,8 @@ class Network:
         #: zoo builders of multi-exit variants set it so the joint
         #: (split, exit) optimizer can rank the final exit too
         self.final_accuracy: Optional[float] = None
-        #: compiled execution plans keyed by (start, end) spine range
-        self._plans: dict = {}
+        #: the compiled execution plan of the whole spine (None: not yet)
+        self._plan = None
 
     # -- building -------------------------------------------------------------
     def build(
@@ -116,13 +117,7 @@ class Network:
     # -- execution -------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Full forward pass for one sample (through the compiled plan)."""
-        return self.forward_range(x, 0, len(self.layers) - 1)
-
-    def forward_range(self, x: np.ndarray, start: int, end: int) -> np.ndarray:
-        """Run layers ``start..end`` inclusive."""
-        self._require_built()
-        self._check_range(start, end)
-        return self.plan_for(start, end).forward(x)
+        return self.plan_for().forward(x)
 
     def forward_batch(self, xs) -> np.ndarray:
         """Forward N samples; returns the stacked ``(N, ...)`` outputs.
@@ -130,8 +125,7 @@ class Network:
         Runs one stacked kernel per plan step (a single im2col/matmul per
         conv for the whole batch).
         """
-        self._require_built()
-        return self.plan_for(0, len(self.layers) - 1).forward_batch(xs)
+        return self.plan_for().forward_batch(xs)
 
     def forward_reference(
         self, x: np.ndarray, start: int = 0, end: Optional[int] = None
@@ -141,35 +135,29 @@ class Network:
         self._require_built()
         if end is None:
             end = len(self.layers) - 1
-        self._check_range(start, end)
+        if not (0 <= start <= end < len(self.layers)):
+            raise IndexError(
+                f"invalid layer range [{start}, {end}] for network "
+                f"{self.name!r} with {len(self.layers)} layers"
+            )
         value = np.asarray(x, dtype=np.float32)
         for layer in self.layers[start : end + 1]:
             value = layer.forward(value)
         return value
 
-    def plan_for(
-        self,
-        start: int = 0,
-        end: Optional[int] = None,
-        exit_point: Optional[int] = None,
-    ):
-        """The compiled :class:`~repro.nn.plan.ExecutionPlan` for a range.
+    def plan_for(self):
+        """The compiled :class:`~repro.nn.plan.ExecutionPlan` of the network.
 
-        Plans are memoized per ``(start, end, exit_point)`` and recompiled
-        automatically when any captured parameter array has been replaced
-        (the same identity rule the conv operand cache uses).
+        The plan is memoized and recompiled automatically when any captured
+        parameter array has been replaced (the same identity rule the conv
+        operand cache uses).
         """
         from repro.nn.plan import compile_plan
 
         self._require_built()
-        if end is None:
-            end = len(self.layers) - 1
-        key = (start, end, exit_point)
-        plan = self._plans.get(key)
-        if plan is None or not plan.is_valid():
-            plan = compile_plan(self, start, end, exit_point=exit_point)
-            self._plans[key] = plan
-        return plan
+        if self._plan is None or not self._plan.is_valid():
+            self._plan = compile_plan(self)
+        return self._plan
 
     def forward_with_activations(self, x: np.ndarray) -> List[np.ndarray]:
         """Forward pass returning the output of every spine layer."""
@@ -180,13 +168,6 @@ class Network:
             value = layer.forward(value)
             activations.append(value)
         return activations
-
-    def _check_range(self, start: int, end: int) -> None:
-        if not (0 <= start <= end < len(self.layers)):
-            raise IndexError(
-                f"invalid layer range [{start}, {end}] for network "
-                f"{self.name!r} with {len(self.layers)} layers"
-            )
 
     # -- splitting -------------------------------------------------------------
     def split(self, index: int) -> "SplitNetwork":
@@ -316,20 +297,6 @@ class Network:
         pruned._built = True
         pruned.final_accuracy = layer.accuracy
         return pruned
-
-    def forward_exit(
-        self, x: np.ndarray, exit_index: Optional[int] = None
-    ) -> np.ndarray:
-        """Forward pass that stops at an exit (``None``: the full network).
-
-        Runs the exit-pruned plan (``compile_plan(exit_point=k)``), which
-        is bitwise-identical to ``at_exit(k).forward_reference(x)``, the
-        trunk-then-head walk.
-        """
-        self._require_built()
-        if exit_index is None or exit_index == len(self.layers) - 1:
-            return self.forward(x)
-        return self.plan_for(0, exit_index, exit_point=exit_index).forward(x)
 
     # -- accounting -------------------------------------------------------------
     @property

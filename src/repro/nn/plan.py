@@ -1,12 +1,12 @@
 """Graph-level inference optimizer: compiled DAG execution plans.
 
-``compile_plan`` lowers a built :class:`~repro.nn.network.Network` (or any
-spine range of one) into an :class:`ExecutionPlan` — a topologically
-scheduled DAG of steps plus an interval-colored arena — via four rewrite
-families:
+``compile_plan`` lowers a built :class:`~repro.nn.network.Network` into
+an :class:`ExecutionPlan` — a topologically scheduled DAG of steps plus
+an interval-colored arena — via four rewrite families:
 
-* **Identity elision** — inference-time ``Dropout`` and trunk-path exit
-  heads (identities here) are elided outright.
+* **Identity elision** — inference-time ``Dropout`` and exit heads are
+  elided outright: on the trunk an exit head is the identity, and a taken
+  exit is a network of its own (``Network.at_exit``).
 * **Operator fusion** — Conv+bias+ReLU and Dense+ReLU become single steps
   that apply the activation in place on the matmul output.  Fusion and
   elision apply *inside* composite branches too: a branch is lowered with
@@ -43,10 +43,10 @@ reduction, and the schedule replays the reference data order branch by
 branch); ``tests/test_nn_plan.py`` asserts it across the zoo at every
 offload point, and ``tests/test_plan_fuzz.py`` fuzzes randomly generated
 branch-and-join graphs against the reference walk.  Plans respect
-offload points: compilation takes a ``(start, end)`` spine range and no
-rewrite ever looks past ``end``, so a ``SplitNetwork``'s front and rear
-plans are independent and fusion never crosses the split — even when the
-range boundary falls between branch-and-join stages.
+offload points: a plan compiles one whole network, and a
+``SplitNetwork``'s front and rear are two networks, so their plans are
+independent and fusion never crosses the split — even when the split
+falls between branch-and-join stages.
 
 There is one way to run a step: on an ``(N, ...)`` tensor, into an arena
 view.  ``plan.forward(x)`` is a batch of one; ``plan.forward_batch(xs)``
@@ -58,14 +58,13 @@ forwards within float32 GEMM reassociation (≈ 1e-5 across the zoo).
 An inference is computed once, however it is split.  Every plan carries
 a *chain*: one content fingerprint per spine layer it covers (the layer's
 ``describe()`` and the sha1 of its parameters; ``InputLayer`` contributes
-nothing, a taken exit one marked print), so the chain of ``start..end``
-is the chain of ``start..k`` followed by that of ``k+1..end``.  ``forward``
-looks its result up in one process-wide LRU keyed by ``(chain, sha1 of
-the input's float32 bits)`` — at most :data:`_MEMO_ENTRIES` results of at
-most :data:`_MEMO_MAX_VALUES` values, class vectors and exit outputs — so
-separately built models with the same parameters share entries and the
-memo pins no network.  One split rule extends it: every executed
-``forward`` without an exit links the sha1 of its output to its own key
+nothing), so a network's chain is its front half's chain followed by its
+rear half's.  ``forward`` looks its result up in one process-wide LRU
+keyed by ``(chain, sha1 of the input's float32 bits)`` — at most
+:data:`_MEMO_ENTRIES` results of at most :data:`_MEMO_MAX_VALUES` values,
+class vectors — so separately built models with the same parameters
+share entries and the memo pins no network.  One split rule extends it:
+every executed ``forward`` links the sha1 of its output to its own key
 (at most :data:`_LINK_ENTRIES` links), and a lookup that misses follows
 the link of its input, answering a rear half from the key the front and
 rear chains make together — the whole network's result, when the image
@@ -424,7 +423,7 @@ class EltwiseAddStep(PlanStep):
 
 
 class ExecutionPlan:
-    """A compiled spine range: a scheduled step DAG + interval-colored arena.
+    """A compiled network: a scheduled step DAG + interval-colored arena.
 
     Arena discipline: liveness analysis assigns each arena step a slot no
     *live* value occupies — in particular a step never writes the slot any
@@ -450,7 +449,6 @@ class ExecutionPlan:
         stats: PlanStats,
         witnesses: Sequence[Tuple[Layer, str, np.ndarray]],
         chain: Tuple[bytes, ...],
-        links: bool,
     ):
         self.name = name
         self.steps = _topological_schedule(steps)
@@ -461,9 +459,9 @@ class ExecutionPlan:
         self.chain = tuple(chain)
         #: whether results are memoized (small outputs only)
         self._admits = np.prod(self.output_shape) <= _MEMO_MAX_VALUES
-        #: whether executed forwards link their output (no exit, and a
-        #: chain: an identity plan computes nothing worth linking)
-        self._links = links and bool(self.chain)
+        #: whether executed forwards link their output (an identity plan,
+        #: with no chain, computes nothing worth linking)
+        self._links = bool(self.chain)
         self.memo_hits = 0
         self.forwards = 0
         self.batch_forwards = 0
@@ -847,7 +845,7 @@ def _lower_sequence(
 ) -> int:
     """Lower an ordered layer sequence into graph nodes; returns the value
     id of the sequence's output (``input_id`` itself if every layer was
-    elided).  Shared by spine ranges and composite branches — rewrites
+    elided).  Shared by the spine and composite branches — rewrites
     only ever look ahead *within* the given sequence, which is how fusion
     can never cross a split boundary, and composites recurse so nested
     branch-and-join graphs flatten into the same DAG.
@@ -860,8 +858,7 @@ def _lower_sequence(
         if isinstance(layer, (InputLayer, DropoutLayer, ExitHead)):
             # Identity at inference time: elided outright (the plan's input
             # shape check replaces InputLayer's validation).  An ExitHead is
-            # identity on the *trunk* path; its classifier branch lowers
-            # only when ``compile_plan(exit_point=...)`` takes the exit.
+            # identity on the trunk; a taken exit is ``Network.at_exit``.
             if not isinstance(layer, InputLayer):
                 stats.elided += 1
             position += 1
@@ -974,100 +971,34 @@ def _lower_composite(
     )
 
 
-def compile_plan(
-    network,
-    start: int = 0,
-    end: Optional[int] = None,
-    *,
-    exit_point: Optional[int] = None,
-) -> ExecutionPlan:
-    """Compile spine layers ``start..end`` (inclusive) of a built network.
+def compile_plan(network) -> ExecutionPlan:
+    """Compile the whole spine of a built network.
 
-    The range defaults to the whole spine.  No rewrite considers layers
-    outside the range, so front/rear plans of a split are compiled
-    independently and fusion never crosses the offload point.
-
-    ``exit_point`` takes an early exit: the spine index of an
-    :class:`~repro.nn.layers.exits.ExitHead` within the range.  The trunk
-    lowers up to (excluding) the exit, the head lowers as a branch
-    subgraph hanging off the trunk's last value — the same recursive
-    lowering composite branches use — and everything past the attach point
-    is pruned: ``end`` collapses to ``exit_point`` and the plan's output
-    is the head classifier's.  Without ``exit_point``, exit heads in range
-    are identity (elided), so full-network plans are untouched by exits.
+    A split half (``Network.split``) and a taken exit (``Network.at_exit``)
+    are networks of their own, so each compiles here independently and
+    fusion never crosses the offload point.
     """
     if not network.built:
         raise RuntimeError(
             f"network {network.name!r} must be built before compiling a plan"
         )
-    last = len(network.layers) - 1
-    if end is None:
-        end = last
-    if not (0 <= start <= end <= last):
-        raise IndexError(
-            f"invalid plan range [{start}, {end}] for network "
-            f"{network.name!r} with {len(network.layers)} layers"
-        )
-    exit_layer: Optional[ExitHead] = None
-    if exit_point is not None:
-        if not start <= exit_point <= end:
-            raise IndexError(
-                f"exit_point {exit_point} outside plan range "
-                f"[{start}, {end}] of network {network.name!r}"
-            )
-        candidate = network.layers[exit_point]
-        if not isinstance(candidate, ExitHead):
-            raise ValueError(
-                f"layer {exit_point} of {network.name!r} is "
-                f"{candidate.kind!r}, not an exit head"
-            )
-        exit_layer = candidate
-        end = exit_point  # the trunk past the exit is pruned
     stats = PlanStats()
     witnesses: List[Tuple[Layer, str, np.ndarray]] = []
     chain = [
         _layer_print(layer)
-        for layer in network.layers[start : end + 1]
-        if not isinstance(layer, InputLayer) and layer is not exit_layer
+        for layer in network.layers
+        if not isinstance(layer, InputLayer)
     ]
-    if exit_layer is not None:
-        chain.append(b"exit:" + _layer_print(exit_layer))
     graph = _GraphBuilder()
-    if exit_layer is not None:
-        trunk = [
-            (index, network.layers[index]) for index in range(start, exit_point)
-        ]
-        current = _lower_sequence(
-            graph, trunk, 0, stats=stats, witnesses=witnesses
-        )
-        _lower_sequence(
-            graph,
-            [(exit_point, inner) for inner in exit_layer.head],
-            current,
-            stats=stats,
-            witnesses=witnesses,
-            prefix=f"{exit_layer.name}/exit/",
-        )
-        stats.branches += 1
-    else:
-        indexed = [
-            (index, network.layers[index]) for index in range(start, end + 1)
-        ]
-        _lower_sequence(graph, indexed, 0, stats=stats, witnesses=witnesses)
-    stats.steps = len(graph.steps)
-    input_shape = (
-        network.input_shape if start == 0
-        else network.layers[start - 1].out_shape
+    _lower_sequence(
+        graph, list(enumerate(network.layers)), 0,
+        stats=stats, witnesses=witnesses,
     )
-    if exit_layer is not None:
-        output_shape = exit_layer.exit_shape
-        name = f"{network.name}[{start}:{end}@{exit_layer.name}]"
-    else:
-        output_shape = network.layers[end].out_shape
-        name = f"{network.name}[{start}:{end}]"
+    stats.steps = len(graph.steps)
+    last = len(network.layers) - 1
     for _, _, array in witnesses:  # an in-place write now fails loudly
         array.flags.writeable = False
     return ExecutionPlan(
-        name, graph.steps, input_shape, output_shape, stats, witnesses,
-        chain, links=exit_layer is None,
+        f"{network.name}[0:{last}]", graph.steps, network.input_shape,
+        network.output_shape, stats, witnesses, chain,
     )

@@ -2,9 +2,11 @@
 
 Four contracts land together in this file:
 
-* **(split, exit) equivalence** — every (split, exit) pair of a
-  multi-exit model executes bitwise identically through the compiled
-  plans and the reference layer walk.
+* **(split, exit) equivalence** — every (split, exit) pair of both
+  multi-exit models executes bitwise identically through the compiled
+  plans of ``at_exit(k).split(s)`` and the reference layer walk.
+* **exit pricing** — a taken exit is priced as the network that runs,
+  ``at_exit(k)`` split at the offload point.
 * **deadline optimization** — ``choose_under_deadline`` returns the
   highest-accuracy feasible (split, exit) pair; accuracy is monotone
   non-decreasing in the deadline (the feasible set only grows), every
@@ -38,6 +40,7 @@ from repro.nn.prototxt import network_from_prototxt, network_to_prototxt
 from repro.nn.zoo import EXIT_MODELS, build_model
 from repro.serve import ServingConfig, ServingLoop
 from repro.sim import SeededRng, Simulator
+from tests.memos import clear_memos
 
 
 def model_input(model, seed=7):
@@ -106,38 +109,34 @@ class TestExitZoo:
 
 @pytest.mark.exits
 class TestSplitExitEquivalence:
-    def _pairs(self, network):
-        for exit in network.exit_points():
-            if exit.is_final:
-                continue
-            for point in network.offload_points():
-                if 0 < point.index < exit.index:
-                    yield point, exit
-
-    def test_bitwise_at_every_pair(self, exits_network):
-        x = SeededRng(3, "exits/pairs").uniform_array(
-            tuple(exits_network.input_shape), 0, 255
-        )
-        for point, exit in self._pairs(exits_network):
-            walk = exits_network.at_exit(exit.index).forward_reference(x)
-            front = exits_network.plan_for(0, point.index)
-            rear = exits_network.plan_for(
-                point.index + 1, exit.index, exit_point=exit.index
+    def test_bitwise_at_every_pair(self):
+        for name in EXIT_MODELS:
+            network = build_model(name).network
+            x = SeededRng(3, "exits/pairs").uniform_array(
+                tuple(network.input_shape), 0, 255
             )
-            planned = rear.forward(front.forward(x))
-            assert np.array_equal(planned, walk), (
-                f"split @{point.index} x exit {exit.name} diverged from "
-                "the reference walk"
-            )
+            for exit in network.exit_points()[:-1]:
+                pruned = network.at_exit(exit.index)
+                walk = pruned.forward_reference(x)
+                for point in network.offload_points():
+                    if not 0 < point.index < exit.index:
+                        continue
+                    halves = pruned.split(point.index)
+                    clear_memos()  # the rear executes, not answered by a link
+                    planned = halves.rear.forward(halves.front.forward(x))
+                    assert np.array_equal(planned, walk), (
+                        f"{name}: split @{point.index} x exit {exit.name} "
+                        "diverged from the reference walk"
+                    )
 
     def test_forward_exit_optimized_matches_walk(self, exits_network):
         x = SeededRng(5, "exits/forward").uniform_array(
             tuple(exits_network.input_shape), 0, 255
         )
+        clear_memos()
         for exit in exits_network.exit_points():
-            optimized = exits_network.forward_exit(x, exit.index)
-            walked = exits_network.at_exit(exit.index).forward_reference(x)
-            assert np.array_equal(optimized, walked)
+            pruned = exits_network.at_exit(exit.index)
+            assert np.array_equal(pruned.forward(x), pruned.forward_reference(x))
 
     @pytest.mark.parametrize("name", EXIT_MODELS)
     def test_description_roundtrip_preserves_exits(self, name):
@@ -153,20 +152,38 @@ class TestSplitExitEquivalence:
         loaded = load_model_files(*save_model_files(exits_model, str(tmp_path)))
         x = model_input(exits_model)
         for exit in exits_model.network.exit_points():
-            original = exits_model.network.forward_exit(x, exit.index)
-            restored = loaded.network.forward_exit(x, exit.index)
+            original = exits_model.network.at_exit(exit.index).forward(x)
+            restored = loaded.network.at_exit(exit.index).forward(x)
             assert np.array_equal(restored, original)
 
-    def test_exit_point_outside_range_rejected(self, exits_network):
-        exit = exits_network.exit_points()[0]
-        with pytest.raises(IndexError):
-            exits_network.plan_for(
-                exit.index + 1, None, exit_point=exit.index
-            )
-
     def test_exit_point_must_be_an_exit_head(self, exits_network):
+        assert exits_network.layers[1].kind != "exit"
         with pytest.raises(ValueError):
-            exits_network.plan_for(0, None, exit_point=1)
+            exits_network.at_exit(1)
+
+
+class TestExitPricing:
+    def test_a_taken_exit_is_priced_as_the_network_that_runs(
+        self, exits_network, optimizer, link
+    ):
+        """The pruned network has no identity entry for the taken head,
+        so its rear costs no per-layer overhead for one."""
+        for exit in exits_network.exit_points()[:-1]:
+            costs = network_costs(exits_network.at_exit(exit.index))
+            for point in exits_network.offload_points():
+                if point.index >= exit.index:
+                    continue
+                pair = optimizer.estimate_exit(
+                    exits_network, point, link, exit
+                ).estimate
+                rear = [cost for cost in costs if cost.spine_index > point.index]
+                front = [cost for cost in costs if cost.spine_index <= point.index]
+                assert pair.server_seconds == (
+                    optimizer.server_predictor.predict_forward(rear)
+                ), (exit.name, point.label)
+                assert pair.client_seconds == (
+                    optimizer.client_predictor.predict_forward(front)
+                ), (exit.name, point.label)
 
 
 class TestChooseUnderDeadline:

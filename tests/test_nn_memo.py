@@ -2,16 +2,18 @@
 
 The compiled plans share one process-wide result memo keyed by content:
 ``(chain, sha1 of the input bits)``, where a plan's chain is one print per
-spine layer it covers.  Every executed single-sample forward without an
-exit links the sha1 of its output to its own key, and a lookup that misses
-follows the link of its input.  What must hold:
+spine layer it covers.  Every executed single-sample forward links the
+sha1 of its output to its own key, and a lookup that misses follows the
+link of its input.  What must hold:
 
 * after ``model.inference(x)`` and ``front.inference(x)``, the rear
   half's forward on that feature is answered from the memo — on every zoo
   model, at the first, a middle and the last offload point — with the
   bits an executed rear computes;
 * a feature one ulp away executes;
-* an exit plan composes with its front the same way;
+* an early exit's pruned network (``Network.at_exit``) composes with its
+  front the same way — on both exit models, at the first and the last
+  split before each exit;
 * two separately built models with the same parameters share entries;
 * after the supported in-place write (``invalidate_param_cache``, then
   write) nothing stale is answered;
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.nn import plan as plan_module
-from repro.nn.zoo import BUILDERS, build_model
+from repro.nn.zoo import BUILDERS, EXIT_MODELS, build_model
 from repro.sim import SeededRng
 from tests.memos import clear_memos, entries
 from tests.test_backend import same_bits
@@ -81,23 +83,37 @@ class TestSplitRule:
     def test_an_exit_plan_composes_with_its_front(self):
         network = build_model("smallnet_exits").network
         x = image_for(network)
-        exit_index = network.exit_by_name("exit2").index
-        split = network.point_by_label("1st_pool").index
+        pruned = network.at_exit(network.exit_by_name("exit2").index)
+        halves = pruned.split(network.point_by_label("1st_pool").index)
         clear_memos()
-        early = network.forward_exit(x, exit_index)
-        feature = network.forward_range(x, 0, split)
-        rear = network.plan_for(split + 1, exit_index, exit_point=exit_index)
+        early = pruned.forward(x)
+        feature = halves.front.forward(x)
+        rear = halves.rear.plan_for()
         answered = rear.forward(feature)
         assert rear.memo_hits == 1
         assert same_bits(answered, rear.forward_batch(feature[None])[0])
         assert same_bits(answered, early)
 
-    def test_an_exit_plan_links_nothing(self):
-        network = build_model("smallnet_exits").network
-        exit_index = network.exit_by_name("exit1").index
-        clear_memos()
-        network.forward_exit(image_for(network), exit_index)
-        assert len(plan_module._RESULTS) == 1 and not plan_module._LINKS
+    @pytest.mark.parametrize("name", EXIT_MODELS)
+    def test_an_exits_rear_half_is_answered_through_the_link(self, name):
+        network = build_model(name).network
+        x = image_for(network)
+        for exit in network.exit_points()[:-1]:
+            pruned = network.at_exit(exit.index)
+            splits = [point.index for point in network.offload_points()
+                      if 0 < point.index < exit.index]
+            for split in (splits[0], splits[-1]):
+                halves = pruned.split(split)
+                clear_memos()
+                pruned.forward(x)
+                feature = halves.front.forward(x)
+                rear = halves.rear.plan_for()
+                own = (rear.chain, plan_module._bits(feature))
+                assert own not in plan_module._RESULTS  # only the link answers
+                answered = rear.forward(feature)
+                assert rear.memo_hits == 1, (exit.name, split)
+                executed = rear.forward_batch(feature[None])[0]
+                assert same_bits(answered, executed), (exit.name, split)
 
 
 class TestContentKeys:

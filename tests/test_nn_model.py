@@ -320,10 +320,10 @@ class TestSaveLoad:
         assert loaded.fingerprint() == model.fingerprint()
         x = SeededRng(9, "x").uniform_array(model.network.input_shape, 0, 255)
         assert np.array_equal(loaded.inference(x), model.inference(x))
-        for exit_point in model.network.exit_points()[:-1]:
+        for exit in model.network.exit_points()[:-1]:
             assert np.array_equal(
-                loaded.network.forward_exit(x, exit_point.index),
-                model.network.forward_exit(x, exit_point.index),
+                loaded.network.at_exit(exit.index).forward(x),
+                model.network.at_exit(exit.index).forward(x),
             )
 
 

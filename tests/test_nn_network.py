@@ -60,9 +60,8 @@ class TestBuild:
 
 class TestForward:
     def test_forward_range_composes(self, net, image):
-        mid = len(net.layers) // 2
-        partial = net.forward_range(image, 0, mid)
-        rest = net.forward_range(partial, mid + 1, len(net.layers) - 1)
+        halves = net.split(len(net.layers) // 2)
+        rest = halves.rear.forward(halves.front.forward(image))
         assert np.allclose(rest, net.forward(image))
 
     def test_forward_with_activations_matches(self, net, image):
@@ -72,9 +71,9 @@ class TestForward:
 
     def test_invalid_range_rejected(self, net, image):
         with pytest.raises(IndexError):
-            net.forward_range(image, 3, 2)
+            net.forward_reference(image, 3, 2)
         with pytest.raises(IndexError):
-            net.forward_range(image, 0, len(net.layers))
+            net.forward_reference(image, 0, len(net.layers))
 
 
 class TestSplit:

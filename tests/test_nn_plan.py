@@ -49,10 +49,11 @@ class TestEquivalence:
         net = small.network
         x = model_input(small)
         expected = reference_forward(net, x)
-        last = len(net.layers) - 1
         for point in net.offload_points():
-            front = compile_plan(net, 0, point.index)
-            rear = compile_plan(net, point.index + 1, last)
+            halves = net.split(point.index)
+            front = compile_plan(halves.front)
+            rear = compile_plan(halves.rear)
+            clear_memos()  # the rear executes, not answered through a link
             assert np.array_equal(rear.forward(front.forward(x)), expected)
 
     def test_forward_range_optimized_matches_reference(self, small):
@@ -60,7 +61,8 @@ class TestEquivalence:
         x = model_input(small)
         point = net.offload_points()[2]
         feature = net.forward_reference(x, 0, point.index)
-        assert np.array_equal(net.forward_range(x, 0, point.index), feature)
+        front = net.split(point.index).front
+        assert np.array_equal(front.forward(x), feature)
 
 
 # -- split isolation ------------------------------------------------------------
@@ -68,21 +70,24 @@ class TestEquivalence:
 
 class TestSplitIsolation:
     def test_fusion_never_crosses_split(self, small):
-        """No step of a front/rear plan covers a layer beyond its range."""
+        """No step of a front/rear plan covers a layer of the other half."""
         net = small.network
-        last = len(net.layers) - 1
         for point in net.offload_points():
-            front = compile_plan(net, 0, point.index)
-            rear = compile_plan(net, point.index + 1, last)
-            front_covered = [
-                index for step in front.steps for index, _ in step.layers
-            ]
-            rear_covered = [
-                index for step in rear.steps for index, _ in step.layers
-            ]
+            halves = net.split(point.index)
+            front = compile_plan(halves.front)
+            rear = compile_plan(halves.rear)
+            front_covered = {
+                id(halves.front.layers[index])
+                for step in front.steps for index, _ in step.layers
+            }
+            rear_covered = {
+                id(halves.rear.layers[index])
+                for step in rear.steps for index, _ in step.layers
+            }
+            front_layers = {id(layer) for layer in net.layers[: point.index + 1]}
             # An empty front (only elided layers before the point) is fine.
-            assert all(index <= point.index for index in front_covered)
-            assert all(index >= point.index + 1 for index in rear_covered)
+            assert front_covered <= front_layers
+            assert not rear_covered & front_layers
             assert tuple(front.output_shape) == tuple(
                 net.layers[point.index].out_shape
             )
@@ -95,8 +100,9 @@ class TestSplitIsolation:
             for index, layer in enumerate(net.layers)
             if layer.kind == "relu"
         )
-        front = compile_plan(net, 0, relu_index - 1)
-        rear = compile_plan(net, relu_index, len(net.layers) - 1)
+        halves = net.split(relu_index - 1)
+        front = compile_plan(halves.front)
+        rear = compile_plan(halves.rear)
         assert front.stats.fused == 0
         assert rear.steps[0].kind == "relu"
 
@@ -153,36 +159,12 @@ class TestBatchedForward:
 
 class TestPlanMemo:
     def test_plan_for_caches_per_range(self, small):
+        """One plan per network: a split half is a network with its own."""
         net = small.network
         assert net.plan_for() is net.plan_for()
-        assert net.plan_for(0, 3) is not net.plan_for()
-
-    def test_memo_key_is_range_and_exit(self):
-        model = build_model("smallnet_exits")
-        net = model.network
-        x = model_input(model)
-        exit_index = net.exit_points()[0].index
-        net.forward(x)
-        net.forward_exit(x, exit_index)
-        net.forward_range(net.forward_range(x, 0, 2), 3, len(net.layers) - 1)
-        last = len(net.layers) - 1
-        assert set(net._plans) == {
-            (0, last, None),
-            (0, exit_index, exit_index),
-            (0, 2, None),
-            (3, last, None),
-        }
-        for start, end, exit_point in list(net._plans):
-            plan = net._plans[(start, end, exit_point)]
-            assert net.plan_for(start, end, exit_point) is plan
-            assert net.plan_for(start, end, exit_point=exit_point) is plan
-        stale = net.plan_for()
-        conv = next(layer for layer in net.layers if layer.kind == "conv")
-        conv.params["weight"] = conv.params["weight"] * np.float32(2.0)
-        conv.invalidate_param_cache()
-        fresh = net.plan_for()
-        assert fresh is not stale and net._plans[(0, last, None)] is fresh
-        assert np.array_equal(fresh.forward(x), reference_forward(net, x))
+        front = net.split(3).front
+        assert front.plan_for() is front.plan_for()
+        assert front.plan_for() is not net.plan_for()
 
     def test_param_replacement_recompiles(self):
         model = smallnet(seed=11)
@@ -194,7 +176,7 @@ class TestPlanMemo:
         conv.invalidate_param_cache()
         assert not stale.is_valid()
         fresh = net.plan_for()
-        assert fresh is not stale
+        assert fresh is not stale and net._plan is fresh
         assert np.array_equal(fresh.forward(x), reference_forward(net, x))
 
 
@@ -229,11 +211,12 @@ class TestCapturedParameters:
         net = model.network
         x = model_input(model)
         logits = len(net.layers) - 2  # softmax saturates on 0..255 pixels
-        net.forward_range(x, 0, logits)
+        front = net.split(logits).front
+        front.forward(x)
         with pytest.raises(ValueError):
             find_layer(net, name).params[key][...] += np.float32(0.5)
         assert np.array_equal(
-            net.forward_range(x, 0, logits), net.forward_reference(x, 0, logits)
+            front.forward(x), net.forward_reference(x, 0, logits)
         )
 
     @pytest.mark.parametrize("name,key", CAPTURED)
@@ -242,14 +225,15 @@ class TestCapturedParameters:
         net = model.network
         x = model_input(model)
         logits = len(net.layers) - 2
-        before = net.forward_range(x, 0, logits)
-        stale = net.plan_for(0, logits)
+        front = net.split(logits).front
+        before = front.forward(x)
+        stale = front.plan_for()
         layer = find_layer(net, name)
         layer.invalidate_param_cache()
         assert not stale.is_valid()
         layer.params[key][...] += np.float32(0.5)
-        after = net.forward_range(x, 0, logits)
-        assert net.plan_for(0, logits) is not stale
+        after = front.forward(x)
+        assert front.plan_for() is not stale
         assert not np.array_equal(after, before)
         assert np.array_equal(after, net.forward_reference(x, 0, logits))
 
@@ -377,14 +361,15 @@ class TestDagLowering:
         stages."""
         net = googlenet_model.network
         x = model_input(googlenet_model)
-        last = len(net.layers) - 1
         expected_layers = []
         value = x
         for layer in net.layers:
             value = layer.forward(value)
             expected_layers.append(value)
         for point in net.offload_points():
-            front = net.forward_range(x, 0, point.index)
+            halves = net.split(point.index)
+            clear_memos()  # the rear executes, not answered through a link
+            front = halves.front.forward(x)
             assert np.array_equal(front, expected_layers[point.index])
-            rear = net.forward_range(front, point.index + 1, last)
-            assert np.array_equal(rear, expected_layers[last])
+            rear = halves.rear.forward(front)
+            assert np.array_equal(rear, expected_layers[-1])

@@ -264,10 +264,10 @@ class TestRoundTrips:
         assert loaded.description_json() == model.description_json()
         assert loaded.model_id == model.model_id
         x = SeededRng(1, "x").normal_array((4, 9, 9))
-        for exit_point in model.network.exit_points():
+        for exit in model.network.exit_points():
             assert np.array_equal(
-                loaded.network.forward_exit(x, exit_point.index),
-                model.network.forward_exit(x, exit_point.index),
+                loaded.network.at_exit(exit.index).forward(x),
+                model.network.at_exit(exit.index).forward(x),
             )
 
     def test_default_lrn_k_is_not_written(self):

@@ -186,17 +186,13 @@ def batch_for(plan, count, seed=5):
 
 
 def plans_of(network):
-    """The whole-network plan, a front / rear pair around a middle split,
-    and every early-exit plan."""
-    last = len(network.layers) - 1
+    """The whole-network plan, the front / rear halves of a middle split,
+    and the plan of every early exit's pruned network."""
     points = network.offload_points()
-    split = points[len(points) // 2].index
-    plans = [network.plan_for(), network.plan_for(0, split)]
-    if split < last:
-        plans.append(network.plan_for(split + 1, last))
-    for exit in network.exit_points():
-        if not exit.is_final:
-            plans.append(network.plan_for(0, exit.index, exit_point=exit.index))
+    halves = network.split(points[len(points) // 2].index)
+    plans = [network.plan_for(), halves.front.plan_for(), halves.rear.plan_for()]
+    for exit in network.exit_points()[:-1]:
+        plans.append(network.at_exit(exit.index).plan_for())
     return plans
 
 
@@ -257,8 +253,8 @@ class TestArenaAcrossBatchSizes:
         # every smaller plan — the halves of a split, another model — runs
         # in the same buffer
         network = build_model("googlenet").network
-        split = network.point_by_label("3rd_pool").index
-        for other in (network.plan_for(0, split), network.plan_for(split + 1),
+        halves = network.split(network.point_by_label("3rd_pool").index)
+        for other in (halves.front.plan_for(), halves.rear.plan_for(),
                       build_model("smallnet").network.plan_for()):
             other.forward_batch(batch_for(other, 3))
         assert tensor._SCRATCH["arena"] is grown
@@ -289,12 +285,11 @@ class TestCallerOwnsResult:
     @pytest.mark.parametrize("name", ["smallnet", "resnet-mini", "tinynet"])
     def test_results_survive_mutation_and_alias_nothing(self, name):
         network = build_model(name).network
-        last = len(network.layers) - 1
         # a whole network ends in softmax (a fresh array); a front half ends
         # in an arena step, whose value must be copied out
-        split = network.offload_points()[1].index
-        for plan in (network.plan_for(), network.plan_for(0, split),
-                     network.plan_for(split + 1, last)):
+        halves = network.split(network.offload_points()[1].index)
+        for plan in (network.plan_for(), halves.front.plan_for(),
+                     halves.rear.plan_for()):
             xs = batch_for(plan, 3)
             for run, argument in ((plan.forward, xs[0]), (plan.forward_batch, xs)):
                 first = run(argument)
@@ -354,7 +349,8 @@ class TestPlansOwnNoMemory:
         from repro.obs import MetricsRegistry, to_prometheus_text
 
         network = build_model("tinynet").network
-        plan = network.plan_for(2, 2)  # the lone ReLU: the cheapest plan
+        # the lone ReLU (spine layer 2): the cheapest plan
+        plan = network.split(1).rear.split(0).front.plan_for()
         sizes = [1 + call % 3 for call in range(10_000)]
         inputs = {count: batch_for(plan, count) for count in (1, 2, 3)}
         for count in (1, 2, 3):  # warm the arena, then start the tally afresh
@@ -414,16 +410,15 @@ def property_plan(spec):
     if kind == "whole":
         return network.plan_for(), network.forward_reference
     if kind == "front":
-        return network.plan_for(0, split), functools.partial(
+        return network.split(split).front.plan_for(), functools.partial(
             network.forward_reference, end=split
         )
     if kind == "rear":
-        return network.plan_for(split + 1), functools.partial(
+        return network.split(split).rear.plan_for(), functools.partial(
             network.forward_reference, start=split + 1
         )
-    exit = network.exit_points()[0].index
-    return (network.plan_for(0, exit, exit_point=exit),
-            network.at_exit(exit).forward_reference)
+    exit = network.at_exit(network.exit_points()[0].index)
+    return exit.plan_for(), exit.forward_reference
 
 
 @functools.lru_cache(maxsize=None)
@@ -581,13 +576,13 @@ class TestForwardMemo:
         assert plan.memo_hits == 6 and entries(plan) == 6
 
     def test_plans_never_share_entries(self):
-        """Plans of different content never share an entry: a range that
-        stops at the logits is not the whole network, and a written bias
-        is new content."""
+        """Plans of different content never share an entry: a front half
+        that stops at the logits is not the whole network, and a written
+        bias is new content."""
         network = build_model("smallnet").network
         fc = next(index for index, layer in enumerate(network.layers)
                   if layer.kind == "fc")
-        whole, front = network.plan_for(), network.plan_for(0, fc)
+        whole, front = network.plan_for(), network.split(fc).front.plan_for()
         (x,) = batch_for(whole, 1)
         clear_memos()
         for plan in (whole, front, whole, front):
@@ -644,7 +639,7 @@ class TestForwardMemo:
 
     def test_a_large_result_is_never_memoized(self):
         network = build_model("smallnet").network
-        front = network.plan_for(0, network.offload_points()[1].index)
+        front = network.split(network.offload_points()[1].index).front.plan_for()
         assert np.prod(front.output_shape) > plan_module._MEMO_MAX_VALUES
         (x,) = batch_for(front, 1)
         clear_memos()

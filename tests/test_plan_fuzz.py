@@ -8,7 +8,7 @@ compiled :class:`~repro.nn.plan.ExecutionPlan`.  The contract under test:
 
 * every graph is **bitwise identical** to the reference walk
   (``np.array_equal``), whole-network and at every spine split, including
-  splits whose ranges cross a branch-and-join stage;
+  splits whose halves cross a branch-and-join stage;
 * ``forward_traced`` never reports an arena step whose output buffer
   aliases one of its inputs or clobbers a value still live — the
   interval-coloring safety invariant;
@@ -34,6 +34,7 @@ from repro.nn.layers.normalization import LRNLayer
 from repro.nn.layers.pool import PoolLayer
 from repro.nn.network import Network
 from repro.sim import SeededRng
+from tests.memos import clear_memos
 from tests.test_plan_batch import BATCH_SIZES, parent_forward_batch
 
 FUZZ_SETTINGS = dict(
@@ -237,12 +238,13 @@ class TestGeneratedGraphs:
         """Front/rear plans around a random spine split compose bitwise —
         including splits whose ranges cross branch-and-join stages."""
         network = spec.build()
-        last = len(network.layers) - 1
-        split = data.draw(st.integers(0, last - 1), label="split")
+        split = data.draw(st.integers(0, len(network.layers) - 2), label="split")
         x = _input_for(network)
         reference = network.forward_reference(x)
-        front = network.forward_range(x, 0, split)
-        rear = network.forward_range(front, split + 1, last)
+        halves = network.split(split)
+        clear_memos()  # the rear executes, not answered through a link
+        front = halves.front.forward(x)
+        rear = halves.rear.forward(front)
         assert np.array_equal(rear, reference)
 
     @settings(max_examples=60, **FUZZ_SETTINGS)

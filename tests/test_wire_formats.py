@@ -180,10 +180,10 @@ class TestWeightsBlob:
         x = SeededRng(3, "x").uniform_array(tuple(source.network.input_shape), 0, 255)
         exits = source.network.exit_points()
         assert len(exits) == 3
-        for exit_point in exits:
+        for exit in exits:
             assert np.array_equal(
-                target.network.forward_exit(x, exit_point.index),
-                source.network.forward_exit(x, exit_point.index),
+                target.network.at_exit(exit.index).forward(x),
+                source.network.at_exit(exit.index).forward(x),
             )
 
     @staticmethod
