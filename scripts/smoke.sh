@@ -7,10 +7,12 @@
 # metrics and serve every request), and the serving loop's contract (a
 # same-seed continuous-batching scenario
 # with a mid-run kill, run twice, must emit byte-identical reports and
-# metrics — batching changes timing, never results), and the committed
-# fig7 baseline (a googlenet fig7 must byte-match it), and
-# the model store's contract (same-seed cold-fleet and pre-warmed-fleet
-# scenarios, run twice each, must emit byte-identical reports, and the
+# metrics, and its report must byte-match the committed baselines with
+# and without a per-request SLO — batching changes timing, never
+# results), and the committed fig7 baseline (a googlenet fig7 must
+# byte-match it), and the model store's contract (same-seed cold-fleet
+# and pre-warmed-fleet scenarios, run twice each, must emit
+# byte-identical reports, and the
 # warm fleet must pay zero upload bytes), and the multi-exit sweep's
 # contract (same-seed fig-accuracy runs must be byte-identical to each
 # other and to the committed smallnet_exits baseline, with every
@@ -101,7 +103,22 @@ cmp "$out_dir/serve-a.prom" "$out_dir/serve-b.prom" || {
     echo "FAIL: serving metrics diverge across same-seed reruns" >&2; exit 1; }
 grep -q "serving:" "$out_dir/serve-a.md" || {
     echo "FAIL: serving report carries no batching stats" >&2; exit 1; }
-echo "ok: serving report and metrics byte-identical across same-seed reruns"
+# The report's bytes are locked too, with and without a per-request SLO:
+# the batching rule, the deadline accounting and the failover path must
+# reproduce the committed baselines.
+python -m repro serve --edges 2 --sessions 10 --requests 2 --rate 48 \
+    --seed 5 --kill edge-0@0.35:1.2 --deadline 0.2 \
+    --out "$out_dir/serve-deadline.md" > /dev/null
+cmp "benchmarks/results/serve_seed5_kill_reference.md" \
+    "$out_dir/serve-a.md" || {
+    echo "FAIL: serving report differs from the committed baseline" >&2
+    exit 1; }
+cmp "benchmarks/results/serve_seed5_kill_deadline_reference.md" \
+    "$out_dir/serve-deadline.md" || {
+    echo "FAIL: serving report with --deadline differs from the committed" \
+        "baseline" >&2
+    exit 1; }
+echo "ok: serving report and metrics byte-identical across same-seed reruns and to the committed baselines"
 
 echo "== 6/8 committed fig7 baseline"
 # A googlenet fig7 must reproduce the committed report byte for byte: the

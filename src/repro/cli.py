@@ -14,7 +14,7 @@ Usage::
     python -m repro fleet [--policy queue-aware] [--edges 3] [--sessions 40]
                           [--kill edge-0@1.5:4.0]
     python -m repro serve [--model resnet-mini] [--rate 64] [--max-batch 8]
-                          [--former size-timeout] [--kill edge-0@0.35:1.2]
+                          [--deadline 0.5] [--kill edge-0@0.35:1.2]
     python -m repro metrics [--format prometheus|json] [--trace-out t.json]
     python -m repro campaign [--quick] [--out REPORT.md] [--timings]
 
@@ -314,10 +314,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServingConfig
 
     config = ServingConfig(
-        max_batch=args.max_batch,
-        batch_timeout_s=args.batch_timeout,
-        deadline_s=args.deadline,
-        former=args.former,
+        max_batch=args.max_batch, batch_timeout_s=args.batch_timeout
     )
     try:
         scenario = FleetScenario(
@@ -338,6 +335,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
             reply_timeout=args.reply_timeout,
             serving=config,
+            deadline_s=args.deadline,
         )
     except IndexError as exc:  # Network.split: the only index the builder takes
         print(f"error: --split-index: {exc}", file=sys.stderr)
@@ -492,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet scenario with a continuous-batching serving loop on "
         "every edge (always offload-partial)",
     )
-    from repro.serve import FORMER_NAMES
-
     p.add_argument(
         "--model",
         default="resnet-mini",
@@ -527,11 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--deadline", type=_positive_float, default=None,
-        help="per-request completion deadline for the deadline former",
-    )
-    p.add_argument(
-        "--former", default="size-timeout", choices=list(FORMER_NAMES),
-        help="batch-forming policy",
+        help="per-request completion SLO in seconds; the report counts "
+        "the requests that miss it",
     )
     p.add_argument(
         "--kill", action="append", metavar="EDGE@SECONDS[:REVIVE]",

@@ -199,8 +199,9 @@ class ClientAgent:
         forward.  Servers without a serving loop ignore it.
 
         ``deadline_s`` is this request's completion SLO; it rides in the
-        snapshot metadata and overrides the serving loop's config-wide
-        deadline for this item.  Servers without a serving loop ignore it.
+        snapshot metadata, and the serving loop counts the item as a
+        deadline miss if it completes later.  Servers without a serving
+        loop ignore it.
 
         Yields simulation events; the process result is an
         :class:`OffloadOutcome`.  Raises :class:`OffloadError` if the server

@@ -5,8 +5,8 @@ server's FIFO browser device.  A protocol loop that has restored a snapshot
 no longer executes it inline; it :meth:`~ServingLoop.submit`\\ s a
 :class:`~repro.serve.queue.WorkItem` and yields on ``item.done`` — a plain
 simulator event.  One dispatcher process per batch queue watches arrivals,
-asks its :class:`~repro.serve.former.BatchFormer` when to cut a batch, and
-dispatches each batch as its own simulated process:
+cuts a batch when the queue is full or its oldest item has waited out the
+timeout, and dispatches each batch as its own simulated process:
 
 * **virtual time** — one ``device.execute`` for the whole batch, priced by
   :meth:`~repro.devices.device.Device.batch_forward_seconds` (the longest
@@ -22,7 +22,7 @@ dispatches each batch as its own simulated process:
   batch-size / queue-wait histograms.
 
 Dispatchers never block on execution: a batch is handed to the device and
-the dispatcher immediately goes back to forming, so the former's timeout
+the dispatcher immediately goes back to forming, so the batch timeout
 bound holds exactly — no item waits in the queue past its timeout (the
 device's FIFO backlog is accounted as queue wait, not forming wait).
 
@@ -39,9 +39,16 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.devices.device import Device
-from repro.serve.former import BatchFormer, FormerError, make_former
 from repro.serve.queue import SOLO_KEY, BatchQueue, WorkItem
 from repro.sim import Simulator
+
+
+#: tolerance for "the timeout has expired" on the float virtual clock
+_EPS = 1e-9
+
+
+class FormerError(RuntimeError):
+    """Raised for invalid serving-loop knobs."""
 
 
 class ServingDropped(RuntimeError):
@@ -56,19 +63,12 @@ class ServingConfig:
     max_batch: int = 4
     #: longest an item may wait in the queue for a fuller batch, seconds
     batch_timeout_s: float = 0.005
-    #: per-request completion deadline (enqueue-relative); None disables
-    #: deadline accounting entirely
-    deadline_s: Optional[float] = None
-    #: batch-forming policy name (see :data:`repro.serve.FORMER_NAMES`)
-    former: str = "size-timeout"
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise FormerError("max_batch must be >= 1")
         if self.batch_timeout_s < 0:
             raise FormerError("batch_timeout_s must be >= 0")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise FormerError("deadline_s must be positive")
 
 
 class ServingLoop:
@@ -88,10 +88,9 @@ class ServingLoop:
         self.server_name = server_name
         self.config = config
         #: runs the real handlers for a dispatched batch; None = virtual
-        #: time only (the former property tests drive the loop bare)
+        #: time only (the forming property tests drive the loop bare)
         self.compute = compute
         self._queues: Dict[str, BatchQueue] = {}
-        self._formers: Dict[str, BatchFormer] = {}
         #: deterministic aggregates for reports (no registry scraping)
         self.stats: Dict[str, float] = {
             "batches": 0,
@@ -144,11 +143,10 @@ class ServingLoop:
     ) -> WorkItem:
         """Enqueue one restored request; returns the item to wait on.
 
-        ``deadline_s`` overrides the loop-wide ``config.deadline_s`` for
-        this item (per-request SLOs ride in on the snapshot).
+        ``deadline_s`` is this item's completion SLO, enqueue-relative (it
+        rides in on the snapshot); None disables deadline accounting.
         """
         now = self.sim.now
-        deadline = deadline_s if deadline_s is not None else self.config.deadline_s
         item = WorkItem(
             sender=sender,
             request_id=request_id,
@@ -158,7 +156,7 @@ class ServingLoop:
             model_id=model_id,
             feature=feature,
             enqueued_at=now,
-            deadline_at=(now + deadline if deadline is not None else None),
+            deadline_at=(now + deadline_s if deadline_s is not None else None),
             done=self.sim.event(label=f"serve-done:{sender}:{request_id}"),
         )
         queue = self._queue_for(item.batch_key)
@@ -193,21 +191,25 @@ class ServingLoop:
             queue = BatchQueue(key=key)
             self._queues[key] = queue
             if key == SOLO_KEY:
-                former = make_former("immediate", 1, 0.0)
+                # A solo item can have no batch-mates: cut it at once.
+                max_batch, timeout_s = 1, 0.0
             else:
-                former = make_former(
-                    self.config.former,
-                    self.config.max_batch,
-                    self.config.batch_timeout_s,
-                )
-            self._formers[key] = former
+                max_batch = self.config.max_batch
+                timeout_s = self.config.batch_timeout_s
             self.sim.spawn(
-                self._dispatcher(queue, former),
+                self._dispatcher(queue, max_batch, timeout_s),
                 label=f"serve-dispatch:{self.server_name}:{key}",
             )
         return queue
 
-    def _dispatcher(self, queue: BatchQueue, former: BatchFormer):
+    def _dispatcher(self, queue: BatchQueue, max_batch: int, timeout_s: float):
+        """Cut FIFO prefixes of at most ``max_batch`` items.
+
+        A batch is cut once the queue holds ``max_batch`` items or its
+        oldest item has waited ``timeout_s``: under light load the timeout
+        bounds added latency, under heavy load the size cap keeps batches
+        forming back-to-back.
+        """
         while True:
             if not queue.items:
                 arrival = self.sim.event(
@@ -217,10 +219,12 @@ class ServingLoop:
                 yield arrival
                 queue.arrival = None
                 continue
-            wait = former.wait_seconds(queue.items, self.sim.now)
-            if wait > 0.0:
-                # Sleep until the former's bound expires or more work
-                # arrives — whichever is first re-evaluates the decision.
+            wait = 0.0
+            if len(queue.items) < max_batch:
+                wait = timeout_s - (self.sim.now - queue.items[0].enqueued_at)
+            if wait > _EPS:
+                # Sleep until the timeout expires or more work arrives —
+                # whichever is first re-evaluates the decision.
                 arrival = self.sim.event(
                     label=f"serve-arrival:{self.server_name}:{queue.key}"
                 )
@@ -228,7 +232,7 @@ class ServingLoop:
                 yield self.sim.any_of([self.sim.timeout(wait), arrival])
                 queue.arrival = None
                 continue
-            batch = former.take(queue, self.sim.now)
+            batch = queue.pop_prefix(max_batch)
             self._depth_gauge.set(self.depth())
             for item in batch:
                 item.formed_at = self.sim.now
@@ -250,7 +254,7 @@ class ServingLoop:
                     self._doa_counter.inc()
             # Hand the batch to the device and go straight back to
             # forming: the device FIFO serializes executions, and the
-            # former's timeout stays a hard bound on forming wait.
+            # batch timeout stays a hard bound on forming wait.
             self.sim.spawn(
                 self._run_batch(batch),
                 label=(

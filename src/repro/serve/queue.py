@@ -8,11 +8,12 @@ wait, per-item execution share, batch size, any handler error).
 
 Items from concurrent protocol loops land in a :class:`BatchQueue` keyed by
 model id — only same-model inferences can share a batched forward — and the
-:class:`~repro.serve.loop.ServingLoop` dispatcher drains each queue under
-its :class:`~repro.serve.former.BatchFormer` policy.  Items that carry no
-batch hint (no model id / feature) go to the dedicated *solo* queue, which
-dispatches immediately in batches of one, so unbatchable requests pay queue
-accounting but never wait for company that cannot come.
+:class:`~repro.serve.loop.ServingLoop` dispatcher cuts each queue into FIFO
+batches of at most ``max_batch`` items, waiting at most the batch timeout
+for company.  Items that carry no batch hint (no model id / feature) go to
+the dedicated *solo* queue, cut with ``max_batch=1`` and no timeout, so
+unbatchable requests pay queue accounting but never wait for company that
+cannot come.
 """
 
 from __future__ import annotations
@@ -49,14 +50,14 @@ class WorkItem:
     done: SimEvent = None  # type: ignore[assignment]
 
     # -- filled in by the serving loop at dispatch / completion -----------
-    #: when the former popped this item into a batch
+    #: when the dispatcher popped this item into a batch
     formed_at: float = 0.0
     #: enqueue -> batch execution start (forming wait + device FIFO wait)
     queue_seconds: float = 0.0
     #: this item's proportional share of the batch's device time
     exec_share_seconds: float = 0.0
     batch_size: int = 0
-    #: the deadline had already passed when the former cut this item into
+    #: the deadline had already passed when the dispatcher cut this item into
     #: a batch — the miss is counted once, at dequeue, not at completion
     dead_on_arrival: bool = False
     #: exception raised by the handler, if any (classified by the server)

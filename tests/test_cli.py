@@ -169,6 +169,26 @@ class TestCommands:
         (line,) = captured.err.splitlines()
         assert "--kill" in line and repr(spec) in line
 
+    def test_serve_deadline_is_a_request_slo(self, capsys):
+        # A 1 ms SLO is shorter than any rear half: every request misses it,
+        # and a miss is accounting, not a failure.
+        assert main(["serve", "--sessions", "2", "--deadline", "0.001"]) == 0
+        (line,) = [
+            text
+            for text in capsys.readouterr().out.splitlines()
+            if text.startswith("serving:")
+        ]
+        items = int(line.split(" items")[0].rsplit(" ", 1)[1])
+        assert line.endswith(f"deadline misses {items}")
+
+    def test_former_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--former", "size-timeout"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing simulated
+        assert "unrecognized arguments: --former" in captured.err
+
     @pytest.mark.parametrize("index", ["99", "-1"])
     def test_split_index_out_of_range_is_a_usage_error(self, index, capsys):
         assert main(["serve", "--sessions", "2", "--split-index", index]) == 2

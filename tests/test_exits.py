@@ -318,9 +318,7 @@ def _run_serving(deadline_s, exec_seconds, timeout_s):
         sim,
         device,
         "edge-test",
-        ServingConfig(
-            max_batch=8, batch_timeout_s=timeout_s, deadline_s=deadline_s
-        ),
+        ServingConfig(max_batch=8, batch_timeout_s=timeout_s),
     )
     completed = []
 
@@ -334,6 +332,7 @@ def _run_serving(deadline_s, exec_seconds, timeout_s):
             exec_seconds=exec_seconds,
             model_id="m",
             feature=object(),
+            deadline_s=deadline_s,
         )
         item.done.add_callback(lambda event: completed.append(event.value))
 
@@ -345,7 +344,7 @@ def _run_serving(deadline_s, exec_seconds, timeout_s):
 class TestDeadOnArrival:
     def test_stale_item_counted_once_at_dequeue(self):
         # The deadline (1 ms) expires while the lone item waits out the
-        # former's 50 ms timeout: dead on arrival.  The miss is counted
+        # batch timeout of 50 ms: dead on arrival.  The miss is counted
         # once, at dequeue — the completion check must not re-count it.
         loop, completed = _run_serving(
             deadline_s=0.001, exec_seconds=0.001, timeout_s=0.05

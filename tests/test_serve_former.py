@@ -1,18 +1,20 @@
-"""Unit and property tests for the batch formers and the serving loop.
+"""Unit and property tests for the serving loop's batching rule.
 
-The Hypothesis suite drives a bare :class:`~repro.serve.ServingLoop`
-(``compute=None`` — virtual time only) with generated arrival schedules and
-checks the three forming invariants the design guarantees:
+A dispatcher cuts a batch once its queue holds ``max_batch`` items or the
+oldest item has waited ``batch_timeout_s``; the solo queue cuts with
+``(1, 0.0)``.  Every test drives a bare :class:`~repro.serve.ServingLoop`
+(``compute=None`` — virtual time only).  The Hypothesis suite generates
+arrival schedules and checks the forming invariants the design guarantees:
 
 * **timeout bound** — no item sits in the forming queue longer than the
-  former's timeout (the dispatcher never blocks on execution, so the bound
+  batch timeout (the dispatcher never blocks on execution, so the bound
   is exact, not amortized);
 * **size cap** — no batch ever exceeds ``max_batch``;
 * **FIFO per queue** — batches are FIFO prefixes, so items sharing a batch
-  key are formed in arrival order (which preserves per-client order).
+  key are formed in arrival order (which preserves per-client order);
+* **deadline accounting** — a miss is counted once per item: at dequeue if
+  the deadline passed in the queue (dead on arrival), else at completion.
 """
-
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -21,104 +23,72 @@ from hypothesis import strategies as st
 from repro.devices.device import Device
 from repro.devices.profiles import edge_server_x86
 from repro.serve import (
-    FORMER_NAMES,
-    BatchQueue,
     FormerError,
-    ImmediateFormer,
     ServingConfig,
     ServingDropped,
     ServingLoop,
-    SizeTimeoutFormer,
-    WorkItem,
-    make_former,
 )
 from repro.sim import Simulator
 
 _EPS = 1e-6
 
 
-def _item(enqueued_at, exec_seconds=0.01, model_id="m", deadline_at=None,
-          sender="user", request_id=1):
-    sim = Simulator()
-    return WorkItem(
-        sender=sender,
-        request_id=request_id,
-        browser=None,
-        event=None,
-        exec_seconds=exec_seconds,
-        model_id=model_id,
-        feature=object() if model_id else None,
-        enqueued_at=enqueued_at,
-        deadline_at=deadline_at,
-        done=sim.event(),
-    )
-
-
 class TestFormerRegistry:
-    def test_names_and_factories_agree(self):
-        for name in FORMER_NAMES:
-            assert make_former(name, 4, 0.01).name == name
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(FormerError):
-            make_former("nope", 4, 0.01)
-
     def test_invalid_knobs_raise(self):
-        with pytest.raises(FormerError):
-            SizeTimeoutFormer(0, 0.01)
-        with pytest.raises(FormerError):
-            SizeTimeoutFormer(4, -1.0)
-        with pytest.raises(FormerError):
-            ImmediateFormer(0)
         with pytest.raises(FormerError):
             ServingConfig(max_batch=0)
         with pytest.raises(FormerError):
-            ServingConfig(deadline_s=0.0)
+            ServingConfig(batch_timeout_s=-1)
 
 
 class TestSizeTimeoutFormer:
     def test_full_batch_dispatches_now(self):
-        former = SizeTimeoutFormer(2, 10.0)
-        items = [_item(0.0), _item(0.0)]
-        assert former.wait_seconds(items, 0.0) == 0.0
+        completed = _drive(
+            [(0.0, "m"), (0.0, "m")], max_batch=2, timeout_s=10.0
+        )
+        assert [item.formed_at for item in completed] == [0.0, 0.0]
+        assert [item.batch_size for item in completed] == [2, 2]
 
     def test_partial_batch_waits_out_the_timeout(self):
-        former = SizeTimeoutFormer(4, 0.5)
-        items = [_item(1.0)]
-        assert former.wait_seconds(items, 1.0) == pytest.approx(0.5)
-        assert former.wait_seconds(items, 1.4) == pytest.approx(0.1)
-        assert former.wait_seconds(items, 1.5) == 0.0
-        assert former.wait_seconds(items, 2.0) == 0.0
+        # A lone item at t=1.0 is cut when its 0.5 s wait runs out; a
+        # batch-mate arriving meanwhile re-evaluates but does not reset
+        # the oldest item's clock.
+        completed = _drive(
+            [(1.0, "m"), (0.4, "m")], max_batch=4, timeout_s=0.5
+        )
+        assert [item.formed_at for item in completed] == [
+            pytest.approx(1.5), pytest.approx(1.5)
+        ]
+        assert [item.batch_size for item in completed] == [2, 2]
 
     def test_take_pops_fifo_prefix(self):
-        former = SizeTimeoutFormer(2, 0.5)
-        queue = BatchQueue(key="m")
-        items = [_item(0.0, request_id=i) for i in range(3)]
-        for item in items:
-            queue.push(item)
-        batch = former.take(queue, 1.0)
-        assert [i.request_id for i in batch] == [0, 1]
-        assert len(queue) == 1
-
-    def test_deadline_former_preempts_on_slack(self):
-        former = make_former("deadline", 8, 10.0)
-        # 0.2s of work due at t=1.0: slack runs out at t=0.8.
-        items = [_item(0.0, exec_seconds=0.2, deadline_at=1.0)]
-        assert former.wait_seconds(items, 0.0) == pytest.approx(0.8)
-        assert former.wait_seconds(items, 0.85) == 0.0
+        completed = _drive(
+            [(0.0, "m")] * 3, max_batch=2, timeout_s=0.5
+        )
+        by_id = {item.request_id: item for item in completed}
+        assert [by_id[i].batch_size for i in range(3)] == [2, 2, 1]
+        assert by_id[0].formed_at == by_id[1].formed_at == 0.0
+        assert by_id[2].formed_at == pytest.approx(0.5)
 
     def test_immediate_former_never_waits(self):
-        former = ImmediateFormer(3)
-        assert former.wait_seconds([_item(0.0)], 99.0) == 0.0
+        # A solo item (no batch hint) is cut at its enqueue instant, however
+        # long the batch queues' timeout.
+        completed = _drive([(99.0, None)], max_batch=8, timeout_s=10.0)
+        (item,) = completed
+        assert item.batch_size == 1
+        assert item.formed_at == item.enqueued_at == 99.0
 
 
-def _drive(arrivals, *, max_batch, timeout_s, former="size-timeout",
-           exec_seconds=0.01, deadline_s=None):
+def _drive(arrivals, *, max_batch, timeout_s, exec_seconds=0.01,
+           deadlines=None, stats=None, finished_at=None):
     """Run a bare loop over a generated arrival schedule.
 
     ``arrivals`` is a list of (delay_seconds, model_key) tuples; items are
-    submitted sequentially with the given inter-arrival gaps.  Returns the
-    completed items in completion order.
+    submitted sequentially with the given inter-arrival gaps, item ``i``
+    with the per-request deadline ``deadlines[i]`` (None: no deadlines).
+    Returns the completed items in completion order; ``stats``, if given,
+    is updated with the loop's stats, and ``finished_at``, if given, maps
+    each request id to the virtual instant its item completed.
     """
     sim = Simulator()
     device = Device(sim, edge_server_x86())
@@ -126,12 +96,7 @@ def _drive(arrivals, *, max_batch, timeout_s, former="size-timeout",
         sim,
         device,
         "edge-test",
-        ServingConfig(
-            max_batch=max_batch,
-            batch_timeout_s=timeout_s,
-            former=former,
-            deadline_s=deadline_s,
-        ),
+        ServingConfig(max_batch=max_batch, batch_timeout_s=timeout_s),
     )
     completed = []
 
@@ -147,13 +112,19 @@ def _drive(arrivals, *, max_batch, timeout_s, former="size-timeout",
                 exec_seconds=exec_seconds,
                 model_id=key,
                 feature=object() if key else None,
+                deadline_s=deadlines[index] if deadlines else None,
             )
-            item.done.add_callback(
-                lambda event: completed.append(event.value)
-            )
+            item.done.add_callback(on_done)
+
+    def on_done(event):
+        completed.append(event.value)
+        if finished_at is not None:
+            finished_at[event.value.request_id] = sim.now
 
     sim.spawn(submitter())
     sim.run(until=3600.0)
+    if stats is not None:
+        stats.update(loop.stats)
     return completed
 
 
@@ -183,7 +154,7 @@ class TestServingLoopProperties:
             # Size cap: no batch ever exceeds max_batch (solo queue is 1).
             cap = max_batch if item.batchable else 1
             assert 1 <= item.batch_size <= cap
-            # Timeout bound: forming wait never exceeds the former's
+            # Timeout bound: forming wait never exceeds the batch
             # timeout (solo items never wait at all).
             forming_wait = item.formed_at - item.enqueued_at
             bound = timeout_s if item.batchable else 0.0
@@ -218,16 +189,61 @@ class TestServingLoopProperties:
     @settings(max_examples=40, deadline=None)
     @given(arrivals=arrival_schedules)
     def test_deadline_former_meets_generous_deadlines(self, arrivals):
+        stats = {}
         completed = _drive(
             arrivals,
             max_batch=4,
             timeout_s=0.02,
-            former="deadline",
-            deadline_s=120.0,
+            deadlines=[120.0] * len(arrivals),
+            stats=stats,
         )
         assert len(completed) == len(arrivals)
         for item in completed:
             assert item.deadline_at is not None
+        assert stats["deadline_misses"] == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        arrivals=arrival_schedules,
+        max_batch=st.integers(min_value=1, max_value=6),
+        timeout_s=st.floats(min_value=0.0, max_value=0.05, allow_nan=False),
+    )
+    def test_deadline_misses_counted_once(
+        self, data, arrivals, max_batch, timeout_s
+    ):
+        # Deadlines racing batches: SLOs from well inside the forming
+        # timeout to well past the execution time, so items die in the
+        # queue, die while executing, or make it.
+        deadlines = data.draw(
+            st.lists(
+                st.floats(min_value=1e-4, max_value=0.2, allow_nan=False),
+                min_size=len(arrivals),
+                max_size=len(arrivals),
+            )
+        )
+        stats, finished_at = {}, {}
+        completed = _drive(
+            arrivals,
+            max_batch=max_batch,
+            timeout_s=timeout_s,
+            deadlines=deadlines,
+            stats=stats,
+            finished_at=finished_at,
+        )
+        assert len(completed) == len(arrivals)
+        dead = [item for item in completed if item.formed_at > item.deadline_at]
+        assert [item.dead_on_arrival for item in completed] == [
+            item in dead for item in completed
+        ]
+        assert stats["dead_on_arrival"] == len(dead)
+        late = [
+            item
+            for item in completed
+            if not item.dead_on_arrival
+            and finished_at[item.request_id] > item.deadline_at
+        ]
+        assert stats["deadline_misses"] == len(dead) + len(late)
 
 
 class TestServingLoopMechanics:
