@@ -4,12 +4,13 @@
 # export, a parse check on the exported metrics, the fleet scheduler's
 # contract (a small multi-edge scenario with a mid-run kill, run twice
 # with the same seed, must produce byte-identical reports and exported
-# metrics and serve every request), and the serving loop's contract (a
+# metrics, byte-match the committed references in tests/fixtures/, and
+# serve every request), and the serving loop's contract (a
 # same-seed continuous-batching scenario
 # with a mid-run kill, run twice, must emit byte-identical reports and
-# metrics, and its report must byte-match the committed baselines with
-# and without a per-request SLO — batching changes timing, never
-# results), and the committed fig7 baseline (a googlenet fig7 must
+# metrics, and its report must byte-match the committed references in
+# tests/fixtures/ with and without a per-request SLO — batching changes
+# timing, never results), and the committed fig7 baseline (a googlenet fig7 must
 # byte-match it), and the model store's contract (same-seed cold-fleet
 # and pre-warmed-fleet scenarios, run twice each, must emit
 # byte-identical reports, and the
@@ -81,7 +82,14 @@ cmp "$out_dir/fleet-a.md" "$out_dir/fleet-b.md" || {
     echo "FAIL: fleet reports diverge across same-seed reruns" >&2; exit 1; }
 cmp "$out_dir/fleet-a.prom" "$out_dir/fleet-b.prom" || {
     echo "FAIL: fleet metrics diverge across same-seed reruns" >&2; exit 1; }
-echo "ok: fleet report and metrics byte-identical across same-seed reruns"
+cmp "tests/fixtures/fleet_seed5_kill_reference.md" "$out_dir/fleet-a.md" || {
+    echo "FAIL: fleet report differs from the committed reference" >&2
+    exit 1; }
+cmp "tests/fixtures/fleet_seed5_kill_reference.prom" \
+    "$out_dir/fleet-a.prom" || {
+    echo "FAIL: fleet metrics differ from the committed reference" >&2
+    exit 1; }
+echo "ok: fleet report and metrics byte-identical across same-seed reruns and to the committed references"
 
 echo "== 5/8 serving: continuous-batching determinism under a kill"
 # The batching serving loop must be invisible in the results: a same-seed
@@ -109,11 +117,11 @@ grep -q "serving:" "$out_dir/serve-a.md" || {
 python -m repro serve --edges 2 --sessions 10 --requests 2 --rate 48 \
     --seed 5 --kill edge-0@0.35:1.2 --deadline 0.2 \
     --out "$out_dir/serve-deadline.md" > /dev/null
-cmp "benchmarks/results/serve_seed5_kill_reference.md" \
+cmp "tests/fixtures/serve_seed5_kill_reference.md" \
     "$out_dir/serve-a.md" || {
     echo "FAIL: serving report differs from the committed baseline" >&2
     exit 1; }
-cmp "benchmarks/results/serve_seed5_kill_deadline_reference.md" \
+cmp "tests/fixtures/serve_seed5_kill_deadline_reference.md" \
     "$out_dir/serve-deadline.md" || {
     echo "FAIL: serving report with --deadline differs from the committed" \
         "baseline" >&2

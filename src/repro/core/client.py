@@ -63,14 +63,22 @@ class OffloadOutcome:
 
 
 class ClientAgent:
-    """The embedded device: browser runtime + offloading machinery."""
+    """The embedded device: browser runtime + offloading machinery.
+
+    An agent may exist before it has a wire: built with ``endpoint=None``
+    (a fleet session loads its app before any edge is picked), it is
+    connected by the first :meth:`rebind`.  ``name`` labels its metrics
+    (default: the endpoint's name); an agent without an endpoint needs one.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         device: Device,
-        endpoint: ChannelEnd,
+        endpoint: Optional[ChannelEnd],
         capture_options: CaptureOptions = CaptureOptions(),
+        *,
+        name: Optional[str] = None,
     ):
         self.sim = sim
         self.device = device
@@ -86,7 +94,7 @@ class ClientAgent:
         #: snapshots (the paper's future-work reuse of server-side state)
         self.session_baselines: Dict[str, Any] = {}
         metrics = sim.metrics
-        labels = {"client": endpoint.name}
+        labels = {"client": name if name is not None else endpoint.name}
         self._offload_counter = metrics.counter(
             "client_offload_requests_total", help="offload round trips started",
             **labels,
@@ -117,7 +125,7 @@ class ClientAgent:
 
     # -- attachment --------------------------------------------------------------
     def rebind(self, endpoint: ChannelEnd) -> None:
-        """Point the agent at a different channel endpoint (fleet failover).
+        """Point the agent at a channel endpoint (fleet attach or failover).
 
         The browser runtime and all app state stay put — only the wire
         changes, exactly as when a mobile client re-associates with a new

@@ -8,6 +8,14 @@ of user sessions against them.  Each session is a real protocol client
 :class:`~repro.fleet.scheduler.FleetScheduler` picks an edge per request
 from live response-time windows and queue depths under a pluggable policy.
 
+A session builds its client (browser runtime, device, app, offload
+point) once, when it arrives; the agent has no wire until its first
+request attaches it.  Every request, the first included, takes one path:
+the scheduler picks an edge (or the session backs off), the request takes
+an in-flight slot there, the client connects, rebinds and — on a channel
+new to it — handshakes, and then offloads.  All of that lies between the
+click and the applied result, so it is all in the request's latency.
+
 What makes it a *fleet* rather than N copies of the paper's testbed:
 
 * **digest handshake** — before uploading a model to an edge, the client
@@ -27,10 +35,10 @@ What makes it a *fleet* rather than N copies of the paper's testbed:
   requests beyond the cap back off instead of stacking up.
 * **failover** — :meth:`FleetScenario.inject_kill` makes an edge die
   mid-run (links down, server restarted, in-flight messages lost).  The
-  scheduler *detects* this through reply timeouts, marks the edge dead,
-  and re-routes the request — and every other in-flight request on that
-  edge — to the next-best edge, re-running pre-send only if the digest
-  handshake misses there.
+  scheduler *detects* this through reply (or handshake) timeouts and
+  refused connects, marks the edge dead, and re-routes the request — and
+  every other in-flight request on that edge — to the next-best edge,
+  re-running pre-send only if the digest handshake misses there.
 
 No request is ever silently dropped: a request either completes exactly
 once (the at-most-once reply cache plus per-request ids make retransmits
@@ -389,17 +397,14 @@ class _Tenant:
 class _FleetClient:
     """Per-session client state: agent, attachment, per-edge handshakes."""
 
-    def __init__(self, name: str, tenant: _Tenant):
+    def __init__(self, name: str, tenant: _Tenant, agent: ClientAgent):
         self.name = name
         self.tenant = tenant
-        self.agent: Optional[ClientAgent] = None
+        self.agent = agent
         self.attached_edge: Optional[str] = None
         #: edge -> (channel end identity, presend manager or None); a new
         #: channel to the same edge invalidates the handshake
         self.presends: Dict[str, Tuple[object, object]] = {}
-        self.expected_label: Optional[int] = None
-        #: image loaded before the agent exists (first attach is lazy)
-        self.pending_pixels = None
 
 
 class FleetScenario:
@@ -696,20 +701,7 @@ class FleetScenario:
             self._served_ends.add(id(edge_end))
             self.servers[edge_name].serve(edge_end)
         agent = client.agent
-        if agent is None:
-            agent = ClientAgent(
-                self.sim,
-                Device(self.sim, odroid_xu4_client()),
-                client_end,
-                capture_options=CaptureOptions(include_canvas_pixels=True),
-            )
-            agent.start_app(client.tenant.app, presend=False)
-            if self.mode == "offload-partial":
-                agent.mark_offload_point("front_complete")
-            else:
-                agent.mark_offload_point("click", "infer_btn")
-            client.agent = agent
-        elif agent.endpoint is not client_end:
+        if agent.endpoint is not client_end:
             agent.rebind(client_end)
             if client.attached_edge != edge_name:
                 # We know we switched servers; the old session baseline is
@@ -797,26 +789,22 @@ class FleetScenario:
                     batch_hint=client.tenant.batch_hint,
                     deadline_s=self.deadline_s,
                 )
-            except OffloadError:
-                # An explicit ERROR reply: the edge is alive but refused —
-                # almost always a stale handshake (the store evicted the
-                # model behind our back).  Invalidate the handshake so the
-                # retry re-asks at segment granularity and re-uploads only
-                # what is actually gone; the edge stays schedulable.
+            except (OffloadError, ReceiveTimeout, LinkDown, EdgeDown) as error:
+                # Either way the request re-routes and its handshake with
+                # this edge is invalidated, so a later attach there re-asks
+                # at segment granularity.  An OffloadError (an explicit
+                # ERROR reply, or no reply after the retries) leaves the
+                # edge schedulable: a refusal is almost always a stale
+                # handshake (the store evicted the model behind our back).
+                # A refused connect, a dropped link or a handshake answer
+                # that never came is how the scheduler *detects* an edge
+                # death; the replacement process comes up with whatever
+                # store survived (or a cold one).
                 client.presends.pop(edge_name, None)
-                self.scheduler.refuse(edge_name)
-                self._failover_counter.inc()
-                failovers += 1
-                excluded.add(edge_name)
-                continue
-            except (ReceiveTimeout, LinkDown, EdgeDown):
-                # The reply never came: the scheduler *detects* the edge
-                # death here and re-routes.  The handshake state for this
-                # edge is invalidated too — the replacement process comes
-                # up with whatever store survived (or a cold one), so a
-                # later retry must re-ask.
-                client.presends.pop(edge_name, None)
-                self.scheduler.fail(edge_name)
+                if isinstance(error, OffloadError):
+                    self.scheduler.refuse(edge_name)
+                else:
+                    self.scheduler.fail(edge_name)
                 self._failover_counter.inc()
                 failovers += 1
                 excluded.add(edge_name)
@@ -855,47 +843,47 @@ class FleetScenario:
         session_name = f"user-{index:04d}"
         yield self.sim.timeout(start_at)
         tenant = self.tenants[index % len(self.tenants)]
-        client = _FleetClient(session_name, tenant)
+        # The session's browser and app exist before any edge is picked;
+        # every request, the first included, attaches inside
+        # _offload_with_failover.
+        agent = ClientAgent(
+            self.sim,
+            Device(self.sim, odroid_xu4_client()),
+            None,
+            capture_options=CaptureOptions(include_canvas_pixels=True),
+            name=session_name,
+        )
+        agent.start_app(tenant.app, presend=False)
+        if self.mode == "offload-partial":
+            agent.mark_offload_point("front_complete")
+        else:
+            agent.mark_offload_point("click", "infer_btn")
+        client = _FleetClient(session_name, tenant, agent)
         image_rng = self.rng.child(f"images/{session_name}")
         shape = tuple(tenant.model.network.input_shape)
         server_costs = tenant.server_costs
         interactions = self._interactions_for(session_name)
         started = self.sim.now
         request_index = 0
+        expected_label: Optional[int] = None
         for interaction in interactions:
             wait = started + interaction.at_seconds - self.sim.now
             if wait > 0:
                 yield self.sim.timeout(wait)
             if interaction.action == "new_image":
                 pixels = TypedArray(image_rng.uniform_array(shape, 0, 255))
-                client.expected_label = int(
+                expected_label = int(
                     np.argmax(tenant.model.inference(pixels.data))
                 )
-                if client.agent is not None:
-                    client.agent.runtime.globals["pending_pixels"] = pixels
-                    client.agent.runtime.dispatch("click", "load_btn")
-                else:
-                    client.pending_pixels = pixels
+                agent.runtime.globals["pending_pixels"] = pixels
+                agent.runtime.dispatch("click", "load_btn")
                 continue
-            # An "infer" interaction: the client must exist (attach lazily
-            # on the first request, to whatever edge the scheduler picks).
-            if client.agent is None:
-                # First contact: pick an edge now so the agent has a wire.
-                yield from self._first_attach(client)
-                client.agent.runtime.globals["pending_pixels"] = (
-                    client.pending_pixels
-                )
-                client.agent.runtime.dispatch("click", "load_btn")
             issued_at = self.sim.now
             if self.mode == "offload-partial":
-                front_seconds = client.agent.device.forward_seconds(
-                    tenant.front_costs
-                )
-                yield client.agent.device.execute(
-                    front_seconds, label="front-dnn"
-                )
-            client.agent.runtime.dispatch("click", "infer_btn")
-            event = client.agent.take_intercepted()
+                front_seconds = agent.device.forward_seconds(tenant.front_costs)
+                yield agent.device.execute(front_seconds, label="front-dnn")
+            agent.runtime.dispatch("click", "infer_btn")
+            event = agent.take_intercepted()
             edge_name, outcome, failovers = yield from (
                 self._offload_with_failover(client, event, server_costs)
             )
@@ -908,13 +896,9 @@ class FleetScenario:
                     edge=edge_name,
                     failovers=failovers,
                     snapshot_kind=outcome.snapshot.kind,
-                    result_label=client.agent.runtime.globals.get(
-                        "result_label"
-                    ),
-                    expected_label=client.expected_label,
-                    result_score=client.agent.runtime.globals.get(
-                        "result_score"
-                    ),
+                    result_label=agent.runtime.globals.get("result_label"),
+                    expected_label=expected_label,
+                    result_score=agent.runtime.globals.get("result_score"),
                     transfer_to_server_seconds=(
                         outcome.transfer_to_server_seconds
                     ),
@@ -928,31 +912,6 @@ class FleetScenario:
                 self._exit_counters[tenant.exit_name].inc()
             request_index += 1
         self._sessions_counter.inc()
-
-    def _first_attach(self, client: _FleetClient):
-        """Attach a brand-new client to whichever edge the policy picks."""
-        waits = 0
-        while True:
-            edge_name = self.scheduler.try_pick()
-            if edge_name is not None:
-                break
-            if not self.scheduler.any_alive() and not self._revivals_after(
-                self.sim.now
-            ):
-                raise NoEdgeAvailable(
-                    f"{client.name}: no edge to attach to and none will revive"
-                )
-            waits += 1
-            yield self.sim.timeout(
-                min(BACKOFF_CAP_SECONDS, BACKOFF_STEP_SECONDS * waits)
-            )
-        try:
-            yield from self._attach(client, edge_name)
-        except (ReceiveTimeout, LinkDown, EdgeDown):
-            # The chosen edge died during the very first handshake: let the
-            # scheduler know and try again from scratch.
-            self.scheduler.mark_dead(edge_name)
-            yield from self._first_attach(client)
 
     # -- running ---------------------------------------------------------------------
     def run(self) -> FleetReport:

@@ -56,9 +56,6 @@ class EdgeState:
             return 0.0
         return sum(self._window) / len(self._window)
 
-    def last_response_seconds(self) -> Optional[float]:
-        return self._window[-1] if self._window else None
-
     def window_values(self) -> List[float]:
         return list(self._window)
 
@@ -154,9 +151,6 @@ class FleetScheduler:
         """All edges in registration order."""
         return sorted(self._edges.values(), key=lambda state: state.order)
 
-    def alive_edges(self) -> List[EdgeState]:
-        return [state for state in self.edges() if state.alive]
-
     def any_alive(self) -> bool:
         return any(state.alive for state in self._edges.values())
 
@@ -238,12 +232,6 @@ class FleetScheduler:
         state.outstanding = max(0, state.outstanding - 1)
         state.failures += 1
         self._outstanding_gauges[name].set(state.outstanding)
-
-    def mark_dead(self, name: str) -> None:
-        state = self._edges[name]
-        if state.alive:
-            state.alive = False
-            self._dead_counters[name].inc()
 
     def mark_alive(self, name: str) -> None:
         """Health probe says the edge is back; forget stale latency data."""

@@ -139,7 +139,9 @@ class TestScheduler:
         sched = scheduler()
         sched.begin("a")
         sched.complete("a", 9.0)
-        sched.mark_dead("a")
+        sched.begin("a")
+        sched.fail("a")
+        assert not sched.edge("a").alive
         sched.mark_alive("a")
         assert sched.edge("a").alive
         assert sched.edge("a").window_values() == []

@@ -297,6 +297,29 @@ class TestKillUnderEvictionPressure:
         assert first.render_markdown() == second.render_markdown()
 
 
+class TestArrivalWhileTheOnlyEdgeIsDown:
+    """A session's first request finds the fleet dead and waits it out.
+
+    Picking, attaching and waiting for a revival are part of the request:
+    the user clicked at arrival, so the wait belongs in its latency.
+    """
+
+    def test_first_request_latency_counts_the_outage(self):
+        config = dict(edges=[EdgeSpec("edge-0", profile=SLOW)])
+        arrival = make_scenario(**config).run().records[0].issued_at
+        revive_at = arrival + 1.0
+        scenario = make_scenario(**config)
+        scenario.inject_kill("edge-0", arrival / 2, revive_at_seconds=revive_at)
+        report = scenario.run()
+        assert_conservation(report, 1)
+        first = report.records[0]
+        assert first.issued_at == arrival
+        assert first.latency_seconds >= revive_at - arrival
+        # the refused connect is a counted failover, not a silent retry
+        assert first.failovers == 1
+        assert report.failovers == 1
+
+
 class TestKillWholeFleetEventually:
     def test_every_edge_dead_raises_loudly(self):
         scenario = make_scenario()

@@ -8,6 +8,8 @@ Three families, per the fleet design contract:
   any policy and any survivable kill schedule.
 * **liveness hygiene** — no policy ever picks a dead (detached) or
   excluded edge, whatever state the windows and queues are in.
+* **one way in** — a session handshakes with exactly the edges it sends
+  requests to, its first request included.
 """
 
 from hypothesis import given, settings
@@ -152,3 +154,19 @@ class TestConservation:
         assert len(set(keys)) == expected
         assert sum(row.served for row in report.edges) == expected
         assert report.all_correct
+
+
+class TestHandshakeFollowsTheRequest:
+    @settings(max_examples=20, deadline=None)
+    @given(policy=policies, seed=st.integers(0, 10_000))
+    def test_every_handshake_is_with_an_edge_that_serves_the_session(
+        self, policy, seed
+    ):
+        # No kill and no budget: every channel lives for the whole run and
+        # no request is refused, so each (session, edge) pair handshakes
+        # exactly once — and only a pair some request went through.
+        report = FleetScenario(
+            sessions=4, requests_per_session=2, seed=seed, policy=policy
+        ).run()
+        pairs = {(r.session, r.edge) for r in report.records}
+        assert report.handshake_hits + report.handshake_misses == len(pairs)

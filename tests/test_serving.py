@@ -192,7 +192,8 @@ class TestServingTelemetry:
             == 5
         )
         # A revival forgets the stale depth along with the window.
-        scheduler.mark_dead("edge-0")
+        scheduler.begin("edge-0")
+        scheduler.fail("edge-0")
         scheduler.mark_alive("edge-0")
         assert scheduler.edge("edge-0").server_queue_depth == 0
 
