@@ -34,6 +34,8 @@ ENTRY_POINTS = [
     ["fleet", "--sessions", "400", "--requests", "3", "--seed", "1",
      "--kill", "edge-0@1.5:4.0"],
     ["fleet", "--tenants", "smallnet:2", "smallnet:3", "--prewarm"],
+    ["fleet", "--edge-memory-budget", "139500", "--tenants", "smallnet:2",
+     "smallnet:3"],
     ["serve", "--seed", "1", "--kill", "edge-0@1.0:3.0"],
     *[["ablation", study] for study in (
         "bandwidth", "partition", "decision", "snapshot", "gpu", "cache",

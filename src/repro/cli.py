@@ -110,10 +110,6 @@ def _add_fleet_load_args(
     parser.add_argument(
         "--requests", type=_positive_int, default=2, help="inferences per session"
     )
-    parser.add_argument(
-        "--arrivals", default="poisson", choices=("poisson", "trace"),
-        help="session arrival / think-time process",
-    )
 
 
 def _add_fleet_run_args(
@@ -297,7 +293,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         policy=args.policy,
         sessions=args.sessions,
         requests_per_session=args.requests,
-        arrivals=args.arrivals,
         arrival_rate_per_s=args.rate,
         mode=mode,
         seed=args.seed,
@@ -327,7 +322,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             policy=args.policy,
             sessions=args.sessions,
             requests_per_session=args.requests,
-            arrivals=args.arrivals,
             arrival_rate_per_s=args.rate,
             mean_think_seconds=args.think,
             mode="offload-partial",

@@ -10,8 +10,8 @@ result delta, apply it — and accounts every phase on the virtual clock.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import protocol
 from repro.core.snapshot import (
@@ -34,6 +34,71 @@ class OffloadError(RuntimeError):
     """The server refused or failed an offloading request."""
 
 
+#: (phase key, display name, track) in execution order — the canonical
+#: timeline layout shared by span emission and the chrome-trace exporter
+PHASE_TRACKS: Tuple[Tuple[str, str, str], ...] = (
+    ("client_exec", "DNN exec (front/local)", "client"),
+    ("snapshot_capture_client", "snapshot capture", "client"),
+    ("transfer_to_server", "snapshot uplink", "network"),
+    ("snapshot_restore_server", "snapshot restore", "server"),
+    ("server_queue", "batch queue", "server"),
+    ("server_exec", "DNN exec", "server"),
+    ("snapshot_capture_server", "delta capture", "server"),
+    ("transfer_to_client", "delta downlink", "network"),
+    ("snapshot_restore_client", "delta restore", "client"),
+    ("other", "queueing / protocol", "network"),
+)
+
+
+@dataclass
+class PhaseBreakdown:
+    """Durations of each phase of one inference (Fig. 7's segments)."""
+
+    client_exec: float = 0.0
+    snapshot_capture_client: float = 0.0
+    transfer_to_server: float = 0.0
+    snapshot_restore_server: float = 0.0
+    #: time spent queued in the server's batching loop (0 when the server
+    #: executes inline); attributed from the reply's ``timings["queue"]``
+    server_queue: float = 0.0
+    server_exec: float = 0.0
+    snapshot_capture_server: float = 0.0
+    transfer_to_client: float = 0.0
+    snapshot_restore_client: float = 0.0
+    #: queueing, propagation residue, scheduling — everything unattributed
+    other: float = 0.0
+
+    def accounted(self) -> float:
+        return (
+            self.client_exec
+            + self.snapshot_capture_client
+            + self.transfer_to_server
+            + self.snapshot_restore_server
+            + self.server_queue
+            + self.server_exec
+            + self.snapshot_capture_server
+            + self.transfer_to_client
+            + self.snapshot_restore_client
+        )
+
+    def total(self) -> float:
+        return self.accounted() + self.other
+
+    def as_dict(self) -> Dict[str, float]:
+        return {
+            "client_exec": self.client_exec,
+            "snapshot_capture_client": self.snapshot_capture_client,
+            "transfer_to_server": self.transfer_to_server,
+            "snapshot_restore_server": self.snapshot_restore_server,
+            "server_queue": self.server_queue,
+            "server_exec": self.server_exec,
+            "snapshot_capture_server": self.snapshot_capture_server,
+            "transfer_to_client": self.transfer_to_client,
+            "snapshot_restore_client": self.snapshot_restore_client,
+            "other": self.other,
+        }
+
+
 @dataclass
 class OffloadOutcome:
     """Everything observable about one completed offload round trip."""
@@ -41,14 +106,9 @@ class OffloadOutcome:
     snapshot: Snapshot
     delta: Snapshot
     request_id: int
-    #: client-side durations
-    capture_seconds: float = 0.0
-    restore_seconds: float = 0.0
-    #: transfer durations measured off the message timestamps
-    transfer_to_server_seconds: float = 0.0
-    transfer_to_client_seconds: float = 0.0
-    #: server-reported durations (restore / exec / capture)
-    server_timings: Dict[str, float] = field(default_factory=dict)
+    #: the round trip's Fig. 7 phases, client- and server-measured;
+    #: ``client_exec`` and ``other`` are the caller's to fill
+    phases: PhaseBreakdown
     #: bytes of model files that rode along with the snapshot
     delivery_bytes: int = 0
     #: server-reported serving-queue depth at reply time (0 when the
@@ -317,27 +377,28 @@ class ClientAgent:
         report = restore_snapshot(delta, self.runtime)
         if report.pending_event is not None:
             self.runtime.run_event(report.pending_event)
-        if reply.payload.fingerprint is not None:
-            self.session_baselines[self.runtime.app_name] = reply.payload.fingerprint
-        else:
-            self.session_baselines.pop(self.runtime.app_name, None)
+        self.session_baselines[self.runtime.app_name] = reply.payload.fingerprint
 
         outbound = send_event.value if send_event.triggered and send_event.ok else None
+        timings = reply.payload.timings
         return OffloadOutcome(
             snapshot=snapshot,
             delta=delta,
             request_id=request_id,
-            capture_seconds=capture_seconds,
-            restore_seconds=restore_seconds,
-            transfer_to_server_seconds=(
-                (outbound.delivered_at - outbound.sent_at) if outbound else 0.0
+            phases=PhaseBreakdown(
+                snapshot_capture_client=capture_seconds,
+                transfer_to_server=(
+                    (outbound.delivered_at - outbound.sent_at) if outbound else 0.0
+                ),
+                snapshot_restore_server=timings.get("restore", 0.0),
+                server_queue=timings.get("queue", 0.0),
+                server_exec=timings.get("exec", 0.0),
+                snapshot_capture_server=timings.get("capture", 0.0),
+                transfer_to_client=reply.delivered_at - reply.sent_at,
+                snapshot_restore_client=restore_seconds,
             ),
-            transfer_to_client_seconds=(reply.delivered_at - reply.sent_at),
-            server_timings=dict(reply.payload.timings),
             delivery_bytes=payload.delivery_bytes,
-            server_queue_depth=int(
-                getattr(reply.payload, "queue_depth", 0) or 0
-            ),
+            server_queue_depth=reply.payload.queue_depth,
             started_at=started_at,
             finished_at=self.sim.now,
         )

@@ -172,9 +172,9 @@ class ResultPayload:
     """RESULT body: the server's delta snapshot plus its timing report.
 
     ``fingerprint`` is the hashed signature of the state the server keeps
-    cached after this request (None when session caching is off); the
-    client diffs against it to send a *delta* on its next offload — the
-    paper's future-work reuse of "the data and code left at the server".
+    cached after this request; the client diffs against it to send a
+    *delta* on its next offload — the paper's future-work reuse of "the
+    data and code left at the server".
     """
 
     delta: Any  # repro.core.snapshot.Snapshot

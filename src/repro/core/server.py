@@ -14,9 +14,8 @@ Servers can also start *without* the offloading system installed
 synthesized (paper §III.B.3), which is how on-demand installation is
 exercised end to end.
 
-With ``session_cache`` (default on), the browser state left behind by each
-served app is kept so follow-up offloads can send deltas — the paper's
-§VI future work.
+The browser state left behind by each served app is kept so follow-up
+offloads can send deltas — the paper's §VI future work.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ class EdgeServer:
         device: Device,
         name: str = "edge",
         installed: bool = True,
-        session_cache: bool = True,
         session_cache_capacity: int = 32,
         serving: Optional[ServingConfig] = None,
         memory_budget_bytes: Optional[int] = None,
@@ -110,7 +108,6 @@ class EdgeServer:
         #: Bounded: edge servers have finite memory, so sessions are
         #: evicted LRU beyond ``session_cache_capacity`` — clients whose
         #: session was evicted transparently fall back to full snapshots.
-        self.session_cache = session_cache
         if session_cache_capacity <= 0:
             raise ValueError("session_cache_capacity must be positive")
         self.session_cache_capacity = session_cache_capacity
@@ -410,11 +407,6 @@ class EdgeServer:
             yield item.done
             timings["queue"] = item.queue_seconds
             timings["exec"] = item.exec_share_seconds
-            if item.dead_on_arrival:
-                # The reply tells the client its answer was already stale
-                # when the batch was cut (timings is a float map, so a
-                # flag rides as 1.0).
-                timings["dead_on_arrival"] = 1.0
             self._executions_counter.inc()
             if item.error is not None:
                 if isinstance(item.error, MissingModelError):
@@ -448,23 +440,20 @@ class EdgeServer:
         yield self.device.execute(capture_seconds, label="snapshot-capture")
         timings["capture"] = capture_seconds
         self.served_requests += 1
-        fingerprint = None
-        if self.session_cache:
-            # Keep the browser for follow-up delta offloads and tell the
-            # client exactly what state was left behind.
-            self._sessions[session_key] = browser
-            self._sessions.move_to_end(session_key)
-            while len(self._sessions) > self.session_cache_capacity:
-                self._sessions.popitem(last=False)  # evict least recent
-                self.evicted_sessions += 1
-                self._cache_evict_counter.inc()
-            self._cache_size_gauge.set(len(self._sessions))
-            fingerprint = delta.fingerprint
+        # Keep the browser for follow-up delta offloads and tell the client
+        # exactly what state was left behind.
+        self._sessions[session_key] = browser
+        self._sessions.move_to_end(session_key)
+        while len(self._sessions) > self.session_cache_capacity:
+            self._sessions.popitem(last=False)  # evict least recent
+            self.evicted_sessions += 1
+            self._cache_evict_counter.inc()
+        self._cache_size_gauge.set(len(self._sessions))
         reply = protocol.ResultPayload(
             delta=delta,
             request_id=payload.request_id,
             timings=timings,
-            fingerprint=fingerprint,
+            fingerprint=delta.fingerprint,
             queue_depth=(
                 self.serving.depth() if self.serving is not None else 0
             ),

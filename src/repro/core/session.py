@@ -21,12 +21,17 @@ Modes (the paper's Fig. 6 configurations):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.client import ClientAgent, OffloadOutcome
+from repro.core.client import (
+    PHASE_TRACKS,
+    ClientAgent,
+    OffloadOutcome,
+    PhaseBreakdown,
+)
 from repro.core.snapshot import CaptureOptions
 from repro.devices.device import Device
 from repro.nn.cost import LayerCost
@@ -35,71 +40,6 @@ from repro.web.app import WebApp
 from repro.web.events import Event
 from repro.web.runtime import WebRuntime
 from repro.web.values import ImageData
-
-
-#: (phase key, display name, track) in execution order — the canonical
-#: timeline layout shared by span emission and the chrome-trace exporter
-PHASE_TRACKS: Tuple[Tuple[str, str, str], ...] = (
-    ("client_exec", "DNN exec (front/local)", "client"),
-    ("snapshot_capture_client", "snapshot capture", "client"),
-    ("transfer_to_server", "snapshot uplink", "network"),
-    ("snapshot_restore_server", "snapshot restore", "server"),
-    ("server_queue", "batch queue", "server"),
-    ("server_exec", "DNN exec", "server"),
-    ("snapshot_capture_server", "delta capture", "server"),
-    ("transfer_to_client", "delta downlink", "network"),
-    ("snapshot_restore_client", "delta restore", "client"),
-    ("other", "queueing / protocol", "network"),
-)
-
-
-@dataclass
-class PhaseBreakdown:
-    """Durations of each phase of one inference (Fig. 7's segments)."""
-
-    client_exec: float = 0.0
-    snapshot_capture_client: float = 0.0
-    transfer_to_server: float = 0.0
-    snapshot_restore_server: float = 0.0
-    #: time spent queued in the server's batching loop (0 when the server
-    #: executes inline); attributed from the reply's ``timings["queue"]``
-    server_queue: float = 0.0
-    server_exec: float = 0.0
-    snapshot_capture_server: float = 0.0
-    transfer_to_client: float = 0.0
-    snapshot_restore_client: float = 0.0
-    #: queueing, propagation residue, scheduling — everything unattributed
-    other: float = 0.0
-
-    def accounted(self) -> float:
-        return (
-            self.client_exec
-            + self.snapshot_capture_client
-            + self.transfer_to_server
-            + self.snapshot_restore_server
-            + self.server_queue
-            + self.server_exec
-            + self.snapshot_capture_server
-            + self.transfer_to_client
-            + self.snapshot_restore_client
-        )
-
-    def total(self) -> float:
-        return self.accounted() + self.other
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "client_exec": self.client_exec,
-            "snapshot_capture_client": self.snapshot_capture_client,
-            "transfer_to_server": self.transfer_to_server,
-            "snapshot_restore_server": self.snapshot_restore_server,
-            "server_queue": self.server_queue,
-            "server_exec": self.server_exec,
-            "snapshot_capture_server": self.snapshot_capture_server,
-            "transfer_to_client": self.transfer_to_client,
-            "snapshot_restore_client": self.snapshot_restore_client,
-            "other": self.other,
-        }
 
 
 @dataclass
@@ -284,9 +224,10 @@ class OffloadingSession:
             reply_timeout=self.reply_timeout,
             retries=self.retries,
         )
-        phases = self._offload_phases(outcome, client_exec=0.0)
         mode = "offload-after-ack" if wait_for_ack else "offload-before-ack"
-        return self._finish(mode, started_at, phases, self.client.runtime, outcome)
+        return self._finish(
+            mode, started_at, outcome.phases, self.client.runtime, outcome
+        )
 
     def run_offload_partial(
         self,
@@ -315,24 +256,10 @@ class OffloadingSession:
             reply_timeout=self.reply_timeout,
             retries=self.retries,
         )
-        phases = self._offload_phases(outcome, client_exec=front_seconds)
+        outcome.phases.client_exec = front_seconds
         return self._finish(
-            "offload-partial", started_at, phases, self.client.runtime, outcome
-        )
-
-    def _offload_phases(
-        self, outcome: OffloadOutcome, client_exec: float
-    ) -> PhaseBreakdown:
-        return PhaseBreakdown(
-            client_exec=client_exec,
-            snapshot_capture_client=outcome.capture_seconds,
-            transfer_to_server=outcome.transfer_to_server_seconds,
-            snapshot_restore_server=outcome.server_timings.get("restore", 0.0),
-            server_queue=outcome.server_timings.get("queue", 0.0),
-            server_exec=outcome.server_timings.get("exec", 0.0),
-            snapshot_capture_server=outcome.server_timings.get("capture", 0.0),
-            transfer_to_client=outcome.transfer_to_client_seconds,
-            snapshot_restore_client=outcome.restore_seconds,
+            "offload-partial", started_at, outcome.phases, self.client.runtime,
+            outcome,
         )
 
 

@@ -22,16 +22,17 @@ These exercise the design choices DESIGN.md calls out:
   cloud server and a WAN accelerator.
 * :func:`predictor_feature_study` — flops-only versus compute+memory
   latency models, Neurosurgeon-style.
+* :func:`contention_study` — one edge server under a growing burst of
+  sessions.
 
 :data:`STUDY_NAMES` lists what ``repro ablation`` runs through
-:func:`study_report`; ``contention`` and ``streaming`` live in
-:mod:`repro.eval.workloads` and :mod:`repro.eval.streaming`.
+:func:`study_report`; ``streaming`` lives in :mod:`repro.eval.streaming`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.core.decisions import Decision, OffloadPolicy
 from repro.core.snapshot import CaptureOptions
@@ -39,6 +40,9 @@ from repro.devices.predictor import fit_predictor_for
 from repro.eval.scenarios import Testbed, build_paper_model, paper_input_for
 from repro.nn.cost import network_costs
 from repro.nn.tensor import text_serialized_bytes
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.fleet import FleetReport
 
 
 # -- 1. bandwidth sweep ---------------------------------------------------------
@@ -475,6 +479,35 @@ def predictor_feature_study() -> List[PredictorStudyRow]:
     return rows
 
 
+# -- 10. contention on one edge ----------------------------------------------------------
+
+def contention_study(
+    model_name: str = "smallnet",
+    client_counts: Sequence[int] = (1, 4),
+    seed: int = 0,
+) -> Dict[int, FleetReport]:
+    """Request latency as the load on one shared edge server grows.
+
+    ``count`` sessions of three requests all arrive within a few
+    milliseconds and think 50 ms between requests, so a bigger burst means
+    deeper FIFO queues on the edge's browser device.
+    """
+    from repro.fleet import EdgeSpec, FleetScenario
+
+    return {
+        count: FleetScenario(
+            model_name=model_name,
+            edges=[EdgeSpec("edge")],
+            sessions=count,
+            requests_per_session=3,
+            arrival_rate_per_s=1000.0,
+            mean_think_seconds=0.05,
+            seed=seed,
+        ).run()
+        for count in client_counts
+    }
+
+
 # -- CLI rendering ---------------------------------------------------------------
 
 #: study names `repro ablation` accepts, in menu order
@@ -530,8 +563,6 @@ def study_report(which: str) -> str:
         lines.append(f"repeat, delta        : {study.repeat_with_cache_seconds:.2f} s "
                      f"({study.bytes_saving:.0%} fewer bytes)")
     elif which == "contention":
-        from repro.eval.workloads import contention_study
-
         for count, report in contention_study("smallnet", (1, 2, 4, 8)).items():
             lines.append(f"{count} clients: mean {report.mean_latency * 1000:6.1f} ms")
     elif which == "baselines":

@@ -22,10 +22,11 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Sequence
 
-from repro.core.session import PHASE_TRACKS, SessionResult
+from repro.core.client import PHASE_TRACKS
+from repro.core.session import SessionResult
 from repro.obs.spans import SpanRecorder, spans_to_trace
 
-#: (phase key, display name, track) — canonical order lives in core.session
+#: (phase key, display name, track) — canonical order lives in core.client
 _PHASE_TRACKS = PHASE_TRACKS
 
 _TRACK_IDS = {"client": 1, "network": 2, "server": 3}

@@ -9,7 +9,7 @@ package adds the client-side machinery for that setting:
 * :mod:`repro.fleet.scheduler` — the :class:`FleetScheduler`: sliding
   response-time windows, queue depths, admission control, liveness.
 * :mod:`repro.fleet.scenario` — :class:`FleetScenario`: whole-fleet runs
-  with Poisson/trace session arrivals, digest-handshake pre-send reuse,
+  with Poisson session arrivals, digest-handshake pre-send reuse,
   and mid-run edge-kill fault injection with client-detected failover.
 """
 

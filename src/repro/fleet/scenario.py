@@ -53,11 +53,10 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core import protocol
-from repro.core.client import ClientAgent, OffloadError
+from repro.core.client import ClientAgent, OffloadError, PhaseBreakdown
 from repro.core.server import EdgeServer
 from repro.core.snapshot import CaptureOptions
 from repro.devices import Device, edge_server_x86, odroid_xu4_client
-from repro.eval.workloads import Interaction, generate_trace, poisson_arrivals
 from repro.fleet.policies import Policy, make_policy
 from repro.fleet.scheduler import FleetScheduler, NoEdgeAvailable
 from repro.netsim import EdgeDown, NetemProfile, ReceiveTimeout, Topology
@@ -73,6 +72,36 @@ from repro.web.values import TypedArray
 #: a session that finds no edge waits ``step * attempts``, capped
 BACKOFF_STEP_SECONDS = 0.05
 BACKOFF_CAP_SECONDS = 0.25
+#: chance that a session loads a new photo before a follow-up request
+NEW_IMAGE_PROBABILITY = 0.3
+
+
+@dataclass(frozen=True)
+class Interaction:
+    """One user action in a session."""
+
+    at_seconds: float
+    action: str  # "new_image" | "infer"
+
+
+def poisson_arrivals(
+    rng: SeededRng, rate_per_s: float, count: int
+) -> List[float]:
+    """Absolute start times of ``count`` sessions arriving Poisson(rate).
+
+    Inter-arrival gaps are exponential with mean ``1/rate_per_s``,
+    cumulated from t=0.
+    """
+    if rate_per_s <= 0:
+        raise ValueError("arrival rate must be positive")
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    starts: List[float] = []
+    now = 0.0
+    for _ in range(count):
+        now += rng.expovariate(rate_per_s)
+        starts.append(now)
+    return starts
 
 
 @dataclass(frozen=True)
@@ -131,17 +160,32 @@ class FleetRequestRecord:
     snapshot_kind: str
     result_label: Optional[int]
     expected_label: Optional[int]
+    #: the winning attempt's Fig. 7 phases; ``client_exec`` is the front
+    #: half in partial mode and ``other`` is the latency no phase claims
+    #: (pick, back-off, handshake, failed attempts, device waits) —
+    #: unclamped, so a phase that over-claims shows as a negative ``other``
+    phases: PhaseBreakdown
     #: the classifier's confidence, exactly as the app displayed it —
     #: lets tests assert bitwise-identical results across fleet layouts
     result_score: Optional[float] = None
-    #: phase durations of the winning attempt (for fault-point injection)
-    transfer_to_server_seconds: float = 0.0
-    transfer_to_client_seconds: float = 0.0
-    restore_seconds: float = 0.0
 
     @property
     def latency_seconds(self) -> float:
         return self.completed_at - self.issued_at
+
+    # The three names below are read by benchmarks/ledger/workloads.py
+    # (record_phase_metrics) only; program code and tests read ``phases``.
+    @property
+    def transfer_to_server_seconds(self) -> float:
+        return self.phases.transfer_to_server
+
+    @property
+    def transfer_to_client_seconds(self) -> float:
+        return self.phases.transfer_to_client
+
+    @property
+    def restore_seconds(self) -> float:
+        return self.phases.snapshot_restore_client
 
     @property
     def correct(self) -> bool:
@@ -244,49 +288,6 @@ class FleetReport:
         if not self.records:
             return 0.0
         return sum(r.latency_seconds for r in self.records) / len(self.records)
-
-    def as_dict(self) -> Dict:
-        return {
-            "policy": self.policy,
-            "sessions": self.sessions,
-            "requests": self.count,
-            "all_correct": self.all_correct,
-            "makespan_seconds": round(self.makespan_seconds, 6),
-            "latency": {
-                "mean": round(self.mean_latency, 6),
-                "p50": round(self.p50_latency, 6),
-                "p99": round(self.p99_latency, 6),
-                "max": round(self.latency_quantile(1.0), 6),
-            },
-            "failovers": self.failovers,
-            "admission_waits": self.admission_waits,
-            "handshake": {
-                "hits": self.handshake_hits,
-                "misses": self.handshake_misses,
-            },
-            "kills": [[round(at, 6), name] for at, name in self.kills],
-            "serving": self.serving,
-            "presend": {
-                "files_skipped": self.presend["files_skipped"],
-                "bytes_deduped": self.presend["bytes_deduped"],
-                "bytes_sent": self.presend["bytes_sent"],
-                "delivery_bytes": self.presend["delivery_bytes"],
-                "upload_bytes": self.upload_bytes,
-            },
-            "edges": [
-                {
-                    "name": row.name,
-                    "served": row.served,
-                    "failures": row.failures,
-                    "busy_seconds": round(row.busy_seconds, 6),
-                    "utilization": round(row.utilization, 6),
-                    "mean_latency": round(row.mean_latency, 6),
-                    "store_resident_bytes": row.store_resident_bytes,
-                    "store_evictions": row.store_evictions,
-                }
-                for row in self.edges
-            ],
-        }
 
     def render_markdown(self) -> str:
         """Deterministic plain-text report (byte-stable across runs)."""
@@ -418,17 +419,13 @@ class FleetScenario:
         *,
         sessions: int = 40,
         requests_per_session: int = 2,
-        arrivals: str = "poisson",
         arrival_rate_per_s: float = 8.0,
         mean_think_seconds: float = 1.0,
-        new_image_probability: float = 0.3,
         mode: str = "offload",
         split_index: Optional[int] = None,
         seed: int = 0,
-        window: int = 16,
         max_outstanding_per_edge: int = 8,
         reply_timeout: float = 5.0,
-        retries: int = 0,
         serving: Optional[ServingConfig] = None,
         tenants: Optional[List[str]] = None,
         prewarm: bool = False,
@@ -436,8 +433,6 @@ class FleetScenario:
     ):
         if sessions <= 0 or requests_per_session <= 0:
             raise ValueError("sessions and requests_per_session must be positive")
-        if arrivals not in ("poisson", "trace"):
-            raise ValueError(f"unknown arrival process {arrivals!r}")
         if mode not in ("offload", "offload-partial"):
             raise ValueError(f"unknown mode {mode!r}")
         self.model_name = model_name
@@ -445,14 +440,11 @@ class FleetScenario:
         self.policy_name = policy
         self.sessions = sessions
         self.requests_per_session = requests_per_session
-        self.arrivals = arrivals
         self.arrival_rate_per_s = arrival_rate_per_s
         self.mean_think_seconds = mean_think_seconds
-        self.new_image_probability = new_image_probability
         self.mode = mode
         self.seed = seed
         self.reply_timeout = reply_timeout
-        self.retries = retries
         #: per-edge continuous-batching config (None = sequential serving)
         self.serving_config = serving
         self.prewarm = prewarm
@@ -484,12 +476,11 @@ class FleetScenario:
             self.sim,
             [spec.name for spec in self.specs],
             self.policy,
-            window=window,
             max_outstanding_per_edge=max_outstanding_per_edge,
         )
 
         # The models and their cost tables are shared by every session (they
-        # never mutate parameters), exactly like the multi-client workloads.
+        # never mutate parameters).
         # A tenant spec is "model" or "model:split" (partial mode only);
         # sessions are assigned round-robin over the tenant list.
         specs_list = list(tenants) if tenants else [model_name]
@@ -785,7 +776,6 @@ class FleetScenario:
                     event,
                     server_costs=server_costs,
                     reply_timeout=self.reply_timeout,
-                    retries=self.retries,
                     batch_hint=client.tenant.batch_hint,
                     deadline_s=self.deadline_s,
                 )
@@ -822,18 +812,11 @@ class FleetScenario:
 
     # -- session processes ---------------------------------------------------------
     def _interactions_for(self, session_name: str) -> List[Interaction]:
-        if self.arrivals == "trace":
-            return generate_trace(
-                self.rng.child(f"trace/{session_name}"),
-                inferences=self.requests_per_session,
-                mean_think_seconds=self.mean_think_seconds,
-                new_image_probability=self.new_image_probability,
-            )
         rng = self.rng.child(f"think/{session_name}")
         interactions: List[Interaction] = []
         now = 0.0
         for index in range(self.requests_per_session):
-            if index == 0 or rng.chance(self.new_image_probability):
+            if index == 0 or rng.chance(NEW_IMAGE_PROBABILITY):
                 interactions.append(Interaction(at_seconds=now, action="new_image"))
             interactions.append(Interaction(at_seconds=now, action="infer"))
             now += rng.expovariate(1.0 / self.mean_think_seconds)
@@ -879,6 +862,7 @@ class FleetScenario:
                 agent.runtime.dispatch("click", "load_btn")
                 continue
             issued_at = self.sim.now
+            front_seconds = 0.0
             if self.mode == "offload-partial":
                 front_seconds = agent.device.forward_seconds(tenant.front_costs)
                 yield agent.device.execute(front_seconds, label="front-dnn")
@@ -887,6 +871,9 @@ class FleetScenario:
             edge_name, outcome, failovers = yield from (
                 self._offload_with_failover(client, event, server_costs)
             )
+            phases = outcome.phases
+            phases.client_exec = front_seconds
+            phases.other = (self.sim.now - issued_at) - phases.accounted()
             self.records.append(
                 FleetRequestRecord(
                     session=session_name,
@@ -898,14 +885,8 @@ class FleetScenario:
                     snapshot_kind=outcome.snapshot.kind,
                     result_label=agent.runtime.globals.get("result_label"),
                     expected_label=expected_label,
+                    phases=phases,
                     result_score=agent.runtime.globals.get("result_score"),
-                    transfer_to_server_seconds=(
-                        outcome.transfer_to_server_seconds
-                    ),
-                    transfer_to_client_seconds=(
-                        outcome.transfer_to_client_seconds
-                    ),
-                    restore_seconds=outcome.restore_seconds,
                 )
             )
             if tenant.exit_name is not None:

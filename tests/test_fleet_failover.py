@@ -68,10 +68,10 @@ class TestKillDuringUpload:
         healthy = make_scenario().run()
         rec = healthy.records[0]
         assert rec.edge == "edge-0"
-        assert rec.transfer_to_server_seconds > 0.1  # a real window
+        assert rec.phases.transfer_to_server > 0.1  # a real window
 
         scenario = make_scenario()
-        kill_at = rec.issued_at + rec.transfer_to_server_seconds / 2
+        kill_at = rec.issued_at + rec.phases.transfer_to_server / 2
         scenario.inject_kill("edge-0", kill_at)
         report = scenario.run()
 
@@ -105,7 +105,7 @@ class TestKillDuringUpload:
         attacked = scenario()
         attacked.inject_kill(
             "edge-0",
-            victim.issued_at + victim.transfer_to_server_seconds / 2,
+            victim.issued_at + victim.phases.transfer_to_server / 2,
         )
         report = attacked.run()
         assert_conservation(report, 3)
@@ -182,13 +182,13 @@ class TestKillMidReply:
     def test_result_applied_once_and_identical(self):
         healthy = make_scenario().run()
         rec = healthy.records[0]
-        assert rec.transfer_to_client_seconds > 0.001
+        assert rec.phases.transfer_to_client > 0.001
 
         scenario = make_scenario()
-        # the reply is on the wire until restore starts, restore_seconds
-        # before completion — aim for the middle of that flight
-        delivered_at = rec.completed_at - rec.restore_seconds
-        kill_at = delivered_at - rec.transfer_to_client_seconds / 2
+        # the reply is on the wire until the client's delta restore starts,
+        # that phase's length before completion — aim for the middle of that flight
+        delivered_at = rec.completed_at - rec.phases.snapshot_restore_client
+        kill_at = delivered_at - rec.phases.transfer_to_client / 2
         scenario.inject_kill("edge-0", kill_at)
         report = scenario.run()
 
@@ -256,7 +256,7 @@ class TestKillUnderEvictionPressure:
         # aim the kill mid-upload of a late edge-0 request — by then the
         # edge has served both tenants and evicted at least once
         victim = [r for r in healthy.records if r.edge == "edge-0"][2]
-        kill_at = victim.issued_at + victim.transfer_to_server_seconds / 2
+        kill_at = victim.issued_at + victim.phases.transfer_to_server / 2
 
         report = self.attacked_run(kill_at)
         assert_conservation(report, 12)
@@ -271,7 +271,7 @@ class TestKillUnderEvictionPressure:
     def test_reupload_sends_only_missing_segments(self):
         healthy = self.make().run()
         victim = [r for r in healthy.records if r.edge == "edge-0"][2]
-        kill_at = victim.issued_at + victim.transfer_to_server_seconds / 2
+        kill_at = victim.issued_at + victim.phases.transfer_to_server / 2
 
         report = self.attacked_run(kill_at)
         assert result_fingerprint(report) == result_fingerprint(healthy)
@@ -286,15 +286,12 @@ class TestKillUnderEvictionPressure:
     def test_attacked_run_replays_bitwise(self):
         healthy = self.make().run()
         victim = [r for r in healthy.records if r.edge == "edge-0"][2]
-        kill_at = victim.issued_at + victim.transfer_to_server_seconds / 2
+        kill_at = victim.issued_at + victim.phases.transfer_to_server / 2
         first = self.attacked_run(kill_at)
         second = self.attacked_run(kill_at)
-        import json
-
-        assert json.dumps(first.as_dict(), sort_keys=True) == json.dumps(
-            second.as_dict(), sort_keys=True
-        )
         assert first.render_markdown() == second.render_markdown()
+        assert first.records == second.records
+        assert first.serving == second.serving
 
 
 class TestArrivalWhileTheOnlyEdgeIsDown:

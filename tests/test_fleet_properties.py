@@ -10,13 +10,17 @@ Three families, per the fleet design contract:
   excluded edge, whatever state the windows and queues are in.
 * **one way in** — a session handshakes with exactly the edges it sends
   requests to, its first request included.
+* **one record per request** — every record's Fig. 7 phases are
+  non-negative and add up to its latency, so no phase claims time the
+  request did not spend.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet import FleetScenario, FleetScheduler, make_policy
+from repro.fleet import EdgeSpec, FleetScenario, FleetScheduler, make_policy
 from repro.fleet.policies import POLICY_NAMES
+from repro.serve import ServingConfig
 from repro.sim import SeededRng, Simulator
 
 policies = st.sampled_from(POLICY_NAMES)
@@ -69,13 +73,11 @@ class TestSchedulerDeterminism:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 1000), policy=policies)
     def test_scenario_replays_bit_for_bit(self, seed, policy):
-        import json
-
         def run():
             report = FleetScenario(
                 sessions=2, requests_per_session=1, seed=seed, policy=policy
             ).run()
-            return json.dumps(report.as_dict(), sort_keys=True)
+            return report.render_markdown(), report.records, report.serving
 
         assert run() == run()
 
@@ -170,3 +172,46 @@ class TestHandshakeFollowsTheRequest:
         ).run()
         pairs = {(r.session, r.edge) for r in report.records}
         assert report.handshake_hits + report.handshake_misses == len(pairs)
+
+
+class TestPhasesTileTheLatency:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        policy=policies,
+        seed=st.integers(0, 10_000),
+        kill_at=st.floats(0.05, 1.0, allow_nan=False),
+        down_for=st.floats(0.1, 1.5, allow_nan=False),
+        serving=st.booleans(),
+    )
+    def test_every_record_is_a_fig7_bar(
+        self, policy, seed, kill_at, down_for, serving
+    ):
+        # Partial mode, so the front half is a phase, and sessions close
+        # enough together that the serving loop cuts real batches.
+        scenario = FleetScenario(
+            edges=[EdgeSpec("edge-0"), EdgeSpec("edge-1")],
+            policy=policy,
+            sessions=6,
+            requests_per_session=2,
+            arrival_rate_per_s=16.0,
+            mean_think_seconds=0.1,
+            mode="offload-partial",
+            seed=seed,
+            reply_timeout=1.0,
+            serving=(
+                ServingConfig(max_batch=8, batch_timeout_s=0.02)
+                if serving
+                else None
+            ),
+        )
+        scenario.inject_kill(
+            "edge-0", kill_at, revive_at_seconds=kill_at + down_for
+        )
+        for record in scenario.run().records:
+            phases = record.phases
+            # ``other`` is the unclamped residue: the second check is its
+            # sign, to float rounding
+            named = [v for k, v in phases.as_dict().items() if k != "other"]
+            assert all(value >= 0 for value in named), record
+            assert phases.accounted() <= record.latency_seconds + 1e-9
+            assert abs(phases.total() - record.latency_seconds) <= 1e-9

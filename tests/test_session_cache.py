@@ -159,32 +159,6 @@ class TestSessionCache:
         second = offload_once(sim, client, model, use_session_cache=False)
         assert second.snapshot.kind == "full"
 
-    def test_server_cache_disabled_never_returns_fingerprint(self):
-        sim = Simulator()
-        channel = Channel(sim, "client", "edge", NetemProfile.wifi_30mbps())
-        server = EdgeServer(
-            sim, Device(sim, edge_server_x86()), name="edge", session_cache=False
-        )
-        server.serve(channel.end_b)
-        client = ClientAgent(
-            sim,
-            Device(sim, odroid_xu4_client()),
-            channel.end_a,
-            capture_options=CaptureOptions(include_canvas_pixels=True),
-        )
-        model = smallnet()
-        client.start_app(make_inference_app(model), presend=True)
-        client.runtime.globals["pending_pixels"] = TypedArray(
-            SeededRng(0, "px").uniform_array((3, 32, 32), 0, 255)
-        )
-        client.runtime.dispatch("click", "load_btn")
-        client.mark_offload_point("click", "infer_btn")
-        sim.run()
-        first = offload_once(sim, client, model)
-        second = offload_once(sim, client, model)
-        assert second.snapshot.kind == "full"
-        assert client.session_baselines == {}
-
     def test_fingerprint_travels_with_realistic_size(self, world):
         sim, client, server, model = world
         offload_once(sim, client, model)
