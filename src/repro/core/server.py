@@ -467,10 +467,11 @@ class EdgeServer:
 
         Under heavy traffic many clients offload the *same* pre-sent model
         at once; instead of N independent layer walks, the stored model's
-        compiled plan stacks all N feature tensors through one
+        compiled plan stacks the N feature tensors through one
         im2col/matmul per scheduled DAG step — branch-and-join stages
         (inception concats, residual adds) included, since the plan inlines
-        composites into first-class steps (``Model.inference_batch``).
+        composites into first-class steps (``Model.inference_batch``) —
+        after answering from the inference memo every row it can.
         Returns the
         per-session outputs in request order.  Originally an explicit
         server API exercised only by the throughput benchmark; with a
@@ -530,10 +531,13 @@ class EdgeServer:
 
         Real batches (>= 2 items, one shared model id by queue construction)
         go through :meth:`batch_partial_inference` — one stacked layer walk
-        — and each item's handler reads its row back through a
-        :class:`_BatchRowProxy`.  Batches of one take the untouched
-        per-item path: a batched forward of one would return the same bits
-        (:meth:`~repro.nn.plan.ExecutionPlan.forward_batch`), but it would
+        over the rows the process-wide inference memo cannot answer — and
+        each item's handler reads its row back through a
+        :class:`_BatchRowProxy`.  Every row is the bits the item's own
+        forward would compute, memo hit or not
+        (:meth:`~repro.nn.plan.ExecutionPlan.forward_batch`), so batching
+        moves no result.  Batches of one take the untouched per-item path:
+        a batched forward of one would return the same bits, but it would
         count as a batch in the ``server_batch_*`` telemetry.  Handler
         exceptions are stored per item for the protocol loop to classify;
         one bad request never poisons its batchmates.

@@ -308,13 +308,3 @@ def expected_label_for(model, input_image: ImageData) -> int:
     """Ground-truth label: what the unsplit model computes locally."""
     probs = model.inference(np.asarray(input_image.data))
     return int(np.argmax(probs))
-
-
-def expected_labels_for(model, input_images) -> List[int]:
-    """Ground-truth labels for N images via one batched forward."""
-    if not input_images:
-        return []
-    probs = model.inference_batch(
-        [np.asarray(image.data) for image in input_images]
-    )
-    return [int(np.argmax(probs[index])) for index in range(probs.shape[0])]

@@ -281,8 +281,9 @@ class Model:
         """Forward N inputs at once; returns stacked ``(N, ...)`` outputs.
 
         Runs the compiled plan's batched kernels (one stacked im2col/matmul
-        per step) — how the edge server amortizes concurrent
-        partial-inference sessions over one pass.
+        per step) on the rows the inference memo cannot answer — how the
+        edge server amortizes concurrent partial-inference sessions over
+        one pass.  Row ``i`` is the bits ``inference(xs[i])`` returns.
         """
         return self.network.forward_batch(xs)
 

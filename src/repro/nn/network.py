@@ -123,7 +123,8 @@ class Network:
         """Forward N samples; returns the stacked ``(N, ...)`` outputs.
 
         Runs one stacked kernel per plan step (a single im2col/matmul per
-        conv for the whole batch).
+        conv for the whole batch) on the rows the inference memo cannot
+        answer; row ``i`` is the bits ``forward(xs[i])`` returns.
         """
         return self.plan_for().forward_batch(xs)
 

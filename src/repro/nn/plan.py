@@ -41,7 +41,8 @@ reference layer walk (matmul, in-place bias add and in-place ``maximum``
 produce the same bits as their out-of-place forms, max pooling is an exact
 reduction, and the schedule replays the reference data order branch by
 branch); ``tests/test_nn_plan.py`` asserts it across the zoo at every
-offload point, and ``tests/test_plan_fuzz.py`` fuzzes randomly generated
+offload point, ``tests/test_plan_batch.py`` on every row of batches of 1,
+2, 3 and 8, and ``tests/test_plan_fuzz.py`` fuzzes randomly generated
 branch-and-join graphs against the reference walk.  Plans respect
 offload points: a plan compiles one whole network, and a
 ``SplitNetwork``'s front and rear are two networks, so their plans are
@@ -52,8 +53,9 @@ There is one way to run a step: on an ``(N, ...)`` tensor, into an arena
 view.  ``plan.forward(x)`` is a batch of one; ``plan.forward_batch(xs)``
 runs N inputs through the same stacked im2col/broadcast-matmul per step —
 the edge server uses it to batch concurrent partial-inference sessions.
-A batch of one is therefore the same bits as ``forward``; N > 1 matches N
-forwards within float32 GEMM reassociation (≈ 1e-5 across the zoo).
+Every step computes each row at the shapes a batch of one uses (the conv
+matmul broadcasts one ``(F, K) @ (K, P)`` product per row, the FC step
+one ``(1, D) @ (D, O)``), so a batch is N forwards bit for bit.
 
 An inference is computed once, however it is split.  Every plan carries
 a *chain*: one content fingerprint per spine layer it covers (the layer's
@@ -68,14 +70,16 @@ every executed ``forward`` links the sha1 of its output to its own key
 (at most :data:`_LINK_ENTRIES` links), and a lookup that misses follows
 the link of its input, answering a rear half from the key the front and
 rear chains make together — the whole network's result, when the image
-was classified before.  ``forward_batch`` and ``forward_traced`` always
-execute.  It is sound because a plan's output is a pure function of its
-input bits and its frozen parameters and split halves compose bitwise
-(``tests/test_nn_plan.py``, ``tests/test_plan_fuzz.py``): compilation
-freezes every parameter array a plan captures, the digests a chain reads
-freeze what they hash, and a write needs
-``Layer.invalidate_param_cache``, which installs copies, so the next
-chain hashes the written bits.
+was classified before.  ``forward_batch`` is N forwards here too: it
+makes the same lookup for each row, executes only the rows that miss, as
+one smaller batch, and remembers and links them as ``forward`` would;
+only ``forward_traced`` always executes.  It is sound because a plan's
+output is a pure function of its input bits and its frozen parameters
+and split halves compose bitwise (``tests/test_nn_plan.py``,
+``tests/test_plan_fuzz.py``): compilation freezes every parameter array
+a plan captures, the digests a chain reads freeze what they hash, and a
+write needs ``Layer.invalidate_param_cache``, which installs copies, so
+the next chain hashes the written bits.
 
 Steps and layers call one kernel set directly: numpy's ``matmul`` /
 ``maximum`` / ``concatenate`` and the im2col, pooling, LRN and eltwise
@@ -307,7 +311,13 @@ class FCStep(PlanStep):
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
         xs = inputs[0]
-        np.matmul(xs.reshape(xs.shape[0], -1), self.weight.T, out=out)
+        count = xs.shape[0]
+        # One (1, D) product per row, the shape a single forward multiplies
+        # at: one (N, D) GEMM would reassociate the rows' sums.
+        np.matmul(
+            xs.reshape(count, 1, -1), self.weight.T,
+            out=out.reshape(count, 1, -1),
+        )
         out += self.bias
         if self.relu:
             np.maximum(out, 0.0, out=out)
@@ -436,8 +446,10 @@ class ExecutionPlan:
 
     ``chain`` is the plan's content fingerprint (one print per covered
     spine layer), the first half of its result keys; ``forwards`` counts
-    :meth:`forward` calls, ``memo_hits`` the answered ones,
-    ``arena_bytes_reused`` the rest.
+    :meth:`forward` calls and ``memo_hits`` the answered ones;
+    ``batch_forwards`` counts :meth:`forward_batch` calls, ``batch_sizes``
+    their rows and ``batch_memo_hits`` the answered rows;
+    ``arena_bytes_reused`` counts the executed samples of both.
     """
 
     def __init__(
@@ -465,6 +477,8 @@ class ExecutionPlan:
         self.memo_hits = 0
         self.forwards = 0
         self.batch_forwards = 0
+        #: ``forward_batch`` rows answered from the memo
+        self.batch_memo_hits = 0
         #: batch size -> ``forward_batch`` calls of that size
         self.batch_sizes = collections.Counter()
         self.arena_bytes_reused = 0
@@ -615,6 +629,31 @@ class ExecutionPlan:
             "output_clobbers_live": clobbers,
         }
 
+    def _recall_row(self, key: Tuple[tuple, bytes]) -> Optional[np.ndarray]:
+        """The memoized result of one input, keyed ``(chain, input bits)``:
+        stored under ``key``, or under the key the input's link and this
+        chain make together (then stored under ``key`` as well).  None on a
+        miss, and always for a plan whose results are not admitted."""
+        if not self._admits:
+            return None
+        stored = _recall(key)
+        if stored is None and key[1] in _LINKS:
+            front_chain, front_input = _LINKS[key[1]]
+            stored = _recall((front_chain + self.chain, front_input))
+            if stored is not None:
+                _remember(_RESULTS, key, stored, _MEMO_ENTRIES)
+        return stored
+
+    def _keep(self, key: Tuple[tuple, bytes], result: np.ndarray) -> None:
+        """Remember an executed input's result under ``key`` (admitted plans)
+        and link the result's bits to ``key``."""
+        if self._admits:
+            stored = result.copy()
+            stored.flags.writeable = False
+            _remember(_RESULTS, key, stored, _MEMO_ENTRIES)
+        if self._links:
+            _remember(_LINKS, _bits(result), key, _LINK_ENTRIES)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """One sample through the compiled steps — a batch of one; caller
         owns the result, from the process-wide memo when these input bits
@@ -630,23 +669,12 @@ class ExecutionPlan:
             self.arena_bytes_reused += self.stats.reuse_bytes_per_forward
             return self._execute(value[None])[0]
         key = (self.chain, _bits(value))
-        if self._admits:
-            stored = _recall(key)
-            if stored is None and key[1] in _LINKS:
-                front_chain, front_input = _LINKS[key[1]]
-                stored = _recall((front_chain + self.chain, front_input))
-                if stored is not None:
-                    _remember(_RESULTS, key, stored, _MEMO_ENTRIES)
-            if stored is not None:
-                self.memo_hits += 1
-                return stored.copy()
+        stored = self._recall_row(key)
+        if stored is not None:
+            self.memo_hits += 1
+            return stored.copy()
         result = self._execute(value[None])[0]
-        if self._admits:
-            stored = result.copy()
-            stored.flags.writeable = False
-            _remember(_RESULTS, key, stored, _MEMO_ENTRIES)
-        if self._links:
-            _remember(_LINKS, _bits(result), key, _LINK_ENTRIES)
+        self._keep(key, result)
         self.arena_bytes_reused += self.stats.reuse_bytes_per_forward
         return result
 
@@ -666,20 +694,48 @@ class ExecutionPlan:
         return result, trace
 
     def forward_batch(self, xs) -> np.ndarray:
-        """Run N inputs through one stacked kernel per step.
+        """N forwards, run as one batch: one stacked kernel per step.
 
         ``xs`` is a sequence of per-sample arrays (or an ``(N, ...)``
         array); returns the stacked ``(N, ...)`` outputs, which the caller
-        owns.  A batch of one is the same bits as :meth:`forward` — the
-        same kernels on the same shapes.  N > 1 equals N forwards within
-        float32 GEMM reassociation: BLAS blocks by operand shape, so rows
-        may differ in the last bits (bit-equal on ``resnet-mini``, up to
-        ≈ 2e-6 absolute on ``gendernet`` at N = 8).
+        owns.  Row ``i`` is the bits ``forward(xs[i])`` returns — every
+        step computes each row at the shapes a batch of one uses — so a
+        row is answered from the memo exactly when that forward would be:
+        the rows are looked up in order, a row repeating an earlier missed
+        row of the batch is a hit on it (when the plan's results are
+        memoized), and the rows that miss execute together as one smaller
+        batch, then are remembered and linked in row order.  A batch looks
+        up all its rows before it stores any, so it differs from N forwards
+        only if the memo evicts inside it.  ``batch_memo_hits`` counts the
+        answered rows.
         """
         value = self._batch_of(xs)
-        result = self._execute(value)
+        count = value.shape[0]
         self.batch_forwards += 1
-        self.batch_sizes[int(value.shape[0])] += 1
+        self.batch_sizes[count] += 1
+        if not (self._admits or self._links):
+            self.arena_bytes_reused += count * self.stats.reuse_bytes_per_forward
+            return self._execute(value)
+        keys = [(self.chain, _bits(row)) for row in value]
+        stored = [self._recall_row(key) for key in keys]
+        runs: List[int] = []  # the rows that execute, in order
+        place: Dict[Tuple[tuple, bytes], int] = {}  # key -> its run
+        for row, key in enumerate(keys):
+            if stored[row] is None and not (self._admits and key in place):
+                place[key] = len(runs)
+                runs.append(row)
+        self.batch_memo_hits += count - len(runs)
+        self.arena_bytes_reused += len(runs) * self.stats.reuse_bytes_per_forward
+        if len(runs) == count:
+            result = self._execute(value)
+        else:
+            executed = self._execute(value[runs]) if runs else None
+            result = np.stack([
+                executed[place[key]] if answer is None else answer
+                for key, answer in zip(keys, stored)
+            ])
+        for row in runs:
+            self._keep(keys[row], result[row])
         return result
 
     # -- reporting -------------------------------------------------------------

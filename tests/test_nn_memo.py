@@ -17,7 +17,8 @@ link of its input.  What must hold:
 * two separately built models with the same parameters share entries;
 * after the supported in-place write (``invalidate_param_cache``, then
   write) nothing stale is answered;
-* ``forward_batch`` and ``forward_traced`` never read the memo.
+* ``forward_batch`` reads the memo row by row, as ``forward`` does;
+  ``forward_traced`` never reads it, so it is the executed oracle here.
 """
 
 import numpy as np
@@ -60,7 +61,7 @@ class TestSplitRule:
             hits = plan.memo_hits
             answered = rear.inference(feature)
             assert plan.memo_hits == hits + 1, point.label
-            executed = plan.forward_batch(feature[None])[0]
+            executed = plan.forward_traced(feature)[0]
             assert same_bits(answered, executed), point.label
             assert same_bits(answered, whole), point.label
 
@@ -91,7 +92,7 @@ class TestSplitRule:
         rear = halves.rear.plan_for()
         answered = rear.forward(feature)
         assert rear.memo_hits == 1
-        assert same_bits(answered, rear.forward_batch(feature[None])[0])
+        assert same_bits(answered, rear.forward_traced(feature)[0])
         assert same_bits(answered, early)
 
     @pytest.mark.parametrize("name", EXIT_MODELS)
@@ -112,7 +113,7 @@ class TestSplitRule:
                 assert own not in plan_module._RESULTS  # only the link answers
                 answered = rear.forward(feature)
                 assert rear.memo_hits == 1, (exit.name, split)
-                executed = rear.forward_batch(feature[None])[0]
+                executed = rear.forward_traced(feature)[0]
                 assert same_bits(answered, executed), (exit.name, split)
 
 
@@ -142,6 +143,10 @@ class TestContentKeys:
         assert same_bits(after, network.forward_reference(x))
 
     def test_batched_and_traced_forwards_never_read_the_memo(self):
+        """``forward_batch`` answers a planted entry the way ``forward``
+        does; ``forward_traced`` executes and leaves the memo and the
+        counters as they were (the id is kept from when both bypassed
+        it)."""
         plan = build_model("smallnet").network.plan_for()
         x = image_for(build_model("smallnet").network)
         clear_memos()
@@ -150,5 +155,9 @@ class TestContentKeys:
         planted = np.full_like(stored, -1.0)
         plan_module._RESULTS[key] = planted
         assert same_bits(plan.forward(x), planted)  # the memo answers forward
-        assert same_bits(plan.forward_batch(x[None])[0], executed)
+        assert same_bits(plan.forward_batch(x[None])[0], planted)
+        counters = (plan.forwards, plan.memo_hits, plan.batch_memo_hits)
         assert same_bits(plan.forward_traced(x)[0], executed)
+        assert list(plan_module._RESULTS) == [key]
+        assert plan_module._RESULTS[key] is planted
+        assert (plan.forwards, plan.memo_hits, plan.batch_memo_hits) == counters

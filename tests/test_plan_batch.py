@@ -1,18 +1,21 @@
-"""A forward is a batch of one: the single step path against its ancestors.
+"""A batch is N forwards, bit for bit: the single step path and its memo.
 
 Plan steps used to carry two execution methods — ``run`` (one image, into
 the arena) and ``run_batch`` (N images, every output freshly allocated) —
 and the plan three copies of the schedule loop.  Only the batched
-arithmetic survives, writing through ``out=`` into arena views sized by N.
+arithmetic survives, writing through ``out=`` into arena views sized by N,
+and every step computes each row at the shapes a batch of one uses.
 What must hold:
 
-* ``forward_batch`` returns, at every N, the bits the deleted
-  ``run_batch`` methods returned — those are kept here verbatim as the
-  oracle (the zoo-wide ``forward == forward_reference`` locks in
-  ``test_nn_plan.py`` / ``test_backend.py`` carry N = 1 against the walk);
+* ``forward_batch(xs)[i]`` is, at every N, the bits of the reference layer
+  walk on ``xs[i]`` — on every zoo model's whole network, the halves of a
+  middle split and every early exit;
 * a batch of one is the same bits as ``forward``;
+* whatever went through ``forward`` before, ``forward_batch`` returns
+  those bits and leaves the memo holding what N forwards would leave it
+  holding, with as many hits (a Hypothesis property);
 * the arena — one process-wide scratch buffer, not a plan's — grows to
-  the largest batch seen and is then reused by every smaller batch, by
+  the largest batch executed and is then reused by every smaller batch, by
   ``forward`` and by every other plan, and the no-alias / no-clobber
   invariant holds at N > 1;
 * a plan holds no buffer: the front and rear halves of three splits, all
@@ -22,11 +25,11 @@ What must hold:
   disturbs a result returned earlier;
 * callers own what they are returned: nothing shares memory with the
   arena or with the kernel scratch;
-* ``forward`` answers an input whose bits met the plan's content before
-  from the process-wide memo, with the bits an execution computes, and a
-  test that means to exercise the kernels calls
-  ``tests.memos.clear_memos`` first (``test_nn_memo.py`` holds the split
-  rule and the content contract).
+* ``forward`` and ``forward_batch`` answer an input whose bits met the
+  plan's content before from the process-wide memo, with the bits an
+  execution computes; ``forward_traced`` always executes, and a test that
+  means to exercise the kernels calls ``tests.memos.clear_memos`` first
+  (``test_nn_memo.py`` holds the split rule and the content contract).
 """
 
 import collections
@@ -39,16 +42,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.nn import plan as plan_module
 from repro.nn import tensor
-from repro.nn.plan import (
-    ConcatStep,
-    ConvStep,
-    EltwiseAddStep,
-    FCStep,
-    FallbackStep,
-    LRNStep,
-    PoolStep,
-    ReLUStep,
-)
 from repro.nn.zoo import BUILDERS, build_model
 from repro.sim import SeededRng
 from tests.memos import clear_memos, entries
@@ -57,123 +50,9 @@ from tests.test_backend import same_bits
 BATCH_SIZES = (1, 2, 3, 8)
 
 
-# -- the eight ``run_batch`` bodies as they were, kept verbatim as the oracle ---
-
-
-def parent_max_pool_batch(layer, xs):
-    """Max-pool an ``(N, C, H, W)`` batch: the batch folds into the channels."""
-    count = xs.shape[0]
-    folded = xs.reshape((-1,) + xs.shape[2:])
-    pooled = tensor.max_pool_strided(folded, layer.kernel, layer.stride, layer.pad)
-    return pooled.reshape((count,) + layer.out_shape)
-
-
-def parent_eltwise_sum(inputs):
-    """Elementwise sum of ``inputs``, accumulated left to right (the
-    kernel's ``out is None`` arm, which only ``run_batch`` took)."""
-    out = inputs[0] + inputs[1]
-    for extra in inputs[2:]:
-        out += extra
-    return out
-
-
-def conv_run_batch(self, inputs):
-    (xs,) = inputs
-    layer = self.layer
-    count = xs.shape[0]
-    filters, out_h, out_w = self.out_shape
-    positions = out_h * out_w
-    if layer.groups == 1:
-        matrix, bias = self.operands[0]
-        cols = tensor.im2col(
-            xs, layer.kernel, layer.stride, layer.pad,
-            out=layer.cols_scratch(count, xs.shape[1]),
-        )
-        out = np.matmul(matrix, cols)  # (N, F, P) via broadcast
-        out += bias
-    else:
-        per_in = xs.shape[1] // layer.groups
-        per_out = filters // layer.groups
-        out = np.empty((count, filters, positions), dtype=np.float32)
-        buffer = layer.cols_scratch(count, per_in)
-        for group, (matrix, bias) in enumerate(self.operands):
-            cols = tensor.im2col(
-                xs[:, group * per_in : (group + 1) * per_in],
-                layer.kernel, layer.stride, layer.pad, out=buffer,
-            )
-            target = out[:, group * per_out : (group + 1) * per_out]
-            np.matmul(matrix, cols, out=target)
-            target += bias
-    if self.relu:
-        np.maximum(out, 0.0, out=out)
-    return out.reshape((count,) + self.out_shape)
-
-
-def fc_run_batch(self, inputs):
-    xs = inputs[0]
-    flat = xs.reshape(xs.shape[0], -1)
-    out = np.matmul(flat, self.weight.T)
-    out += self.layer.params["bias"]
-    if self.relu:
-        np.maximum(out, 0.0, out=out)
-    return out
-
-
-def pool_run_batch(self, inputs):
-    (xs,) = inputs
-    layer = self.layer
-    if layer.mode == "max":
-        return parent_max_pool_batch(layer, xs)
-    # Channels average independently: fold the batch into them.
-    pooled = tensor.pool(layer, xs.reshape((-1,) + xs.shape[2:]))
-    return pooled.reshape((xs.shape[0],) + self.out_shape)
-
-
-def relu_run_batch(self, inputs):
-    return np.maximum(inputs[0], 0.0).astype(np.float32, copy=False)
-
-
-def fallback_run_batch(self, inputs):
-    (xs,) = inputs
-    return np.stack([self.layer.forward(xs[index])
-                     for index in range(xs.shape[0])])
-
-
-def lrn_run_batch(self, inputs):
-    return tensor.lrn_batch(self.layer, inputs[0])
-
-
-def concat_run_batch(self, inputs):
-    return np.concatenate(inputs, axis=1)
-
-
-def eltwise_run_batch(self, inputs):
-    return parent_eltwise_sum(inputs)
-
-
-PARENT_RUN_BATCH = {
-    ConvStep: conv_run_batch,
-    FCStep: fc_run_batch,
-    PoolStep: pool_run_batch,
-    ReLUStep: relu_run_batch,
-    FallbackStep: fallback_run_batch,
-    LRNStep: lrn_run_batch,
-    ConcatStep: concat_run_batch,
-    EltwiseAddStep: eltwise_run_batch,
-}
-
-
-def parent_forward_batch(plan, xs):
-    """``ExecutionPlan._execute_batch`` as it was: every step output a
-    fresh allocation, no arena."""
-    value = np.asarray(xs, dtype=np.float32)
-    values = [None] * (len(plan.steps) + 1)
-    values[0] = value
-    for step in plan.steps:
-        values[step.output] = PARENT_RUN_BATCH[type(step)](
-            step, [values[value_id] for value_id in step.inputs]
-        )
-    return values[plan.steps[-1].output] if plan.steps else value
+def reference_batch(network, xs):
+    """N reference layer walks, stacked: the oracle every batch row meets."""
+    return np.stack([network.forward_reference(x) for x in xs])
 
 
 # -- fixtures -------------------------------------------------------------------
@@ -185,15 +64,18 @@ def batch_for(plan, count, seed=5):
     )
 
 
-def plans_of(network):
-    """The whole-network plan, the front / rear halves of a middle split,
-    and the plan of every early exit's pruned network."""
+def parts_of(network):
+    """The whole network, the front / rear halves of a middle split, and
+    every early exit's pruned network."""
     points = network.offload_points()
     halves = network.split(points[len(points) // 2].index)
-    plans = [network.plan_for(), halves.front.plan_for(), halves.rear.plan_for()]
-    for exit in network.exit_points()[:-1]:
-        plans.append(network.at_exit(exit.index).plan_for())
-    return plans
+    return [network, halves.front, halves.rear] + [
+        network.at_exit(exit.index) for exit in network.exit_points()[:-1]
+    ]
+
+
+def plans_of(network):
+    return [part.plan_for() for part in parts_of(network)]
 
 
 @pytest.fixture(scope="module", params=sorted(BUILDERS))
@@ -214,12 +96,17 @@ def aliases_plan_memory(array):
 
 class TestBatchBits:
     def test_forward_batch_equals_parent_run_batch(self, network):
-        for plan in plans_of(network):
+        """Every row is the reference walk's bits.  The id dates from when
+        the deleted ``run_batch`` step methods were the oracle; their FC
+        step ran one (N, D) GEMM, whose rows were not ``forward``'s bits."""
+        for part in parts_of(network):
+            plan = part.plan_for()
             xs = batch_for(plan, max(BATCH_SIZES))
+            expected = reference_batch(part, xs)
             for count in BATCH_SIZES:
+                clear_memos()  # every row executes
                 assert same_bits(
-                    plan.forward_batch(xs[:count]),
-                    parent_forward_batch(plan, xs[:count]),
+                    plan.forward_batch(xs[:count]), expected[:count]
                 ), (plan.name, count)
 
     def test_batch_of_one_is_forward(self, network):
@@ -240,22 +127,29 @@ class TestArenaAcrossBatchSizes:
     def test_arena_grows_once_then_serves_every_smaller_batch(self, plan):
         xs = batch_for(plan, 8)
         tensor._SCRATCH.pop("arena", None)  # as in a fresh process
-        clear_memos()  # each forward below executes
+        # each forward and batch below executes: a remembered row would
+        # shrink the batch that runs
+        clear_memos()
         single = plan.forward(xs[0])
         assert tensor._SCRATCH["arena"].nbytes == plan.stats.arena_bytes
+        clear_memos()
         first = plan.forward_batch(xs)
         grown = tensor._SCRATCH["arena"]
         assert grown.nbytes == 8 * plan.stats.arena_bytes
+        clear_memos()
         assert same_bits(plan.forward_batch(xs), first)
-        assert same_bits(plan.forward_batch(xs[:3]), parent_forward_batch(plan, xs[:3]))
+        clear_memos()
+        assert same_bits(plan.forward_batch(xs[:3]), first[:3])
         clear_memos()
         assert same_bits(plan.forward(xs[0]), single)
+        assert same_bits(first[0], single)
         # every smaller plan — the halves of a split, another model — runs
         # in the same buffer
         network = build_model("googlenet").network
         halves = network.split(network.point_by_label("3rd_pool").index)
         for other in (halves.front.plan_for(), halves.rear.plan_for(),
                       build_model("smallnet").network.plan_for()):
+            clear_memos()
             other.forward_batch(batch_for(other, 3))
         assert tensor._SCRATCH["arena"] is grown
         # per-sample accounting does not move with the batch
@@ -291,18 +185,19 @@ class TestCallerOwnsResult:
         for plan in (network.plan_for(), halves.front.plan_for(),
                      halves.rear.plan_for()):
             xs = batch_for(plan, 3)
-            for run, argument in ((plan.forward, xs[0]), (plan.forward_batch, xs)):
+            for run, argument, rows in ((plan.forward, xs[0], 1),
+                                        (plan.forward_batch, xs, 3)):
                 first = run(argument)
                 kept = first.copy()
                 assert not aliases_plan_memory(first)
                 first.fill(np.float32(-7.0))
-                hits = plan.memo_hits
+                hits = plan.memo_hits + plan.batch_memo_hits
                 again = run(argument)
-                # a repeated forward is a memo hit (when the plan's
+                # a repeated forward is a memo hit per row (when the plan's
                 # results are memoized): the copy it returns is owned all
                 # the same
-                answered = run == plan.forward and memoized(plan)
-                assert plan.memo_hits == hits + answered
+                answered = rows * memoized(plan)
+                assert plan.memo_hits + plan.batch_memo_hits == hits + answered
                 assert again is not first
                 assert same_bits(again, kept)
                 assert not aliases_plan_memory(again)
@@ -427,8 +322,10 @@ def property_input(spec, count):
 
 
 @functools.lru_cache(maxsize=None)
-def reference_output(spec):
-    return property_plan(spec)[1](property_input(spec, 1)[0])
+def reference_output(spec, count):
+    """The reference walk of every row of ``property_input(spec, count)``."""
+    return np.stack([property_plan(spec)[1](x)
+                     for x in property_input(spec, count)])
 
 
 def make_call(spec, entry, count):
@@ -439,6 +336,7 @@ def make_call(spec, entry, count):
         clear_memos()  # the property is about the arena: execute
         return plan.forward(xs[0]), None
     if entry == "forward_batch":
+        clear_memos()
         return plan.forward_batch(xs), None
     return plan.forward_traced(xs)
 
@@ -489,15 +387,55 @@ class TestSharedArenaProperty:
             spec, entry, count = call
             result, trace = make_call(*call)
             assert same_bits(result, oracle), call
-            if count == 1:
-                sample = result if entry == "forward" else result[0]
-                assert same_bits(sample, reference_output(spec)), call
+            rows = result[None] if entry == "forward" else result
+            assert same_bits(rows, reference_output(spec, count)), call
             for entry_record in trace or ():
                 assert not entry_record["output_aliases_input"], entry_record
                 assert not entry_record["output_clobbers_live"], entry_record
             kept.append((result, oracle))
             for earlier, earlier_oracle in kept:
                 assert same_bits(earlier, earlier_oracle), call
+
+
+# -- a batch is N forwards, whatever came before -----------------------------------
+
+
+#: plans whose batch rows were not ``forward``'s bits while the FC step ran
+#: one (N, D) GEMM (agenet's rear half: its FC layers without the convs)
+REASSOCIATING_PLANS = (("smallnet", "whole"), ("smallnet_exits", "whole"),
+                       ("agenet", "rear"))
+
+
+class TestBatchIsNForwards:
+    @settings(max_examples=20, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=st.sampled_from(REASSOCIATING_PLANS), data=st.data())
+    def test_forward_batch_is_history_independent(self, spec, data):
+        """Draw N rows (repeats allowed) and the rows ``forward`` saw
+        first: the batch is the reference walk row by row, counts the hits
+        N forwards would count, and leaves the keys they would leave."""
+        plan = property_plan(spec)[0]
+        pool = property_input(spec, 8)
+        picks = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=8),
+                          label="rows")
+        seen = data.draw(st.sets(st.sampled_from(picks)), label="seen first")
+        xs = pool[picks]
+        clear_memos()
+        for pick in sorted(seen):
+            plan.forward(pool[pick])
+        hits = plan.batch_memo_hits
+        batched = plan.forward_batch(xs)
+        assert same_bits(batched, reference_output(spec, 8)[picks]), picks
+        kept = set(plan_module._RESULTS)
+        answered = plan.batch_memo_hits - hits
+        clear_memos()
+        for pick in sorted(seen):
+            plan.forward(pool[pick])
+        hits = plan.memo_hits
+        for x in xs:
+            plan.forward(x)
+        assert answered == plan.memo_hits - hits
+        assert kept == set(plan_module._RESULTS)
 
 
 # -- the forward memo -------------------------------------------------------------
@@ -648,16 +586,30 @@ class TestForwardMemo:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_batched_and_traced_forwards_bypass_the_memo(self, count):
+        """``forward_batch`` answers a planted entry the way ``forward``
+        does; ``forward_traced`` alone executes and leaves the memo and
+        the counters untouched.  The id is kept from when both bypassed
+        the memo."""
         plan = build_model("smallnet").network.plan_for()
         xs = batch_for(plan, count)
-        plan.forward(xs[0])
+        clear_memos()
+        executed = plan.forward_batch(xs)
+        keys = [(plan.chain, plan_module._bits(x)) for x in xs]
+        assert list(plan_module._RESULTS) == keys
+        planted = np.full_like(executed[0], -1.0)
+        plan_module._RESULTS[keys[0]] = planted
 
         def state():
             return (list(plan_module._RESULTS), list(plan_module._LINKS),
-                    plan.memo_hits, plan.forwards)
+                    plan.memo_hits, plan.forwards, plan.batch_memo_hits)
 
         before = state()
-        plan.forward_batch(xs)
-        plan.forward_traced(xs)
-        plan.forward_traced(xs[0])
+        assert same_bits(plan.forward_traced(xs)[0], executed)
+        assert same_bits(plan.forward_traced(xs[0])[0], executed[0])
         assert state() == before
+        hits = plan.batch_memo_hits
+        answered = plan.forward_batch(xs)
+        assert plan.batch_memo_hits == hits + count
+        assert same_bits(answered[0], planted)
+        assert same_bits(answered[1:], executed[1:])
+        assert same_bits(plan.forward(xs[0]), planted)

@@ -14,8 +14,8 @@ compiled :class:`~repro.nn.plan.ExecutionPlan`.  The contract under test:
   interval-coloring safety invariant;
 * compiled graphs contain zero opaque composite steps: every inception /
   residual lowers to inlined branch steps plus one concat/eltwise join;
-* ``forward_batch`` returns, at every batch size, the bits of the
-  ``run_batch`` step methods it replaced (kept in ``test_plan_batch.py``).
+* ``forward_batch`` returns, at every batch size, the reference walk's
+  bits on every row.
 
 All strategies are derandomized so CI failures reproduce exactly; the
 heavier nested-graph cases carry the ``fuzz`` marker.
@@ -35,7 +35,7 @@ from repro.nn.layers.pool import PoolLayer
 from repro.nn.network import Network
 from repro.sim import SeededRng
 from tests.memos import clear_memos
-from tests.test_plan_batch import BATCH_SIZES, parent_forward_batch
+from tests.test_plan_batch import BATCH_SIZES, reference_batch
 
 FUZZ_SETTINGS = dict(
     derandomize=True,
@@ -250,13 +250,18 @@ class TestGeneratedGraphs:
     @settings(max_examples=60, **FUZZ_SETTINGS)
     @given(spec=graph_specs())
     def test_forward_batch_equals_parent_run_batch(self, spec):
-        plan = spec.build().plan_for()
+        """Every row is the reference walk's bits (the id dates from when
+        the deleted ``run_batch`` step methods were the oracle)."""
+        network = spec.build()
+        plan = network.plan_for()
         xs = SeededRng(5, "fuzz/batch").uniform_array(
             (max(BATCH_SIZES),) + plan.input_shape, -1.0, 1.0
         )
+        expected = reference_batch(network, xs)
         for count in BATCH_SIZES:
+            clear_memos()  # every row executes
             batched = plan.forward_batch(xs[:count])
-            assert np.array_equal(batched, parent_forward_batch(plan, xs[:count]))
+            assert np.array_equal(batched, expected[:count])
         traced, trace = plan.forward_traced(xs)
         assert np.array_equal(traced, batched)
         _assert_no_aliasing(trace)
