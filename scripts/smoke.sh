@@ -46,10 +46,16 @@ python -m repro campaign --quick \
     --metrics-out "$out_dir/metrics.prom"
 
 echo "== 3/8 exported metrics parse + sanity"
-python - "$out_dir/metrics.prom" <<'PY'
+# The Prometheus parser is a test oracle: it lives in tests/prometheus.py
+# and is imported from the repo root.  One offload exported in both formats
+# must tell the same story.
+python -m repro metrics > "$out_dir/one.prom" 2> /dev/null
+python -m repro metrics --format json > "$out_dir/one.json" 2> /dev/null
+python - "$out_dir/metrics.prom" "$out_dir/one.prom" "$out_dir/one.json" <<'PY'
+import json
 import sys
 
-from repro.obs import parse_prometheus_text
+from tests.prometheus import parse_prometheus_text
 
 with open(sys.argv[1], "r", encoding="utf-8") as handle:
     parsed = parse_prometheus_text(handle.read())
@@ -62,6 +68,21 @@ assert sessions > 0, "campaign exported no sessions"
 assert executions > 0, "campaign exported no server executions"
 print(f"ok: {len(samples)} samples, {sessions:.0f} sessions, "
       f"{executions:.0f} server executions")
+
+with open(sys.argv[2], "r", encoding="utf-8") as handle:
+    text = parse_prometheus_text(handle.read())["samples"]
+with open(sys.argv[3], "r", encoding="utf-8") as handle:
+    document = json.load(handle)["metrics"]
+from_json = {
+    (name, tuple(sorted(series["labels"].items()))): series["value"]
+    for name, family in document.items()
+    if family["kind"] != "histogram"
+    for series in family["series"]
+}
+assert from_json, "JSON export holds no counter or gauge"
+assert all(text[key] == value for key, value in from_json.items()), \
+    "Prometheus text and JSON exports disagree"
+print(f"ok: {len(from_json)} counter/gauge series agree across both formats")
 PY
 
 echo "== 4/8 fleet: seeded determinism + failover conservation"

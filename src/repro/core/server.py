@@ -100,7 +100,8 @@ class EdgeServer:
         self.errors: List[str] = []
         #: the most recent browser runtime, for inspection in tests
         self.last_runtime: Optional[WebRuntime] = None
-        self.endpoints: List[ChannelEnd] = []
+        #: protocol loops started, numbering their process labels
+        self._loops = 0
         #: virtual times at which an overlay finished installing
         self.install_log: List[float] = []
         #: keep the browser (state + code) of each served app so follow-up
@@ -113,9 +114,11 @@ class EdgeServer:
         self.session_cache_capacity = session_cache_capacity
         self._sessions: "OrderedDict[tuple, WebRuntime]" = OrderedDict()
         self.evicted_sessions = 0
-        #: at-most-once execution: replies cached per (sender, request_id)
-        #: so a retransmitted request is answered without re-executing
-        self._replies: Dict[tuple, protocol.ResultPayload] = {}
+        #: at-most-once execution: each sender's latest reply, with its
+        #: request id, so a retransmitted request is answered without
+        #: re-executing.  A client has one request outstanding at a time,
+        #: so a retransmission can only repeat its latest request id.
+        self._replies: Dict[str, Tuple[int, protocol.ResultPayload]] = {}
         metrics = sim.metrics
         self._requests_counter = metrics.counter(
             "server_requests_total", help="snapshot requests received",
@@ -199,13 +202,15 @@ class EdgeServer:
     # -- wiring ---------------------------------------------------------------
     def serve(self, endpoint: ChannelEnd) -> None:
         """Attach a client channel endpoint and start its protocol loop."""
-        self.endpoints.append(endpoint)
-        self.sim.spawn(
-            self._loop(endpoint), label=f"server:{self.name}:{len(self.endpoints)}"
-        )
+        self._loops += 1
+        self.sim.spawn(self._loop(endpoint), label=f"server:{self.name}:{self._loops}")
 
     def _loop(self, endpoint: ChannelEnd):
         while True:
+            # Wait holding nothing of the last message: one loop runs per
+            # channel ever served, so a kept SNAPSHOT (program, tensor
+            # texts, attachments) per loop would grow with the channels.
+            message = result = None
             message = yield endpoint.recv()
             handler = {
                 protocol.PING: self._on_ping,
@@ -330,10 +335,10 @@ class EdgeServer:
         # At-most-once: a retransmission of an already-served request (the
         # reply was lost in flight) gets the cached reply; re-executing a
         # delta snapshot twice would corrupt the cached session.
-        reply_key = (sender, payload.request_id)
-        if payload.request_id and reply_key in self._replies:
+        latest_id, latest_reply = self._replies.get(sender, (0, None))
+        if payload.request_id and latest_id == payload.request_id:
             self._cached_reply_counter.inc()
-            endpoint.send(protocol.RESULT, self._replies[reply_key])
+            endpoint.send(protocol.RESULT, latest_reply)
             return
 
         # Any model files delivered with the snapshot are stored first,
@@ -459,7 +464,7 @@ class EdgeServer:
             ),
         )
         if payload.request_id:
-            self._replies[reply_key] = reply
+            self._replies[sender] = (payload.request_id, reply)
         endpoint.send(protocol.RESULT, reply)
 
     def batch_partial_inference(self, model_id: str, features) -> list:

@@ -142,11 +142,14 @@ _PAD = b"\0"
 #: separator, because ``inf`` / ``-inf`` / ``nan`` are shorter than the rest
 _OUTSIDE_FORMAT = "%17.10e"
 
-#: total bytes of rendered text kept in the memo below.  A GoogLeNet
-#: first-conv feature renders to ~14 MB, so the budget holds a handful of
-#: large tensors — enough to cover the repeated captures of one campaign
-#: section without letting a sweep hoard memory.
-TEXT_CACHE_BUDGET_BYTES = 64 * 1024 * 1024
+#: total bytes of rendered text kept in the memo below, sized by the hits
+#: it serves: a tensor is rendered again soon after its first render (the
+#: re-capture after a restore, the next figure of one campaign section), so
+#: the memo needs to hold what is rendered between a render and its repeat,
+#: not a run's history.  16 MiB is the smallest power of two at which every
+#: ledger workload keeps all its hits (8 MiB loses some on `fleet-offload`
+#: and `campaign-quick`); a GoogLeNet first-conv feature (~14 MB) still fits.
+TEXT_CACHE_BUDGET_BYTES = 16 * 1024 * 1024
 
 _text_cache: "OrderedDict[bytes, str]" = OrderedDict()
 _text_cache_bytes = 0

@@ -47,6 +47,7 @@ and failovers safe) or the scenario raises loudly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -60,6 +61,7 @@ from repro.devices import Device, edge_server_x86, odroid_xu4_client
 from repro.fleet.policies import Policy, make_policy
 from repro.fleet.scheduler import FleetScheduler, NoEdgeAvailable
 from repro.netsim import EdgeDown, NetemProfile, ReceiveTimeout, Topology
+from repro.netsim.channel import ChannelEnd
 from repro.netsim.link import LinkDown
 from repro.nn.cost import costs_for_range, network_costs
 from repro.nn.model import Model
@@ -494,7 +496,9 @@ class FleetScenario:
         self.kill_log: List[Tuple[float, str]] = []
         self._kills: List[Tuple[float, str, bool]] = []
         self._revivals: List[Tuple[float, str]] = []
-        self._served_ends: Set[int] = set()
+        #: channel ends an edge loop serves; weak, because no server keeps
+        #: the ends it served, and an ``id()`` outlives its object
+        self._served_ends: weakref.WeakSet[ChannelEnd] = weakref.WeakSet()
         self._ran = False
 
         metrics = self.sim.metrics
@@ -688,8 +692,8 @@ class FleetScenario:
     def _attach(self, client: _FleetClient, edge_name: str):
         """Simulated sub-process: connect, (re)bind, digest-handshake."""
         client_end, edge_end = self.topology.connect(client.name, edge_name)
-        if id(edge_end) not in self._served_ends:
-            self._served_ends.add(id(edge_end))
+        if edge_end not in self._served_ends:
+            self._served_ends.add(edge_end)
             self.servers[edge_name].serve(edge_end)
         agent = client.agent
         if agent.endpoint is not client_end:

@@ -10,18 +10,12 @@ times, Fig. 7 phase breakdowns, Fig. 8 partial-inference trade-offs);
   runs (``sim.metrics`` on every simulator);
 * :class:`~repro.obs.spans.SpanRecorder` — lightweight span tracing
   (``sim.spans``), exportable as Chrome Trace Event JSON;
-* :mod:`repro.obs.export` — Prometheus text and JSON exporters plus the
-  parser the test-suite and smoke scripts use to validate scrapes.
+* :mod:`repro.obs.export` — Prometheus text and JSON exporters.
 
 See ``docs/OBSERVABILITY.md`` for the metric name catalogue.
 """
 
-from repro.obs.export import (
-    parse_prometheus_text,
-    to_json,
-    to_prometheus_text,
-    write_metrics,
-)
+from repro.obs.export import to_json, to_prometheus_text, write_metrics
 from repro.obs.metrics import (
     COUNTER,
     GAUGE,
@@ -49,7 +43,6 @@ __all__ = [
     "SpanRecorder",
     "announce_registry",
     "collect_metrics",
-    "parse_prometheus_text",
     "spans_to_events",
     "spans_to_trace",
     "to_json",

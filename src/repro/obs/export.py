@@ -3,10 +3,9 @@
 ``to_prometheus_text`` renders a :class:`~repro.obs.metrics.MetricsRegistry`
 in the Prometheus text exposition format (``# HELP`` / ``# TYPE`` headers,
 one ``name{labels} value`` sample per line; histograms as cumulative
-``_bucket`` / ``_sum`` / ``_count`` series).  ``parse_prometheus_text``
-reads that format back into plain data so tests can assert the export
-round-trips and smoke scripts can validate a scrape file without a real
-Prometheus server.
+``_bucket`` / ``_sum`` / ``_count`` series).  The tests' parser
+(``tests/prometheus.py``) reads it back, so the export is checked to
+round-trip without a real Prometheus server.
 
 ``to_json`` / ``write_metrics`` serialize the registry snapshot; the file
 extension picks the format (``.json`` vs anything else → Prometheus text).
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from typing import Dict, List, Sequence, Tuple
 
 from repro.obs.metrics import (
@@ -91,47 +89,6 @@ def to_prometheus_text(
                     f"{name}{_format_labels(labels)} {_format_value(metric.value)}"
                 )
     return "\n".join(lines) + "\n"
-
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?\s+(?P<value>\S+)\s*$"
-)
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-
-def parse_prometheus_text(text: str) -> Dict:
-    """Parse a Prometheus exposition into ``{"types": ..., "samples": ...}``.
-
-    ``types`` maps family name -> declared kind; ``samples`` maps
-    ``(sample_name, (sorted label pairs))`` -> float value.  Malformed
-    sample lines raise ``ValueError`` — this parser is the smoke test for
-    the exporter, so silent tolerance would defeat its purpose.
-    """
-    types: Dict[str, str] = {}
-    samples: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                types[parts[2]] = parts[3]
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            raise ValueError(f"malformed exposition line: {line!r}")
-        labels = tuple(
-            sorted(
-                (key, value.replace(r"\"", '"').replace(r"\\", "\\"))
-                for key, value in _LABEL_RE.findall(match.group("labels") or "")
-            )
-        )
-        raw = match.group("value")
-        value = math.inf if raw == "+Inf" else float(raw)
-        samples[(match.group("name"), labels)] = value
-    return {"types": types, "samples": samples}
 
 
 def to_json(registry: MetricsRegistry, indent: int = 1) -> str:

@@ -201,7 +201,7 @@ class TestCommands:
 
 class TestMetricsCli:
     def test_metrics_prometheus_output_parses(self, capsys):
-        from repro.obs import parse_prometheus_text
+        from tests.prometheus import parse_prometheus_text
 
         assert main(["metrics"]) == 0
         parsed = parse_prometheus_text(capsys.readouterr().out)
@@ -226,7 +226,7 @@ class TestMetricsCli:
         assert any(e["ph"] == "X" for e in document["traceEvents"])
 
     def test_metrics_out_writes_prometheus_file(self, tmp_path, capsys):
-        from repro.obs import parse_prometheus_text
+        from tests.prometheus import parse_prometheus_text
 
         out_file = tmp_path / "telemetry.prom"
         assert main(["fig6", "--models", "agenet", "--metrics-out", str(out_file)]) == 0

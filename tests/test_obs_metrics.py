@@ -3,7 +3,7 @@
 Includes the PR's acceptance checks: for an offload-mode session the
 registry phase histograms agree with the ``PhaseBreakdown`` totals to
 within 1e-9, and the Prometheus text export round-trips through
-``parse_prometheus_text``.
+``tests/prometheus.py::parse_prometheus_text``.
 """
 
 import json
@@ -17,12 +17,12 @@ from repro.obs import (
     MetricsRegistry,
     SpanRecorder,
     collect_metrics,
-    parse_prometheus_text,
     spans_to_events,
     to_json,
     to_prometheus_text,
 )
 from repro.sim import Simulator
+from tests.prometheus import parse_prometheus_text
 
 
 class TestCountersAndGauges:
