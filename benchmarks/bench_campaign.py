@@ -205,7 +205,7 @@ def _bench_fleet(sessions=400, requests=2, rate=25.0, seed=0):
     (b) does killing the *fastest* edge mid-run complete every session
         with p99 degradation bounded by one reply timeout + a re-run?
     """
-    from repro.fleet import FleetScenario, compare_policies
+    from repro.fleet import POLICY_NAMES, FleetScenario
 
     print("-- fleet (4 policies x skewed edges, then a mid-run kill) ...",
           flush=True)
@@ -216,7 +216,10 @@ def _bench_fleet(sessions=400, requests=2, rate=25.0, seed=0):
         seed=seed,
         reply_timeout=1.0,
     )
-    reports = compare_policies(edges=_fleet_specs(), **workload)
+    reports = {
+        name: FleetScenario(edges=_fleet_specs(), policy=name, **workload).run()
+        for name in POLICY_NAMES
+    }
     policies = {
         name: {
             "p50_ms": round(r.p50_latency * 1e3, 3),

@@ -80,8 +80,7 @@ def main() -> None:
     # -- handover: edge-B has no offloading system --------------------------
     client_end, server_end = topology.handover("edge-B")
     server_b.serve(server_end)
-    client.endpoint = client_end
-    client.presend = None  # the old server's state is simply left behind
+    client.rebind(client_end)  # the old server's state is simply left behind
     print(f"t={sim.now:.3f}s  handed over to edge-B")
 
     probe = client_end.send(protocol.PING, None)

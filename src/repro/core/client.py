@@ -23,6 +23,7 @@ from repro.core.snapshot import (
 )
 from repro.devices.device import Device
 from repro.netsim.channel import ChannelEnd
+from repro.nn.model import Model
 from repro.core.presend import PresendManager
 from repro.sim import Simulator
 from repro.web.app import WebApp
@@ -127,8 +128,9 @@ class ClientAgent:
 
     An agent may exist before it has a wire: built with ``endpoint=None``
     (a fleet session loads its app before any edge is picked), it is
-    connected by the first :meth:`rebind`.  ``name`` labels its metrics
-    (default: the endpoint's name); an agent without an endpoint needs one.
+    connected by the first :meth:`rebind` or :meth:`attach`.  ``name``
+    labels its metrics (default: the endpoint's name); an agent without an
+    endpoint needs one.
     """
 
     def __init__(
@@ -153,6 +155,11 @@ class ClientAgent:
         #: when present, follow-up offloads send deltas instead of full
         #: snapshots (the paper's future-work reuse of server-side state)
         self.session_baselines: Dict[str, Any] = {}
+        #: server -> (channel end, pre-send manager or None) of the digest
+        #: handshake :meth:`attach` ran there; a new channel re-asks
+        self._presends: Dict[
+            str, Tuple[ChannelEnd, Optional[PresendManager]]
+        ] = {}
         metrics = sim.metrics
         labels = {"client": name if name is not None else endpoint.name}
         self._offload_counter = metrics.counter(
@@ -190,12 +197,67 @@ class ClientAgent:
         The browser runtime and all app state stay put — only the wire
         changes, exactly as when a mobile client re-associates with a new
         edge server.  Any pre-send manager is dropped: it belonged to the
-        old server's store, and the caller decides (digest handshake)
-        whether the new edge needs its own upload before assigning a fresh
-        one.
+        old server's store; :meth:`attach`'s digest handshake decides
+        whether the new edge needs its own upload.
         """
         self.endpoint = endpoint
         self.presend = None
+
+    def attach(
+        self, endpoint: ChannelEnd, model: Model, timeout: Optional[float]
+    ):
+        """Simulated sub-process: bind to ``endpoint``, then make sure its
+        server holds ``model`` (fleet attach and failover).
+
+        A new channel rebinds the agent; a new *server* also drops the
+        app's session baseline, which is useless there and would cost one
+        failed delta round.  The digest handshake runs once per channel: a
+        fresh one (first contact, or a reconnect after an edge death) must
+        re-ask, because the store may have changed behind it.  A miss is
+        answered at segment granularity: the reply names exactly the files
+        the edge lacks, and the pre-send uploads only those — the rest is
+        already resident, possibly under another model id.
+
+        Returns the answer's ``present`` flag, or None when this channel
+        was already asked.
+        """
+        server = endpoint.peer.name
+        if self.endpoint is not endpoint:
+            if self.endpoint is None or self.endpoint.peer.name != server:
+                self.session_baselines.pop(self.runtime.app_name, None)
+            self.rebind(endpoint)
+        known = self._presends.get(server)
+        if known is not None and known[0] is endpoint:
+            self.presend = known[1]
+            return None
+        manifest = model.files()
+        endpoint.send(
+            protocol.MODEL_QUERY,
+            protocol.ModelQueryPayload(
+                model_id=model.model_id,
+                fingerprint=model.fingerprint(),
+                files=manifest,
+            ),
+        )
+        reply = yield endpoint.recv_kind(protocol.MODEL_STATUS, timeout=timeout)
+        manager = None
+        if not reply.payload.present:
+            missing = set(reply.payload.missing_files)
+            resident = {f.name for f in manifest} - missing
+            manager = PresendManager(
+                self.sim,
+                endpoint,
+                [model],
+                skip_files={model.model_id: resident} if resident else None,
+            )
+            manager.start()
+        self.presend = manager
+        self._presends[server] = (endpoint, manager)
+        return reply.payload.present
+
+    def forget(self, server: str) -> None:
+        """Drop the handshake with ``server``: the next attach re-asks."""
+        self._presends.pop(server, None)
 
     # -- app lifecycle -----------------------------------------------------------
     def start_app(self, app: WebApp, presend: bool = True) -> None:

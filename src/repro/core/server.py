@@ -36,33 +36,6 @@ from repro.sim import Simulator
 from repro.web.runtime import MissingModelError, WebRuntime
 
 
-class _BatchRowProxy:
-    """Serves one precomputed batched-forward row as ``inference``.
-
-    While a batched work item's pending event runs, the browser's installed
-    model is swapped for this proxy so the handler's ``inference(feature)``
-    call returns the row the batched forward already computed — the layer
-    walk happened once for the whole batch.  Any call with a *different*
-    input (a handler that infers twice, or on fresh data) falls through to
-    the real model, so correctness never depends on the swap.
-    """
-
-    def __init__(self, model, feature, row):
-        self._model = model
-        self._feature = feature
-        self._row = row
-
-    def inference(self, x, *args, **kwargs):
-        if not args and not kwargs and np.array_equal(
-            np.asarray(x), self._feature
-        ):
-            return np.array(self._row, copy=True)
-        return self._model.inference(x, *args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._model, name)
-
-
 class EdgeServer:
     """One edge server: model store + browser pool + protocol loops.
 
@@ -477,13 +450,10 @@ class EdgeServer:
         (inception concats, residual adds) included, since the plan inlines
         composites into first-class steps (``Model.inference_batch``) —
         after answering from the inference memo every row it can.
-        Returns the
-        per-session outputs in request order.  Originally an explicit
-        server API exercised only by the throughput benchmark; with a
-        :class:`~repro.serve.ServingLoop` attached it is the request path —
-        the loop's batches (size >= 2) land here, so the
-        ``server_batch_forwards_total`` / ``server_batch_size`` metrics
-        count real serving traffic.
+        Returns the per-session outputs in request order.  With a
+        :class:`~repro.serve.ServingLoop` attached, the loop's batches
+        (size >= 2) land here, so the ``server_batch_forwards_total`` /
+        ``server_batch_size`` metrics count real serving traffic.
         """
         if not features:
             return []
@@ -535,44 +505,27 @@ class EdgeServer:
         """Run the real handlers for one dispatched batch.
 
         Real batches (>= 2 items, one shared model id by queue construction)
-        go through :meth:`batch_partial_inference` — one stacked layer walk
-        over the rows the process-wide inference memo cannot answer — and
-        each item's handler reads its row back through a
-        :class:`_BatchRowProxy`.  Every row is the bits the item's own
-        forward would compute, memo hit or not
+        first go through :meth:`batch_partial_inference`: one stacked layer
+        walk over the rows the process-wide inference memo cannot answer,
+        which stores every row it executes.  Each item's handler then runs
+        as it would alone, and its own ``inference(feature)`` is answered
+        from the memo — the bits its own forward would compute
         (:meth:`~repro.nn.plan.ExecutionPlan.forward_batch`), so batching
-        moves no result.  Batches of one take the untouched per-item path:
-        a batched forward of one would return the same bits, but it would
-        count as a batch in the ``server_batch_*`` telemetry.  Handler
-        exceptions are stored per item for the protocol loop to classify;
-        one bad request never poisons its batchmates.
+        moves no result.  Batches of one skip the batched forward, which
+        would count as a batch in the ``server_batch_*`` telemetry.
+        Handler exceptions are stored per item for the protocol loop to
+        classify; one bad request never poisons its batchmates.
         """
-        rows = None
         if len(batch) > 1:
             try:
-                rows = self.batch_partial_inference(
-                    batch[0].model_id,
-                    [item.feature for item in batch],
+                self.batch_partial_inference(
+                    batch[0].model_id, [item.feature for item in batch]
                 )
             except Exception:
-                rows = None  # fall back to independent per-item forwards
-        for index, item in enumerate(batch):
+                pass  # each item's own forward computes its row
+        for item in batch:
             try:
-                real = (
-                    item.browser.installed_models.get(item.model_id)
-                    if item.model_id is not None
-                    else None
-                )
-                if rows is not None and real is not None:
-                    item.browser.installed_models[item.model_id] = (
-                        _BatchRowProxy(real, item.feature, rows[index])
-                    )
-                    try:
-                        item.browser.run_event(item.event)
-                    finally:
-                        item.browser.installed_models[item.model_id] = real
-                else:
-                    item.browser.run_event(item.event)
+                item.browser.run_event(item.event)
             except Exception as exc:
                 item.error = exc
 

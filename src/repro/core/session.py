@@ -205,29 +205,8 @@ class OffloadingSession:
         capture_options: CaptureOptions = CaptureOptions(include_canvas_pixels=True),
     ):
         """Full-inference offloading, before or after the pre-send ACK."""
-        self.client.capture_options = capture_options
-        self.client.start_app(self.app, presend=True)
-        self._load_image(self.client.runtime)
-        if wait_for_ack:
-            acks = [
-                self.client.presend.ack_event(model.model_id)
-                for model in self.app.presend_models()
-            ]
-            yield self.sim.all_of(acks)
-        started_at = self.sim.now
-        self.client.mark_offload_point("click", "infer_btn")
-        self.client.runtime.dispatch("click", "infer_btn")
-        event = self.client.take_intercepted()
-        outcome = yield from self.client.offload(
-            event,
-            server_costs=self.full_costs,
-            reply_timeout=self.reply_timeout,
-            retries=self.retries,
-        )
         mode = "offload-after-ack" if wait_for_ack else "offload-before-ack"
-        return self._finish(
-            mode, started_at, outcome.phases, self.client.runtime, outcome
-        )
+        return self._offload(mode, wait_for_ack, capture_options)
 
     def run_offload_partial(
         self,
@@ -235,6 +214,13 @@ class OffloadingSession:
         capture_options: CaptureOptions = CaptureOptions(),
     ):
         """Partial inference: front() locally, rear() on the edge server."""
+        return self._offload("offload-partial", wait_for_ack, capture_options)
+
+    def _offload(
+        self, mode: str, wait_for_ack: bool, capture_options: CaptureOptions
+    ):
+        """The one offload body: the mode picks the point, front, costs."""
+        partial = mode == "offload-partial"
         self.client.capture_options = capture_options
         self.client.start_app(self.app, presend=True)
         self._load_image(self.client.runtime)
@@ -245,21 +231,25 @@ class OffloadingSession:
             ]
             yield self.sim.all_of(acks)
         started_at = self.sim.now
-        self.client.mark_offload_point("front_complete")
-        front_seconds = self.client.device.forward_seconds(self.front_costs)
-        yield self.client.device.execute(front_seconds, label="front-dnn")
-        self.client.runtime.dispatch("click", "infer_btn")  # front() runs here
+        front_seconds = 0.0
+        if partial:
+            self.client.mark_offload_point("front_complete")
+            front_seconds = self.client.device.forward_seconds(self.front_costs)
+            yield self.client.device.execute(front_seconds, label="front-dnn")
+        else:
+            self.client.mark_offload_point("click", "infer_btn")
+        # in partial mode, front() runs here
+        self.client.runtime.dispatch("click", "infer_btn")
         event = self.client.take_intercepted()
         outcome = yield from self.client.offload(
             event,
-            server_costs=self.rear_costs,
+            server_costs=self.rear_costs if partial else self.full_costs,
             reply_timeout=self.reply_timeout,
             retries=self.retries,
         )
         outcome.phases.client_exec = front_seconds
         return self._finish(
-            "offload-partial", started_at, outcome.phases, self.client.runtime,
-            outcome,
+            mode, started_at, outcome.phases, self.client.runtime, outcome
         )
 
 

@@ -24,6 +24,7 @@ from repro.core.session import (
     expected_label_for,
     run_server_only,
 )
+from repro.core.snapshot import CaptureOptions
 from repro.devices import Device, edge_server_x86, odroid_xu4_client
 from repro.eval import calibration
 from repro.netsim import NetemProfile, Topology
@@ -159,11 +160,6 @@ class Testbed:
         every offload after the first sends a delta against the state left
         on the server.
         """
-        from repro.core.session import expected_label_for
-        from repro.core.snapshot import CaptureOptions
-        from repro.nn.cost import network_costs
-        from repro.web.app import make_inference_app
-
         model = build_paper_model(model_name)
         costs = network_costs(model.network)
         self.client.capture_options = CaptureOptions(include_canvas_pixels=True)

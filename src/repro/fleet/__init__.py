@@ -29,7 +29,6 @@ from repro.fleet.scenario import (
     FleetReport,
     FleetRequestRecord,
     FleetScenario,
-    compare_policies,
     default_fleet,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "QueueAwarePolicy",
     "RandomPolicy",
     "RoundRobinPolicy",
-    "compare_policies",
     "default_fleet",
     "make_policy",
 ]

@@ -12,9 +12,11 @@ A session builds its client (browser runtime, device, app, offload
 point) once, when it arrives; the agent has no wire until its first
 request attaches it.  Every request, the first included, takes one path:
 the scheduler picks an edge (or the session backs off), the request takes
-an in-flight slot there, the client connects, rebinds and — on a channel
-new to it — handshakes, and then offloads.  All of that lies between the
-click and the applied result, so it is all in the request's latency.
+an in-flight slot there, the fleet connects the client, the client
+attaches (:meth:`~repro.core.client.ClientAgent.attach`: rebind and — on
+a channel new to it — handshake), and then offloads.  All of that lies
+between the click and the applied result, so it is all in the request's
+latency.
 
 What makes it a *fleet* rather than N copies of the paper's testbed:
 
@@ -47,13 +49,11 @@ and failovers safe) or the scenario raises loudly.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core import protocol
 from repro.core.client import ClientAgent, OffloadError, PhaseBreakdown
 from repro.core.server import EdgeServer
 from repro.core.snapshot import CaptureOptions
@@ -61,7 +61,6 @@ from repro.devices import Device, edge_server_x86, odroid_xu4_client
 from repro.fleet.policies import Policy, make_policy
 from repro.fleet.scheduler import FleetScheduler, NoEdgeAvailable
 from repro.netsim import EdgeDown, NetemProfile, ReceiveTimeout, Topology
-from repro.netsim.channel import ChannelEnd
 from repro.netsim.link import LinkDown
 from repro.nn.cost import costs_for_range, network_costs
 from repro.nn.model import Model
@@ -229,8 +228,8 @@ class FleetReport:
         handshake_hits: int,
         handshake_misses: int,
         kills: List[Tuple[float, str]],
+        presend: Dict,
         serving: Optional[Dict] = None,
-        presend: Optional[Dict] = None,
     ):
         self.policy = policy
         self.records = records
@@ -246,12 +245,7 @@ class FleetReport:
         self.serving = serving
         #: model-upload accounting: files skipped / bytes deduped by the
         #: segment handshake, bytes sent by pre-send, delivery ride-alongs
-        self.presend = presend or {
-            "files_skipped": 0,
-            "bytes_deduped": 0,
-            "bytes_sent": 0,
-            "delivery_bytes": 0,
-        }
+        self.presend = presend
 
     @property
     def upload_bytes(self) -> int:
@@ -374,40 +368,18 @@ class FleetReport:
 class _Tenant:
     """One model workload sharing the fleet: app, split, cost tables."""
 
-    spec: str  # "smallnet" or "smallnet:3" (model:split, partial mode only)
     model: Model
     app: object  # repro.web.app.WebApp
-    full_costs: object
-    split_index: Optional[int] = None
-    front_model: Optional[Model] = None
-    rear_model: Optional[Model] = None
+    #: what the edge must hold: the whole model, or the rear half
+    presend_model: Model
+    #: what the edge executes: the whole model's costs, or the rear half's
+    server_costs: object
+    #: the front half the client executes (partial mode only)
     front_costs: object = None
-    rear_costs: object = None
+    #: tells a batching server which stored model / restored global carry
+    #: the rear-half inference, so concurrent same-model requests can share
+    #: one batched forward (partial mode only)
     batch_hint: Optional[Dict] = None
-    #: early exit serving this tenant (deadline-planned multi-exit models)
-    exit_name: Optional[str] = None
-    exit_accuracy: Optional[float] = None
-
-    @property
-    def presend_model(self) -> Model:
-        return self.rear_model if self.rear_model is not None else self.model
-
-    @property
-    def server_costs(self):
-        return self.rear_costs if self.rear_model is not None else self.full_costs
-
-
-class _FleetClient:
-    """Per-session client state: agent, attachment, per-edge handshakes."""
-
-    def __init__(self, name: str, tenant: _Tenant, agent: ClientAgent):
-        self.name = name
-        self.tenant = tenant
-        self.agent = agent
-        self.attached_edge: Optional[str] = None
-        #: edge -> (channel end identity, presend manager or None); a new
-        #: channel to the same edge invalidates the handshake
-        self.presends: Dict[str, Tuple[object, object]] = {}
 
 
 class FleetScenario:
@@ -450,10 +422,8 @@ class FleetScenario:
         #: per-edge continuous-batching config (None = sequential serving)
         self.serving_config = serving
         self.prewarm = prewarm
-        #: per-request completion SLO.  Rides in every snapshot (the serving
-        #: loop counts misses against it); for multi-exit tenants in partial
-        #: mode it also drives the joint (split, exit) plan — see
-        #: :meth:`repro.core.partition.PartitionOptimizer.choose_under_deadline`.
+        #: per-request completion SLO.  Rides in every snapshot; the serving
+        #: loop counts misses against it.
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         self.deadline_s = deadline_s
@@ -496,9 +466,6 @@ class FleetScenario:
         self.kill_log: List[Tuple[float, str]] = []
         self._kills: List[Tuple[float, str, bool]] = []
         self._revivals: List[Tuple[float, str]] = []
-        #: channel ends an edge loop serves; weak, because no server keeps
-        #: the ends it served, and an ``id()`` outlives its object
-        self._served_ends: weakref.WeakSet[ChannelEnd] = weakref.WeakSet()
         self._ran = False
 
         metrics = self.sim.metrics
@@ -523,16 +490,6 @@ class FleetScenario:
         self._sessions_counter = metrics.counter(
             "fleet_sessions_total", help="user sessions completed", **labels
         )
-        self._exit_counters = {
-            tenant.exit_name: metrics.counter(
-                "fleet_exit_requests_total",
-                help="requests served from a deadline-planned exit",
-                exit=tenant.exit_name,
-                **labels,
-            )
-            for tenant in self.tenants
-            if tenant.exit_name is not None
-        }
         if prewarm:
             self._prewarm_stores()
 
@@ -550,78 +507,30 @@ class FleetScenario:
             split = int(split_text)
         model = build_model(name)
         network = model.network
-        full_costs = network_costs(network)
         app_name = spec.replace(":", "@")
         if self.mode != "offload-partial":
             return _Tenant(
-                spec=spec,
                 model=model,
                 app=make_inference_app(model, name=f"{app_name}-fleet"),
-                full_costs=full_costs,
+                presend_model=model,
+                server_costs=network_costs(network),
             )
-        exit_name = None
-        exit_accuracy = None
-        if self.deadline_s is not None and len(network.exit_points()) > 1:
-            # Multi-exit tenant under an SLO: plan the (split, exit) pair
-            # jointly, then serve the pruned network — the trunk past the
-            # chosen exit never ships, executes, or costs anything.
-            choice = self._plan_deadline(network)
-            exit_name = choice.exit.name
-            exit_accuracy = choice.exit.accuracy
-            if not choice.exit.is_final:
-                network = network.at_exit(choice.exit.index)
-                model = Model(network.name, network)
-                full_costs = network_costs(network)
-            if split is None:
-                split = choice.point.index
         last = len(network.layers) - 1
         if split is None:
             split = last // 2
         front_model, rear_model = model.split(split)
         return _Tenant(
-            spec=spec,
             model=model,
             app=make_partial_inference_app(
                 front_model, rear_model, name=f"{app_name}-fleet-partial"
             ),
-            full_costs=full_costs,
-            split_index=split,
-            front_model=front_model,
-            rear_model=rear_model,
+            presend_model=rear_model,
+            server_costs=costs_for_range(network, split + 1, last),
             front_costs=costs_for_range(network, 0, split),
-            rear_costs=costs_for_range(network, split + 1, last),
-            exit_name=exit_name,
-            exit_accuracy=exit_accuracy,
-            #: tells a batching server which stored model / restored global
-            #: carry the rear-half inference, so concurrent same-model
-            #: requests can share one batched forward
             batch_hint={
                 "model_id": rear_model.model_id,
                 "feature_global": "feature",
             },
-        )
-
-    def _plan_deadline(self, network):
-        """Joint (split, exit) plan for a multi-exit tenant under the SLO.
-
-        Predictors are fit noise-free on the fleet's client/server device
-        profiles; the planning link is edge 0's (the fleet's reference
-        link).  Deterministic: same seed, same plan.
-        """
-        from repro.core.partition import PartitionOptimizer
-        from repro.devices.predictor import fit_predictor_for
-
-        costs = network_costs(network)
-        client_profile = odroid_xu4_client()
-        server_profile = edge_server_x86()
-        optimizer = PartitionOptimizer(
-            fit_predictor_for(client_profile, costs, noise=0.0),
-            fit_predictor_for(server_profile, costs, noise=0.0),
-            client_profile,
-            server_profile,
-        )
-        return optimizer.choose_under_deadline(
-            network, self.specs[0].profile, self.deadline_s
         )
 
     def _prewarm_stores(self) -> None:
@@ -688,65 +597,10 @@ class FleetScenario:
         # response-time window is forgotten by mark_alive.
         self.scheduler.mark_alive(edge_name)
 
-    # -- wiring -------------------------------------------------------------------
-    def _attach(self, client: _FleetClient, edge_name: str):
-        """Simulated sub-process: connect, (re)bind, digest-handshake."""
-        client_end, edge_end = self.topology.connect(client.name, edge_name)
-        if edge_end not in self._served_ends:
-            self._served_ends.add(edge_end)
-            self.servers[edge_name].serve(edge_end)
-        agent = client.agent
-        if agent.endpoint is not client_end:
-            agent.rebind(client_end)
-            if client.attached_edge != edge_name:
-                # We know we switched servers; the old session baseline is
-                # useless there (and would cost one failed delta round).
-                agent.session_baselines.pop(agent.runtime.app_name, None)
-        client.attached_edge = edge_name
-
-        # Digest-first handshake, once per channel instance: a fresh
-        # channel (first contact, or reconnect after an edge death) must
-        # re-ask, because the store may have changed behind it.
-        known = client.presends.get(edge_name)
-        if known is not None and known[0] is client_end:
-            agent.presend = known[1]
-            return
-        presend_model = client.tenant.presend_model
-        manifest = presend_model.files()
-        client_end.send(
-            protocol.MODEL_QUERY,
-            protocol.ModelQueryPayload(
-                model_id=presend_model.model_id,
-                fingerprint=presend_model.fingerprint(),
-                files=manifest,
-            ),
-        )
-        reply = yield client_end.recv_kind(
-            protocol.MODEL_STATUS, timeout=self.reply_timeout
-        )
-        if reply.payload.present:
-            self._handshake_hit_counter.inc()
-            manager = None
-        else:
-            self._handshake_miss_counter.inc()
-            from repro.core.presend import PresendManager
-
-            # Segment-level miss: the reply names exactly the missing files;
-            # everything else is already resident (possibly under another
-            # model id — content-addressed dedup) and is skipped up front.
-            resident = {f.name for f in manifest} - set(
-                reply.payload.missing_files
-            )
-            skip = {presend_model.model_id: resident} if resident else None
-            manager = PresendManager(
-                self.sim, client_end, [presend_model], skip_files=skip
-            )
-            manager.start()
-        agent.presend = manager
-        client.presends[edge_name] = (client_end, manager)
-
     # -- the per-request scheduling loop ------------------------------------------
-    def _offload_with_failover(self, client: _FleetClient, event, server_costs):
+    def _offload_with_failover(
+        self, session: str, agent: ClientAgent, tenant: _Tenant, event
+    ):
         """Dispatch one request, failing over until it completes.
 
         Returns ``(edge_name, outcome, failovers)``.  Raises
@@ -759,12 +613,11 @@ class FleetScenario:
         while True:
             edge_name = self.scheduler.try_pick(frozenset(excluded))
             if edge_name is None:
-                if not self.scheduler.any_alive() and not self._revivals_after(
-                    self.sim.now
+                if not self.scheduler.any_alive() and not any(
+                    at > self.sim.now for at, _ in self._revivals
                 ):
                     raise NoEdgeAvailable(
-                        f"{client.name}: every edge is dead and none will "
-                        "revive"
+                        f"{session}: every edge is dead and none will revive"
                     )
                 waits += 1
                 excluded.clear()  # a revived or drained edge may qualify now
@@ -775,12 +628,23 @@ class FleetScenario:
             self.scheduler.begin(edge_name)
             issued_at = self.sim.now
             try:
-                yield from self._attach(client, edge_name)
-                outcome = yield from client.agent.offload(
+                fresh = self.topology.connection(session, edge_name) is None
+                client_end, edge_end = self.topology.connect(session, edge_name)
+                if fresh:
+                    self.servers[edge_name].serve(edge_end)
+                present = yield from agent.attach(
+                    client_end, tenant.presend_model, self.reply_timeout
+                )
+                if present is not None:
+                    if present:
+                        self._handshake_hit_counter.inc()
+                    else:
+                        self._handshake_miss_counter.inc()
+                outcome = yield from agent.offload(
                     event,
-                    server_costs=server_costs,
+                    server_costs=tenant.server_costs,
                     reply_timeout=self.reply_timeout,
-                    batch_hint=client.tenant.batch_hint,
+                    batch_hint=tenant.batch_hint,
                     deadline_s=self.deadline_s,
                 )
             except (OffloadError, ReceiveTimeout, LinkDown, EdgeDown) as error:
@@ -794,7 +658,7 @@ class FleetScenario:
                 # that never came is how the scheduler *detects* an edge
                 # death; the replacement process comes up with whatever
                 # store survived (or a cold one).
-                client.presends.pop(edge_name, None)
+                agent.forget(edge_name)
                 if isinstance(error, OffloadError):
                     self.scheduler.refuse(edge_name)
                 else:
@@ -810,9 +674,6 @@ class FleetScenario:
             )
             self._requests_counter.inc()
             return edge_name, outcome, failovers
-
-    def _revivals_after(self, now: float) -> List[Tuple[float, str]]:
-        return [(at, name) for at, name in self._revivals if at > now]
 
     # -- session processes ---------------------------------------------------------
     def _interactions_for(self, session_name: str) -> List[Interaction]:
@@ -845,10 +706,8 @@ class FleetScenario:
             agent.mark_offload_point("front_complete")
         else:
             agent.mark_offload_point("click", "infer_btn")
-        client = _FleetClient(session_name, tenant, agent)
         image_rng = self.rng.child(f"images/{session_name}")
         shape = tuple(tenant.model.network.input_shape)
-        server_costs = tenant.server_costs
         interactions = self._interactions_for(session_name)
         started = self.sim.now
         request_index = 0
@@ -873,7 +732,7 @@ class FleetScenario:
             agent.runtime.dispatch("click", "infer_btn")
             event = agent.take_intercepted()
             edge_name, outcome, failovers = yield from (
-                self._offload_with_failover(client, event, server_costs)
+                self._offload_with_failover(session_name, agent, tenant, event)
             )
             phases = outcome.phases
             phases.client_exec = front_seconds
@@ -893,8 +752,6 @@ class FleetScenario:
                     result_score=agent.runtime.globals.get("result_score"),
                 )
             )
-            if tenant.exit_name is not None:
-                self._exit_counters[tenant.exit_name].inc()
             request_index += 1
         self._sessions_counter.inc()
 
@@ -1005,18 +862,7 @@ class FleetScenario:
             handshake_hits=int(self._handshake_hit_counter.value),
             handshake_misses=int(self._handshake_miss_counter.value),
             kills=list(self.kill_log),
-            serving=serving_stats,
             presend=presend_stats,
+            serving=serving_stats,
         )
 
-
-def compare_policies(
-    policies=("round-robin", "random", "min-response-time", "queue-aware"),
-    **scenario_kwargs,
-) -> Dict[str, FleetReport]:
-    """Run the same workload under several policies (fresh sim each)."""
-    reports: Dict[str, FleetReport] = {}
-    for name in policies:
-        scenario = FleetScenario(policy=name, **scenario_kwargs)
-        reports[name] = scenario.run()
-    return reports

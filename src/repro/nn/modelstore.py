@@ -147,10 +147,11 @@ class ModelStore:
 
     def _enforce_budget(self, protect: str) -> None:
         budget = self.memory_budget_bytes
-        if budget is None or self.resident_bytes <= budget:
+        if budget is None:
             return
         # Candidates least-recently-used first; the entry currently being
         # uploaded is protected, else the budget loop would eat its own tail.
+        # Within budget, the first check below ends the loop at once.
         for victim in [mid for mid in self._lru if mid != protect]:
             if self.resident_bytes <= budget:
                 break

@@ -13,9 +13,10 @@ timeout, and dispatches each batch as its own simulated process:
   item at full cost, every other item at the profile's marginal fraction),
   queued FIFO behind whatever the device is doing;
 * **real compute** — delegated to the ``compute`` callback the server
-  installs (batched rows through ``EdgeServer.batch_partial_inference``
-  for real batches, the untouched per-item path for batches of one, so
-  single-item serving stays bitwise-identical to sequential serving);
+  installs: for a real batch, one batched forward
+  (``EdgeServer.batch_partial_inference``) fills the inference memo, and
+  then every item's handler runs as it would alone, answered from the memo
+  with the bits its own forward computes;
 * **accounting** — per item: queue wait (enqueue → batch execution start),
   a proportional share of the batch's device time, the batch size, and a
   deadline-miss flag; per server: the ``server_queue_depth`` gauge and the

@@ -10,14 +10,14 @@ MODEL_STATUS digest handshake — plus one small healthy-fleet run.
 import pytest
 
 from repro.core import protocol
+from repro.core.client import ClientAgent
 from repro.core.server import EdgeServer
-from repro.devices import Device, edge_server_x86
+from repro.devices import Device, edge_server_x86, odroid_xu4_client
 from repro.fleet import (
     EdgeSpec,
     FleetScenario,
     FleetScheduler,
     PolicyError,
-    compare_policies,
     default_fleet,
     make_policy,
 )
@@ -25,6 +25,7 @@ from repro.fleet.policies import POLICY_NAMES
 from repro.netsim import EdgeDown, Topology
 from repro.nn.zoo import build_model
 from repro.sim import SeededRng, Simulator
+from repro.web.app import make_inference_app
 from tests.memos import clear_memos
 
 
@@ -251,6 +252,48 @@ class TestDigestHandshake:
         assert warm.present is True
         assert warm.missing_files == []
 
+    def test_client_attach_asks_once_per_channel(self):
+        sim = Simulator()
+        topo = Topology(sim)
+        servers = {}
+        for name in ("e0", "e1"):
+            topo.add_edge_host(name)
+            servers[name] = EdgeServer(
+                sim, Device(sim, edge_server_x86()), name=name
+            )
+        model = build_model("tinynet")
+        agent = ClientAgent(
+            sim, Device(sim, odroid_xu4_client()), None, name="c0"
+        )
+        agent.start_app(make_inference_app(model), presend=False)
+        app = agent.runtime.app_name
+
+        def attach(edge):
+            fresh = topo.connection("c0", edge) is None
+            client_end, edge_end = topo.connect("c0", edge)
+            if fresh:
+                servers[edge].serve(edge_end)
+            process = sim.spawn(agent.attach(client_end, model, 5.0))
+            sim.run()  # the handshake and any pre-send complete
+            return process.value
+
+        assert attach("e0") is False  # cold store: miss, pre-send starts
+        manager = agent.presend
+        assert manager is not None
+        assert attach("e0") is None  # same channel: not asked again
+        assert agent.presend is manager
+        agent.session_baselines[app] = "state-on-e0"
+        assert attach("e1") is False
+        assert app not in agent.session_baselines  # new server, no baseline
+        assert attach("e0") is None and agent.presend is manager
+        agent.forget("e0")
+        assert attach("e0") is True  # re-asked; the pre-send had landed
+        agent.session_baselines[app] = "state-on-e0"
+        topo.fail_edge("e0")
+        topo.restore_edge("e0")
+        assert attach("e0") is True  # a fresh channel is asked again ...
+        assert agent.session_baselines[app] == "state-on-e0"  # ... same server
+
 
 class TestFleetScenario:
     def test_default_fleet_is_skewed(self):
@@ -300,13 +343,13 @@ class TestFleetScenario:
             scenario.run()
 
     def test_compare_policies_runs_each(self):
-        reports = compare_policies(
-            policies=("round-robin", "queue-aware"),
-            sessions=3,
-            requests_per_session=1,
-            seed=3,
-        )
-        assert set(reports) == {"round-robin", "queue-aware"}
+        reports = {
+            name: FleetScenario(
+                policy=name, sessions=3, requests_per_session=1, seed=3
+            ).run()
+            for name in ("round-robin", "queue-aware")
+        }
+        assert {r.policy for r in reports.values()} == set(reports)
         assert all(r.all_correct for r in reports.values())
 
     def test_validation(self):

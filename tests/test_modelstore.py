@@ -146,6 +146,42 @@ class TestLruEviction:
         with pytest.raises(ValueError):
             ModelStore(-1)
 
+    def test_smallest_positive_budget_is_accepted(self):
+        assert ModelStore(1).memory_budget_bytes == 1
+
+    def test_resident_bytes_at_the_budget_evict_nothing(self, model):
+        tiny = tinynet()
+        probe = ModelStore()
+        upload(probe, tiny)
+        upload(probe, model)
+        store = ModelStore(probe.resident_bytes)
+        upload(store, tiny)
+        upload(store, model)
+        assert store.resident_bytes == store.memory_budget_bytes
+        assert store.evictions == 0
+        assert store.get_model(tiny.model_id) is tiny
+
+    def test_eviction_stops_exactly_at_the_budget(self, model):
+        victim, kept = tinynet(seed=1), tinynet(seed=2)
+        probe = ModelStore()
+        for each in (victim, kept, model):
+            upload(probe, each)
+        probe.evict(victim.model_id)
+        # the budget is what stays resident once the victim alone is gone
+        store = ModelStore(probe.resident_bytes)
+        upload(store, victim)
+        upload(store, kept)
+        # largest file last: the budget first overflows on the final file,
+        # and evicting the victim lands exactly on it
+        store.begin_upload(model.model_id, model.files())
+        for file in sorted(model.files(), key=lambda f: f.size_bytes):
+            store.receive_file(model.model_id, file)
+        store.attach_model(model.model_id, model)
+        assert store.evictions == 1
+        assert store.resident_bytes == store.memory_budget_bytes
+        assert store.entry(victim.model_id).model is None
+        assert store.get_model(kept.model_id) is kept
+
     def test_eviction_demotes_to_files_known_model_cold(self, model):
         tiny = tinynet()
         store = ModelStore(model.total_bytes + 100)
@@ -207,6 +243,12 @@ class TestLruEviction:
         upload(store, model)
         assert store.get_model(model.model_id) is model
         assert store.resident_bytes > 1000  # documented overrun
+
+    def test_known_model_without_a_handle_is_not_available(self, model):
+        store = ModelStore()
+        store.begin_upload(model.model_id, model.files())
+        with pytest.raises(ModelStoreError, match="not available"):
+            store.get_model(model.model_id)
 
     def test_explicit_evict_forgets_manifest_too(self, model):
         store = ModelStore()

@@ -107,8 +107,7 @@ def story():
     # handover to edge-B (no offloading system there)
     client_end, server_end = topology.handover("edge-B")
     server_b.serve(server_end)
-    client.endpoint = client_end
-    client.presend = None
+    client.rebind(client_end)
     probe_reply = []
 
     def probe():
