@@ -179,6 +179,40 @@ def test_micro_split_rear_memo_hit(benchmark, name):
     assert np.array_equal(again, first)
 
 
+@pytest.mark.parametrize("label", ["1st_pool", "5th_pool"])
+@pytest.mark.parametrize("answered", [True, False], ids=["answered", "executed"])
+def test_micro_front_after_whole_forward(benchmark, label, answered):
+    """A GoogLeNet front half on an image the whole network classified
+    just before: answered with the boundary that forward captured at the
+    split point (a look-up, one copy and the link its rear follows),
+    against the same front with the memos emptied, which executes the
+    prefix (``5th_pool`` is almost the whole network).  Every round
+    compiles a fresh front, which registers its chain, then runs the
+    whole forward when the front is to be answered."""
+    model = build_model("googlenet")
+    network = model.network
+    image = SeededRng(4, "img").uniform_array(network.input_shape, 0, 255)
+    index = network.point_by_label(label).index
+    fronts = []
+
+    def setup():
+        clear_memos()
+        front = model.split(index)[0]
+        front.network.plan_for()
+        if answered:
+            model.inference(image)
+        fronts.append(front)
+        return (front,), {}
+
+    feature = benchmark.pedantic(
+        lambda front: front.inference(image), setup=setup, rounds=5,
+    )
+    assert np.array_equal(feature, network.forward_reference(image, end=index))
+    assert all(
+        front.network.plan_for().memo_hits == int(answered) for front in fronts
+    )
+
+
 @pytest.mark.parametrize("name", ["resnet-mini", "googlenet"])
 def test_micro_forward_batch_of_eight(benchmark, name):
     """The batched forward: ``serve-partial``'s model, and the model whose

@@ -10,14 +10,14 @@
 # with a mid-run kill, run twice, must emit byte-identical reports and
 # metrics, and its report must byte-match the committed references in
 # tests/fixtures/ with and without a per-request SLO — batching changes
-# timing, never results), and the committed fig7 baseline (a googlenet fig7 must
-# byte-match it), and the model store's contract (same-seed cold-fleet
-# and pre-warmed-fleet scenarios, run twice each, must emit
-# byte-identical reports, and the
+# timing, never results), and the committed fig7 baseline (a googlenet
+# fig7 must byte-match tests/fixtures/fig7_googlenet_reference.txt), and
+# the model store's contract (same-seed cold-fleet and pre-warmed-fleet
+# scenarios, run twice each, must emit byte-identical reports, and the
 # warm fleet must pay zero upload bytes), and the multi-exit sweep's
 # contract (same-seed fig-accuracy runs must be byte-identical to each
-# other and to the committed smallnet_exits baseline, with every
-# accuracy-scaling claim checked by the CLI's exit status).
+# other and to the committed smallnet_exits baseline in tests/fixtures/,
+# with every accuracy-scaling claim checked by the CLI's exit status).
 #
 #   scripts/smoke.sh [output-dir]
 #
@@ -153,7 +153,7 @@ echo "== 6/8 committed fig7 baseline"
 # A googlenet fig7 must reproduce the committed report byte for byte: the
 # kernels, the plan compiler and the virtual clock all sit under it.
 python -m repro fig7 --models googlenet > "$out_dir/fig7-googlenet.txt"
-cmp "benchmarks/results/fig7_googlenet_reference.txt" \
+cmp "tests/fixtures/fig7_googlenet_reference.txt" \
     "$out_dir/fig7-googlenet.txt" || {
     echo "FAIL: fig7 differs from the committed baseline" >&2
     exit 1; }
@@ -199,7 +199,7 @@ cmp "$out_dir/fig-accuracy-a.txt" "$out_dir/fig-accuracy-b.txt" || {
     echo "FAIL: fig-accuracy diverges across same-seed reruns" >&2; exit 1; }
 # The sweep's bytes are locked too: the (split, exit) pricing and the
 # deadline marks derived from it must reproduce the committed baseline.
-cmp "benchmarks/results/fig_accuracy_smallnet_exits_reference.txt" \
+cmp "tests/fixtures/fig_accuracy_smallnet_exits_reference.txt" \
     "$out_dir/fig-accuracy-a.txt" || {
     echo "FAIL: fig-accuracy differs from the committed baseline" >&2
     exit 1; }

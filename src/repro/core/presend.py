@@ -137,21 +137,25 @@ class PresendManager:
     def _upload(self):
         try:
             for model in self.models:
-                manifest = protocol.ManifestPayload(model.model_id, model.files())
+                # Read once: the manifest announced is the one whose files
+                # are sent (each ``model_id`` re-checks every parameter).
+                model_id, files = model.model_id, model.files()
+                sent = self._sent_files[model_id]
+                manifest = protocol.ManifestPayload(model_id, files)
                 yield self.endpoint.send(protocol.MODEL_MANIFEST, manifest)
-                for file in model.files():
-                    if file.name in self._sent_files[model.model_id]:
+                for file in files:
+                    if file.name in sent:
                         continue  # already delivered via a snapshot
-                    payload = protocol.ModelFilePayload(model.model_id, file)
+                    payload = protocol.ModelFilePayload(model_id, file)
                     # Mark at transmit time: once send() is called the bits
                     # are committed to the FIFO wire and will arrive before
                     # any later snapshot, so they must not ride along too.
-                    self._sent_files[model.model_id].add(file.name)
+                    sent.add(file.name)
                     self._sent_counter.inc(file.size_bytes)
                     yield self.endpoint.send(protocol.MODEL_FILE, payload)
                 yield self.endpoint.send(
                     protocol.MODEL_OBJECT,
-                    protocol.ModelObjectPayload(model.model_id, model),
+                    protocol.ModelObjectPayload(model_id, model),
                 )
         except Interrupt:
             return  # cancelled between messages; remaining files ride along

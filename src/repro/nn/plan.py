@@ -65,21 +65,36 @@ rear half's.  ``forward`` looks its result up in one process-wide LRU
 keyed by ``(chain, sha1 of the input's float32 bits)`` — at most
 :data:`_MEMO_ENTRIES` results of at most :data:`_MEMO_MAX_VALUES` values,
 class vectors — so separately built models with the same parameters
-share entries and the memo pins no network.  One split rule extends it:
-every executed ``forward`` links the sha1 of its output to its own key
-(at most :data:`_LINK_ENTRIES` links), and a lookup that misses follows
-the link of its input, answering a rear half from the key the front and
-rear chains make together — the whole network's result, when the image
-was classified before.  ``forward_batch`` is N forwards here too: it
-makes the same lookup for each row, executes only the rows that miss, as
-one smaller batch, and remembers and links them as ``forward`` would;
-only ``forward_traced`` always executes.  It is sound because a plan's
-output is a pure function of its input bits and its frozen parameters
-and split halves compose bitwise (``tests/test_nn_plan.py``,
-``tests/test_plan_fuzz.py``): compilation freezes every parameter array
-a plan captures, the digests a chain reads freeze what they hash, and a
-write needs ``Layer.invalidate_param_cache``, which installs copies, so
-the next chain hashes the written bits.
+share entries and the memo pins no network.  Two split rules extend it:
+
+* *A front half is answered by the forward that ran through its split
+  point.*  Compiling a plan registers its chain (at most
+  :data:`_CHAIN_ENTRIES`), and an executed forward keeps, under
+  ``(front chain, input bits)``, a copy of every top-level spine
+  boundary whose front chain is registered — in an LRU of its own of at
+  most :data:`_BOUNDARY_BYTES`, so that a few feature maps never flush
+  hundreds of class vectors.  A front half's forward then finds its
+  result under its own key.  A conv's or fc's output before its fused
+  ReLU and an elided layer's repeat are no step's output, so such a front
+  executes.
+* *A rear half is answered by the whole network's result.*  A forward
+  that executes, or is answered by a captured boundary, links the sha1 of
+  its output to its own key (at most :data:`_LINK_ENTRIES` links), and a
+  lookup that misses follows the link of its input, answering a rear
+  half from the key the front and rear chains make together — the whole
+  network's result, when the image was classified before.
+
+``forward_batch`` is N forwards here too: it makes the same lookup for
+each row, executes only the rows that miss, as one smaller batch, and
+captures, remembers and links them as ``forward`` would; only
+``forward_traced`` always executes, and it stores nothing.  It is sound
+because a plan's output is a pure function of its input bits and its
+frozen parameters and split halves compose bitwise
+(``tests/test_nn_plan.py``, ``tests/test_plan_fuzz.py``): compilation
+freezes every parameter array a plan captures, the digests a chain reads
+freeze what they hash, and a write needs
+``Layer.invalidate_param_cache``, which installs copies, so the next
+chain hashes the written bits.
 
 Steps and layers call one kernel set directly: numpy's ``matmul`` /
 ``maximum`` / ``concatenate`` and the im2col, pooling, LRN and eltwise
@@ -116,13 +131,21 @@ from repro.nn.layers.pool import PoolLayer
 from repro.nn.model import Model
 
 
-#: largest result (in float32 values) ``forward`` memoizes: GoogLeNet's
-#: 1000-class vector is the largest classifier output in the zoo
+#: largest result (in float32 values) an executed ``forward`` memoizes:
+#: GoogLeNet's 1000-class vector is the largest classifier output in the zoo
 _MEMO_MAX_VALUES = 1024
 #: memoized results held by the process, least recently used evicted
 #: first: at most 2 MiB of results.  The fleet's oracle-then-edge reuse
 #: needs up to 436 (docs/PERFORMANCE.md, "One memo for the process")
 _MEMO_ENTRIES = 512
+#: bytes of captured boundaries held by the process, least recently used
+#: evicted first: the smallest power of two at which ``paper-googlenet``
+#: answers all three Fig. 8 fronts (docs/PERFORMANCE.md, "A front half is
+#: answered by the forward that ran through it")
+_BOUNDARY_BYTES = 2 << 20
+#: compiled chains whose boundaries executed forwards capture, least
+#: recently compiled forgotten first
+_CHAIN_ENTRIES = 64
 #: output-to-key links held by the process, oldest evicted first: every
 #: rear half the ledger runs follows the link its front made last
 _LINK_ENTRIES = 1
@@ -132,7 +155,16 @@ _LINK_ENTRIES = 1
 _RESULTS: "collections.OrderedDict[Tuple[tuple, bytes], np.ndarray]" = (
     collections.OrderedDict()
 )
-#: sha1 of an executed forward's output -> that forward's result key
+#: ``(front chain, sha1 of the input bits)`` -> the spine boundary an
+#: executed forward of a longer network computed there (frozen)
+_BOUNDARIES: "collections.OrderedDict[Tuple[tuple, bytes], np.ndarray]" = (
+    collections.OrderedDict()
+)
+#: bytes of the arrays ``_BOUNDARIES`` holds
+_boundary_bytes = 0
+#: chains of the compiled plans, by content (values unused)
+_CHAINS: "collections.OrderedDict[tuple, None]" = collections.OrderedDict()
+#: sha1 of a forward's output -> that forward's result key
 _LINKS: "collections.OrderedDict[bytes, Tuple[tuple, bytes]]" = (
     collections.OrderedDict()
 )
@@ -147,12 +179,39 @@ def _remember(table: collections.OrderedDict, key, value, entries: int) -> None:
         table.popitem(last=False)
 
 
+def _capture(key: Tuple[tuple, bytes], value: np.ndarray) -> None:
+    """Store a frozen copy of a boundary ``value`` as the most recent one.
+    The least recent are evicted first, until the copy fits in
+    :data:`_BOUNDARY_BYTES`; a value larger than the budget is not
+    stored."""
+    global _boundary_bytes
+    if value.nbytes > _BOUNDARY_BYTES:
+        return
+    replaced = _BOUNDARIES.pop(key, None)
+    if replaced is not None:
+        _boundary_bytes -= replaced.nbytes
+    while _boundary_bytes + value.nbytes > _BOUNDARY_BYTES:
+        _boundary_bytes -= _BOUNDARIES.popitem(last=False)[1].nbytes
+    _BOUNDARIES[key] = _frozen(value)
+    _boundary_bytes += value.nbytes
+
+
 def _recall(key: Tuple[tuple, bytes]) -> Optional[np.ndarray]:
-    """The result stored under ``key``, now the most recent, or None."""
-    stored = _RESULTS.get(key)
-    if stored is not None:
-        _RESULTS.move_to_end(key)
-    return stored
+    """The result or boundary stored under ``key``, now the most recent,
+    or None."""
+    for table in (_RESULTS, _BOUNDARIES):
+        stored = table.get(key)
+        if stored is not None:
+            table.move_to_end(key)
+            return stored
+    return None
+
+
+def _frozen(value: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``value``, owned by the memo."""
+    copy = value.copy()
+    copy.flags.writeable = False
+    return copy
 
 
 def _bits(value: np.ndarray) -> bytes:
@@ -211,7 +270,9 @@ class PlanStep:
     they are handed (never aliasing any live value); non-arena steps are
     handed ``None`` and allocate like the reference path.
     ``layers`` lists the ``(spine_index, layer)`` pairs of the source
-    layers the step covers.
+    layers the step covers.  ``front`` is the chain of the front half that
+    ends with this step's output, for a top-level spine boundary short of
+    the plan's result (None for every other step).
     """
 
     kind = "step"
@@ -235,6 +296,8 @@ class PlanStep:
         self.output = -1
         #: arena slot index (interval coloring), None for non-arena steps
         self.slot: Optional[int] = None
+        #: chain of the front half this spine boundary ends, else None
+        self.front: Optional[tuple] = None
 
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
@@ -445,7 +508,9 @@ class ExecutionPlan:
     their result like on the reference path.
 
     ``chain`` is the plan's content fingerprint (one print per covered
-    spine layer), the first half of its result keys; ``forwards`` counts
+    spine layer), the first half of its result keys; compiling registers
+    it, so an executed forward of a longer network captures the value this
+    plan computes; ``forwards`` counts
     :meth:`forward` calls and ``memo_hits`` the answered ones;
     ``batch_forwards`` counts :meth:`forward_batch` calls, ``batch_sizes``
     their rows and ``batch_memo_hits`` the answered rows;
@@ -469,10 +534,12 @@ class ExecutionPlan:
         self.stats = stats
         self._witnesses = list(witnesses)
         self.chain = tuple(chain)
-        #: whether results are memoized (small outputs only)
+        if self.chain:
+            _remember(_CHAINS, self.chain, None, _CHAIN_ENTRIES)
+        #: whether executed results are memoized (small outputs only)
         self._admits = np.prod(self.output_shape) <= _MEMO_MAX_VALUES
-        #: whether executed forwards link their output (an identity plan,
-        #: with no chain, computes nothing worth linking)
+        #: whether forwards look the memo up and link their output (an
+        #: identity plan, with no chain, computes nothing worth linking)
         self._links = bool(self.chain)
         self.memo_hits = 0
         self.forwards = 0
@@ -577,10 +644,14 @@ class ExecutionPlan:
         self,
         value: np.ndarray,
         trace: Optional[List[Dict[str, object]]] = None,
+        row_bits: Optional[Sequence[bytes]] = None,
     ) -> np.ndarray:
         """Run the schedule on an ``(N, ...)`` batch — the one loop behind
         every entry point.  Callers own the result like on the reference
-        path: a final value that lives in the arena is copied out."""
+        path: a final value that lives in the arena is copied out.  Given the
+        sha1 of each row's bits, ``row_bits``, every spine boundary whose
+        front chain is registered is captured as it is computed, row by
+        row, under ``(front chain, row input bits)``."""
         count = value.shape[0]
         arena = tensor.scratch("arena", (count * self._offsets[-1],))
         values: List[Optional[np.ndarray]] = [value] + [None] * len(self.steps)
@@ -595,6 +666,9 @@ class ExecutionPlan:
             if trace is not None:
                 trace.append(self._trace_entry(position, inputs, out, values))
             values[step.output] = step.run(inputs, out)
+            if row_bits is not None and step.front in _CHAINS:
+                for bits, row in zip(row_bits, values[step.output]):
+                    _capture((step.front, bits), row)
         result = values[-1]  # step ``i`` defines value ``i + 1``
         if np.shares_memory(result, arena):
             result = result.copy()
@@ -631,33 +705,38 @@ class ExecutionPlan:
 
     def _recall_row(self, key: Tuple[tuple, bytes]) -> Optional[np.ndarray]:
         """The memoized result of one input, keyed ``(chain, input bits)``:
-        stored under ``key``, or under the key the input's link and this
-        chain make together (then stored under ``key`` as well).  None on a
-        miss, and always for a plan whose results are not admitted."""
-        if not self._admits:
-            return None
+        stored under ``key`` — by this plan's own execution or captured at
+        a spine boundary of a longer network — or under the key the input's
+        link and this chain make together (then stored under ``key`` as
+        well, when the plan's results are admitted).  None on a miss."""
         stored = _recall(key)
         if stored is None and key[1] in _LINKS:
             front_chain, front_input = _LINKS[key[1]]
             stored = _recall((front_chain + self.chain, front_input))
-            if stored is not None:
+            if stored is not None and self._admits:
                 _remember(_RESULTS, key, stored, _MEMO_ENTRIES)
         return stored
 
     def _keep(self, key: Tuple[tuple, bytes], result: np.ndarray) -> None:
-        """Remember an executed input's result under ``key`` (admitted plans)
-        and link the result's bits to ``key``."""
+        """Remember an executed input's result under ``key`` (admitted
+        plans)."""
         if self._admits:
-            stored = result.copy()
-            stored.flags.writeable = False
-            _remember(_RESULTS, key, stored, _MEMO_ENTRIES)
-        if self._links:
+            _remember(_RESULTS, key, _frozen(result), _MEMO_ENTRIES)
+
+    def _link(
+        self, key: Tuple[tuple, bytes], result: np.ndarray, executed: bool
+    ) -> None:
+        """Link the bits of a result executed, or answered by a captured
+        boundary, to ``key``: a rear half fed that result looks its answer
+        up there.  Any other answer leaves the link as it was."""
+        if self._links and (executed or key in _BOUNDARIES):
             _remember(_LINKS, _bits(result), key, _LINK_ENTRIES)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """One sample through the compiled steps — a batch of one; caller
         owns the result, from the process-wide memo when these input bits
-        met this chain before, directly or through a front half's link."""
+        met this chain before — directly, at a longer network's spine
+        boundary or through a front half's link."""
         value = np.asarray(x, dtype=np.float32)
         if tuple(value.shape) != self.input_shape:
             raise ValueError(
@@ -672,10 +751,12 @@ class ExecutionPlan:
         stored = self._recall_row(key)
         if stored is not None:
             self.memo_hits += 1
-            return stored.copy()
-        result = self._execute(value[None])[0]
-        self._keep(key, result)
-        self.arena_bytes_reused += self.stats.reuse_bytes_per_forward
+            result = stored.copy()
+        else:
+            result = self._execute(value[None], row_bits=[key[1]])[0]
+            self._keep(key, result)
+            self.arena_bytes_reused += self.stats.reuse_bytes_per_forward
+        self._link(key, result, executed=stored is None)
         return result
 
     def forward_traced(
@@ -704,7 +785,9 @@ class ExecutionPlan:
         the rows are looked up in order, a row repeating an earlier missed
         row of the batch is a hit on it (when the plan's results are
         memoized), and the rows that miss execute together as one smaller
-        batch, then are remembered and linked in row order.  A batch looks
+        batch, capturing their boundaries as they are computed; then the
+        executed rows' results are remembered, and every row linked, in
+        row order.  A batch looks
         up all its rows before it stores any, so it differs from N forwards
         only if the memo evicts inside it.  ``batch_memo_hits`` counts the
         answered rows.
@@ -726,16 +809,22 @@ class ExecutionPlan:
                 runs.append(row)
         self.batch_memo_hits += count - len(runs)
         self.arena_bytes_reused += len(runs) * self.stats.reuse_bytes_per_forward
+        row_bits = [keys[row][1] for row in runs]
         if len(runs) == count:
-            result = self._execute(value)
+            result = self._execute(value, row_bits=row_bits)
         else:
-            executed = self._execute(value[runs]) if runs else None
+            executed = (
+                self._execute(value[runs], row_bits=row_bits) if runs else None
+            )
             result = np.stack([
                 executed[place[key]] if answer is None else answer
                 for key, answer in zip(keys, stored)
             ])
         for row in runs:
             self._keep(keys[row], result[row])
+        ran = set(runs)
+        for row, key in enumerate(keys):
+            self._link(key, result[row], executed=row in ran)
         return result
 
     # -- reporting -------------------------------------------------------------
@@ -898,6 +987,7 @@ def _lower_sequence(
     stats: PlanStats,
     witnesses: List[Tuple[Layer, str, np.ndarray]],
     prefix: str = "",
+    fronts: Optional[Sequence[Optional[tuple]]] = None,
 ) -> int:
     """Lower an ordered layer sequence into graph nodes; returns the value
     id of the sequence's output (``input_id`` itself if every layer was
@@ -905,6 +995,12 @@ def _lower_sequence(
     only ever look ahead *within* the given sequence, which is how fusion
     can never cross a split boundary, and composites recurse so nested
     branch-and-join graphs flatten into the same DAG.
+
+    On the spine, ``fronts[i]`` is the chain of the front half a split
+    after spine layer ``i`` makes (None for no boundary); the step ending
+    each group is marked with the one its last layer gives.  A fused
+    conv's or fc's own output and an elided layer's repeat of the previous
+    value are no step's output, so they mark nothing.
     """
     current = input_id
     position = 0
@@ -978,6 +1074,8 @@ def _lower_sequence(
             )
             stats.fallbacks += 1
             position += 1
+        if fronts is not None:
+            graph.steps[-1].front = fronts[covered[-1][0]]
     return current
 
 
@@ -1040,15 +1138,21 @@ def compile_plan(network) -> ExecutionPlan:
         )
     stats = PlanStats()
     witnesses: List[Tuple[Layer, str, np.ndarray]] = []
-    chain = [
+    chain = tuple(
         _layer_print(layer)
         for layer in network.layers
         if not isinstance(layer, InputLayer)
-    ]
+    )
+    # prints through each spine layer; the result (the whole chain) is no
+    # boundary, and the input layer is elided, so it marks no step
+    ends = itertools.accumulate(
+        not isinstance(layer, InputLayer) for layer in network.layers
+    )
+    fronts = [chain[:end] if end < len(chain) else None for end in ends]
     graph = _GraphBuilder()
     _lower_sequence(
         graph, list(enumerate(network.layers)), 0,
-        stats=stats, witnesses=witnesses,
+        stats=stats, witnesses=witnesses, fronts=fronts,
     )
     stats.steps = len(graph.steps)
     last = len(network.layers) - 1

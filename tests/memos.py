@@ -2,8 +2,9 @@
 
 Two memos live for the whole process and key on content, not on the
 object that computed the value: the compiled plans' results
-(``repro.nn.plan``: results by ``(chain, input bits)`` plus the links a
-split's rear half follows) and the tensor text (``repro.core.snapshot.
+(``repro.nn.plan``: results and captured spine boundaries by ``(chain,
+input bits)``, the registry of compiled chains whose boundaries are
+captured, and the links a split's rear half follows) and the tensor text (``repro.core.snapshot.
 codegen``).  Whatever one test computed, a later one may be answered
 from.  A test or benchmark that means to run the kernels or the
 formatter, or to count hits from a cold start, calls :func:`clear_memos`
@@ -15,8 +16,14 @@ from repro.nn import plan
 
 
 def clear_memos() -> None:
-    """Empty both memos and zero the text memo's counters."""
+    """Empty both memos and zero their byte and hit counters.  A plan
+    compiled before the call registers its chain again only when it is
+    recompiled, so a test that means to capture its boundaries compiles it
+    afterwards."""
     plan._RESULTS.clear()
+    plan._BOUNDARIES.clear()
+    plan._boundary_bytes = 0
+    plan._CHAINS.clear()
     plan._LINKS.clear()
     codegen._text_cache.clear()
     codegen._text_cache_bytes = 0

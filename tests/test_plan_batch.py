@@ -13,7 +13,8 @@ What must hold:
 * a batch of one is the same bits as ``forward``;
 * whatever went through ``forward`` before, ``forward_batch`` returns
   those bits and leaves the memo holding what N forwards would leave it
-  holding, with as many hits (a Hypothesis property);
+  holding — results, captured boundaries and the link — with as many
+  hits (a Hypothesis property);
 * the arena — one process-wide scratch buffer, not a plan's — grows to
   the largest batch executed and is then reused by every smaller batch, by
   ``forward`` and by every other plan, and the no-alias / no-clobber
@@ -406,6 +407,27 @@ REASSOCIATING_PLANS = (("smallnet", "whole"), ("smallnet_exits", "whole"),
                        ("agenet", "rear"))
 
 
+def register_fronts(spec):
+    """Compile a front half at every offload point of the spec's network,
+    so that its forwards capture every boundary a split can ask for (the
+    registry is keyed by content, so a fresh split of an equal network
+    registers the same chains)."""
+    name, kind = spec
+    network = property_network(name)
+    if kind == "rear":
+        points = network.offload_points()
+        network = network.split(points[len(points) // 2].index).rear
+    for point in network.offload_points():
+        network.split(point.index).front.plan_for()
+
+
+def memo_state():
+    """What a sequence of calls leaves in the memo: result and boundary
+    keys, the boundaries' byte count and the link."""
+    return (set(plan_module._RESULTS), set(plan_module._BOUNDARIES),
+            plan_module._boundary_bytes, list(plan_module._LINKS))
+
+
 class TestBatchIsNForwards:
     @settings(max_examples=20, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -413,7 +435,8 @@ class TestBatchIsNForwards:
     def test_forward_batch_is_history_independent(self, spec, data):
         """Draw N rows (repeats allowed) and the rows ``forward`` saw
         first: the batch is the reference walk row by row, counts the hits
-        N forwards would count, and leaves the keys they would leave."""
+        N forwards would count, and leaves the results, captured
+        boundaries and link they would leave."""
         plan = property_plan(spec)[0]
         pool = property_input(spec, 8)
         picks = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=8),
@@ -421,21 +444,24 @@ class TestBatchIsNForwards:
         seen = data.draw(st.sets(st.sampled_from(picks)), label="seen first")
         xs = pool[picks]
         clear_memos()
+        register_fronts(spec)
         for pick in sorted(seen):
             plan.forward(pool[pick])
         hits = plan.batch_memo_hits
         batched = plan.forward_batch(xs)
         assert same_bits(batched, reference_output(spec, 8)[picks]), picks
-        kept = set(plan_module._RESULTS)
+        kept = memo_state()
+        assert kept[1], spec  # boundaries were captured
         answered = plan.batch_memo_hits - hits
         clear_memos()
+        register_fronts(spec)
         for pick in sorted(seen):
             plan.forward(pool[pick])
         hits = plan.memo_hits
         for x in xs:
             plan.forward(x)
         assert answered == plan.memo_hits - hits
-        assert kept == set(plan_module._RESULTS)
+        assert kept == memo_state()
 
 
 # -- the forward memo -------------------------------------------------------------

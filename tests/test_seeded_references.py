@@ -1,11 +1,14 @@
-"""The seeded fleet and serve reports are locked byte for byte.
+"""The seeded fleet and serve reports and three figure reports are
+locked byte for byte.
 
 Each case runs one ``repro`` command line in-process and compares what it
-wrote with a committed reference under ``tests/fixtures/``.  A mismatch
-fails with a unified diff of every file that moved.  A change that moves
-these bytes on purpose regenerates the references by running the same
-command lines with ``--out`` / ``--metrics-out`` pointed at the fixture
-paths, and says which bytes moved and why.
+wrote — files, or its standard output — with a committed reference under
+``tests/fixtures/``.  A mismatch fails with a unified diff of every
+output that moved.  A change that moves these bytes on purpose
+regenerates the references by running the same command lines with
+``--out`` / ``--metrics-out`` pointed at the fixture paths (standard
+output redirected to its fixture), and says which bytes moved and why.
+The ``fig8`` case runs a front half at every split point it sweeps.
 """
 
 import difflib
@@ -20,7 +23,9 @@ SERVE = [
     "--rate", "48", "--seed", "5", "--kill", "edge-0@0.35:1.2",
 ]
 
-#: (argv, {output flag: reference file name})
+#: (argv, {output flag, or STDOUT: reference file name})
+STDOUT = None
+
 CASES = [
     (
         ["fleet", "--sessions", "10", "--requests", "2", "--seed", "5",
@@ -35,27 +40,43 @@ CASES = [
         SERVE + ["--deadline", "0.2"],
         {"--out": "serve_seed5_kill_deadline_reference.md"},
     ),
+    (["fig7", "--models", "googlenet"], {STDOUT: "fig7_googlenet_reference.txt"}),
+    (
+        ["fig8", "--models", "googlenet", "--max-points", "8"],
+        {STDOUT: "fig8_googlenet_8points_reference.txt"},
+    ),
+    (
+        ["fig-accuracy", "--models", "smallnet_exits"],
+        {STDOUT: "fig_accuracy_smallnet_exits_reference.txt"},
+    ),
 ]
 
 
 def test_seeded_reports_match_the_committed_references(tmp_path, capsys):
     diffs = []
     for argv, outputs in CASES:
-        written = {flag: tmp_path / name for flag, name in outputs.items()}
+        written = {
+            flag: tmp_path / name for flag, name in outputs.items()
+            if flag is not STDOUT
+        }
         extra = [part for flag, path in written.items() for part in (flag, str(path))]
+        capsys.readouterr()
         assert main(argv + extra) == 0, " ".join(argv)
-        for flag, path in written.items():
-            reference = FIXTURES / outputs[flag]
+        stdout = capsys.readouterr().out
+        for flag, name in outputs.items():
+            reference = FIXTURES / name
             expected = reference.read_text(encoding="utf-8")
-            actual = path.read_text(encoding="utf-8")
+            if flag is STDOUT:
+                actual = stdout
+            else:
+                actual = written[flag].read_text(encoding="utf-8")
             if actual != expected:
                 diffs.extend(
                     difflib.unified_diff(
                         expected.splitlines(keepends=True),
                         actual.splitlines(keepends=True),
                         fromfile=f"tests/fixtures/{reference.name}",
-                        tofile=" ".join(argv + [flag]),
+                        tofile=" ".join(argv + [flag or "(stdout)"]),
                     )
                 )
-    capsys.readouterr()
     assert not diffs, "seeded reports moved:\n" + "".join(diffs)
