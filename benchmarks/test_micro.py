@@ -273,6 +273,22 @@ def test_micro_split_manifest_after_warm_files(benchmark):
     )
 
 
+@pytest.mark.parametrize("name", ["googlenet", "agenet"])
+def test_micro_model_identity_cold(benchmark, name):
+    """``model_id`` then ``fingerprint()`` of a freshly built model: the
+    one pass that hashes every parameter byte, then a memo read."""
+
+    def setup():
+        return (build_model(name),), {}
+
+    identity = benchmark.pedantic(
+        lambda model: (model.model_id, model.fingerprint()),
+        setup=setup,
+        rounds=5,
+    )
+    assert identity[0].startswith(f"{name}:") and len(identity[1]) == 64
+
+
 def test_micro_partition_solver(benchmark):
     network = smallnet().network
     costs = network_costs(network)

@@ -44,7 +44,9 @@ class PresendManager:
         self.sim = sim
         self.endpoint = endpoint
         self.models = list(models)
-        self._sent_files: Dict[str, set] = {model.model_id: set() for model in models}
+        # Read once: each ``model_id`` re-checks every parameter.
+        model_ids = [model.model_id for model in self.models]
+        self._sent_files: Dict[str, set] = {model_id: set() for model_id in model_ids}
         self._skipped_counter = sim.metrics.counter(
             "presend_files_skipped_total",
             help="model files skipped because the server already held their "
@@ -59,20 +61,20 @@ class PresendManager:
             help="model file bytes transmitted by pre-send uploads",
         )
         if skip_files:
-            for model in self.models:
-                known = skip_files.get(model.model_id)
+            for model_id, model in zip(model_ids, self.models):
+                known = skip_files.get(model_id)
                 if not known:
                     continue
+                sent = self._sent_files[model_id]
                 sizes = {file.name: file.size_bytes for file in model.files()}
                 for name in sorted(known):
-                    if name in sizes and name not in self._sent_files[model.model_id]:
-                        self._sent_files[model.model_id].add(name)
+                    if name in sizes and name not in sent:
+                        sent.add(name)
                         self._skipped_counter.inc()
                         self._deduped_counter.inc(sizes[name])
-        self._acked: Dict[str, bool] = {model.model_id: False for model in models}
+        self._acked: Dict[str, bool] = {model_id: False for model_id in model_ids}
         self._ack_events: Dict[str, SimEvent] = {
-            model.model_id: sim.event(label=f"ack:{model.model_id}")
-            for model in models
+            model_id: sim.event(label=f"ack:{model_id}") for model_id in model_ids
         }
         self._upload_proc: Optional[Process] = None
         self._ack_proc: Optional[Process] = None
@@ -105,27 +107,21 @@ class PresendManager:
         """Event that succeeds when the server ACKs this model."""
         return self._ack_events[model_id]
 
-    def missing_files(self, model: Model) -> List[ModelFile]:
-        """Files the server does not have yet (not transmitted, not ACKed)."""
-        if self.is_acked(model.model_id):
-            return []
-        sent = self._sent_files.get(model.model_id, set())
-        return [file for file in model.files() if file.name not in sent]
-
     def pending_deliveries(self) -> List[protocol.ModelDelivery]:
         """Model deliveries a snapshot must carry right now.
 
-        Any un-ACKed model is included — with whatever files the server
-        still lacks (possibly none: if only the final object handle was
-        cancelled, the delivery is zero-byte and just completes the upload).
+        Any un-ACKed model is included — with the files not transmitted yet
+        (possibly none: if only the final object handle was cancelled, the
+        delivery is zero-byte and just completes the upload).
         """
         deliveries = []
         for model in self.models:
-            if self.is_acked(model.model_id):
+            model_id = model.model_id
+            if self.is_acked(model_id):
                 continue
-            deliveries.append(
-                protocol.ModelDelivery(model=model, files=self.missing_files(model))
-            )
+            sent = self._sent_files.get(model_id, set())
+            files = [file for file in model.files() if file.name not in sent]
+            deliveries.append(protocol.ModelDelivery(model=model, files=files))
         return deliveries
 
     def mark_delivered(self, model: Model, files: List[ModelFile]) -> None:

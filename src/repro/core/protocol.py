@@ -11,7 +11,7 @@ Message kinds (all travel as :class:`repro.netsim.Message`):
                            (bookkeeping-sized: its bytes were the files)
 ``MODEL_ACK``              server: all files stored (paper's ACK)
 ``MODEL_QUERY``            digest handshake: does this edge already hold a
-                           model with this params fingerprint? (fleet
+                           model with this manifest digest? (fleet
                            clients ask before re-running pre-send)
 ``MODEL_STATUS``           server's answer to ``MODEL_QUERY``
 ``SNAPSHOT``               a full snapshot, optionally with model deliveries
@@ -87,11 +87,11 @@ class ModelObjectPayload:
 
 @dataclass
 class ModelQueryPayload:
-    """MODEL_QUERY body: model id, params fingerprint and file manifest.
+    """MODEL_QUERY body: model id, manifest digest and file manifest.
 
     The digest-first handshake of the fleet scheduler: before pre-sending
     to a new edge (or after failing over to one), the client asks whether
-    the server already holds a model whose parameter fingerprint matches.
+    the server already holds a model whose ``Model.fingerprint()`` matches.
     A hit skips the whole upload — another client already paid for it.
 
     ``files`` is the model's manifest — name, checksum and size per file —

@@ -78,20 +78,20 @@ class EdgeServer:
         #: virtual times at which an overlay finished installing
         self.install_log: List[float] = []
         #: keep the browser (state + code) of each served app so follow-up
-        #: offloads can send deltas (the paper's future-work reuse).
+        #: offloads can send deltas (the paper's future-work reuse), with
+        #: the request id and reply that left it: at-most-once execution
+        #: answers a retransmitted request from here without re-executing
+        #: (a client has one request outstanding at a time, so a
+        #: retransmission can only repeat its latest request id).
         #: Bounded: edge servers have finite memory, so sessions are
         #: evicted LRU beyond ``session_cache_capacity`` — clients whose
         #: session was evicted transparently fall back to full snapshots.
         if session_cache_capacity <= 0:
             raise ValueError("session_cache_capacity must be positive")
         self.session_cache_capacity = session_cache_capacity
-        self._sessions: "OrderedDict[tuple, WebRuntime]" = OrderedDict()
+        #: (sender, app name) -> (browser, request id, reply)
+        self._sessions: "OrderedDict[tuple, tuple]" = OrderedDict()
         self.evicted_sessions = 0
-        #: at-most-once execution: each sender's latest reply, with its
-        #: request id, so a retransmitted request is answered without
-        #: re-executing.  A client has one request outstanding at a time,
-        #: so a retransmission can only repeat its latest request id.
-        self._replies: Dict[str, Tuple[int, protocol.ResultPayload]] = {}
         metrics = sim.metrics
         self._requests_counter = metrics.counter(
             "server_requests_total", help="snapshot requests received",
@@ -152,13 +152,12 @@ class EdgeServer:
         """Simulate an offloading-server process restart.
 
         All in-memory state is lost — cached sessions and the at-most-once
-        reply cache — so a client whose reply was in flight may observe a
+        replies they hold — so a client whose reply was in flight may observe a
         re-execution, and delta offloads transparently fall back to full
         snapshots.  The model store and the synthesized VM overlay survive
         (they live on disk in the paper's design).
         """
         self._sessions.clear()
-        self._replies.clear()
         self._cache_size_gauge.set(0)
         if self.serving is not None:
             # Queued-but-unformed work dies with the process; each waiting
@@ -250,7 +249,7 @@ class EdgeServer:
         A fleet client failing over to this edge asks before re-running
         pre-send; a hit means some earlier client (or this one, before the
         server restarted — the store survives restarts) already uploaded a
-        model with the same params fingerprint, so the whole upload can be
+        model with the same fingerprint, so the whole upload can be
         skipped.  An uninstalled server answers ``present=False`` rather
         than erroring: the query is a probe, not a request.
         """
@@ -308,33 +307,26 @@ class EdgeServer:
         # At-most-once: a retransmission of an already-served request (the
         # reply was lost in flight) gets the cached reply; re-executing a
         # delta snapshot twice would corrupt the cached session.
-        latest_id, latest_reply = self._replies.get(sender, (0, None))
-        if payload.request_id and latest_id == payload.request_id:
+        session_key = (sender, snapshot.app_name)
+        session = self._sessions.get(session_key)
+        if payload.request_id and session and session[1] == payload.request_id:
             self._cached_reply_counter.inc()
-            endpoint.send(protocol.RESULT, latest_reply)
+            endpoint.send(protocol.RESULT, session[2])
             return
 
         # Any model files delivered with the snapshot are stored first,
         # completing uploads the pre-send did not finish.
         for delivery in payload.deliveries:
-            model = delivery.model
             try:
-                self.store.begin_upload(model.model_id, model.files())
-                for file in delivery.files:
-                    self.store.receive_file(model.model_id, file)
-                entry = self.store.begin_upload(model.model_id, model.files())
-                if entry.complete and entry.model is None:
-                    self.store.attach_model(model.model_id, model)
+                self.store.install(delivery.model, delivery.files)
             except ModelStoreError as exc:
                 self._error(endpoint, str(exc), payload.request_id)
                 return
 
         # Resolve the executing browser: a cached session for delta
         # snapshots, a fresh runtime for full snapshots.
-        session_key = (sender, snapshot.app_name)
         if snapshot.kind == "delta":
-            browser = self._sessions.get(session_key)
-            if browser is None:
+            if session is None:
                 self._cache_miss_counter.inc()
                 self._error(
                     endpoint,
@@ -344,6 +336,7 @@ class EdgeServer:
                 return
             self._cache_hit_counter.inc()
             self._sessions.move_to_end(session_key)  # LRU touch
+            browser = session[0]
         else:
             browser = WebRuntime(f"{self.name}-browser")
         for model_id in snapshot.model_refs.values():
@@ -418,15 +411,6 @@ class EdgeServer:
         yield self.device.execute(capture_seconds, label="snapshot-capture")
         timings["capture"] = capture_seconds
         self.served_requests += 1
-        # Keep the browser for follow-up delta offloads and tell the client
-        # exactly what state was left behind.
-        self._sessions[session_key] = browser
-        self._sessions.move_to_end(session_key)
-        while len(self._sessions) > self.session_cache_capacity:
-            self._sessions.popitem(last=False)  # evict least recent
-            self.evicted_sessions += 1
-            self._cache_evict_counter.inc()
-        self._cache_size_gauge.set(len(self._sessions))
         reply = protocol.ResultPayload(
             delta=delta,
             request_id=payload.request_id,
@@ -436,8 +420,15 @@ class EdgeServer:
                 self.serving.depth() if self.serving is not None else 0
             ),
         )
-        if payload.request_id:
-            self._replies[sender] = (payload.request_id, reply)
+        # Keep the browser for follow-up delta offloads, with the reply that
+        # tells the client exactly what state was left behind.
+        self._sessions[session_key] = (browser, payload.request_id, reply)
+        self._sessions.move_to_end(session_key)
+        while len(self._sessions) > self.session_cache_capacity:
+            self._sessions.popitem(last=False)  # evict least recent
+            self.evicted_sessions += 1
+            self._cache_evict_counter.inc()
+        self._cache_size_gauge.set(len(self._sessions))
         endpoint.send(protocol.RESULT, reply)
 
     def batch_partial_inference(self, model_id: str, features) -> list:
@@ -541,10 +532,7 @@ class EdgeServer:
         self.installed = True
         self.install_log.append(self.sim.now)
         for model in overlay.bundled_models:
-            self.store.begin_upload(model.model_id, model.files())
-            for file in model.files():
-                self.store.receive_file(model.model_id, file)
-            self.store.attach_model(model.model_id, model)
+            self.store.install(model, model.files())
         endpoint.send(protocol.VM_READY, {"server": self.name})
 
     # -- helpers ---------------------------------------------------------------------

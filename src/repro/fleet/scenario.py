@@ -21,7 +21,7 @@ latency.
 What makes it a *fleet* rather than N copies of the paper's testbed:
 
 * **digest handshake** — before uploading a model to an edge, the client
-  sends ``MODEL_QUERY`` with the model's params fingerprint; a hit (some
+  sends ``MODEL_QUERY`` with the model's manifest digest; a hit (some
   earlier client already uploaded it, or the store survived a server
   restart) skips pre-send entirely.  The query also carries the model's
   manifest, so a *miss* is answered at segment granularity: the client
@@ -547,11 +547,7 @@ class FleetScenario:
                 continue
             for tenant in self.tenants:
                 model = tenant.presend_model
-                server.store.begin_upload(model.model_id, model.files())
-                for file in model.files():
-                    server.store.receive_file(model.model_id, file)
-                if server.store.has_complete(model.model_id):
-                    server.store.attach_model(model.model_id, model)
+                server.store.install(model, model.files())
 
     # -- fault injection ---------------------------------------------------------
     def inject_kill(

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,10 +41,6 @@ class ModelFile:
     @property
     def size_mib(self) -> float:
         return self.size_bytes / (1024**2)
-
-
-def _checksum(data: bytes) -> str:
-    return hashlib.sha1(data).hexdigest()[:16]
 
 
 def _layer_table(network) -> List[Layer]:
@@ -73,72 +68,6 @@ def _layer_table(network) -> List[Layer]:
     return table
 
 
-#: per-process memo of parameter-array digests, keyed by array identity.
-#: A remembered array is frozen (the rule of the conv operand cache and the
-#: plan witnesses): an in-place write fails unless
-#: ``Layer.invalidate_param_cache`` first installed a copy, a new identity,
-#: so an identity match means the digest is still valid.  Guarded by a weak
-#: reference so a recycled id() can never alias a dead array's digest.
-_ARRAY_DIGESTS: Dict[int, Tuple[Any, str]] = {}
-
-
-def _array_digest(array: np.ndarray) -> str:
-    """sha256 of dtype, shape and the C-order bytes, hashed in place (a
-    contiguous array is read through its buffer, never copied)."""
-    entry = _ARRAY_DIGESTS.get(id(array))
-    if entry is not None and entry[0]() is array:
-        return entry[1]
-    digest = hashlib.sha256()
-    digest.update(str(array.dtype).encode("ascii"))
-    digest.update(str(array.shape).encode("ascii"))
-    digest.update(np.ascontiguousarray(array))
-    value = digest.hexdigest()
-    array.flags.writeable = False
-    if len(_ARRAY_DIGESTS) > 4096:
-        for key in [k for k, (ref, _) in _ARRAY_DIGESTS.items() if ref() is None]:
-            del _ARRAY_DIGESTS[key]
-    try:
-        _ARRAY_DIGESTS[id(array)] = (weakref.ref(array), value)
-    except TypeError:  # pragma: no cover - ndarray is weakref-able
-        pass
-    return value
-
-
-def network_params_digest(network) -> str:
-    """Digest of a built network's structure and every parameter array.
-
-    Hashing ~27 MB of GoogLeNet weights costs ~27 ms, so both layers of
-    memoization matter: per-array digests are reused across the fresh
-    front/rear ``Network`` objects each ``split()`` creates (they share
-    the layer objects), and the combined digest is memoized per network
-    as long as every parameter array is identity-unchanged.
-    """
-    table = _layer_table(network)
-    arrays: List[np.ndarray] = []
-    for layer in table:
-        for key in sorted(layer.params):
-            arrays.append(layer.params[key])
-    memo = getattr(network, "_plan_digest_memo", None)
-    if (
-        memo is not None
-        and len(memo[0]) == len(arrays)
-        and all(a is b for a, b in zip(memo[0], arrays))
-    ):
-        return memo[1]
-    digest = hashlib.sha256()
-    structure = {
-        "input_shape": list(network.input_shape),
-        "layers": [layer.describe() for layer in table],
-    }
-    digest.update(json.dumps(structure, sort_keys=True).encode("utf-8"))
-    for array in arrays:
-        digest.update(b"\0")
-        digest.update(_array_digest(array).encode("ascii"))
-    value = digest.hexdigest()
-    network._plan_digest_memo = (tuple(arrays), value)
-    return value
-
-
 class Model:
     """A named, built network with its file manifest."""
 
@@ -147,44 +76,47 @@ class Model:
             raise ValueError(f"model {name!r} needs a built network")
         self.name = name
         self.network = network
-        #: (parameter witnesses, manifest, model id) as last derived
-        self._manifest_memo: Optional[Tuple[list, List[ModelFile], str]] = None
+        #: (parameter witnesses, manifest, model id, fingerprint) as last
+        #: derived
+        self._manifest_memo: Optional[Tuple[list, List[ModelFile], str, str]] = None
 
     # -- identity / files --------------------------------------------------------
     def description_json(self) -> str:
         return json.dumps(self.network.describe(), sort_keys=True)
 
-    def _manifest(self) -> Tuple[List[ModelFile], str]:
-        """The file manifest and the model id derived from it.
+    def _manifest(self) -> Tuple[List[ModelFile], str, str]:
+        """The file manifest, and the model id and fingerprint derived from it.
 
         Valid while every parameter array it was derived from is still
-        installed (the rule of ``ExecutionPlan.is_valid``), so both follow
-        replaced parameters the way :meth:`fingerprint` does; re-deriving
-        hashes only the layers whose blobs changed (:meth:`_parameter_file`).
+        installed (the rule of ``ExecutionPlan.is_valid``), so all three
+        follow replaced parameters; re-deriving hashes only the layers
+        whose blobs changed (:meth:`_parameter_file`).
         """
         memo = self._manifest_memo
         if memo is not None and all(
             layer.params.get(key) is array for layer, key, array in memo[0]
         ):
-            return memo[1], memo[2]
+            return memo[1:]
         witnesses = [
             (layer, key, array)
             for layer in _layer_table(self.network)
             for key, array in layer.params.items()
         ]
         description = self.description_json().encode("utf-8")
+        digests = [hashlib.sha1(description).hexdigest()]
         manifest = [
             ModelFile(
                 name=f"{self.name}.json",
                 kind="description",
                 size_bytes=len(description),
-                checksum=_checksum(description),
+                checksum=digests[0][:16],
             )
         ]
         for layer in self.network.layers:
             parameter_file = self._parameter_file(layer)
             if parameter_file is not None:
                 _, raw_bytes, checksum = parameter_file
+                digests.append(checksum)
                 manifest.append(
                     ModelFile(
                         name=f"{self.name}.{layer.name}.bin",
@@ -198,8 +130,9 @@ class Model:
         for file in manifest:
             digest.update(file.checksum.encode("ascii"))
         model_id = f"{self.name}:{digest.hexdigest()[:12]}"
-        self._manifest_memo = (witnesses, manifest, model_id)
-        return manifest, model_id
+        fingerprint = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
+        self._manifest_memo = (witnesses, manifest, model_id, fingerprint)
+        return self._manifest_memo[1:]
 
     def files(self) -> List[ModelFile]:
         """The model's file manifest (memoised per layer by array identity)."""
@@ -219,8 +152,9 @@ class Model:
         """``(arrays, raw_bytes, sha1 hex)`` of a layer's parameter file.
 
         ``None`` for a layer without parameters.  The sha1 is of the blobs'
-        bytes in key order (the file's checksum is its first 16 digits, the
-        compiled plans' result memo reads all 40); hashing GoogLeNet's
+        bytes in key order (the file's checksum is its first 16 digits; the
+        model's fingerprint and the compiled plans' result memo read all
+        40); hashing GoogLeNet's
         27 MB takes ~25 ms, so the triple is remembered *on the layer* for
         as long as every blob is the identical array, and the blobs are
         frozen meanwhile (an in-place write needs
@@ -253,15 +187,11 @@ class Model:
         return self._manifest()[1]
 
     def fingerprint(self) -> str:
-        """Content fingerprint of the network structure and every parameter.
-
-        :func:`network_params_digest` (sha256 over structure plus per-array
-        digests), computed on first use, memoized on the :class:`Network`
-        and invalidated whenever a parameter array is replaced — so after
-        ``ModelStore.attach`` or the first ``MODEL_QUERY`` took it, every
-        later digest handshake is near-free.
-        """
-        return network_params_digest(self.network)
+        """Content address of the description and every parameter: 64 hex
+        digits of sha256 over the full sha1 of each file of the manifest,
+        derived in the same pass as :meth:`files` and :attr:`model_id`.
+        The digest handshake's ``MODEL_QUERY`` carries it."""
+        return self._manifest()[2]
 
     @property
     def total_bytes(self) -> int:

@@ -45,9 +45,6 @@ class StoredModel:
     received: Set[str] = field(default_factory=set)
     #: the runnable model object, attached when the upload completes
     model: Optional[Model] = None
-    #: params fingerprint, computed once when the model is attached — the
-    #: content address the fleet's digest handshake answers from
-    fingerprint: Optional[str] = None
 
     @property
     def complete(self) -> bool:
@@ -175,7 +172,6 @@ class ModelStore:
         """
         entry = self._models[model_id]
         entry.model = None
-        entry.fingerprint = None
         by_name = {file.name: file for file in entry.manifest}
         for name in sorted(entry.received):
             segment = self._segments.get(by_name[name].checksum)
@@ -250,13 +246,7 @@ class ModelStore:
         return entry
 
     def attach_model(self, model_id: str, model: Model) -> None:
-        """Attach the runnable model once its upload is complete.
-
-        The model is fingerprinted here, at store time: the digest is the
-        expensive part of the fleet's ``MODEL_QUERY`` handshake, and paying
-        it once on attach (instead of on every query) is what makes
-        handshake answers near-free.
-        """
+        """Attach the runnable model once its upload is complete."""
         entry = self._models.get(model_id)
         if entry is None:
             raise ModelStoreError(f"no upload registered for model {model_id!r}")
@@ -265,18 +255,27 @@ class ModelStore:
                 f"model {model_id!r} incomplete; missing {entry.missing}"
             )
         entry.model = model
-        entry.fingerprint = model.fingerprint()
         self._touch(model_id)
+
+    def install(self, model: Model, files: List[ModelFile]) -> None:
+        """Put ``model`` in the store with ``files`` of its manifest.
+
+        Registers the upload (claiming every resident segment), receives
+        ``files`` and attaches the model when the upload is then complete
+        and no model is attached yet; an incomplete upload stays
+        registered for a later delivery to finish.
+        """
+        model_id = model.model_id
+        entry = self.begin_upload(model_id, model.files())
+        for file in files:
+            self.receive_file(model_id, file)
+        if entry.complete and entry.model is None:
+            self.attach_model(model_id, model)
 
     # -- queries -----------------------------------------------------------------
     def has_complete(self, model_id: str) -> bool:
         entry = self._models.get(model_id)
         return entry is not None and entry.complete
-
-    def fingerprint_of(self, model_id: str) -> Optional[str]:
-        """The stored model's params fingerprint (None until attached)."""
-        entry = self._models.get(model_id)
-        return entry.fingerprint if entry is not None else None
 
     def matches_fingerprint(self, model_id: str, fingerprint: str) -> bool:
         """Digest handshake: is a runnable model with this digest stored?"""
@@ -285,7 +284,7 @@ class ModelStore:
             entry is not None
             and entry.complete
             and entry.model is not None
-            and entry.fingerprint == fingerprint
+            and entry.model.fingerprint() == fingerprint
         )
         if hit:
             self._touch(model_id)
@@ -304,12 +303,3 @@ class ModelStore:
 
     def stored_ids(self) -> List[str]:
         return sorted(self._models)
-
-    def evict(self, model_id: str) -> None:
-        """Forget a model entirely: handle, segments *and* manifest."""
-        if model_id not in self._models:
-            return
-        self._demote(model_id)
-        del self._models[model_id]
-        self._lru.pop(model_id, None)
-        self._record_resident()

@@ -79,8 +79,9 @@ class WebRuntime:
     # -- model installation ----------------------------------------------------
     def install_model(self, model: Model) -> str:
         """Make a model available to apps on this runtime; returns its id."""
-        self.installed_models[model.model_id] = model
-        return model.model_id
+        model_id = model.model_id
+        self.installed_models[model_id] = model
+        return model_id
 
     def has_model(self, model_id: str) -> bool:
         return model_id in self.installed_models

@@ -85,7 +85,8 @@ class TestPresend:
         manager.cancel()
         sim.run()
         assert not manager.is_acked(model.model_id)
-        assert manager.missing_files(model)
+        (delivery,) = manager.pending_deliveries()
+        assert delivery.files
 
     def test_pending_deliveries_before_start(self, world, model):
         sim, _client, _server, channel = world
@@ -113,8 +114,8 @@ class TestPresend:
         manager = PresendManager(sim, channel.end_a, [model])
         files = model.files()
         manager.mark_delivered(model, files[:2])
-        missing = manager.missing_files(model)
-        assert len(missing) == len(files) - 2
+        (delivery,) = manager.pending_deliveries()
+        assert delivery.files == files[2:]
 
 
 class TestOffloadRoundTrip:

@@ -3,7 +3,8 @@
 One protocol loop runs per channel an edge ever served, so anything a loop
 keeps after answering grows with the channels a run opens: a fleet run's
 memory must be its working set — the snapshots still being served, the
-bounded text memo and each sender's latest reply — not its history.
+bounded text memo and each cached session with its latest reply — not its
+history.
 """
 
 import gc
@@ -54,8 +55,14 @@ class TestFleetRunHoldsItsWorkingSet:
         scenario, report, served = _served_run(monkeypatch)
         for name, server in scenario.servers.items():
             senders = {sender for edge, sender, _ in served if edge == name}
-            assert len(server._replies) <= len(senders)
-        assert sum(len(server._replies) for server in scenario.servers.values()) > 0
+            assert {sender for sender, _ in server._sessions} <= senders
+            assert len(server._sessions) <= server.session_cache_capacity
+            replies = [reply for _, _, reply in server._sessions.values()]
+            # one reply per cached session, each its session's own
+            assert len({id(reply) for reply in replies}) == len(server._sessions)
+            for _, request_id, reply in server._sessions.values():
+                assert reply.request_id == request_id
+        assert sum(len(server._sessions) for server in scenario.servers.values()) > 0
 
 
 class TestReplyCacheKeepsTheLatestReply:
@@ -75,6 +82,6 @@ class TestReplyCacheKeepsTheLatestReply:
         assert sim.metrics.value(
             "server_replies_from_cache_total", server="edge"
         ) >= 1
-        (latest_id, latest_reply), = server._replies.values()
+        (_, latest_id, latest_reply), = server._sessions.values()
         assert latest_id == second.value.request_id
         assert isinstance(latest_reply, protocol.ResultPayload)

@@ -25,6 +25,8 @@ from repro.fleet.policies import POLICY_NAMES
 from repro.netsim import EdgeDown, Topology
 from repro.nn.zoo import build_model
 from repro.sim import SeededRng, Simulator
+from repro.vmsynth import DiskImage, build_overlay
+from repro.vmsynth.synthesis import deliver_overlay
 from repro.web.app import make_inference_app
 from tests.memos import clear_memos
 
@@ -188,7 +190,7 @@ class TestFleetTopology:
 
 class TestDigestHandshake:
     def _query(self, server, topo, client, model, fingerprint=None):
-        client_end, edge_end = topo.connect(client, "e0")
+        client_end, edge_end = topo.connect(client, server.name)
         server.serve(edge_end)
         client_end.send(
             protocol.MODEL_QUERY,
@@ -212,16 +214,13 @@ class TestDigestHandshake:
         miss = self._query(server, topo, "c0", model)
         assert miss.present is False
 
-        server.store.begin_upload(model.model_id, model.files())
-        for file in model.files():
-            server.store.receive_file(model.model_id, file)
-        server.store.attach_model(model.model_id, model)
+        server.store.install(model, model.files())
         hit = self._query(server, topo, "c1", model)
         assert hit.present is True
         assert hit.server_name == "e0"
 
         stale = self._query(server, topo, "c2", model, fingerprint="0" * 64)
-        assert stale.present is False  # same id, different params digest
+        assert stale.present is False  # same id, different fingerprint
 
     def test_segment_status_names_exactly_the_missing_files(self):
         sim = Simulator()
@@ -239,10 +238,7 @@ class TestDigestHandshake:
 
         # install rear@2; its sibling split shares the parameter blobs,
         # so the answer asks only for the one file actually absent
-        server.store.begin_upload(rear2.model_id, rear2.files())
-        for file in rear2.files():
-            server.store.receive_file(rear2.model_id, file)
-        server.store.attach_model(rear2.model_id, rear2)
+        server.store.install(rear2, rear2.files())
         sibling = self._query(server, topo, "c1", rear3)
         assert sibling.present is False
         assert sibling.missing_files == [f"{rear3.name}.json"]
@@ -251,6 +247,39 @@ class TestDigestHandshake:
         warm = self._query(server, topo, "c2", rear2)
         assert warm.present is True
         assert warm.missing_files == []
+
+    def test_prewarmed_model_is_answered_present(self):
+        scenario = FleetScenario(
+            model_name="tinynet", edges=default_fleet(1), sessions=1,
+            prewarm=True,
+        )
+        server = scenario.servers["edge-0"]
+        model = scenario.tenants[0].presend_model
+        topo = scenario.topology
+        warm = self._query(server, topo, "c0", model)
+        assert warm.present is True and warm.missing_files == []
+        stale = self._query(server, topo, "c1", model, fingerprint="0" * 64)
+        assert stale.present is False
+
+    def test_synthesized_model_is_answered_present(self):
+        sim = Simulator()
+        topo = Topology(sim)
+        topo.add_edge_host("e0")
+        server = EdgeServer(
+            sim, Device(sim, edge_server_x86()), name="e0", installed=False
+        )
+        model = build_model("tinynet")
+        client_end, edge_end = topo.connect("installer", "e0")
+        server.serve(edge_end)
+        overlay = build_overlay(DiskImage.ubuntu_base(10_000_000), [model])
+        sim.spawn(deliver_overlay(client_end, overlay))
+        sim.run()
+        assert server.installed
+        hit = self._query(server, topo, "c0", model)
+        assert hit.present is True and hit.missing_files == []
+        other = build_model("tinynet", seed=5)
+        stale = self._query(server, topo, "c1", model, fingerprint=other.fingerprint())
+        assert stale.present is False
 
     def test_client_attach_asks_once_per_channel(self):
         sim = Simulator()

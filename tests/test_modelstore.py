@@ -126,8 +126,9 @@ class TestSegmentDedup:
 class TestFingerprintAtAttach:
     def test_store_attach_primes_fingerprint(self, model):
         store = ModelStore()
+        store.begin_upload(model.model_id, model.files())
+        assert not store.matches_fingerprint(model.model_id, model.fingerprint())
         upload(store, model)
-        assert store.fingerprint_of(model.model_id) == model.fingerprint()
         assert store.matches_fingerprint(model.model_id, model.fingerprint())
         assert not store.matches_fingerprint(model.model_id, "bogus")
 
@@ -137,6 +138,35 @@ class TestFingerprintAtAttach:
         key = next(iter(layer.params))
         layer.params[key] = layer.params[key] * 2.0
         assert model.fingerprint() != before
+
+
+class TestInstall:
+    def test_partial_install_stays_registered_until_completed(self, model):
+        store = ModelStore()
+        files = model.files()
+        store.install(model, files[:1])
+        entry = store.entry(model.model_id)
+        assert entry.missing == sorted(f.name for f in files[1:])
+        assert entry.model is None
+        store.install(model, files[1:])
+        assert store.entry(model.model_id) is entry
+        assert store.get_model(model.model_id) is model
+
+    def test_install_keeps_the_attached_handle(self, model):
+        store = ModelStore()
+        store.install(model, model.files())
+        twin = smallnet()
+        store.install(twin, twin.files())
+        assert store.get_model(model.model_id) is model
+        assert store.matches_fingerprint(twin.model_id, twin.fingerprint())
+
+    def test_install_claims_resident_segments(self, rears):
+        rear2, rear3 = rears
+        store = ModelStore()
+        store.install(rear2, rear2.files())
+        json_file = next(f for f in rear3.files() if f.kind == "description")
+        store.install(rear3, [json_file])
+        assert store.get_model(rear3.model_id) is rear3
 
 
 class TestLruEviction:
@@ -164,9 +194,8 @@ class TestLruEviction:
     def test_eviction_stops_exactly_at_the_budget(self, model):
         victim, kept = tinynet(seed=1), tinynet(seed=2)
         probe = ModelStore()
-        for each in (victim, kept, model):
+        for each in (kept, model):
             upload(probe, each)
-        probe.evict(victim.model_id)
         # the budget is what stays resident once the victim alone is gone
         store = ModelStore(probe.resident_bytes)
         upload(store, victim)
@@ -249,14 +278,6 @@ class TestLruEviction:
         store.begin_upload(model.model_id, model.files())
         with pytest.raises(ModelStoreError, match="not available"):
             store.get_model(model.model_id)
-
-    def test_explicit_evict_forgets_manifest_too(self, model):
-        store = ModelStore()
-        upload(store, model)
-        store.evict(model.model_id)
-        assert store.entry(model.model_id) is None
-        assert store.resident_bytes == 0
-        assert store.stored_ids() == []
 
     def test_unbudgeted_store_never_evicts(self, model):
         tiny = tinynet()

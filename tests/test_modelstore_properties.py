@@ -1,6 +1,6 @@
 """Property-based invariants of the multi-tenant model store.
 
-Random interleavings of begin/receive/corrupt/attach/evict over a pool of
+Random interleavings of begin/receive/corrupt/attach over a pool of
 synthetic models whose manifests share content-addressed blobs, checked
 against a shadow refcount model after every operation:
 
@@ -65,7 +65,7 @@ manifests = st.fixed_dictionaries(
 
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["begin", "recv", "corrupt", "attach", "evict"]),
+        st.sampled_from(["begin", "recv", "corrupt", "attach"]),
         st.sampled_from(MODEL_IDS),
         st.integers(min_value=0, max_value=len(BLOBS) - 1),
     ),
@@ -147,8 +147,6 @@ def test_random_interleavings_hold_invariants(shapes, script, budget):
             else:
                 with pytest.raises(ModelStoreError):
                     store.attach_model(mid, FakeModel(mid))
-        elif op == "evict":
-            store.evict(mid)
         check_invariants(store, catalog, budget, last_uploader)
 
 

@@ -4,10 +4,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.nn import model as model_module
 from repro.nn.caffemodel import load_model_files, save_model_files
-from repro.nn.model import BLOB_HEADER_BYTES, Model, network_params_digest
+from repro.nn.model import BLOB_HEADER_BYTES, Model
 from repro.nn.modelstore import ModelStore, ModelStoreError
 from repro.nn.prototxt import network_from_prototxt, network_to_prototxt
 from repro.nn.zoo import BUILDERS, build_model, smallnet, tinynet
@@ -211,20 +213,90 @@ def model_input(model):
 class TestFingerprint:
     def test_build_model_leaves_fingerprint_lazy(self):
         built = build_model("smallnet")
-        assert getattr(built.network, "_plan_digest_memo", None) is None
-        assert built.fingerprint() == built.network._plan_digest_memo[1]
+        assert built._manifest_memo is None
+        fingerprint = built.fingerprint()
+        assert len(fingerprint) == 64 and int(fingerprint, 16) >= 0
+        assert fingerprint == built._manifest_memo[3]
 
-    def test_params_digest_memoized_per_network(self, model):
-        first = network_params_digest(model.network)
-        assert network_params_digest(model.network) == first
-        assert model.network._plan_digest_memo[1] == first
+    def test_params_digest_memoized_per_network(self, model, blob_hashes):
+        first = model.fingerprint()
+        hashed = len(blob_hashes)
         assert model.fingerprint() == first
+        assert Model(model.name, model.network).fingerprint() == first
+        assert len(blob_hashes) == hashed
+
+    def test_fingerprint_is_sha256_over_the_full_file_sha1s(self, model):
+        description = hashlib.sha1(model.description_json().encode("utf-8"))
+        digests = [description.hexdigest()] + [
+            Model._parameter_file(layer)[2]
+            for layer in model.network.layers
+            if Model._layer_blobs(layer)
+        ]
+        assert [d[:16] for d in digests] == [f.checksum for f in model.files()]
+        expected = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
+        assert model.fingerprint() == expected
 
     def test_split_halves_get_distinct_digests(self, model):
-        split = model.network.split(2)
-        assert network_params_digest(split.front) != network_params_digest(
-            split.rear
-        )
+        front, rear = model.split(2)
+        assert front.fingerprint() != rear.fingerprint()
+
+
+def change_bits(model, path, how):
+    """Add one to a parameter of the ``path``-th parameterised layer of the
+    model's layer table: by installing a new array or by an in-place write
+    after ``invalidate_param_cache``."""
+    layers = [
+        layer for layer in model_module._layer_table(model.network) if layer.params
+    ]
+    layer = layers[path % len(layers)]
+    key = sorted(layer.params)[0]
+    if how == "replace":
+        layer.params[key] = layer.params[key] + np.float32(1.0)
+    else:
+        layer.invalidate_param_cache()
+        layer.params[key][...] += np.float32(1.0)
+
+
+class TestContentAddress:
+    """``model_id`` and ``fingerprint()`` are one content address: derived
+    in one pass, equal for equal bits, moved together by any change, and
+    paid for with one sha1 per parameter file."""
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        name=st.sampled_from(sorted(BUILDERS)),
+        seed=st.integers(min_value=0, max_value=3),
+        change=st.sampled_from([None, "replace", "in-place"]),
+        data=st.data(),
+    )
+    def test_identity_follows_the_bits(self, name, seed, change, data, blob_hashes):
+        model = build_model(name, seed=seed)
+        before = len(blob_hashes)
+        files = model.files()
+        identity = (model.model_id, model.fingerprint())
+        assert len(identity[1]) == 64
+        point = data.draw(st.sampled_from(model.network.offload_points()))
+        front, rear = model.split(point.index)
+        halves = [(h.model_id, h.fingerprint(), h.files()) for h in (front, rear)]
+        assert len({identity[1], halves[0][1], halves[1][1]}) == 3
+        parameter_files = sum(file.kind == "parameters" for file in files)
+        assert len(blob_hashes) - before == parameter_files
+
+        twin = build_model(name, seed=seed)
+        assert (twin.model_id, twin.fingerprint()) == identity
+        if change is not None:
+            path = data.draw(st.integers(min_value=0, max_value=1000))
+            change_bits(model, path, change)
+            change_bits(twin, path, change)
+        moved = (model.model_id, model.fingerprint())
+        assert (moved[0] != identity[0]) == (change is not None)
+        assert (moved[1] != identity[1]) == (change is not None)
+        assert (twin.model_id, twin.fingerprint()) == moved
 
 
 class TestModelSplit:
@@ -375,12 +447,6 @@ class TestModelStore:
         first = store.begin_upload(model.model_id, model.files())
         second = store.begin_upload(model.model_id, model.files())
         assert first is second
-
-    def test_evict(self, model):
-        store = ModelStore()
-        store.begin_upload(model.model_id, model.files())
-        store.evict(model.model_id)
-        assert store.stored_ids() == []
 
     def test_received_bytes_tracks_progress(self, model):
         store = ModelStore()

@@ -2,9 +2,9 @@
 
 Parameters are drawn a chunk at a time straight into their float32 arrays
 (``SeededRng._fill``) and hashed through their buffers
-(``nn/model.py::_array_digest``).  The values, digests and model ids are
-those of the one-shot draw-then-cast and the ``tobytes()`` hash, which are
-kept here as oracles.
+(``nn/model.py::Model._parameter_file``).  The values, digests and model
+ids are those of the one-shot draw-then-cast and the ``tobytes()`` hash,
+which are kept here as oracles.
 """
 
 import gc
@@ -16,6 +16,7 @@ import pytest
 
 from repro.eval.calibration import EXPERIMENT_SEED
 from repro.nn import model as model_module
+from repro.nn.model import Model
 from repro.nn.zoo import BUILDERS, build_model
 from repro.sim import SeededRng
 from tests.test_sim_kernel import (
@@ -28,12 +29,8 @@ MIB = 1 << 20
 
 
 def oracle_array_digest(array: np.ndarray) -> str:
-    """``_array_digest`` before arrays were hashed in place."""
-    digest = hashlib.sha256()
-    digest.update(str(array.dtype).encode("ascii"))
-    digest.update(str(array.shape).encode("ascii"))
-    digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
+    """A parameter file's sha1 before arrays were hashed in place."""
+    return hashlib.sha1(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
 def parameter_arrays(model):
@@ -77,7 +74,17 @@ class TestZooUnchanged:
         assert streamed["params"] and streamed == oracle
 
 
+class OneBlobLayer:
+    """Just enough layer for ``Model._parameter_file``: one blob."""
+
+    def __init__(self, array):
+        self.params = {"weight": array}
+
+
 class TestArrayDigest:
+    """A parameter file hashes its blob through the buffer, whatever the
+    blob's layout: the digest is that of the blob's C-order bytes."""
+
     BASE = np.arange(60, dtype=np.float32).reshape(3, 4, 5) / 7
 
     @pytest.mark.parametrize(
@@ -100,8 +107,9 @@ class TestArrayDigest:
     )
     def test_equals_the_tobytes_formula(self, array):
         expected = oracle_array_digest(array)
-        assert model_module._array_digest(array) == expected
-        assert model_module._array_digest(array.copy(order="K")) == expected
+        for blob in (array, array.copy(order="K")):
+            _, raw_bytes, digest = Model._parameter_file(OneBlobLayer(blob))
+            assert (raw_bytes, digest) == (array.nbytes, expected)
 
 
 def traced_peak(fn):
@@ -125,7 +133,7 @@ class TestBuildMemory:
 
     def test_fingerprint_hashes_parameters_in_place(self):
         model = build_model("agenet", seed=EXPERIMENT_SEED)
-        assert getattr(model.network, "_plan_digest_memo", None) is None
+        assert model._manifest_memo is None
         fingerprint, peak = traced_peak(model.fingerprint)
         assert peak < 1 * MIB  # a tobytes() copy of fc6 alone is 38.5 MB
         assert fingerprint == model.fingerprint()

@@ -40,10 +40,7 @@ def make_world(loss_up=0.0, loss_down=0.0):
     client.mark_offload_point("click", "infer_btn")
     # Without pre-send, install the model at the server directly (keeps the
     # lossy-link tests focused on the snapshot exchange).
-    server.store.begin_upload(model.model_id, model.files())
-    for file in model.files():
-        server.store.receive_file(model.model_id, file)
-    server.store.attach_model(model.model_id, model)
+    server.store.install(model, model.files())
     return sim, client, server, channel, model
 
 
