@@ -22,8 +22,10 @@ from repro.core.snapshot.codegen import parse_tensor_text, render_tensor_text
 from repro.devices import edge_server_x86, odroid_xu4_client
 from repro.devices.predictor import fit_predictor_for
 from repro.netsim import NetemProfile
+from repro.nn import model as model_module
 from repro.nn import plan as plan_module
 from repro.nn import tensor
+from repro.nn.caffemodel import load_model_files, save_model_files
 from repro.nn.cost import network_costs
 from repro.nn.layers import LRNLayer
 from repro.nn.tensor import max_pool_strided, pool_patches
@@ -273,13 +275,21 @@ def test_micro_split_manifest_after_warm_files(benchmark):
     )
 
 
+def _drawn(model):
+    """The model, every leaf's parameters drawn (a build draws none)."""
+    for layer in model_module._layer_table(model.network):
+        layer.params
+    return model
+
+
 @pytest.mark.parametrize("name", ["googlenet", "agenet"])
 def test_micro_model_identity_cold(benchmark, name):
-    """``model_id`` then ``fingerprint()`` of a freshly built model: the
-    one pass that hashes every parameter byte, then a memo read."""
+    """``model_id`` then ``fingerprint()`` of a freshly built and drawn
+    model: the one pass that hashes every parameter byte, then a memo
+    read."""
 
     def setup():
-        return (build_model(name),), {}
+        return (_drawn(build_model(name)),), {}
 
     identity = benchmark.pedantic(
         lambda model: (model.model_id, model.fingerprint()),
@@ -287,6 +297,17 @@ def test_micro_model_identity_cold(benchmark, name):
         rounds=5,
     )
     assert identity[0].startswith(f"{name}:") and len(identity[1]) == 64
+
+
+@pytest.mark.parametrize("name", ["googlenet", "agenet"])
+def test_micro_load_model_files(benchmark, name, tmp_path):
+    """Rebuild a paper model from its Caffe pair: parse the prototxt,
+    build, decode the weights blob and install every blob; nothing is
+    drawn."""
+    model = build_model(name)
+    paths = save_model_files(model, str(tmp_path))
+    loaded = benchmark(lambda: load_model_files(*paths))
+    assert loaded.model_id == model.model_id
 
 
 def test_micro_partition_solver(benchmark):

@@ -29,6 +29,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.nn.layers.base import Layer
 from repro.nn.model import Model
 from repro.nn.network import Network
 from repro.nn.prototxt import (
@@ -44,32 +45,23 @@ class WeightsFormatError(ValueError):
     """Raised on malformed or mismatched weight blobs."""
 
 
-def _blob_slots(network: Network) -> List[Tuple[str, dict, str]]:
-    """Every parameter blob as ``(qualified name, owning params, key)``, in
-    the blob file's order.  Which arrays a layer ships, under which keys, is
-    :meth:`Model._layer_blobs` — the manifest's rule; each array is found in
-    its owner's ``params`` (the layer's own or an inner layer's) by identity,
-    so the encoder reads and :func:`apply_weights` assigns the very same
-    slots."""
-    slots: List[Tuple[str, dict, str]] = []
-    for layer in network.layers:
-        owners = {
-            id(blob): (owner.params, key)
-            for owner in [layer, *getattr(layer, "inner_layers", list)()]
-            for key, blob in owner.params.items()
-        }
-        slots.extend(
-            (f"{layer.name}::{name}", *owners[id(blob)])
-            for name, blob in sorted(Model._layer_blobs(layer).items())
-        )
-    return slots
+def _blob_slots(network: Network) -> List[Tuple[str, Layer, str]]:
+    """Every parameter blob as ``(qualified name, leaf, key)``, in the blob
+    file's order: each spine layer's :meth:`Layer.param_slots` (the
+    manifest's naming) by name.  Shapes come from ``param_shapes()``, so
+    listing the slots draws nothing."""
+    return [
+        (f"{layer.name}::{name}", leaf, key)
+        for layer in network.layers
+        for name, leaf, key in sorted(layer.param_slots(), key=lambda slot: slot[0])
+    ]
 
 
 def encode_weights(network: Network, model_name: str = "") -> bytes:
     """Serialize a built network's parameters."""
     if not network.built:
         raise WeightsFormatError("network must be built before serialization")
-    blobs = [(name, params[key]) for name, params, key in _blob_slots(network)]
+    blobs = [(name, leaf.params[key]) for name, leaf, key in _blob_slots(network)]
     header = {
         "model": model_name or network.name,
         "blobs": [
@@ -148,22 +140,28 @@ def _blob_record(record) -> Tuple[str, Tuple[int, ...]]:
 
 
 def apply_weights(network: Network, blobs: Dict[str, np.ndarray]) -> None:
-    """Load decoded blobs into a built network (shapes must match)."""
+    """Load decoded blobs into a built network (shapes must match).
+
+    Each leaf gets its blobs in one ``params`` assignment, so a loaded
+    network never draws the parameters it was built with."""
     slots = _blob_slots(network)
-    expected = {name for name, _params, _key in slots}
+    expected = {name for name, _leaf, _key in slots}
     if expected != set(blobs):
         missing = sorted(expected - set(blobs))
         extra = sorted(set(blobs) - expected)
         raise WeightsFormatError(
             f"blob set mismatch: missing {missing[:3]}, unexpected {extra[:3]}"
         )
-    for name, params, key in slots:
-        blob = blobs[name]
-        if params[key].shape != blob.shape:
+    installs: Dict[Layer, Dict[str, np.ndarray]] = {}
+    for name, leaf, key in slots:
+        blob, shape = blobs[name], leaf.param_shapes()[key]
+        if shape != blob.shape:
             raise WeightsFormatError(
-                f"shape mismatch for {name!r}: {params[key].shape} vs {blob.shape}"
+                f"shape mismatch for {name!r}: {shape} vs {blob.shape}"
             )
-        params[key] = np.array(blob, dtype=np.float32, copy=True)
+        installs.setdefault(leaf, {})[key] = np.array(blob, dtype=np.float32, copy=True)
+    for leaf, params in installs.items():
+        leaf.params = params
 
 
 def save_model_files(model: Model, directory: str) -> Tuple[str, str]:

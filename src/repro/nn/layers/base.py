@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import functools
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim import SeededRng
 
 Shape = Tuple[int, ...]
+#: ``(name in the layer's parameter file, leaf layer, key in its params)``
+Slot = Tuple[str, "Layer", str]
 
 
 class LayerShapeError(ValueError):
@@ -21,10 +25,13 @@ class Layer:
     Subclasses set :attr:`kind` (the key used by device throughput tables
     and the latency predictor) and implement :meth:`infer_shape`,
     :meth:`forward` and optionally :meth:`count_flops` /
-    :meth:`init_params`.
+    :meth:`param_shapes` + ``_init_scale``.
 
     A layer is *built* against a concrete input shape before use; building
-    records input/output shapes and allocates parameter blobs.
+    records input/output shapes and keeps the layer's random stream.  The
+    parameters are drawn from it the first time :attr:`params` is read, so
+    everything that needs only shapes (costs, parameter counts, Fig. 1)
+    never draws them.
     """
 
     kind = "abstract"
@@ -33,15 +40,37 @@ class Layer:
         self.name = name
         self.input_shape: Optional[Shape] = None
         self.out_shape: Optional[Shape] = None
-        self.params: Dict[str, np.ndarray] = {}
+        self._param_rng: Optional[SeededRng] = None
 
     # -- building -------------------------------------------------------------
     def build(self, input_shape: Shape, rng: SeededRng) -> Shape:
-        """Bind the layer to an input shape; returns the output shape."""
+        """Bind the layer to an input shape; returns the output shape.
+
+        Draws nothing: ``rng`` is kept for the first read of
+        :attr:`params`.  Every leaf gets a stream of its own
+        (``rng.child(...)``), so its bits do not depend on when, or in what
+        order, the leaves are drawn.
+        """
         self.input_shape = tuple(input_shape)
         self.out_shape = self.infer_shape(self.input_shape)
-        self.init_params(rng)
+        self._param_rng = rng
+        vars(self).pop("params", None)  # the next read draws
         return self.out_shape
+
+    @functools.cached_property
+    def params(self) -> Dict[str, np.ndarray]:
+        """Parameter blobs by key.
+
+        The first read after :meth:`build` runs :meth:`init_params`; the
+        blobs then sit in the instance, so later reads cost an attribute
+        lookup.  Assigning ``params`` as a whole installs blobs and drops
+        the pending draw.
+        """
+        rng, self._param_rng = self._param_rng, None
+        self.params = {}
+        if rng is not None:
+            self.init_params(rng)
+        return self.params
 
     @property
     def built(self) -> bool:
@@ -60,8 +89,23 @@ class Layer:
         """Numpy forward pass for one sample."""
         raise NotImplementedError
 
+    def param_shapes(self) -> Dict[str, Shape]:
+        """The shape of every parameter blob, by key, from the bound input
+        shape alone (default: parameter-free)."""
+        return {}
+
     def init_params(self, rng: SeededRng) -> None:
-        """Allocate parameter blobs (default: parameter-free)."""
+        """Draw :attr:`params` at :meth:`param_shapes` from ``rng``: a
+        normal ``weight`` whose standard deviation is the subclass's
+        ``_init_scale()``, and a zero ``bias``.  Run by the first read of
+        :attr:`params` after :meth:`build`; the shapes are declared once,
+        so the drawn arrays cannot disagree with them."""
+        shapes = self.param_shapes()
+        if shapes:
+            self.params = {
+                "weight": rng.normal_array(shapes["weight"], self._init_scale()),
+                "bias": np.zeros(shapes["bias"], dtype=np.float32),
+            }
 
     def count_flops(self) -> float:
         """Floating-point operations for one forward pass (default: free)."""
@@ -81,9 +125,20 @@ class Layer:
             self.params[key] = array.copy()
 
     # -- common accounting -----------------------------------------------------
+    def param_slots(self) -> List[Slot]:
+        """Every blob of this layer's parameter file: a leaf's own keys;
+        composites name their leaves' blobs by :func:`qualified_slots`."""
+        return [(key, self, key) for key in self.param_shapes()]
+
+    def param_arrays(self) -> Dict[str, np.ndarray]:
+        """The arrays of this layer's parameter file, by slot name."""
+        return {name: leaf.params[key] for name, leaf, key in self.param_slots()}
+
     @property
     def param_count(self) -> int:
-        return int(sum(blob.size for blob in self.params.values()))
+        return sum(
+            math.prod(leaf.param_shapes()[key]) for _, leaf, key in self.param_slots()
+        )
 
     @property
     def param_bytes(self) -> int:
@@ -124,3 +179,15 @@ class Layer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shape = self.out_shape if self.built else "unbuilt"
         return f"{type(self).__name__}({self.name!r}, out={shape})"
+
+
+def qualified_slots(groups: Iterable[Tuple[str, Sequence[Layer]]]) -> List[Slot]:
+    """The slots of a composite's leaves, named ``{group}/{layer}/{key}``
+    (``b0/...``, ``body/...``, ``head/...``): the one naming rule of a
+    composite's parameter file."""
+    return [
+        (f"{group}/{layer.name}/{key}", layer, key)
+        for group, layers in groups
+        for layer in layers
+        for key in layer.param_shapes()
+    ]

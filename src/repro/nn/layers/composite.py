@@ -11,14 +11,14 @@ granularity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.nn.layers.base import Layer, LayerShapeError, Shape
+from repro.nn.layers.base import Layer, LayerShapeError, Shape, Slot, qualified_slots
 from repro.sim import SeededRng
 
 
@@ -106,16 +106,6 @@ class InceptionModule(Layer):
         # Concat copies every output element once.
         return total + float(self.output_elements)
 
-    @property
-    def param_count(self) -> int:
-        return sum(
-            layer.param_count for branch in self.branches for layer in branch
-        )
-
-    @property
-    def param_bytes(self) -> int:
-        return self.param_count * 4
-
     def inner_layers(self) -> List[Layer]:
         """All constituent layers, for profiling and model serialization."""
         return [layer for branch in self.branches for layer in branch]
@@ -130,14 +120,9 @@ class InceptionModule(Layer):
             join="concat",
         )
 
-    def param_arrays(self) -> Dict[str, np.ndarray]:
-        """Flattened parameter blobs keyed by branch-qualified names."""
-        blobs: Dict[str, np.ndarray] = {}
-        for index, branch in enumerate(self.branches):
-            for layer in branch:
-                for key, blob in layer.params.items():
-                    blobs[f"b{index}/{layer.name}/{key}"] = blob
-        return blobs
+    def param_slots(self) -> List[Slot]:
+        """Branch leaves' blobs, named ``b{i}/{layer}/{key}``."""
+        return qualified_slots(self.dag_branches().branches)
 
     def config(self) -> dict:
         return {
@@ -226,21 +211,9 @@ class ResidualBlock(Layer):
         # The elementwise add touches every output element once.
         return total + float(self.output_elements)
 
-    @property
-    def param_count(self) -> int:
-        return sum(layer.param_count for layer in self.inner_layers())
-
-    @property
-    def param_bytes(self) -> int:
-        return self.param_count * 4
-
-    def param_arrays(self) -> Dict[str, np.ndarray]:
-        blobs: Dict[str, np.ndarray] = {}
-        for prefix, layers in (("body", self.body), ("shortcut", self.shortcut)):
-            for layer in layers:
-                for key, blob in layer.params.items():
-                    blobs[f"{prefix}/{layer.name}/{key}"] = blob
-        return blobs
+    def param_slots(self) -> List[Slot]:
+        """Body and shortcut leaves' blobs, ``body|shortcut/{layer}/{key}``."""
+        return qualified_slots(self.dag_branches().branches)
 
     def config(self) -> dict:
         return {

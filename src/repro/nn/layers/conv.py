@@ -21,13 +21,12 @@ captured parameter the same way, and recompile once it is replaced.
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.layers.base import Layer, LayerShapeError, Shape
 from repro.nn.tensor import conv_output_hw, im2col, scratch
-from repro.sim import SeededRng
 
 
 class ConvLayer(Layer):
@@ -139,21 +138,20 @@ class ConvLayer(Layer):
             "cols", lead + (self.kernel, self.kernel) + self.out_shape[1:]
         )
 
-    def init_params(self, rng: SeededRng) -> None:
-        fan_in = self._channels_per_group * self.kernel * self.kernel
-        scale = float(np.sqrt(2.0 / fan_in))  # He init: sensible magnitudes
-        self.params = {
-            "weight": rng.normal_array(
-                (
-                    self.num_filters,
-                    self._channels_per_group,
-                    self.kernel,
-                    self.kernel,
-                ),
-                scale,
+    def param_shapes(self) -> Dict[str, Shape]:
+        return {
+            "weight": (
+                self.num_filters,
+                self._channels_per_group,
+                self.kernel,
+                self.kernel,
             ),
-            "bias": np.zeros(self.num_filters, dtype=np.float32),
+            "bias": (self.num_filters,),
         }
+
+    def _init_scale(self) -> float:
+        fan_in = self._channels_per_group * self.kernel * self.kernel
+        return float(np.sqrt(2.0 / fan_in))  # He init: sensible magnitudes
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self.check_input(x)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
 from repro.nn.layers.base import Layer, LayerShapeError, Shape
-from repro.sim import SeededRng
 
 
 class FCLayer(Layer):
@@ -38,13 +39,14 @@ class FCLayer(Layer):
             count *= dim
         return count
 
-    def init_params(self, rng: SeededRng) -> None:
-        fan_in = self.in_features
-        scale = float(np.sqrt(1.0 / fan_in))
-        self.params = {
-            "weight": rng.normal_array((self.out_features, fan_in), scale),
-            "bias": np.zeros(self.out_features, dtype=np.float32),
+    def param_shapes(self) -> Dict[str, Shape]:
+        return {
+            "weight": (self.out_features, self.in_features),
+            "bias": (self.out_features,),
         }
+
+    def _init_scale(self) -> float:
+        return float(np.sqrt(1.0 / self.in_features))
 
     def forward(self, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Forward pass; ``out`` (optional, ``(out_features,)`` float32) is a

@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.nn.layers.base import Layer, LayerShapeError, Shape
+from repro.nn.layers.base import Layer, LayerShapeError, Shape, Slot, qualified_slots
 from repro.sim import SeededRng
 
 
@@ -69,17 +69,9 @@ class ExitHead(Layer):
     def count_flops(self) -> float:
         return 0.0  # trunk path is free; a taken exit is priced as at_exit
 
-    @property
-    def param_count(self) -> int:
-        return sum(layer.param_count for layer in self.head)
-
-    def param_arrays(self) -> Dict[str, np.ndarray]:
-        """All head parameter blobs, keyed for the model file manifest."""
-        arrays: Dict[str, np.ndarray] = {}
-        for layer in self.head:
-            for key, blob in layer.params.items():
-                arrays[f"head/{layer.name}/{key}"] = blob
-        return arrays
+    def param_slots(self) -> List[Slot]:
+        """Head leaves' blobs, named ``head/{layer}/{key}``."""
+        return qualified_slots([("head", self.head)])
 
     def inner_layers(self) -> List[Layer]:
         return list(self.head)

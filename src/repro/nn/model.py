@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -139,19 +139,12 @@ class Model:
         return list(self._manifest()[0])
 
     @staticmethod
-    def _layer_blobs(layer: Layer) -> Dict[str, np.ndarray]:
-        """The arrays a spine layer ships, by key: the one rule the manifest,
-        the weight blob and ``apply_weights`` all read."""
-        param_arrays = getattr(layer, "param_arrays", None)
-        if param_arrays is not None:  # composites and exit heads
-            return param_arrays()
-        return dict(layer.params)
-
-    @staticmethod
     def _parameter_file(layer: Layer) -> Optional[Tuple[tuple, int, str]]:
         """``(arrays, raw_bytes, sha1 hex)`` of a layer's parameter file.
 
-        ``None`` for a layer without parameters.  The sha1 is of the blobs'
+        The blobs are ``layer.param_arrays()``, named by
+        :meth:`Layer.param_slots` as in the weight blob; ``None`` for a
+        layer without parameters.  The sha1 is of the blobs'
         bytes in key order (the file's checksum is its first 16 digits; the
         model's fingerprint and the compiled plans' result memo read all
         40); hashing GoogLeNet's
@@ -162,7 +155,7 @@ class Model:
         and re-built ``Model``s share the layer objects and hash nothing; a
         replaced blob re-hashes its own layer only.
         """
-        blobs = Model._layer_blobs(layer)
+        blobs = layer.param_arrays()
         if not blobs:
             return None
         memo = getattr(layer, "_parameter_file_memo", None)

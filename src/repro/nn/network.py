@@ -84,7 +84,8 @@ class Network:
     def build(
         self, rng: Optional[SeededRng] = None, input_shape: Optional[Shape] = None
     ) -> "Network":
-        """Bind shapes and allocate parameters along the spine."""
+        """Bind shapes along the spine; each layer keeps a child stream of
+        ``rng`` and draws its parameters on their first read."""
         rng = rng or SeededRng(0, f"net/{self.name}")
         if input_shape is None:
             first = self.layers[0]

@@ -459,7 +459,11 @@ class _GraphConverter:
 
 
 def network_from_prototxt(text: str, seed: int = 0) -> Network:
-    """Parse a deploy prototxt and build the network (random parameters)."""
+    """Parse a deploy prototxt and build the network.
+
+    The parameters are random draws from ``seed``, made on first read;
+    :func:`repro.nn.caffemodel.apply_weights` installs a weights blob
+    instead, without drawing them."""
     root = parse_text(text)
     defs = _layer_defs(root)
     input_blob, input_shape = _input_declaration(root, defs)

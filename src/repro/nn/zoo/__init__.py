@@ -12,6 +12,9 @@ benchmarks with CaffeJS:
 Parameters are randomly initialized (He/Xavier): trained weights do not
 affect any quantity the paper measures (times and sizes depend only on the
 architecture), and shipping real weights is impossible offline anyway.
+A build binds shapes only; each layer draws its parameters the first time
+they are read (a forward, a plan compile, ``model_id``), so a model used
+for its architecture alone (Fig. 1, the cost tables) is never drawn.
 
 :func:`smallnet` / :func:`tinynet` are small synthetic CNNs used by tests
 and examples where full-scale models would be wastefully slow.

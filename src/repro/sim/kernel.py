@@ -47,9 +47,12 @@ class Simulator:
         self.dispatched = 0
         self._trace: List[Tuple[float, str]] = []
         self._tracing = False
-        #: telemetry for everything running on this simulator
-        self.metrics = MetricsRegistry(clock=lambda: self.clock.now)
-        self.spans = SpanRecorder(clock=lambda: self.clock.now)
+        #: telemetry for everything running on this simulator; it holds the
+        #: clock, not the simulator, so a collector keeping the registry
+        #: does not keep the simulator (and all it owns) alive
+        clock = self.clock
+        self.metrics = MetricsRegistry(clock=lambda: clock.now)
+        self.spans = SpanRecorder(clock=lambda: clock.now)
         announce_registry(self.metrics)
         self._dispatched_counter = self.metrics.counter(
             "sim_events_dispatched_total", help="events fired by the kernel loop"

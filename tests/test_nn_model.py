@@ -56,7 +56,7 @@ class TestModelFiles:
 def parent_parameter_file(model, layer):
     """A parameter file as ``Model.files()`` defined it before the per-layer
     memo: one sha1 over the joined blob bytes, in key order."""
-    blobs = Model._layer_blobs(layer)
+    blobs = layer.param_arrays()
     raw = b"".join(blob.tobytes() for _, blob in sorted(blobs.items()))
     return (
         f"{model.name}.{layer.name}.bin",
@@ -101,10 +101,12 @@ class TestManifestMemo:
     )
     def test_files_equal_the_joined_bytes_definition(self, name):
         model = build_model(name)
-        layers = [l for l in model.network.layers if Model._layer_blobs(l)]
+        layers = [l for l in model.network.layers if l.param_arrays()]
         if name in ("resnet-mini", "googlenet"):
             # composite layers carry their branches' blobs in one file
-            assert any(hasattr(l, "param_arrays") for l in layers)
+            assert any(
+                leaf is not l for l in layers for _, leaf, _ in l.param_slots()
+            )
         parameters = [f for f in model.files() if f.kind == "parameters"]
         assert [
             (f.name, f.size_bytes, f.checksum) for f in parameters
@@ -230,7 +232,7 @@ class TestFingerprint:
         digests = [description.hexdigest()] + [
             Model._parameter_file(layer)[2]
             for layer in model.network.layers
-            if Model._layer_blobs(layer)
+            if layer.param_arrays()
         ]
         assert [d[:16] for d in digests] == [f.checksum for f in model.files()]
         expected = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()

@@ -6,8 +6,10 @@ within 1e-9, and the Prometheus text export round-trips through
 ``tests/prometheus.py::parse_prometheus_text``.
 """
 
+import gc
 import json
 import math
+import weakref
 
 import pytest
 
@@ -136,6 +138,20 @@ class TestMerge:
         assert sim.metrics in registries
         merged = MetricsRegistry.merged(registries)
         assert merged.value("sim_events_dispatched_total") >= 1
+
+    def test_a_collected_registry_keeps_no_simulator_alive(self):
+        # the registry holds the clock: a finished testbed is garbage even
+        # while the collector that wraps its run still holds the registry
+        with collect_metrics() as registries:
+            testbed = Testbed()
+            assert testbed.run_offload("smallnet", wait_for_ack=True).correct
+            exported = to_prometheus_text(MetricsRegistry.merged(registries))
+            simulator = weakref.ref(testbed.sim)
+            del testbed
+            gc.collect()
+            assert simulator() is None
+            assert len(registries) == 1
+            assert to_prometheus_text(MetricsRegistry.merged(registries)) == exported
 
     def test_nested_collectors_each_see_their_own_block(self):
         with collect_metrics() as outer:
