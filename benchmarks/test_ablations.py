@@ -12,8 +12,8 @@ relies on (or a forward-looking remark it makes):
 Every test archives its table under ``benchmarks/results``.  The claims
 of the bandwidth, partition, decision, snapshot, gpu, cache, baselines and
 placement studies are asserted in ``tests/test_ablation_claims.py``, so
-the default test run checks them; the contention, predictor and streaming
-claims are asserted here.
+the default test run checks them; the contention and streaming claims are
+asserted here.
 """
 
 from repro.eval.ablations import (
@@ -165,32 +165,6 @@ def test_ablation_multi_client_contention(benchmark, archive):
     assert all(b >= a - 1e-9 for a, b in zip(latencies, latencies[1:]))
     assert reports[8].mean_latency > 1.2 * reports[1].mean_latency
     assert all(report.all_correct for report in reports.values())
-
-
-def test_ablation_predictor_features(benchmark, archive):
-    """Flops-only vs multivariate latency prediction (grid-profiled)."""
-    from repro.eval.ablations import predictor_feature_study
-
-    rows = benchmark.pedantic(predictor_feature_study, rounds=1, iterations=1)
-    archive(
-        "ablation_predictor_features",
-        format_table(
-            ["device", "flops-only rel err", "multivariate rel err"],
-            [
-                [row.device, row.flops_only_error, row.multivariate_error]
-                for row in rows
-            ],
-            title="Ablation — latency predictor feature sets",
-        ),
-    )
-    by_device = {row.device: row for row in rows}
-    # The paper's compute-bound client: one feature is enough.
-    client = by_device["odroid-xu4"]
-    assert client.flops_only_error < 0.1
-    # A memory-bound device: the output-size feature is essential.
-    bound = by_device["memory-bound-accelerator"]
-    assert bound.multivariate_error < 0.1
-    assert bound.flops_only_error > 3 * bound.multivariate_error
 
 
 def test_ablation_video_streaming(benchmark, archive):

@@ -9,15 +9,14 @@ Subpackages / modules:
   and the NN-model pre-sending state machine with its ACK race (§III.B.1).
 * :mod:`repro.core.partition` — the partition-point optimizer for partial
   inference, driven by a Neurosurgeon-style latency predictor and the
-  runtime network status (§III.B.2).
+  runtime network status (§III.B.2); the same price decides between local
+  execution and offloading while the model still uploads (§IV.A).
 * :mod:`repro.core.privacy` — input exposure accounting and the
   hill-climbing feature-inversion attack the design defends against.
 * :mod:`repro.core.client` / :mod:`repro.core.server` — the client and edge
   server agents exchanging messages over the simulated network.
 * :mod:`repro.core.session` — end-to-end offloading sessions with the phase
   timeline that Figs. 6–7 and Table 1 are computed from.
-* :mod:`repro.core.decisions` — offload-vs-local policy (e.g. run locally
-  while the model upload is still in flight).
 """
 
 from repro.core.snapshot import (

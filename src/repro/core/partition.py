@@ -19,6 +19,12 @@ using per-device latency predictors and the current link profile, and picks
 the minimum.  With ``denature=True``, points before the first parameterized
 layer are excluded (the input would cross the network un-denatured).
 
+:meth:`PartitionOptimizer.decide` prices the paper's other choice (§IV.A)
+with the same model: run the whole network locally, or offload it at the
+``input`` point with the model files still pending on the uplink — "it
+would be better for the client to execute the DNN locally while the model
+is being uploaded to the server" for AgeNet and GenderNet.
+
 :meth:`PartitionOptimizer.choose_under_deadline` extends the sweep to the
 joint (split, exit) space of multi-exit networks (Edgent-style): among the
 pairs whose predicted end-to-end time meets the deadline, pick the one with
@@ -80,6 +86,15 @@ class PartitionChoice:
             if estimate.point.label == label:
                 return estimate
         raise KeyError(f"no estimate for offload point {label!r}")
+
+
+@dataclass(frozen=True)
+class Decision:
+    """Local execution versus offloading, with the predictions behind it."""
+
+    action: str  # "local" | "offload"
+    predicted_local_seconds: float
+    predicted_offload_seconds: float
 
 
 @dataclass(frozen=True)
@@ -172,11 +187,14 @@ class PartitionOptimizer:
         network: Network,
         point: OffloadPoint,
         link: NetemProfile,
+        pending_model_bytes: int = 0,
     ) -> PartitionEstimate:
         """Predicted time for one split: :meth:`estimate_exit` at the final
         exit, where the rear part is every layer past the split."""
         final = network.exit_points()[-1]
-        return self.estimate_exit(network, point, link, final).estimate
+        return self.estimate_exit(
+            network, point, link, final, pending_model_bytes
+        ).estimate
 
     def estimate_exit(
         self,
@@ -184,13 +202,16 @@ class PartitionOptimizer:
         point: OffloadPoint,
         link: NetemProfile,
         exit: ExitPoint,
+        pending_model_bytes: int = 0,
     ) -> ExitEstimate:
         """Predicted time for one (split, exit) pair.
 
         Priced as the network that runs, ``network.at_exit(exit.index)``
         split at the offload point: trunk layers past the attach point
         never run, and a non-final exit's classifier head is priced on the
-        server side.
+        server side.  ``pending_model_bytes`` are model files the server
+        still lacks (0 after the ACK): they cross the uplink ahead of the
+        snapshot but are not part of it.
         """
         costs = network_costs(network.at_exit(exit.index))
         front = [cost for cost in costs if cost.spine_index <= point.index]
@@ -203,9 +224,9 @@ class PartitionOptimizer:
             tuple(network.layers[point.index].out_shape)
         )
         outbound = feature_bytes + SNAPSHOT_CODE_ALLOWANCE
-        transfer = link.transfer_seconds(outbound) + link.transfer_seconds(
-            RETURN_DELTA_ALLOWANCE
-        )
+        transfer = link.transfer_seconds(
+            pending_model_bytes + outbound
+        ) + link.transfer_seconds(RETURN_DELTA_ALLOWANCE)
         overhead = (
             self.client_profile.snapshot_fixed_s * 2
             + self.server_profile.snapshot_fixed_s * 2
@@ -222,6 +243,25 @@ class PartitionOptimizer:
                 overhead_seconds=overhead,
                 feature_bytes=feature_bytes,
             ),
+        )
+
+    def decide(
+        self,
+        network: Network,
+        link: NetemProfile,
+        pending_model_bytes: int,
+    ) -> Decision:
+        """Run ``network`` on the client, or offload it at the ``input``
+        point while ``pending_model_bytes`` of model files still upload.
+        Ties go to local execution."""
+        local = self.client_predictor.predict_forward(network_costs(network))
+        offload = self.estimate(
+            network, network.offload_points()[0], link, pending_model_bytes
+        ).total_seconds
+        return Decision(
+            action="local" if local <= offload else "offload",
+            predicted_local_seconds=local,
+            predicted_offload_seconds=offload,
         )
 
     def sweep(

@@ -12,7 +12,6 @@ latency *prediction model* the paper uses to pick partition points
 from repro.devices.profiles import (
     DeviceProfile,
     edge_server_x86,
-    gpu_edge_server,
     odroid_xu4_client,
 )
 from repro.devices.device import Device, FifoResource
@@ -25,6 +24,5 @@ __all__ = [
     "LatencyPredictor",
     "ProfiledSample",
     "edge_server_x86",
-    "gpu_edge_server",
     "odroid_xu4_client",
 ]

@@ -76,9 +76,7 @@ class Device:
     # -- analytic durations ---------------------------------------------------
     def layer_seconds(self, cost: "LayerCost") -> float:
         """Predicted wall time for one layer on this device."""
-        return self.profile.seconds_for(
-            cost.kind, cost.flops, output_bytes=cost.output_elements * 4
-        )
+        return self.profile.seconds_for(cost.kind, cost.flops)
 
     def forward_seconds(self, costs: Iterable["LayerCost"]) -> float:
         """Wall time for a sequence of layers."""

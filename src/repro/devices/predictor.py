@@ -10,8 +10,9 @@ We reproduce that: :class:`LatencyPredictor` fits one linear model per layer
 kind, ``t = a * GFLOPs + b``, by ordinary least squares over profiled
 samples.  Samples come from profiling runs on a device (optionally with
 measurement noise), so the predictor is an honest model *of* the device, not
-an alias for it — prediction error is real and is itself evaluated in an
-ablation benchmark.
+an alias for it — prediction error is real: :func:`prediction_error`
+measures it per layer, and the partition optimizer's end-to-end estimates
+are checked against measured offloads (Fig. 8).
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ class ProfiledSample:
     kind: str
     flops: float
     seconds: float
-    #: layer output size, for multivariate models (0 = unknown)
-    output_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,8 @@ class LatencyPredictor:
         return _KindModel(float(slope), float(intercept))
 
     # -- prediction ---------------------------------------------------------------
-    def predict_layer(self, kind: str, flops: float, output_bytes: int = 0) -> float:
-        """Predicted latency in seconds for one layer execution.
-
-        ``output_bytes`` is accepted (and ignored) so flops-only and
-        multivariate predictors are drop-in interchangeable.
-        """
+    def predict_layer(self, kind: str, flops: float) -> float:
+        """Predicted latency in seconds for one layer execution."""
         model = self._models.get(kind, self._fallback)
         if model is None:
             raise RuntimeError("predictor has not been fitted")
@@ -96,124 +91,11 @@ class LatencyPredictor:
 
     def predict_forward(self, costs: Iterable) -> float:
         """Predicted latency for a sequence of LayerCost-like objects."""
-        return sum(
-            self.predict_layer(
-                cost.kind, cost.flops, output_bytes=cost.output_elements * 4
-            )
-            for cost in costs
-        )
+        return sum(self.predict_layer(cost.kind, cost.flops) for cost in costs)
 
     @property
     def kinds(self) -> Tuple[str, ...]:
         return tuple(sorted(self._models))
-
-
-@dataclass(frozen=True)
-class _KindModelMV:
-    """Per-kind multivariate linear model: t = a*GFLOPs + b*out_MB + c."""
-
-    coef_gflops: float
-    coef_out_mb: float
-    intercept_s: float
-
-    def predict(self, flops: float, output_bytes: int) -> float:
-        return max(
-            0.0,
-            self.coef_gflops * (flops / 1e9)
-            + self.coef_out_mb * (output_bytes / 1e6)
-            + self.intercept_s,
-        )
-
-
-class MultivariatePredictor:
-    """Neurosurgeon-style predictor with compute *and* memory features.
-
-    Where :class:`LatencyPredictor` regresses latency on FLOPs alone, this
-    model adds the layer's output size — the feature that matters on
-    memory-bandwidth-bound devices (cheap layers writing huge activations).
-    Same interface; fit by per-kind least squares with ridge damping.
-    """
-
-    #: ridge damping added to the normal equations' diagonal
-    RIDGE = 1e-8
-
-    def __init__(self):
-        self._models: Dict[str, _KindModelMV] = {}
-        self._fallback: Optional[_KindModelMV] = None
-
-    def fit(self, samples: Iterable[ProfiledSample]) -> "MultivariatePredictor":
-        by_kind: Dict[str, List[ProfiledSample]] = {}
-        all_samples: List[ProfiledSample] = []
-        for sample in samples:
-            by_kind.setdefault(sample.kind, []).append(sample)
-            all_samples.append(sample)
-        if not all_samples:
-            raise ValueError("cannot fit a latency predictor on zero samples")
-        for kind, kind_samples in by_kind.items():
-            self._models[kind] = self._fit_one(kind_samples)
-        self._fallback = self._fit_one(all_samples)
-        return self
-
-    def _fit_one(self, samples: Sequence[ProfiledSample]) -> _KindModelMV:
-        design = np.array(
-            [
-                [s.flops / 1e9, s.output_bytes / 1e6, 1.0]
-                for s in samples
-            ]
-        )
-        target = np.array([s.seconds for s in samples])
-        gram = design.T @ design + self.RIDGE * np.eye(3)
-        coef = np.linalg.solve(gram, design.T @ target)
-        return _KindModelMV(float(coef[0]), float(coef[1]), float(coef[2]))
-
-    def predict_layer(self, kind: str, flops: float, output_bytes: int = 0) -> float:
-        model = self._models.get(kind, self._fallback)
-        if model is None:
-            raise RuntimeError("predictor has not been fitted")
-        return model.predict(flops, output_bytes)
-
-    def predict_forward(self, costs: Iterable) -> float:
-        return sum(
-            self.predict_layer(
-                cost.kind, cost.flops, output_bytes=cost.output_elements * 4
-            )
-            for cost in costs
-        )
-
-    @property
-    def kinds(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._models))
-
-
-def profiling_grid(
-    kinds: Sequence[str] = ("conv", "pool", "fc", "relu"),
-    flops_points: Sequence[float] = (1e7, 1e8, 5e8, 2e9),
-    output_element_points: Sequence[int] = (10_000, 100_000, 1_000_000),
-):
-    """A synthetic profiling workload decoupling compute from output size.
-
-    Neurosurgeon profiles each layer type over a *grid* of configurations,
-    not just the layers of one network — that is what lets a regression
-    separate compute cost from memory cost (one network's layers tend to
-    have collinear FLOPs and activation sizes).
-    """
-    from repro.nn.cost import LayerCost
-
-    costs = []
-    for kind in kinds:
-        for flops in flops_points:
-            for elements in output_element_points:
-                costs.append(
-                    LayerCost(
-                        name=f"grid/{kind}/{flops:g}/{elements}",
-                        kind=kind,
-                        flops=flops,
-                        params=0,
-                        output_shape=(int(elements), 1, 1),
-                        spine_index=0,
-                    )
-                )
-    return costs
 
 
 def profile_device(
@@ -232,18 +114,12 @@ def profile_device(
     rng = rng or SeededRng(0, f"profiling/{profile.name}")
     samples: List[ProfiledSample] = []
     for cost in costs:
-        output_bytes = cost.output_elements * 4
-        true_seconds = profile.seconds_for(
-            cost.kind, cost.flops, output_bytes=output_bytes
-        )
+        true_seconds = profile.seconds_for(cost.kind, cost.flops)
         for _ in range(repetitions):
             observed = true_seconds * (1.0 + rng.gauss(0.0, noise))
             samples.append(
                 ProfiledSample(
-                    kind=cost.kind,
-                    flops=cost.flops,
-                    seconds=max(0.0, observed),
-                    output_bytes=output_bytes,
+                    kind=cost.kind, flops=cost.flops, seconds=max(0.0, observed)
                 )
             )
     return samples
@@ -261,20 +137,16 @@ def fit_predictor_for(
     return LatencyPredictor().fit(samples)
 
 
-def prediction_error(predictor, device: Device, costs: Sequence) -> float:
-    """Mean relative error of per-layer predictions against ground truth.
-
-    Works with any predictor exposing ``predict_layer(kind, flops,
-    output_bytes=...)``.
-    """
+def prediction_error(
+    predictor: LatencyPredictor, device: Device, costs: Sequence
+) -> float:
+    """Mean relative error of per-layer predictions against ground truth."""
     errors = []
     for cost in costs:
         truth = device.layer_seconds(cost)
         if truth <= 0:
             continue
-        predicted = predictor.predict_layer(
-            cost.kind, cost.flops, output_bytes=cost.output_elements * 4
-        )
+        predicted = predictor.predict_layer(cost.kind, cost.flops)
         errors.append(abs(predicted - truth) / truth)
     if not errors:
         return 0.0

@@ -21,7 +21,7 @@ Calibration rationale (see also ``repro.eval.calibration``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,6 @@ class DeviceProfile:
     default_gflops: float = 0.5
     #: fixed dispatch overhead added per layer execution (framework cost)
     per_layer_overhead_s: float = 0.0
-    #: optional memory-bandwidth term: writing a layer's output costs
-    #: output_bytes / mem_bw_bps on top of the compute time.  None (the
-    #: default, used by the calibrated paper profiles) disables it; synthetic
-    #: memory-bound profiles use it to study predictor feature sets.
-    mem_bw_bps: Optional[float] = None
     #: rate at which the browser serializes state into snapshot text, bytes/s
     snapshot_serialize_bps: float = 50e6
     #: rate at which the browser parses/executes snapshot text, bytes/s
@@ -61,17 +56,10 @@ class DeviceProfile:
         """Effective GFLOP/s for a layer kind."""
         return float(self.gflops_by_kind.get(kind, self.default_gflops))
 
-    def seconds_for(self, kind: str, flops: float, output_bytes: int = 0) -> float:
-        """Time to execute ``flops`` floating point ops of a given kind.
-
-        When the profile has a memory-bandwidth term, writing the layer's
-        output adds ``output_bytes / mem_bw_bps``.
-        """
+    def seconds_for(self, kind: str, flops: float) -> float:
+        """Time to execute ``flops`` floating point ops of a given kind."""
         rate = self.gflops_for(kind) * 1e9
-        seconds = flops / rate + self.per_layer_overhead_s
-        if self.mem_bw_bps and output_bytes:
-            seconds += output_bytes / self.mem_bw_bps
-        return seconds
+        return flops / rate + self.per_layer_overhead_s
 
 
 def odroid_xu4_client() -> DeviceProfile:
@@ -127,24 +115,3 @@ def edge_server_x86(speedup: float = 1.0) -> DeviceProfile:
         memory_bytes=16 * 1024**3,
         cores=4,
     )
-
-
-def gpu_edge_server() -> DeviceProfile:
-    """A WebGL-accelerated edge server (paper §IV.A: "~80x speedup").
-
-    Used only in forward-looking ablations; not part of the paper's testbed.
-    """
-    return edge_server_x86(speedup=80.0)
-
-
-#: registry used by CLI-ish helpers and scenario builders
-PRESETS: Dict[str, DeviceProfile] = {}
-
-
-def register_preset(profile: DeviceProfile) -> DeviceProfile:
-    PRESETS[profile.name] = profile
-    return profile
-
-
-for _factory in (odroid_xu4_client, edge_server_x86, gpu_edge_server):
-    register_preset(_factory())

@@ -7,8 +7,9 @@ These exercise the design choices DESIGN.md calls out:
 * :func:`partition_adaptivity` — the optimizer should move the split point
   deeper into the network as bandwidth drops (features must shrink before
   crossing a slow link).
-* :func:`decision_study` — the before-ACK local-vs-offload policy
-  (§IV.A's advice) versus measured ground truth.
+* :func:`decision_study` — the before-ACK local-vs-offload decision
+  (§IV.A's advice), priced by the partition optimizer, versus measured
+  ground truth.
 * :func:`snapshot_optimization_study` — live-state elimination and the
   data-URL image encoding, quantified on snapshot bytes.
 * :func:`gpu_server_study` — the paper's forward-looking remark that WebGL
@@ -20,8 +21,6 @@ These exercise the design choices DESIGN.md calls out:
   specialized edge service and MAUI-style offloading.
 * :func:`edge_vs_cloud_study` — the same app against an edge server, a WAN
   cloud server and a WAN accelerator.
-* :func:`predictor_feature_study` — flops-only versus compute+memory
-  latency models, Neurosurgeon-style.
 * :func:`contention_study` — one edge server under a growing burst of
   sessions.
 
@@ -34,12 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from repro.core.decisions import Decision, OffloadPolicy
+from repro.core.partition import Decision, PartitionOptimizer
 from repro.core.snapshot import CaptureOptions
 from repro.devices.predictor import fit_predictor_for
 from repro.eval.scenarios import Testbed, build_paper_model, paper_input_for
 from repro.nn.cost import network_costs
-from repro.nn.tensor import text_serialized_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet import FleetReport
@@ -121,24 +119,20 @@ class DecisionOutcome:
 
 
 def decision_study(models: Sequence[str] = ("googlenet", "agenet")) -> List[DecisionOutcome]:
-    """Before-ACK policy decisions vs measured ground truth."""
+    """Before-ACK decisions vs measured ground truth."""
     outcomes = []
     for model_name in models:
         model = build_paper_model(model_name)
         costs = network_costs(model.network)
         testbed = Testbed()
-        policy = OffloadPolicy(
+        optimizer = PartitionOptimizer(
             fit_predictor_for(testbed.client_profile, costs, noise=0.02),
             fit_predictor_for(testbed.server_profile, costs, noise=0.02),
             testbed.client_profile,
             testbed.server_profile,
         )
-        input_bytes = text_serialized_bytes(model.network.input_shape)
-        decision = policy.decide(
-            costs,
-            testbed.profile,
-            pending_model_bytes=model.total_bytes,
-            input_bytes=input_bytes,
+        decision = optimizer.decide(
+            model.network, testbed.profile, pending_model_bytes=model.total_bytes
         )
         local = Testbed().run_client_only(model_name).total_seconds
         offload = Testbed().run_offload(model_name, wait_for_ack=False).total_seconds
@@ -422,64 +416,7 @@ def edge_vs_cloud_study(model_name: str = "googlenet") -> List[LocationRow]:
     return rows
 
 
-# -- 9. predictor feature sets ---------------------------------------------------------
-
-@dataclass
-class PredictorStudyRow:
-    """Prediction error of one feature set on one device class."""
-
-    device: str
-    flops_only_error: float
-    multivariate_error: float
-
-
-def predictor_feature_study() -> List[PredictorStudyRow]:
-    """Flops-only vs compute+memory latency models, Neurosurgeon-style.
-
-    Profiled over a configuration grid.  On the paper's compute-bound
-    devices one feature suffices; on a memory-bandwidth-bound device the
-    flops-only model breaks and the output-size feature rescues it.
-    """
-    from repro.devices import Device, DeviceProfile, odroid_xu4_client
-    from repro.devices.predictor import (
-        LatencyPredictor,
-        MultivariatePredictor,
-        prediction_error,
-        profile_device,
-        profiling_grid,
-    )
-    from repro.sim import Simulator
-
-    grid = profiling_grid()
-    profiles = [
-        odroid_xu4_client(),
-        DeviceProfile(
-            name="memory-bound-accelerator",
-            gflops_by_kind={"conv": 20.0, "pool": 40.0, "relu": 80.0, "fc": 20.0},
-            default_gflops=20.0,
-            mem_bw_bps=200e6,
-        ),
-    ]
-    rows = []
-    for profile in profiles:
-        sim = Simulator()
-        device = Device(sim, profile)
-        samples = profile_device(profile, grid, noise=0.01)
-        rows.append(
-            PredictorStudyRow(
-                device=profile.name,
-                flops_only_error=prediction_error(
-                    LatencyPredictor().fit(samples), device, grid
-                ),
-                multivariate_error=prediction_error(
-                    MultivariatePredictor().fit(samples), device, grid
-                ),
-            )
-        )
-    return rows
-
-
-# -- 10. contention on one edge ----------------------------------------------------------
+# -- 9. contention on one edge ----------------------------------------------------------
 
 def contention_study(
     model_name: str = "smallnet",

@@ -84,13 +84,17 @@ def decode_weights(data: bytes) -> Dict[str, np.ndarray]:
     flipped bit (CRC), another magic, and — the CRC vouches for the bytes,
     not for what they say — a well-sealed container whose header is not a
     blob table or whose payloads do not fill it exactly.
+
+    The arrays are read-only views into ``data``: decoding copies no blob
+    (:func:`apply_weights` makes the one copy a network owns).
     """
     if len(data) < len(MAGIC) + 8:
         raise WeightsFormatError("weight bytes too short")
-    body, (crc,) = data[:-4], struct.unpack("<I", data[-4:])
+    view = memoryview(data)
+    body, (crc,) = view[:-4], struct.unpack("<I", view[-4:])
     if zlib.crc32(body) != crc:
         raise WeightsFormatError("CRC mismatch: weights corrupted")
-    if not body.startswith(MAGIC):
+    if body[: len(MAGIC)] != MAGIC:
         raise WeightsFormatError("bad magic: not a weight blob")
     offset = len(MAGIC)
     (header_len,) = struct.unpack("<I", body[offset : offset + 4])
@@ -98,7 +102,7 @@ def decode_weights(data: bytes) -> Dict[str, np.ndarray]:
     if offset + header_len > len(body):
         raise WeightsFormatError("truncated header")
     try:
-        header = json.loads(body[offset : offset + header_len].decode("utf-8"))
+        header = json.loads(str(body[offset : offset + header_len], "utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise WeightsFormatError(f"malformed header: {exc}") from exc
     offset += header_len

@@ -1,7 +1,7 @@
 """Graph-level inference optimizer: compiled DAG execution plans.
 
 ``compile_plan`` lowers a built :class:`~repro.nn.network.Network` into
-an :class:`ExecutionPlan` — a topologically scheduled DAG of steps plus
+an :class:`ExecutionPlan` — a DAG of steps run in lowering order plus
 an interval-colored arena — via four rewrite families:
 
 * **Identity elision** — inference-time ``Dropout`` and exit heads are
@@ -17,10 +17,9 @@ an interval-colored arena — via four rewrite families:
   composites) is inlined into explicit branch steps plus a join step
   (``concat`` for channel concatenation, ``eltwise`` for the residual
   add).  No opaque sub-plan nodes remain; every step is a first-class
-  node of one flat graph.  Steps are scheduled by a stable topological
-  sort (Kahn's algorithm over value dependencies, ties broken by
-  lowering order — which reproduces the reference execution order, so
-  the schedule is deterministic).
+  node of one flat graph.  The schedule is the lowering order: a step is
+  emitted only after every step it reads, in the reference walk's order,
+  so it is topological and deterministic by construction.
 * **Arena buffer reuse** — a liveness analysis over the scheduled DAG
   computes each value's live interval; arena slots are assigned by greedy
   interval coloring (linear scan), so a slot is reused the moment its
@@ -111,7 +110,6 @@ from __future__ import annotations
 
 import collections
 import hashlib
-import heapq
 import itertools
 import json
 from dataclasses import dataclass
@@ -239,10 +237,6 @@ def _layer_print(layer: Layer) -> bytes:
             parameter_file, layer.input_shape, digest.digest()
         )
     return memo[2]
-
-
-class PlanGraphError(RuntimeError):
-    """The lowered step graph is not a schedulable DAG."""
 
 
 @dataclass
@@ -528,7 +522,7 @@ class ExecutionPlan:
         chain: Tuple[bytes, ...],
     ):
         self.name = name
-        self.steps = _topological_schedule(steps)
+        self.steps = list(steps)
         self.input_shape = tuple(input_shape)
         self.output_shape = tuple(output_shape)
         self.stats = stats
@@ -903,72 +897,16 @@ class ExecutionPlan:
         return f"ExecutionPlan({self.name!r}, {len(self.steps)} steps)"
 
 
-# -- scheduling ------------------------------------------------------------------
-
-def _topological_schedule(steps: Sequence[PlanStep]) -> List[PlanStep]:
-    """Kahn's algorithm over value dependencies, stable by lowering order.
-
-    Lowering emits steps in the reference execution order (each value is
-    defined before any reader), so the stable sort reproduces that order
-    exactly — the schedule is an explicit verification, and a cycle or a
-    read of an undefined value is a loud :class:`PlanGraphError` instead
-    of silent corruption.  Value ids are reassigned to schedule positions
-    (step ``i`` defines value ``i + 1``).
-    """
-    produced = {0: 0}  # value id -> producing step position + 1
-    for position, step in enumerate(steps):
-        produced[position + 1] = position + 1
-    readers: Dict[int, List[int]] = {}
-    pending: List[int] = []
-    for position, step in enumerate(steps):
-        missing = 0
-        for value_id in step.inputs:
-            if value_id not in produced:
-                raise PlanGraphError(
-                    f"step {step.name!r} reads undefined value {value_id}"
-                )
-            if value_id > 0:
-                missing += 1
-                readers.setdefault(value_id, []).append(position)
-        pending.append(missing)
-    scheduled: List[PlanStep] = []
-    order: List[int] = [-1] * len(steps)  # old position -> new position
-    ready = [
-        position for position, missing in enumerate(pending) if missing == 0
-    ]
-    heapq.heapify(ready)
-    while ready:
-        # Smallest lowering position first: the lexicographically minimal
-        # topological order, which for an already-topological input is the
-        # input order itself — independent branch steps interleave exactly
-        # as the reference walk does.
-        position = heapq.heappop(ready)
-        order[position] = len(scheduled)
-        scheduled.append(steps[position])
-        for reader in readers.get(position + 1, ()):
-            pending[reader] -= 1
-            if pending[reader] == 0:
-                heapq.heappush(ready, reader)
-    if len(scheduled) != len(steps):
-        stuck = [
-            steps[position].name
-            for position, missing in enumerate(pending)
-            if missing > 0
-        ]
-        raise PlanGraphError(f"step graph has a cycle through {stuck}")
-    remap = {0: 0}
-    for old_position, new_position in enumerate(order):
-        remap[old_position + 1] = new_position + 1
-    for new_position, step in enumerate(scheduled):
-        step.output = new_position + 1
-        step.inputs = [remap[value_id] for value_id in step.inputs]
-    return scheduled
-
-
 # -- compilation ----------------------------------------------------------------
 
 class _GraphBuilder:
-    """Accumulates lowered steps and hands out value ids."""
+    """Accumulates lowered steps and hands out value ids.
+
+    Ids follow definition order (step ``i`` defines value ``i + 1``, value
+    0 is the plan input), and a step is added only after every step it
+    reads, so the lowering order is itself a topological schedule: the
+    order of the reference walk, independent branch steps included.
+    """
 
     def __init__(self) -> None:
         self.steps: List[PlanStep] = []
@@ -976,7 +914,8 @@ class _GraphBuilder:
     def add(self, step: PlanStep, inputs: Sequence[int]) -> int:
         step.inputs = list(inputs)
         self.steps.append(step)
-        return len(self.steps)  # value id of this step's output
+        step.output = len(self.steps)
+        return step.output
 
 
 def _lower_sequence(

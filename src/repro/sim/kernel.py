@@ -14,7 +14,7 @@ processes and components use to schedule work:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.obs.metrics import MetricsRegistry, announce_registry
 from repro.obs.spans import SpanRecorder
@@ -45,8 +45,6 @@ class Simulator:
         self.queue = EventQueue()
         self.max_events = max_events
         self.dispatched = 0
-        self._trace: List[Tuple[float, str]] = []
-        self._tracing = False
         #: telemetry for everything running on this simulator; it holds the
         #: clock, not the simulator, so a collector keeping the registry
         #: does not keep the simulator (and all it owns) alive
@@ -121,19 +119,6 @@ class Simulator:
 
     def all_of(self, events: Iterable[SimEvent]) -> AllOf:
         return AllOf(self, events)
-
-    # -- tracing ----------------------------------------------------------------
-    def enable_tracing(self) -> None:
-        self._tracing = True
-
-    def trace(self, message: str) -> None:
-        """Record a timestamped trace line (no-op unless tracing is enabled)."""
-        if self._tracing:
-            self._trace.append((self.now, message))
-
-    @property
-    def trace_log(self) -> List[Tuple[float, str]]:
-        return list(self._trace)
 
     # -- the loop ---------------------------------------------------------------
     def step(self) -> bool:

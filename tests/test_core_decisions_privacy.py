@@ -1,9 +1,9 @@
-"""Tests for the offload policy and the privacy toolkit."""
+"""Tests for the local-vs-offload decision and the privacy toolkit."""
 
 import numpy as np
 import pytest
 
-from repro.core.decisions import OffloadPolicy
+from repro.core.partition import PartitionOptimizer
 from repro.core.privacy import (
     denaturing_score,
     hill_climb_invert,
@@ -15,7 +15,7 @@ from repro.devices import edge_server_x86, odroid_xu4_client
 from repro.devices.predictor import fit_predictor_for
 from repro.netsim import NetemProfile
 from repro.nn.cost import network_costs
-from repro.nn.zoo import smallnet, tinynet
+from repro.nn.zoo import googlenet, smallnet, tinynet
 from repro.sim import SeededRng
 from repro.web import WebRuntime
 from repro.web.app import make_inference_app, make_partial_inference_app
@@ -23,12 +23,11 @@ from repro.web.events import Event
 from repro.web.values import TypedArray
 
 
-@pytest.fixture(scope="module")
-def policy():
-    costs = network_costs(smallnet().network)
+def optimizer_for(network):
+    costs = network_costs(network)
     client_profile = odroid_xu4_client()
     server_profile = edge_server_x86()
-    return OffloadPolicy(
+    return PartitionOptimizer(
         fit_predictor_for(client_profile, costs, noise=0.0),
         fit_predictor_for(server_profile, costs, noise=0.0),
         client_profile,
@@ -36,63 +35,41 @@ def policy():
     )
 
 
-def scaled_costs(factor: float):
-    """smallnet costs scaled up to DNN-benchmark magnitudes."""
-    from dataclasses import replace
-
-    return [
-        replace(cost, flops=cost.flops * factor)
-        for cost in network_costs(smallnet().network)
-    ]
-
-
 class TestOffloadPolicy:
-    def test_small_workload_after_ack_prefers_local(self, policy):
+    """Local execution versus offloading, priced by
+    :meth:`PartitionOptimizer.decide`."""
+
+    def test_small_workload_after_ack_prefers_local(self):
         # smallnet is so cheap that migration overhead dominates: the
         # policy must notice offloading does not pay here.
-        costs = network_costs(smallnet().network)
-        decision = policy.decide(
-            costs,
-            NetemProfile.wifi_30mbps(),
-            pending_model_bytes=0,
-            input_bytes=50_000,
+        network = smallnet().network
+        decision = optimizer_for(network).decide(
+            network, NetemProfile.wifi_30mbps(), pending_model_bytes=0
         )
         assert decision.action == "local"
 
-    def test_heavy_workload_after_ack_prefers_offload(self, policy):
-        # Scaled to GoogLeNet-like GFLOPs, offloading wins after the ACK.
-        decision = policy.decide(
-            scaled_costs(1000.0),
-            NetemProfile.wifi_30mbps(),
-            pending_model_bytes=0,
-            input_bytes=2_700_000,
+    def test_heavy_workload_after_ack_prefers_offload(self):
+        network = googlenet().network
+        decision = optimizer_for(network).decide(
+            network, NetemProfile.wifi_30mbps(), pending_model_bytes=0
         )
         assert decision.action == "offload"
 
-    def test_huge_pending_model_prefers_local(self, policy):
-        costs = network_costs(smallnet().network)
-        decision = policy.decide(
-            costs,
+    def test_huge_pending_model_prefers_local(self):
+        network = googlenet().network
+        decision = optimizer_for(network).decide(
+            network,
             NetemProfile.wifi_30mbps(),
             pending_model_bytes=500_000_000,  # 500 MB still to upload
-            input_bytes=50_000,
         )
         assert decision.action == "local"
 
-    def test_speedup_reported(self, policy):
-        costs = network_costs(smallnet().network)
-        decision = policy.decide(
-            costs, NetemProfile.wifi_30mbps(), 0, 50_000
-        )
-        assert decision.speedup >= 1.0
-
-    def test_dead_link_prefers_local(self, policy):
-        costs = network_costs(smallnet().network)
-        decision = policy.decide(
-            costs,
+    def test_dead_link_prefers_local(self):
+        network = googlenet().network
+        decision = optimizer_for(network).decide(
+            network,
             NetemProfile(bandwidth_bps=1e4),  # 10 kbps
             pending_model_bytes=0,
-            input_bytes=50_000,
         )
         assert decision.action == "local"
 

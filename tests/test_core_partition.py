@@ -2,13 +2,18 @@
 
 import pytest
 
-from repro.core.partition import PartitionOptimizer, predictions_by_label
+from repro.core.partition import (
+    RETURN_DELTA_ALLOWANCE,
+    SNAPSHOT_CODE_ALLOWANCE,
+    PartitionOptimizer,
+    predictions_by_label,
+)
 from repro.core.snapshot.codegen import render_tensor_text
 from repro.devices import edge_server_x86, odroid_xu4_client
 from repro.devices.predictor import fit_predictor_for
 from repro.netsim import NetemProfile
 from repro.nn.cost import network_costs
-from repro.nn.zoo import build_model, smallnet
+from repro.nn.zoo import BUILDERS, build_model, smallnet
 from repro.sim import SeededRng
 
 
@@ -121,6 +126,55 @@ class TestChoice:
         choice = optimizer.choose(network, link, denature=True)
         for estimate in choice.estimates:
             assert choice.best.total_seconds <= estimate.total_seconds + 1e-9
+
+
+class TestOneOffloadPrice:
+    """The before-ACK decision and Fig. 8 read one price: ``estimate``,
+    with the model files still pending added to the uplink message."""
+
+    @pytest.mark.parametrize("model_name", sorted(BUILDERS))
+    def test_pending_bytes_only_lengthen_the_uplink(self, model_name):
+        network = build_model(model_name).network
+        optimizer = make_optimizer_for(network)
+        link = NetemProfile.wifi_30mbps()
+        pending = 3_000_000
+        for point in network.offload_points():
+            after_ack = optimizer.estimate(network, point, link)
+            assert optimizer.estimate(network, point, link, 0) == after_ack
+            before_ack = optimizer.estimate(network, point, link, pending)
+            outbound = after_ack.feature_bytes + SNAPSHOT_CODE_ALLOWANCE
+            assert before_ack.transfer_seconds == link.transfer_seconds(
+                pending + outbound
+            ) + link.transfer_seconds(RETURN_DELTA_ALLOWANCE)
+            assert before_ack.transfer_seconds > after_ack.transfer_seconds
+            assert (
+                before_ack.client_seconds,
+                before_ack.server_seconds,
+                before_ack.overhead_seconds,
+                before_ack.feature_bytes,
+            ) == (
+                after_ack.client_seconds,
+                after_ack.server_seconds,
+                after_ack.overhead_seconds,
+                after_ack.feature_bytes,
+            )
+
+    @pytest.mark.parametrize("model_name", sorted(BUILDERS))
+    def test_decide_prices_offloading_at_the_input_point(self, model_name):
+        network = build_model(model_name).network
+        optimizer = make_optimizer_for(network)
+        link = NetemProfile.wifi_30mbps()
+        input_point = network.offload_points()[0]
+        assert input_point.label == "input"
+        local = optimizer.client_predictor.predict_forward(network_costs(network))
+        for pending in (0, 45_000_000):
+            decision = optimizer.decide(network, link, pending)
+            offload = optimizer.estimate(
+                network, input_point, link, pending
+            ).total_seconds
+            assert decision.predicted_offload_seconds == offload
+            assert decision.predicted_local_seconds == local
+            assert decision.action == ("local" if local <= offload else "offload")
 
 
 class TestPriceIsWhatShips:

@@ -7,7 +7,6 @@ from repro.devices import (
     DeviceProfile,
     FifoResource,
     edge_server_x86,
-    gpu_edge_server,
     odroid_xu4_client,
 )
 from repro.nn.cost import LayerCost
@@ -55,7 +54,7 @@ class TestDeviceProfile:
 
     def test_gpu_server_is_80x(self):
         base = edge_server_x86()
-        gpu = gpu_edge_server()
+        gpu = edge_server_x86(80.0)
         assert gpu.gflops_for("conv") == pytest.approx(80 * base.gflops_for("conv"))
 
 

@@ -13,6 +13,7 @@ which are kept here as oracles.
 
 import gc
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -175,6 +176,14 @@ class TestBuildMemory:
         fingerprint, peak = traced_peak(model.fingerprint)
         assert peak < 1 * MIB  # a tobytes() copy of fc6 alone is 38.5 MB
         assert fingerprint == model.fingerprint()
+
+    def test_loading_googlenet_peaks_at_twice_its_file(self, tmp_path):
+        # the file's bytes plus the one copy the network owns; copying the
+        # body and each blob while decoding made it three times the file
+        paths = save_model_files(build_model("googlenet"), str(tmp_path))
+        file_bytes = os.path.getsize(paths[1])
+        _model, peak = traced_peak(lambda: load_model_files(*paths))
+        assert peak <= 2 * file_bytes + 1 * MIB
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_building_draws_nothing(self, name, monkeypatch):

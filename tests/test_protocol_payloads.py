@@ -1,9 +1,8 @@
-"""Size accounting of protocol payloads, presets and small helpers."""
+"""Size accounting of protocol payloads and small helpers."""
 
 import pytest
 
 from repro.core import protocol
-from repro.devices.profiles import PRESETS, DeviceProfile, register_preset
 from repro.netsim.message import payload_size
 from repro.netsim.topology import Host
 from repro.nn.zoo import smallnet
@@ -46,16 +45,6 @@ class TestPayloadSizing:
 
 
 class TestProfilesAndHosts:
-    def test_paper_presets_registered(self):
-        assert "odroid-xu4" in PRESETS
-        assert "edge-x86" in PRESETS
-        assert "edge-x86-80x" in PRESETS
-
-    def test_register_preset_roundtrip(self):
-        profile = DeviceProfile(name="test-box", default_gflops=1.0)
-        register_preset(profile)
-        assert PRESETS["test-box"] is profile
-
     def test_host_role_validated(self):
         Host("ok", role="edge")
         with pytest.raises(ValueError):

@@ -391,11 +391,3 @@ class TestSimulator:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.run_until_done([sim.event("never")])
-
-    def test_tracing(self):
-        sim = Simulator()
-        sim.trace("ignored before enable")
-        sim.enable_tracing()
-        sim.schedule(1.0, lambda: sim.trace("hello"))
-        sim.run()
-        assert sim.trace_log == [(1.0, "hello")]
