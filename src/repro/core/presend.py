@@ -6,11 +6,12 @@ saves the files and sends an ACK message to the client.  After receiving
 the ACK, the client just needs to send the snapshot without the model."
 
 :class:`PresendManager` runs that upload as a simulated process — manifest
-first, then one message per file, then the runnable model handle — and
-tracks the ACK per model.  The upload can be *cancelled between files* when
-the user triggers offloading early: whatever has not been transmitted yet
-rides along with the snapshot instead (see
-:class:`repro.core.protocol.ModelDelivery`), so bytes are never sent twice.
+first (naming the model), then one message per file — and tracks the ACK
+per model, which the edge sends as soon as the upload is complete.  The
+upload can be *cancelled between files* when the user triggers offloading
+early: whatever has not been transmitted yet rides along with the snapshot
+instead (see :class:`repro.core.protocol.ModelDelivery`), so bytes are
+never sent twice, and the edge ACKs the upload the delivery completes.
 
 ``skip_files`` feeds the segment-level handshake answer back in: files the
 server reported as already resident (content-addressed — possibly uploaded
@@ -100,9 +101,6 @@ class PresendManager:
     def is_acked(self, model_id: str) -> bool:
         return self._acked.get(model_id, False)
 
-    def all_acked(self) -> bool:
-        return all(self._acked.values())
-
     def ack_event(self, model_id: str) -> SimEvent:
         """Event that succeeds when the server ACKs this model."""
         return self._ack_events[model_id]
@@ -111,8 +109,9 @@ class PresendManager:
         """Model deliveries a snapshot must carry right now.
 
         Any un-ACKed model is included — with the files not transmitted yet
-        (possibly none: if only the final object handle was cancelled, the
-        delivery is zero-byte and just completes the upload).
+        (possibly none: when every file went out but the ACK is still in
+        flight, the delivery is zero-byte, and the edge, whose upload is
+        already complete, does not ACK it again).
         """
         deliveries = []
         for model in self.models:
@@ -137,7 +136,7 @@ class PresendManager:
                 # are sent (each ``model_id`` re-checks every parameter).
                 model_id, files = model.model_id, model.files()
                 sent = self._sent_files[model_id]
-                manifest = protocol.ManifestPayload(model_id, files)
+                manifest = protocol.ManifestPayload(model_id, files, model)
                 yield self.endpoint.send(protocol.MODEL_MANIFEST, manifest)
                 for file in files:
                     if file.name in sent:
@@ -149,10 +148,6 @@ class PresendManager:
                     sent.add(file.name)
                     self._sent_counter.inc(file.size_bytes)
                     yield self.endpoint.send(protocol.MODEL_FILE, payload)
-                yield self.endpoint.send(
-                    protocol.MODEL_OBJECT,
-                    protocol.ModelObjectPayload(model_id, model),
-                )
         except Interrupt:
             return  # cancelled between messages; remaining files ride along
 

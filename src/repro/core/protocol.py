@@ -5,11 +5,13 @@ Message kinds (all travel as :class:`repro.netsim.Message`):
 =================  ==========================================================
 ``PING`` / ``PONG``        capability probe: does this edge server run the
                            offloading system? (``PONG`` carries a bool)
-``MODEL_MANIFEST``         announces an upload: model id + file list
+``MODEL_MANIFEST``         announces an upload: model id + file list (and
+                           the model it names, served once the files are in)
 ``MODEL_FILE``             one model file (sized by its real byte count)
-``MODEL_OBJECT``           the runnable model handle, once all files are in
-                           (bookkeeping-sized: its bytes were the files)
-``MODEL_ACK``              server: all files stored (paper's ACK)
+``MODEL_ACK``              server: all files stored (paper's ACK), sent by
+                           whichever message completed the upload — the
+                           manifest, the last file or a snapshot's
+                           deliveries
 ``MODEL_QUERY``            digest handshake: does this edge already hold a
                            model with this manifest digest? (fleet
                            clients ask before re-running pre-send)
@@ -34,7 +36,6 @@ PING = "PING"
 PONG = "PONG"
 MODEL_MANIFEST = "MODEL_MANIFEST"
 MODEL_FILE = "MODEL_FILE"
-MODEL_OBJECT = "MODEL_OBJECT"
 MODEL_ACK = "MODEL_ACK"
 MODEL_QUERY = "MODEL_QUERY"
 MODEL_STATUS = "MODEL_STATUS"
@@ -50,10 +51,16 @@ CONTROL_BYTES = 64
 
 @dataclass
 class ManifestPayload:
-    """MODEL_MANIFEST body."""
+    """MODEL_MANIFEST body: the file list and the model it names.
+
+    The model rides as a handle beside the file list, not in its size:
+    its bytes are the ``MODEL_FILE`` messages, and the edge serves it only
+    once every one of them has arrived.
+    """
 
     model_id: str
     files: List[ModelFile]
+    model: Model
 
     @property
     def size_bytes(self) -> int:
@@ -71,18 +78,6 @@ class ModelFilePayload:
     @property
     def size_bytes(self) -> int:
         return self.file.size_bytes
-
-
-@dataclass
-class ModelObjectPayload:
-    """MODEL_OBJECT body: the runnable handle (bytes already accounted)."""
-
-    model_id: str
-    model: Model
-
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_BYTES
 
 
 @dataclass
@@ -120,8 +115,8 @@ class ModelStatusPayload:
 
     ``missing_files`` is the segment-level answer to the query's manifest:
     exactly the file names whose bytes the server does not hold (empty
-    when every segment is resident — the model may still need its
-    runnable handle re-attached).
+    when every segment is resident, possibly under other model ids — the
+    upload's manifest alone then completes it).
     """
 
     model_id: str
@@ -138,7 +133,11 @@ class ModelStatusPayload:
 
 @dataclass
 class ModelDelivery:
-    """Model files riding along with a snapshot (pre-ACK offloading)."""
+    """Model files riding along with a snapshot (pre-ACK offloading).
+
+    Names its model as a manifest does; the edge ACKs the upload when the
+    delivery completes it.
+    """
 
     model: Model
     files: List[ModelFile]

@@ -188,7 +188,6 @@ class EdgeServer:
                 protocol.PING: self._on_ping,
                 protocol.MODEL_MANIFEST: self._on_manifest,
                 protocol.MODEL_FILE: self._on_model_file,
-                protocol.MODEL_OBJECT: self._on_model_object,
                 protocol.MODEL_QUERY: self._on_model_query,
                 protocol.SNAPSHOT: self._on_snapshot,
                 protocol.VM_OVERLAY: self._on_vm_overlay,
@@ -214,34 +213,34 @@ class EdgeServer:
         )
 
     # -- model upload ---------------------------------------------------------------
+    # Each upload is ACKed once, by whichever message completed it: its
+    # manifest (every segment already resident), its last MODEL_FILE, or
+    # a snapshot's deliveries (``_serve_snapshot``).
     def _on_manifest(self, endpoint: ChannelEnd, message: Message) -> None:
         if not self._require_installed(endpoint, "model upload"):
             return
         manifest: protocol.ManifestPayload = message.payload
         try:
-            self.store.begin_upload(manifest.model_id, manifest.files)
+            completed = self.store.begin_upload(
+                manifest.model_id, manifest.files, manifest.model
+            )
         except ModelStoreError as exc:
             self._error(endpoint, str(exc))
+            return
+        if completed:
+            endpoint.send(protocol.MODEL_ACK, protocol.ack_payload(manifest.model_id))
 
     def _on_model_file(self, endpoint: ChannelEnd, message: Message) -> None:
         if not self._require_installed(endpoint, "model upload"):
             return
         payload: protocol.ModelFilePayload = message.payload
         try:
-            self.store.receive_file(payload.model_id, payload.file)
-        except ModelStoreError as exc:
-            self._error(endpoint, str(exc))
-
-    def _on_model_object(self, endpoint: ChannelEnd, message: Message) -> None:
-        if not self._require_installed(endpoint, "model upload"):
-            return
-        payload: protocol.ModelObjectPayload = message.payload
-        try:
-            self.store.attach_model(payload.model_id, payload.model)
+            completed = self.store.receive_file(payload.model_id, payload.file)
         except ModelStoreError as exc:
             self._error(endpoint, str(exc))
             return
-        endpoint.send(protocol.MODEL_ACK, protocol.ack_payload(payload.model_id))
+        if completed:
+            endpoint.send(protocol.MODEL_ACK, protocol.ack_payload(payload.model_id))
 
     def _on_model_query(self, endpoint: ChannelEnd, message: Message) -> None:
         """Digest handshake: answer whether a matching model is stored.
@@ -315,13 +314,17 @@ class EdgeServer:
             return
 
         # Any model files delivered with the snapshot are stored first,
-        # completing uploads the pre-send did not finish.
+        # completing (and ACKing) uploads the pre-send did not finish.
         for delivery in payload.deliveries:
             try:
-                self.store.install(delivery.model, delivery.files)
+                completed = self.store.install(delivery.model, delivery.files)
             except ModelStoreError as exc:
                 self._error(endpoint, str(exc), payload.request_id)
                 return
+            if completed:
+                endpoint.send(
+                    protocol.MODEL_ACK, protocol.ack_payload(delivery.model.model_id)
+                )
 
         # Resolve the executing browser: a cached session for delta
         # snapshots, a fresh runtime for full snapshots.
@@ -341,10 +344,7 @@ class EdgeServer:
             browser = WebRuntime(f"{self.name}-browser")
         for model_id in snapshot.model_refs.values():
             if self.store.has_complete(model_id):
-                try:
-                    browser.install_model(self.store.get_model(model_id))
-                except ModelStoreError:
-                    pass  # files complete but no runnable handle yet
+                browser.install_model(self.store.get_model(model_id))
 
         # 1. Restore the snapshot (virtual: parse cost; real: exec program).
         restore_seconds = self.device.snapshot_restore_seconds(snapshot.size_bytes)

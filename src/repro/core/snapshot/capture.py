@@ -26,7 +26,6 @@ from repro.core.snapshot.codegen import (
 )
 from repro.core.snapshot.optimize import select_globals
 from repro.core.snapshot.restore import StateFingerprint, fingerprint_runtime
-from repro.nn.model import Model
 from repro.web.dom import TextNode
 from repro.web.events import Event
 from repro.web.runtime import WebRuntime
@@ -64,8 +63,6 @@ class Snapshot:
     pending_event: Optional[Tuple[str, str, Any]] = None
     model_refs: Dict[str, str] = field(default_factory=dict)
     attachment_bytes: int = 0
-    #: models shipped together with the snapshot (offloading before ACK)
-    attached_models: List[Model] = field(default_factory=list)
     #: free-form accounting used by the session layer (e.g. server costs)
     metadata: Dict[str, Any] = field(default_factory=dict)
     #: a delta's view of the state it was captured from, hashed while
@@ -106,11 +103,6 @@ class Snapshot:
     def code_bytes(self) -> int:
         """The paper's "snapshot except feature data"."""
         return self.size_bytes - self.feature_bytes
-
-    @property
-    def total_payload_bytes(self) -> int:
-        """Snapshot plus any attached model files."""
-        return self.size_bytes + sum(m.total_bytes for m in self.attached_models)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -139,9 +139,5 @@ class Device:
         self.cpu.acquire().add_callback(run)
         return done
 
-    def execute_layers(self, costs: Iterable["LayerCost"], label: str = "dnn") -> SimEvent:
-        """Occupy the device for a whole forward pass."""
-        return self.execute(self.forward_seconds(costs), label=label)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Device({self.name})"

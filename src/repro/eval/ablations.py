@@ -33,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from repro.core.partition import Decision, PartitionOptimizer
+from repro.core.partition import Decision
 from repro.core.snapshot import CaptureOptions
-from repro.devices.predictor import fit_predictor_for
+from repro.eval import calibration
+from repro.eval.fig8 import make_optimizer
 from repro.eval.scenarios import Testbed, build_paper_model, paper_input_for
-from repro.nn.cost import network_costs
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet import FleetReport
@@ -84,13 +84,11 @@ def partition_adaptivity(
     bandwidths_mbps: Sequence[float] = (1, 4, 30, 120),
 ) -> Dict[float, str]:
     """The optimizer's chosen denaturing point per bandwidth."""
-    from repro.eval.fig8 import make_optimizer
-
     model = build_paper_model(model_name)
     optimizer = make_optimizer(model_name)
     choices = {}
     for mbps in bandwidths_mbps:
-        link = Testbed(bandwidth_bps=mbps * 1e6).profile
+        link = calibration.paper_link(mbps * 1e6)
         choice = optimizer.choose(model.network, link, denature=True)
         choices[mbps] = choice.point.label
     return choices
@@ -123,16 +121,10 @@ def decision_study(models: Sequence[str] = ("googlenet", "agenet")) -> List[Deci
     outcomes = []
     for model_name in models:
         model = build_paper_model(model_name)
-        costs = network_costs(model.network)
-        testbed = Testbed()
-        optimizer = PartitionOptimizer(
-            fit_predictor_for(testbed.client_profile, costs, noise=0.02),
-            fit_predictor_for(testbed.server_profile, costs, noise=0.02),
-            testbed.client_profile,
-            testbed.server_profile,
-        )
-        decision = optimizer.decide(
-            model.network, testbed.profile, pending_model_bytes=model.total_bytes
+        decision = make_optimizer(model_name).decide(
+            model.network,
+            calibration.paper_link(),
+            pending_model_bytes=model.total_bytes,
         )
         local = Testbed().run_client_only(model_name).total_seconds
         offload = Testbed().run_offload(model_name, wait_for_ack=False).total_seconds

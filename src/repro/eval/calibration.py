@@ -26,9 +26,9 @@ PAPER_BANDWIDTH_BPS = 30e6
 PAPER_LATENCY_S = 0.001
 
 
-def paper_link() -> NetemProfile:
-    """The testbed's shaped link."""
-    return NetemProfile(bandwidth_bps=PAPER_BANDWIDTH_BPS, latency_s=PAPER_LATENCY_S)
+def paper_link(bandwidth_bps: float = PAPER_BANDWIDTH_BPS) -> NetemProfile:
+    """The testbed's shaped link, at ``bandwidth_bps`` (the paper's 30 Mbps)."""
+    return NetemProfile(bandwidth_bps=bandwidth_bps, latency_s=PAPER_LATENCY_S)
 
 
 #: Device throughputs live in repro.devices.profiles; they were chosen so

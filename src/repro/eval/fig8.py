@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.partition import PartitionOptimizer
 from repro.core.session import SessionResult
+from repro.devices import edge_server_x86, odroid_xu4_client
 from repro.devices.predictor import fit_predictor_for
 from repro.eval import calibration
 from repro.eval.reporting import format_series
@@ -66,14 +67,12 @@ def make_optimizer(model_name: str) -> PartitionOptimizer:
     """The partition optimizer, with predictors profiled per device."""
     model = build_paper_model(model_name)
     costs = network_costs(model.network)
-    testbed = Testbed()  # only for its profiles
-    client_predictor = fit_predictor_for(testbed.client_profile, costs, noise=0.02)
-    server_predictor = fit_predictor_for(testbed.server_profile, costs, noise=0.02)
+    client_profile, server_profile = odroid_xu4_client(), edge_server_x86()
     return PartitionOptimizer(
-        client_predictor,
-        server_predictor,
-        testbed.client_profile,
-        testbed.server_profile,
+        fit_predictor_for(client_profile, costs, noise=0.02),
+        fit_predictor_for(server_profile, costs, noise=0.02),
+        client_profile,
+        server_profile,
     )
 
 
@@ -86,7 +85,7 @@ def run_fig8_model(
     model = build_paper_model(model_name)
     optimizer = make_optimizer(model_name)
     spine = {point.index: point for point in spine_costs(model.network)}
-    link = Testbed(bandwidth_bps).profile
+    link = calibration.paper_link(bandwidth_bps)
     points: List[Fig8Point] = []
     for label in sweep_labels(model_name, max_points):
         net_point = model.network.point_by_label(label)

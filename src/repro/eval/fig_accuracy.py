@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.eval import calibration
 from repro.eval.fig8 import make_optimizer
 from repro.eval.reporting import format_table
-from repro.eval.scenarios import Testbed, build_paper_model
+from repro.eval.scenarios import build_paper_model
 from repro.nn.zoo import EXIT_MODELS
 
 #: bandwidths swept by default (Mbps); the paper's 30 Mbps in the middle
@@ -95,10 +95,7 @@ def run_fig_accuracy_model(
     model = build_paper_model(model_name)
     network = model.network
     optimizer = make_optimizer(model_name)
-    links = {
-        mbps: Testbed(bandwidth_bps=mbps * 1e6).profile
-        for mbps in bandwidths_mbps
-    }
+    links = {mbps: calibration.paper_link(mbps * 1e6) for mbps in bandwidths_mbps}
     # One probe choice per bandwidth gets the full estimate sweep; the
     # union of sweeps drives the deadline grid.
     probes = {

@@ -46,8 +46,7 @@ def run_table1_model(
     # VM synthesis: overlay with the offloading stack + this model.
     base = DiskImage.ubuntu_base()
     overlay = build_overlay(base, [model])
-    link = Testbed(bandwidth_bps).profile
-    installation = estimate_installation(overlay, link)
+    installation = estimate_installation(overlay, calibration.paper_link(bandwidth_bps))
 
     # Snapshot migration, with and without pre-sending.
     with_presend = Testbed(bandwidth_bps).run_offload(model_name, wait_for_ack=True)

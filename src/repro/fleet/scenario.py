@@ -31,7 +31,7 @@ What makes it a *fleet* rather than N copies of the paper's testbed:
 * **multi-tenant workloads** — ``tenants`` runs several models (or
   several splits of one model) through the same fleet; with a per-edge
   ``memory_budget_bytes`` the stores evict LRU under pressure, and
-  ``prewarm`` starts every edge warm (models resident and attached)
+  ``prewarm`` starts every edge warm (models resident and complete)
   instead of cold.
 * **admission control** — per-edge in-flight caps bound server queues;
   requests beyond the cap back off instead of stacking up.
@@ -534,7 +534,7 @@ class FleetScenario:
         )
 
     def _prewarm_stores(self) -> None:
-        """Start every installed edge warm: tenant models resident + attached.
+        """Start every installed edge warm: tenant models resident + complete.
 
         Models are pushed straight into the stores (no wire cost, as if an
         operator had staged the fleet before opening it to traffic); with a

@@ -9,15 +9,13 @@ endpoint and use:
 ``recv()``
     returns a SimEvent succeeding with the next inbound message (FIFO),
 ``recv_kind(kind)``
-    like ``recv`` but waits for a specific message kind, buffering others,
-``set_handler(fn)``
-    push-mode delivery for server-style reactive agents.
+    like ``recv`` but waits for a specific message kind, buffering others.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Any, Deque, Dict, Optional
 
 from repro.sim import SimEvent, Simulator
 from repro.netsim.link import Link, NetemProfile
@@ -39,7 +37,6 @@ class ChannelEnd:
         self._inbox: Deque[Message] = deque()
         self._recv_waiters: Deque[SimEvent] = deque()
         self._kind_waiters: Dict[str, Deque[SimEvent]] = {}
-        self._handler: Optional[Callable[[Message], None]] = None
         self._sent_counter = sim.metrics.counter(
             "net_messages_sent_total", help="messages handed to the link",
             endpoint=name,
@@ -92,9 +89,6 @@ class ChannelEnd:
     # -- receiving -------------------------------------------------------------
     def _deliver(self, message: Message) -> None:
         self._received_counter.inc()
-        if self._handler is not None:
-            self._handler(message)
-            return
         waiters = self._kind_waiters.get(message.kind)
         if waiters:
             waiters.popleft().succeed(message)
@@ -128,19 +122,6 @@ class ChannelEnd:
         self._kind_waiters.setdefault(kind, deque()).append(event)
         self._arm_timeout(event, timeout, kind)
         return event
-
-    def try_recv(self) -> Optional[Message]:
-        """Non-blocking receive."""
-        if self._inbox:
-            return self._inbox.popleft()
-        return None
-
-    def set_handler(self, handler: Optional[Callable[[Message], None]]) -> None:
-        """Switch to push-mode delivery; drains any buffered messages now."""
-        self._handler = handler
-        if handler is not None:
-            while self._inbox:
-                handler(self._inbox.popleft())
 
     def _arm_timeout(
         self, event: SimEvent, timeout: Optional[float], what: str

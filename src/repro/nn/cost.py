@@ -135,7 +135,3 @@ def costs_for_range(net: Network, start: int, end: int) -> List[LayerCost]:
 def total_flops(net: Network) -> float:
     """Total forward FLOPs of a built network."""
     return sum(cost.flops for cost in network_costs(net))
-
-
-def total_params(net: Network) -> int:
-    return net.param_count

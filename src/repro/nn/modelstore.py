@@ -4,9 +4,12 @@ The edge server "saves the files and sends an acknowledgement (ACK)"
 (paper §III.B.1).  :class:`ModelStore` is that storage, grown into a
 multi-tenant artifact store:
 
-* **Per-model uploads** — a manifest registers the expected file list,
-  received files are verified against it (membership + checksum), and the
-  server only ACKs once every listed file has arrived.
+* **Per-model uploads** — a manifest registers the expected file list and
+  the model it names; received files are verified against it (membership
+  + checksum), and the model is served — and the upload ACKed — exactly
+  when every listed file has arrived.  :meth:`ModelStore.begin_upload`,
+  :meth:`~ModelStore.receive_file` and :meth:`~ModelStore.install` each
+  report whether the call completed the upload.
 * **Content-addressed segments** — file bytes are held once per checksum,
   shared across models.  Two models that ship the same parameter blob
   (e.g. two rear halves of one network split at different layers) occupy
@@ -15,12 +18,12 @@ multi-tenant artifact store:
   client can upload only those.
 * **LRU eviction under a memory budget** — with ``memory_budget_bytes``
   set, the least-recently-used model entries are evicted when resident
-  segment bytes exceed the budget.  Eviction *demotes* an entry: the
-  runnable model handle is dropped and the entry's segments are released
-  (freed only when no other resident model shares them), but the manifest
-  — the file names and checksums — stays known.  A later request for the
-  model pays a re-attach and a *partial* re-upload of whichever segments
-  were actually freed, instead of a full pre-send.
+  segment bytes exceed the budget.  Eviction *demotes* an entry: its
+  segments are released (freed only when no other resident model shares
+  them), so the model is no longer served, but the manifest — the file
+  names and checksums — stays known.  A later request for the model pays
+  a *partial* re-upload of whichever segments were actually freed,
+  instead of a full pre-send.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ class StoredModel:
 
     model_id: str
     manifest: List[ModelFile]
+    #: the model the manifest names; served only while ``complete``
+    model: Model
     received: Set[str] = field(default_factory=set)
-    #: the runnable model object, attached when the upload completes
-    model: Optional[Model] = None
 
     @property
     def complete(self) -> bool:
@@ -153,7 +156,7 @@ class ModelStore:
             if self.resident_bytes <= budget:
                 break
             entry = self._models[victim]
-            if not entry.received and entry.model is None:
+            if not entry.received:
                 continue  # already cold; nothing to free
             if not entry.complete:
                 continue  # mid-upload: the in-flight transfer pins its bytes
@@ -163,7 +166,7 @@ class ModelStore:
                 self._evict_counter.inc()
 
     def _demote(self, model_id: str) -> None:
-        """Evict one entry: drop the handle, release its segment refs.
+        """Evict one entry: release its segment refs.
 
         Segments still referenced by another resident model survive (the
         bytes are shared); the rest are freed.  The entry itself stays —
@@ -171,7 +174,6 @@ class ModelStore:
         segment granularity and only pays for what was actually freed.
         """
         entry = self._models[model_id]
-        entry.model = None
         by_name = {file.name: file for file in entry.manifest}
         for name in sorted(entry.received):
             segment = self._segments.get(by_name[name].checksum)
@@ -194,14 +196,19 @@ class ModelStore:
                 entry.received.add(file.name)
 
     # -- uploads -----------------------------------------------------------------
-    def begin_upload(self, model_id: str, manifest: List[ModelFile]) -> StoredModel:
-        """Register an upload; idempotent only for *identical* manifests.
+    def begin_upload(
+        self, model_id: str, manifest: List[ModelFile], model: Model
+    ) -> bool:
+        """Register an upload of ``model``; True when it is already complete.
 
-        Re-registering a model id with a different file list is a stale
-        manifest (a model update reusing an old id) and raises rather than
-        silently serving the old files.  Files whose bytes are already
-        resident under another model are claimed immediately — the
-        cross-model dedup that makes shared parameter blobs free.
+        Idempotent only for *identical* manifests: re-registering a model
+        id with a different file list is a stale manifest (a model update
+        reusing an old id) and raises rather than silently serving the old
+        files; an identical one keeps the model registered first.  Files
+        whose bytes are already resident under another model are claimed
+        immediately — the cross-model dedup that makes shared parameter
+        blobs free — so a manifest whose every segment is resident
+        completes its upload at once.
         """
         existing = self._models.get(model_id)
         if existing is not None:
@@ -213,14 +220,17 @@ class ModelStore:
                 )
             entry = existing
         else:
-            entry = StoredModel(model_id=model_id, manifest=list(manifest))
+            entry = StoredModel(model_id, list(manifest), model)
             self._models[model_id] = entry
         self._touch(model_id)
         self._claim_known_segments(entry)
-        return entry
+        return entry.complete
 
-    def receive_file(self, model_id: str, file: ModelFile) -> StoredModel:
-        """Store one received file, verifying it against the manifest."""
+    def receive_file(self, model_id: str, file: ModelFile) -> bool:
+        """Store one received file, verifying it against the manifest.
+
+        Returns True when this file completed the upload.
+        """
         entry = self._models.get(model_id)
         if entry is None:
             raise ModelStoreError(f"no upload registered for model {model_id!r}")
@@ -238,39 +248,29 @@ class ModelStore:
         if segment is None:
             segment = _Segment(size_bytes=expected.size_bytes)
             self._segments[file.checksum] = segment
+        completes = file.name not in entry.received
         segment.refs.add(model_id)
         entry.received.add(file.name)
         self._touch(model_id)
         self._enforce_budget(protect=model_id)
         self._record_resident()
-        return entry
+        return completes and entry.complete
 
-    def attach_model(self, model_id: str, model: Model) -> None:
-        """Attach the runnable model once its upload is complete."""
-        entry = self._models.get(model_id)
-        if entry is None:
-            raise ModelStoreError(f"no upload registered for model {model_id!r}")
-        if not entry.complete:
-            raise ModelStoreError(
-                f"model {model_id!r} incomplete; missing {entry.missing}"
-            )
-        entry.model = model
-        self._touch(model_id)
-
-    def install(self, model: Model, files: List[ModelFile]) -> None:
+    def install(self, model: Model, files: List[ModelFile]) -> bool:
         """Put ``model`` in the store with ``files`` of its manifest.
 
-        Registers the upload (claiming every resident segment), receives
-        ``files`` and attaches the model when the upload is then complete
-        and no model is attached yet; an incomplete upload stays
-        registered for a later delivery to finish.
+        Registers the upload (claiming every resident segment) and
+        receives ``files``; an incomplete upload stays registered for a
+        later delivery to finish.  Returns True when this call completed
+        the upload — False when it was complete before (its ACK, if any,
+        went out then) or still is not.
         """
         model_id = model.model_id
-        entry = self.begin_upload(model_id, model.files())
+        was_complete = self.has_complete(model_id)
+        self.begin_upload(model_id, model.files(), model)
         for file in files:
             self.receive_file(model_id, file)
-        if entry.complete and entry.model is None:
-            self.attach_model(model_id, model)
+        return not was_complete and self.has_complete(model_id)
 
     # -- queries -----------------------------------------------------------------
     def has_complete(self, model_id: str) -> bool:
@@ -278,12 +278,11 @@ class ModelStore:
         return entry is not None and entry.complete
 
     def matches_fingerprint(self, model_id: str, fingerprint: str) -> bool:
-        """Digest handshake: is a runnable model with this digest stored?"""
+        """Digest handshake: is a complete model with this digest stored?"""
         entry = self._models.get(model_id)
         hit = (
             entry is not None
             and entry.complete
-            and entry.model is not None
             and entry.model.fingerprint() == fingerprint
         )
         if hit:
@@ -291,8 +290,9 @@ class ModelStore:
         return hit
 
     def get_model(self, model_id: str) -> Model:
+        """The model of a complete upload; raises until every file is in."""
         entry = self._models.get(model_id)
-        if entry is None or entry.model is None:
+        if entry is None or not entry.complete:
             raise ModelStoreError(f"model {model_id!r} is not available")
         self._touch(model_id)
         return entry.model

@@ -151,9 +151,6 @@ class Document:
                 return element
         return None
 
-    def all_elements(self) -> List[Element]:
-        return list(self.body.walk())
-
     def element_count(self) -> int:
         return sum(1 for _ in self.body.walk())
 

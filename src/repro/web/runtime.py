@@ -83,9 +83,6 @@ class WebRuntime:
         self.installed_models[model_id] = model
         return model_id
 
-    def has_model(self, model_id: str) -> bool:
-        return model_id in self.installed_models
-
     # -- app loading --------------------------------------------------------------
     def load_app(self, app) -> None:
         """Load a :class:`~repro.web.app.WebApp`: DOM, script, models, onload."""

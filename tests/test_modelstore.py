@@ -10,7 +10,9 @@ The battery behind PR 9's artifact store:
   ``missing_from_manifest`` answers the segment-level handshake;
 * LRU eviction under ``memory_budget_bytes`` demotes entries to
   "files known, model cold", frees only unshared segments, never touches
-  an in-flight upload, and admits a single oversized model.
+  an in-flight upload, and admits a single oversized model;
+* a model is served exactly when its upload is complete, and each call
+  reports whether it completed the upload (the edge's one ACK).
 """
 
 import pytest
@@ -22,11 +24,10 @@ from repro.obs.metrics import MetricsRegistry
 
 
 def upload(store, model):
-    """Drive a full upload + attach for one model."""
-    store.begin_upload(model.model_id, model.files())
+    """Drive a full upload for one model, message by message."""
+    store.begin_upload(model.model_id, model.files(), model)
     for file in model.files():
         store.receive_file(model.model_id, file)
-    store.attach_model(model.model_id, model)
 
 
 @pytest.fixture
@@ -45,39 +46,40 @@ def rears(model):
 class TestManifestSafety:
     def test_identical_reregistration_is_idempotent(self, model):
         store = ModelStore()
-        first = store.begin_upload(model.model_id, model.files())
-        second = store.begin_upload(model.model_id, model.files())
-        assert first is second
+        store.begin_upload(model.model_id, model.files(), model)
+        first = store.entry(model.model_id)
+        store.begin_upload(model.model_id, model.files(), model)
+        assert store.entry(model.model_id) is first
 
     def test_reordered_manifest_raises(self, model):
         store = ModelStore()
-        store.begin_upload(model.model_id, model.files())
+        store.begin_upload(model.model_id, model.files(), model)
         with pytest.raises(ModelStoreError, match="manifest mismatch"):
-            store.begin_upload(model.model_id, list(reversed(model.files())))
+            store.begin_upload(model.model_id, list(reversed(model.files())), model)
 
     def test_truncated_manifest_raises(self, model):
         store = ModelStore()
-        store.begin_upload(model.model_id, model.files())
+        store.begin_upload(model.model_id, model.files(), model)
         with pytest.raises(ModelStoreError, match="manifest mismatch"):
-            store.begin_upload(model.model_id, model.files()[:-1])
+            store.begin_upload(model.model_id, model.files()[:-1], model)
 
     def test_changed_checksum_raises(self, model):
         store = ModelStore()
         files = model.files()
-        store.begin_upload(model.model_id, files)
+        store.begin_upload(model.model_id, files, model)
         stale = [
             ModelFile(f.name, f.kind, f.size_bytes, checksum="f" * 16)
             if f.kind == "parameters" else f
             for f in files
         ]
         with pytest.raises(ModelStoreError, match="manifest mismatch"):
-            store.begin_upload(model.model_id, stale)
+            store.begin_upload(model.model_id, stale, model)
 
     def test_mismatch_leaves_existing_entry_untouched(self, model):
         store = ModelStore()
         upload(store, model)
         with pytest.raises(ModelStoreError):
-            store.begin_upload(model.model_id, model.files()[:1])
+            store.begin_upload(model.model_id, model.files()[:1], model)
         assert store.has_complete(model.model_id)
         assert store.get_model(model.model_id) is model
 
@@ -97,7 +99,8 @@ class TestSegmentDedup:
         rear2, rear3 = rears
         store = ModelStore()
         upload(store, rear2)
-        entry = store.begin_upload(rear3.model_id, rear3.files())
+        store.begin_upload(rear3.model_id, rear3.files(), rear3)
+        entry = store.entry(rear3.model_id)
         # the three parameter blobs are shared; only the description is new
         assert entry.missing == [f"{rear3.name}.json"]
 
@@ -116,17 +119,26 @@ class TestSegmentDedup:
         rear2, rear3 = rears
         store = ModelStore()
         upload(store, rear2)
-        store.begin_upload(rear3.model_id, rear3.files())
+        assert not store.begin_upload(rear3.model_id, rear3.files(), rear3)
         json_file = next(f for f in rear3.files() if f.kind == "description")
-        store.receive_file(rear3.model_id, json_file)
-        store.attach_model(rear3.model_id, rear3)
+        assert store.receive_file(rear3.model_id, json_file)
         assert store.get_model(rear3.model_id) is rear3
+
+    def test_manifest_of_resident_segments_completes_at_once(self, model):
+        store = ModelStore()
+        upload(store, model)
+        # a second upload of a stored model is complete at its manifest,
+        # and none of its files completes it again
+        assert store.begin_upload(model.model_id, model.files(), model)
+        assert not any(
+            store.receive_file(model.model_id, file) for file in model.files()
+        )
 
 
 class TestFingerprintAtAttach:
     def test_store_attach_primes_fingerprint(self, model):
         store = ModelStore()
-        store.begin_upload(model.model_id, model.files())
+        store.begin_upload(model.model_id, model.files(), model)
         assert not store.matches_fingerprint(model.model_id, model.fingerprint())
         upload(store, model)
         assert store.matches_fingerprint(model.model_id, model.fingerprint())
@@ -144,19 +156,24 @@ class TestInstall:
     def test_partial_install_stays_registered_until_completed(self, model):
         store = ModelStore()
         files = model.files()
-        store.install(model, files[:1])
+        assert not store.install(model, files[:1])
         entry = store.entry(model.model_id)
         assert entry.missing == sorted(f.name for f in files[1:])
-        assert entry.model is None
-        store.install(model, files[1:])
+        with pytest.raises(ModelStoreError, match="not available"):
+            store.get_model(model.model_id)
+        assert not store.matches_fingerprint(model.model_id, model.fingerprint())
+        assert store.install(model, files[1:])
         assert store.entry(model.model_id) is entry
         assert store.get_model(model.model_id) is model
+        assert store.matches_fingerprint(model.model_id, model.fingerprint())
+        # complete before the call: the upload was ACKed when it completed
+        assert not store.install(model, [])
 
     def test_install_keeps_the_attached_handle(self, model):
         store = ModelStore()
-        store.install(model, model.files())
+        assert store.install(model, model.files())
         twin = smallnet()
-        store.install(twin, twin.files())
+        assert not store.install(twin, twin.files())
         assert store.get_model(model.model_id) is model
         assert store.matches_fingerprint(twin.model_id, twin.fingerprint())
 
@@ -202,13 +219,12 @@ class TestLruEviction:
         upload(store, kept)
         # largest file last: the budget first overflows on the final file,
         # and evicting the victim lands exactly on it
-        store.begin_upload(model.model_id, model.files())
+        store.begin_upload(model.model_id, model.files(), model)
         for file in sorted(model.files(), key=lambda f: f.size_bytes):
             store.receive_file(model.model_id, file)
-        store.attach_model(model.model_id, model)
         assert store.evictions == 1
         assert store.resident_bytes == store.memory_budget_bytes
-        assert store.entry(victim.model_id).model is None
+        assert not store.has_complete(victim.model_id)
         assert store.get_model(kept.model_id) is kept
 
     def test_eviction_demotes_to_files_known_model_cold(self, model):
@@ -220,7 +236,9 @@ class TestLruEviction:
         assert store.resident_bytes <= model.total_bytes + 100
         entry = store.entry(tiny.model_id)
         assert entry is not None  # manifest survives
-        assert entry.model is None and not entry.received
+        assert not entry.received
+        with pytest.raises(ModelStoreError, match="not available"):
+            store.get_model(tiny.model_id)
         assert [f.name for f in entry.manifest] == [
             f.name for f in tiny.files()
         ]
@@ -251,20 +269,19 @@ class TestLruEviction:
         upload(store, models[1])
         store.get_model(models[0].model_id)  # models[1] is now LRU
         upload(store, models[2])
-        assert store.entry(models[1].model_id).model is None
+        assert not store.has_complete(models[1].model_id)
         assert store.get_model(models[0].model_id) is models[0]
 
     def test_incomplete_upload_is_never_a_victim(self, model):
         tiny = tinynet()
         store = ModelStore(1000)
-        store.begin_upload(model.model_id, model.files())
+        store.begin_upload(model.model_id, model.files(), model)
         store.receive_file(model.model_id, model.files()[0])
         upload(store, tiny)  # pressure, but model's upload is in flight
         entry = store.entry(model.model_id)
         assert entry.received  # the partial upload kept its bytes
         for file in model.files()[1:]:
             store.receive_file(model.model_id, file)
-        store.attach_model(model.model_id, model)
         assert store.get_model(model.model_id) is model
 
     def test_oversized_single_model_is_admitted(self, model):
@@ -275,7 +292,7 @@ class TestLruEviction:
 
     def test_known_model_without_a_handle_is_not_available(self, model):
         store = ModelStore()
-        store.begin_upload(model.model_id, model.files())
+        store.begin_upload(model.model_id, model.files(), model)
         with pytest.raises(ModelStoreError, match="not available"):
             store.get_model(model.model_id)
 

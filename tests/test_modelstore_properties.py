@@ -1,6 +1,6 @@
 """Property-based invariants of the multi-tenant model store.
 
-Random interleavings of begin/receive/corrupt/attach over a pool of
+Random interleavings of begin/receive/corrupt/serve over a pool of
 synthetic models whose manifests share content-addressed blobs, checked
 against a shadow refcount model after every operation:
 
@@ -13,7 +13,11 @@ against a shadow refcount model after every operation:
 * **integrity** — a corrupted file (wrong checksum) always rejects and
   leaves the store state untouched;
 * **closure** — uploading exactly the reply's missing set completes the
-  model (segment-status replies are sufficient as well as necessary).
+  model (segment-status replies are sufficient as well as necessary);
+* **completion** — a model is served exactly while its upload is
+  complete, and ``begin_upload`` / ``receive_file`` report completing it
+  exactly when they do (a manifest: complete once registered; a file:
+  the one that turned the entry complete).
 """
 
 from hypothesis import given, settings
@@ -31,7 +35,7 @@ MODEL_IDS = ["m0", "m1", "m2", "m3"]
 
 
 class FakeModel:
-    """Just enough model to attach: a stable fingerprint."""
+    """Just enough model to store: a stable fingerprint."""
 
     def __init__(self, model_id):
         self.model_id = model_id
@@ -65,7 +69,7 @@ manifests = st.fixed_dictionaries(
 
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["begin", "recv", "corrupt", "attach"]),
+        st.sampled_from(["begin", "recv", "corrupt", "serve"]),
         st.sampled_from(MODEL_IDS),
         st.integers(min_value=0, max_value=len(BLOBS) - 1),
     ),
@@ -123,10 +127,13 @@ def test_random_interleavings_hold_invariants(shapes, script, budget):
         files = catalog[mid]
         entry = store.entry(mid)
         if op == "begin":
-            store.begin_upload(mid, files)
+            completed = store.begin_upload(mid, files, FakeModel(mid))
+            assert completed == store.entry(mid).complete
         elif op == "recv" and entry is not None:
             file = files[blob_index % len(files)]
-            store.receive_file(mid, file)
+            was_complete = entry.complete
+            completed = store.receive_file(mid, file)
+            assert completed == (not was_complete and entry.complete)
             last_uploader = mid
         elif op == "corrupt" and entry is not None:
             file = files[blob_index % len(files)]
@@ -140,13 +147,14 @@ def test_random_interleavings_hold_invariants(shapes, script, budget):
             with pytest.raises(ModelStoreError):
                 store.receive_file(mid, bad)
             assert set(store.entry(mid).received) == before
-        elif op == "attach" and entry is not None:
-            if store.entry(mid).complete:
-                store.attach_model(mid, FakeModel(mid))
+        elif op == "serve" and entry is not None:
+            if entry.complete:
+                assert store.get_model(mid).model_id == mid
                 assert store.matches_fingerprint(mid, f"fp:{mid}")
             else:
                 with pytest.raises(ModelStoreError):
-                    store.attach_model(mid, FakeModel(mid))
+                    store.get_model(mid)
+                assert not store.matches_fingerprint(mid, f"fp:{mid}")
         check_invariants(store, catalog, budget, last_uploader)
 
 
@@ -160,7 +168,8 @@ def test_missing_reply_is_sufficient_to_complete(shapes, budget):
     store = ModelStore(budget)
     for mid, files in catalog.items():
         missing = set(store.missing_from_manifest(files))
-        entry = store.begin_upload(mid, files)
+        store.begin_upload(mid, files, FakeModel(mid))
+        entry = store.entry(mid)
         # begin_upload claimed everything already resident; what is left
         # to send is a subset of the reply
         assert set(entry.missing) <= missing
@@ -168,7 +177,6 @@ def test_missing_reply_is_sufficient_to_complete(shapes, budget):
             if file.name in entry.missing:
                 store.receive_file(mid, file)
         assert store.entry(mid).complete
-        store.attach_model(mid, FakeModel(mid))
         assert store.matches_fingerprint(mid, f"fp:{mid}")
 
 
@@ -185,20 +193,17 @@ def test_demotion_roundtrip_restores_the_model(shapes):
     )
     store = ModelStore(largest)
     for mid, files in catalog.items():
-        store.begin_upload(mid, files)
+        store.begin_upload(mid, files, FakeModel(mid))
         for file in files:
             if file.name in store.entry(mid).missing:
                 store.receive_file(mid, file)
-        store.attach_model(mid, FakeModel(mid))
     # whatever got demoted along the way can be brought back with only
     # its missing segments
     for mid, files in catalog.items():
-        entry = store.entry(mid)
-        if entry.model is not None:
+        if store.has_complete(mid):
             continue
-        store.begin_upload(mid, files)
+        store.begin_upload(mid, files, FakeModel(mid))
         for file in files:
             if file.name in store.entry(mid).missing:
                 store.receive_file(mid, file)
-        store.attach_model(mid, FakeModel(mid))
         assert store.get_model(mid).model_id == mid

@@ -404,28 +404,30 @@ class TestSaveLoad:
 class TestModelStore:
     def test_upload_lifecycle(self, model):
         store = ModelStore()
-        entry = store.begin_upload(model.model_id, model.files())
+        assert not store.begin_upload(model.model_id, model.files(), model)
+        entry = store.entry(model.model_id)
         assert not entry.complete
-        for file in model.files():
-            store.receive_file(model.model_id, file)
+        completed = [
+            store.receive_file(model.model_id, file) for file in model.files()
+        ]
+        assert completed == [False] * (len(completed) - 1) + [True]
         assert entry.complete
         assert entry.missing == []
-        store.attach_model(model.model_id, model)
         assert store.get_model(model.model_id) is model
 
     def test_partial_upload_not_complete(self, model):
         store = ModelStore()
-        store.begin_upload(model.model_id, model.files())
+        store.begin_upload(model.model_id, model.files(), model)
         store.receive_file(model.model_id, model.files()[0])
         assert not store.has_complete(model.model_id)
         with pytest.raises(ModelStoreError):
-            store.attach_model(model.model_id, model)
+            store.get_model(model.model_id)
 
     def test_checksum_mismatch_rejected(self, model):
         from dataclasses import replace
 
         store = ModelStore()
-        store.begin_upload(model.model_id, model.files())
+        store.begin_upload(model.model_id, model.files(), model)
         corrupted = replace(model.files()[0], checksum="deadbeefdeadbeef")
         with pytest.raises(ModelStoreError):
             store.receive_file(model.model_id, corrupted)
@@ -434,7 +436,7 @@ class TestModelStore:
         from dataclasses import replace
 
         store = ModelStore()
-        store.begin_upload(model.model_id, model.files())
+        store.begin_upload(model.model_id, model.files(), model)
         alien = replace(model.files()[0], name="not-in-manifest.bin")
         with pytest.raises(ModelStoreError):
             store.receive_file(model.model_id, alien)
@@ -446,13 +448,15 @@ class TestModelStore:
 
     def test_begin_upload_idempotent(self, model):
         store = ModelStore()
-        first = store.begin_upload(model.model_id, model.files())
-        second = store.begin_upload(model.model_id, model.files())
-        assert first is second
+        store.begin_upload(model.model_id, model.files(), model)
+        first = store.entry(model.model_id)
+        store.begin_upload(model.model_id, model.files(), model)
+        assert store.entry(model.model_id) is first
 
     def test_received_bytes_tracks_progress(self, model):
         store = ModelStore()
-        entry = store.begin_upload(model.model_id, model.files())
+        store.begin_upload(model.model_id, model.files(), model)
+        entry = store.entry(model.model_id)
         first = model.files()[0]
         store.receive_file(model.model_id, first)
         assert entry.received_bytes == first.size_bytes
@@ -463,9 +467,6 @@ class TestModelStore:
         point = model.network.point_by_label("1st_pool")
         front, rear = model.split(point.index)
         store = ModelStore()
-        store.begin_upload(rear.model_id, rear.files())
-        for file in rear.files():
-            store.receive_file(rear.model_id, file)
-        store.attach_model(rear.model_id, rear)
+        store.install(rear, rear.files())
         assert store.has_complete(rear.model_id)
         assert not store.has_complete(front.model_id)

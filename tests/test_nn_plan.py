@@ -245,8 +245,7 @@ class TestServerBatch:
 
         sim = Simulator()
         server = EdgeServer(sim, Device(sim, edge_server_x86()), name="edge")
-        server.store.begin_upload(small.model_id, [])
-        server.store.attach_model(small.model_id, small)
+        server.store.begin_upload(small.model_id, [], small)
         xs = [model_input(small, seed) for seed in range(3)]
         outputs = server.batch_partial_inference(small.model_id, xs)
         assert len(outputs) == 3

@@ -11,13 +11,6 @@ from repro.web.app import make_inference_app
 
 
 class TestPayloadSizing:
-    def test_model_object_payload_is_control_sized(self):
-        model = smallnet()
-        payload = protocol.ModelObjectPayload(model.model_id, model)
-        # The handle is bookkeeping: its bytes were the MODEL_FILE messages.
-        assert payload.size_bytes == protocol.CONTROL_BYTES
-        assert payload_size(payload) == protocol.CONTROL_BYTES
-
     def test_capability_and_ack_are_tiny(self):
         assert protocol.CapabilityPayload(True, "edge").size_bytes <= 128
         assert payload_size(protocol.ack_payload("m:1")) < 64
