@@ -221,9 +221,9 @@ class ClientAgent:
         Returns the answer's ``present`` flag, or None when this channel
         was already asked.
         """
-        server = endpoint.peer.name
+        server = endpoint.peer_name
         if self.endpoint is not endpoint:
-            if self.endpoint is None or self.endpoint.peer.name != server:
+            if self.endpoint is None or self.endpoint.peer_name != server:
                 self.session_baselines.pop(self.runtime.app_name, None)
             self.rebind(endpoint)
         known = self._presends.get(server)
@@ -297,6 +297,9 @@ class ClientAgent:
             except ReceiveTimeout:
                 self.endpoint.cancel_wait(result_wait)
                 self.endpoint.cancel_wait(error_wait)
+                # The timeout's traceback holds this frame, and the waits
+                # hold the timeout: dropping them breaks the cycle.
+                del result_wait, error_wait
                 return ("timeout", None)
             if error_wait.triggered:
                 self.endpoint.cancel_wait(result_wait)

@@ -89,7 +89,10 @@ class PresendManager:
             raise RuntimeError("pre-sending already started")
         self.started = True
         self._upload_proc = self.sim.spawn(self._upload(), label="presend-upload")
-        self._ack_proc = self.sim.spawn(self._await_acks(), label="presend-acks")
+        self._ack_proc = self.sim.spawn(
+            _await_acks(self.sim, self.endpoint, self._acked, self._ack_events),
+            label="presend-acks",
+        )
 
     def cancel(self) -> None:
         """Stop sending further files (offloading is superseding the upload)."""
@@ -151,12 +154,22 @@ class PresendManager:
         except Interrupt:
             return  # cancelled between messages; remaining files ride along
 
-    def _await_acks(self):
-        remaining = {model.model_id for model in self.models}
-        while remaining:
-            message = yield self.endpoint.recv_kind(protocol.MODEL_ACK)
-            model_id = message.payload["model_id"]
-            if model_id in remaining:
-                remaining.discard(model_id)
-                self._acked[model_id] = True
-                self._ack_events[model_id].succeed(self.sim.now)
+
+def _await_acks(
+    sim: Simulator,
+    endpoint: ChannelEnd,
+    acked: Dict[str, bool],
+    ack_events: Dict[str, SimEvent],
+):
+    """Mark each model ACKed, and succeed its event, as its MODEL_ACK
+    arrives.  Not a method: the manager holds this process, so a process
+    holding the manager would be a cycle, kept by one that waits for an
+    ACK that never comes until the cyclic collector runs."""
+    remaining = set(acked)
+    while remaining:
+        message = yield endpoint.recv_kind(protocol.MODEL_ACK)
+        model_id = message.payload["model_id"]
+        if model_id in remaining:
+            remaining.discard(model_id)
+            acked[model_id] = True
+            ack_events[model_id].succeed(sim.now)

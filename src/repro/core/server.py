@@ -71,8 +71,6 @@ class EdgeServer:
         self.store = self.fresh_store()
         self.served_requests = 0
         self.errors: List[str] = []
-        #: the most recent browser runtime, for inspection in tests
-        self.last_runtime: Optional[WebRuntime] = None
         #: protocol loops started, numbering their process labels
         self._loops = 0
         #: virtual times at which an overlay finished installing
@@ -357,7 +355,6 @@ class EdgeServer:
         except Exception as exc:
             self._error(endpoint, f"restore failed: {exc}", payload.request_id)
             return
-        self.last_runtime = browser
 
         # 2. Continue execution: run the pending event's handlers — inline
         # (sequential, the seed behaviour) or through the serving loop's

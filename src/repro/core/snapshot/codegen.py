@@ -29,9 +29,11 @@ that form is accounted, never built.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+import itertools
+import weakref
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -142,17 +144,25 @@ _PAD = b"\0"
 #: separator, because ``inf`` / ``-inf`` / ``nan`` are shorter than the rest
 _OUTSIDE_FORMAT = "%17.10e"
 
-#: total bytes of rendered text kept in the memo below, sized by the hits
-#: it serves: a tensor is rendered again soon after its first render (the
-#: re-capture after a restore, the next figure of one campaign section), so
-#: the memo needs to hold what is rendered between a render and its repeat,
-#: not a run's history.  16 MiB is the smallest power of two at which every
-#: ledger workload keeps all its hits (8 MiB loses some on `fleet-offload`
-#: and `campaign-quick`); a GoogLeNet first-conv feature (~14 MB) still fits.
-TEXT_CACHE_BUDGET_BYTES = 16 * 1024 * 1024
+class _TensorText(str):
+    """Rendered tensor text.  A ``str`` the memo can refer to weakly (a
+    plain ``str`` takes no weak reference); it reads, compares and hashes
+    as the plain ``str`` of its characters."""
 
-_text_cache: "OrderedDict[bytes, str]" = OrderedDict()
-_text_cache_bytes = 0
+
+#: digest of an array's float32 bytes -> the text rendered from them, for
+#: as long as anything else holds that text.  The holders are the arrays it
+#: was rendered from (:data:`_owned`) and the programs that carry it
+#: (``Snapshot.texts``), so a text lives as long as its tensor does — the
+#: re-capture after a restore, a delta that carries a feature back, the
+#: next figure drawn from one campaign model — and goes with the last of
+#: them, whatever else a run renders meanwhile.
+_texts: "weakref.WeakValueDictionary[bytes, _TensorText]" = (
+    weakref.WeakValueDictionary()
+)
+#: ``id(array)`` -> (weak reference to the array, the text last rendered
+#: from it): how an array holds its text without an attribute to hold it in
+_owned: Dict[int, Tuple["weakref.ref[np.ndarray]", _TensorText]] = {}
 _text_cache_hits = 0
 _text_cache_misses = 0
 
@@ -164,27 +174,42 @@ def render_tensor_text(array: np.ndarray) -> str:
     into several programs per session (the capture, the re-capture after a
     restore, a delta that carries it back), and formatting millions of
     floats dominates those paths.  Fingerprinting does not come through
-    here — it names a tensor by :func:`array_digest`.  The memo is an LRU
-    bounded by :data:`TEXT_CACHE_BUDGET_BYTES` of rendered text; oversized
-    singletons are returned without caching.
+    here — it names a tensor by :func:`array_digest`.  The text returned is
+    the memo's own ``str``, held by ``array`` until the array goes or is
+    rendered again, so re-rendering an array nobody wrote to returns that
+    very ``str``; an array written in place digests differently and is
+    rendered afresh.
     """
-    global _text_cache_bytes, _text_cache_hits, _text_cache_misses
+    global _text_cache_hits, _text_cache_misses
     flat = np.asarray(array, dtype=np.float32).ravel()
     key = hashlib.sha1(flat).digest()
-    cached = _text_cache.get(key)
-    if cached is not None:
-        _text_cache.move_to_end(key)
+    text = _texts.get(key)
+    if text is None:
+        _text_cache_misses += 1
+        text = _TensorText(_format_values(flat))
+        _texts[key] = text
+    else:
         _text_cache_hits += 1
-        return cached
-    _text_cache_misses += 1
-    text = _format_values(flat)
-    if len(text) <= TEXT_CACHE_BUDGET_BYTES:
-        while _text_cache and _text_cache_bytes + len(text) > TEXT_CACHE_BUDGET_BYTES:
-            _, evicted = _text_cache.popitem(last=False)
-            _text_cache_bytes -= len(evicted)
-        _text_cache[key] = text
-        _text_cache_bytes += len(text)
+    if isinstance(array, np.ndarray):
+        _own(array, text)
     return text
+
+
+def _own(array: np.ndarray, text: _TensorText) -> None:
+    """Make ``array`` hold ``text`` (in place of any text it held)."""
+    key = id(array)
+    entry = _owned.get(key)
+    if entry is not None and entry[0]() is array:
+        _owned[key] = (entry[0], text)
+    else:
+        _owned[key] = (weakref.ref(array, functools.partial(_disown, key)), text)
+
+
+def _disown(key: int, ref: "weakref.ref[np.ndarray]") -> None:
+    """The array behind ``ref`` is gone: so is its hold on its text."""
+    entry = _owned.get(key)
+    if entry is not None and entry[0] is ref:
+        del _owned[key]
 
 
 def _format_values(flat: np.ndarray) -> str:
@@ -228,10 +253,12 @@ def _format_values(flat: np.ndarray) -> str:
 
 
 def text_cache_info() -> Dict[str, int]:
-    """Introspection for tests and benchmarks."""
+    """Introspection for tests and benchmarks: the texts alive now, and
+    the memo's hits and misses since the process started."""
+    live = list(_texts.values())
     return {
-        "entries": len(_text_cache),
-        "bytes": _text_cache_bytes,
+        "entries": len(live),
+        "bytes": sum(map(len, live)),
         "hits": _text_cache_hits,
         "misses": _text_cache_misses,
     }
@@ -441,35 +468,51 @@ def serialize_dom(
     that rely on it, at the cost of shipping the (attached) image.
     """
     lines: List[str] = []
-    counter = [0]
-
-    def emit(element: Element, parent_ref: str) -> None:
-        name = f"_e{counter[0]}"
-        counter[0] += 1
-        lines.append(
-            f"{name} = RT.create({element.tag!r}, {element.element_id!r}, "
-            f"{element.attributes!r})"
-        )
-        lines.append(f"RT.append({parent_ref}, {name})")
-        if include_canvas_pixels and element.image_data is not None:
-            # Serialized as-is: a plain TypedArray becomes decimal text (how
-            # JS apps of the CaffeJS era shipped pixel arrays), an ImageData
-            # becomes a compressed attachment (the data-URL optimization).
-            lines.append(
-                f"RT.draw({name}, {codegen.root_expression(element.image_data)})"
-            )
-        for child in element.children:
-            if isinstance(child, TextNode):
-                lines.append(f"RT.append_text({name}, {child.text!r})")
-            else:
-                emit(child, name)
-
+    names = itertools.count()
     for child in document.body.children:
         if isinstance(child, TextNode):
             lines.append(f"RT.append_text(RT.body(), {child.text!r})")
         else:
-            emit(child, "RT.body()")
+            _emit_element(
+                child, "RT.body()", codegen, include_canvas_pixels, lines, names
+            )
     return lines
+
+
+def _emit_element(
+    element: Element,
+    parent_ref: str,
+    codegen: HeapCodegen,
+    include_canvas_pixels: bool,
+    lines: List[str],
+    names: Iterator[int],
+) -> None:
+    """:func:`serialize_dom`'s lines for one element and its subtree.
+
+    A module function, not a closure in :func:`serialize_dom`: a recursive
+    closure refers to itself through its own cell, and that cycle would
+    keep the codegen and every text it rendered until the cyclic collector
+    runs."""
+    name = f"_e{next(names)}"
+    lines.append(
+        f"{name} = RT.create({element.tag!r}, {element.element_id!r}, "
+        f"{element.attributes!r})"
+    )
+    lines.append(f"RT.append({parent_ref}, {name})")
+    if include_canvas_pixels and element.image_data is not None:
+        # Serialized as-is: a plain TypedArray becomes decimal text (how
+        # JS apps of the CaffeJS era shipped pixel arrays), an ImageData
+        # becomes a compressed attachment (the data-URL optimization).
+        lines.append(
+            f"RT.draw({name}, {codegen.root_expression(element.image_data)})"
+        )
+    for child in element.children:
+        if isinstance(child, TextNode):
+            lines.append(f"RT.append_text({name}, {child.text!r})")
+        else:
+            _emit_element(
+                child, name, codegen, include_canvas_pixels, lines, names
+            )
 
 
 def canonical_dom_entries(document: Document) -> Dict[str, str]:

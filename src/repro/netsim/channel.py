@@ -33,6 +33,7 @@ class ChannelEnd:
         self.sim = sim
         self.name = name
         self.peer: Optional["ChannelEnd"] = None
+        self.peer_name = ""
         self._outgoing: Optional[Link] = None
         self._inbox: Deque[Message] = deque()
         self._recv_waiters: Deque[SimEvent] = deque()
@@ -54,6 +55,14 @@ class ChannelEnd:
     def _attach(self, outgoing: Link, peer: "ChannelEnd") -> None:
         self._outgoing = outgoing
         self.peer = peer
+        self.peer_name = peer.name
+
+    def _abandon(self) -> None:
+        """Forget the receives waiting here and the peer; a receive
+        made later waits on nothing either (see :meth:`Channel.discard`)."""
+        self._recv_waiters.clear()
+        self._kind_waiters.clear()
+        self.peer = None
 
     # -- sending -------------------------------------------------------------
     def send(
@@ -64,27 +73,26 @@ class ChannelEnd:
         **headers: Any,
     ) -> SimEvent:
         """Send a message to the peer; returns the delivery event."""
-        if self._outgoing is None or self.peer is None:
-            raise RuntimeError(f"endpoint {self.name} is not attached to a channel")
-        message = Message(
-            kind=kind,
-            payload=payload,
-            sender=self.name,
-            recipient=self.peer.name,
-            size_bytes=size_bytes,
-            headers=dict(headers),
+        return self.send_message(
+            Message(
+                kind=kind,
+                payload=payload,
+                size_bytes=size_bytes,
+                headers=dict(headers),
+            )
         )
-        self._sent_counter.inc()
-        return self._outgoing.transmit(message, self.peer._deliver)
 
     def send_message(self, message: Message) -> SimEvent:
         """Send a pre-built message (used by protocol relays)."""
-        if self._outgoing is None or self.peer is None:
+        if self._outgoing is None:
             raise RuntimeError(f"endpoint {self.name} is not attached to a channel")
         message.sender = self.name
-        message.recipient = self.peer.name
+        message.recipient = self.peer_name
         self._sent_counter.inc()
-        return self._outgoing.transmit(message, self.peer._deliver)
+        return self._outgoing.transmit(message, self._to_peer)
+
+    def _to_peer(self, message: Message) -> None:
+        self.peer._deliver(message)
 
     # -- receiving -------------------------------------------------------------
     def _deliver(self, message: Message) -> None:
@@ -104,7 +112,8 @@ class ChannelEnd:
         if self._inbox:
             event.succeed(self._inbox.popleft())
             return event
-        self._recv_waiters.append(event)
+        if self.peer is not None:  # else nothing can arrive
+            self._recv_waiters.append(event)
         self._arm_timeout(event, timeout, "recv")
         return event
 
@@ -119,7 +128,8 @@ class ChannelEnd:
                 del self._inbox[index]
                 event.succeed(message)
                 return event
-        self._kind_waiters.setdefault(kind, deque()).append(event)
+        if self.peer is not None:  # else nothing can arrive
+            self._kind_waiters.setdefault(kind, deque()).append(event)
         self._arm_timeout(event, timeout, kind)
         return event
 
@@ -202,3 +212,18 @@ class Channel:
     def go_up(self) -> None:
         self.link_ab.go_up()
         self.link_ba.go_up()
+
+    def discard(self) -> None:
+        """Take the channel down for good: nothing crosses it again.
+
+        Each end forgets the receives waiting on it, now and later, without
+        waking them (nothing could have), and lets go of its peer.  Two ends that
+        hold each other, and a process parked on an end that holds the
+        process through its waiter, are cycles; severed, a dead channel and
+        the processes parked on it go when nothing else holds them, instead
+        of waiting for the cyclic collector.  A receive with a timeout still
+        times out, and a send on a discarded end fails as on any down link.
+        """
+        self.go_down()
+        self.end_a._abandon()
+        self.end_b._abandon()

@@ -101,7 +101,7 @@ class Topology:
         if edge_name not in self.edges:
             raise KeyError(f"no edge host named {edge_name!r}")
         if self._channel is not None:
-            self._channel.go_down()
+            self._channel.discard()
         self._channel = Channel(
             self.sim,
             self.client.name,
@@ -167,7 +167,7 @@ class Topology:
         self._edge_up[edge_name] = False
         torn_down = 0
         for key in [k for k in self._links if k[1] == edge_name]:
-            self._links.pop(key).go_down()
+            self._links.pop(key).discard()
             torn_down += 1
         if self._attached_to == edge_name and self._channel is not None:
             self._channel.go_down()

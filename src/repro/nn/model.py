@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,20 +52,21 @@ def _layer_table(network) -> List[Layer]:
     head layers, so two networks with the same structure hash their
     layers and parameters in the same order.
     """
-    table: List[Layer] = []
+    return [inner for layer in network.layers for inner in _layer_tree(layer)]
 
-    def visit(layer: Layer) -> None:
-        table.append(layer)
-        if hasattr(layer, "dag_branches"):
-            for _tag, branch in layer.dag_branches().branches:
-                for inner in branch:
-                    visit(inner)
-        for inner in getattr(layer, "head", ()):
-            visit(inner)
 
-    for layer in network.layers:
-        visit(layer)
-    return table
+def _layer_tree(layer: Layer) -> Iterator[Layer]:
+    """``layer``, then every layer nested in it, depth first.  A generator,
+    not a recursive closure: a closure that calls itself holds itself
+    through its own cell, and with it the table, until the cyclic
+    collector runs."""
+    yield layer
+    if hasattr(layer, "dag_branches"):
+        for _tag, branch in layer.dag_branches().branches:
+            for inner in branch:
+                yield from _layer_tree(inner)
+    for inner in getattr(layer, "head", ()):
+        yield from _layer_tree(inner)
 
 
 class Model:

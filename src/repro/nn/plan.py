@@ -70,7 +70,9 @@ share entries and the memo pins no network.  Two split rules extend it:
   point.*  Compiling a plan registers its chain (at most
   :data:`_CHAIN_ENTRIES`), and an executed forward keeps, under
   ``(front chain, input bits)``, a copy of every top-level spine
-  boundary whose front chain is registered — in an LRU of its own of at
+  boundary whose front chain is registered and has not yet looked that
+  input up (one of the last :data:`_MEMO_ENTRIES` keys asked for; a
+  front that asked was answered or ran itself) — in an LRU of its own of at
   most :data:`_BOUNDARY_BYTES`, so that a few feature maps never flush
   hundreds of class vectors.  A front half's forward then finds its
   result under its own key.  A conv's or fc's output before its fused
@@ -162,6 +164,13 @@ _BOUNDARIES: "collections.OrderedDict[Tuple[tuple, bytes], np.ndarray]" = (
 _boundary_bytes = 0
 #: chains of the compiled plans, by content (values unused)
 _CHAINS: "collections.OrderedDict[tuple, None]" = collections.OrderedDict()
+#: the ``(chain, input bits)`` keys forwards looked up, most recent last
+#: (values unused): a front that asked for an input was answered or ran
+#: itself, so a boundary captured for it afterwards would be kept for
+#: nobody
+_ASKED: "collections.OrderedDict[Tuple[tuple, bytes], None]" = (
+    collections.OrderedDict()
+)
 #: sha1 of a forward's output -> that forward's result key
 _LINKS: "collections.OrderedDict[bytes, Tuple[tuple, bytes]]" = (
     collections.OrderedDict()
@@ -662,7 +671,8 @@ class ExecutionPlan:
             values[step.output] = step.run(inputs, out)
             if row_bits is not None and step.front in _CHAINS:
                 for bits, row in zip(row_bits, values[step.output]):
-                    _capture((step.front, bits), row)
+                    if (step.front, bits) not in _ASKED:
+                        _capture((step.front, bits), row)
         result = values[-1]  # step ``i`` defines value ``i + 1``
         if np.shares_memory(result, arena):
             result = result.copy()
@@ -703,6 +713,7 @@ class ExecutionPlan:
         a spine boundary of a longer network — or under the key the input's
         link and this chain make together (then stored under ``key`` as
         well, when the plan's results are admitted).  None on a miss."""
+        _remember(_ASKED, key, None, _MEMO_ENTRIES)
         stored = _recall(key)
         if stored is None and key[1] in _LINKS:
             front_chain, front_input = _LINKS[key[1]]

@@ -295,4 +295,5 @@ class ServingLoop:
             ):
                 self.stats["deadline_misses"] += 1
                 self._deadline_counter.inc()
-            item.done.succeed(item)
+            done, item.done = item.done, None  # see WorkItem.done
+            done.succeed(item)

@@ -46,7 +46,9 @@ class WorkItem:
     enqueued_at: float = 0.0
     #: absolute virtual time by which this item should complete
     deadline_at: Optional[float] = None
-    #: succeeds with the item once its batch has executed
+    #: succeeds with the item once its batch has executed, and is None
+    #: from then on (an item holding the event whose value it is would be
+    #: a cycle); a drained item keeps its failed event
     done: SimEvent = None  # type: ignore[assignment]
 
     # -- filled in by the serving loop at dispatch / completion -----------

@@ -115,9 +115,15 @@ class _Condition(SimEvent):
             return
         if event.ok is False:
             self.fail(event.value)
-            return
-        if self._satisfied():
+        elif self._satisfied():
             self.succeed(self._collect())
+        else:
+            return
+        # Fired: a member still pending keeps this condition in its
+        # callbacks, so holding the members back would make a cycle that
+        # keeps both (and whatever their values hold) until the cyclic
+        # collector runs.  Its callback still runs, and returns above.
+        self.events = []
 
     def _satisfied(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -163,7 +169,6 @@ class Process(SimEvent):
             raise TypeError(f"Process needs a generator, got {generator!r}")
         super().__init__(sim, label=label or getattr(generator, "__name__", "proc"))
         self._generator = generator
-        self._waiting_on: Optional[SimEvent] = None
         # Kick off on the queue so construction order does not matter.
         sim.schedule(0.0, self._resume, None, label=f"start:{self.label}")
 
@@ -184,8 +189,6 @@ class Process(SimEvent):
         if self.triggered:
             return
         self.sim._wakeup_counter.inc()
-        if event is self._waiting_on:
-            self._waiting_on = None
         if event is not None and event.ok is False:
             self._step(lambda: self._generator.throw(event.value))
         else:
@@ -195,7 +198,6 @@ class Process(SimEvent):
     def _throw(self, exc: BaseException) -> None:
         if self.triggered:
             return
-        self._waiting_on = None
         self._step(lambda: self._generator.throw(exc))
 
     def _step(self, advance: Callable[[], Any]) -> None:
@@ -219,5 +221,7 @@ class Process(SimEvent):
                 )
             )
             return
-        self._waiting_on = target
+        # Only the event holds the process it resumes, not the other way
+        # round: a process parked on an event nothing will trigger goes
+        # when that event does.
         target.add_callback(self._resume)

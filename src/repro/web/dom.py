@@ -10,6 +10,7 @@ the DOM-tree to update the screen").  Canvas elements carry pixel data
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.web.values import TypedArray
@@ -19,14 +20,32 @@ class DOMError(RuntimeError):
     """Raised on invalid tree operations or unknown element lookups."""
 
 
+def _parent(node) -> Optional["Element"]:
+    ref = node._parent_ref
+    return ref() if ref is not None else None
+
+
+def _set_parent(node, parent: Optional["Element"]) -> None:
+    node._parent_ref = weakref.ref(parent) if parent is not None else None
+
+
+#: A node's link to its parent is weak: a parent holds its children, a
+#: child only finds its parent.  Strong links both ways would make every
+#: tree a cycle, and a finished page's DOM (canvas pixels included) would
+#: wait for the cyclic collector instead of going with its document.
+_PARENT = property(_parent, _set_parent, doc="The parent element, or None.")
+
+
 class TextNode:
     """A leaf holding text content."""
 
-    __slots__ = ("text", "parent")
+    __slots__ = ("text", "_parent_ref")
 
     def __init__(self, text: str):
         self.text = str(text)
-        self.parent: Optional["Element"] = None
+        self._parent_ref: Optional[weakref.ref] = None
+
+    parent = _PARENT
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TextNode({self.text!r})"
@@ -40,9 +59,11 @@ class Element:
         self.element_id = element_id
         self.attributes: Dict[str, Any] = dict(attributes)
         self.children: List[Any] = []  # Element | TextNode
-        self.parent: Optional["Element"] = None
+        self._parent_ref: Optional[weakref.ref] = None
         #: canvas pixel buffer (set by drawImage-style operations)
         self.image_data: Optional[TypedArray] = None
+
+    parent = _PARENT
 
     # -- tree operations -----------------------------------------------------
     def append_child(self, node) -> None:

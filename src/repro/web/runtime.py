@@ -71,10 +71,15 @@ class WebRuntime:
         self.app_model_refs: Dict[str, str] = {}
         #: model id -> installed Model (NOT serialized; shipped separately)
         self.installed_models: Dict[str, Model] = {}
-        self.app_models = _ModelView(self)
         self.handler_log: List[str] = []
         #: the event currently being handled (transient, never snapshotted)
         self.current_event: Optional[Event] = None
+
+    @property
+    def app_models(self) -> _ModelView:
+        """The app's models by local name.  Made per read: a view kept on
+        the runtime would hold the runtime that holds it, a cycle."""
+        return _ModelView(self)
 
     # -- model installation ----------------------------------------------------
     def install_model(self, model: Model) -> str:

@@ -4,7 +4,8 @@ Two memos live for the whole process and key on content, not on the
 object that computed the value: the compiled plans' results
 (``repro.nn.plan``: results and captured spine boundaries by ``(chain,
 input bits)``, the registry of compiled chains whose boundaries are
-captured, and the links a split's rear half follows) and the tensor text (``repro.core.snapshot.
+captured, the keys forwards asked for, and the links a split's rear half
+follows) and the tensor text (``repro.core.snapshot.
 codegen``).  Whatever one test computed, a later one may be answered
 from.  A test or benchmark that means to run the kernels or the
 formatter, or to count hits from a cold start, calls :func:`clear_memos`
@@ -16,7 +17,8 @@ from repro.nn import plan
 
 
 def clear_memos() -> None:
-    """Empty both memos and zero their byte and hit counters.  A plan
+    """Empty both memos and zero their byte and hit counters; arrays
+    rendered before the call no longer hold their texts.  A plan
     compiled before the call registers its chain again only when it is
     recompiled, so a test that means to capture its boundaries compiles it
     afterwards."""
@@ -24,9 +26,10 @@ def clear_memos() -> None:
     plan._BOUNDARIES.clear()
     plan._boundary_bytes = 0
     plan._CHAINS.clear()
+    plan._ASKED.clear()
     plan._LINKS.clear()
-    codegen._text_cache.clear()
-    codegen._text_cache_bytes = 0
+    codegen._texts.clear()
+    codegen._owned.clear()
     codegen._text_cache_hits = 0
     codegen._text_cache_misses = 0
 

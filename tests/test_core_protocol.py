@@ -1,6 +1,8 @@
 """Tests for the wire protocol, pre-sending and the server/client agents."""
 
 import functools
+import gc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -96,6 +98,26 @@ class TestPresend:
         assert not manager.is_acked(model.model_id)
         (delivery,) = manager.pending_deliveries()
         assert delivery.files
+
+    def test_a_manager_waiting_for_its_ack_goes_with_its_owner(self, world, model):
+        """The ACK wait never comes to an end here (the upload was
+        cancelled), and the manager holds that process: the process must
+        not hold the manager back, or the two are a cycle that keeps the
+        manager and its models until the cyclic collector runs."""
+        sim, _client, _server, channel = world
+        manager = PresendManager(sim, channel.end_a, [model])
+        manager.start()
+        sim.run(until=0.001)
+        manager.cancel()
+        sim.run()
+        assert manager._ack_proc.is_alive
+        gone = weakref.ref(manager)
+        gc.disable()
+        try:
+            del manager
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_pending_deliveries_before_start(self, world, model):
         sim, _client, _server, channel = world

@@ -1,10 +1,12 @@
 """Tests for the hot-path caches: conv weight matrices, im2col buffers,
 memoized shape helpers and the tensor-text memo."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.core.snapshot import codegen
+from repro.core.snapshot import capture_snapshot
 from repro.core.snapshot.codegen import (
     render_tensor_text,
     text_cache_info,
@@ -12,6 +14,8 @@ from repro.core.snapshot.codegen import (
 from repro.nn.layers import ConvLayer
 from repro.nn.tensor import conv_output_hw, im2col
 from repro.sim import SeededRng
+from repro.web.runtime import WebRuntime
+from repro.web.values import TypedArray
 from tests.memos import clear_memos
 
 
@@ -138,18 +142,52 @@ class TestTensorTextMemo:
         render_tensor_text(np.zeros(10, dtype=np.float32))
         assert text_cache_info()["misses"] == 2
 
-    def test_budget_evicts_oldest(self, monkeypatch):
-        monkeypatch.setattr(codegen, "TEXT_CACHE_BUDGET_BYTES", 100)
-        render_tensor_text(np.arange(4, dtype=np.float32))
-        render_tensor_text(np.arange(4, 8, dtype=np.float32))
+    def test_rerendering_a_live_array_returns_the_same_str(self):
+        values = SeededRng(21, "t").normal_array((256,))
+        text = weakref.ref(render_tensor_text(values))
+        # nothing but the array holds the text now
+        assert text() is not None
+        assert render_tensor_text(values) is text()
+        assert render_tensor_text(values.copy()) is text()
         info = text_cache_info()
-        assert info["bytes"] <= 100
+        assert info["hits"] == 2 and info["misses"] == 1
         assert info["entries"] == 1
 
-    def test_oversized_text_not_cached(self, monkeypatch):
-        monkeypatch.setattr(codegen, "TEXT_CACHE_BUDGET_BYTES", 10)
-        render_tensor_text(np.arange(8, dtype=np.float32))
-        assert text_cache_info()["entries"] == 0
+    def test_text_dies_with_its_last_array_or_snapshot(self):
+        for last in ("array", "snapshot"):
+            clear_memos()
+            runtime = WebRuntime()
+            runtime.globals["feature"] = TypedArray(
+                SeededRng(22, "t").normal_array((3, 8, 8))
+            )
+            snapshot = capture_snapshot(runtime)
+            (text,) = snapshot.texts
+            assert render_tensor_text(runtime.globals["feature"].data) is text
+            text = weakref.ref(text)
+            if last == "array":
+                del snapshot
+                assert text() is not None
+                del runtime
+            else:
+                del runtime
+                assert text() is not None
+                del snapshot
+            assert text() is None
+            assert text_cache_info()["entries"] == 0
+
+    def test_inplace_write_renders_afresh(self):
+        values = SeededRng(23, "t").normal_array((300,))
+        before = render_tensor_text(values)
+        values[7] = 12.5
+        values[100:110] = -3.0
+        after = render_tensor_text(values)
+        assert after == " ".join("%.10e" % v for v in values)
+        assert after != before
+        assert text_cache_info()["misses"] == 2
+        # the array now holds its new text only
+        before = weakref.ref(before)
+        assert before() is None
+        assert render_tensor_text(values) is after
 
     def test_roundtrip_unchanged(self):
         from repro.core.snapshot.codegen import parse_tensor_text

@@ -228,6 +228,49 @@ class TestTopology:
         sim.run()
         assert event.ok is False
 
+    def test_a_dropped_channel_frees_what_is_parked_on_it(self, sim):
+        """An edge death drops its channels for good: the receives still
+        waiting on them are forgotten without waking anyone (nothing could
+        wake them), so a process parked on one goes by reference counting
+        with the ends; a receive with a timeout still times out."""
+        topo = Topology(sim)
+        topo.add_edge_host("edge-1")
+        client_end, edge_end = topo.connect("client", "edge-1")
+        log = []
+
+        def parked(end):
+            yield end.recv()
+            log.append("woken")
+
+        def timed(end):
+            try:
+                yield end.recv(timeout=1.0)
+            except ReceiveTimeout:
+                log.append("timed out")
+
+        parked_process = weakref.ref(sim.spawn(parked(edge_end)))
+        sim.spawn(timed(client_end))
+        sim.run(until=0.5)
+        ends = [weakref.ref(end) for end in (client_end, edge_end)]
+        gc.collect()
+        gc.disable()
+        try:
+            assert topo.fail_edge("edge-1") == 1
+            assert parked_process() is None
+            assert client_end.peer is None
+            # a loop that was busy at the drop parks afterwards: the same
+            parked_later = weakref.ref(sim.spawn(parked(edge_end)))
+            sim.run(until=0.6)
+            assert parked_later() is None
+            event = client_end.send("STALE", size_bytes=10)
+            del client_end, edge_end
+            sim.run()
+            assert event.ok is False
+            assert log == ["timed out"]
+            assert [end() for end in ends] == [None, None]
+        finally:
+            gc.enable()
+
     def test_handover_to_current_edge_rejected(self, sim):
         topo = Topology(sim)
         topo.add_edge_host("edge-1")

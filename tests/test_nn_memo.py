@@ -270,6 +270,24 @@ class TestFrontAnsweredByTheWholeForward:
         assert front.plan_for().memo_hits == 0
         assert not plan_module._BOUNDARIES
 
+    def test_a_front_that_asked_gets_no_boundary(self):
+        """A front that looked an input up was answered or ran itself, so a
+        whole forward of that input afterwards keeps no boundary for it;
+        an input it has not asked for is captured as before."""
+        model = zoo_model("smallnet")
+        network = model.network
+        pool = network.point_by_label("1st_pool").index
+        asked, fresh = image_for(network, 0), image_for(network, 1)
+        clear_memos()
+        network.split(pool).front.forward(asked)
+        model.inference(asked)
+        assert not plan_module._BOUNDARIES
+        model.inference(fresh)
+        assert [bits for _, bits in plan_module._BOUNDARIES] == [
+            plan_module._bits(fresh)
+        ]
+        assert boundary_bytes_agree()
+
     def test_no_stale_boundary_after_an_unfreeze_and_write(self):
         model = build_model("smallnet")
         network = model.network
@@ -382,8 +400,9 @@ class TestFrontAnsweredByTheWholeForward:
     def test_boundaries_are_a_byte_bounded_lru(self, calls, budget):
         """With the budget set to a whole number of boundaries, the kept
         boundaries are those of the most recently used inputs: a whole
-        forward that executes captures one, a front answered by one
-        refreshes it; the byte count is exact.  The front's output is too
+        forward that executes captures one unless the front already looked
+        that input up (it was answered or ran itself), a front answered by
+        one refreshes it; the byte count is exact.  The front's output is too
         large for its own results to be memoized, and the whole network's
         result is, so a repeated whole forward is answered and captures
         nothing."""
@@ -396,6 +415,7 @@ class TestFrontAnsweredByTheWholeForward:
         plan_module._BOUNDARY_BYTES = budget * nbytes
         kept = collections.OrderedDict()  # the inputs the budget keeps
         classified = set()
+        asked = set()  # the inputs the front looked up
         clear_memos()
         try:
             front = network.split(split).front.plan_for()
@@ -407,10 +427,12 @@ class TestFrontAnsweredByTheWholeForward:
                     network.forward(x)
                     if index not in classified:
                         classified.add(index)
-                        kept[index] = None
+                        if index not in asked:
+                            kept[index] = None
                         if len(kept) > budget:
                             kept.popitem(last=False)
                 else:
+                    asked.add(index)
                     hits = front.memo_hits
                     assert same_bits(
                         front.forward(x),

@@ -93,7 +93,8 @@ class TestSessionCache:
         # The delta carries the new canvas pixels (big), little else.
         assert second.snapshot.feature_bytes > 10_000
         # Server computed on the NEW image: its canvas matches the client's.
-        server_canvas = server.last_runtime.document.get("canvas").image_data
+        browser = server._sessions[("client", client.runtime.app_name)][0]
+        server_canvas = browser.document.get("canvas").image_data
         client_canvas = client.runtime.document.get("canvas").image_data
         assert server_canvas.equals(client_canvas)
 

@@ -1,5 +1,7 @@
 """Unit tests for generator-based simulated processes."""
 
+import weakref
+
 import pytest
 
 from repro.sim import Interrupt, Simulator
@@ -179,6 +181,30 @@ class TestConditions:
         sim.spawn(proc())
         sim.run()
         assert log == [0.0]
+
+    @pytest.mark.parametrize("how", ["any_of", "all_of", "all_of failing"])
+    def test_a_fired_condition_holds_none_of_its_members(self, sim, how):
+        """A member still pending holds the condition in its callbacks; a
+        condition that held its members back would make a cycle with it."""
+        condition, members = self._fired(sim, how)
+        assert condition.triggered
+        assert condition.ok is (how != "all_of failing")
+        assert [member() for member in members] == [None, None]
+
+    @staticmethod
+    def _fired(sim, how):
+        pending = sim.event("never")
+        if how == "any_of":
+            members = [sim.timeout(1.0, "fast"), pending]
+        elif how == "all_of":
+            members = [sim.timeout(1.0, "fast"), sim.timeout(2.0, "slow")]
+        else:
+            failing = sim.event("failing")
+            sim.schedule(1.0, failing.fail, RuntimeError("gone"))
+            members = [failing, pending]
+        condition = getattr(sim, how.split()[0])(members)
+        sim.run()
+        return condition, [weakref.ref(member) for member in members]
 
 
 class TestInterrupts:
