@@ -21,7 +21,6 @@ Run:  python examples/mobile_handover.py
 from repro.core import protocol
 from repro.core.client import ClientAgent
 from repro.core.server import EdgeServer
-from repro.core.snapshot import CaptureOptions
 from repro.devices import Device, edge_server_x86, odroid_xu4_client
 from repro.netsim import NetemProfile, Topology
 from repro.nn.cost import network_costs
@@ -65,7 +64,6 @@ def main() -> None:
         sim,
         Device(sim, odroid_xu4_client()),
         client_end,
-        capture_options=CaptureOptions(include_canvas_pixels=True),
     )
     client.start_app(make_inference_app(model), presend=True)
     client.runtime.globals["pending_pixels"] = TypedArray(

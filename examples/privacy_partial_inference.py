@@ -15,7 +15,7 @@ Run:  python examples/privacy_partial_inference.py
 """
 
 from repro.core.privacy import denaturing_score, inversion_study, snapshot_exposes_input
-from repro.core.snapshot import CaptureOptions, capture_snapshot
+from repro.core.snapshot import capture_snapshot
 from repro.nn.zoo import smallnet, tinynet
 from repro.sim import SeededRng
 from repro.web import WebRuntime
@@ -24,7 +24,7 @@ from repro.web.events import Event
 from repro.web.values import TypedArray
 
 
-def snapshot_for(app, pixels, event, options):
+def snapshot_for(app, pixels, event):
     runtime = WebRuntime("client")
     runtime.load_app(app)
     runtime.globals["pending_pixels"] = pixels
@@ -33,7 +33,7 @@ def snapshot_for(app, pixels, event, options):
         runtime.events.set_interceptor(lambda ev: None)
         runtime.events.mark_offload_event("front_complete")
         runtime.dispatch("click", "infer_btn")  # front() runs locally
-    return capture_snapshot(runtime, event, options)
+    return capture_snapshot(runtime, event)
 
 
 def main() -> None:
@@ -46,7 +46,6 @@ def main() -> None:
         make_inference_app(model),
         pixels,
         Event("click", "infer_btn"),
-        CaptureOptions(include_canvas_pixels=True),
     )
     point = model.network.point_by_label("1st_pool")
     front, rear = model.split(point.index)
@@ -54,7 +53,6 @@ def main() -> None:
         make_partial_inference_app(front, rear),
         pixels,
         Event("front_complete", "infer_btn"),
-        CaptureOptions(),
     )
     print("input exposure")
     print(f"  full offload snapshot exposes input   : "

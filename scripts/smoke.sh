@@ -134,7 +134,10 @@ grep -q "serving:" "$out_dir/serve-a.md" || {
     echo "FAIL: serving report carries no batching stats" >&2; exit 1; }
 # The report's bytes are locked too, with and without a per-request SLO:
 # the batching rule, the deadline accounting and the failover path must
-# reproduce the committed baselines.
+# reproduce the committed baselines.  A partial-mode report moves whenever
+# what a partial snapshot carries moves (its bytes set the uplink time and
+# when the pre-send is overtaken); the baselines are then regenerated with
+# these command lines, and every other artefact stays `cmp`-identical.
 python -m repro serve --edges 2 --sessions 10 --requests 2 --rate 48 \
     --seed 5 --kill edge-0@0.35:1.2 --deadline 0.2 \
     --out "$out_dir/serve-deadline.md" > /dev/null

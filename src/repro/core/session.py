@@ -32,7 +32,6 @@ from repro.core.client import (
     OffloadOutcome,
     PhaseBreakdown,
 )
-from repro.core.snapshot import CaptureOptions
 from repro.devices.device import Device
 from repro.nn.cost import LayerCost
 from repro.sim import Simulator
@@ -199,29 +198,18 @@ class OffloadingSession:
         )
         return self._finish("client", started_at, phases, self.client.runtime)
 
-    def run_offload(
-        self,
-        wait_for_ack: bool,
-        capture_options: CaptureOptions = CaptureOptions(include_canvas_pixels=True),
-    ):
+    def run_offload(self, wait_for_ack: bool):
         """Full-inference offloading, before or after the pre-send ACK."""
         mode = "offload-after-ack" if wait_for_ack else "offload-before-ack"
-        return self._offload(mode, wait_for_ack, capture_options)
+        return self._offload(mode, wait_for_ack)
 
-    def run_offload_partial(
-        self,
-        wait_for_ack: bool = True,
-        capture_options: CaptureOptions = CaptureOptions(),
-    ):
+    def run_offload_partial(self, wait_for_ack: bool = True):
         """Partial inference: front() locally, rear() on the edge server."""
-        return self._offload("offload-partial", wait_for_ack, capture_options)
+        return self._offload("offload-partial", wait_for_ack)
 
-    def _offload(
-        self, mode: str, wait_for_ack: bool, capture_options: CaptureOptions
-    ):
+    def _offload(self, mode: str, wait_for_ack: bool):
         """The one offload body: the mode picks the point, front, costs."""
         partial = mode == "offload-partial"
-        self.client.capture_options = capture_options
         self.client.start_app(self.app, presend=True)
         self._load_image(self.client.runtime)
         if wait_for_ack:

@@ -13,7 +13,7 @@ Two capture modes mirror the paper's two migrations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from repro.core.snapshot.codegen import (
     dom_node_key,
     serialize_dom,
     serialize_globals,
+    ships_bitmap,
 )
-from repro.core.snapshot.optimize import select_globals
+from repro.core.snapshot.optimize import live_names, select_globals
 from repro.core.snapshot.restore import StateFingerprint, fingerprint_runtime
 from repro.web.dom import TextNode
 from repro.web.events import Event
@@ -41,9 +42,12 @@ class CaptureOptions:
 
     ``live_only`` applies live-state elimination for the pending event
     (the paper's offloading behaviour; turn off for conservative
-    whole-state snapshots).  ``include_canvas_pixels`` serializes canvas
-    bitmaps (off by default — real DOM serialization drops canvas content,
-    and apps keep what they need in heap state).
+    whole-state snapshots): a global travels only if a handler reachable
+    from the event mentions its name, and a canvas bitmap only if one
+    mentions the canvas's element id.  Without a pending event, or with
+    ``live_only`` off, every global and every bitmap travels.
+    ``include_canvas_pixels`` ships every bitmap whatever the liveness
+    rule says.
     """
 
     live_only: bool = True
@@ -122,6 +126,20 @@ def _event_tuple(event: Optional[Event]) -> Optional[Tuple[str, str, Any]]:
     return (event.event_type, event.target_id, payload)
 
 
+def _drawn(
+    runtime: WebRuntime,
+    listeners: List[Tuple[str, str, str]],
+    pending_event: Optional[Event],
+    options: CaptureOptions,
+) -> Optional[FrozenSet[str]]:
+    """The live set a capture's bitmaps are judged by (``None``: all ship)."""
+    if options.include_canvas_pixels:
+        return None
+    return live_names(
+        runtime.script_source, listeners, pending_event, options.live_only
+    )
+
+
 def capture_snapshot(
     runtime: WebRuntime,
     pending_event: Optional[Event] = None,
@@ -133,10 +151,11 @@ def capture_snapshot(
         f"RT.set_script({runtime.script_source!r})",
         f"RT.set_model_refs({runtime.app_model_refs!r})",
     ]
+    listeners = runtime.events.all_listeners()
     keep = select_globals(
         runtime.script_source,
         runtime.globals.keys(),
-        runtime.events.all_listeners(),
+        listeners,
         pending_event,
         live_only=options.live_only,
     )
@@ -145,18 +164,15 @@ def capture_snapshot(
         global_root_lines, codegen = serialize_globals(
             runtime.globals, keep=keep, codegen=codegen
         )
-        dom_lines = serialize_dom(
-            runtime.document,
-            codegen,
-            include_canvas_pixels=options.include_canvas_pixels,
-        )
+        drawn = _drawn(runtime, listeners, pending_event, options)
+        dom_lines = serialize_dom(runtime.document, codegen, drawn)
     except CodegenError as exc:
         raise SnapshotError(str(exc)) from exc
     # Heap-node definitions first: globals and DOM may share nodes.
     lines.extend(codegen.lines)
     lines.extend(global_root_lines)
     lines.extend(dom_lines)
-    for element_id, event_type, handler in runtime.events.all_listeners():
+    for element_id, event_type, handler in listeners:
         lines.append(f"RT.add_listener({element_id!r}, {event_type!r}, {handler!r})")
     event_tuple = _event_tuple(pending_event)
     if event_tuple is not None:
@@ -211,13 +227,15 @@ def capture_delta(
         for name, hash_now in state.global_hash.items()
         if baseline.global_hash.get(name) != hash_now
     ]
+    listeners = runtime.events.all_listeners()
     keep = select_globals(
         runtime.script_source,
         changed,
-        runtime.events.all_listeners(),
+        listeners,
         pending_event,
         live_only=options.live_only,
     )
+    drawn = _drawn(runtime, listeners, pending_event, options)
     removed = [name for name in baseline.global_hash if name not in runtime.globals]
     codegen = HeapCodegen()
     global_root_lines, codegen = serialize_globals(
@@ -236,7 +254,7 @@ def capture_delta(
     dom_lines: List[str] = []
 
     def draw_line(target_expr: str, element) -> None:
-        if options.include_canvas_pixels and element.image_data is not None:
+        if ships_bitmap(element, drawn):
             dom_lines.append(
                 f"RT.draw({target_expr}, "
                 f"{codegen.root_expression(element.image_data)})"

@@ -33,7 +33,7 @@ import functools
 import hashlib
 import itertools
 import weakref
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -458,14 +458,15 @@ def dom_node_key(element: Element) -> str:
 def serialize_dom(
     document: Document,
     codegen: HeapCodegen,
-    include_canvas_pixels: bool = False,
+    live: Optional[AbstractSet[str]] = frozenset(),
 ) -> List[str]:
     """Generate program lines that rebuild the DOM tree.
 
-    Canvas pixel buffers are skipped by default — serializing a DOM does
-    not capture canvas content in real browsers either; apps keep what they
-    need in heap state.  ``include_canvas_pixels`` overrides this for apps
-    that rely on it, at the cost of shipping the (attached) image.
+    A canvas's bitmap travels only if its element id is in ``live``, the
+    names the remaining execution mentions (handlers read a canvas through
+    ``ctx.document.get(id)``); ``live=None`` ships every bitmap.  The
+    default, nothing live, ships none — serializing a DOM does not capture
+    canvas content in real browsers either.
     """
     lines: List[str] = []
     names = itertools.count()
@@ -473,17 +474,23 @@ def serialize_dom(
         if isinstance(child, TextNode):
             lines.append(f"RT.append_text(RT.body(), {child.text!r})")
         else:
-            _emit_element(
-                child, "RT.body()", codegen, include_canvas_pixels, lines, names
-            )
+            _emit_element(child, "RT.body()", codegen, live, lines, names)
     return lines
+
+
+def ships_bitmap(element: Element, live: Optional[AbstractSet[str]]) -> bool:
+    """Whether a capture with live set ``live`` carries ``element``'s
+    bitmap (see :func:`serialize_dom`)."""
+    return element.image_data is not None and (
+        live is None or element.element_id in live
+    )
 
 
 def _emit_element(
     element: Element,
     parent_ref: str,
     codegen: HeapCodegen,
-    include_canvas_pixels: bool,
+    live: Optional[AbstractSet[str]],
     lines: List[str],
     names: Iterator[int],
 ) -> None:
@@ -499,7 +506,7 @@ def _emit_element(
         f"{element.attributes!r})"
     )
     lines.append(f"RT.append({parent_ref}, {name})")
-    if include_canvas_pixels and element.image_data is not None:
+    if ships_bitmap(element, live):
         # Serialized as-is: a plain TypedArray becomes decimal text (how
         # JS apps of the CaffeJS era shipped pixel arrays), an ImageData
         # becomes a compressed attachment (the data-URL optimization).
@@ -510,9 +517,7 @@ def _emit_element(
         if isinstance(child, TextNode):
             lines.append(f"RT.append_text({name}, {child.text!r})")
         else:
-            _emit_element(
-                child, name, codegen, include_canvas_pixels, lines, names
-            )
+            _emit_element(child, name, codegen, live, lines, names)
 
 
 def canonical_dom_entries(document: Document) -> Dict[str, str]:

@@ -10,18 +10,26 @@ Two passes matter for ML apps:
 * **Live-state elimination** — when offloading a specific pending event,
   only the state that the remaining execution can reach needs to travel.
   We compute the set of handlers reachable from the pending event (through
-  ``dispatch_event`` chains and direct calls) and keep only the globals
-  those handlers mention.  This is why the paper's partial-inference
-  snapshot carries the *feature data and not the original input*: ``rear()``
-  references ``feature`` but not the image.
+  ``dispatch_event`` chains and direct calls) and the names those handlers
+  mention (:func:`live_names`).  A global travels only if it is one of
+  them (:func:`select_globals`), and a canvas bitmap only if its element
+  id is (handlers read a canvas through ``ctx.document.get(id)``).  This
+  is why the paper's partial-inference snapshot carries the *feature data
+  and not the original input*: ``rear()`` references ``feature`` but
+  neither the image global nor the ``"canvas"`` it was drawn on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+import functools
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.web.events import Event
-from repro.web.scripts import referenced_names, split_functions
+from repro.web.scripts import (
+    _SCRIPT_MEMO_ENTRIES,
+    referenced_names,
+    split_functions,
+)
 
 
 def reachable_handlers(
@@ -68,20 +76,47 @@ def reachable_handlers(
     return reached
 
 
-def live_globals(
+# Bounded like the script memos it reads: an app has a handful of
+# offload points, so a campaign's keys stay far below the bound.
+@functools.lru_cache(maxsize=_SCRIPT_MEMO_ENTRIES)
+def _reachable_mentions(
     script_source: str,
-    global_names: Iterable[str],
-    handlers: Set[str],
-) -> Set[str]:
-    """Global variables mentioned by any of the given handlers."""
+    listeners: Tuple[Tuple[str, str, str], ...],
+    event_type: str,
+    target_id: str,
+) -> FrozenSet[str]:
+    """Every name a handler reachable from the event mentions.  Keyed by
+    content: each capture of one app at one offload point re-presents the
+    same script, listener table and event."""
     functions = split_functions(script_source)
-    mentioned: Set[str] = set()
-    for handler in handlers:
-        source = functions.get(handler)
-        if source is None:
-            continue
-        mentioned.update(referenced_names(source))
-    return {name for name in global_names if name in mentioned}
+    handlers = reachable_handlers(
+        script_source, listeners, Event(event_type, target_id)
+    )
+    return frozenset(
+        name for handler in handlers for name in referenced_names(functions[handler])
+    )
+
+
+def live_names(
+    script_source: str,
+    listeners: Iterable[Tuple[str, str, str]],
+    pending_event: Optional[Event],
+    live_only: bool,
+) -> Optional[FrozenSet[str]]:
+    """The names the remaining execution can mention, or ``None`` when
+    everything travels (``live_only`` off, or no pending event).
+
+    One result serves both rules of a capture: a global travels if its
+    name is in it, a canvas bitmap if its element id is.
+    """
+    if not live_only or pending_event is None:
+        return None
+    return _reachable_mentions(
+        script_source,
+        tuple(listeners),
+        pending_event.event_type,
+        pending_event.target_id,
+    )
 
 
 def select_globals(
@@ -99,7 +134,5 @@ def select_globals(
     given pending event — the paper's behaviour for offloading snapshots.
     """
     names = set(global_names)
-    if not live_only or pending_event is None:
-        return names
-    handlers = reachable_handlers(script_source, listeners, pending_event)
-    return live_globals(script_source, names, handlers)
+    live = live_names(script_source, listeners, pending_event, live_only)
+    return names if live is None else names & live

@@ -192,13 +192,13 @@ def snapshot_optimization_study(model_name: str = "googlenet") -> SnapshotSizes:
     return SnapshotSizes(
         model=model_name,
         live_only_bytes=snapshot_with(
-            CaptureOptions(live_only=True, include_canvas_pixels=True), False
+            CaptureOptions(live_only=True), False
         ),
         conservative_bytes=snapshot_with(
-            CaptureOptions(live_only=False, include_canvas_pixels=True), False
+            CaptureOptions(live_only=False), False
         ),
         data_url_bytes=snapshot_with(
-            CaptureOptions(live_only=True, include_canvas_pixels=True), True
+            CaptureOptions(live_only=True), True
         ),
     )
 

@@ -24,7 +24,6 @@ from repro.core.session import (
     expected_label_for,
     run_server_only,
 )
-from repro.core.snapshot import CaptureOptions
 from repro.devices import Device, edge_server_x86, odroid_xu4_client
 from repro.eval import calibration
 from repro.netsim import NetemProfile, Topology
@@ -162,7 +161,6 @@ class Testbed:
         """
         model = build_paper_model(model_name)
         costs = network_costs(model.network)
-        self.client.capture_options = CaptureOptions(include_canvas_pixels=True)
         self.client.start_app(make_inference_app(model), presend=True)
         self.client.runtime.globals["pending_pixels"] = paper_input_for(model_name)
         self.client.runtime.dispatch("click", "load_btn")

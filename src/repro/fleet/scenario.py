@@ -56,7 +56,6 @@ import numpy as np
 
 from repro.core.client import ClientAgent, OffloadError, PhaseBreakdown
 from repro.core.server import EdgeServer
-from repro.core.snapshot import CaptureOptions
 from repro.devices import Device, edge_server_x86, odroid_xu4_client
 from repro.fleet.policies import Policy, make_policy
 from repro.fleet.scheduler import FleetScheduler, NoEdgeAvailable
@@ -694,7 +693,6 @@ class FleetScenario:
             self.sim,
             Device(self.sim, odroid_xu4_client()),
             None,
-            capture_options=CaptureOptions(include_canvas_pixels=True),
             name=session_name,
         )
         agent.start_app(tenant.app, presend=False)

@@ -426,8 +426,14 @@ class TestDomCodegen:
         codegen = HeapCodegen()
         lines = serialize_dom(doc, codegen)
         assert not any("RT.draw" in line for line in lines)
-        lines_with = serialize_dom(doc, HeapCodegen(), include_canvas_pixels=True)
-        assert any("RT.draw" in line for line in lines_with)
+        assert codegen.texts == []
+        # A live set that does not name the canvas skips it too ...
+        dead = serialize_dom(doc, HeapCodegen(), frozenset({"canvas", "feature"}))
+        assert not any("RT.draw" in line for line in dead)
+        # ... one that names it ships it, and so does "everything is live".
+        for live in (frozenset({"cv"}), None):
+            lines_with = serialize_dom(doc, HeapCodegen(), live)
+            assert sum("RT.draw" in line for line in lines_with) == 1
 
     def test_canonical_dom_entries_change_detection(self):
         doc = self._doc()

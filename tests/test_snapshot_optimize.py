@@ -1,10 +1,6 @@
 """Tests for snapshot size optimizations (liveness analysis)."""
 
-from repro.core.snapshot.optimize import (
-    live_globals,
-    reachable_handlers,
-    select_globals,
-)
+from repro.core.snapshot.optimize import reachable_handlers, select_globals
 from repro.web.events import Event
 
 SCRIPT = '''
@@ -65,14 +61,18 @@ class TestReachableHandlers:
 
 class TestLiveGlobals:
     def test_only_mentioned_globals_kept(self):
-        live = live_globals(
-            SCRIPT, ["feature", "image", "config", "unrelated"], {"rear"}
+        # front_complete reaches rear() alone
+        live = select_globals(
+            SCRIPT, ["feature", "image", "config", "unrelated"], LISTENERS,
+            Event("front_complete", "btn"), True,
         )
         assert live == {"feature"}
 
     def test_multiple_handlers_union(self):
-        live = live_globals(
-            SCRIPT, ["feature", "image", "config"], {"front", "rear"}
+        # a click reaches front() and, through its dispatch, rear()
+        live = select_globals(
+            SCRIPT, ["feature", "image", "config"], LISTENERS,
+            Event("click", "btn"), True,
         )
         assert live == {"feature", "image"}
 
